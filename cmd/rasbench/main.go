@@ -54,7 +54,7 @@ type benchOpts struct {
 	seed         uint64
 	level        float64
 	timeout      uint64
-	cpus         string // CPU counts for -table smp/server, e.g. "1,2,4"
+	cpus         string // CPU counts for -table smp/server/rmr, e.g. "1,2,4"
 	jsonOut      string // per-table results as JSON ("-" = stdout)
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
@@ -62,8 +62,12 @@ type benchOpts struct {
 }
 
 func main() {
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.name
+	}
 	var o benchOpts
-	flag.StringVar(&o.table, "table", "all", "which table to run: 1,2,3,4,i860,lamport,holdups,ablation,wbuf,ranges,quantum,workers,chaos,recovery,persist,journal,smp,server,rmr,resilience,all")
+	flag.StringVar(&o.table, "table", "all", "which table to run: "+strings.Join(names, ",")+",all")
 	flag.IntVar(&o.iters, "iters", 20000, "microbenchmark loop iterations")
 	flag.IntVar(&o.scale, "scale", 1, "table 3 workload multiplier")
 	flag.Uint64Var(&o.seed, "seed", 0, "chaos master seed (0 = default); use with -level to replay a failure")
@@ -82,28 +86,196 @@ func main() {
 	}
 }
 
-// run keeps the historical positional signature used throughout the tests;
-// runOpts is the flag-level entry.
-func run(table string, iters, scale int, seed uint64, level float64, timeout uint64) error {
-	return runOpts(benchOpts{table: table, iters: iters, scale: scale,
-		seed: seed, level: level, timeout: timeout})
+// table is one registry entry. run regenerates the table and returns its
+// printed text; rows is the row-level detail for the -json record, nil
+// for tables whose record carries only the aggregate counters.
+type table struct {
+	name, title string
+	run         func(o benchOpts) (rows any, text string, err error)
 }
 
 // tableResult is one -json record: the aggregate substrate counters behind
-// one regenerated table.
+// one regenerated table, plus that table's own rows.
 type tableResult struct {
-	Name        string                `json:"name"`
-	Runs        int                   `json:"runs"`
-	Cycles      uint64                `json:"cycles"`
-	Restarts    uint64                `json:"restarts"`
-	Preemptions uint64                `json:"preemptions"`
-	Traps       uint64                `json:"traps"`
-	SMP         []bench.SMPRow        `json:"smp,omitempty"`        // row-level detail for -table smp
-	Persist     []bench.PersistRow    `json:"persist,omitempty"`    // row-level detail for -table persist
-	Journal     []bench.JournalRow    `json:"journal,omitempty"`    // row-level detail for -table journal
-	Server      []bench.ServerRow     `json:"server,omitempty"`     // row-level detail for -table server
-	RMR         []bench.RMRRow        `json:"rmr,omitempty"`        // row-level detail for -table rmr
-	Resilience  []bench.ResilienceRow `json:"resilience,omitempty"` // row-level detail for -table resilience
+	Name string `json:"name"`
+	bench.RunStats
+	Rows any `json:"rows,omitempty"`
+}
+
+// textOnly finishes a registry run whose rows stay out of the -json record.
+func textOnly[R any](rows R, err error, format func(R) string) (any, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return nil, format(rows), nil
+}
+
+// withRows finishes a registry run whose rows go into the -json record.
+func withRows[R any](rows []R, err error, format func([]R) string) (any, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return rows, format(rows), nil
+}
+
+// tables is the registry: -list, -table, -json and the tests iterate it,
+// and `-table all` runs it in this order.
+var tables = []table{
+	{"1", "Table 1: mutual exclusion microbenchmarks, DECstation 5000/200 (simulated)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.Table1(o.iters)
+		return textOnly(rows, err, bench.FormatTable1)
+	}},
+	{"2", "Table 2: thread management overhead, emulation vs R.A.S.", func(o benchOpts) (any, string, error) {
+		rows, err := bench.Table2(o.iters / 10)
+		return textOnly(rows, err, bench.FormatTable2)
+	}},
+	{"3", "Table 3: application performance", func(o benchOpts) (any, string, error) {
+		s := bench.DefaultScale()
+		s.TextParas *= o.scale
+		s.AFSDirs *= o.scale
+		s.ParthChain *= o.scale
+		s.ProtonKB *= o.scale
+		rows, err := bench.Table3(s)
+		return textOnly(rows, err, bench.FormatTable3)
+	}},
+	{"4", "Table 4: hardware vs software Test-And-Set, eight processors", func(o benchOpts) (any, string, error) {
+		rows, err := bench.Table4(o.iters)
+		return textOnly(rows, err, bench.FormatTable4)
+	}},
+	{"i860", "i860 hardware lock bit vs software (§7)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableI860(o.iters)
+		return textOnly(rows, err, bench.FormatI860)
+	}},
+	{"lamport", "Software reservation protocols (Figure 1 vs Figure 2)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableLamport(o.iters)
+		return textOnly(rows, err, bench.FormatLamport)
+	}},
+	{"holdups", "parthenon-10 lock holdups (§5.3)", func(o benchOpts) (any, string, error) {
+		s := bench.DefaultScale()
+		s.Quantum = 3000
+		rows, err := bench.TableHoldups(s)
+		return textOnly(rows, err, bench.FormatHoldups)
+	}},
+	{"ablation", "PC-check placement ablation (§4.1)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableAblation(3, 200)
+		return textOnly(rows, err, bench.FormatAblation)
+	}},
+	{"wbuf", "Write-buffer sensitivity (§5.1 design remark)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableWriteBuffer(o.iters)
+		return textOnly(rows, err, bench.FormatWriteBuffer)
+	}},
+	{"ranges", "Registration-table size vs check cost (§3.1 restriction)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableRegistrationRanges(3, 200)
+		if err != nil {
+			return nil, "", err
+		}
+		return nil, bench.FormatRanges(rows, arch.R3000().PCCheckDesignatedCycles), nil
+	}},
+	{"quantum", "Restart frequency vs scheduling quantum (validating §5.3's optimism)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableQuantumSweep(4, 500, nil)
+		return textOnly(rows, err, bench.FormatQuantumSweep)
+	}},
+	{"workers", "Server worker pool on a uniprocessor (afs-bench client)", func(o benchOpts) (any, string, error) {
+		rows, err := bench.TableServerWorkers(nil)
+		return textOnly(rows, err, bench.FormatServerWorkers)
+	}},
+	{"chaos", "Chaos sweep: seeded fault injection, watchdog, degradation", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultChaosConfig()
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		if o.level > 0 {
+			cfg.Levels = []float64{o.level}
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableChaos(cfg)
+		return textOnly(rows, err, bench.FormatChaos)
+	}},
+	{"recovery", "Recovery sweep: thread kills, orphan repair, checkpoint/restore", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultRecoveryConfig()
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableRecovery(cfg)
+		return textOnly(rows, err, bench.FormatRecovery)
+	}},
+	{"persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultPersistConfig()
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TablePersist(cfg)
+		return withRows(rows, err, bench.FormatPersist)
+	}},
+	{"journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultJournalConfig()
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableJournal(cfg)
+		return withRows(rows, err, bench.FormatJournal)
+	}},
+	{"smp", "SMP sweep: §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultSMPConfig()
+		cpuList, err := parseCPUList(o.cpus)
+		if err != nil {
+			return nil, "", err
+		}
+		if cpuList != nil {
+			cfg.CPUList = cpuList
+		}
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableSMP(cfg)
+		return withRows(rows, err, bench.FormatSMP)
+	}},
+	{"server", "Server sweep: per-CPU request plane vs mutex queue, one million requests", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultServerConfig()
+		cpuList, err := parseCPUList(o.cpus)
+		if err != nil {
+			return nil, "", err
+		}
+		if cpuList != nil {
+			cfg.CPUList = cpuList
+			cfg.Shards = cpuList
+		}
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableServer(cfg)
+		return withRows(rows, err, bench.FormatServer)
+	}},
+	{"rmr", "RMR sweep: queue locks' remote references per passage vs the spinlock's", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultRMRConfig()
+		cpuList, err := parseCPUList(o.cpus)
+		if err != nil {
+			return nil, "", err
+		}
+		if cpuList != nil {
+			cfg.CPUList = cpuList
+		}
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableRMR(cfg)
+		return withRows(rows, err, bench.FormatRMR)
+	}},
+	{"resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func(o benchOpts) (any, string, error) {
+		cfg := bench.DefaultResilienceConfig()
+		if o.seed != 0 {
+			cfg.Seed = o.seed
+		}
+		cfg.MaxCycles = o.timeout
+		rows, err := bench.TableResilience(cfg)
+		return withRows(rows, err, bench.FormatResilience)
+	}},
 }
 
 // parseCPUList turns "-cpus 1,2,4" into []int{1, 2, 4}.
@@ -123,7 +295,21 @@ func parseCPUList(s string) ([]int, error) {
 }
 
 func runOpts(o benchOpts) error {
-	all := o.table == "all"
+	if o.list {
+		for _, t := range tables {
+			fmt.Printf("%-10s %s\n", t.name, t.title)
+		}
+		return nil
+	}
+	var selected []table
+	for _, t := range tables {
+		if o.table == "all" || o.table == t.name {
+			selected = append(selected, t)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown table %q", o.table)
+	}
 
 	// Observability: one bus receives every substrate run the harness
 	// starts (rebased end-to-end by the bench package), feeding the
@@ -144,276 +330,19 @@ func runOpts(o benchOpts) error {
 		defer bench.SetTraceSink(nil)
 	}
 
-	var results []tableResult
-	var smpRows []bench.SMPRow               // row-level detail captured by the smp step
-	var persistRows []bench.PersistRow       // row-level detail captured by the persist step
-	var journalRows []bench.JournalRow       // row-level detail captured by the journal step
-	var serverRows []bench.ServerRow         // row-level detail captured by the server step
-	var rmrRows []bench.RMRRow               // row-level detail captured by the rmr step
-	var resilienceRows []bench.ResilienceRow // row-level detail captured by the resilience step
-	runTable := func(name, title string, fn func() (string, error)) error {
-		if !all && o.table != name {
-			return nil
-		}
-		fmt.Printf("\n== %s ==\n\n", title)
-		var rs bench.RunStats
-		bench.CollectStats(&rs)
-		out, err := fn()
+	results := make([]tableResult, 0, len(selected))
+	for _, t := range selected {
+		fmt.Printf("\n== %s ==\n\n", t.title)
+		rec := tableResult{Name: t.name}
+		bench.CollectStats(&rec.RunStats)
+		rows, text, err := t.run(o)
 		bench.CollectStats(nil)
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
-		results = append(results, tableResult{Name: name, Runs: rs.Runs,
-			Cycles: rs.Cycles, Restarts: rs.Restarts,
-			Preemptions: rs.Preemptions, Traps: rs.EmulTraps,
-			SMP: smpRows, Persist: persistRows, Journal: journalRows,
-			Server: serverRows, RMR: rmrRows, Resilience: resilienceRows})
-		return nil
-	}
-
-	steps := []struct {
-		name, title string
-		fn          func() (string, error)
-	}{
-		{"1", "Table 1: mutual exclusion microbenchmarks, DECstation 5000/200 (simulated)", func() (string, error) {
-			rows, err := bench.Table1(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable1(rows), nil
-		}},
-		{"2", "Table 2: thread management overhead, emulation vs R.A.S.", func() (string, error) {
-			rows, err := bench.Table2(o.iters / 10)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable2(rows), nil
-		}},
-		{"3", "Table 3: application performance", func() (string, error) {
-			s := bench.DefaultScale()
-			s.TextParas *= o.scale
-			s.AFSDirs *= o.scale
-			s.ParthChain *= o.scale
-			s.ProtonKB *= o.scale
-			rows, err := bench.Table3(s)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable3(rows), nil
-		}},
-		{"4", "Table 4: hardware vs software Test-And-Set, eight processors", func() (string, error) {
-			rows, err := bench.Table4(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable4(rows), nil
-		}},
-		{"i860", "i860 hardware lock bit vs software (§7)", func() (string, error) {
-			rows, err := bench.TableI860(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatI860(rows), nil
-		}},
-		{"lamport", "Software reservation protocols (Figure 1 vs Figure 2)", func() (string, error) {
-			rows, err := bench.TableLamport(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatLamport(rows), nil
-		}},
-		{"holdups", "parthenon-10 lock holdups (§5.3)", func() (string, error) {
-			s := bench.DefaultScale()
-			s.Quantum = 3000
-			rows, err := bench.TableHoldups(s)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatHoldups(rows), nil
-		}},
-		{"ablation", "PC-check placement ablation (§4.1)", func() (string, error) {
-			rows, err := bench.TableAblation(3, 200)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatAblation(rows), nil
-		}},
-		{"wbuf", "Write-buffer sensitivity (§5.1 design remark)", func() (string, error) {
-			rows, err := bench.TableWriteBuffer(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatWriteBuffer(rows), nil
-		}},
-		{"ranges", "Registration-table size vs check cost (§3.1 restriction)", func() (string, error) {
-			rows, err := bench.TableRegistrationRanges(3, 200)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatRanges(rows, arch.R3000().PCCheckDesignatedCycles), nil
-		}},
-		{"quantum", "Restart frequency vs scheduling quantum (validating §5.3's optimism)", func() (string, error) {
-			rows, err := bench.TableQuantumSweep(4, 500, nil)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatQuantumSweep(rows), nil
-		}},
-		{"workers", "Server worker pool on a uniprocessor (afs-bench client)", func() (string, error) {
-			rows, err := bench.TableServerWorkers(nil)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatServerWorkers(rows), nil
-		}},
-		{"chaos", "Chaos sweep: seeded fault injection, watchdog, degradation", func() (string, error) {
-			cfg := bench.DefaultChaosConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			if o.level > 0 {
-				cfg.Levels = []float64{o.level}
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableChaos(cfg)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatChaos(rows), nil
-		}},
-		{"recovery", "Recovery sweep: thread kills, orphan repair, checkpoint/restore", func() (string, error) {
-			cfg := bench.DefaultRecoveryConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableRecovery(cfg)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatRecovery(rows), nil
-		}},
-		{"persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func() (string, error) {
-			cfg := bench.DefaultPersistConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TablePersist(cfg)
-			if err != nil {
-				return "", err
-			}
-			persistRows = rows
-			return bench.FormatPersist(rows), nil
-		}},
-		{"journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func() (string, error) {
-			cfg := bench.DefaultJournalConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableJournal(cfg)
-			if err != nil {
-				return "", err
-			}
-			journalRows = rows
-			return bench.FormatJournal(rows), nil
-		}},
-		{"smp", "SMP sweep: §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc", func() (string, error) {
-			cfg := bench.DefaultSMPConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableSMP(cfg)
-			if err != nil {
-				return "", err
-			}
-			smpRows = rows
-			return bench.FormatSMP(rows), nil
-		}},
-		{"server", "Server sweep: per-CPU request plane vs mutex queue, one million requests", func() (string, error) {
-			cfg := bench.DefaultServerConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-				cfg.Shards = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableServer(cfg)
-			if err != nil {
-				return "", err
-			}
-			serverRows = rows
-			return bench.FormatServer(rows), nil
-		}},
-		{"rmr", "RMR sweep: queue locks' remote references per passage vs the spinlock's", func() (string, error) {
-			cfg := bench.DefaultRMRConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableRMR(cfg)
-			if err != nil {
-				return "", err
-			}
-			rmrRows = rows
-			return bench.FormatRMR(rows), nil
-		}},
-		{"resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func() (string, error) {
-			cfg := bench.DefaultResilienceConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableResilience(cfg)
-			if err != nil {
-				return "", err
-			}
-			resilienceRows = rows
-			return bench.FormatResilience(rows), nil
-		}},
-	}
-
-	if o.list {
-		for _, s := range steps {
-			fmt.Printf("%-10s %s\n", s.name, s.title)
-		}
-		return nil
-	}
-
-	known := all
-	for _, s := range steps {
-		if s.name == o.table {
-			known = true
-		}
-		if err := runTable(s.name, s.title, s.fn); err != nil {
-			return err
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown table %q", o.table)
+		fmt.Print(text)
+		rec.Rows = rows
+		results = append(results, rec)
 	}
 
 	if o.jsonOut != "" {

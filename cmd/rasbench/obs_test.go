@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -24,6 +26,7 @@ func TestJSONResultsPerTable(t *testing.T) {
 	if err := json.Unmarshal(data, &results); err != nil {
 		t.Fatalf("results not valid JSON: %v", err)
 	}
+	assertSnakeKeys(t, data)
 	if len(results) != 1 || results[0].Name != "2" {
 		t.Fatalf("results = %+v, want one record for table 2", results)
 	}
@@ -32,8 +35,86 @@ func TestJSONResultsPerTable(t *testing.T) {
 		t.Errorf("empty aggregate: %+v", r)
 	}
 	// Table 2 exercises the emulation rows: trap counts must be recorded.
-	if r.Traps == 0 {
+	if r.EmulTraps == 0 {
 		t.Errorf("traps = 0, want nonzero for table 2's emulation runs: %+v", r)
+	}
+}
+
+// snakeKey is the one key style of every -json record and row.
+var snakeKey = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// assertSnakeKeys fails the test on any object key in data, at any depth,
+// that is not snake_case.
+func assertSnakeKeys(t *testing.T, data []byte) {
+	t.Helper()
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				if !snakeKey.MatchString(k) {
+					t.Errorf("JSON key %q is not snake_case", k)
+				}
+				walk(e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(doc)
+}
+
+// Under -table all, each record must carry only its own table's rows and
+// counters: it must equal the record the same table produces run alone.
+func TestJSONAllTablesOwnRows(t *testing.T) {
+	dir := t.TempDir()
+	records := func(table string) []json.RawMessage {
+		t.Helper()
+		path := filepath.Join(dir, table+".json")
+		o := benchOpts{table: table, iters: 500, scale: 1, cpus: "1", jsonOut: path}
+		if err := runOpts(o); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSnakeKeys(t, data)
+		var recs []json.RawMessage
+		if err := json.Unmarshal(data, &recs); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	all := records("all")
+	if len(all) != len(tables) {
+		t.Fatalf("-table all wrote %d records, want %d", len(all), len(tables))
+	}
+	withRows := 0
+	for i, tb := range tables {
+		alone := records(tb.name)
+		if len(alone) != 1 || !bytes.Equal(all[i], alone[0]) {
+			t.Errorf("table %s: record under -table all differs from its solo run\nall:  %.400s\nsolo: %.400s", tb.name, all[i], alone)
+		}
+		var rec tableResult
+		if err := json.Unmarshal(all[i], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Name != tb.name {
+			t.Errorf("record %d is %q, want %q", i, rec.Name, tb.name)
+		}
+		if rec.Rows != nil {
+			withRows++
+		}
+	}
+	if withRows != 6 {
+		t.Errorf("%d records carry rows, want 6 (smp, persist, journal, server, rmr, resilience)", withRows)
 	}
 }
 

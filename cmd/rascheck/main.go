@@ -84,7 +84,7 @@ func run(args []string, out, errw io.Writer) int {
 	case c.replay != "":
 		return replay(&c, out, errw)
 	case c.suite:
-		return runSuite(&c, out, errw)
+		return runSuite(&c, mcheck.Suite(), out, errw)
 	case c.model != "":
 		return explore(&c, out, errw)
 	}
@@ -230,11 +230,14 @@ type suiteTally struct {
 	wall       time.Duration
 }
 
-func runSuite(c *config, out, errw io.Writer) int {
+// runSuite runs the given suite entries in order (`-suite` passes the
+// whole canned suite), printing one status line per entry and a per-model
+// summary. It returns 0 only if every outcome matched its expectation.
+func runSuite(c *config, ents []mcheck.SuiteEntry, out, errw io.Writer) int {
 	failures := 0
 	tallies := map[string]*suiteTally{}
 	var order []string
-	for _, ent := range mcheck.Suite() {
+	for _, ent := range ents {
 		start := time.Now()
 		res := mcheck.RunEntry(ent, mcheck.Options{})
 		tl := tallies[ent.Model]

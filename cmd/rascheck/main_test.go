@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mcheck"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -99,21 +101,34 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// The full canned suite matches every expectation. This is the
-// acceptance run: Figure-3/5 exhaustively clean, the hybrid lock clean
-// at 2 CPUs, and the planted defects all caught.
+// A smoke test of the suite runner on two canned entries, one expected
+// pass and one expected violation. The full suite runs once in
+// internal/mcheck's TestSuite; `make check` and CI run it through this CLI.
 func TestSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite re-runs the slow smp walks; covered by internal/mcheck in short mode")
+	var ents []mcheck.SuiteEntry
+	expects := map[string]int{}
+	for _, ent := range mcheck.Suite() {
+		if ent.Model == "uni-counter" && ent.Over["sync"] == "ras" ||
+			ent.Model == "broken2store" && ent.Mode == "exhaustive" {
+			ents = append(ents, ent)
+			expects[ent.Expect]++
+		}
 	}
-	code, out, errw := runCLI(t, "-suite", "-out", t.TempDir())
-	if code != 0 {
-		t.Fatalf("exit %d\n%s%s", code, out, errw)
+	if len(ents) != 2 || expects["pass"] != 1 || expects["violation"] != 1 {
+		t.Fatalf("picked %d suite entries %v, want one expected pass and one expected violation", len(ents), expects)
 	}
-	if !strings.Contains(out, "suite: all checks matched expectations") {
-		t.Errorf("no final verdict:\n%s", out)
+	var out, errw strings.Builder
+	c := config{outDir: t.TempDir()}
+	if code := runSuite(&c, ents, &out, &errw); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out.String(), errw.String())
 	}
-	if n := strings.Count(out, "ok  "); n < 12 {
-		t.Errorf("only %d suite entries ran", n)
+	if !strings.Contains(out.String(), "suite: all checks matched expectations") {
+		t.Errorf("no final verdict:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "ok  "); n != 2 {
+		t.Errorf("%d suite entries ok, want 2:\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "counterexample: ") {
+		t.Errorf("expected violation saved no counterexample:\n%s", out.String())
 	}
 }

@@ -270,7 +270,7 @@ func run(o options) error {
 	}
 	// Observability: one bus feeds the -trace ring tail, the -trace-out
 	// Chrome capture, and the -metrics event-derived counters.
-	var tracer *kernel.RingTracer
+	var tracer *obs.Ring
 	var capture *obs.Capture
 	var pm *obs.PaperMetrics
 	if o.trace > 0 || o.traceOut != "" || o.metrics != "" {

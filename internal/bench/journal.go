@@ -43,15 +43,15 @@ func DefaultJournalConfig() JournalConfig {
 // sweep rows Repairs counts the crashes whose recovery had a committed
 // in-flight record to roll.
 type JournalRow struct {
-	Scenario   string
-	Mode       string
-	Seed       uint64
-	Crashes    int
-	Ops        int
-	Cycles     uint64
-	PersistOps uint64
-	Repairs    uint64
-	Outcome    string
+	Scenario   string `json:"scenario"`
+	Mode       string `json:"mode"`
+	Seed       uint64 `json:"seed"`
+	Crashes    int    `json:"crashes"`
+	Ops        int    `json:"ops"`
+	Cycles     uint64 `json:"cycles"`
+	PersistOps uint64 `json:"persist_ops"`
+	Repairs    uint64 `json:"repairs"`
+	Outcome    string `json:"outcome"`
 }
 
 // vmachJournalPassage runs the guest journal fault-free and reports the

@@ -35,14 +35,14 @@ func DefaultPersistConfig() PersistConfig {
 
 // PersistRow is one scenario outcome of the persistence table.
 type PersistRow struct {
-	Scenario string
-	Seed     uint64
-	Crashes  int
-	Repairs  uint64
+	Scenario string `json:"scenario"`
+	Seed     uint64 `json:"seed"`
+	Crashes  int    `json:"crashes"`
+	Repairs  uint64 `json:"repairs"`
 	// MaxLoss is the largest number of committed increments a single
 	// crash discarded; the well-flushed protocol bounds it at 1.
-	MaxLoss int64
-	Outcome string
+	MaxLoss int64  `json:"max_loss"`
+	Outcome string `json:"outcome"`
 }
 
 // persistKernelConfig is the recovery-capable kernel configuration the

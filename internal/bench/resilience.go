@@ -34,25 +34,29 @@ func DefaultResilienceConfig() ResilienceConfig {
 
 // ResilienceRow is one campaign outcome.
 type ResilienceRow struct {
-	Scenario string
-	Seed     uint64
+	Scenario string `json:"scenario"`
+	Seed     uint64 `json:"seed"`
 	// Plan is the campaign's crash schedule, replayable verbatim with
 	// `rasvm -demo resilience -plan '...'`.
-	Plan string
+	Plan string `json:"plan"`
 	// Boots/Crashes/RecCrashes are machine lives consumed, lives ending
 	// in an injected crash, and crashes that landed inside recovery.
-	Boots, Crashes, RecCrashes int
+	Boots      int `json:"boots"`
+	Crashes    int `json:"crashes"`
+	RecCrashes int `json:"rec_crashes"`
 	// Demotions and Degraded count crash-loop demotions and the clean
 	// degraded (read-only) lives served while demoted.
-	Demotions, Degraded int
+	Demotions int `json:"demotions"`
+	Degraded  int `json:"degraded"`
 	// Shed and Timeouts are the server-side refusals and client deadline
 	// expiries (uniproc rows; 0 on the ISA substrate).
-	Shed, Timeouts uint64
+	Shed     uint64 `json:"shed"`
+	Timeouts uint64 `json:"timeouts"`
 	// Avail is UpCycles/(UpCycles+BackoffTotal); RecP95 the 95th
 	// percentile of completed recoveries in cycles.
-	Avail   float64
-	RecP95  uint64
-	Outcome string
+	Avail   float64 `json:"avail"`
+	RecP95  uint64  `json:"rec_p95"`
+	Outcome string  `json:"outcome"`
 }
 
 // vmachResilienceCampaign is the headline row: the resilient-server

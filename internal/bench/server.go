@@ -61,22 +61,22 @@ func DefaultServerConfig() ServerConfig {
 // logs (log2 bucket edges), uniproc rows from the uxserver passage
 // histogram.
 type ServerRow struct {
-	Impl         string // percpu | mutex | ux-single | ux-percpu
-	World        string // smp | uniproc
-	CPUs         int    // CPUs (smp) or shards (uniproc)
-	Mode         string // CC | DSM | - (uniproc)
-	Requests     uint64
-	WallCycles   uint64
-	CyclesPerReq float64 // aggregate cycles (all CPUs) per request
-	Throughput   float64 // requests per 1000 wall cycles
-	MicrosTotal  float64
-	RMRs         uint64
-	RMRPerReq    float64
-	Restarts     uint64
-	MeanBatch    float64 // requests per non-empty drain
-	P50          uint64  // client-observed latency bucket edges
-	P95          uint64
-	P99          uint64
+	Impl         string  `json:"impl"`  // percpu | mutex | ux-single | ux-percpu
+	World        string  `json:"world"` // smp | uniproc
+	CPUs         int     `json:"cpus"`  // CPUs (smp) or shards (uniproc)
+	Mode         string  `json:"mode"`  // CC | DSM | - (uniproc)
+	Requests     uint64  `json:"requests"`
+	WallCycles   uint64  `json:"wall_cycles"`
+	CyclesPerReq float64 `json:"cycles_per_req"` // aggregate cycles (all CPUs) per request
+	Throughput   float64 `json:"throughput"`     // requests per 1000 wall cycles
+	MicrosTotal  float64 `json:"micros_total"`
+	RMRs         uint64  `json:"rmrs"`
+	RMRPerReq    float64 `json:"rmr_per_req"`
+	Restarts     uint64  `json:"restarts"`
+	MeanBatch    float64 `json:"mean_batch"` // requests per non-empty drain
+	P50          uint64  `json:"p50"`        // client-observed latency bucket edges
+	P95          uint64  `json:"p95"`
+	P99          uint64  `json:"p99"`
 }
 
 // serverRun replays one guest cell: one worker plus cfg.Clients clients

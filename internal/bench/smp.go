@@ -38,16 +38,16 @@ func DefaultSMPConfig() SMPConfig {
 // total passages; RMRPerPassage is the recoverable-mutual-exclusion
 // literature's quality metric, remote memory references per passage.
 type SMPRow struct {
-	Lock             string
-	CPUs             int
-	Threads          int // total across CPUs
-	Mode             string
-	Passages         uint64
-	CyclesPerPassage float64
-	MicrosPerPassage float64
-	RMRs             uint64
-	RMRPerPassage    float64
-	Restarts         uint64
+	Lock             string  `json:"lock"`
+	CPUs             int     `json:"cpus"`
+	Threads          int     `json:"threads"` // total across CPUs
+	Mode             string  `json:"mode"`
+	Passages         uint64  `json:"passages"`
+	CyclesPerPassage float64 `json:"cycles_per_passage"`
+	MicrosPerPassage float64 `json:"micros_per_passage"`
+	RMRs             uint64  `json:"rmrs"`
+	RMRPerPassage    float64 `json:"rmr_per_passage"`
+	Restarts         uint64  `json:"restarts"`
 }
 
 // smpRun executes one cell: `workers` threads per CPU, each making

@@ -63,19 +63,6 @@ func TestExhaustiveFigure3Registered(t *testing.T) {
 	t.Logf("%v", rep)
 }
 
-// Same walk for the Figure-5 designated sequence.
-func TestExhaustiveFigure5Designated(t *testing.T) {
-	e := &Explorer{Model: build(t, "counter", map[string]string{"mech": "designated"}), MaxDecisions: 2}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	t.Logf("%v", rep)
-}
-
 // The unprotected control (plain TAS, no recovery) must be caught: there
 // is an interleaving of two forced preemptions that breaches mutual
 // exclusion, and the checker must find and shrink it.

@@ -206,44 +206,3 @@ func TestExhaustivePstructAllFlavors(t *testing.T) {
 		}
 	}
 }
-
-// The suite's CI budget guard. The canned suite is the single definition
-// of what the checker proves, so its shape is pinned: an entry added or
-// dropped must show up as a deliberate diff here. And every persist-
-// family entry must cover its schedule space exhaustively — a Truncated
-// report means the walk silently stopped proving anything.
-func TestSuiteBudgetGuard(t *testing.T) {
-	ents := Suite()
-	if len(ents) != 42 {
-		t.Errorf("suite has %d entries, want 42 — update this pin with the suite change that caused it", len(ents))
-	}
-	persistFamily := map[string]bool{
-		"persist": true, "journal": true, "memfs-journal": true, "pstruct": true,
-		"resilience": true,
-	}
-	n := 0
-	for _, ent := range ents {
-		if !persistFamily[ent.Model] {
-			continue
-		}
-		n++
-		if ent.Mode != "exhaustive" {
-			t.Errorf("%s %v: persist-family suite entries must be exhaustive, got %q", ent.Model, ent.Over, ent.Mode)
-			continue
-		}
-		res := RunEntry(ent, Options{})
-		if res.Err != nil {
-			t.Errorf("%s %v: %v", ent.Model, ent.Over, res.Err)
-			continue
-		}
-		if res.Report.Truncated {
-			t.Errorf("%s %v: exhaustive walk truncated — the stated budget no longer covers the space", ent.Model, ent.Over)
-		}
-		if !res.OK {
-			t.Errorf("%s %v: outcome does not match expectation %q: %v", ent.Model, ent.Over, ent.Expect, res.Report)
-		}
-	}
-	if n < 15 {
-		t.Errorf("only %d persist-family entries in the suite, want >= 15", n)
-	}
-}

@@ -113,21 +113,6 @@ func TestPercpuServerExhaustiveSafe(t *testing.T) {
 	t.Logf("%v", rep)
 }
 
-// The mutex baseline at 2 CPUs stays exact too — slower is not wronger.
-func TestPercpuServerExhaustiveMutex(t *testing.T) {
-	m := build(t, "percpu-server",
-		map[string]string{"variant": "mutex", "cpus": "2", "iters": "1"})
-	e := &Explorer{Model: m, MaxDecisions: 1}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	t.Logf("%v", rep)
-}
-
 // The planted racy drain (ISSUE 8's acceptance defect): the worker
 // trusts the reserved tail, so a client preempted between its slot
 // reservation and its payload store has the request consumed as empty.
@@ -176,34 +161,4 @@ func TestPercpuServerCatchesRacyDrain(t *testing.T) {
 		t.Fatalf("re-parsed .sched does not replay the violation:\n%s", text)
 	}
 	t.Logf("%v", rep)
-}
-
-// The three percpu suite entries with planted defects plus the four safe
-// ones: the canned suite's view of this family must agree with the
-// dedicated tests above (the suite is what `make check` and CI run).
-func TestPercpuSuiteEntries(t *testing.T) {
-	n := 0
-	for _, ent := range Suite() {
-		switch ent.Model {
-		case "percpu-queue", "percpu-freelist", "percpu-server":
-		default:
-			continue
-		}
-		n++
-		res := RunEntry(ent, Options{})
-		if res.Err != nil {
-			t.Errorf("%s %v: %v", ent.Model, ent.Over, res.Err)
-			continue
-		}
-		if !res.OK {
-			t.Errorf("%s %v: outcome does not match expectation %q: %v",
-				ent.Model, ent.Over, ent.Expect, res.Report)
-		}
-		if res.Report.Truncated {
-			t.Errorf("%s %v: exhaustive walk truncated", ent.Model, ent.Over)
-		}
-	}
-	if n != 7 {
-		t.Errorf("suite carries %d percpu entries, want 7", n)
-	}
 }

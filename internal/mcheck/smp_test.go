@@ -2,39 +2,6 @@ package mcheck
 
 import "testing"
 
-// The paper's hybrid lock (RAS fast path + spinlock cohort) at 2 CPUs:
-// bounded-exhaustive over every pair of forced CPU switches. This is the
-// acceptance criterion "exhaustively verifies ... guest.SMPCounterProgram's
-// hybrid lock at 2 CPUs at a stated bound" — the bound being K<=2 forced
-// switches on top of smpTurn round-robin.
-func TestSMPExhaustiveHybrid(t *testing.T) {
-	m := build(t, "smp-counter", map[string]string{"lock": "hybrid"})
-	e := &Explorer{Model: m, MaxDecisions: 2}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	t.Logf("%v", rep)
-}
-
-// ll/sc also survives arbitrary switch pairs: an intervening write on the
-// other CPU fails the sc and the loop retries.
-func TestSMPExhaustiveLLSC(t *testing.T) {
-	m := build(t, "smp-counter", map[string]string{"lock": "llsc"})
-	e := &Explorer{Model: m, MaxDecisions: 2}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	t.Logf("%v", rep)
-}
-
 // The uniprocessor-only RAS gives no cross-CPU atomicity: a forced switch
 // between its load and store on true SMP loses an update. The checker
 // must find that interleaving within K<=2 switches — the paper's §6 point

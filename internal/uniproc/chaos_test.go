@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 )
 
 // The RAS test-and-set costs 4 cycles (load 1, ALU 1, committing store 2)
@@ -281,7 +282,7 @@ func TestTryRestartableSucceedsWhenQuantumFits(t *testing.T) {
 // Demotion counter and trace plumbing.
 func TestCountDemotion(t *testing.T) {
 	p := New(Config{})
-	tr := NewRingTracer(16)
+	tr := obs.NewRing(16)
 	p.Tracer = tr
 	p.Go("main", func(e *Env) { e.CountDemotion() })
 	if err := p.Run(); err != nil {

@@ -57,7 +57,7 @@ func (e *Env) preempt() {
 	p, t := e.p, e.t
 	t.Suspensions++
 	p.Stats.Suspensions++
-	p.trace(TracePreempt, t, 0)
+	p.trace(obs.KindPreempt, t, 0)
 	p.clock += uint64(p.profile.SuspendCycles + p.profile.PCCheckRegistrationCycles)
 	p.readyq = append(p.readyq, t)
 	p.park(t)
@@ -66,7 +66,7 @@ func (e *Env) preempt() {
 		e.rasPreempted = true
 		t.Restarts++
 		p.Stats.Restarts++
-		p.trace(TraceRestart, t, 0)
+		p.trace(obs.KindRestart, t, 0)
 		panic(restartSignal{})
 	}
 }
@@ -105,21 +105,21 @@ func (e *Env) chaosMemOp() {
 		return
 	}
 	p.Stats.Injected++
-	p.trace(TraceInject, e.t, act.Bits())
+	p.trace(obs.KindInject, e.t, act.Bits())
 	if act.Crash || act.CrashVolatile {
 		if act.CrashVolatile {
 			// The volatile tier dies with the machine; on a non-persistent
 			// memory this reverts nothing, degrades to Crash, and says so.
 			switch {
 			case !p.persist:
-				p.trace(TraceCrashDegraded, e.t, act.Bits())
+				p.trace(obs.KindCrashDegraded, e.t, act.Bits())
 			case act.Torn:
 				p.DiscardUnflushedTorn(p.memOps)
 			default:
 				p.DiscardUnflushed()
 			}
 		}
-		p.trace(TraceCrash, e.t, 0)
+		p.trace(obs.KindCrash, e.t, 0)
 		if p.runErr == nil {
 			p.runErr = fmt.Errorf("%w: at memop %d in %v", ErrMachineCrash, p.memOps, e.t)
 		}
@@ -143,7 +143,7 @@ func (e *Env) killSelf() {
 	p, t := e.p, e.t
 	t.killed = true
 	p.Stats.Kills++
-	p.trace(TraceKill, t, 0)
+	p.trace(obs.KindKill, t, 0)
 	p.clock += uint64(p.profile.SuspendCycles)
 	panic(killSignal{})
 }
@@ -206,7 +206,7 @@ func (e *Env) Restartable(seq func()) {
 			continue
 		}
 		p := e.p
-		p.trace(TraceWatchdog, e.t, uint64(restarts))
+		p.trace(obs.KindWatchdog, e.t, uint64(restarts))
 		if w.Policy == chaos.WatchdogExtend && !extended {
 			// Grant one extended slice right now — the thread holds the
 			// baton, so stretching sliceEnd is exactly an extended quantum.
@@ -348,19 +348,19 @@ func (e *Env) chaosPersistOp() {
 		return
 	}
 	p.Stats.Injected++
-	p.trace(TraceInject, e.t, act.Bits())
+	p.trace(obs.KindInject, e.t, act.Bits())
 	if act.CrashVolatile {
 		switch {
 		case !p.persist:
 			// Nothing volatile to lose: degrades to legacy Crash.
-			p.trace(TraceCrashDegraded, e.t, act.Bits())
+			p.trace(obs.KindCrashDegraded, e.t, act.Bits())
 		case act.Torn:
 			p.DiscardUnflushedTorn(p.persistOps)
 		default:
 			p.DiscardUnflushed()
 		}
 	}
-	p.trace(TraceCrash, e.t, 0)
+	p.trace(obs.KindCrash, e.t, 0)
 	if p.runErr == nil {
 		p.runErr = fmt.Errorf("%w: at persist op %d in %v", ErrMachineCrash, p.persistOps, e.t)
 	}
@@ -374,7 +374,7 @@ func (e *Env) chaosPersistOp() {
 func (e *Env) Trap(extra int, f func()) {
 	p := e.p
 	p.Stats.Traps++
-	p.trace(TraceTrap, e.t, 0)
+	p.trace(obs.KindTrap, e.t, 0)
 	e.masked++
 	p.clock += uint64(p.profile.TrapEnterCycles + extra)
 	if f != nil {
@@ -394,21 +394,21 @@ func (e *Env) Trap(extra int, f func()) {
 // "Emulation Traps" column).
 func (e *Env) CountEmulTrap() {
 	e.p.Stats.EmulTraps++
-	e.p.trace(TraceEmulTrap, e.t, 0)
+	e.p.trace(obs.KindEmulTrap, e.t, 0)
 }
 
 // CountDemotion records that an adaptive mechanism permanently demoted a
 // pathological restartable sequence to kernel emulation (core.Degrading).
 func (e *Env) CountDemotion() {
 	e.p.Stats.Demotions++
-	e.p.trace(TraceDemote, e.t, 0)
+	e.p.trace(obs.KindDemote, e.t, 0)
 }
 
 // CountPromotion records that a demoted mechanism re-promoted itself to the
 // RAS fast path after a quiet spell (core.Degrading with RepromoteAfter).
 func (e *Env) CountPromotion() {
 	e.p.Stats.Promotions++
-	e.p.trace(TracePromote, e.t, 0)
+	e.p.trace(obs.KindPromote, e.t, 0)
 }
 
 // CountRepair records that an acquirer found its lock orphaned by a dead
@@ -416,7 +416,7 @@ func (e *Env) CountPromotion() {
 // thread ID.
 func (e *Env) CountRepair(dead int) {
 	e.p.Stats.Repairs++
-	e.p.trace(TraceRepair, e.t, uint64(dead))
+	e.p.trace(obs.KindRepair, e.t, uint64(dead))
 }
 
 // ThreadDead reports whether thread id will never run again. This is the
@@ -453,7 +453,7 @@ func (e *Env) Yield() {
 	}
 	p, t := e.p, e.t
 	p.Stats.Yields++
-	p.trace(TraceYield, t, 0)
+	p.trace(obs.KindYield, t, 0)
 	p.clock += uint64(p.profile.TrapEnterCycles + p.profile.TrapExitCycles)
 	p.readyq = append(p.readyq, t)
 	p.park(t)
@@ -471,7 +471,7 @@ func (e *Env) Block() {
 	}
 	p, t := e.p, e.t
 	p.Stats.Blocks++
-	p.trace(TraceBlock, t, 0)
+	p.trace(obs.KindBlock, t, 0)
 	p.clock += uint64(p.profile.TrapEnterCycles + p.profile.TrapExitCycles)
 	if t.wakePending {
 		t.wakePending = false
@@ -489,7 +489,7 @@ func (e *Env) Unblock(t *Thread) {
 		panic(fmt.Sprintf("uniproc: Unblock of finished %v", t))
 	}
 	e.ChargeALU(4) // wakeup bookkeeping
-	e.p.trace(TraceUnblock, e.t, uint64(t.ID))
+	e.p.trace(obs.KindUnblock, e.t, uint64(t.ID))
 	if !t.blocked {
 		t.wakePending = true
 		return

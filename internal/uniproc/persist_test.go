@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 )
 
 // Store → Flush → Fence walks a word across the tiers, a later store
@@ -241,7 +242,7 @@ func TestCrashAtPersistBoundary(t *testing.T) {
 // the degradation with an obs event.
 func TestCrashVolatileDegradesWithoutPersistence(t *testing.T) {
 	var w Word
-	ring := NewRingTracer(256)
+	ring := obs.NewRing(256)
 	p := New(Config{Faults: chaos.OneShot{
 		Point: chaos.PointMemOp, N: 2, Action: chaos.Action{CrashVolatile: true, Torn: true},
 	}})
@@ -258,7 +259,7 @@ func TestCrashVolatileDegradesWithoutPersistence(t *testing.T) {
 	}
 	degraded := false
 	for _, ev := range ring.Events() {
-		if ev.Type == TraceCrashDegraded {
+		if ev.Type == obs.KindCrashDegraded {
 			degraded = true
 		}
 	}

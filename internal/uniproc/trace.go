@@ -2,63 +2,12 @@ package uniproc
 
 import "repro/internal/obs"
 
-// The runtime's trace plumbing is rebased on the shared observability
-// core (internal/obs): the former private enum, event struct, tracer
-// interface and ring buffer are now aliases of the obs equivalents, so
-// one obs.Bus (or Ring, Capture, PaperMetrics) can be installed as the
-// processor's Tracer while existing callers and tests keep compiling
-// unchanged. The shared Kind ordering starts with this runtime's original
-// numbering, so range-style iteration over TraceDispatch..TraceExit still
-// covers exactly the original nine kinds.
-
-// TraceType is an alias of the shared event kind.
-type TraceType = obs.Kind
-
-// The runtime's historical names for the kinds it emits.
-const (
-	TraceDispatch = obs.KindDispatch
-	TracePreempt  = obs.KindPreempt
-	TraceRestart  = obs.KindRestart
-	TraceYield    = obs.KindYield
-	TraceBlock    = obs.KindBlock
-	TraceUnblock  = obs.KindUnblock // Arg = woken thread ID
-	TraceTrap     = obs.KindTrap
-	TraceFork     = obs.KindFork // Arg = new thread ID
-	TraceExit     = obs.KindExit
-	TraceInject   = obs.KindInject   // Arg = chaos.Action bits
-	TraceWatchdog = obs.KindWatchdog // Arg = restart count
-	TraceDemote   = obs.KindDemote
-	TracePromote  = obs.KindPromote
-	TraceKill     = obs.KindKill
-	TraceCrash    = obs.KindCrash
-	TraceRepair   = obs.KindRepair   // Arg = dead owner's ID
-	TraceEmulTrap = obs.KindEmulTrap // kernel-emulated atomic op
-	// TraceCrashDegraded: a CrashVolatile fault hit a processor without
-	// the persistence model enabled and fell back to legacy Crash
-	// semantics (nothing volatile to lose).
-	TraceCrashDegraded = obs.KindCrashDegraded // Arg = chaos.Action bits
-)
-
-// TraceEvent is an alias of the shared event schema (PC stays zero on
-// this substrate, which has no program counter).
-type TraceEvent = obs.Event
-
-// Tracer receives runtime events; any obs.Sink qualifies. Nil on the
-// processor disables tracing.
-type Tracer = obs.Sink
-
-// RingTracer is the shared bounded drop-oldest ring.
-type RingTracer = obs.Ring
-
-// NewRingTracer creates a tracer retaining the last n events.
-func NewRingTracer(n int) *RingTracer { return obs.NewRing(n) }
-
 // trace emits an event when tracing is enabled.
-func (p *Processor) trace(ty TraceType, t *Thread, arg uint64) {
+func (p *Processor) trace(ty obs.Kind, t *Thread, arg uint64) {
 	if p.Tracer == nil {
 		return
 	}
-	ev := TraceEvent{Cycle: p.clock, Type: ty, Arg: arg}
+	ev := obs.Event{Cycle: p.clock, Type: ty, Arg: arg}
 	if t != nil {
 		ev.Thread = t.ID
 	}

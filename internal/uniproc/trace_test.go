@@ -3,11 +3,13 @@ package uniproc
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestRuntimeTraceEvents(t *testing.T) {
 	p := New(Config{Quantum: 37})
-	tr := NewRingTracer(8192)
+	tr := obs.NewRing(8192)
 	p.Tracer = tr
 	var lock Word
 	var waiter *Thread
@@ -30,18 +32,18 @@ func TestRuntimeTraceEvents(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := map[TraceType]int{}
+	counts := map[obs.Kind]int{}
 	for _, ev := range tr.Events() {
 		counts[ev.Type]++
 	}
-	for _, want := range []TraceType{TraceDispatch, TracePreempt, TraceRestart,
-		TraceYield, TraceBlock, TraceUnblock, TraceTrap, TraceFork, TraceExit} {
+	for _, want := range []obs.Kind{obs.KindDispatch, obs.KindPreempt, obs.KindRestart,
+		obs.KindYield, obs.KindBlock, obs.KindUnblock, obs.KindTrap, obs.KindFork, obs.KindExit} {
 		if counts[want] == 0 {
 			t.Errorf("no %v events (have %v)", want, counts)
 		}
 	}
-	if uint64(counts[TraceRestart]) != p.Stats.Restarts {
-		t.Errorf("traced %d restarts, stats %d", counts[TraceRestart], p.Stats.Restarts)
+	if uint64(counts[obs.KindRestart]) != p.Stats.Restarts {
+		t.Errorf("traced %d restarts, stats %d", counts[obs.KindRestart], p.Stats.Restarts)
 	}
 	if tr.String() == "" || tr.Total() == 0 {
 		t.Error("empty trace")
@@ -49,24 +51,24 @@ func TestRuntimeTraceEvents(t *testing.T) {
 }
 
 func TestRuntimeTraceStrings(t *testing.T) {
-	for ty := TraceDispatch; ty <= TraceExit; ty++ {
+	for ty := obs.KindDispatch; ty <= obs.KindExit; ty++ {
 		if ty.String() == "?" {
 			t.Errorf("type %d unnamed", ty)
 		}
 	}
-	if TraceType(99).String() != "?" {
+	if obs.Kind(99).String() != "?" {
 		t.Error("unknown type should be ?")
 	}
-	ev := TraceEvent{Cycle: 5, Type: TraceFork, Thread: 0, Arg: 3}
+	ev := obs.Event{Cycle: 5, Type: obs.KindFork, Thread: 0, Arg: 3}
 	if !strings.Contains(ev.String(), "-> t3") {
 		t.Errorf("fork event string %q", ev.String())
 	}
 }
 
 func TestRuntimeRingRetention(t *testing.T) {
-	r := NewRingTracer(2)
+	r := obs.NewRing(2)
 	for i := 0; i < 5; i++ {
-		r.Event(TraceEvent{Cycle: uint64(i)})
+		r.Event(obs.Event{Cycle: uint64(i)})
 	}
 	evs := r.Events()
 	if len(evs) != 2 || evs[0].Cycle != 3 || evs[1].Cycle != 4 {
@@ -75,7 +77,7 @@ func TestRuntimeRingRetention(t *testing.T) {
 	if r.Total() != 5 {
 		t.Errorf("total = %d", r.Total())
 	}
-	if NewRingTracer(-1) == nil {
+	if obs.NewRing(-1) == nil {
 		t.Error("negative capacity tracer nil")
 	}
 }

@@ -123,7 +123,7 @@ type Processor struct {
 
 	// Tracer, when non-nil, receives runtime events (dispatches,
 	// preemptions, restarts, blocking).
-	Tracer Tracer
+	Tracer obs.Sink
 
 	// memProf, when non-nil, attributes memory-op cycle charges to the Go
 	// callsites that issued them (this substrate's guests are Go
@@ -210,7 +210,7 @@ func (p *Processor) Go(name string, fn func(*Env)) *Thread {
 	p.readyq = append(p.readyq, t)
 	p.live++
 	p.Stats.Forks++
-	p.trace(TraceFork, p.cur, uint64(t.ID))
+	p.trace(obs.KindFork, p.cur, uint64(t.ID))
 	go p.threadBody(t)
 	return t
 }
@@ -277,7 +277,7 @@ func (p *Processor) threadBody(t *Thread) {
 		}
 		t.done = true
 		p.live--
-		p.trace(TraceExit, t, 0)
+		p.trace(obs.KindExit, t, 0)
 		p.notifyDeath(t)
 		p.schedCh <- struct{}{}
 	}()
@@ -336,7 +336,7 @@ func (p *Processor) abortAll() {
 func (p *Processor) dispatch(t *Thread) {
 	p.cur = t
 	p.Stats.Switches++
-	p.trace(TraceDispatch, t, 0)
+	p.trace(obs.KindDispatch, t, 0)
 	p.clock += uint64(p.profile.ResumeCycles)
 	q := p.quantum
 	if p.jitter != 0 {
@@ -354,7 +354,7 @@ func (p *Processor) dispatch(t *Thread) {
 	if p.faults != nil {
 		if act := p.faults.At(chaos.PointDispatch, p.Stats.Switches); act.Jitter != 0 {
 			p.Stats.Injected++
-			p.trace(TraceInject, t, act.Bits())
+			p.trace(obs.KindInject, t, act.Bits())
 			nq := int64(q) + act.Jitter
 			if nq < 1 {
 				nq = 1

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -223,11 +224,9 @@ func TestCheckpointCoversAllStats(t *testing.T) {
 	}
 }
 
-// FuzzCheckpoint checks the wire format is canonical: any current-version
-// input that decodes must re-encode to the identical bytes, any legacy v2
-// input must migrate idempotently (decode → re-encode as v3 → decode
-// yields the same snapshot), and the decoder must reject (never panic on)
-// everything else.
+// FuzzCheckpoint checks the wire format is canonical: any input that
+// decodes must re-encode to the identical bytes and re-decode to the same
+// snapshot, and the decoder must reject (never panic on) everything else.
 func FuzzCheckpoint(f *testing.F) {
 	k, prog := boot(f, ckptConfig(nil), ckptProgram)
 	k.Spawn(prog.MustSymbol("main"), guest.StackTop(1))
@@ -235,7 +234,6 @@ func FuzzCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(k.Capture().Encode())
-	f.Add(k.Capture().encodeVersion(checkpointVersionV2))
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
 
@@ -285,9 +283,7 @@ func FuzzCheckpoint(f *testing.F) {
 			return
 		}
 		enc := s.Encode()
-		legacy := len(data) >= 12 &&
-			uint32(data[8])|uint32(data[9])<<8|uint32(data[10])<<16|uint32(data[11])<<24 != checkpointVersion
-		if !legacy && !bytes.Equal(enc, data) {
+		if !bytes.Equal(enc, data) {
 			t.Fatalf("decode→re-encode not bit-identical: %d bytes in, %d out", len(data), len(enc))
 		}
 		s2, err := DecodeSnapshot(enc)
@@ -300,34 +296,17 @@ func FuzzCheckpoint(f *testing.F) {
 	})
 }
 
-// TestDecodeLegacyV2Checkpoint pins the pre-persistence wire format: a v2
-// blob (no flush/fence stats, no volatile/persistent memory sections) must
-// still decode, with the persistence state zero — such a snapshot predates
-// the model, so "nothing dirty, nothing pending" is the truth. Restoring it
-// must replay identically to restoring the equivalent v3 encoding.
-func TestDecodeLegacyV2Checkpoint(t *testing.T) {
+// TestDecodeRejectsV2Checkpoint pins the version gate: a blob whose header
+// names the pre-persistence version 2 is malformed, not migrated.
+func TestDecodeRejectsV2Checkpoint(t *testing.T) {
 	k, prog := boot(t, ckptConfig(nil), ckptProgram)
 	k.Spawn(prog.MustSymbol("main"), guest.StackTop(1))
 	if _, err := k.RunSteps(200); err != nil {
 		t.Fatal(err)
 	}
-	snap := k.Capture()
-	v2 := snap.encodeVersion(checkpointVersionV2)
-	v3 := snap.Encode()
-	if bytes.Equal(v2, v3) {
-		t.Fatal("v2 and v3 encodings are identical; version gate is dead")
-	}
-	got, err := DecodeSnapshot(v2)
-	if err != nil {
-		t.Fatalf("decode v2: %v", err)
-	}
-	if got.Machine.Mem.Persist || got.Machine.Mem.NVLines != nil || got.Machine.Mem.PendingLines != nil {
-		t.Fatal("v2 decode invented persistence state")
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatal("v2 decode differs from the snapshot it was encoded from")
-	}
-	if !bytes.Equal(got.Encode(), v3) {
-		t.Fatal("re-encoding a decoded v2 blob did not migrate it to the canonical v3 bytes")
+	v2 := k.Capture().Encode()
+	binary.LittleEndian.PutUint32(v2[len(checkpointMagic):], 2)
+	if _, err := DecodeSnapshot(v2); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("v2 header decoded with err = %v, want ErrBadCheckpoint", err)
 	}
 }

@@ -23,12 +23,9 @@ const (
 	//
 	// Version 3 added the NVRAM persistence split: the flush/fence machine
 	// stats and the memory image's volatile/persistent sections (NVM line
-	// images and pending write-backs). Version-2 blobs ARE still decoded —
-	// they predate the persistence model, so the empty persistence state
-	// they decode to ("fully persistent memory, nothing in flight") is the
-	// truth, not a forgery. Encode always emits version 3.
-	checkpointVersion   = 3
-	checkpointVersionV2 = 2
+	// images and pending write-backs). It is the only version decoded;
+	// older blobs are rejected like version 1.
+	checkpointVersion = 3
 )
 
 // maxSliceLen bounds every decoded length prefix. Real snapshots are far
@@ -40,8 +37,7 @@ const maxSliceLen = 1 << 24
 var ErrBadCheckpoint = errors.New("kernel: malformed checkpoint")
 
 type encoder struct {
-	b   []byte
-	ver uint32 // wire version being emitted (v2 only from legacy tests)
+	b []byte
 }
 
 func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
@@ -65,7 +61,6 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	ver uint32 // wire version being parsed
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -217,12 +212,10 @@ func encodeMachineStats(e *encoder, s *vmach.Stats) {
 	e.u64(s.WriteStallCycles)
 	e.u64(s.RMRs)
 	e.u64(s.CoherenceCycles)
-	if e.ver >= 3 {
-		e.u64(s.Flushes)
-		e.u64(s.Fences)
-		e.u64(s.LinesPersisted)
-		e.u64(s.PersistCycles)
-	}
+	e.u64(s.Flushes)
+	e.u64(s.Fences)
+	e.u64(s.LinesPersisted)
+	e.u64(s.PersistCycles)
 }
 
 func decodeMachineStats(d *decoder, s *vmach.Stats) {
@@ -237,12 +230,10 @@ func decodeMachineStats(d *decoder, s *vmach.Stats) {
 	s.WriteStallCycles = d.u64()
 	s.RMRs = d.u64()
 	s.CoherenceCycles = d.u64()
-	if d.ver >= 3 {
-		s.Flushes = d.u64()
-		s.Fences = d.u64()
-		s.LinesPersisted = d.u64()
-		s.PersistCycles = d.u64()
-	}
+	s.Flushes = d.u64()
+	s.Fences = d.u64()
+	s.LinesPersisted = d.u64()
+	s.PersistCycles = d.u64()
 }
 
 func encodeMachineImage(e *encoder, m *vmach.MachineImage) {
@@ -271,19 +262,17 @@ func encodeMemoryImage(e *encoder, mem *vmach.MemoryImage) {
 		e.u32(pn)
 	}
 	e.u64(mem.PageFaults)
-	if e.ver >= 3 {
-		e.boolean(mem.Persist)
-		e.u32(uint32(len(mem.NVLines)))
-		for i := range mem.NVLines {
-			e.u32(mem.NVLines[i].LN)
-			for _, w := range mem.NVLines[i].Words {
-				e.u32(uint32(w))
-			}
+	e.boolean(mem.Persist)
+	e.u32(uint32(len(mem.NVLines)))
+	for i := range mem.NVLines {
+		e.u32(mem.NVLines[i].LN)
+		for _, w := range mem.NVLines[i].Words {
+			e.u32(uint32(w))
 		}
-		e.u32(uint32(len(mem.PendingLines)))
-		for _, ln := range mem.PendingLines {
-			e.u32(ln)
-		}
+	}
+	e.u32(uint32(len(mem.PendingLines)))
+	for _, ln := range mem.PendingLines {
+		e.u32(ln)
 	}
 }
 
@@ -313,19 +302,17 @@ func decodeMemoryImage(d *decoder, mem *vmach.MemoryImage) {
 		mem.NotPresent = append(mem.NotPresent, d.u32())
 	}
 	mem.PageFaults = d.u64()
-	if d.ver >= 3 {
-		mem.Persist = d.boolean()
-		for n := d.sliceLen(4 + 4*vmach.LineWords); n > 0 && d.err == nil; n-- {
-			var l vmach.LineImage
-			l.LN = d.u32()
-			for i := range l.Words {
-				l.Words[i] = isa.Word(d.u32())
-			}
-			mem.NVLines = append(mem.NVLines, l)
+	mem.Persist = d.boolean()
+	for n := d.sliceLen(4 + 4*vmach.LineWords); n > 0 && d.err == nil; n-- {
+		var l vmach.LineImage
+		l.LN = d.u32()
+		for i := range l.Words {
+			l.Words[i] = isa.Word(d.u32())
 		}
-		for n := d.sliceLen(4); n > 0 && d.err == nil; n-- {
-			mem.PendingLines = append(mem.PendingLines, d.u32())
-		}
+		mem.NVLines = append(mem.NVLines, l)
+	}
+	for n := d.sliceLen(4); n > 0 && d.err == nil; n-- {
+		mem.PendingLines = append(mem.PendingLines, d.u32())
 	}
 }
 
@@ -333,7 +320,7 @@ func decodeMemoryImage(d *decoder, mem *vmach.MemoryImage) {
 // form it takes inside a kernel checkpoint. The SMP container format uses
 // this to encode the shared memory once instead of once per CPU.
 func EncodeMemoryImage(mem *vmach.MemoryImage) []byte {
-	e := &encoder{ver: checkpointVersion}
+	e := &encoder{}
 	encodeMemoryImage(e, mem)
 	return e.b
 }
@@ -341,7 +328,7 @@ func EncodeMemoryImage(mem *vmach.MemoryImage) []byte {
 // DecodeMemoryImage parses a blob produced by EncodeMemoryImage. It
 // consumes the entire input; trailing bytes are an error.
 func DecodeMemoryImage(data []byte) (*vmach.MemoryImage, error) {
-	d := &decoder{b: data, ver: checkpointVersion}
+	d := &decoder{b: data}
 	mem := &vmach.MemoryImage{}
 	decodeMemoryImage(d, mem)
 	if d.err != nil {
@@ -355,17 +342,11 @@ func DecodeMemoryImage(data []byte) (*vmach.MemoryImage, error) {
 
 // Encode serializes the snapshot. The encoding of a given snapshot is a
 // pure function of its value: two equal snapshots encode to identical
-// bytes. Encode always emits the current version; decoding a legacy v2
-// blob and re-encoding it therefore migrates it to v3.
-func (s *Snapshot) Encode() []byte { return s.encodeVersion(checkpointVersion) }
-
-// encodeVersion emits the snapshot at an explicit wire version. Only the
-// current version is emitted by production code; tests use v2 to exercise
-// the legacy-decode path against known-good bytes.
-func (s *Snapshot) encodeVersion(ver uint32) []byte {
-	e := &encoder{ver: ver}
+// bytes.
+func (s *Snapshot) Encode() []byte {
+	e := &encoder{}
 	e.b = append(e.b, checkpointMagic...)
-	e.u32(ver)
+	e.u32(checkpointVersion)
 	e.str(s.Strategy)
 	e.u64(s.Quantum)
 	e.u64(s.SliceAt)
@@ -435,9 +416,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if magic := d.take(len(checkpointMagic)); d.err == nil && string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
-	d.ver = d.u32()
-	if d.err == nil && d.ver != checkpointVersion && d.ver != checkpointVersionV2 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, d.ver)
+	if ver := d.u32(); d.err == nil && ver != checkpointVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, ver)
 	}
 	s := &Snapshot{}
 	s.Strategy = d.str()

@@ -249,7 +249,7 @@ type Kernel struct {
 
 	// Tracer, when non-nil, receives kernel events (dispatches,
 	// preemptions, restarts, syscalls, faults).
-	Tracer Tracer
+	Tracer obs.Sink
 
 	// Profiler, when non-nil, receives one sample per retired guest
 	// instruction and one note per kernel-time charge, attributing
@@ -455,7 +455,7 @@ func (k *Kernel) stepOnce() (finished bool, err error) {
 
 	case vmach.EventBreak:
 		k.cur.State = StateDone
-		k.trace(TraceExit, k.cur, 0)
+		k.trace(obs.KindExit, k.cur, 0)
 		k.notifyDeath(k.cur)
 		k.cur = nil
 
@@ -485,7 +485,7 @@ func (k *Kernel) dispatch() {
 	// retry, never succeed against another thread's reservation.
 	k.M.ClearReservation()
 	k.Stats.Switches++
-	k.trace(TraceDispatch, t, 0)
+	k.trace(obs.KindDispatch, t, 0)
 	k.chargeKernel(uint64(k.Profile.ResumeCycles))
 
 	if t.needsCheck {
@@ -505,7 +505,7 @@ func (k *Kernel) dispatch() {
 	if k.faults != nil {
 		if act := k.faults.At(chaos.PointDispatch, k.Stats.Switches); act.Any() {
 			k.Stats.Injected++
-			k.trace(TraceInject, t, act.Bits())
+			k.trace(obs.KindInject, t, act.Bits())
 			if act.EvictCode {
 				k.M.Mem.SetPresent(t.Ctx.PC, false)
 			}
@@ -530,7 +530,7 @@ func (k *Kernel) dispatch() {
 func (k *Kernel) injectStep(act chaos.Action) {
 	t := k.cur
 	k.Stats.Injected++
-	k.trace(TraceInject, t, act.Bits())
+	k.trace(obs.KindInject, t, act.Bits())
 	if act.EvictCode {
 		k.M.Mem.SetPresent(t.Ctx.PC, false)
 	}
@@ -547,7 +547,7 @@ func (k *Kernel) injectStep(act chaos.Action) {
 		// Crash; the degradation is announced so a trace reader can tell
 		// the schedule did not get the semantics it asked for.
 		if !k.M.Mem.Persistent() {
-			k.trace(TraceCrashDegraded, t, act.Bits())
+			k.trace(obs.KindCrashDegraded, t, act.Bits())
 		} else if act.Torn {
 			k.M.Mem.DiscardUnflushedTorn(k.steps)
 		} else {
@@ -563,7 +563,7 @@ func (k *Kernel) injectStep(act chaos.Action) {
 		k.preempt()
 	case act.SpuriousSuspend:
 		k.Stats.Spurious++
-		k.trace(TracePreempt, t, 1)
+		k.trace(obs.KindPreempt, t, 1)
 		k.suspend(t)
 		k.runq = append(k.runq, t)
 		k.cur = nil
@@ -574,7 +574,7 @@ func (k *Kernel) injectStep(act chaos.Action) {
 // a checkpoint taken at the crash captures the machine exactly as it
 // stood, so a restore followed by Run replays the uncrashed remainder.
 func (k *Kernel) crash() {
-	k.trace(TraceCrash, k.cur, k.steps)
+	k.trace(obs.KindCrash, k.cur, k.steps)
 	k.crashed = fmt.Errorf("%w at step %d", ErrMachineCrash, k.steps)
 }
 
@@ -595,7 +595,7 @@ func (k *Kernel) reap(t *Thread) {
 	k.M.ClearReservation()
 	k.Stats.Kills++
 	k.chargeKernel(uint64(k.Profile.SuspendCycles))
-	k.trace(TraceKill, t, 0)
+	k.trace(obs.KindKill, t, 0)
 	// Unregister the address space's sequence when its last live thread
 	// dies: registration belongs to the space (§3.1), and a dead space
 	// must not keep rolling back PCs that will never run.
@@ -718,7 +718,7 @@ func (k *Kernel) profileStep(pc uint32, cycles uint64) {
 func (k *Kernel) preempt() {
 	t := k.cur
 	k.Stats.Preemptions++
-	k.trace(TracePreempt, t, 0)
+	k.trace(obs.KindPreempt, t, 0)
 	k.suspend(t)
 	k.runq = append(k.runq, t)
 	k.cur = nil
@@ -741,7 +741,7 @@ func (k *Kernel) suspend(t *Thread) {
 	if k.faults != nil {
 		if act := k.faults.At(chaos.PointSuspend, k.Stats.Suspensions); act.Any() {
 			k.Stats.Injected++
-			k.trace(TraceInject, t, act.Bits())
+			k.trace(obs.KindInject, t, act.Bits())
 			if act.EvictCode {
 				k.M.Mem.SetPresent(t.Ctx.PC, false)
 			}
@@ -760,7 +760,7 @@ func (k *Kernel) suspend(t *Thread) {
 		t.Restarts++
 		k.Stats.Restarts++
 		k.Stats.HardwareResets++
-		k.trace(TraceRestart, t, uint64(from))
+		k.trace(obs.KindRestart, t, uint64(from))
 	}
 
 	switch k.CheckAt {
@@ -790,7 +790,7 @@ func (k *Kernel) runCheck(t *Thread) {
 		if res.Restarted {
 			t.Restarts++
 			k.Stats.Restarts++
-			k.trace(TraceRestart, t, uint64(before))
+			k.trace(obs.KindRestart, t, uint64(before))
 			if k.watchdog.Policy != chaos.WatchdogOff {
 				k.watchdogRestart(t)
 			}
@@ -824,7 +824,7 @@ func (k *Kernel) watchdogRestart(t *Thread) {
 	if t.seqRestarts < k.watchdog.Limit() {
 		return
 	}
-	k.trace(TraceWatchdog, t, t.seqRestarts)
+	k.trace(obs.KindWatchdog, t, t.seqRestarts)
 	if k.watchdog.Policy == chaos.WatchdogExtend && !t.extended {
 		t.extended = true
 		t.boostSlice = true
@@ -839,7 +839,7 @@ func (k *Kernel) watchdogRestart(t *Thread) {
 
 func (k *Kernel) servicePage(addr uint32) {
 	k.Stats.PageFaults++
-	k.trace(TracePageFault, k.cur, uint64(addr))
+	k.trace(obs.KindPageFault, k.cur, uint64(addr))
 	k.chargeKernel(k.pageFaultCycles)
 	k.M.Mem.SetPresent(addr, true)
 }
@@ -859,7 +859,7 @@ func (k *Kernel) fault(f *vmach.Fault) {
 	default:
 		t.State = StateFaulted
 		t.Fault = f
-		k.trace(TraceFault, t, uint64(f.Addr))
+		k.trace(obs.KindFault, t, uint64(f.Addr))
 		k.cur = nil
 	}
 }
@@ -875,12 +875,12 @@ func (k *Kernel) syscall(ev vmach.Event) {
 	a1 := t.Ctx.Regs[isa.RegA1]
 	a2 := t.Ctx.Regs[isa.RegA2]
 
-	k.trace(TraceSyscall, t, uint64(num))
+	k.trace(obs.KindSyscall, t, uint64(num))
 	switch num {
 	case SysExit:
 		t.State = StateDone
 		t.ExitCode = a0
-		k.trace(TraceExit, t, uint64(a0))
+		k.trace(obs.KindExit, t, uint64(a0))
 		k.notifyDeath(t)
 		k.cur = nil
 		return // no trap-exit charge for a dead thread
@@ -915,7 +915,7 @@ func (k *Kernel) syscall(ev vmach.Event) {
 		// trap is delivered on the way out — the effect §5.3 blames for
 		// inflated critical sections.
 		k.Stats.EmulTraps++
-		k.trace(TraceEmulTrap, t, uint64(a0))
+		k.trace(obs.KindEmulTrap, t, uint64(a0))
 		k.chargeKernel(uint64(k.Profile.EmulTASCycles))
 		old, f := k.M.Mem.LoadWord(a0)
 		if f == nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/vmach"
 )
 
@@ -77,7 +78,7 @@ func TestCrashIsFullyPersistent(t *testing.T) {
 // On a persistent memory the same schedule must stay silent.
 func TestCrashVolatileDegradesToCrashOnPlainMemory(t *testing.T) {
 	run := func(mem *vmach.Memory) (k *Kernel, prog *asm.Program, degraded int) {
-		ring := NewRingTracer(4096)
+		ring := obs.NewRing(4096)
 		k, prog = boot(t, Config{
 			Strategy: &Designated{},
 			CheckAt:  CheckAtResume,
@@ -92,7 +93,7 @@ func TestCrashVolatileDegradesToCrashOnPlainMemory(t *testing.T) {
 			t.Fatalf("Run = %v, want ErrMachineCrash", err)
 		}
 		for _, ev := range ring.Events() {
-			if ev.Type == TraceCrashDegraded {
+			if ev.Type == obs.KindCrashDegraded {
 				degraded++
 			}
 		}

@@ -2,53 +2,12 @@ package kernel
 
 import "repro/internal/obs"
 
-// The kernel's trace plumbing is rebased on the shared observability core
-// (internal/obs): the former private enum, event struct, tracer interface
-// and ring buffer are now aliases of the obs equivalents, so one obs.Bus
-// (or Ring, Capture, PaperMetrics) can be installed as the kernel's
-// Tracer while existing callers and tests keep compiling unchanged.
-
-// TraceType is an alias of the shared event kind.
-type TraceType = obs.Kind
-
-// The kernel's historical names for the kinds it emits.
-const (
-	TraceDispatch  = obs.KindDispatch
-	TracePreempt   = obs.KindPreempt
-	TraceRestart   = obs.KindRestart // Arg = rolled-back-from PC
-	TraceSyscall   = obs.KindSyscall // Arg = syscall number
-	TracePageFault = obs.KindPageFault
-	TraceExit      = obs.KindExit // Arg = exit code
-	TraceFault     = obs.KindFault
-	TraceInject    = obs.KindInject   // Arg = chaos.Action bits
-	TraceWatchdog  = obs.KindWatchdog // Arg = restart count
-	TraceKill      = obs.KindKill
-	TraceCrash     = obs.KindCrash
-	TraceEmulTrap  = obs.KindEmulTrap // kernel-emulated atomic op
-	// TraceCrashDegraded: a CrashVolatile fault hit a memory without the
-	// persistence model enabled and fell back to legacy Crash semantics.
-	TraceCrashDegraded = obs.KindCrashDegraded // Arg = chaos.Action bits
-)
-
-// TraceEvent is an alias of the shared event schema.
-type TraceEvent = obs.Event
-
-// Tracer receives kernel events; any obs.Sink qualifies. A nil tracer on
-// the kernel disables tracing entirely.
-type Tracer = obs.Sink
-
-// RingTracer is the shared bounded drop-oldest ring.
-type RingTracer = obs.Ring
-
-// NewRingTracer creates a tracer retaining the last n events.
-func NewRingTracer(n int) *RingTracer { return obs.NewRing(n) }
-
 // trace emits an event if tracing is enabled.
-func (k *Kernel) trace(ty TraceType, t *Thread, arg uint64) {
+func (k *Kernel) trace(ty obs.Kind, t *Thread, arg uint64) {
 	if k.Tracer == nil {
 		return
 	}
-	ev := TraceEvent{Cycle: k.M.Stats.Cycles, Type: ty, Arg: arg, CPU: k.CPUID}
+	ev := obs.Event{Cycle: k.M.Stats.Cycles, Type: ty, Arg: arg, CPU: k.CPUID}
 	if t != nil {
 		ev.Thread = t.ID
 		ev.PC = t.Ctx.PC

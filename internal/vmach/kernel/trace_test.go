@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/guest"
+	"repro/internal/obs"
 )
 
 func TestRingTracerRetention(t *testing.T) {
-	r := NewRingTracer(3)
+	r := obs.NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Event(TraceEvent{Cycle: uint64(i), Type: TraceDispatch})
+		r.Event(obs.Event{Cycle: uint64(i), Type: obs.KindDispatch})
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -25,24 +26,24 @@ func TestRingTracerRetention(t *testing.T) {
 	if r.Total() != 5 {
 		t.Errorf("total = %d", r.Total())
 	}
-	if NewRingTracer(0) == nil {
+	if obs.NewRing(0) == nil {
 		t.Error("zero-capacity tracer nil")
 	}
 }
 
 func TestTraceEventStrings(t *testing.T) {
-	types := []TraceType{TraceDispatch, TracePreempt, TraceRestart,
-		TraceSyscall, TracePageFault, TraceExit, TraceFault}
+	types := []obs.Kind{obs.KindDispatch, obs.KindPreempt, obs.KindRestart,
+		obs.KindSyscall, obs.KindPageFault, obs.KindExit, obs.KindFault}
 	for _, ty := range types {
 		if ty.String() == "?" {
 			t.Errorf("type %d has no name", ty)
 		}
-		ev := TraceEvent{Cycle: 100, Type: ty, Thread: 1, PC: 0x1000, Arg: 7}
+		ev := obs.Event{Cycle: 100, Type: ty, Thread: 1, PC: 0x1000, Arg: 7}
 		if !strings.Contains(ev.String(), ty.String()) {
 			t.Errorf("event string %q missing type", ev.String())
 		}
 	}
-	if TraceType(99).String() != "?" {
+	if obs.Kind(99).String() != "?" {
 		t.Error("unknown type should stringify to ?")
 	}
 }
@@ -54,33 +55,33 @@ func TestKernelEmitsTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := New(Config{Strategy: &Registration{}, Quantum: 53})
-	tr := NewRingTracer(4096)
+	tr := obs.NewRing(4096)
 	k.Tracer = tr
 	k.Load(prog)
 	k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := map[TraceType]int{}
+	counts := map[obs.Kind]int{}
 	for _, ev := range tr.Events() {
 		counts[ev.Type]++
 	}
-	for _, want := range []TraceType{TraceDispatch, TracePreempt, TraceRestart, TraceSyscall, TraceExit} {
+	for _, want := range []obs.Kind{obs.KindDispatch, obs.KindPreempt, obs.KindRestart, obs.KindSyscall, obs.KindExit} {
 		if counts[want] == 0 {
 			t.Errorf("no %v events traced (have %v)", want, counts)
 		}
 	}
-	if uint64(counts[TraceRestart]) != k.Stats.Restarts {
-		t.Errorf("traced %d restarts, stats say %d", counts[TraceRestart], k.Stats.Restarts)
+	if uint64(counts[obs.KindRestart]) != k.Stats.Restarts {
+		t.Errorf("traced %d restarts, stats say %d", counts[obs.KindRestart], k.Stats.Restarts)
 	}
-	if uint64(counts[TracePreempt]) != k.Stats.Preemptions {
-		t.Errorf("traced %d preemptions, stats say %d", counts[TracePreempt], k.Stats.Preemptions)
+	if uint64(counts[obs.KindPreempt]) != k.Stats.Preemptions {
+		t.Errorf("traced %d preemptions, stats say %d", counts[obs.KindPreempt], k.Stats.Preemptions)
 	}
 	// Restart events must carry the rolled-back-from PC inside the
 	// registered range.
 	begin := prog.MustSymbol("ras_begin")
 	for _, ev := range tr.Events() {
-		if ev.Type != TraceRestart {
+		if ev.Type != obs.KindRestart {
 			continue
 		}
 		if ev.PC != begin {
@@ -106,7 +107,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 
 func TestTracePageFaultEvents(t *testing.T) {
 	k, prog := boot(t, Config{}, "main:\n\tli v0, 0\n\tmove a0, zero\n\tsyscall\n")
-	tr := NewRingTracer(64)
+	tr := obs.NewRing(64)
 	k.Tracer = tr
 	k.M.Mem.SetPresent(prog.TextBase, false)
 	if err := k.Run(); err != nil {
@@ -114,7 +115,7 @@ func TestTracePageFaultEvents(t *testing.T) {
 	}
 	found := false
 	for _, ev := range tr.Events() {
-		if ev.Type == TracePageFault {
+		if ev.Type == obs.KindPageFault {
 			found = true
 		}
 	}
