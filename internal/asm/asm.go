@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -45,6 +46,20 @@ type Program struct {
 	// Lines maps a text-word index to its 1-based source line, for
 	// diagnostics and tracing.
 	Lines []int
+
+	predecodeOnce sync.Once
+	predecoded    []isa.Predecoded
+}
+
+// Predecoded returns the text predecoded by isa.Predecode. The table is
+// built on the first call, safely for concurrent callers, and is shared
+// read-only afterwards: every kernel or SMP system that loads the program
+// fetches through the same table. A later edit of Text leaves the table
+// stale, which is harmless to the machine — it uses an entry only while
+// the entry's Raw word is the word in memory.
+func (p *Program) Predecoded() []isa.Predecoded {
+	p.predecodeOnce.Do(func() { p.predecoded = isa.Predecode(p.Text) })
+	return p.predecoded
 }
 
 // SymbolAddr returns the address of a label, with ok reporting existence.

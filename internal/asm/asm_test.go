@@ -2,6 +2,7 @@ package asm
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -572,6 +573,34 @@ func TestBgtBleBge(t *testing.T) {
 	for i := 0; i < 6; i += 2 {
 		if isa.Decode(p.Text[i]).Funct != isa.FnSLT {
 			t.Errorf("word %d not slt", i)
+		}
+	}
+}
+
+// Predecoded builds the table once and hands every caller, concurrent
+// ones included, the same read-only slice, entry for entry the decoding
+// of Text. Kernels on parallel model-checker workers share one program.
+func TestPredecodedSharedAcrossGoroutines(t *testing.T) {
+	p := mustAssemble(t, "main: li t0, 70000\nloop: addi t0, t0, -1\nbnez t0, loop\nbreak\n")
+	tables := make([][]isa.Predecoded, 8)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tables[i] = p.Predecoded()
+		}(i)
+	}
+	wg.Wait()
+	for i, tab := range tables {
+		if len(tab) != len(p.Text) || &tab[0] != &tables[0][0] {
+			t.Fatalf("caller %d got a different table", i)
+		}
+	}
+	for i, w := range p.Text {
+		inst := isa.Decode(w)
+		if tables[0][i] != (isa.Predecoded{Raw: w, Class: isa.ClassOf(inst), Inst: inst}) {
+			t.Fatalf("entry %d: %+v does not decode %#x", i, tables[0][i], w)
 		}
 	}
 }

@@ -164,7 +164,8 @@ type Injector interface {
 
 // Plan is the deterministic seeded injector: every decision is a pure
 // function of (Seed, point, ordinal). Rates are probabilities in units of
-// 1/65536 per opportunity.
+// 1/65536 per opportunity. At caches the seed-derived part of the hash in
+// the Plan, so one Plan must not be consulted from two goroutines at once.
 type Plan struct {
 	Seed  uint64
 	Level float64 // intensity this plan was built with (informational)
@@ -179,6 +180,13 @@ type Plan struct {
 	// are opted into with NewKillPlan (or set explicitly) rather than
 	// riding along with the recoverable-fault sweep.
 	KillRate uint32
+
+	// prefix holds, for each Point At decides on, the seed-only part of
+	// Derive(Seed, pt+1, n); prefixSeed is the Seed it was built for, so
+	// a Plan literal or a reassigned Seed rebuilds it on the next At.
+	prefix     [PointMemOp + 1]uint64
+	prefixSeed uint64
+	prefixOK   bool
 }
 
 // NewPlan derives a Plan from a seed and an intensity level in [0,1]:
@@ -218,7 +226,13 @@ func NewKillPlan(seed uint64, level float64) *Plan {
 // At implements Injector.
 func (p *Plan) At(pt Point, n uint64) Action {
 	var a Action
-	h := Derive(p.Seed, uint64(pt)+1, n)
+	if pt < PointDispatch || pt > PointMemOp {
+		return a
+	}
+	if !p.prefixOK || p.prefixSeed != p.Seed {
+		p.fillPrefix()
+	}
+	h := splitmix64(p.prefix[pt] ^ n) // = Derive(p.Seed, uint64(pt)+1, n)
 	switch pt {
 	case PointStep, PointMemOp:
 		if uint32(h&0xFFFF) < p.PreemptRate {
@@ -244,6 +258,16 @@ func (p *Plan) At(pt Point, n uint64) Action {
 		}
 	}
 	return a
+}
+
+// fillPrefix caches the seed-only rounds of Derive(Seed, pt+1, n) for
+// every Point At decides on.
+func (p *Plan) fillPrefix() {
+	h := splitmix64(p.Seed)
+	for i := range p.prefix {
+		p.prefix[i] = splitmix64(h ^ uint64(i+1))
+	}
+	p.prefixSeed, p.prefixOK = p.Seed, true
 }
 
 // Repro renders the one-line reproducer for this plan against the chaos

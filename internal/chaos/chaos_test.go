@@ -271,3 +271,62 @@ func TestRepro(t *testing.T) {
 		t.Errorf("repro line %q missing fields", r)
 	}
 }
+
+// refAt is Plan.At without the cached prefix: every decision hashed with
+// Derive(Seed, pt+1, n), as the plan is specified.
+func refAt(p *Plan, pt Point, n uint64) Action {
+	var a Action
+	h := Derive(p.Seed, uint64(pt)+1, n)
+	switch pt {
+	case PointStep, PointMemOp:
+		a.Preempt = uint32(h&0xFFFF) < p.PreemptRate
+		a.SpuriousSuspend = uint32(h>>16&0xFFFF) < p.SpuriousRate
+		a.Kill = uint32(h>>32&0xFFFF) < p.KillRate
+	case PointSuspend:
+		a.EvictCode = uint32(h&0xFFFF) < p.EvictCodeRate
+		a.EvictData = uint32(h>>16&0xFFFF) < p.EvictDataRate
+	case PointDispatch:
+		if p.MaxJitter > 0 {
+			a.Jitter = int64(h%uint64(2*p.MaxJitter+1)) - p.MaxJitter
+		}
+	}
+	return a
+}
+
+// Plan.At hashes with a cached seed-only prefix. It must agree with the
+// uncached reference everywhere: for every Point, for plans from NewPlan
+// and from literals, and after the Seed of a plan that has already been
+// consulted is reassigned.
+func TestPlanAtMatchesDerive(t *testing.T) {
+	check := func(p *Plan) {
+		t.Helper()
+		for pt := PointDispatch; pt <= PointPersist; pt++ {
+			for n := uint64(0); n < 10000; n++ {
+				if got, want := p.At(pt, n), refAt(p, pt, n); got != want {
+					t.Fatalf("seed %#x %v/%d: At %+v, reference %+v", p.Seed, pt, n, got, want)
+				}
+			}
+		}
+	}
+	for _, seed := range []uint64{0, 1, 0xABCD, 1<<63 | 5, ^uint64(0)} {
+		p := NewKillPlan(seed, 0.75)
+		check(p)
+		p.Seed = Derive(seed, 99)
+		check(p)
+		p.Seed = seed
+		check(p)
+		check(&Plan{Seed: seed, PreemptRate: 4096, SpuriousRate: 2048, KillRate: 512,
+			EvictCodeRate: 30000, EvictDataRate: 9000, MaxJitter: 50})
+	}
+}
+
+// BenchmarkPlanAt is the host cost of one chaos probe at a retired step,
+// the call the kernel makes after every guest instruction under a plan.
+func BenchmarkPlanAt(b *testing.B) {
+	p := NewPlan(0xBEEF, 0.25)
+	for i := 0; i < b.N; i++ {
+		planSink = p.At(PointStep, uint64(i))
+	}
+}
+
+var planSink Action

@@ -273,6 +273,26 @@ func Decode(w Word) Inst {
 	}
 }
 
+// Predecoded is one instruction word decoded ahead of time: Inst and Class
+// are exactly Decode(Raw) and ClassOf(Decode(Raw)). Raw is kept so a user
+// of the entry can check that memory still holds the word it was built
+// from.
+type Predecoded struct {
+	Raw   Word
+	Class Class
+	Inst  Inst
+}
+
+// Predecode decodes every word of a program text.
+func Predecode(text []Word) []Predecoded {
+	out := make([]Predecoded, len(text))
+	for i, w := range text {
+		inst := Decode(w)
+		out[i] = Predecoded{Raw: w, Class: ClassOf(inst), Inst: inst}
+	}
+	return out
+}
+
 // Opcode returns the primary opcode of an encoded instruction word. The
 // designated-sequence recognizer uses this as its first-stage hash key.
 func Opcode(w Word) uint32 { return w >> 26 }

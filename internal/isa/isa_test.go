@@ -277,3 +277,36 @@ func TestFormatOf(t *testing.T) {
 		t.Error("format classification wrong")
 	}
 }
+
+// A predecoded entry is exactly what decoding its raw word yields.
+func TestPredecodeMatchesDecode(t *testing.T) {
+	f := func(words []uint32) bool {
+		pre := Predecode(words)
+		for i, w := range words {
+			inst := Decode(w)
+			if pre[i] != (Predecoded{Raw: w, Class: ClassOf(inst), Inst: inst}) {
+				return false
+			}
+		}
+		return len(pre) == len(words)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkDecode is the host cost of decoding and classifying one word,
+// the work the interpreter skips for predecoded text.
+func BenchmarkDecode(b *testing.B) {
+	text := []Word{
+		Encode(Lw(RegV0, RegS1, 0)), Encode(Ori(RegT0, RegZero, 1)),
+		Encode(Bne(RegV0, RegZero, 3)), Encode(Landmark()),
+		Encode(Sw(RegT0, RegS1, 0)), Encode(Addi(RegS0, RegS0, -1)),
+		Encode(Jump(OpJ, 0x1000)), Encode(R(FnADD, RegT2, RegT0, RegT1)),
+	}
+	for i := 0; i < b.N; i++ {
+		decodeSink = ClassOf(Decode(text[i%len(text)]))
+	}
+}
+
+var decodeSink Class

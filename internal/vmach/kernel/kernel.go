@@ -292,10 +292,12 @@ func New(cfg Config) *Kernel {
 	}
 }
 
-// Load copies an assembled program into memory.
+// Load copies an assembled program into memory and installs the program's
+// predecoded text for instruction fetch.
 func (k *Kernel) Load(p *asm.Program) {
 	k.M.Mem.LoadProgramWords(p.TextBase, p.Text)
 	k.M.Mem.LoadProgramWords(p.DataBase, p.Data)
+	k.M.Mem.SetText(p.TextBase, p.Predecoded())
 }
 
 // Spawn creates a ready thread in address space 0 starting at entry with
@@ -476,8 +478,12 @@ func (k *Kernel) finish() error {
 
 // dispatch pops the next ready thread and begins its timeslice.
 func (k *Kernel) dispatch() {
+	// Pop by copying down, not by reslicing: a resliced queue creeps along
+	// its backing array and every later append reallocates it.
 	t := k.runq[0]
-	k.runq = k.runq[1:]
+	n := copy(k.runq, k.runq[1:])
+	k.runq[n] = nil
+	k.runq = k.runq[:n]
 	t.State = StateRunning
 	k.cur = t
 	// A context switch invalidates the CPU's ll/sc reservation (the

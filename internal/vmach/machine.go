@@ -155,12 +155,18 @@ func (m *Machine) charge(ctx *Context, c isa.Class) {
 // kernel with the PC *not* advanced past the triggering instruction
 // (faults) or with SyscallPC recorded (syscalls).
 func (m *Machine) Step(ctx *Context) Event {
-	w, f := m.Mem.LoadWord(ctx.PC)
+	w, pre, f := m.Mem.fetch(ctx.PC)
 	if f != nil {
 		return Event{Kind: EventFault, Fault: f}
 	}
-	inst := isa.Decode(w)
-	class := isa.ClassOf(inst)
+	var inst isa.Inst
+	var class isa.Class
+	if pre != nil {
+		inst, class = pre.Inst, pre.Class
+	} else {
+		inst = isa.Decode(w)
+		class = isa.ClassOf(inst)
+	}
 	m.Stats.Instructions++
 
 	reg := func(r int) isa.Word { return ctx.Regs[r] }

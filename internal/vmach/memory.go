@@ -73,6 +73,26 @@ type Memory struct {
 	// watchers, keyed by word address, observe committed stores. Harness
 	// state, not machine state: snapshots do not capture them.
 	watchers map[uint32][]func(old, new isa.Word)
+
+	// One-entry page caches for instruction fetch and for data loads and
+	// stores, so the common access skips both map lookups. A cached page
+	// is always present and is the page pages maps it to. SetPresent and
+	// Restore, the only writers of notPresent and of existing pages
+	// entries, flush both caches.
+	fetchCache, dataCache pageCache
+
+	// text is the predecoded program text installed at textBase (SetText).
+	// It is derived from the program, not machine state: snapshots do not
+	// capture it.
+	textBase uint32
+	text     []isa.Predecoded
+}
+
+// pageCache is a one-entry page cache: the last page one access path
+// touched, and its page number.
+type pageCache struct {
+	pn   uint32
+	page *[PageWords]isa.Word
 }
 
 // NewMemory returns an empty memory.
@@ -97,6 +117,7 @@ func (m *Memory) page(addr uint32) *[PageWords]isa.Word {
 // (false). Accessing a not-present page raises FaultNotPresent; the page's
 // contents are preserved.
 func (m *Memory) SetPresent(addr uint32, present bool) {
+	m.flushPageCaches()
 	pn := addr >> PageShift
 	if present {
 		delete(m.notPresent, pn)
@@ -121,23 +142,76 @@ func (m *Memory) check(addr uint32) *Fault {
 	return nil
 }
 
+func (m *Memory) flushPageCaches() { m.fetchCache, m.dataCache = pageCache{}, pageCache{} }
+
+// cachedPage returns the page holding addr through the one-entry cache c,
+// with check's faults. Only an aligned access to the cached page skips
+// check.
+func (m *Memory) cachedPage(c *pageCache, addr uint32) (*[PageWords]isa.Word, *Fault) {
+	if c.page != nil && addr>>PageShift == c.pn && addr&3 == 0 {
+		return c.page, nil
+	}
+	return m.fillPageCache(c, addr)
+}
+
+// fillPageCache is the miss path of a page cache: check the access, then
+// cache the page, allocating it on first touch as page does.
+func (m *Memory) fillPageCache(c *pageCache, addr uint32) (*[PageWords]isa.Word, *Fault) {
+	if f := m.check(addr); f != nil {
+		return nil, f
+	}
+	c.pn, c.page = addr>>PageShift, m.page(addr)
+	return c.page, nil
+}
+
+// SetText installs a predecoded table (asm.Program.Predecoded) for the
+// program text at base. Instruction fetch uses an entry only while memory
+// still holds the entry's Raw word and decodes the word itself otherwise,
+// so stores over text, Poke, crash reverts and Restore need not touch the
+// table. A memory holds at most one table; installing one replaces it.
+func (m *Memory) SetText(base uint32, text []isa.Predecoded) {
+	m.textBase, m.text = base, text
+}
+
+// fetch reads the instruction word at pc with LoadWord's faults, through
+// the fetch page cache. It also returns the word's predecoded entry when
+// the installed text covers pc and still holds that word, else nil.
+func (m *Memory) fetch(pc uint32) (isa.Word, *isa.Predecoded, *Fault) {
+	// cachedPage's hit test, repeated here so that the common fetch
+	// makes no call (cachedPage is too large to inline).
+	c := &m.fetchCache
+	p := c.page
+	if p == nil || pc>>PageShift != c.pn || pc&3 != 0 {
+		var f *Fault
+		if p, f = m.fillPageCache(c, pc); f != nil {
+			return 0, nil, f
+		}
+	}
+	w := p[pc>>2&(PageWords-1)]
+	if i := (pc - m.textBase) >> 2; i < uint32(len(m.text)) && m.text[i].Raw == w {
+		return w, &m.text[i], nil
+	}
+	return w, nil, nil
+}
+
 // LoadWord reads the word at addr.
 func (m *Memory) LoadWord(addr uint32) (isa.Word, *Fault) {
-	if f := m.check(addr); f != nil {
+	p, f := m.cachedPage(&m.dataCache, addr)
+	if f != nil {
 		return 0, f
 	}
-	return m.page(addr)[addr>>2&(PageWords-1)], nil
+	return p[addr>>2&(PageWords-1)], nil
 }
 
 // StoreWord writes the word at addr.
 func (m *Memory) StoreWord(addr uint32, v isa.Word) *Fault {
-	if f := m.check(addr); f != nil {
+	p, f := m.cachedPage(&m.dataCache, addr)
+	if f != nil {
 		return f
 	}
 	if m.persist {
 		m.shadow(addr)
 	}
-	p := m.page(addr)
 	i := addr >> 2 & (PageWords - 1)
 	old := p[i]
 	p[i] = v

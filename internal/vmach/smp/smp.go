@@ -128,10 +128,12 @@ func (s *System) ThreadAliveG(gtid int) bool {
 }
 
 // Load copies an assembled program into the shared memory (once: every
-// CPU sees it).
+// CPU sees it) and installs the program's predecoded text for instruction
+// fetch.
 func (s *System) Load(p *asm.Program) {
 	s.Mem.LoadProgramWords(p.TextBase, p.Text)
 	s.Mem.LoadProgramWords(p.DataBase, p.Data)
+	s.Mem.SetText(p.TextBase, p.Predecoded())
 }
 
 // Spawn creates a ready thread on the given CPU. The caller picks the

@@ -62,8 +62,10 @@ func (m *Memory) Capture() *MemoryImage {
 }
 
 // Restore replaces the memory's contents with the image's. Watchpoints
-// registered on the memory survive a restore.
+// registered on the memory, and its installed text table, survive a
+// restore.
 func (m *Memory) Restore(img *MemoryImage) {
+	m.flushPageCaches()
 	m.pages = make(map[uint32]*[PageWords]isa.Word, len(img.Pages))
 	for i := range img.Pages {
 		p := img.Pages[i].Words // copy: the image stays pristine
