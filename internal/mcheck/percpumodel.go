@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -284,97 +283,24 @@ func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
 		}
 	}
 	return &percpuServerInstance{
-		m: m, sys: sys, vio: &violations{}, ds: ds,
-		want: uint64(m.cpus * m.clients * m.iters),
+		interleaver: interleaver{sys: sys, ds: ds, turnMax: smpTurn},
+		m:           m,
+		want:        uint64(m.cpus * m.clients * m.iters),
 	}, nil
 }
 
 type percpuServerInstance struct {
-	m     *percpuServerModel
-	sys   *smp.System
-	vio   *violations
-	ds    []Decision // sorted by At; next is ds[di]
-	di    int
-	cur   int    // CPU holding the interleaving
-	steps uint64 // global step ordinal: total StepCPU calls
-	turn  uint64 // steps since the interleaving last moved
-
-	want  uint64
-	done  bool
-	ended bool
-}
-
-func (in *percpuServerInstance) rotate() {
-	n := len(in.sys.CPUs)
-	for j := 1; j <= n; j++ {
-		c := (in.cur + j) % n
-		if !in.sys.Done(c) {
-			in.cur = c
-			break
-		}
-	}
-	in.turn = 0
-}
-
-func (in *percpuServerInstance) step() {
-	if in.sys.AllDone() {
-		in.done = true
-		return
-	}
-	if in.sys.Done(in.cur) || in.turn >= smpTurn {
-		in.rotate()
-	}
-	in.sys.StepCPU(in.cur)
-	in.steps++
-	in.turn++
-	for in.di < len(in.ds) && in.ds[in.di].At == in.steps {
-		if in.ds[in.di].Act == ActSwitch {
-			in.rotate()
-		}
-		in.di++
-	}
-	if in.sys.AllDone() {
-		in.done = true
-	}
-}
-
-func (in *percpuServerInstance) RunTo(at uint64) bool {
-	for !in.done && in.steps < at {
-		in.step()
-	}
-	return in.done
+	interleaver
+	m    *percpuServerModel
+	want uint64
 }
 
 func (in *percpuServerInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
+	if !in.runOut() {
 		return
-	}
-	in.ended = true
-	for c := range in.sys.CPUs {
-		err := in.sys.CPUVerdict(c)
-		switch {
-		case err == nil:
-		case errors.Is(err, kernel.ErrDeadlock):
-			in.vio.add("deadlock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrLivelock):
-			in.vio.add("restart-livelock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrBudget):
-			in.vio.add("budget", "cpu%d: %v", c, err)
-		default:
-			in.vio.add("abort", "cpu%d: %v", c, err)
-		}
 	}
 	served, _ := guest.ServerCounts(in.sys.Mem, in.m.prog, in.m.variant, in.m.cpus)
 	if !hasAct(in.ds, ActKill) && served != in.want {
 		in.vio.add("served-exact", "served %d of %d submitted requests", served, in.want)
 	}
-}
-
-func (in *percpuServerInstance) Cursor() uint64          { return in.steps }
-func (in *percpuServerInstance) Violations() []Violation { return in.vio.list }
-func (in *percpuServerInstance) StateHash() ([32]byte, bool) {
-	return hashSMP(in.sys, in.cur, in.turn), true
 }

@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -41,9 +40,10 @@ func qlockVariant(p map[string]string) (qlock.Variant, error) {
 // CPU switches (no kills): the critical sections must be granted in
 // exactly the order the tail swaps admitted the waiters.
 type qlockQueueModel struct {
-	params map[string]string
-	cfg    qlock.Config
-	prog   *asm.Program
+	params  map[string]string
+	cfg     qlock.Config
+	prog    *asm.Program
+	walkers switchWalkers
 }
 
 func qlockQueueModelBuild(p map[string]string) (Model, error) {
@@ -67,7 +67,9 @@ func qlockQueueModelBuild(p map[string]string) (Model, error) {
 		Quantum:   modelQuantum,
 		MaxCycles: qlockBudget,
 	}
-	return &qlockQueueModel{params: p, cfg: cfg, prog: qlock.Assembled(cfg)}, nil
+	m := &qlockQueueModel{params: p, cfg: cfg, prog: qlock.Assembled(cfg)}
+	m.walkers.build = m.build
+	return m, nil
 }
 
 func (m *qlockQueueModel) Name() string              { return "qlock-queue" }
@@ -76,19 +78,20 @@ func (m *qlockQueueModel) Primary() Action           { return ActSwitch }
 func (m *qlockQueueModel) Pausable() bool            { return true }
 
 func (m *qlockQueueModel) New(ds []Decision, opt Options) (Instance, error) {
-	r, err := qlock.NewWith(m.cfg, m.prog)
+	return m.walkers.New(ds, opt)
+}
+
+// build is New without the walker cache: a from-scratch instance.
+func (m *qlockQueueModel) build(ds []Decision, opt Options) (interleaved, error) {
+	in, err := newQlockInstance(m.cfg, m.prog, ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Tracer != nil {
-		r.Sys.AttachTracer(opt.Tracer)
-	}
-	in := &qlockInstance{run: r, vio: &violations{}, ds: ds, turnMax: qlockTurn, fifo: true}
-	in.watchCounter()
+	in.fifo = true
 	// The qtail watchpoint records the true admission order: with no
 	// kills and no TryAcquire the only non-zero stores to the tail are
 	// the enqueue swaps, one per passage.
-	r.Sys.Mem.Watch(r.Prog.Qtail, func(old, new isa.Word) {
+	in.sys.Mem.Watch(in.run.Prog.Qtail, func(old, new isa.Word) {
 		if new != 0 {
 			in.enq = append(in.enq, in.nodeOwner(uint32(new)))
 		}
@@ -150,15 +153,10 @@ func (m *qlockRecModel) Primary() Action           { return ActKill }
 func (m *qlockRecModel) Pausable() bool            { return true }
 
 func (m *qlockRecModel) New(ds []Decision, opt Options) (Instance, error) {
-	r, err := qlock.NewWith(m.cfg, m.prog)
+	in, err := newQlockInstance(m.cfg, m.prog, ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Tracer != nil {
-		r.Sys.AttachTracer(opt.Tracer)
-	}
-	in := &qlockInstance{run: r, vio: &violations{}, ds: ds, turnMax: qlockTurn}
-	in.watchCounter()
 	return in, nil
 }
 
@@ -167,28 +165,37 @@ func (m *qlockRecModel) New(ds []Decision, opt Options) (Instance, error) {
 // CPUs, ActSwitch rotates the interleaving, ActKill kills the thread
 // on the CPU holding it.
 type qlockInstance struct {
-	run     *qlock.Run
-	vio     *violations
-	ds      []Decision
-	di      int
-	cur     int
-	steps   uint64
-	turn    uint64
-	turnMax uint64
+	interleaver
+	run *qlock.Run
 
 	fifo  bool  // check grant order == admission order (kill-free models)
 	enq   []int // global tids in tail-swap order
 	kills int   // kills actually applied
-	done  bool
-	ended bool
 }
 
-func (in *qlockInstance) watchCounter() {
-	in.run.Sys.Mem.Watch(in.run.Prog.Counter, func(old, new isa.Word) {
+func newQlockInstance(cfg qlock.Config, prog *asm.Program, ds []Decision, opt Options) (*qlockInstance, error) {
+	r, err := qlock.NewWith(cfg, prog)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Tracer != nil {
+		r.Sys.AttachTracer(opt.Tracer)
+	}
+	in := &qlockInstance{
+		interleaver: interleaver{sys: r.Sys, ds: ds, turnMax: qlockTurn},
+		run:         r,
+	}
+	in.kill = func(cpu int) {
+		if err := r.Sys.KillThread(cpu, 0); err == nil {
+			in.kills++
+		}
+	}
+	r.Sys.Mem.Watch(r.Prog.Counter, func(old, new isa.Word) {
 		if new != old+1 {
 			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
 		}
 	})
+	return in, nil
 }
 
 // nodeOwner maps a qnode address back to its worker's global tid.
@@ -197,76 +204,9 @@ func (in *qlockInstance) nodeOwner(addr uint32) int {
 	return smp.GlobalID(cpu, 0)
 }
 
-func (in *qlockInstance) rotate() {
-	sys := in.run.Sys
-	n := len(sys.CPUs)
-	for j := 1; j <= n; j++ {
-		c := (in.cur + j) % n
-		if !sys.Done(c) {
-			in.cur = c
-			break
-		}
-	}
-	in.turn = 0
-}
-
-func (in *qlockInstance) step() {
-	sys := in.run.Sys
-	if sys.AllDone() {
-		in.done = true
-		return
-	}
-	if sys.Done(in.cur) || in.turn >= in.turnMax {
-		in.rotate()
-	}
-	sys.StepCPU(in.cur)
-	in.steps++
-	in.turn++
-	for in.di < len(in.ds) && in.ds[in.di].At == in.steps {
-		switch in.ds[in.di].Act {
-		case ActSwitch:
-			in.rotate()
-		case ActKill:
-			if err := sys.KillThread(in.cur, 0); err == nil {
-				in.kills++
-			}
-		}
-		in.di++
-	}
-	if sys.AllDone() {
-		in.done = true
-	}
-}
-
-func (in *qlockInstance) RunTo(at uint64) bool {
-	for !in.done && in.steps < at {
-		in.step()
-	}
-	return in.done
-}
-
 func (in *qlockInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
+	if !in.runOut() {
 		return
-	}
-	in.ended = true
-	sys := in.run.Sys
-	for c := range sys.CPUs {
-		err := sys.CPUVerdict(c)
-		switch {
-		case err == nil:
-		case errors.Is(err, kernel.ErrDeadlock):
-			in.vio.add("deadlock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrLivelock):
-			in.vio.add("restart-livelock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrBudget):
-			in.vio.add("budget", "cpu%d: %v", c, err)
-		default:
-			in.vio.add("abort", "cpu%d: %v", c, err)
-		}
 	}
 	res, err := in.run.Collect()
 	if err != nil {
@@ -279,8 +219,8 @@ func (in *qlockInstance) RunToEnd() {
 		}
 	}
 	iters := uint64(in.run.Cfg.Iters)
-	for c := range sys.CPUs {
-		ts := sys.CPUs[c].Threads()
+	for c := range in.sys.CPUs {
+		ts := in.sys.CPUs[c].Threads()
 		exited := len(ts) > 0 && ts[0].State == kernel.StateDone
 		if exited && res.Mine[c] != iters {
 			in.vio.add("lost-passage", "surviving worker %d completed %d of %d passages", c, res.Mine[c], iters)
@@ -302,10 +242,4 @@ func (in *qlockInstance) RunToEnd() {
 			}
 		}
 	}
-}
-
-func (in *qlockInstance) Cursor() uint64          { return in.steps }
-func (in *qlockInstance) Violations() []Violation { return in.vio.list }
-func (in *qlockInstance) StateHash() ([32]byte, bool) {
-	return hashSMP(in.run.Sys, in.cur, in.turn), true
 }

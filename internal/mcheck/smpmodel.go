@@ -1,13 +1,11 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
 	"repro/internal/guest"
 	"repro/internal/isa"
-	"repro/internal/vmach/kernel"
 	"repro/internal/vmach/smp"
 )
 
@@ -29,11 +27,12 @@ const smpTurn = 4096
 const smpBudget = uint64(50_000_000)
 
 type smpModel struct {
-	params map[string]string
-	lock   guest.SMPLock
-	cpus   int
-	iters  int
-	prog   *asm.Program
+	params  map[string]string
+	lock    guest.SMPLock
+	cpus    int
+	iters   int
+	prog    *asm.Program
+	walkers switchWalkers
 }
 
 func smpCounterModel(p map[string]string) (Model, error) {
@@ -62,7 +61,9 @@ func smpCounterModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: smp-counter: %v", err)
 	}
-	return &smpModel{params: p, lock: lock, cpus: cpus, iters: iters, prog: prog}, nil
+	m := &smpModel{params: p, lock: lock, cpus: cpus, iters: iters, prog: prog}
+	m.walkers.build = m.build
+	return m, nil
 }
 
 func (m *smpModel) Name() string              { return "smp-counter" }
@@ -71,6 +72,11 @@ func (m *smpModel) Primary() Action           { return ActSwitch }
 func (m *smpModel) Pausable() bool            { return true }
 
 func (m *smpModel) New(ds []Decision, opt Options) (Instance, error) {
+	return m.walkers.New(ds, opt)
+}
+
+// build is New without the walker cache: a from-scratch instance.
+func (m *smpModel) build(ds []Decision, opt Options) (interleaved, error) {
 	sys := smp.New(smp.Config{
 		CPUs:      m.cpus,
 		Quantum:   modelQuantum,
@@ -81,113 +87,35 @@ func (m *smpModel) New(ds []Decision, opt Options) (Instance, error) {
 	}
 	sys.Load(m.prog)
 	for c := 0; c < m.cpus; c++ {
-		_, gid := sys.Spawn(c, m.prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(m.iters))
-		_ = gid
+		sys.Spawn(c, m.prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(m.iters))
 	}
-	vio := &violations{}
-	counterAddr := m.prog.MustSymbol("counter")
+	in := &smpInstance{
+		interleaver: interleaver{sys: sys, ds: ds, turnMax: smpTurn},
+		want:        isa.Word(m.cpus * m.iters),
+		counterAddr: m.prog.MustSymbol("counter"),
+	}
 	// On shared memory the counter watchpoint IS the mutual-exclusion
 	// checker: each critical section is lw/addi/sw, so two overlapping
 	// passages surface as a store that is not old+1.
-	sys.Mem.Watch(counterAddr, func(old, new isa.Word) {
+	sys.Mem.Watch(in.counterAddr, func(old, new isa.Word) {
 		if new != old+1 {
-			vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
+			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
 		}
 	})
-	in := &smpInstance{
-		sys: sys, vio: vio, ds: ds,
-		want:        isa.Word(m.cpus * m.iters),
-		counterAddr: counterAddr,
-	}
 	return in, nil
 }
 
 type smpInstance struct {
-	sys   *smp.System
-	vio   *violations
-	ds    []Decision // sorted by At; next is ds[di]
-	di    int
-	cur   int    // CPU holding the interleaving
-	steps uint64 // global step ordinal: total StepCPU calls
-	turn  uint64 // steps since the interleaving last moved
-
+	interleaver
 	want        isa.Word
 	counterAddr uint32
-	done        bool
-	ended       bool
-}
-
-// rotate hands the interleaving to the next unfinished CPU.
-func (in *smpInstance) rotate() {
-	n := len(in.sys.CPUs)
-	for j := 1; j <= n; j++ {
-		c := (in.cur + j) % n
-		if !in.sys.Done(c) {
-			in.cur = c
-			break
-		}
-	}
-	in.turn = 0
-}
-
-func (in *smpInstance) step() {
-	if in.sys.AllDone() {
-		in.done = true
-		return
-	}
-	if in.sys.Done(in.cur) || in.turn >= smpTurn {
-		in.rotate()
-	}
-	in.sys.StepCPU(in.cur)
-	in.steps++
-	in.turn++
-	for in.di < len(in.ds) && in.ds[in.di].At == in.steps {
-		if in.ds[in.di].Act == ActSwitch {
-			in.rotate()
-		}
-		in.di++
-	}
-	if in.sys.AllDone() {
-		in.done = true
-	}
-}
-
-func (in *smpInstance) RunTo(at uint64) bool {
-	for !in.done && in.steps < at {
-		in.step()
-	}
-	return in.done
 }
 
 func (in *smpInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
+	if !in.runOut() {
 		return
-	}
-	in.ended = true
-	for c := range in.sys.CPUs {
-		err := in.sys.CPUVerdict(c)
-		switch {
-		case err == nil:
-		case errors.Is(err, kernel.ErrDeadlock):
-			in.vio.add("deadlock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrLivelock):
-			in.vio.add("restart-livelock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrBudget):
-			in.vio.add("budget", "cpu%d: %v", c, err)
-		default:
-			in.vio.add("abort", "cpu%d: %v", c, err)
-		}
 	}
 	if got := in.sys.Mem.Peek(in.counterAddr); got != in.want {
 		in.vio.add("counter-exact", "counter = %d, want %d", got, in.want)
 	}
-}
-
-func (in *smpInstance) Cursor() uint64          { return in.steps }
-func (in *smpInstance) Violations() []Violation { return in.vio.list }
-func (in *smpInstance) StateHash() ([32]byte, bool) {
-	return hashSMP(in.sys, in.cur, in.turn), true
 }

@@ -2,15 +2,70 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
+// suiteGolden is the oracle for every suite walk: the schedule, state
+// and prune counts and the minimized counterexample each entry produces.
+// A change to how the checker walks (pruning, caching, stepping) must
+// leave every row identical; only a deliberate change to a model or an
+// entry may edit it. The rows sum to 153,382 schedules, 138,037 pruned.
+var suiteGolden = map[string]struct {
+	schedules, states, pruned int
+	cex                       []Decision
+}{
+	"counter{mech=registered},exhaustive,K=2":                      {3673, 1071, 2519, nil},
+	"counter{mech=designated},exhaustive,K=2":                      {2904, 859, 1974, nil},
+	"counter{mech=none},exhaustive,K=2":                            {2542, 870, 1627, []Decision{{45, ActPreempt}, {55, ActPreempt}}},
+	"broken2store{},exhaustive,K=1":                                {9, 7, 1, []Decision{{8, ActPreempt}}},
+	"recoverable{},exhaustive,K=1":                                 {116, 115, 0, nil},
+	"smp-counter{lock=hybrid},exhaustive,K=2":                      {109193, 3036, 106097, nil},
+	"smp-counter{lock=llsc},exhaustive,K=2":                        {25644, 509, 25113, nil},
+	"smp-counter{lock=ras-only},exhaustive,K=2":                    {276, 168, 107, []Decision{{7, ActSwitch}, {20, ActSwitch}}},
+	"uni-counter{sync=ras},exhaustive,K=2":                         {13, 0, 0, nil},
+	"uni-counter{sync=none},exhaustive,K=2":                        {2, 0, 0, []Decision{{1, ActPreempt}}},
+	"uni-rme{},exhaustive,K=1":                                     {29, 0, 0, nil},
+	"persist{iters=2,workers=1},exhaustive,K=1":                    {13, 12, 0, nil},
+	"persist{iters=3,variant=underflush,workers=1},exhaustive,K=1": {6, 4, 0, []Decision{{5, ActCrashVolatile}}},
+	"journal{mode=redo},exhaustive,K=1":                            {13, 12, 0, nil},
+	"journal{mode=redo,torn=1},exhaustive,K=1":                     {13, 12, 0, nil},
+	"journal{mode=undo,torn=1},exhaustive,K=1":                     {15, 14, 0, nil},
+	"journal{mode=redo},exhaustive,K=2":                            {116, 52, 63, nil},
+	"journal{mode=nofence,torn=1},exhaustive,K=1":                  {2, 0, 0, []Decision{{1, ActCrashTorn}}},
+	"memfs-journal{},exhaustive,K=1":                               {47, 0, 0, nil},
+	"memfs-journal{torn=1},exhaustive,K=1":                         {47, 0, 0, nil},
+	"memfs-journal{variant=nofence},exhaustive,K=1":                {8, 0, 0, []Decision{{7, ActCrashVolatile}}},
+	"pstruct{mode=undo,struct=stack},exhaustive,K=1":               {50, 0, 0, nil},
+	"pstruct{mode=redo,struct=stack,torn=1},exhaustive,K=1":        {42, 0, 0, nil},
+	"pstruct{mode=redo,struct=queue},exhaustive,K=1":               {42, 0, 0, nil},
+	"pstruct{mode=undo,struct=queue,torn=1},exhaustive,K=1":        {50, 0, 0, nil},
+	"pstruct{mode=redo,struct=stack},exhaustive,K=2":               {202, 0, 0, nil},
+	"percpu-queue{drain=safe},exhaustive,K=2":                      {834, 0, 0, nil},
+	"percpu-queue{drain=unsafe},exhaustive,K=1":                    {12, 0, 0, []Decision{{11, ActPreempt}}},
+	"percpu-freelist{variant=ras},exhaustive,K=2":                  {983, 444, 528, nil},
+	"percpu-freelist{variant=bare},exhaustive,K=1":                 {6, 5, 0, []Decision{{5, ActPreempt}}},
+	"percpu-server{variant=percpu},exhaustive,K=1":                 {204, 203, 0, nil},
+	"percpu-server{variant=racy},exhaustive,K=1":                   {39, 38, 0, []Decision{{38, ActPreempt}}},
+	"percpu-server{cpus=2,iters=1,variant=mutex},exhaustive,K=1":   {4255, 4254, 0, nil},
+	"qlock-queue{variant=mcs},exhaustive,K=1":                      {262, 253, 8, nil},
+	"qlock-rec{variant=rmcs},exhaustive,K=1":                       {380, 379, 0, nil},
+	"qlock-rec{cpus=3,variant=rmcs},exhaustive,K=1":                {650, 649, 0, nil},
+	"qlock-rec{variant=mcs},exhaustive,K=1":                        {31, 30, 0, []Decision{{30, ActKill}}},
+	"qlock-rec{variant=rmcs-unspliced},exhaustive,K=1":             {171, 170, 0, []Decision{{170, ActKill}}},
+	"resilience{kind=volatile,variant=dedup},exhaustive,K=2":       {443, 0, 0, nil},
+	"resilience{kind=torn,variant=dedup},exhaustive,K=1":           {27, 0, 0, nil},
+	"resilience{kind=volatile,variant=nodedup},exhaustive,K=1":     {10, 0, 0, []Decision{{9, ActCrashVolatile}}},
+	"broken2store{},random,K=3":                                    {8, 0, 0, []Decision{{8, ActPreempt}}},
+}
+
 // TestSuite walks every canned suite entry exactly once, each as a
 // parallel subtest; no other test in the package walks Suite() entries.
-// Every entry must match its expectation, and every walk must cover its
-// schedule space — a Truncated report means the walk silently stopped
-// proving anything. The suite's shape is pinned, without walking, by
-// TestSuiteBudgetGuard and TestPercpuSuiteEntries.
+// Every entry must match its expectation and its suiteGolden row, and
+// every walk must cover its schedule space — a Truncated report means
+// the walk silently stopped proving anything. The suite's shape is
+// pinned, without walking, by TestSuiteBudgetGuard and
+// TestPercpuSuiteEntries.
 func TestSuite(t *testing.T) {
 	for _, ent := range Suite() {
 		name := fmt.Sprintf("%s{%s},%s,K=%d", ent.Model, paramString(ent.Over), ent.Mode, ent.K)
@@ -25,6 +80,22 @@ func TestSuite(t *testing.T) {
 			}
 			if !res.OK {
 				t.Errorf("outcome does not match expectation %q: %v\nrepro: %s", ent.Expect, res.Report, res.ReproCommand())
+			}
+			want, ok := suiteGolden[name]
+			if !ok {
+				t.Fatalf("no suiteGolden row for this entry")
+			}
+			r := res.Report
+			if r.Schedules != want.schedules || r.States != want.states || r.Pruned != want.pruned {
+				t.Errorf("walked %d schedules, %d states, %d pruned; golden %d/%d/%d",
+					r.Schedules, r.States, r.Pruned, want.schedules, want.states, want.pruned)
+			}
+			var cex []Decision
+			if r.Counterexample != nil {
+				cex = r.Counterexample.Schedule.Decisions
+			}
+			if !slices.Equal(cex, want.cex) {
+				t.Errorf("counterexample %v, golden %v", cex, want.cex)
 			}
 		})
 	}
