@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,7 +30,7 @@ func TestDemoCounterAllMechanisms(t *testing.T) {
 		{"none", "lamport-b"},
 	}
 	for _, c := range cases {
-		if err := run(demo(c.strategy, c.mech, 500)); err != nil {
+		if err := run(io.Discard, demo(c.strategy, c.mech, 500)); err != nil {
 			t.Errorf("%s/%s: %v", c.strategy, c.mech, err)
 		}
 	}
@@ -38,7 +39,7 @@ func TestDemoCounterAllMechanisms(t *testing.T) {
 func TestDemoCounterInterlockedOn486(t *testing.T) {
 	o := demo("none", "interlocked", 500)
 	o.arch = "486"
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -46,7 +47,7 @@ func TestDemoCounterInterlockedOn486(t *testing.T) {
 func TestDemoWithTrace(t *testing.T) {
 	o := demo("registration", "registered", 53)
 	o.trace = 16
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -54,7 +55,7 @@ func TestDemoWithTrace(t *testing.T) {
 func TestCheckAtResume(t *testing.T) {
 	o := demo("designated", "designated", 211)
 	o.checkAt = "resume"
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -68,7 +69,7 @@ func TestWatchdogAbortFlagCatchesLivelock(t *testing.T) {
 	o.workers, o.iters = 1, 1
 	o.watchdog = "abort"
 	o.maxRestarts = 20
-	err := run(o)
+	err := run(io.Discard, o)
 	if !errors.Is(err, kernel.ErrLivelock) {
 		t.Errorf("err = %v, want livelock", err)
 	}
@@ -81,7 +82,7 @@ func TestWatchdogExtendFlagCompletes(t *testing.T) {
 	o.workers, o.iters = 1, 5
 	o.watchdog = "extend"
 	o.maxRestarts = 12
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -92,7 +93,7 @@ func TestTimeoutFlagBoundsLivelock(t *testing.T) {
 	o.checkAt = "resume"
 	o.workers, o.iters = 1, 1
 	o.timeout = 100_000
-	err := run(o)
+	err := run(io.Discard, o)
 	if !errors.Is(err, kernel.ErrBudget) {
 		t.Errorf("err = %v, want budget exceeded", err)
 	}
@@ -107,7 +108,7 @@ func TestSourceFile(t *testing.T) {
 	}
 	o := options{arch: "r3000", strategy: "none", checkAt: "suspend",
 		quantum: 1000, watchdog: "off", args: []string{path}}
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -119,28 +120,28 @@ func TestErrors(t *testing.T) {
 		mutate(&o)
 		return o
 	}
-	if err := run(bad(func(o *options) { o.arch = "pdp11" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.arch = "pdp11" })); err == nil {
 		t.Error("unknown arch accepted")
 	}
-	if err := run(bad(func(o *options) { o.strategy = "bogus" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.strategy = "bogus" })); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if err := run(bad(func(o *options) { o.checkAt = "sideways" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.checkAt = "sideways" })); err == nil {
 		t.Error("unknown check placement accepted")
 	}
-	if err := run(bad(func(o *options) { o.demo = "frobnicate" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.demo = "frobnicate" })); err == nil {
 		t.Error("unknown demo accepted")
 	}
-	if err := run(bad(func(o *options) { o.mech = "warp-drive" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.mech = "warp-drive" })); err == nil {
 		t.Error("unknown mechanism accepted")
 	}
-	if err := run(bad(func(o *options) { o.watchdog = "maybe" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.watchdog = "maybe" })); err == nil {
 		t.Error("unknown watchdog policy accepted")
 	}
-	if err := run(bad(func(o *options) { o.demo = "" })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.demo = "" })); err == nil {
 		t.Error("missing source file accepted")
 	}
-	if err := run(bad(func(o *options) { o.demo = ""; o.args = []string{"/nonexistent.s"} })); err == nil {
+	if err := run(io.Discard, bad(func(o *options) { o.demo = ""; o.args = []string{"/nonexistent.s"} })); err == nil {
 		t.Error("unreadable source accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestDemoRecoverable(t *testing.T) {
 	o := demo("registration", "registered", 300)
 	o.demo = "recoverable"
 	o.workers, o.iters = 3, 40
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -161,7 +162,7 @@ func TestKillAtRepairsOrphan(t *testing.T) {
 	o.demo = "recoverable"
 	o.workers, o.iters = 3, 40
 	o.killAt = "1500"
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -173,7 +174,7 @@ func TestCrashCheckpointRestore(t *testing.T) {
 	o := demo("registration", "registered", 500)
 	o.iters = 200
 	o.crashAt, o.checkpoint = 3000, path
-	if err := run(o); !errors.Is(err, kernel.ErrMachineCrash) {
+	if err := run(io.Discard, o); !errors.Is(err, kernel.ErrMachineCrash) {
 		t.Fatalf("err = %v, want machine crash", err)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -182,7 +183,7 @@ func TestCrashCheckpointRestore(t *testing.T) {
 	var r options
 	r.arch, r.strategy, r.checkAt = "r3000", "registration", "suspend"
 	r.quantum, r.watchdog, r.restore = 500, "off", path
-	if err := run(r); err != nil {
+	if err := run(io.Discard, r); err != nil {
 		t.Errorf("restore replay: %v", err)
 	}
 }
@@ -194,13 +195,13 @@ func TestCheckpointAtStep(t *testing.T) {
 	o := demo("registration", "registered", 500)
 	o.iters = 200
 	o.checkpointAt, o.checkpoint = 2000, path
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 	var r options
 	r.arch, r.strategy, r.checkAt = "r3000", "registration", "suspend"
 	r.quantum, r.watchdog, r.restore = 500, "off", path
-	if err := run(r); err != nil {
+	if err := run(io.Discard, r); err != nil {
 		t.Errorf("restore replay: %v", err)
 	}
 }
@@ -208,17 +209,17 @@ func TestCheckpointAtStep(t *testing.T) {
 func TestRecoveryFlagErrors(t *testing.T) {
 	o := demo("registration", "registered", 300)
 	o.killAt = "12,frog"
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("malformed -kill-at accepted")
 	}
 	o = demo("registration", "registered", 300)
 	o.checkpointAt = 100 // no -checkpoint file
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("-checkpoint-at without -checkpoint accepted")
 	}
 	o = demo("registration", "registered", 300)
 	o.restore = filepath.Join(t.TempDir(), "missing.bin")
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("missing -restore file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "garbage.bin")
@@ -227,7 +228,7 @@ func TestRecoveryFlagErrors(t *testing.T) {
 	}
 	o = demo("registration", "registered", 300)
 	o.restore = bad
-	if err := run(o); !errors.Is(err, kernel.ErrBadCheckpoint) {
+	if err := run(io.Discard, o); !errors.Is(err, kernel.ErrBadCheckpoint) {
 		t.Errorf("err = %v, want bad checkpoint", err)
 	}
 }
@@ -236,7 +237,7 @@ func TestDemoTaosMutex(t *testing.T) {
 	o := demo("designated", "taos-mutex", 97)
 	o.checkAt = "resume"
 	o.workers, o.iters = 3, 80
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -253,18 +254,18 @@ func journalDemo(mode string, target int, crashAt uint64, torn bool) options {
 func TestDemoJournal(t *testing.T) {
 	// Clean runs and crash-recovered runs of both sound disciplines.
 	for _, mode := range []string{"redo", "undo"} {
-		if err := run(journalDemo(mode, 50, 0, false)); err != nil {
+		if err := run(io.Discard, journalDemo(mode, 50, 0, false)); err != nil {
 			t.Errorf("%s clean: %v", mode, err)
 		}
 		for _, crashAt := range []uint64{300, 700, 1100} {
 			for _, torn := range []bool{false, true} {
-				if err := run(journalDemo(mode, 50, crashAt, torn)); err != nil {
+				if err := run(io.Discard, journalDemo(mode, 50, crashAt, torn)); err != nil {
 					t.Errorf("%s crash-at %d torn=%v: %v", mode, crashAt, torn, err)
 				}
 			}
 		}
 	}
-	if err := run(journalDemo("vibes", 50, 0, false)); err == nil {
+	if err := run(io.Discard, journalDemo("vibes", 50, 0, false)); err == nil {
 		t.Error("unknown -log accepted")
 	}
 }
@@ -274,12 +275,12 @@ func TestDemoJournalNofenceTornIsInconsistent(t *testing.T) {
 	// share one fence) but a torn crash in the flush window splits them
 	// with no durable record to repair from. Step 695 lands there; the
 	// demo must surface the inconsistency as an error.
-	if err := run(journalDemo("nofence", 50, 695, true)); err == nil {
+	if err := run(io.Discard, journalDemo("nofence", 50, 695, true)); err == nil {
 		t.Error("nofence torn crash reported a consistent recovery")
 	}
 	// A clean crash at the same step stays consistent: this narrows the
 	// bug's signature to torn write-backs specifically.
-	if err := run(journalDemo("nofence", 50, 695, false)); err != nil {
+	if err := run(io.Discard, journalDemo("nofence", 50, 695, false)); err != nil {
 		t.Errorf("nofence clean crash: %v", err)
 	}
 }

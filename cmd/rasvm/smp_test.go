@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +18,7 @@ func smpDemo(lock string, cpus int) options {
 func TestDemoSMPAllLocks(t *testing.T) {
 	for _, lock := range []string{"hybrid", "spinlock", "llsc"} {
 		for _, cpus := range []int{1, 2} {
-			if err := run(smpDemo(lock, cpus)); err != nil {
+			if err := run(io.Discard, smpDemo(lock, cpus)); err != nil {
 				t.Errorf("%s/%dcpu: %v", lock, cpus, err)
 			}
 		}
@@ -27,7 +28,7 @@ func TestDemoSMPAllLocks(t *testing.T) {
 // The unsound control still terminates; the demo reports the lost updates
 // rather than failing.
 func TestDemoSMPRASOnly(t *testing.T) {
-	if err := run(smpDemo("ras-only", 2)); err != nil {
+	if err := run(io.Discard, smpDemo("ras-only", 2)); err != nil {
 		t.Error(err)
 	}
 }
@@ -36,7 +37,7 @@ func TestDemoSMPKillTargetsCPU(t *testing.T) {
 	o := smpDemo("llsc", 2)
 	o.killAt = "2000"
 	o.killCPU = 1
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Error(err)
 	}
 }
@@ -45,7 +46,7 @@ func TestDemoSMPTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "smp.json")
 	o := smpDemo("hybrid", 2)
 	o.traceOut = path
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
@@ -54,20 +55,20 @@ func TestDemoSMPTraceOut(t *testing.T) {
 }
 
 func TestDemoSMPFlagErrors(t *testing.T) {
-	if err := run(smpDemo("warp-drive", 1)); err == nil {
+	if err := run(io.Discard, smpDemo("warp-drive", 1)); err == nil {
 		t.Error("unknown -lock accepted")
 	}
-	if err := run(smpDemo("hybrid", 0)); err == nil {
+	if err := run(io.Discard, smpDemo("hybrid", 0)); err == nil {
 		t.Error("-cpus 0 accepted")
 	}
 	o := smpDemo("hybrid", 2)
 	o.killCPU = 5
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("-kill-cpu out of range accepted")
 	}
 	o = smpDemo("hybrid", 1)
 	o.killAt = "12,frog"
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("malformed -kill-at accepted")
 	}
 }

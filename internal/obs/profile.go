@@ -59,10 +59,15 @@ func NewCycleProfiler() *CycleProfiler {
 	}
 }
 
-// SetSymbols installs the guest symbol table (any order; copied and sorted).
+// SetSymbols installs the guest symbol table (any order; copied and
+// sorted). Of several symbols at one address, Resolve names the
+// lexically smallest, so the profile does not depend on input order.
 func (p *CycleProfiler) SetSymbols(syms []Symbol) {
 	p.syms = append([]Symbol{}, syms...)
-	sort.Slice(p.syms, func(i, j int) bool { return p.syms[i].Addr < p.syms[j].Addr })
+	sort.Slice(p.syms, func(i, j int) bool {
+		a, b := p.syms[i], p.syms[j]
+		return a.Addr < b.Addr || a.Addr == b.Addr && a.Name > b.Name
+	})
 }
 
 // Resolve maps a PC to the name of the symbol containing it, or a raw

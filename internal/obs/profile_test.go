@@ -32,6 +32,21 @@ func TestCycleProfilerResolve(t *testing.T) {
 	}
 }
 
+// Aliases at one address resolve to the same name whatever order the
+// symbol table arrives in (asm hands it over from a map).
+func TestCycleProfilerResolveAliases(t *testing.T) {
+	for _, syms := range [][]Symbol{
+		{{Name: "ras_begin", Addr: 0x200}, {Name: "TestAndSet", Addr: 0x200}},
+		{{Name: "TestAndSet", Addr: 0x200}, {Name: "ras_begin", Addr: 0x200}},
+	} {
+		p := NewCycleProfiler()
+		p.SetSymbols(syms)
+		if got := p.Resolve(0x204); got != "TestAndSet" {
+			t.Errorf("Resolve with %v = %q, want TestAndSet", syms, got)
+		}
+	}
+}
+
 func TestCycleProfilerShadowStack(t *testing.T) {
 	p := newSymProfiler()
 	// main runs 2 ops, calls acquire (3 ops), returns, runs 1 more op.
