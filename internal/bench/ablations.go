@@ -104,10 +104,8 @@ func TableRegistrationRanges(workers, iters int) ([]RangesRow, error) {
 			strat.AddRange(uint32(0x0010_0000+64*i), 12)
 		}
 		prog := guest.Assemble(guest.MutexCounterProgram(guest.MechRegistered, workers, iters))
-		k := kernel.New(kernel.Config{Profile: prof, Strategy: strat,
-			CheckAt: kernel.CheckAtSuspend, Quantum: 61})
-		k.Load(prog)
-		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat,
+			CheckAt: kernel.CheckAtSuspend, Quantum: 61}, prog, "main", guest.StackTop(0), true)
 		if err := k.Run(); err != nil {
 			return nil, err
 		}

@@ -30,14 +30,8 @@ const noPreempt = 1 << 40
 func runGuest(prof *arch.Profile, strat kernel.Strategy, checkAt kernel.CheckTime,
 	quantum uint64, src string) (*kernel.Kernel, error) {
 	prog := guest.Assemble(src)
-	k := kernel.New(kernel.Config{
-		Profile:  prof,
-		Strategy: strat,
-		CheckAt:  checkAt,
-		Quantum:  quantum,
-	})
-	k.Load(prog)
-	k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+	k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat, CheckAt: checkAt, Quantum: quantum},
+		prog, "main", guest.StackTop(0), true)
 	attachKernel(k)
 	err := k.Run()
 	noteKernelRun(k)

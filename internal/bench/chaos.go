@@ -211,12 +211,10 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 func vmachChaosRun(strat kernel.Strategy, at kernel.CheckTime, mech guest.Mechanism,
 	quantum uint64, cfg ChaosConfig, faults chaos.Injector, wd chaos.Watchdog) (*kernel.Kernel, uint32, uint32, error) {
 	prog := guest.Assemble(guest.MutexCounterProgram(mech, cfg.Workers, cfg.Iters))
-	k := kernel.New(kernel.Config{
+	k := kernel.Boot(kernel.Config{
 		Strategy: strat, CheckAt: at, Quantum: quantum,
 		MaxCycles: cfg.MaxCycles, Faults: faults, Watchdog: wd,
-	})
-	k.Load(prog)
-	k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+	}, prog, "main", guest.StackTop(0), true)
 	err := k.Run()
 	return k, prog.MustSymbol("counter"), uint32(cfg.Workers * cfg.Iters), err
 }

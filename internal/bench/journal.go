@@ -60,9 +60,7 @@ func vmachJournalPassage(cfg JournalConfig, mode string) (JournalRow, error) {
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
-	k := kernel.New(persistKernelConfig(mem, nil, cfg.MaxCycles))
-	k.Load(prog)
-	k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+	k := kernel.Boot(persistKernelConfig(mem, nil, cfg.MaxCycles), prog, "main", guest.StackTop(0), true)
 	if err := k.Run(); err != nil {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: %v (repro: %s)", mode, err, tableRepro("journal", cfg.Seed))
 	}
@@ -90,13 +88,8 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("vmach/"+mode+"-torn: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
-	boot := func(mem *vmach.Memory, faults chaos.Injector, load bool) *kernel.Kernel {
-		k := kernel.New(persistKernelConfig(mem, faults, cfg.MaxCycles))
-		if load {
-			k.Load(prog)
-		}
-		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
-		return k
+	boot := func(mem *vmach.Memory, faults chaos.Injector, cold bool) *kernel.Kernel {
+		return kernel.Boot(persistKernelConfig(mem, faults, cfg.MaxCycles), prog, "main", guest.StackTop(0), cold)
 	}
 
 	calMem := vmach.NewMemory()

@@ -67,9 +67,7 @@ func (w *rmeWatch) violate(format string, args ...any) {
 
 func newRMEWatch(cfg kernel.Config, workers, iters int) *rmeWatch {
 	prog := guest.Assemble(guest.RecoverableCounterProgram(workers, iters))
-	k := kernel.New(cfg)
-	k.Load(prog)
-	k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+	k := kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
 
 	w := &rmeWatch{k: k, lockAddr: prog.MustSymbol("lock")}
 	storer := func() int {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/guest"
@@ -79,39 +80,54 @@ type ServerRow struct {
 	P99          uint64  `json:"p99"`
 }
 
+// ServerSystem loads the request-plane guest for v onto a fresh system
+// of multi-registration kernels, registers its latency-histogram
+// sequences and (except on the mutex baseline) its queue sequences on
+// every CPU, and spawns one worker plus clients clients per CPU, each
+// client submitting iters requests. The server table and rasvm's server
+// demo both build through it.
+func ServerSystem(cfg smp.Config, v guest.ServerVariant, clients, iters int) (*smp.System, *asm.Program, error) {
+	cfg.NewStrategy = kernel.MultiRegistrationStrategy
+	sys := smp.New(cfg)
+	prog := guest.Assemble(guest.ServerProgram(v, cfg.CPUs))
+	sys.Load(prog)
+	ranges := guest.ServerLatSequenceRanges(prog)
+	if v != guest.ServerMutex {
+		ranges = append(ranges, guest.ServerSequenceRanges(prog)...)
+	}
+	for _, k := range sys.CPUs {
+		for _, r := range ranges {
+			if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	workerArg := clients
+	if v == guest.ServerMutex {
+		workerArg = clients * cfg.CPUs
+	}
+	worker, client := prog.MustSymbol("worker"), prog.MustSymbol("client")
+	for cpu := 0; cpu < cfg.CPUs; cpu++ {
+		sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
+		for c := 0; c < clients; c++ {
+			sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(iters))
+		}
+	}
+	return sys, prog, nil
+}
+
 // serverRun replays one guest cell: one worker plus cfg.Clients clients
 // per CPU. Every request is accounted: a served-count mismatch fails the
 // run (this is what the racy drain variant trips under forced schedules;
 // under the round-robin bench schedule both variants are clean).
 func serverRun(cfg ServerConfig, mode smp.Mode, v guest.ServerVariant, cpus, iters int) (ServerRow, error) {
-	sys := smp.New(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles,
-		NewStrategy: kernel.MultiRegistrationStrategy})
-	prog := guest.Assemble(guest.ServerProgram(v, cpus))
-	sys.Load(prog)
-	for _, k := range sys.CPUs {
-		ranges := guest.ServerLatSequenceRanges(prog)
-		if v != guest.ServerMutex {
-			ranges = append(ranges, guest.ServerSequenceRanges(prog)...)
-		}
-		for _, r := range ranges {
-			if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
-				return ServerRow{}, err
-			}
-		}
-	}
-	workerArg := cfg.Clients
-	if v == guest.ServerMutex {
-		workerArg = cfg.Clients * cpus
-	}
-	worker, client := prog.MustSymbol("worker"), prog.MustSymbol("client")
-	for cpu := 0; cpu < cpus; cpu++ {
-		sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
-		for c := 0; c < cfg.Clients; c++ {
-			sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(iters))
-		}
+	sys, prog, err := ServerSystem(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles},
+		v, cfg.Clients, iters)
+	if err != nil {
+		return ServerRow{}, err
 	}
 	attachSMP(sys)
-	err := sys.Run()
+	err = sys.Run()
 	noteSMPRun(sys)
 	if err != nil {
 		return ServerRow{}, fmt.Errorf("bench: server %s/%dcpu/%s: %w", v, cpus, mode, err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/asm"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/vmach/smp"
@@ -50,19 +51,28 @@ type SMPRow struct {
 	Restarts         uint64  `json:"restarts"`
 }
 
+// SMPCounterSystem loads the §7 shared-counter guest for lock onto a
+// fresh system and spawns workers threads on each CPU, each making iters
+// passages. The smp table and rasvm's smp demo both build through it.
+func SMPCounterSystem(cfg smp.Config, lock guest.SMPLock, workers, iters int) (*smp.System, *asm.Program) {
+	sys := smp.New(cfg)
+	prog := guest.Assemble(guest.SMPCounterProgram(lock, cfg.CPUs))
+	sys.Load(prog)
+	entry := prog.MustSymbol("worker")
+	for cpu := 0; cpu < cfg.CPUs; cpu++ {
+		for w := 0; w < workers; w++ {
+			sys.Spawn(cpu, entry, guest.StackTop(smp.GlobalID(cpu, w)), isa.Word(iters))
+		}
+	}
+	return sys, prog
+}
+
 // smpRun executes one cell: `workers` threads per CPU, each making
 // `iters` passages through lock l, on an SMP() machine with the given
 // coherence mode. The counter is verified — a lost update fails the run.
 func smpRun(cfg SMPConfig, mode smp.Mode, lock guest.SMPLock, cpus int) (SMPRow, error) {
-	sys := smp.New(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles})
-	prog := guest.Assemble(guest.SMPCounterProgram(lock, cpus))
-	sys.Load(prog)
-	entry := prog.MustSymbol("worker")
-	for cpu := 0; cpu < cpus; cpu++ {
-		for w := 0; w < cfg.Workers; w++ {
-			sys.Spawn(cpu, entry, guest.StackTop(smp.GlobalID(cpu, w)), isa.Word(cfg.Iters))
-		}
-	}
+	sys, prog := SMPCounterSystem(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles},
+		lock, cfg.Workers, cfg.Iters)
 	attachSMP(sys)
 	err := sys.Run()
 	noteSMPRun(sys)

@@ -250,9 +250,8 @@ func TableAblation(workers, iters int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, c := range cfgs {
 		prog := guest.Assemble(guest.MutexCounterProgram(c.m, workers, iters))
-		k := kernel.New(kernel.Config{Profile: prof, Strategy: c.strat, CheckAt: c.at, Quantum: 61})
-		k.Load(prog)
-		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: c.strat, CheckAt: c.at, Quantum: 61},
+			prog, "main", guest.StackTop(0), true)
 		if err := k.Run(); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

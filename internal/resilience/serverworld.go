@@ -211,8 +211,8 @@ func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	// no matter where the crash landed — the W2 fence precedes the reply.
 	for c := range w.acked {
 		if uint64(w.applied[c]) < w.acked[c] {
-			rep.Err = fmt.Errorf("boot %d: client %d acked seq %d but durable applied=%d",
-				boot, c, w.acked[c], w.applied[c])
+			rep.Err = fmt.Errorf("client %d acked seq %d but durable applied=%d",
+				c, w.acked[c], w.applied[c])
 			return rep
 		}
 	}

@@ -152,16 +152,16 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 		c, s := w.mem.Peek(w.prog.MustSymbol("counter")), w.sumApplied()
 		switch {
 		case !rep.Crashed && c != s:
-			rep.Err = fmt.Errorf("boot %d: counter %d != sum(applied) %d", boot, c, s)
+			rep.Err = fmt.Errorf("counter %d != sum(applied) %d", c, s)
 			return rep
 		case rep.Crashed && c > s:
-			rep.Err = fmt.Errorf("boot %d: counter %d ahead of sum(applied) %d (double apply)", boot, c, s)
+			rep.Err = fmt.Errorf("counter %d ahead of sum(applied) %d (double apply)", c, s)
 			return rep
 		case rep.Crashed && s-c > 1:
-			rep.Err = fmt.Errorf("boot %d: counter %d lags sum(applied) %d by more than one effect", boot, c, s)
+			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d by more than one effect", c, s)
 			return rep
 		case rep.Crashed && s-c == 1 && w.mem.Peek(w.prog.MustSymbol("wal")) == 0:
-			rep.Err = fmt.Errorf("boot %d: counter %d lags sum(applied) %d with no surviving intent", boot, c, s)
+			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d with no surviving intent", c, s)
 			return rep
 		}
 	}

@@ -141,6 +141,13 @@ const (
 	CheckAtResume                   // Taos: user memory safely touchable
 )
 
+func (c CheckTime) String() string {
+	if c == CheckAtResume {
+		return "resume"
+	}
+	return "suspend"
+}
+
 // Stats aggregates kernel-wide accounting, matching the columns of the
 // paper's Table 3.
 type Stats struct {
