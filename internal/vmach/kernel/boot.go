@@ -18,7 +18,7 @@ import "repro/internal/asm"
 //
 // Boot replaces the hand-rolled load-once/spawn-again pattern the
 // persistence sweeps grew: the supervisor (internal/resilience), the
-// crash benches, and the model checker all reboot through it.
+// benches, rasvm and the model checker all boot and reboot through it.
 func Boot(cfg Config, prog *asm.Program, entry string, stackTop uint32, cold bool) *Kernel {
 	k := New(cfg)
 	if cold {
