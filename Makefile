@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAsm -fuzztime=30s ./internal/asm/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/asm/
 	$(GO) test -fuzz=FuzzStepPredecoded -fuzztime=30s ./internal/vmach/
+	$(GO) test -fuzz=FuzzMemoryDigest -fuzztime=30s ./internal/vmach/
 	$(GO) test -fuzz=FuzzRecognizer -fuzztime=30s ./internal/vmach/kernel/
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/vmach/kernel/
 	$(GO) test -fuzz=FuzzSMPCheckpoint -fuzztime=30s ./internal/vmach/smp/

@@ -1,0 +1,151 @@
+package mcheck
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/vmach/kernel"
+	"repro/internal/vmach/smp"
+)
+
+// The reference hashes: a full Capture, memory image included,
+// normalized, run through the checkpoint encoder and sha256'd. They
+// define the equivalence relation on states that the digest-based hashes
+// in hash.go must keep.
+
+func refHashKernel(k *kernel.Kernel) [32]byte {
+	s := k.Capture()
+	normalizeKernel(s)
+	s.Machine.Mem.PageFaults = 0
+	return sha256.Sum256(s.Encode())
+}
+
+func refHashRebooting(k *kernel.Kernel, cursor uint64, next, boots int) [32]byte {
+	h := refHashKernel(k)
+	var extra [16]byte
+	binary.LittleEndian.PutUint64(extra[:8], cursor)
+	binary.LittleEndian.PutUint64(extra[8:], uint64(next)|uint64(boots)<<32)
+	return sha256.Sum256(append(h[:], extra[:]...))
+}
+
+func refHashSMP(s *smp.System, cur int, turn uint64) [32]byte {
+	snap := s.Capture()
+	for _, ks := range snap.Kernels {
+		normalizeKernel(ks)
+	}
+	snap.Mem.PageFaults = 0
+	snap.Lines = nil
+	enc := snap.Encode()
+	extra := []byte{
+		byte(cur), byte(cur >> 8),
+		byte(turn), byte(turn >> 8), byte(turn >> 16), byte(turn >> 24),
+		byte(turn >> 32), byte(turn >> 40), byte(turn >> 48), byte(turn >> 56),
+	}
+	return sha256.Sum256(append(enc, extra...))
+}
+
+// refStateHash is in.StateHash computed with the reference hashes.
+func refStateHash(t *testing.T, in Instance) [32]byte {
+	switch in := in.(type) {
+	case *vmachInstance:
+		return refHashKernel(in.k)
+	case *persistInstance:
+		return refHashRebooting(in.k, in.cursor(), in.next, in.boots)
+	case *journalInstance:
+		return refHashRebooting(in.k, in.cursor(), in.next, in.boots)
+	case *switchChild:
+		var h [32]byte
+		if in.paused(func(il *interleaver) { h = refHashSMP(il.sys, il.next(), 0) }) {
+			return h
+		}
+		return refStateHash(t, in.materialize())
+	case interleaved:
+		il := in.base()
+		return refHashSMP(il.sys, il.cur, il.turn)
+	}
+	t.Fatalf("no reference hash for %T", in)
+	return [32]byte{}
+}
+
+// hashPairModel records, for every StateHash an explorer asks for, the
+// pair (reference hash, hash).
+type hashPairModel struct {
+	Model
+	t     *testing.T
+	calls int
+	toNew map[[32]byte][32]byte
+	toRef map[[32]byte][32]byte
+}
+
+type hashPairInstance struct {
+	Instance
+	m *hashPairModel
+}
+
+func (m *hashPairModel) New(ds []Decision, opt Options) (Instance, error) {
+	in, err := m.Model.New(ds, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &hashPairInstance{Instance: in, m: m}, nil
+}
+
+func (in *hashPairInstance) StateHash() ([32]byte, bool) {
+	h, ok := in.Instance.StateHash()
+	ref := refStateHash(in.m.t, in.Instance)
+	m := in.m
+	m.calls++
+	if prev, seen := m.toNew[ref]; seen && prev != h {
+		m.t.Fatalf("hash call %d: one reference state got hashes %x and %x", m.calls, prev, h)
+	}
+	if prev, seen := m.toRef[h]; seen && prev != ref {
+		m.t.Fatalf("hash call %d: hash %x covers reference states %x and %x", m.calls, h, prev, ref)
+	}
+	m.toNew[ref], m.toRef[h] = h, ref
+	return h, ok
+}
+
+// TestStateHashPartition checks that the digest-based state hashes
+// partition states exactly as the Encode-based reference does: across
+// every StateHash of each walk, reference hash and hash determine each
+// other. A page whose stale digest survived a write would merge states
+// the reference tells apart; a hash of accounting state would split
+// states it merges.
+func TestStateHashPartition(t *testing.T) {
+	walks := []struct {
+		model string
+		over  map[string]string
+		k     int
+	}{
+		{"counter", map[string]string{"mech": "registered"}, 2},
+		{"persist", map[string]string{"workers": "1", "iters": "2"}, 1},
+		{"journal", map[string]string{"mode": "redo"}, 2},
+		{"smp-counter", map[string]string{"lock": "llsc"}, 2},
+		{"qlock-queue", map[string]string{"variant": "mcs"}, 1},
+	}
+	for _, w := range walks {
+		t.Run(w.model+"{"+paramString(w.over)+"}", func(t *testing.T) {
+			t.Parallel()
+			inner, err := BuildModel(w.model, w.over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &hashPairModel{Model: inner, t: t, toNew: map[[32]byte][32]byte{}, toRef: map[[32]byte][32]byte{}}
+			rep, err := (&Explorer{Model: m, MaxDecisions: w.k}).Exhaustive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Passed() {
+				t.Fatalf("walk failed: %v", rep)
+			}
+			if m.calls == 0 {
+				t.Fatal("the walk hashed no state")
+			}
+			if len(m.toRef) != rep.States {
+				t.Errorf("%d distinct hashes, but the walk reports %d states", len(m.toRef), rep.States)
+			}
+			t.Logf("%d hashes, %d distinct states, %d pruned", m.calls, rep.States, rep.Pruned)
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package mcheck
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -222,15 +220,8 @@ func (in *journalInstance) RunToEnd() {
 func (in *journalInstance) Cursor() uint64          { return in.cursor() }
 func (in *journalInstance) Violations() []Violation { return in.vio.list }
 
-// StateHash extends the canonical kernel hash exactly as the persist
-// model does: the cursor, the decision index, and the boot count are
-// behavioral state the normalized kernel image doesn't carry.
 func (in *journalInstance) StateHash() ([32]byte, bool) {
-	h := hashKernel(in.k)
-	var extra [16]byte
-	binary.LittleEndian.PutUint64(extra[:8], in.cursor())
-	binary.LittleEndian.PutUint64(extra[8:], uint64(in.next)|uint64(in.boots)<<32)
-	return sha256.Sum256(append(h[:], extra[:]...)), true
+	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
 }
 
 // ---------------------------------------------------------------------

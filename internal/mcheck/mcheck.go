@@ -10,7 +10,8 @@
 // (preempt this instruction, kill this thread, switch CPUs here), each
 // pinned to a deterministic event ordinal, and the checker enumerates
 // schedules either exhaustively (bounded DFS with state-hash pruning over
-// the canonical checkpoint encoding) or randomly (seeded, replayable).
+// the normalized substrate state, see hash.go) or randomly (seeded,
+// replayable).
 // Invariant checkers — mutual exclusion via memory watchpoints, lost
 // updates, deadlock, restart-livelock, recoverable-mutex repair — watch
 // every run; a failing schedule is shrunk to a minimal counterexample and

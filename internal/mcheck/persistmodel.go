@@ -1,8 +1,6 @@
 package mcheck
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -195,17 +193,8 @@ func (in *persistInstance) RunToEnd() {
 func (in *persistInstance) Cursor() uint64          { return in.cursor() }
 func (in *persistInstance) Violations() []Violation { return in.vio.list }
 
-// StateHash extends the canonical kernel hash with the model's own
-// behavioral state: normalizeKernel zeroes machine stats — which is
-// exactly where the persist-op cursor lives — and two runs paused in
-// identical kernel states still differ if their remaining crash schedules
-// start at different ordinals or boot counts.
 func (in *persistInstance) StateHash() ([32]byte, bool) {
-	h := hashKernel(in.k)
-	var extra [16]byte
-	binary.LittleEndian.PutUint64(extra[:8], in.cursor())
-	binary.LittleEndian.PutUint64(extra[8:], uint64(in.next)|uint64(in.boots)<<32)
-	return sha256.Sum256(append(h[:], extra[:]...)), true
+	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
 }
 
 // installWatchers installs the recoverable-mutex watchpoints once, on the

@@ -79,6 +79,15 @@ type Snapshot struct {
 // Capture snapshots the kernel and its machine. The snapshot is a value
 // copy: the kernel may keep running without disturbing it.
 func (k *Kernel) Capture() *Snapshot {
+	s := k.CaptureWithoutMemory()
+	s.Machine.Mem = k.M.Mem.Capture()
+	return s
+}
+
+// CaptureWithoutMemory is Capture with the machine's memory image left
+// empty. The SMP container captures its shared memory once on its own,
+// and the model checker hashes memory through vmach.Memory.Digest.
+func (k *Kernel) CaptureWithoutMemory() *Snapshot {
 	s := &Snapshot{
 		Strategy:       k.Strategy.Name(),
 		Quantum:        k.Quantum,
@@ -89,7 +98,7 @@ func (k *Kernel) Capture() *Snapshot {
 		HasUserHandler: k.hasUserHandler,
 		Stats:          k.Stats,
 		Console:        append([]isa.Word(nil), k.Console...),
-		Machine:        k.M.Capture(),
+		Machine:        k.M.CaptureWithoutMemory(),
 	}
 	if k.cur != nil {
 		s.CurID = int32(k.cur.ID)

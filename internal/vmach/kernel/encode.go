@@ -344,7 +344,8 @@ func DecodeMemoryImage(data []byte) (*vmach.MemoryImage, error) {
 // pure function of its value: two equal snapshots encode to identical
 // bytes.
 func (s *Snapshot) Encode() []byte {
-	e := &encoder{}
+	// Sized for the common snapshot, so the appends below rarely grow it.
+	e := &encoder{b: make([]byte, 0, 512+threadImageSize*len(s.Threads)+len(s.Machine.Mem.Pages)*(4+vmach.PageSize))}
 	e.b = append(e.b, checkpointMagic...)
 	e.u32(checkpointVersion)
 	e.str(s.Strategy)

@@ -81,6 +81,13 @@ type Memory struct {
 	// entries, flush both caches.
 	fetchCache, dataCache pageCache
 
+	// Per-page digest cache behind Digest (see digest.go), nil until the
+	// memory is first hashed. digests maps a page number to its entry;
+	// digestOrder holds the same entries sorted by page number. Every
+	// write to a page's words marks its entry stale.
+	digests     map[uint32]*pageDigest
+	digestOrder []*pageDigest
+
 	// text is the predecoded program text installed at textBase (SetText).
 	// It is derived from the program, not machine state: snapshots do not
 	// capture it.
@@ -89,10 +96,12 @@ type Memory struct {
 }
 
 // pageCache is a one-entry page cache: the last page one access path
-// touched, and its page number.
+// touched, its page number, and its digest entry (nil until the page is
+// first hashed).
 type pageCache struct {
 	pn   uint32
 	page *[PageWords]isa.Word
+	dig  *pageDigest
 }
 
 // NewMemory returns an empty memory.
@@ -160,7 +169,10 @@ func (m *Memory) fillPageCache(c *pageCache, addr uint32) (*[PageWords]isa.Word,
 	if f := m.check(addr); f != nil {
 		return nil, f
 	}
-	c.pn, c.page = addr>>PageShift, m.page(addr)
+	c.pn, c.page, c.dig = addr>>PageShift, m.page(addr), nil
+	if m.digests != nil {
+		c.dig = m.digests[c.pn]
+	}
 	return c.page, nil
 }
 
@@ -212,6 +224,9 @@ func (m *Memory) StoreWord(addr uint32, v isa.Word) *Fault {
 	if m.persist {
 		m.shadow(addr)
 	}
+	if d := m.dataCache.dig; d != nil {
+		d.valid = false
+	}
 	i := addr >> 2 & (PageWords - 1)
 	old := p[i]
 	p[i] = v
@@ -243,6 +258,7 @@ func (m *Memory) Peek(addr uint32) isa.Word {
 // durable by construction, not subject to the flush/fence discipline.
 func (m *Memory) Poke(addr uint32, v isa.Word) {
 	m.page(addr)[addr>>2&(PageWords-1)] = v
+	m.invalidateDigest(addr >> PageShift)
 	if img, dirty := m.nvLines[addr>>LineShift]; dirty {
 		img[addr>>2&(LineWords-1)] = v
 	}

@@ -103,6 +103,7 @@ func (m *Memory) DiscardUnflushed() int {
 	for line, img := range m.nvLines {
 		base := line << LineShift
 		copy(m.page(base)[base>>2&(PageWords-1):][:LineWords], img[:])
+		m.invalidateDigest(base >> PageShift)
 	}
 	clear(m.nvLines)
 	clear(m.pending)
@@ -137,6 +138,7 @@ func (m *Memory) DiscardUnflushedTorn(h uint64) int {
 		}
 		if torn {
 			n++
+			m.invalidateDigest(base >> PageShift)
 		}
 	}
 	clear(m.nvLines)

@@ -48,9 +48,7 @@ func (s *System) Capture() *Snapshot {
 		Lines: s.Coh.capture(),
 	}
 	for _, k := range s.CPUs {
-		ks := k.Capture()
-		ks.Machine.Mem = &vmach.MemoryImage{}
-		snap.Kernels = append(snap.Kernels, ks)
+		snap.Kernels = append(snap.Kernels, k.CaptureWithoutMemory())
 	}
 	return snap
 }

@@ -66,6 +66,7 @@ func (m *Memory) Capture() *MemoryImage {
 // restore.
 func (m *Memory) Restore(img *MemoryImage) {
 	m.flushPageCaches()
+	m.digests, m.digestOrder = nil, nil
 	m.pages = make(map[uint32]*[PageWords]isa.Word, len(img.Pages))
 	for i := range img.Pages {
 		p := img.Pages[i].Words // copy: the image stays pristine
@@ -106,13 +107,22 @@ type MachineImage struct {
 
 // Capture snapshots the machine.
 func (m *Machine) Capture() *MachineImage {
+	img := m.CaptureWithoutMemory()
+	img.Mem = m.Mem.Capture()
+	return img
+}
+
+// CaptureWithoutMemory snapshots everything Capture does but the memory,
+// whose image it leaves empty: for a memory several machines share, or
+// one that is hashed through Memory.Digest instead of copied.
+func (m *Machine) CaptureWithoutMemory() *MachineImage {
 	return &MachineImage{
 		ProfileName: m.Profile.Name,
 		Stats:       m.Stats,
 		WB:          append([]uint64(nil), m.wb...),
 		ResValid:    m.resValid,
 		ResAddr:     m.resAddr,
-		Mem:         m.Mem.Capture(),
+		Mem:         &MemoryImage{},
 	}
 }
 
