@@ -78,6 +78,10 @@ func run(args []string, out, errw io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if c.expect != "pass" && c.expect != "violation" {
+		fmt.Fprintf(errw, "rascheck: -expect must be pass or violation, got %q\n", c.expect)
+		return 2
+	}
 	switch {
 	case c.list:
 		return listModels(out)
@@ -164,16 +168,7 @@ func explore(c *config, out, errw io.Writer) int {
 		Horizon:      c.horizon,
 		MaxSchedules: c.maxSched,
 	}
-	var rep *mcheck.Report
-	switch c.mode {
-	case "exhaustive":
-		rep, err = e.Exhaustive()
-	case "random":
-		rep, err = e.Random(c.seed, c.scheds, nil)
-	default:
-		fmt.Fprintf(errw, "rascheck: unknown -mode %q\n", c.mode)
-		return 2
-	}
+	rep, err := e.Run(c.mode, c.seed, c.scheds)
 	if err != nil {
 		fmt.Fprintln(errw, "rascheck:", err)
 		return 2

@@ -93,6 +93,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-model", "no-such-model"},
 		{"-model", "counter", "-params", "nonsense"},
 		{"-model", "counter", "-params", "mech=registered", "-mode", "psychic"},
+		{"-model", "counter", "-expect", "violaton"},
 		{"-replay", "/does/not/exist.sched"},
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {

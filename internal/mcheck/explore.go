@@ -106,11 +106,12 @@ func (e *Explorer) found(rep *Report, ds []Decision, vio []Violation) {
 
 // Exhaustive walks every schedule of up to MaxDecisions forced decisions
 // of the model's primary action, each placed at any event ordinal up to
-// the horizon, depth-first. On pausable models each prefix pauses right
-// after its last decision and is pruned if its normalized state hash has
-// been seen with at least as much remaining decision budget — two
-// prefixes parking the substrate in the same state have the same
-// futures, so the larger remaining budget subsumes the smaller.
+// the horizon, depth-first. Each prefix pauses right after its last
+// decision and, when the instance can hash the paused state, is pruned
+// if that normalized state hash has been seen with at least as much
+// remaining decision budget — two prefixes parking the substrate in the
+// same state have the same futures, so the larger remaining budget
+// subsumes the smaller.
 //
 // The walk stops at the first violation, which is then shrunk. A nil
 // counterexample in the report means the bounded space is clean.
@@ -133,7 +134,7 @@ func (e *Explorer) Exhaustive() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(ds) > 0 && e.Model.Pausable() {
+		if len(ds) > 0 {
 			in.RunTo(ds[len(ds)-1].At)
 			if vio := in.Violations(); len(vio) > 0 {
 				rep.States = len(seen)
@@ -178,6 +179,18 @@ func (e *Explorer) Exhaustive() (*Report, error) {
 	return rep, nil
 }
 
+// Run explores in the named mode: "exhaustive", or "random" with count
+// schedules drawn from seed.
+func (e *Explorer) Run(mode string, seed uint64, count int) (*Report, error) {
+	switch mode {
+	case "exhaustive":
+		return e.Exhaustive()
+	case "random":
+		return e.Random(seed, count, nil)
+	}
+	return nil, fmt.Errorf("mcheck: unknown mode %q", mode)
+}
+
 // Random samples the schedule space: `schedules` runs, each carrying 1..
 // MaxDecisions decisions at seeded-random ordinals. Every sample is a
 // pure function of (seed, index), so a failure replays from the seed
@@ -212,6 +225,9 @@ func (e *Explorer) Random(seed uint64, schedules int, acts []Action) (*Report, e
 	for i := 0; i < schedules; i++ {
 		r := newRand(seed, uint64(i))
 		n := 1 + int(r.next()%uint64(e.MaxDecisions))
+		if uint64(n) > span {
+			n = int(span) // only span distinct ordinals exist
+		}
 		ords := map[uint64]bool{}
 		var ds []Decision
 		for len(ds) < n {

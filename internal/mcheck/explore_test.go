@@ -186,6 +186,19 @@ func TestRandomFindsAndReplays(t *testing.T) {
 	t.Logf("%v", a)
 }
 
+// Random mode with a horizon shorter than K: a sample can carry at most
+// as many decisions as there are distinct ordinals, and the walk ends.
+func TestRandomHorizonBelowK(t *testing.T) {
+	e := &Explorer{Model: build(t, "counter", nil), MaxDecisions: 2, Horizon: 1}
+	rep, err := e.Random(1, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() || rep.Schedules != 21 {
+		t.Errorf("want 21 passing schedules (probe + 20): %v", rep)
+	}
+}
+
 // Pruning must fire: two different prefixes frequently park the kernel in
 // the same normalized state, and the walk gets cheaper for it.
 func TestPruningFires(t *testing.T) {

@@ -50,9 +50,7 @@ func refStateHash(t *testing.T, in Instance) [32]byte {
 	switch in := in.(type) {
 	case *vmachInstance:
 		return refHashKernel(in.k)
-	case *persistInstance:
-		return refHashRebooting(in.k, in.cursor(), in.next, in.boots)
-	case *journalInstance:
+	case *rebootInstance:
 		return refHashRebooting(in.k, in.cursor(), in.next, in.boots)
 	case *switchChild:
 		var h [32]byte
@@ -60,9 +58,8 @@ func refStateHash(t *testing.T, in Instance) [32]byte {
 			return h
 		}
 		return refStateHash(t, in.materialize())
-	case interleaved:
-		il := in.base()
-		return refHashSMP(il.sys, il.cur, il.turn)
+	case *interleaver:
+		return refHashSMP(in.sys, in.cur, in.turn)
 	}
 	t.Fatalf("no reference hash for %T", in)
 	return [32]byte{}

@@ -8,11 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// scratchBuilder is a switch-walker model's from-scratch constructor,
-// the reference its lazy instances are compared against.
-type scratchBuilder interface {
-	Model
-	build(ds []Decision, opt Options) (interleaved, error)
+// scratchBuilder is a switch-walker model with its from-scratch
+// constructor, the reference its lazy instances are compared against.
+type scratchBuilder struct{ Model }
+
+// build is New without the walker cache: a lazy child is materialized
+// at once, which builds it from scratch.
+func (m scratchBuilder) build(ds []Decision, opt Options) (Instance, error) {
+	in, err := m.New(ds, opt)
+	if c, ok := in.(*switchChild); ok {
+		return c.materialize(), nil
+	}
+	return in, err
 }
 
 func switchModel(t testing.TB, name string, over map[string]string) scratchBuilder {
@@ -21,11 +28,10 @@ func switchModel(t testing.TB, name string, over map[string]string) scratchBuild
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, ok := m.(scratchBuilder)
-	if !ok {
+	if m.Primary() != ActSwitch {
 		t.Fatalf("%s is not a switch-walker model", name)
 	}
-	return sb
+	return scratchBuilder{m}
 }
 
 // pauseAgrees checks one schedule the way Exhaustive uses it: the lazy

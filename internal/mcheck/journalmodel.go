@@ -3,6 +3,7 @@ package mcheck
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,8 +14,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/journal"
 	"repro/internal/uniproc"
-	"repro/internal/vmach"
-	"repro/internal/vmach/kernel"
 )
 
 // The journaling model family: the crash-consistent structures this
@@ -28,32 +27,9 @@ import (
 // ---------------------------------------------------------------------
 // vmach: guest.JournalProgram under crashes at every persist boundary.
 
-// journalInstance is the persistInstance pattern for the guest journal:
-// a pausable vmach run where a crash is a transition — discard the
-// volatile tier (torn or clean, per the decision's action), audit the
-// surviving NVM image for recoverable consistency, and reboot the same
-// binary over it without reloading.
-type journalInstance struct {
-	prog *asm.Program
-	mem  *vmach.Memory
-	k    *kernel.Kernel
-	opt  Options
-	vio  *violations
-
-	ds   []Decision
-	next int
-
-	opsBase uint64
-	boots   int
-
-	jlog, applied, va, vb uint32
-	target                uint32
-
-	done   bool
-	ended  bool
-	runErr error
-}
-
+// journalModel runs the guest journal on a rebootInstance: a crash
+// discards the volatile tier (torn or clean, per the decision's action)
+// and audits the surviving NVM image for recoverable consistency.
 func journalModel(p map[string]string) (Model, error) {
 	target, err := paramInt(p, "target")
 	if err != nil {
@@ -68,160 +44,71 @@ func journalModel(p map[string]string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("mcheck: journal: unknown mode %q", p["mode"])
 	}
-	primary := ActCrashVolatile
-	if p["torn"] == "1" {
-		primary = ActCrashTorn
-	} else if p["torn"] != "0" {
-		return nil, fmt.Errorf("mcheck: journal: torn must be 0 or 1, got %q", p["torn"])
+	primary, err := tornPrimary(p, "journal")
+	if err != nil {
+		return nil, err
 	}
 	prog, err := asm.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: journal: %v", err)
 	}
-	m := &vmachModel{name: "journal", params: p, primary: primary, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
+	jlog, applied := prog.MustSymbol("jlog"), prog.MustSymbol("applied")
+	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
+	// checkNVM simulates the guest's own recovery decision over the NVM
+	// image and demands the recovered state is consistent: va == vb,
+	// within the target. This is the journal's core invariant — every
+	// reachable NVM image is one a reboot repairs.
+	checkNVM := func(in *rebootInstance, where string) {
+		seq := uint32(in.mem.NVPeek(jlog))
+		xa := uint32(in.mem.NVPeek(jlog + 4))
+		xb := uint32(in.mem.NVPeek(jlog + 8))
+		ck := uint32(in.mem.NVPeek(jlog + 12))
+		ap := uint32(in.mem.NVPeek(applied))
+		a := uint32(in.mem.NVPeek(va))
+		b := uint32(in.mem.NVPeek(vb))
+		if guest.JournalCksum(seq, xa, xb) == ck && seq == ap+1 {
+			// A committed in-flight record: recovery re-stores its
+			// values (redo: news roll forward; undo: olds roll back).
+			a, b = xa, xb
+		}
+		if a != b {
+			in.vio.add("journal-consistency",
+				"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
+		}
+		if a > uint32(target) {
+			in.vio.add("journal-consistency", "%s: recovered va=%d exceeds target %d", where, a, target)
+		}
+	}
+	return &model{name: "journal", params: p, primary: primary, new: func(ds []Decision, opt Options) (Instance, error) {
 		for _, d := range ds {
 			if d.Act != ActCrashVolatile && d.Act != ActCrashTorn {
 				return nil, fmt.Errorf("mcheck: journal: only crash decisions apply (got %s)", d.Act)
 			}
 		}
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
-		in := &journalInstance{
-			prog: m.prog, mem: mem, opt: opt, vio: &violations{},
-			ds:      ds,
-			jlog:    m.prog.MustSymbol("jlog"),
-			applied: m.prog.MustSymbol("applied"),
-			va:      m.prog.MustSymbol("va"),
-			vb:      m.prog.MustSymbol("vb"),
-			target:  uint32(target),
+		in := newRebootInstance(prog, ds, opt)
+		// A crash discards the volatile tier — torn write-backs when the
+		// decision says so, the tear derived from the decision ordinal
+		// so a .sched replays the exact same split — and audits the NVM
+		// image left behind.
+		in.crash = func(d Decision) {
+			if d.Act == ActCrashTorn {
+				in.mem.DiscardUnflushedTorn(d.At)
+			} else {
+				in.mem.DiscardUnflushed()
+			}
+			checkNVM(in, fmt.Sprintf("crash at persist op %d", d.At))
+		}
+		in.finish = func() {
+			a, b := uint32(in.mem.Peek(va)), uint32(in.mem.Peek(vb))
+			if a != uint32(target) || b != uint32(target) {
+				in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
+					a, b, in.boots+1, target)
+			}
+			checkNVM(in, "final NVM image")
 		}
 		in.boot()
 		return in, nil
-	}
-	return m, nil
-}
-
-// boot starts a kernel over the shared (surviving) memory. Only the
-// first boot loads the image: recovery must read what the crash left.
-func (in *journalInstance) boot() {
-	k := kernel.New(kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Memory:    in.mem,
-	})
-	if in.opt.Tracer != nil {
-		k.Tracer = in.opt.Tracer
-	}
-	in.k = k
-	if in.boots == 0 {
-		k.Load(in.prog)
-	}
-	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
-}
-
-// cursor counts persist operations retired across all boots.
-func (in *journalInstance) cursor() uint64 {
-	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-}
-
-func (in *journalInstance) step() {
-	fin, err := in.k.StepOne()
-	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
-		in.crash()
-		return
-	}
-	if fin {
-		in.done = true
-		in.runErr = err
-	}
-}
-
-// crash discards the volatile tier — torn write-backs when the decision
-// says so, the tear derived from the decision ordinal so a .sched
-// replays the exact same split — audits the NVM image left behind, and
-// reboots.
-func (in *journalInstance) crash() {
-	d := in.ds[in.next]
-	in.next++
-	in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-	if d.Act == ActCrashTorn {
-		in.mem.DiscardUnflushedTorn(d.At)
-	} else {
-		in.mem.DiscardUnflushed()
-	}
-	in.checkNVM(fmt.Sprintf("crash at persist op %d", d.At))
-	in.boots++
-	in.boot()
-}
-
-// checkNVM simulates the guest's own recovery decision over the NVM
-// image and demands the recovered state is consistent: va == vb, within
-// the target. This is the journal's core invariant — every reachable
-// NVM image is one a reboot repairs.
-func (in *journalInstance) checkNVM(where string) {
-	seq := uint32(in.mem.NVPeek(in.jlog))
-	xa := uint32(in.mem.NVPeek(in.jlog + 4))
-	xb := uint32(in.mem.NVPeek(in.jlog + 8))
-	ck := uint32(in.mem.NVPeek(in.jlog + 12))
-	ap := uint32(in.mem.NVPeek(in.applied))
-	a := uint32(in.mem.NVPeek(in.va))
-	b := uint32(in.mem.NVPeek(in.vb))
-	if guest.JournalCksum(seq, xa, xb) == ck && seq == ap+1 {
-		// A committed in-flight record: recovery re-stores its values
-		// (redo: news roll forward; undo: olds roll back).
-		a, b = xa, xb
-	}
-	if a != b {
-		in.vio.add("journal-consistency",
-			"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
-	}
-	if a > in.target {
-		in.vio.add("journal-consistency", "%s: recovered va=%d exceeds target %d", where, a, in.target)
-	}
-}
-
-func (in *journalInstance) RunTo(at uint64) bool {
-	for !in.done && in.cursor() < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *journalInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	switch err := in.runErr; {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	default:
-		in.vio.add("abort", "%v", err)
-	}
-	a, b := uint32(in.mem.Peek(in.va)), uint32(in.mem.Peek(in.vb))
-	if a != in.target || b != in.target {
-		in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
-			a, b, in.boots+1, in.target)
-	}
-	in.checkNVM("final NVM image")
-}
-
-func (in *journalInstance) Cursor() uint64          { return in.cursor() }
-func (in *journalInstance) Violations() []Violation { return in.vio.list }
-
-func (in *journalInstance) StateHash() ([32]byte, bool) {
-	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
+	}}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -241,6 +128,49 @@ func shiftDecisions(ds []Decision, base uint64) []Decision {
 		}
 	}
 	return out
+}
+
+// rebootUni is the uniproc crash-family run: boot after boot over the
+// arenas body closes over, each on a fresh persistent processor whose
+// injector sees ds shifted past the persist ops earlier boots retired.
+// body spawns one boot's threads and returns the checks for a boot that
+// ends without crashing. A crash reboots; any other end is classified
+// and checked, and ends the run. It returns the persist ops retired
+// across all boots, the run's cursor.
+func rebootUni(ds []Decision, opt Options, vio *violations, body func(proc *uniproc.Processor, boot int) (check func())) uint64 {
+	var cum uint64
+	for boot := 0; boot < len(ds)+2; boot++ {
+		proc := uniproc.New(uniproc.Config{
+			Quantum:   modelQuantum,
+			MaxCycles: modelBudget,
+			Faults:    newInjector(chaos.PointPersist, shiftDecisions(ds, cum)),
+		})
+		proc.Tracer = opt.Tracer
+		proc.EnablePersistence()
+		check := body(proc, boot)
+		err := proc.Run()
+		cum += proc.PersistOps()
+		if errors.Is(err, uniproc.ErrMachineCrash) {
+			continue
+		}
+		vio.terminal(err, -1)
+		check()
+		return cum
+	}
+	vio.add("stuck", "crash decisions kept firing after %d boots", len(ds)+2)
+	return cum
+}
+
+// tornPrimary parses a crash-family model's torn=0|1 parameter into the
+// crash action its explorer enumerates.
+func tornPrimary(p map[string]string, model string) (Action, error) {
+	switch p["torn"] {
+	case "0":
+		return ActCrashVolatile, nil
+	case "1":
+		return ActCrashTorn, nil
+	}
+	return 0, fmt.Errorf("mcheck: %s: torn must be 0 or 1, got %q", model, p["torn"])
 }
 
 // jfsScript is the memfs-journal workload: every operation kind the
@@ -271,31 +201,19 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("mcheck: memfs-journal: unknown variant %q", p["variant"])
 	}
-	primary := ActCrashVolatile
-	if p["torn"] == "1" {
-		primary = ActCrashTorn
-	} else if p["torn"] != "0" {
-		return nil, fmt.Errorf("mcheck: memfs-journal: torn must be 0 or 1, got %q", p["torn"])
+	primary, err := tornPrimary(p, "memfs-journal")
+	if err != nil {
+		return nil, err
 	}
 	// The reference states are fault-free and shared by every instance.
 	states, err := jfsPrefixStates()
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: memfs-journal: %v", err)
 	}
-	m := &uniModel{name: "memfs-journal", params: p, primary: primary}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "memfs-journal", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		arena := make([]uniproc.Word, jfsArenaWords)
-		var cum uint64
 		returned := 0
-		first := true
-		for boot := 0; boot < len(ds)+2; boot++ {
-			proc := uniproc.New(uniproc.Config{
-				Quantum:   modelQuantum,
-				MaxCycles: modelBudget,
-				Faults:    newInjector(chaos.PointPersist, shiftDecisions(ds, cum)),
-			})
-			proc.Tracer = opt.Tracer
-			proc.EnablePersistence()
+		return rebootUni(ds, opt, vio, func(proc *uniproc.Processor, boot int) func() {
 			var mountErr error
 			var state string
 			proc.Go("main", func(e *uniproc.Env) {
@@ -304,7 +222,7 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 					mountErr = err
 					return
 				}
-				if first {
+				if boot == 0 {
 					for _, r := range jfsScript {
 						if err := jfsApply(e, j, r); err != nil {
 							mountErr = fmt.Errorf("op %d: %w", returned, err)
@@ -315,37 +233,28 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 				}
 				state = jfsDump(e, j)
 			})
-			err := proc.Run()
-			cum += proc.PersistOps()
-			if errors.Is(err, uniproc.ErrMachineCrash) {
-				first = false
-				continue // reboot over the surviving arena
+			return func() {
+				if mountErr != nil {
+					vio.add("recovery", "boot %d: %v", boot+1, mountErr)
+					return
+				}
+				// A boot that ran to completion: on the first boot the
+				// state is the full script; on a reboot, whatever replay
+				// rebuilt. Distinct prefixes can share a tree (an op and
+				// its inverse cancel), so the check is against the two
+				// admissible states directly, not a search for a
+				// matching prefix: every returned op must be present,
+				// plus at most the one op in flight at the crash.
+				okA := state == states[returned]
+				okB := returned+1 < len(states) && state == states[returned+1]
+				if !okA && !okB {
+					vio.add("journal-loss",
+						"remounted tree is not the state after the %d returned ops (or %d):\n%s",
+						returned, returned+1, state)
+				}
 			}
-			classifyUniErr(err, vio)
-			if mountErr != nil {
-				vio.add("recovery", "boot %d: %v", boot+1, mountErr)
-				return cum
-			}
-			// A boot that ran to completion: on the first boot the state
-			// is the full script; on a reboot, whatever replay rebuilt.
-			// Distinct prefixes can share a tree (an op and its inverse
-			// cancel), so the check is against the two admissible states
-			// directly, not a search for a matching prefix: every
-			// returned op must be present, plus at most the one op in
-			// flight at the crash.
-			okA := state == states[returned]
-			okB := returned+1 < len(states) && state == states[returned+1]
-			if !okA && !okB {
-				vio.add("journal-loss",
-					"remounted tree is not the state after the %d returned ops (or %d):\n%s",
-					returned, returned+1, state)
-			}
-			return cum
-		}
-		vio.add("stuck", "crash decisions kept firing after %d boots", len(ds)+2)
-		return cum
-	}
-	return m, nil
+		})
+	})}, nil
 }
 
 // jfsApply performs one scripted operation through the journal.
@@ -447,65 +356,44 @@ func pstructModel(p map[string]string) (Model, error) {
 	if kind != "stack" && kind != "queue" {
 		return nil, fmt.Errorf("mcheck: pstruct: unknown struct %q", p["struct"])
 	}
-	primary := ActCrashVolatile
-	if p["torn"] == "1" {
-		primary = ActCrashTorn
-	} else if p["torn"] != "0" {
-		return nil, fmt.Errorf("mcheck: pstruct: torn must be 0 or 1, got %q", p["torn"])
+	primary, err := tornPrimary(p, "pstruct")
+	if err != nil {
+		return nil, err
 	}
 	states, err := pstructPrefixStates(kind, mode)
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: pstruct: %v", err)
 	}
-	m := &uniModel{name: "pstruct", params: p, primary: primary}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "pstruct", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		arena := make([]uniproc.Word, pstructArenaWords(kind))
-		var cum uint64
 		returned := 0
-		first := true
-		for boot := 0; boot < len(ds)+2; boot++ {
-			proc := uniproc.New(uniproc.Config{
-				Quantum:   modelQuantum,
-				MaxCycles: modelBudget,
-				Faults:    newInjector(chaos.PointPersist, shiftDecisions(ds, cum)),
-			})
-			proc.Tracer = opt.Tracer
-			proc.EnablePersistence()
+		return rebootUni(ds, opt, vio, func(proc *uniproc.Processor, boot int) func() {
 			var state []uniproc.Word
 			var opErr error
 			proc.Go("main", func(e *uniproc.Env) {
 				// Recover runs first on every boot — a crash inside a
 				// previous boot's recovery re-runs it here, idempotently.
 				ops := pstructScript
-				if !first {
+				if boot > 0 {
 					ops = nil
 				}
 				state, opErr = pstructRunOps(e, arena, kind, mode, ops, func() { returned++ })
 			})
-			err := proc.Run()
-			cum += proc.PersistOps()
-			if errors.Is(err, uniproc.ErrMachineCrash) {
-				first = false
-				continue
+			return func() {
+				if opErr != nil {
+					vio.add("abort", "boot %d: %v", boot+1, opErr)
+					return
+				}
+				okA := slices.Equal(state, states[returned])
+				okB := returned+1 < len(states) && slices.Equal(state, states[returned+1])
+				if !okA && !okB {
+					vio.add("pstruct-atomicity",
+						"recovered %s state %v with %d returned ops: not the state after %d ops (%v) or %d (%v)",
+						kind, state, returned, returned, states[returned], returned+1, stateOrNil(states, returned+1))
+				}
 			}
-			classifyUniErr(err, vio)
-			if opErr != nil {
-				vio.add("abort", "boot %d: %v", boot+1, opErr)
-				return cum
-			}
-			okA := wordsEqual(state, states[returned])
-			okB := returned+1 < len(states) && wordsEqual(state, states[returned+1])
-			if !okA && !okB {
-				vio.add("pstruct-atomicity",
-					"recovered %s state %v with %d returned ops: not the state after %d ops (%v) or %d (%v)",
-					kind, state, returned, returned, states[returned], returned+1, stateOrNil(states, returned+1))
-			}
-			return cum
-		}
-		vio.add("stuck", "crash decisions kept firing after %d boots", len(ds)+2)
-		return cum
-	}
-	return m, nil
+		})
+	})}, nil
 }
 
 func pstructArenaWords(kind string) int {
@@ -604,18 +492,6 @@ func pstructPrefixStates(kind string, mode core.LogMode) ([][]uniproc.Word, erro
 		}
 	}
 	return states, nil
-}
-
-func wordsEqual(a, b []uniproc.Word) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func stateOrNil(states [][]uniproc.Word, i int) []uniproc.Word {

@@ -20,10 +20,13 @@
 package mcheck
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/uniproc"
+	"repro/internal/vmach/kernel"
 )
 
 // Action is one kind of forced scheduling decision.
@@ -190,6 +193,40 @@ func (v *violations) add(kind, format string, args ...any) {
 	}
 }
 
+// terminalKinds maps the substrates' terminal run errors to violation
+// kinds; any other error is an abort.
+var terminalKinds = []struct {
+	err  error
+	kind string
+}{
+	{kernel.ErrDeadlock, "deadlock"},
+	{uniproc.ErrDeadlock, "deadlock"},
+	{kernel.ErrLivelock, "restart-livelock"},
+	{uniproc.ErrLivelock, "restart-livelock"},
+	{kernel.ErrBudget, "budget"},
+	{uniproc.ErrBudget, "budget"},
+}
+
+// terminal folds a run's terminal error, if any, into the taxonomy. A
+// cpu >= 0 prefixes the message with the CPU whose verdict it is.
+func (v *violations) terminal(err error, cpu int) {
+	if err == nil {
+		return
+	}
+	kind := "abort"
+	for _, t := range terminalKinds {
+		if errors.Is(err, t.err) {
+			kind = t.kind
+			break
+		}
+	}
+	if cpu >= 0 {
+		v.add(kind, "cpu%d: %v", cpu, err)
+	} else {
+		v.add(kind, "%v", err)
+	}
+}
+
 // Options is harness wiring threaded into every instance a model builds.
 type Options struct {
 	// Tracer, when non-nil, receives the substrate's event stream —
@@ -201,8 +238,8 @@ type Options struct {
 // Instance is one run of a model under one schedule.
 type Instance interface {
 	// RunTo advances until the decision ordinal `at` has fired (cursor
-	// == at) or the run ended, whichever is first. Only meaningful on
-	// pausable models.
+	// == at) or the run ended, whichever is first. An instance that
+	// cannot pause runs its whole schedule.
 	RunTo(at uint64) (done bool)
 	// RunToEnd drives the run to completion and applies the model's
 	// end-state invariants (exactly once).
@@ -210,7 +247,7 @@ type Instance interface {
 	// Cursor is the current event ordinal.
 	Cursor() uint64
 	// StateHash returns the canonical hash of the paused state for DFS
-	// pruning; ok is false when the model cannot hash (not pausable).
+	// pruning; ok is false when the instance cannot pause.
 	StateHash() (h [32]byte, ok bool)
 	// Violations reports every invariant breach recorded so far.
 	Violations() []Violation
@@ -224,11 +261,25 @@ type Model interface {
 	Params() map[string]string
 	// Primary is the action the explorers place at enumerated ordinals.
 	Primary() Action
-	// Pausable reports whether instances support mid-run pause and
-	// hashing (false for uniproc, whose runtime runs whole schedules).
-	Pausable() bool
 	// New builds an instance that will force the given decisions.
 	New(ds []Decision, opt Options) (Instance, error)
+}
+
+// model is every registered Model: a model file states its workload and
+// invariants in new, and one of the instance cores (vmachInstance,
+// rebootInstance, interleaver, uniInstance) runs them.
+type model struct {
+	name    string
+	params  map[string]string
+	primary Action
+	new     func(ds []Decision, opt Options) (Instance, error)
+}
+
+func (m *model) Name() string              { return m.name }
+func (m *model) Params() map[string]string { return m.params }
+func (m *model) Primary() Action           { return m.primary }
+func (m *model) New(ds []Decision, opt Options) (Instance, error) {
+	return m.new(ds, opt)
 }
 
 // RunOnce builds an instance for ds, runs it to completion, and reports

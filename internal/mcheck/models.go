@@ -79,17 +79,17 @@ var registry = map[string]modelEntry{
 	},
 	"percpu-server": {
 		defaults: map[string]string{"variant": "percpu", "cpus": "1", "clients": "1", "iters": "2"},
-		build:    percpuServerModelBuild,
+		build:    percpuServerModel,
 		doc:      "smp guest request plane, exact served accounting; variant=percpu|mutex|racy (racy consumes unpublished slots)",
 	},
 	"qlock-queue": {
 		defaults: map[string]string{"variant": "mcs", "cpus": "2", "iters": "1"},
-		build:    qlockQueueModelBuild,
+		build:    qlockQueueModel,
 		doc:      "smp queue lock FIFO+exactness under forced switches; variant=mcs|rmcs",
 	},
 	"qlock-rec": {
 		defaults: map[string]string{"variant": "rmcs", "cpus": "2", "iters": "1"},
-		build:    qlockRecModelBuild,
+		build:    qlockRecModel,
 		doc:      "smp queue lock under forced kills with rendezvoused overlap; variant=rmcs|mcs|rmcs-unspliced (mcs wedges, unspliced is the planted repair bug)",
 	},
 	"resilience": {

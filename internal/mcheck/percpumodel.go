@@ -53,8 +53,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &uniModel{name: "percpu-queue", params: p, primary: ActPreempt}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "percpu-queue", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
 			MaxCycles: modelBudget,
@@ -100,7 +99,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 				}
 			}
 		})
-		classifyUniErr(proc.Run(), vio)
+		vio.terminal(proc.Run(), -1)
 		want := uint64(producers * iters)
 		st := q.Stats()
 		if !hasAct(ds, ActKill) {
@@ -115,8 +114,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 			}
 		}
 		return proc.MemOps()
-	}
-	return m, nil
+	})}, nil
 }
 
 // percpuFreeListModel checks guest.FreeListProgram on the vmach kernel:
@@ -143,41 +141,39 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: percpu-freelist: %v", err)
 	}
-	m := &vmachModel{name: "percpu-freelist", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
+	return &model{name: "percpu-freelist", params: p, primary: ActPreempt, new: func(ds []Decision, opt Options) (Instance, error) {
 		var strat kernel.Strategy
 		if variant == "ras" {
 			strat = kernel.NewMultiRegistration()
 		}
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
+		in := newVmachInstance(strat, ds, opt)
+		k := in.k
+		k.Load(prog)
 		if variant == "ras" {
-			for _, r := range guest.FreeListSequenceRanges(m.prog) {
+			for _, r := range guest.FreeListSequenceRanges(prog) {
 				if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
 					return nil, fmt.Errorf("mcheck: percpu-freelist: %v", err)
 				}
 			}
 		}
 		for w := 0; w < workers; w++ {
-			k.Spawn(m.prog.MustSymbol("worker"), guest.StackTop(w),
+			k.Spawn(prog.MustSymbol("worker"), guest.StackTop(w),
 				isa.Word(iters), isa.Word(w+1))
 		}
-		vio := &violations{}
 		// One watchpoint per node's owner word: a stamp over a live tag is
 		// a double allocation.
 		for i := 0; i < nodes; i++ {
-			addr := m.prog.MustSymbol(guest.FreeListNodeLabel(i)) + 4
+			addr := prog.MustSymbol(guest.FreeListNodeLabel(i)) + 4
 			node := i
 			k.M.Mem.Watch(addr, func(old, new isa.Word) {
 				if old != 0 && new != 0 {
-					vio.add("double-alloc", "node %d stamped by owner %d while owner %d still holds it",
+					in.vio.add("double-alloc", "node %d stamped by owner %d while owner %d still holds it",
 						node, new, old)
 				}
 			})
 		}
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
 		kills := hasAct(ds, ActKill)
-		head := m.prog.MustSymbol("fhead")
+		head := prog.MustSymbol("fhead")
 		in.finish = func() {
 			if kills {
 				return // a killed holder legitimately leaks its node
@@ -188,13 +184,12 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 				count++
 			}
 			if count != nodes {
-				vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
+				in.vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
 					count, nodes)
 			}
 		}
 		return in, nil
-	}
-	return m, nil
+	}}, nil
 }
 
 // percpuServerModel checks guest.ServerProgram on the SMP system. The
@@ -203,16 +198,7 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 // step ordinal), and an ActSwitch decision rotates the cross-CPU
 // interleaving as in smp-counter. The end-state invariant is exact
 // request accounting: served must equal cpus*clients*iters.
-type percpuServerModel struct {
-	params  map[string]string
-	variant guest.ServerVariant
-	cpus    int
-	clients int
-	iters   int
-	prog    *asm.Program
-}
-
-func percpuServerModelBuild(p map[string]string) (Model, error) {
+func percpuServerModel(p map[string]string) (Model, error) {
 	var variant guest.ServerVariant
 	switch p["variant"] {
 	case "percpu":
@@ -240,67 +226,47 @@ func percpuServerModelBuild(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
 	}
-	return &percpuServerModel{params: p, variant: variant,
-		cpus: cpus, clients: clients, iters: iters, prog: prog}, nil
-}
-
-func (m *percpuServerModel) Name() string              { return "percpu-server" }
-func (m *percpuServerModel) Params() map[string]string { return m.params }
-func (m *percpuServerModel) Primary() Action           { return ActPreempt }
-func (m *percpuServerModel) Pausable() bool            { return true }
-
-func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
-	inj := newInjector(chaos.PointStep, ds)
-	sys := smp.New(smp.Config{
-		CPUs:        m.cpus,
-		Quantum:     modelQuantum,
-		MaxCycles:   smpBudget,
-		NewStrategy: kernel.MultiRegistrationStrategy,
-		Faults:      func(int) chaos.Injector { return inj },
-	})
-	if opt.Tracer != nil {
-		sys.AttachTracer(opt.Tracer)
-	}
-	sys.Load(m.prog)
-	if m.variant != guest.ServerMutex {
-		for _, k := range sys.CPUs {
-			for _, r := range guest.ServerSequenceRanges(m.prog) {
-				if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
-					return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
+	want := uint64(cpus * clients * iters)
+	return &model{name: "percpu-server", params: p, primary: ActPreempt, new: func(ds []Decision, opt Options) (Instance, error) {
+		inj := newInjector(chaos.PointStep, ds)
+		sys := smp.New(smp.Config{
+			CPUs:        cpus,
+			Quantum:     modelQuantum,
+			MaxCycles:   smpBudget,
+			NewStrategy: kernel.MultiRegistrationStrategy,
+			Faults:      func(int) chaos.Injector { return inj },
+		})
+		if opt.Tracer != nil {
+			sys.AttachTracer(opt.Tracer)
+		}
+		sys.Load(prog)
+		if variant != guest.ServerMutex {
+			for _, k := range sys.CPUs {
+				for _, r := range guest.ServerSequenceRanges(prog) {
+					if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
+						return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
+					}
 				}
 			}
 		}
-	}
-	workerArg := m.clients
-	if m.variant == guest.ServerMutex {
-		workerArg = m.clients * m.cpus
-	}
-	worker, client := m.prog.MustSymbol("worker"), m.prog.MustSymbol("client")
-	for cpu := 0; cpu < m.cpus; cpu++ {
-		sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
-		for c := 0; c < m.clients; c++ {
-			sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(m.iters))
+		workerArg := clients
+		if variant == guest.ServerMutex {
+			workerArg = clients * cpus
 		}
-	}
-	return &percpuServerInstance{
-		interleaver: interleaver{sys: sys, ds: ds, turnMax: smpTurn},
-		m:           m,
-		want:        uint64(m.cpus * m.clients * m.iters),
-	}, nil
-}
-
-type percpuServerInstance struct {
-	interleaver
-	m    *percpuServerModel
-	want uint64
-}
-
-func (in *percpuServerInstance) RunToEnd() {
-	if !in.runOut() {
-		return
-	}
-	served, _ := guest.ServerCounts(in.sys.Mem, in.m.prog, in.m.variant, in.m.cpus)
-	if !hasAct(in.ds, ActKill) && served != in.want {
-		in.vio.add("served-exact", "served %d of %d submitted requests", served, in.want)
-	}
+		worker, client := prog.MustSymbol("worker"), prog.MustSymbol("client")
+		for cpu := 0; cpu < cpus; cpu++ {
+			sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
+			for c := 0; c < clients; c++ {
+				sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(iters))
+			}
+		}
+		in := &interleaver{sys: sys, ds: ds, turnMax: smpTurn}
+		in.finish = func() {
+			served, _ := guest.ServerCounts(sys.Mem, prog, variant, cpus)
+			if !hasAct(ds, ActKill) && served != want {
+				in.vio.add("served-exact", "served %d of %d submitted requests", served, want)
+			}
+		}
+		return in, nil
+	}}, nil
 }

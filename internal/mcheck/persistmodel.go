@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -27,13 +26,20 @@ import (
 // injector: the instance itself discards the volatile tier, checks the
 // bounded-durability-loss invariant, and boots a fresh kernel over the
 // shared memory — a crash here is a transition the run continues through,
-// not a terminal event.
-type persistInstance struct {
+// not a terminal event. rebootInstance is that run; the journal model
+// reuses it with its own crash audit.
+
+// rebootInstance is a pausable vmach run over one persistent memory in
+// which a crash decision is a transition: the model's crash closure
+// audits and discards the volatile tier, and the same binary boots again
+// over what survived. The cursor counts persist operations (flushes +
+// fences) retired across all boots.
+type rebootInstance struct {
 	prog *asm.Program
 	mem  *vmach.Memory
 	k    *kernel.Kernel
 	opt  Options
-	vio  *violations
+	vio  violations
 
 	ds   []Decision
 	next int // next decision to fire
@@ -43,17 +49,96 @@ type persistInstance struct {
 	opsBase uint64
 	boots   int
 
-	counterAddr, lockAddr uint32
-	// cStart is the surviving counter at the start of the current boot;
-	// the final counter must be exactly cStart + want.
-	cStart isa.Word
-	want   isa.Word
+	// crash audits the NVM image at decision d and discards the volatile
+	// tier; it runs before opsBase advances, so cursor() still reads d.At.
+	crash func(d Decision)
+	// finish applies the model's end-state invariants.
+	finish func()
 
 	done   bool
 	ended  bool
 	runErr error
 }
 
+// newRebootInstance builds an unbooted instance over a fresh persistent
+// memory; the model installs its closures and watchpoints, then boots.
+func newRebootInstance(prog *asm.Program, ds []Decision, opt Options) *rebootInstance {
+	mem := vmach.NewMemory()
+	mem.EnablePersistence()
+	return &rebootInstance{prog: prog, mem: mem, opt: opt, ds: ds}
+}
+
+// boot starts a kernel over the shared (surviving) memory. Only the first
+// boot loads the program image: on a reboot the image is already durable
+// in NVM, and reloading would reset the very data words recovery reads.
+func (in *rebootInstance) boot() {
+	k := kernel.New(kernel.Config{
+		Strategy:  &kernel.Designated{},
+		CheckAt:   kernel.CheckAtResume,
+		Quantum:   modelQuantum,
+		MaxCycles: modelBudget,
+		Memory:    in.mem,
+	})
+	if in.opt.Tracer != nil {
+		k.Tracer = in.opt.Tracer
+	}
+	in.k = k
+	if in.boots == 0 {
+		k.Load(in.prog)
+	}
+	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
+}
+
+// cursor counts persist operations retired across all boots.
+func (in *rebootInstance) cursor() uint64 {
+	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
+}
+
+func (in *rebootInstance) step() {
+	fin, err := in.k.StepOne()
+	// A persist op just retired the next decision's ordinal: crash here.
+	// Each instruction advances the cursor by at most one, so at most one
+	// decision can fire per step.
+	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
+		d := in.ds[in.next]
+		in.next++
+		in.crash(d)
+		in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
+		in.boots++
+		in.boot()
+		return
+	}
+	if fin {
+		in.done = true
+		in.runErr = err
+	}
+}
+
+func (in *rebootInstance) RunTo(at uint64) bool {
+	for !in.done && in.cursor() < at {
+		in.step()
+	}
+	return in.done
+}
+
+func (in *rebootInstance) RunToEnd() {
+	for !in.done {
+		in.step()
+	}
+	if in.ended {
+		return
+	}
+	in.ended = true
+	in.vio.terminal(in.runErr, -1)
+	in.finish()
+}
+
+func (in *rebootInstance) Cursor() uint64          { return in.cursor() }
+func (in *rebootInstance) Violations() []Violation { return in.vio.list }
+
+func (in *rebootInstance) StateHash() ([32]byte, bool) {
+	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
+}
 func persistModel(p map[string]string) (Model, error) {
 	workers, iters, err := workerIters(p)
 	if err != nil {
@@ -72,155 +157,56 @@ func persistModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: persist: %v", err)
 	}
-	m := &vmachModel{name: "persist", params: p, primary: ActCrashVolatile, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
+	counterAddr, lockAddr := prog.MustSymbol("counter"), prog.MustSymbol("lock")
+	perBoot := isa.Word(workers * iters)
+	return &model{name: "persist", params: p, primary: ActCrashVolatile, new: func(ds []Decision, opt Options) (Instance, error) {
 		for _, d := range ds {
 			if d.Act != ActCrashVolatile {
 				return nil, fmt.Errorf("mcheck: persist: only crash-volatile decisions apply (got %s)", d.Act)
 			}
 		}
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
-		in := &persistInstance{
-			prog: m.prog, mem: mem, opt: opt, vio: &violations{},
-			ds:          ds,
-			counterAddr: m.prog.MustSymbol("counter"),
-			lockAddr:    m.prog.MustSymbol("lock"),
-			want:        isa.Word(workers * iters),
+		in := newRebootInstance(prog, ds, opt)
+		// cStart is the surviving counter at the start of the current
+		// boot (the image's 0 on the first); the final counter must be
+		// exactly cStart + perBoot.
+		var cStart isa.Word
+		in.crash = func(Decision) {
+			// The bounded-durability-loss invariant at this persist
+			// boundary, then the CrashVolatile discard.
+			vol := int64(in.mem.Peek(counterAddr))
+			nvm := int64(in.mem.NVPeek(counterAddr))
+			if vol-nvm > 1 {
+				in.vio.add("persist-loss",
+					"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
+					in.cursor(), vol, nvm, vol-nvm)
+			}
+			in.mem.DiscardUnflushed()
+			cStart = in.mem.Peek(counterAddr)
 		}
-		in.installWatchers()
+		in.finish = func() {
+			got := in.mem.Peek(counterAddr)
+			if want := cStart + perBoot; got != want {
+				in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
+					got, in.boots+1, want, cStart, perBoot)
+			}
+			if owner := in.mem.Peek(lockAddr) & 0xFFFF; owner != 0 {
+				in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner)
+			}
+		}
+		watchPersistRME(in, lockAddr, counterAddr)
 		in.boot()
 		return in, nil
-	}
-	return m, nil
+	}}, nil
 }
 
-// boot starts a kernel over the shared (surviving) memory. Only the first
-// boot loads the program image: on a reboot the image is already durable
-// in NVM, and reloading would reset the very data words recovery reads.
-func (in *persistInstance) boot() {
-	k := kernel.New(kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Memory:    in.mem,
-	})
-	if in.opt.Tracer != nil {
-		k.Tracer = in.opt.Tracer
-	}
-	in.k = k
-	if in.boots == 0 {
-		k.Load(in.prog)
-	}
-	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
-	in.cStart = in.mem.Peek(in.counterAddr)
-}
-
-// cursor counts persist operations retired across all boots.
-func (in *persistInstance) cursor() uint64 {
-	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-}
-
-func (in *persistInstance) step() {
-	fin, err := in.k.StepOne()
-	// A persist op just retired the next decision's ordinal: crash here.
-	// Each instruction advances the cursor by at most one, so at most one
-	// decision can fire per step.
-	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
-		in.crash()
-		return
-	}
-	if fin {
-		in.done = true
-		in.runErr = err
-	}
-}
-
-// crash is the CrashVolatile transition: check the bounded-durability-loss
-// invariant at this persist boundary, discard the volatile tier, reboot.
-func (in *persistInstance) crash() {
-	in.next++
-	vol := int64(in.mem.Peek(in.counterAddr))
-	nvm := int64(in.mem.NVPeek(in.counterAddr))
-	if vol-nvm > 1 {
-		in.vio.add("persist-loss",
-			"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
-			in.cursor(), vol, nvm, vol-nvm)
-	}
-	in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-	in.mem.DiscardUnflushed()
-	in.boots++
-	in.boot()
-}
-
-func (in *persistInstance) RunTo(at uint64) bool {
-	for !in.done && in.cursor() < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *persistInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	switch err := in.runErr; {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	default:
-		in.vio.add("abort", "%v", err)
-	}
-	got := in.mem.Peek(in.counterAddr)
-	if want := in.cStart + in.want; got != want {
-		in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
-			got, in.boots+1, want, in.cStart, in.want)
-	}
-	if owner := in.mem.Peek(in.lockAddr) & 0xFFFF; owner != 0 {
-		in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner)
-	}
-}
-
-func (in *persistInstance) Cursor() uint64          { return in.cursor() }
-func (in *persistInstance) Violations() []Violation { return in.vio.list }
-
-func (in *persistInstance) StateHash() ([32]byte, bool) {
-	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
-}
-
-// installWatchers installs the recoverable-mutex watchpoints once, on the
-// shared memory, so they survive reboots. They read the *current* kernel
-// through the instance, and extend the watchRME rules with the one
-// transition crash recovery adds: main (thread 0, alone) releasing a dead
-// owner's lock with the epoch bumped, before any worker exists.
-func (in *persistInstance) installWatchers() {
-	cur := func() int {
-		if t := in.k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
-	dead := func(tid int) bool {
-		if tid < 0 || tid >= len(in.k.Threads()) {
-			return true
-		}
-		switch in.k.Threads()[tid].State {
-		case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-			return true
-		}
-		return false
-	}
-	in.mem.Watch(in.lockAddr, func(old, new isa.Word) {
-		me := cur()
+// watchPersistRME installs the recoverable-mutex watchpoints once, on
+// the shared memory, so they survive reboots. They read the *current*
+// kernel through the instance, and extend the watchRME rules with the
+// one transition crash recovery adds: main (thread 0, alone) releasing a
+// dead owner's lock with the epoch bumped, before any worker exists.
+func watchPersistRME(in *rebootInstance, lockAddr, counterAddr uint32) {
+	in.mem.Watch(lockAddr, func(old, new isa.Word) {
+		me := currentTID(in.k)
 		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
 		oldEpoch, newEpoch := old>>16, new>>16
 		switch {
@@ -232,7 +218,7 @@ func (in *persistInstance) installWatchers() {
 			switch {
 			case oldOwner == me+1 && newEpoch == oldEpoch:
 				// Release by the owner.
-			case me == 0 && newEpoch == oldEpoch+1 && dead(oldOwner-1):
+			case me == 0 && newEpoch == oldEpoch+1 && threadDead(in.k, oldOwner-1):
 				// Boot-time repair of a crashed boot's owner.
 			default:
 				in.vio.add("rme", "bad release/repair %#x->%#x by t%d", old, new, me)
@@ -241,14 +227,14 @@ func (in *persistInstance) installWatchers() {
 			if newOwner != me+1 || newEpoch != oldEpoch+1 {
 				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
 			}
-			if !dead(oldOwner - 1) {
+			if !threadDead(in.k, oldOwner-1) {
 				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
 			}
 		}
 	})
-	in.mem.Watch(in.counterAddr, func(old, new isa.Word) {
-		lock := in.mem.Peek(in.lockAddr)
-		if me := cur(); int(lock&0xFFFF) != me+1 || new != old+1 {
+	in.mem.Watch(counterAddr, func(old, new isa.Word) {
+		lock := in.mem.Peek(lockAddr)
+		if me := currentTID(in.k); int(lock&0xFFFF) != me+1 || new != old+1 {
 			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
 		}
 	})

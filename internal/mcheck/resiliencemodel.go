@@ -61,8 +61,7 @@ func resilienceModel(p map[string]string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("mcheck: resilience: unknown kind %q", p["kind"])
 	}
-	m := &uniModel{name: "resilience", params: p, primary: prim}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "resilience", params: p, primary: prim, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		ow := &offsetWorld{w: resilience.NewServerWorld(resilience.ServerWorldConfig{
 			Clients: clients,
 			Iters:   iters,
@@ -88,6 +87,5 @@ func resilienceModel(p map[string]string) (Model, error) {
 			vio.add("stuck", "campaign ended without completing: %v", out)
 		}
 		return ow.base
-	}
-	return m, nil
+	})}, nil
 }

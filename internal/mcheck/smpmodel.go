@@ -26,15 +26,6 @@ const smpTurn = 4096
 // this is higher than the single-CPU budget.
 const smpBudget = uint64(50_000_000)
 
-type smpModel struct {
-	params  map[string]string
-	lock    guest.SMPLock
-	cpus    int
-	iters   int
-	prog    *asm.Program
-	walkers switchWalkers
-}
-
 func smpCounterModel(p map[string]string) (Model, error) {
 	var lock guest.SMPLock
 	switch p["lock"] {
@@ -61,61 +52,36 @@ func smpCounterModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: smp-counter: %v", err)
 	}
-	m := &smpModel{params: p, lock: lock, cpus: cpus, iters: iters, prog: prog}
-	m.walkers.build = m.build
-	return m, nil
-}
-
-func (m *smpModel) Name() string              { return "smp-counter" }
-func (m *smpModel) Params() map[string]string { return m.params }
-func (m *smpModel) Primary() Action           { return ActSwitch }
-func (m *smpModel) Pausable() bool            { return true }
-
-func (m *smpModel) New(ds []Decision, opt Options) (Instance, error) {
-	return m.walkers.New(ds, opt)
-}
-
-// build is New without the walker cache: a from-scratch instance.
-func (m *smpModel) build(ds []Decision, opt Options) (interleaved, error) {
-	sys := smp.New(smp.Config{
-		CPUs:      m.cpus,
-		Quantum:   modelQuantum,
-		MaxCycles: smpBudget,
-	})
-	if opt.Tracer != nil {
-		sys.AttachTracer(opt.Tracer)
-	}
-	sys.Load(m.prog)
-	for c := 0; c < m.cpus; c++ {
-		sys.Spawn(c, m.prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(m.iters))
-	}
-	in := &smpInstance{
-		interleaver: interleaver{sys: sys, ds: ds, turnMax: smpTurn},
-		want:        isa.Word(m.cpus * m.iters),
-		counterAddr: m.prog.MustSymbol("counter"),
-	}
-	// On shared memory the counter watchpoint IS the mutual-exclusion
-	// checker: each critical section is lw/addi/sw, so two overlapping
-	// passages surface as a store that is not old+1.
-	sys.Mem.Watch(in.counterAddr, func(old, new isa.Word) {
-		if new != old+1 {
-			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
+	counterAddr := prog.MustSymbol("counter")
+	want := isa.Word(cpus * iters)
+	w := &switchWalkers{build: func(ds []Decision, opt Options) (*interleaver, error) {
+		sys := smp.New(smp.Config{
+			CPUs:      cpus,
+			Quantum:   modelQuantum,
+			MaxCycles: smpBudget,
+		})
+		if opt.Tracer != nil {
+			sys.AttachTracer(opt.Tracer)
 		}
-	})
-	return in, nil
-}
-
-type smpInstance struct {
-	interleaver
-	want        isa.Word
-	counterAddr uint32
-}
-
-func (in *smpInstance) RunToEnd() {
-	if !in.runOut() {
-		return
-	}
-	if got := in.sys.Mem.Peek(in.counterAddr); got != in.want {
-		in.vio.add("counter-exact", "counter = %d, want %d", got, in.want)
-	}
+		sys.Load(prog)
+		for c := 0; c < cpus; c++ {
+			sys.Spawn(c, prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(iters))
+		}
+		in := &interleaver{sys: sys, ds: ds, turnMax: smpTurn}
+		// On shared memory the counter watchpoint IS the mutual-exclusion
+		// checker: each critical section is lw/addi/sw, so two overlapping
+		// passages surface as a store that is not old+1.
+		sys.Mem.Watch(counterAddr, func(old, new isa.Word) {
+			if new != old+1 {
+				in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
+			}
+		})
+		in.finish = func() {
+			if got := sys.Mem.Peek(counterAddr); got != want {
+				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
+			}
+		}
+		return in, nil
+	}}
+	return &model{name: "smp-counter", params: p, primary: ActSwitch, new: w.New}, nil
 }

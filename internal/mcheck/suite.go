@@ -249,27 +249,22 @@ func Suite() []SuiteEntry {
 // RunEntry executes one suite entry.
 func RunEntry(ent SuiteEntry, opt Options) SuiteResult {
 	res := SuiteResult{Entry: ent}
+	if ent.Expect != "pass" && ent.Expect != "violation" {
+		res.Err = fmt.Errorf("mcheck: suite entry with unknown expectation %q", ent.Expect)
+		return res
+	}
 	m, err := BuildModel(ent.Model, ent.Over)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	e := &Explorer{Model: m, Opt: opt, MaxDecisions: ent.K}
-	switch ent.Mode {
-	case "exhaustive":
-		res.Report, res.Err = e.Exhaustive()
-	case "random":
-		res.Report, res.Err = e.Random(ent.Seed, ent.Count, nil)
-	default:
-		res.Err = fmt.Errorf("mcheck: suite entry with unknown mode %q", ent.Mode)
-	}
-	if res.Err != nil {
+	if res.Report, res.Err = e.Run(ent.Mode, ent.Seed, ent.Count); res.Err != nil {
 		return res
 	}
-	switch ent.Expect {
-	case "pass":
+	if ent.Expect == "pass" {
 		res.OK = res.Report.Passed()
-	case "violation":
+	} else {
 		res.OK = res.Report.Counterexample != nil
 	}
 	return res

@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -10,33 +9,29 @@ import (
 )
 
 // uniproc-backed models. The runtime layer runs whole schedules — its
-// scheduler cannot pause between green-thread steps from outside — so
-// these models are replay-only: no mid-run pause, no state hashing, and
-// the exhaustive explorer enumerates the (small) decision spaces without
-// pruning. The ordinal space is PointMemOp: guest Load/Store operations.
-
-type uniModel struct {
-	name    string
-	params  map[string]string
-	primary Action
-	run     func(ds []Decision, opt Options, vio *violations) (cursor uint64)
-}
-
-func (m *uniModel) Name() string              { return m.name }
-func (m *uniModel) Params() map[string]string { return m.params }
-func (m *uniModel) Primary() Action           { return m.primary }
-func (m *uniModel) Pausable() bool            { return false }
-func (m *uniModel) New(ds []Decision, opt Options) (Instance, error) {
-	return &uniInstance{m: m, ds: ds, opt: opt, vio: &violations{}}, nil
-}
+// scheduler cannot pause between green-thread steps from outside — so a
+// uniInstance runs its whole schedule on the first RunTo or RunToEnd and
+// cannot hash a paused state: the exhaustive explorer enumerates these
+// (small) decision spaces without pruning. A model supplies only run,
+// which builds the processors, drives them, applies its invariants and
+// returns the cursor. The ordinal space is PointMemOp (guest Load/Store
+// operations) here, and persist operations for the crash-family models
+// (memfs-journal, pstruct, resilience).
 
 type uniInstance struct {
-	m      *uniModel
+	run    func(ds []Decision, opt Options, vio *violations) (cursor uint64)
 	ds     []Decision
 	opt    Options
-	vio    *violations
+	vio    violations
 	done   bool
 	cursor uint64
+}
+
+// uniNew builds the Model.New of a uniproc model from its run func.
+func uniNew(run func(ds []Decision, opt Options, vio *violations) uint64) func([]Decision, Options) (Instance, error) {
+	return func(ds []Decision, opt Options) (Instance, error) {
+		return &uniInstance{run: run, ds: ds, opt: opt}, nil
+	}
 }
 
 func (in *uniInstance) RunTo(at uint64) bool { in.RunToEnd(); return true }
@@ -45,26 +40,11 @@ func (in *uniInstance) RunToEnd() {
 		return
 	}
 	in.done = true
-	in.cursor = in.m.run(in.ds, in.opt, in.vio)
+	in.cursor = in.run(in.ds, in.opt, &in.vio)
 }
 func (in *uniInstance) Cursor() uint64              { return in.cursor }
 func (in *uniInstance) Violations() []Violation     { return in.vio.list }
 func (in *uniInstance) StateHash() ([32]byte, bool) { return [32]byte{}, false }
-
-// classifyUniErr folds the processor's terminal error into the taxonomy.
-func classifyUniErr(err error, vio *violations) {
-	switch {
-	case err == nil:
-	case errors.Is(err, uniproc.ErrDeadlock):
-		vio.add("deadlock", "%v", err)
-	case errors.Is(err, uniproc.ErrLivelock):
-		vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, uniproc.ErrBudget):
-		vio.add("budget", "%v", err)
-	default:
-		vio.add("abort", "%v", err)
-	}
-}
 
 // uniCounterModel is the runtime-layer counter: workers increment a
 // shared word either inside a restartable sequence (sync=ras, always
@@ -79,8 +59,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 	if sync != "ras" && sync != "none" {
 		return nil, fmt.Errorf("mcheck: uni-counter: unknown sync %q", sync)
 	}
-	m := &uniModel{name: "uni-counter", params: p, primary: ActPreempt}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "uni-counter", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
 			MaxCycles: modelBudget,
@@ -104,7 +83,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		classifyUniErr(proc.Run(), vio)
+		vio.terminal(proc.Run(), -1)
 		want := core.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		switch {
@@ -114,8 +93,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 			vio.add("counter-exact", "counter = %d exceeds %d with kills", counter, want)
 		}
 		return proc.MemOps()
-	}
-	return m, nil
+	})}, nil
 }
 
 // uniRMEModel is core.RecoverableMutex under forced kills — the
@@ -128,8 +106,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &uniModel{name: "uni-rme", params: p, primary: ActKill}
-	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "uni-rme", params: p, primary: ActKill, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   2000,
 			MaxCycles: modelBudget,
@@ -152,7 +129,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		classifyUniErr(proc.Run(), vio)
+		vio.terminal(proc.Run(), -1)
 		for _, s := range mtx.Checker.Violations() {
 			vio.add("rme", "%s", s)
 		}
@@ -165,6 +142,5 @@ func uniRMEModel(p map[string]string) (Model, error) {
 			}
 		}
 		return proc.MemOps()
-	}
-	return m, nil
+	})}, nil
 }

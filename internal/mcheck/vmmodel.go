@@ -24,25 +24,9 @@ const (
 	modelBudget  = uint64(20_000_000)
 )
 
-type vmachModel struct {
-	name    string
-	params  map[string]string
-	primary Action
-	prog    *asm.Program
-	build   func(m *vmachModel, ds []Decision, opt Options) (Instance, error)
-}
-
-func (m *vmachModel) Name() string              { return m.name }
-func (m *vmachModel) Params() map[string]string { return m.params }
-func (m *vmachModel) Primary() Action           { return m.primary }
-func (m *vmachModel) Pausable() bool            { return true }
-func (m *vmachModel) New(ds []Decision, opt Options) (Instance, error) {
-	return m.build(m, ds, opt)
-}
-
 type vmachInstance struct {
 	k      *kernel.Kernel
-	vio    *violations
+	vio    violations
 	done   bool
 	ended  bool
 	runErr error
@@ -51,6 +35,22 @@ type vmachInstance struct {
 	expectCrash bool
 	// finish applies the model's end-state invariants.
 	finish func()
+}
+
+// newVmachInstance builds the standard model-checking kernel around an
+// instance: schedule injector installed (always, so step ordinals
+// count), timer parked.
+func newVmachInstance(strat kernel.Strategy, ds []Decision, opt Options) *vmachInstance {
+	k := kernel.New(kernel.Config{
+		Strategy:  strat,
+		Quantum:   modelQuantum,
+		MaxCycles: modelBudget,
+		Faults:    newInjector(chaos.PointStep, ds),
+	})
+	if opt.Tracer != nil {
+		k.Tracer = opt.Tracer
+	}
+	return &vmachInstance{k: k, expectCrash: hasAct(ds, ActCrash)}
 }
 
 func (in *vmachInstance) step() {
@@ -76,30 +76,12 @@ func (in *vmachInstance) RunToEnd() {
 		return
 	}
 	in.ended = true
-	in.classify()
-	if in.finish != nil {
-		in.finish()
+	if !errors.Is(in.runErr, kernel.ErrMachineCrash) {
+		in.vio.terminal(in.runErr, -1)
+	} else if !in.expectCrash {
+		in.vio.add("crash", "%v", in.runErr)
 	}
-}
-
-// classify folds the kernel's terminal error into the violation taxonomy.
-func (in *vmachInstance) classify() {
-	err := in.runErr
-	switch {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	case errors.Is(err, kernel.ErrMachineCrash):
-		if !in.expectCrash {
-			in.vio.add("crash", "%v", err)
-		}
-	default:
-		in.vio.add("abort", "%v", err)
-	}
+	in.finish()
 }
 
 func (in *vmachInstance) Cursor() uint64          { return in.k.Steps() }
@@ -117,19 +99,25 @@ func hasAct(ds []Decision, a Action) bool {
 	return false
 }
 
-// newVmachKernel builds the standard model-checking kernel: schedule
-// injector installed (always, so step ordinals count), timer parked.
-func newVmachKernel(strat kernel.Strategy, ds []Decision, opt Options) *kernel.Kernel {
-	k := kernel.New(kernel.Config{
-		Strategy:  strat,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Faults:    newInjector(chaos.PointStep, ds),
-	})
-	if opt.Tracer != nil {
-		k.Tracer = opt.Tracer
+// currentTID is the ID of the thread k is running, or -1 between
+// threads.
+func currentTID(k *kernel.Kernel) int {
+	if t := k.Current(); t != nil {
+		return t.ID
 	}
-	return k
+	return -1
+}
+
+// threadDead reports whether tid names no live thread of k.
+func threadDead(k *kernel.Kernel, tid int) bool {
+	if tid < 0 || tid >= len(k.Threads()) {
+		return true
+	}
+	switch k.Threads()[tid].State {
+	case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
+		return true
+	}
+	return false
 }
 
 // watchMutexCounter installs the mutual-exclusion and lost-update
@@ -138,14 +126,8 @@ func newVmachKernel(strat kernel.Strategy, ds []Decision, opt Options) *kernel.K
 // losing test-and-set harmlessly re-storing 1 does not false-positive.
 func watchMutexCounter(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) {
 	holder := -1
-	cur := func() int {
-		if t := k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
 	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := cur()
+		me := currentTID(k)
 		switch {
 		case old == 0 && new != 0:
 			holder = me
@@ -157,7 +139,7 @@ func watchMutexCounter(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violat
 		}
 	})
 	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		me := cur()
+		me := currentTID(k)
 		if me != holder {
 			v.add("mutual-exclusion", "t%d stored counter %d->%d while t%d holds the lock", me, old, new, holder)
 		}
@@ -198,32 +180,29 @@ func counterModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: counter: %v", err)
 	}
-	m := &vmachModel{name: "counter", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
+	return &model{name: "counter", params: p, primary: ActPreempt, new: func(ds []Decision, opt Options) (Instance, error) {
 		strat, err := strategyByName(counterStrategy(mech))
 		if err != nil {
 			return nil, err
 		}
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		k.Spawn(m.prog.MustSymbol("main"), guest.StackTop(0))
-		vio := &violations{}
-		watchMutexCounter(k, m.prog.MustSymbol("lock"), m.prog.MustSymbol("counter"), vio)
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
+		in := newVmachInstance(strat, ds, opt)
+		k := in.k
+		k.Load(prog)
+		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+		watchMutexCounter(k, prog.MustSymbol("lock"), prog.MustSymbol("counter"), &in.vio)
 		want := isa.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
+			got := k.M.Mem.Peek(prog.MustSymbol("counter"))
 			switch {
 			case !kills && got != want:
-				vio.add("counter-exact", "counter = %d, want %d", got, want)
+				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
 			case kills && got > want:
-				vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
+				in.vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
 			}
 		}
 		return in, nil
-	}
-	return m, nil
+	}}, nil
 }
 
 func counterMech(s string) (guest.Mechanism, error) {
@@ -262,32 +241,29 @@ func broken2storeModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: broken2store: %v", err)
 	}
-	m := &vmachModel{name: "broken2store", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
+	return &model{name: "broken2store", params: p, primary: ActPreempt, new: func(ds []Decision, opt Options) (Instance, error) {
 		strat := kernel.NewMultiRegistration()
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		lo, hi := m.prog.MustSymbol("bad_seq"), m.prog.MustSymbol("bad_end")
+		in := newVmachInstance(strat, ds, opt)
+		k := in.k
+		k.Load(prog)
+		lo, hi := prog.MustSymbol("bad_seq"), prog.MustSymbol("bad_end")
 		if err := k.VerifySequence(lo, hi-lo); err == nil {
 			return nil, fmt.Errorf("mcheck: broken2store: verifier accepted the malformed range")
 		}
 		strat.AddRange(lo, hi-lo)
 		for w := 0; w < workers; w++ {
-			k.Spawn(m.prog.MustSymbol("worker"), guest.StackTop(w), isa.Word(iters))
+			k.Spawn(prog.MustSymbol("worker"), guest.StackTop(w), isa.Word(iters))
 		}
-		vio := &violations{}
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
 		want := isa.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
+			got := k.M.Mem.Peek(prog.MustSymbol("counter"))
 			if got != want && !kills {
-				vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
+				in.vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
 			}
 		}
 		return in, nil
-	}
-	return m, nil
+	}}, nil
 }
 
 // recoverableModel checks guest.RecoverableCounterProgram — the
@@ -306,32 +282,29 @@ func recoverableModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: recoverable: %v", err)
 	}
-	m := &vmachModel{name: "recoverable", params: p, primary: ActKill, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		strat, _ := strategyByName(m.params["strategy"])
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		k.Spawn(m.prog.MustSymbol("main"), guest.StackTop(0))
-		vio := &violations{}
-		increments := watchRME(k, m.prog.MustSymbol("lock"), m.prog.MustSymbol("counter"), vio)
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
+	return &model{name: "recoverable", params: p, primary: ActKill, new: func(ds []Decision, opt Options) (Instance, error) {
+		strat, _ := strategyByName(p["strategy"])
+		in := newVmachInstance(strat, ds, opt)
+		k := in.k
+		k.Load(prog)
+		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+		increments := watchRME(k, prog.MustSymbol("lock"), prog.MustSymbol("counter"), &in.vio)
 		want := isa.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
+			got := k.M.Mem.Peek(prog.MustSymbol("counter"))
 			if got != isa.Word(*increments) {
-				vio.add("rme", "counter = %d but %d watched increments", got, *increments)
+				in.vio.add("rme", "counter = %d but %d watched increments", got, *increments)
 			}
 			if !kills && got != want {
-				vio.add("counter-exact", "counter = %d, want %d", got, want)
+				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
 			}
 			if kills && got > want {
-				vio.add("counter-exact", "counter = %d exceeds %d", got, want)
+				in.vio.add("counter-exact", "counter = %d exceeds %d", got, want)
 			}
 		}
 		return in, nil
-	}
-	return m, nil
+	}}, nil
 }
 
 // watchRME installs the recoverable-mutex watchpoints on the owner+epoch
@@ -339,24 +312,8 @@ func recoverableModel(p map[string]string) (Model, error) {
 // and the counter. It returns the watched increment count.
 func watchRME(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) *uint64 {
 	increments := new(uint64)
-	cur := func() int {
-		if t := k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
-	dead := func(tid int) bool {
-		if tid < 0 || tid >= len(k.Threads()) {
-			return true
-		}
-		switch k.Threads()[tid].State {
-		case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-			return true
-		}
-		return false
-	}
 	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := cur()
+		me := currentTID(k)
 		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
 		oldEpoch, newEpoch := old>>16, new>>16
 		switch {
@@ -372,7 +329,7 @@ func watchRME(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) *ui
 			if newOwner != me+1 || newEpoch != oldEpoch+1 {
 				v.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
 			}
-			if !dead(oldOwner - 1) {
+			if !threadDead(k, oldOwner-1) {
 				v.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
 			}
 		}
@@ -380,7 +337,7 @@ func watchRME(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) *ui
 	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
 		*increments++
 		lock := k.M.Mem.Peek(lockAddr)
-		if me := cur(); int(lock&0xFFFF) != me+1 || new != old+1 {
+		if me := currentTID(k); int(lock&0xFFFF) != me+1 || new != old+1 {
 			v.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
 		}
 	})
