@@ -16,7 +16,11 @@
 // Both substrates drive a Plan through the same Injector interface at their
 // natural instrumentation points: the kernel at every dispatch, involuntary
 // suspension, and retired instruction; the uniprocessor runtime at every
-// dispatch and every Load/Store preemption point.
+// dispatch, every Load/Store preemption point and every persist operation.
+// A substrate counts the ordinals of every point, with or without an
+// injector, but consults the injector only through a Cursor, which calls
+// At only at the ordinals the injector's Next hint leaves open: faults are
+// rare, and the common path pays one increment and one compare.
 //
 // The package also defines the Watchdog policy shared by both kernels: the
 // restart-livelock detector that notices a sequence restarting without
@@ -155,17 +159,70 @@ func (a Action) Bits() uint64 {
 	return b
 }
 
-// Injector is consulted by a substrate at each instrumentation point; n is
-// the ordinal of that point kind (1st dispatch, 2nd dispatch, ...), so a
+// Injector decides the faults at each instrumentation point; n is the
+// ordinal of that point kind (1st dispatch, 2nd dispatch, ...), so a
 // deterministic injector yields an exactly reproducible fault schedule.
+// Substrates do not call it directly: a Cursor asks Next where the next
+// fault may land and calls At only there.
 type Injector interface {
+	// At returns the faults requested at the n-th occurrence of p.
 	At(p Point, n uint64) Action
+	// Next returns a conservative hint: an ordinal m >= n such that
+	// At(p, k) is empty for every n <= k < m, or Never when At(p, k) is
+	// empty for every k >= n. Returning n is always correct.
+	Next(p Point, n uint64) uint64
+}
+
+// Never is the Next hint of an injector that will not fire again at a
+// point.
+const Never = ^uint64(0)
+
+// Cursor consults an injector on behalf of one substrate. It remembers,
+// per point, the ordinal below which the injector's Next hint promised no
+// fault, and calls the injector only once an ordinal reaches it. Ordinals
+// at each point must not decrease between calls. A cursor is derived
+// state: a substrate restored from a checkpoint builds a fresh one, whose
+// hints are stale only on the low side.
+type Cursor struct {
+	inj  Injector
+	next [PointPersist + 1]uint64 // no fault below this ordinal
+}
+
+// NewCursor returns a cursor over inj; a nil inj never fires.
+func NewCursor(inj Injector) Cursor {
+	c := Cursor{inj: inj}
+	if inj == nil {
+		for i := range c.next {
+			c.next[i] = Never
+		}
+	}
+	return c
+}
+
+// At returns the faults requested at the n-th occurrence of p, and
+// whether there are any.
+func (c *Cursor) At(p Point, n uint64) (a Action, ok bool) {
+	if n >= c.next[p] {
+		a, ok = c.consult(p, n)
+	}
+	return
+}
+
+func (c *Cursor) consult(p Point, n uint64) (Action, bool) {
+	if m := c.inj.Next(p, n); m > n {
+		c.next[p] = m
+		return Action{}, false
+	}
+	c.next[p] = n + 1
+	a := c.inj.At(p, n)
+	return a, a.Any()
 }
 
 // Plan is the deterministic seeded injector: every decision is a pure
 // function of (Seed, point, ordinal). Rates are probabilities in units of
-// 1/65536 per opportunity. At caches the seed-derived part of the hash in
-// the Plan, so one Plan must not be consulted from two goroutines at once.
+// 1/65536 per opportunity. At and Next cache the seed-derived part of the
+// hash in the Plan, so one Plan must not be consulted from two goroutines
+// at once.
 type Plan struct {
 	Seed  uint64
 	Level float64 // intensity this plan was built with (informational)
@@ -183,7 +240,7 @@ type Plan struct {
 
 	// prefix holds, for each Point At decides on, the seed-only part of
 	// Derive(Seed, pt+1, n); prefixSeed is the Seed it was built for, so
-	// a Plan literal or a reassigned Seed rebuilds it on the next At.
+	// a Plan literal or a reassigned Seed rebuilds it on the next use.
 	prefix     [PointMemOp + 1]uint64
 	prefixSeed uint64
 	prefixOK   bool
@@ -229,10 +286,7 @@ func (p *Plan) At(pt Point, n uint64) Action {
 	if pt < PointDispatch || pt > PointMemOp {
 		return a
 	}
-	if !p.prefixOK || p.prefixSeed != p.Seed {
-		p.fillPrefix()
-	}
-	h := splitmix64(p.prefix[pt] ^ n) // = Derive(p.Seed, uint64(pt)+1, n)
+	h := splitmix64(p.seedPrefix(pt) ^ n) // = Derive(p.Seed, uint64(pt)+1, n)
 	switch pt {
 	case PointStep, PointMemOp:
 		if uint32(h&0xFFFF) < p.PreemptRate {
@@ -260,14 +314,55 @@ func (p *Plan) At(pt Point, n uint64) Action {
 	return a
 }
 
-// fillPrefix caches the seed-only rounds of Derive(Seed, pt+1, n) for
-// every Point At decides on.
-func (p *Plan) fillPrefix() {
-	h := splitmix64(p.Seed)
-	for i := range p.prefix {
-		p.prefix[i] = splitmix64(h ^ uint64(i+1))
+// nextScan bounds how many ordinals one Plan.Next call hashes ahead.
+const nextScan = 4096
+
+// Next implements Injector. Step and memory-op faults are found by
+// hashing ordinals ahead, at most nextScan of them; jitter may change
+// every dispatch, so a jittering plan returns n there.
+func (p *Plan) Next(pt Point, n uint64) uint64 {
+	var r0, r1, r2 uint32 // rates tested on hash bits 0, 16 and 32
+	switch pt {
+	case PointStep, PointMemOp:
+		r0, r1, r2 = p.PreemptRate, p.SpuriousRate, p.KillRate
+	case PointSuspend:
+		r0, r1 = p.EvictCodeRate, p.EvictDataRate
+	case PointDispatch:
+		if p.MaxJitter > 0 {
+			return n
+		}
+		return Never
+	default:
+		return Never
 	}
-	p.prefixSeed, p.prefixOK = p.Seed, true
+	if r0 == 0 && r1 == 0 && r2 == 0 {
+		return Never
+	}
+	pre := p.seedPrefix(pt)
+	end := n + nextScan
+	if end < n {
+		end = Never
+	}
+	for m := n; m < end; m++ {
+		h := splitmix64(pre ^ m)
+		if uint32(h&0xFFFF) < r0 || uint32(h>>16&0xFFFF) < r1 || uint32(h>>32&0xFFFF) < r2 {
+			return m
+		}
+	}
+	return end
+}
+
+// seedPrefix returns the seed-only rounds of Derive(Seed, pt+1, n),
+// rebuilding the cache when the Plan is new or its Seed was reassigned.
+func (p *Plan) seedPrefix(pt Point) uint64 {
+	if !p.prefixOK || p.prefixSeed != p.Seed {
+		h := splitmix64(p.Seed)
+		for i := range p.prefix {
+			p.prefix[i] = splitmix64(h ^ uint64(i+1))
+		}
+		p.prefixSeed, p.prefixOK = p.Seed, true
+	}
+	return p.prefix[pt]
 }
 
 // Repro renders the one-line reproducer for this plan against the chaos
@@ -314,6 +409,14 @@ func (o OneShot) At(p Point, n uint64) Action {
 	return Action{}
 }
 
+// Next implements Injector.
+func (o OneShot) Next(p Point, n uint64) uint64 {
+	if p == o.Point && n <= o.N {
+		return o.N
+	}
+	return Never
+}
+
 // composed merges several injectors: flags are OR-ed, jitters summed.
 type composed []Injector
 
@@ -347,6 +450,15 @@ func (c composed) At(p Point, n uint64) Action {
 		a.Jitter += x.Jitter
 	}
 	return a
+}
+
+// Next implements Injector: the earliest hint of any child.
+func (c composed) Next(p Point, n uint64) uint64 {
+	m := Never
+	for _, in := range c {
+		m = min(m, in.Next(p, n))
+	}
+	return m
 }
 
 // Watchdog policies ----------------------------------------------------------

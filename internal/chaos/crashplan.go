@@ -181,3 +181,12 @@ func Offset(inner Injector, base uint64) Injector {
 func (o offset) At(p Point, n uint64) Action {
 	return o.inner.At(p, o.base+n)
 }
+
+// Next implements Injector.
+func (o offset) Next(p Point, n uint64) uint64 {
+	m := o.inner.Next(p, o.base+n)
+	if m == Never {
+		return Never
+	}
+	return m - o.base
+}

@@ -143,6 +143,9 @@ func (g *gateInjector) At(pt chaos.Point, _ uint64) chaos.Action {
 	return chaos.Action{}
 }
 
+// Next gives no hint: the gate can open at any ordinal.
+func (g *gateInjector) Next(_ chaos.Point, n uint64) uint64 { return n }
+
 // With RepromoteAfter armed, a demoted mechanism returns to the fast path
 // after a quiet spell, and each re-demotion doubles the wait.
 func TestDegradingRepromotesWithHysteresis(t *testing.T) {

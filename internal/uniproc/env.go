@@ -91,11 +91,8 @@ func (e *Env) chaosMemOp() {
 	p := e.p
 	p.memOps++ // counted even without an injector: a fault-free reference
 	// run reports the same ordinal stream a kill schedule will see.
-	if p.faults == nil {
-		return
-	}
-	act := p.faults.At(chaos.PointMemOp, p.memOps)
-	if !act.Preempt && !act.SpuriousSuspend && !act.Kill && !act.Crash && !act.CrashVolatile {
+	act, ok := p.faultAt.At(chaos.PointMemOp, p.memOps)
+	if !ok || !act.Preempt && !act.SpuriousSuspend && !act.Kill && !act.Crash && !act.CrashVolatile {
 		return
 	}
 	if e.masked > 0 {
@@ -337,11 +334,8 @@ func (e *Env) Fence() {
 func (e *Env) chaosPersistOp() {
 	p := e.p
 	p.persistOps++
-	if p.faults == nil {
-		return
-	}
-	act := p.faults.At(chaos.PointPersist, p.persistOps)
-	if !act.Crash && !act.CrashVolatile {
+	act, ok := p.faultAt.At(chaos.PointPersist, p.persistOps)
+	if !ok || !act.Crash && !act.CrashVolatile {
 		return
 	}
 	if e.masked > 0 {

@@ -69,10 +69,11 @@ type Config struct {
 	JitterSeed uint64
 	// MaxCycles aborts runs exceeding the budget. Default 1<<44.
 	MaxCycles uint64
-	// Faults, when non-nil, is consulted at every Load/Store preemption
-	// point (chaos.PointMemOp) and at every dispatch (chaos.PointDispatch)
-	// for deterministic fault injection. Page-eviction actions are ignored:
-	// this layer has no pages.
+	// Faults, when non-nil, decides the faults at every Load/Store
+	// preemption point (chaos.PointMemOp), persist operation
+	// (chaos.PointPersist) and dispatch (chaos.PointDispatch), consulted
+	// only where its Next hint allows a fault. Page-eviction actions are
+	// ignored: this layer has no pages.
 	Faults chaos.Injector
 	// Watchdog configures restart-livelock detection for Restartable
 	// sequences. The zero value (WatchdogOff) preserves the historical
@@ -87,7 +88,7 @@ type Processor struct {
 	quantum  uint64
 	jitter   uint64
 	maxCyc   uint64
-	faults   chaos.Injector
+	faultAt  chaos.Cursor
 	watchdog chaos.Watchdog
 	memOps   uint64 // ordinal of Load/Store injection points
 
@@ -180,7 +181,7 @@ func New(cfg Config) *Processor {
 		quantum:  cfg.Quantum,
 		jitter:   cfg.JitterSeed,
 		maxCyc:   cfg.MaxCycles,
-		faults:   cfg.Faults,
+		faultAt:  chaos.NewCursor(cfg.Faults),
 		watchdog: cfg.Watchdog,
 		schedCh:  make(chan struct{}),
 	}
@@ -351,16 +352,14 @@ func (p *Processor) dispatch(t *Thread) {
 			q = q - q/4 + x%span
 		}
 	}
-	if p.faults != nil {
-		if act := p.faults.At(chaos.PointDispatch, p.Stats.Switches); act.Jitter != 0 {
-			p.Stats.Injected++
-			p.trace(obs.KindInject, t, act.Bits())
-			nq := int64(q) + act.Jitter
-			if nq < 1 {
-				nq = 1
-			}
-			q = uint64(nq)
+	if act, ok := p.faultAt.At(chaos.PointDispatch, p.Stats.Switches); ok && act.Jitter != 0 {
+		p.Stats.Injected++
+		p.trace(obs.KindInject, t, act.Bits())
+		nq := int64(q) + act.Jitter
+		if nq < 1 {
+			nq = 1
 		}
+		q = uint64(nq)
 	}
 	p.sliceEnd = p.clock + q
 }
