@@ -94,7 +94,7 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 
 	calMem := vmach.NewMemory()
 	calMem.EnablePersistence()
-	cal := boot(calMem, chaos.OneShot{Point: chaos.PointStep, N: 1 << 62}, true)
+	cal := boot(calMem, nil, true)
 	if err := cal.Run(); err != nil {
 		return fail("calibration: %v", err)
 	}

@@ -75,11 +75,10 @@ func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool
 			prog, "main", guest.StackTop(0), load)
 	}
 
-	// Calibrate the step span with an installed-but-inert injector (the
-	// step-ordinal counter only advances while an injector is present).
+	// Calibrate the step span on a clean run.
 	calMem := vmach.NewMemory()
 	calMem.EnablePersistence()
-	cal := boot(calMem, chaos.OneShot{Point: chaos.PointStep, N: 1 << 62}, true)
+	cal := boot(calMem, nil, true)
 	if err := cal.Run(); err != nil {
 		return fail("calibration: %v", err)
 	}

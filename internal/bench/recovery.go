@@ -238,7 +238,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 				Strategy: strat(), Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults,
 			}, cfg.Workers, cfg.Iters)
 		}
-		ref := mk(chaos.NewKillPlan(cfg.Seed, 0)) // injects nothing, counts steps
+		ref := mk(nil)
 		if err := ref.verify(ref.k.Run()); err != nil {
 			return nil, fmt.Errorf("%s: reference: %v (repro: %s)", name, err, tableRepro("recovery", cfg.Seed))
 		}
@@ -310,7 +310,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 		mkCfg := func(faults chaos.Injector) kernel.Config {
 			return kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
 		}
-		ref := newRMEWatch(mkCfg(chaos.NewKillPlan(cfg.Seed, 0)), cfg.Workers, cfg.Iters)
+		ref := newRMEWatch(mkCfg(nil), cfg.Workers, cfg.Iters)
 		if err := ref.verify(ref.k.Run()); err != nil {
 			return nil, fmt.Errorf("vmach/crash-restore: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 		}

@@ -19,15 +19,10 @@ func killAt(cpu int, k uint64) func(int) chaos.Injector {
 }
 
 // cleanSteps runs cfg without faults and returns each CPU's retired
-// step count — the sweep horizon for kill ordinals. The kernel only
-// maintains its fault-point ordinal counter while an injector is
-// attached, so the clean run carries a never-firing OneShot (ordinals
-// are 1-based; N=0 matches nothing).
+// step count — the sweep horizon for kill ordinals.
 func cleanSteps(t *testing.T, cfg Config) []uint64 {
 	t.Helper()
-	cfg.Faults = func(int) chaos.Injector {
-		return chaos.OneShot{Point: chaos.PointStep}
-	}
+	cfg.Faults = nil
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -70,14 +70,13 @@ func (w *VMWorld) kernelConfig(faults chaos.Injector) kernel.Config {
 
 // CalibrateSpan runs a separate, throwaway machine cleanly and returns
 // its step count — the ordinal span a chaos.CrashPlan should scatter
-// crashes over. (The step counter only advances while an injector is
-// installed, hence the inert one.)
+// crashes over.
 func (w *VMWorld) CalibrateSpan() (uint64, error) {
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
 	k := kernel.Boot(kernel.Config{
 		Strategy: &kernel.Designated{}, CheckAt: kernel.CheckAtResume, Quantum: 300,
-		Memory: mem, Faults: chaos.OneShot{Point: chaos.PointStep, N: 1 << 62},
+		Memory:    mem,
 		MaxCycles: w.cfg.MaxCycles, Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend},
 	}, w.prog, "main", guest.StackTop(0), true)
 	if err := k.Run(); err != nil {

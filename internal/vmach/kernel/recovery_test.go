@@ -147,9 +147,6 @@ func TestRecoverableCounterRepairsOrphan(t *testing.T) {
 	// Find a step at which the lock is held, by probing a fault-free run.
 	probe := newRMEHarness(t, Config{Strategy: &Registration{}, Quantum: 300}, 3, 40)
 	heldAt := uint64(0)
-	// steps only advance with an injector installed; use a plan injecting
-	// nothing so the reference learns the same ordinal stream.
-	probe.k.faults = chaos.NewKillPlan(1, 0)
 	for {
 		fin, err := probe.k.RunSteps(1)
 		if err != nil {

@@ -10,11 +10,6 @@ import (
 	"repro/internal/vmach/kernel"
 )
 
-// nullShot is an injector that never fires but keeps the kernel counting
-// step ordinals, so a position recorded on one run can be targeted by a
-// OneShot on an identical second run.
-var nullShot = chaos.OneShot{Point: chaos.PointStep, N: ^uint64(0)}
-
 // stepUntilPC single-steps one CPU until its running thread is about to
 // execute pc, and returns that kernel's step ordinal there.
 func stepUntilPC(t *testing.T, s *System, cpu int, pc uint32) uint64 {
@@ -36,7 +31,7 @@ func stepUntilPC(t *testing.T, s *System, cpu int, pc uint32) uint64 {
 // reservation immediately — exactly as a context switch does — so a
 // later thread's sc can never succeed against the dead thread's ll.
 func TestKillClearsReservation(t *testing.T) {
-	s := New(Config{CPUs: 1, Faults: func(int) chaos.Injector { return nullShot }})
+	s := New(Config{CPUs: 1})
 	prog := guest.Assemble(guest.SMPCounterProgram(guest.SMPLLSC, 1))
 	s.Load(prog)
 	const iters = 5
@@ -137,7 +132,7 @@ func TestCrashDuringHybridHandoff(t *testing.T) {
 	}
 
 	// Pass 1: find the step ordinal at which CPU0 enters the handoff.
-	probe, unbiasPC, _ := build(func(int) chaos.Injector { return nullShot })
+	probe, unbiasPC, _ := build(nil)
 	at := stepUntilPC(t, probe, 0, unbiasPC)
 
 	// Pass 2: same trajectory, machine crash at that ordinal.
