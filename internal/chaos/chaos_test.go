@@ -320,12 +320,86 @@ func TestPlanAtMatchesDerive(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanAt is the host cost of one chaos probe at a retired step,
-// the call the kernel makes after every guest instruction under a plan.
-func BenchmarkPlanAt(b *testing.B) {
+// nextWindow is how far past n FuzzInjectorNext checks a hint by brute
+// force: twice Plan's scan bound, so a plan's capped hint is followed
+// at least once.
+const nextWindow = 2 * nextScan
+
+// FuzzInjectorNext holds the Next contract for every injector in the
+// package: Next(p, n) >= n, and At(p, k) is empty for every k from n up
+// to the hint. It follows hints across a window of ordinals past n, and
+// checks that a Cursor over the injector reports exactly the faults At
+// does.
+func FuzzInjectorNext(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint8(64), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(1), uint64(0))
+	f.Add(uint8(1), uint64(0xBEEF), uint8(255), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(700), uint64(0))
+	f.Add(uint8(2), uint64(7), uint8(0), uint16(0), uint16(0), uint16(16), uint16(0), uint16(0), uint16(0), uint64(0), uint64(0))
+	f.Add(uint8(2), uint64(8), uint8(0), uint16(300), uint16(0), uint16(0), uint16(9000), uint16(0), uint16(0), uint64(5), uint64(0))
+	f.Add(uint8(2), uint64(9), uint8(0), uint16(0), uint16(40), uint16(0), uint16(0), uint16(500), uint16(3), uint64(5), uint64(0))
+	f.Add(uint8(2), uint64(10), uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(5), uint64(0))
+	f.Add(uint8(3), uint64(2), uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(40), uint64(100))
+	f.Add(uint8(4), uint64(3), uint8(128), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(90), uint64(200))
+	f.Add(uint8(5), uint64(4), uint8(255), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint64(3), uint64(60))
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, level uint8,
+		preempt, spurious, kill, evictCode, evictData, jitter uint16, n, shotAt uint64) {
+		n %= 1 << 40
+		shotAt %= 1 << 40
+		plan := NewPlan(seed, float64(level)/255)
+		switch kind % 3 {
+		case 1:
+			plan = NewKillPlan(seed, float64(level)/255)
+		case 2:
+			plan = &Plan{Seed: seed, PreemptRate: uint32(preempt), SpuriousRate: uint32(spurious),
+				KillRate: uint32(kill), EvictCodeRate: uint32(evictCode), EvictDataRate: uint32(evictData),
+				MaxJitter: int64(jitter % 64)}
+		}
+		shot := OneShot{Point: Point(seed % 5), N: shotAt, Action: Action{Kill: true}}
+		var inj Injector
+		switch kind / 3 % 3 {
+		case 0:
+			inj = plan
+		case 1:
+			inj = shot
+		case 2:
+			inj = Compose(plan, shot)
+		}
+		if kind/9%2 == 1 {
+			inj = Offset(inj, shotAt/2)
+		}
+		for p := PointDispatch; p <= PointPersist; p++ {
+			end := n + nextWindow
+			for k := n; k < end; {
+				m := inj.Next(p, k)
+				if m < k {
+					t.Fatalf("%v: Next(%d) = %d, below its argument", p, k, m)
+				}
+				for ; k < m && k < end; k++ {
+					if a := inj.At(p, k); a.Any() {
+						t.Fatalf("%v: Next hinted %d but At(%d) = %+v", p, m, k, a)
+					}
+				}
+				k++ // m itself may fire
+			}
+			c := NewCursor(inj)
+			for k := n; k < end; k++ {
+				want := inj.At(p, k)
+				if got, ok := c.At(p, k); got != want || ok != want.Any() {
+					t.Fatalf("%v/%d: cursor gave %+v, %v; At gives %+v", p, k, got, ok, want)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkPlanNext is the host cost per ordinal of finding a plan's
+// faults at retired steps, as a kernel's Cursor does: one Next call per
+// stretch of fault-free ordinals and one At call per fault.
+func BenchmarkPlanNext(b *testing.B) {
 	p := NewPlan(0xBEEF, 0.25)
-	for i := 0; i < b.N; i++ {
-		planSink = p.At(PointStep, uint64(i))
+	for n := uint64(0); n < uint64(b.N); n++ {
+		if n = p.Next(PointStep, n); n < uint64(b.N) {
+			planSink = p.At(PointStep, n)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package mcheck
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/chaos"
 )
 
 func TestSchedRoundTrip(t *testing.T) {
@@ -118,5 +120,35 @@ func TestFormatIsCommentFriendly(t *testing.T) {
 	withNoise := "# hand-edited\n\n" + text + "\n# trailing\n"
 	if _, err := Parse([]byte(withNoise)); err != nil {
 		t.Errorf("comments/blank lines rejected: %v", err)
+	}
+}
+
+// The schedule injector's Next hint is exact: it names the next decision
+// ordinal at the injector's own point, chaos.Never past the last decision
+// and at every other point, and At is empty everywhere it skips.
+func TestInjectorNext(t *testing.T) {
+	for _, ds := range [][]Decision{
+		nil,
+		{{At: 1, Act: ActPreempt}},
+		{{At: 2, Act: ActPreempt}, {At: 9, Act: ActKill}, {At: 9, Act: ActCrash}, {At: 4, Act: ActCrashTorn}},
+		{{At: 17, Act: ActCrashVolatile}, {At: 3, Act: ActKill}},
+	} {
+		in := newInjector(chaos.PointStep, ds)
+		for _, p := range []chaos.Point{chaos.PointStep, chaos.PointMemOp} {
+			for n := uint64(0); n < 20; n++ {
+				m := in.Next(p, n)
+				if m < n {
+					t.Fatalf("%v %v: Next(%d) = %d", ds, p, n, m)
+				}
+				for k := n; k < m && k < 20; k++ {
+					if a := in.At(p, k); a.Any() {
+						t.Fatalf("%v %v: Next(%d) = %d skips At(%d) = %+v", ds, p, n, m, k, a)
+					}
+				}
+				if m != chaos.Never && !in.At(p, m).Any() {
+					t.Fatalf("%v %v: Next(%d) = %d names no decision", ds, p, n, m)
+				}
+			}
+		}
 	}
 }

@@ -2,11 +2,15 @@ package kernel
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/chaos"
 	"repro/internal/guest"
+	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/vmach"
 )
 
 // bootCounter assembles the mutual-exclusion counter workload for a
@@ -251,5 +255,55 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	c2, s2 := run()
 	if c1 != c2 || s1 != s2 {
 		t.Errorf("replay diverged: %d/%+v vs %d/%+v", c1, s1, c2, s2)
+	}
+}
+
+// injectLog is a tracer keeping only fault-injection events.
+type injectLog []obs.Event
+
+func (l *injectLog) Event(ev obs.Event) {
+	if ev.Type == obs.KindInject {
+		*l = append(*l, ev)
+	}
+}
+
+// A Next hint only saves work: a kill plan consulted through its hints
+// and the same plan consulted at every ordinal give the same run, fault
+// for fault.
+func TestChaosHintChangesNoRun(t *testing.T) {
+	type result struct {
+		Err     string
+		Stats   Stats
+		MStats  vmach.Stats
+		Steps   uint64
+		Counter isa.Word
+		Injects injectLog
+	}
+	run := func(faults chaos.Injector) result {
+		k, counterAddr, _ := bootCounter(t, Config{
+			Strategy: &Designated{}, CheckAt: CheckAtResume, Quantum: 300,
+			Faults: faults, MaxCycles: 5_000_000,
+			Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend},
+		}, guest.MechDesignated, 4, 300)
+		var r result
+		k.Tracer = &r.Injects
+		if err := k.Run(); err != nil {
+			r.Err = err.Error()
+		}
+		r.Stats, r.MStats, r.Steps = k.Stats, k.M.Stats, k.Steps()
+		r.Counter = k.M.Mem.Peek(counterAddr)
+		return r
+	}
+	for _, seed := range []uint64{1, 0xC0FFEE} {
+		hinted := run(chaos.NewKillPlan(seed, 1))
+		every := run(injectorFunc(chaos.NewKillPlan(seed, 1).At))
+		if hinted.Stats.Kills == 0 || len(hinted.Injects) == 0 {
+			t.Fatalf("seed %#x: the plan killed %d threads in %d injections; the test needs both",
+				seed, hinted.Stats.Kills, len(hinted.Injects))
+		}
+		if !reflect.DeepEqual(hinted, every) {
+			t.Errorf("seed %#x: hinted run differs from the every-ordinal run:\n%+v\n%+v",
+				seed, hinted, every)
+		}
 	}
 }

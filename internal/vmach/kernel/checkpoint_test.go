@@ -79,9 +79,21 @@ func compareRuns(t *testing.T, got, want *Kernel) {
 }
 
 // A checkpoint taken at any step cut restores into a fresh kernel and
-// replays to the exact final state of an uninterrupted run.
+// replays to the exact final state of an uninterrupted run, with no
+// injector and under a seeded plan: the restored kernel's fault cursor
+// must resume the plan at the captured step ordinal.
 func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
-	ref := ckptBoot(t, nil)
+	for _, faults := range []func() chaos.Injector{
+		func() chaos.Injector { return nil },
+		func() chaos.Injector { return chaos.NewPlan(0x5EED, 0.5) },
+	} {
+		checkpointReplays(t, faults)
+	}
+}
+
+func checkpointReplays(t *testing.T, faults func() chaos.Injector) {
+	t.Helper()
+	ref := ckptBoot(t, faults())
 	if err := ref.Run(); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -92,7 +104,7 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 
 	for _, frac := range []uint64{1, 2, 3} {
 		cut := total * frac / 4
-		k := ckptBoot(t, nil)
+		k := ckptBoot(t, faults())
 		if fin, err := k.RunSteps(cut); fin {
 			t.Fatalf("cut %d: run finished early (%v)", cut, err)
 		}
@@ -112,7 +124,7 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 			t.Fatalf("cut %d: re-encoding is not bit-identical", cut)
 		}
 
-		k2, err := Restore(ckptConfig(nil), dec)
+		k2, err := Restore(ckptConfig(faults()), dec)
 		if err != nil {
 			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
