@@ -225,6 +225,14 @@ type suiteTally struct {
 	wall       time.Duration
 }
 
+// perSecond is n per second of d, or 0 over no time at all.
+func perSecond(n int, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
+}
+
 // runSuite runs the given suite entries in order (`-suite` passes the
 // whole canned suite), printing one status line per entry and a per-model
 // summary. It returns 0 only if every outcome matched its expectation.
@@ -278,23 +286,25 @@ func runSuite(c *config, ents []mcheck.SuiteEntry, out, errw io.Writer) int {
 		}
 	}
 	// Per-model summary: how much schedule space each model's entries
-	// cover and what it costs, so suite growth stays visible in CI logs.
-	fmt.Fprintf(out, "\n%-16s %7s %10s %8s %8s %10s %10s\n",
-		"model", "entries", "schedules", "states", "pruned", "violations", "wall")
+	// cover and what it costs, so suite growth and checker speed stay
+	// visible in CI logs.
+	fmt.Fprintf(out, "\n%-16s %7s %10s %8s %8s %10s %10s %9s\n",
+		"model", "entries", "schedules", "states", "pruned", "violations", "wall", "sched/s")
 	var totEnt, totSched, totPruned int
 	var totWall time.Duration
 	for _, name := range order {
 		tl := tallies[name]
-		fmt.Fprintf(out, "%-16s %7d %10d %8d %8d %10d %10s\n",
+		fmt.Fprintf(out, "%-16s %7d %10d %8d %8d %10d %10s %9.0f\n",
 			name, tl.entries, tl.schedules, tl.states, tl.pruned, tl.violations,
-			tl.wall.Round(time.Millisecond))
+			tl.wall.Round(time.Millisecond), perSecond(tl.schedules, tl.wall))
 		totEnt += tl.entries
 		totSched += tl.schedules
 		totPruned += tl.pruned
 		totWall += tl.wall
 	}
-	fmt.Fprintf(out, "%-16s %7d %10d %8s %8d %10s %10s\n",
-		"total", totEnt, totSched, "", totPruned, "", totWall.Round(time.Millisecond))
+	fmt.Fprintf(out, "%-16s %7d %10d %8s %8d %10s %10s %9.0f\n",
+		"total", totEnt, totSched, "", totPruned, "", totWall.Round(time.Millisecond),
+		perSecond(totSched, totWall))
 
 	if failures > 0 {
 		fmt.Fprintf(errw, "rascheck: %d suite entries failed\n", failures)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -125,6 +126,12 @@ func TestSuite(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "suite: all checks matched expectations") {
 		t.Errorf("no final verdict:\n%s", out.String())
+	}
+	if !regexp.MustCompile(`(?m)^model +entries +schedules +states +pruned +violations +wall +sched/s$`).MatchString(out.String()) {
+		t.Errorf("no per-model summary header with a sched/s column:\n%s", out.String())
+	}
+	if !regexp.MustCompile(`(?m)^total +2 +\d+ +\d+ +\S+ +\d+$`).MatchString(out.String()) {
+		t.Errorf("no total row ending in a schedules/s figure:\n%s", out.String())
 	}
 	if n := strings.Count(out.String(), "ok  "); n != 2 {
 		t.Errorf("%d suite entries ok, want 2:\n%s", n, out.String())

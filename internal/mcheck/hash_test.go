@@ -5,14 +5,35 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/vmach"
 	"repro/internal/vmach/kernel"
 	"repro/internal/vmach/smp"
 )
 
 // The reference hashes: a full Capture, memory image included,
 // normalized, run through the checkpoint encoder and sha256'd. They
-// define the equivalence relation on states that the digest-based hashes
+// define the equivalence relation on states that the key-based hashes
 // in hash.go must keep.
+
+// normalizeKernel zeroes the accounting in a kernel capture: the fields
+// that cannot influence any future transition under the model checker's
+// run conditions. Everything else passes through untouched.
+func normalizeKernel(s *kernel.Snapshot) {
+	s.SliceAt = 0            // absolute timer deadline: cycles + quantum
+	s.Steps = 0              // the decision cursor itself
+	s.Stats = kernel.Stats{} // pure accounting
+	for i := range s.Threads {
+		t := &s.Threads[i]
+		t.Suspensions = 0 // accounting
+		t.Restarts = 0    // accounting
+		// Watchdog bookkeeping: dead state without a watchdog installed.
+		t.SeqPC = 0
+		t.SeqRestarts = 0
+		t.Extended = false
+		t.BoostSlice = false
+	}
+	s.Machine.Stats = vmach.Stats{}
+}
 
 func refHashKernel(k *kernel.Kernel) [32]byte {
 	s := k.Capture()
@@ -103,7 +124,7 @@ func (in *hashPairInstance) StateHash() ([32]byte, bool) {
 	return h, ok
 }
 
-// TestStateHashPartition checks that the digest-based state hashes
+// TestStateHashPartition checks that the key-based state hashes
 // partition states exactly as the Encode-based reference does: across
 // every StateHash of each walk, reference hash and hash determine each
 // other. A page whose stale digest survived a write would merge states
@@ -120,6 +141,10 @@ func TestStateHashPartition(t *testing.T) {
 		{"journal", map[string]string{"mode": "redo"}, 2},
 		{"smp-counter", map[string]string{"lock": "llsc"}, 2},
 		{"qlock-queue", map[string]string{"variant": "mcs"}, 1},
+		// The percpu walks are the ones that reach a non-empty
+		// MultiRegistration table.
+		{"percpu-freelist", map[string]string{"variant": "ras"}, 2},
+		{"percpu-server", map[string]string{"variant": "percpu"}, 1},
 	}
 	for _, w := range walks {
 		t.Run(w.model+"{"+paramString(w.over)+"}", func(t *testing.T) {
@@ -144,5 +169,77 @@ func TestStateHashPartition(t *testing.T) {
 			}
 			t.Logf("%d hashes, %d distinct states, %d pruned", m.calls, rep.States, rep.Pruned)
 		})
+	}
+}
+
+// pausedState is a named instance paused mid-run.
+type pausedState struct {
+	name string
+	in   Instance
+}
+
+// pausedStates builds the two paused states the host benchmark and the
+// allocation pin hash: an smp-counter{lock=hybrid} interleaver and a
+// counter{mech=registered} kernel, each paused halfway through its
+// undisturbed run.
+func pausedStates(tb testing.TB) []pausedState {
+	tb.Helper()
+	var out []pausedState
+	for _, w := range []struct {
+		model string
+		over  map[string]string
+	}{
+		{"smp-counter", map[string]string{"lock": "hybrid"}},
+		{"counter", map[string]string{"mech": "registered"}},
+	} {
+		m, err := BuildModel(w.model, w.over)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		probe, err := m.New(nil, Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		probe.RunToEnd()
+		in, err := m.New(nil, Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if in.RunTo(probe.Cursor() / 2) {
+			tb.Fatalf("%s: the run ended before its midpoint", w.model)
+		}
+		out = append(out, pausedState{w.model + "{" + paramString(w.over) + "}", in})
+	}
+	return out
+}
+
+// BenchmarkStateHash is the host cost of one StateHash of a paused
+// state whose memory digests are warm: the key, the digest combine and
+// the sha256 over them.
+func BenchmarkStateHash(b *testing.B) {
+	for _, p := range pausedStates(b) {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink, _ = p.in.StateHash()
+			}
+		})
+	}
+}
+
+// hashSink keeps BenchmarkStateHash's hashes live.
+var hashSink [32]byte
+
+// Re-hashing an unchanged paused state allocates nothing: the key is
+// read from the live kernels into a pooled buffer, and the memory digest
+// reuses its own scratch space.
+func TestStateHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	for _, p := range pausedStates(t) {
+		if n := testing.AllocsPerRun(100, func() { p.in.StateHash() }); n != 0 {
+			t.Errorf("%s: %v allocations per StateHash, want 0", p.name, n)
+		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 //
 // The entries live beside the pages, not in them, so a page stays one
 // 4 KiB allocation; a memory that is never hashed has no entries at all,
-// and its stores pay one nil check.
+// and its stores pay one nil check. Digest assembles the page digests
+// and the rest of the state in scratch buffers the memory keeps, so a
+// warm Digest allocates nothing.
 
 // pageDigest is the cached digest of one page.
 type pageDigest struct {
@@ -40,8 +42,7 @@ func (m *Memory) Digest() [sha256.Size]byte {
 		m.indexDigests()
 	}
 	le := binary.LittleEndian
-	b := make([]byte, 0, 4+len(m.digestOrder)*(4+sha256.Size)+64)
-	b = le.AppendUint32(b, uint32(len(m.digestOrder)))
+	b := le.AppendUint32(m.digestBuf[:0], uint32(len(m.digestOrder)))
 	for _, d := range m.digestOrder {
 		if !d.valid {
 			d.sum, d.valid = digestPage(d.page), true
@@ -49,26 +50,24 @@ func (m *Memory) Digest() [sha256.Size]byte {
 		b = le.AppendUint32(b, d.pn)
 		b = append(b, d.sum[:]...)
 	}
-	notPresent := make([]uint32, 0, len(m.notPresent))
-	for pn := range m.notPresent {
-		notPresent = append(notPresent, pn)
-	}
-	slices.Sort(notPresent)
-	b = appendU32s(b, notPresent)
+	keys := sortedKeys(m.digestKeys[:0], m.notPresent)
+	b = appendU32s(b, keys)
 	if m.persist {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	lines := m.DirtyLines()
-	b = le.AppendUint32(b, uint32(len(lines)))
-	for _, ln := range lines {
+	keys = sortedKeys(keys[:0], m.nvLines)
+	b = le.AppendUint32(b, uint32(len(keys)))
+	for _, ln := range keys {
 		b = le.AppendUint32(b, ln)
 		for _, w := range m.nvLines[ln] {
 			b = le.AppendUint32(b, uint32(w))
 		}
 	}
-	b = appendU32s(b, m.PendingLines())
+	keys = sortedKeys(keys[:0], m.pending)
+	b = appendU32s(b, keys)
+	m.digestBuf, m.digestKeys = b, keys
 	return sha256.Sum256(b)
 }
 

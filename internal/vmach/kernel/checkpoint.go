@@ -1,8 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/vmach"
@@ -85,8 +86,7 @@ func (k *Kernel) Capture() *Snapshot {
 }
 
 // CaptureWithoutMemory is Capture with the machine's memory image left
-// empty. The SMP container captures its shared memory once on its own,
-// and the model checker hashes memory through vmach.Memory.Digest.
+// empty. The SMP container captures its shared memory once on its own.
 func (k *Kernel) CaptureWithoutMemory() *Snapshot {
 	s := &Snapshot{
 		Strategy:       k.Strategy.Name(),
@@ -127,24 +127,111 @@ func (k *Kernel) CaptureWithoutMemory() *Snapshot {
 	for _, t := range k.runq {
 		s.RunQ = append(s.RunQ, int32(t.ID))
 	}
-	for as, r := range k.rasBySpace {
+	for _, as := range sortedKeys(nil, k.rasBySpace) {
+		r := k.rasBySpace[as]
 		s.Ras = append(s.Ras, RasImage{AS: int32(as), Start: r.start, Length: r.length})
 	}
-	sort.Slice(s.Ras, func(i, j int) bool { return s.Ras[i].AS < s.Ras[j].AS })
 	if mr, ok := k.Strategy.(*MultiRegistration); ok {
 		for _, r := range mr.ranges {
 			s.MultiRanges = append(s.MultiRanges, RangeImage{Start: r.start, Length: r.length})
 		}
 	}
-	for addr, q := range k.waitq {
+	for _, addr := range sortedKeys(nil, k.waitq) {
 		w := WaitImage{Addr: addr}
-		for _, t := range q {
+		for _, t := range k.waitq[addr] {
 			w.TIDs = append(w.TIDs, int32(t.ID))
 		}
 		s.Waits = append(s.Waits, w)
 	}
-	sort.Slice(s.Waits, func(i, j int) bool { return s.Waits[i].Addr < s.Waits[j].Addr })
 	return s
+}
+
+// AppendStateKey appends to b a key of the kernel's behavioral state,
+// read straight from the live kernel: every field a Capture records
+// except the memory image, which is hashed through vmach.Memory.Digest,
+// and the accounting — the timer deadline (SliceAt), the step cursor,
+// the kernel and machine Stats, the per-thread suspension and restart
+// counts and the watchdog bookkeeping. Under the model checker's run
+// conditions (no timer preemption, no watchdog, no evictions, a cycle
+// budget far above any run) none of those influences a future
+// transition. TestStateKeyFields pins which Snapshot fields are which.
+//
+// The key is self-delimiting, so the keys of several kernels concatenate
+// injectively, and two kernels append equal keys exactly when their
+// captures agree on every keyed field.
+func (k *Kernel) AppendStateKey(b []byte) []byte {
+	e := encoder{b: b}
+	e.str(k.Strategy.Name())
+	e.u64(k.Quantum)
+	if k.cur != nil {
+		e.i32(int32(k.cur.ID))
+	} else {
+		e.i32(-1)
+	}
+	e.u32(k.userHandler)
+	e.boolean(k.hasUserHandler)
+	e.u32(uint32(len(k.Console)))
+	for _, w := range k.Console {
+		e.u32(uint32(w))
+	}
+	e.u32(uint32(len(k.threads)))
+	for _, t := range k.threads {
+		e.i32(int32(t.AS))
+		encodeContext(&e, &t.Ctx)
+		e.i32(int32(t.State))
+		e.u32(uint32(t.ExitCode))
+		if t.Fault != nil {
+			e.i32(int32(t.Fault.Kind))
+			e.u32(t.Fault.Addr)
+		} else {
+			e.i32(-1)
+			e.u32(0)
+		}
+		e.boolean(t.needsCheck)
+	}
+	e.u32(uint32(len(k.runq)))
+	for _, t := range k.runq {
+		e.i32(int32(t.ID))
+	}
+	// The map keys are sorted in stack arrays: a state has a handful of
+	// address spaces and mutexes, so the sorts allocate nothing.
+	var spaces [8]int
+	e.u32(uint32(len(k.rasBySpace)))
+	for _, as := range sortedKeys(spaces[:0], k.rasBySpace) {
+		r := k.rasBySpace[as]
+		e.i32(int32(as))
+		e.u32(r.start)
+		e.u32(r.length)
+	}
+	var ranges []rasRange
+	if mr, ok := k.Strategy.(*MultiRegistration); ok {
+		ranges = mr.ranges
+	}
+	e.u32(uint32(len(ranges)))
+	for _, r := range ranges {
+		e.u32(r.start)
+		e.u32(r.length)
+	}
+	var addrs [8]uint32
+	e.u32(uint32(len(k.waitq)))
+	for _, addr := range sortedKeys(addrs[:0], k.waitq) {
+		q := k.waitq[addr]
+		e.u32(addr)
+		e.u32(uint32(len(q)))
+		for _, t := range q {
+			e.i32(int32(t.ID))
+		}
+	}
+	return k.M.AppendStateKey(e.b)
+}
+
+// sortedKeys appends the keys of km to dst in ascending order.
+func sortedKeys[K cmp.Ordered, V any](dst []K, km map[K]V) []K {
+	for k := range km {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // Restore builds a kernel from cfg and installs the snapshot's state into

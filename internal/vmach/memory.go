@@ -87,6 +87,10 @@ type Memory struct {
 	// write to a page's words marks its entry stale.
 	digests     map[uint32]*pageDigest
 	digestOrder []*pageDigest
+	// Scratch space Digest reuses: the bytes it hashes and the sorted
+	// page and line numbers it reads them from.
+	digestBuf  []byte
+	digestKeys []uint32
 
 	// text is the predecoded program text installed at textBase (SetText).
 	// It is derived from the program, not machine state: snapshots do not

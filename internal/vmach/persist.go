@@ -1,7 +1,7 @@
 package vmach
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -168,28 +168,17 @@ func (m *Memory) NVPeek(addr uint32) isa.Word {
 
 // DirtyLines returns the sorted line numbers whose volatile contents
 // differ from NVM (including lines with a pending, unfenced write-back).
-func (m *Memory) DirtyLines() []uint32 {
-	if len(m.nvLines) == 0 {
-		return nil
-	}
-	lines := make([]uint32, 0, len(m.nvLines))
-	for line := range m.nvLines {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
-}
+func (m *Memory) DirtyLines() []uint32 { return sortedKeys(nil, m.nvLines) }
 
 // PendingLines returns the sorted line numbers with an initiated but not
 // yet fenced write-back.
-func (m *Memory) PendingLines() []uint32 {
-	if len(m.pending) == 0 {
-		return nil
+func (m *Memory) PendingLines() []uint32 { return sortedKeys(nil, m.pending) }
+
+// sortedKeys appends the keys of km to dst in ascending order.
+func sortedKeys[V any](dst []uint32, km map[uint32]V) []uint32 {
+	for k := range km {
+		dst = append(dst, k)
 	}
-	lines := make([]uint32, 0, len(m.pending))
-	for line := range m.pending {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
+	slices.Sort(dst)
+	return dst
 }

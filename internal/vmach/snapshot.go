@@ -1,7 +1,7 @@
 package vmach
 
 import (
-	"sort"
+	"encoding/binary"
 
 	"repro/internal/isa"
 )
@@ -41,18 +41,10 @@ type MemoryImage struct {
 // Capture snapshots the memory.
 func (m *Memory) Capture() *MemoryImage {
 	img := &MemoryImage{PageFaults: m.PageFaults}
-	pns := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
+	for _, pn := range sortedKeys(make([]uint32, 0, len(m.pages)), m.pages) {
 		img.Pages = append(img.Pages, PageImage{PN: pn, Words: *m.pages[pn]})
 	}
-	for pn := range m.notPresent {
-		img.NotPresent = append(img.NotPresent, pn)
-	}
-	sort.Slice(img.NotPresent, func(i, j int) bool { return img.NotPresent[i] < img.NotPresent[j] })
+	img.NotPresent = sortedKeys(nil, m.notPresent)
 	img.Persist = m.persist
 	for _, ln := range m.DirtyLines() {
 		img.NVLines = append(img.NVLines, LineImage{LN: ln, Words: *m.nvLines[ln]})
@@ -113,8 +105,7 @@ func (m *Machine) Capture() *MachineImage {
 }
 
 // CaptureWithoutMemory snapshots everything Capture does but the memory,
-// whose image it leaves empty: for a memory several machines share, or
-// one that is hashed through Memory.Digest instead of copied.
+// whose image it leaves empty: for a memory several machines share.
 func (m *Machine) CaptureWithoutMemory() *MachineImage {
 	return &MachineImage{
 		ProfileName: m.Profile.Name,
@@ -124,6 +115,28 @@ func (m *Machine) CaptureWithoutMemory() *MachineImage {
 		ResAddr:     m.resAddr,
 		Mem:         &MemoryImage{},
 	}
+}
+
+// AppendStateKey appends to b a key of the machine's behavioral state:
+// the profile name, the write buffer and the ll/sc reservation, the
+// fields a MachineImage holds besides Stats, which is accounting, and
+// Mem, which is hashed through Memory.Digest. The key is self-delimiting,
+// and two machines append equal keys exactly when their images agree on
+// those fields.
+func (m *Machine) AppendStateKey(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(m.Profile.Name)))
+	b = append(b, m.Profile.Name...)
+	b = le.AppendUint32(b, uint32(len(m.wb)))
+	for _, w := range m.wb {
+		b = le.AppendUint64(b, w)
+	}
+	if m.resValid {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return le.AppendUint32(b, m.resAddr)
 }
 
 // Restore replaces the machine's state with the image's. The machine must
