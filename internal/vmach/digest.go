@@ -50,14 +50,14 @@ func (m *Memory) Digest() [sha256.Size]byte {
 		b = le.AppendUint32(b, d.pn)
 		b = append(b, d.sum[:]...)
 	}
-	keys := sortedKeys(m.digestKeys[:0], m.notPresent)
+	keys := SortedKeys(m.digestKeys[:0], m.notPresent)
 	b = appendU32s(b, keys)
 	if m.persist {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	keys = sortedKeys(keys[:0], m.nvLines)
+	keys = SortedKeys(keys[:0], m.nvLines)
 	b = le.AppendUint32(b, uint32(len(keys)))
 	for _, ln := range keys {
 		b = le.AppendUint32(b, ln)
@@ -65,7 +65,7 @@ func (m *Memory) Digest() [sha256.Size]byte {
 			b = le.AppendUint32(b, uint32(w))
 		}
 	}
-	keys = sortedKeys(keys[:0], m.pending)
+	keys = SortedKeys(keys[:0], m.pending)
 	b = appendU32s(b, keys)
 	m.digestBuf, m.digestKeys = b, keys
 	return sha256.Sum256(b)
