@@ -94,7 +94,7 @@ func TestQuickDesignatedRecognizesEverywhere(t *testing.T) {
 // outside every registered range is never moved.
 func TestQuickRegistrationNeverMovesOutsidePC(t *testing.T) {
 	k := New(Config{Strategy: &Registration{}})
-	k.rasBySpace[0] = rasRange{0x1000, 12}
+	k.setRas(0, 0x1000, 12)
 	f := func(pc32 uint32) bool {
 		pc := pc32 &^ 3
 		inside := pc > 0x1000 && pc < 0x100C

@@ -122,7 +122,7 @@ func (k *Kernel) RegisterSequence(as int, start, length uint32) error {
 	switch s := k.Strategy.(type) {
 	case *Registration:
 		// One sequence per address space: re-registration replaces.
-		k.rasBySpace[as] = rasRange{start, length}
+		k.setRas(int32(as), start, length)
 	case *MultiRegistration:
 		s.AddRange(start, length)
 	default:

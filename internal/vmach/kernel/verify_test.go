@@ -189,7 +189,7 @@ seq:
 	if got := k.Threads()[0].ExitCode; got != ^isa.Word(0) {
 		t.Errorf("guest saw registration result %d, want -1", int32(got))
 	}
-	if len(k.rasBySpace) != 0 {
+	if len(k.ras) != 0 {
 		t.Error("malformed sequence was recorded anyway")
 	}
 }
