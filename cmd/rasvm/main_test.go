@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/vmach/kernel"
@@ -185,6 +186,37 @@ func TestCrashCheckpointRestore(t *testing.T) {
 	r.quantum, r.watchdog, r.restore = 500, "off", path
 	if err := run(io.Discard, r); err != nil {
 		t.Errorf("restore replay: %v", err)
+	}
+}
+
+// -restore rejects a checkpoint whose quantum was edited to zero; such a
+// kernel would never preempt, so the restored run could not end.
+func TestRestoreRejectsZeroQuantum(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.bin")
+	o := demo("registration", "registered", 500)
+	o.iters = 200
+	o.crashAt, o.checkpoint = 3000, path
+	if err := run(io.Discard, o); !errors.Is(err, kernel.ErrMachineCrash) {
+		t.Fatalf("err = %v, want machine crash", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := kernel.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Quantum = 0
+	if err := os.WriteFile(path, snap.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var r options
+	r.arch, r.strategy, r.checkAt = "r3000", "registration", "suspend"
+	r.quantum, r.watchdog, r.restore = 500, "off", path
+	r.timeout = 100000 // ends the run if the quantum is accepted
+	if err := run(io.Discard, r); err == nil || !strings.Contains(err.Error(), "zero quantum") {
+		t.Errorf("restore of a zero-quantum checkpoint: err = %v, want a zero-quantum error", err)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -182,6 +184,51 @@ func TestRestoreRejectsStrategyMismatch(t *testing.T) {
 	snap.CurID = 42
 	if _, err := Restore(ckptConfig(nil), snap); err == nil {
 		t.Error("dangling current-thread ID not rejected")
+	}
+}
+
+// Restore rejects snapshots no kernel could have captured: a zero
+// quantum (a run that never preempts and never ends) and a thread named
+// twice across the current thread, the run queue and the wait queues
+// (it would be dispatched twice, and its fault blamed on the guest).
+func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
+	k := ckptBoot(t, nil)
+	if _, err := k.RunSteps(50); err != nil {
+		t.Fatal(err)
+	}
+	base := k.Capture()
+	if base.CurID < 0 || len(base.RunQ) != 1 || base.RunQ[0] == base.CurID {
+		t.Fatalf("capture has CurID %d and RunQ %v; want one running and one queued thread", base.CurID, base.RunQ)
+	}
+	run, queued := base.CurID, base.RunQ[0]
+	twice := func(where string, id int32) string {
+		return fmt.Sprintf("%s names thread %d a second time", where, id)
+	}
+	for name, c := range map[string]struct {
+		mutate func(s *Snapshot)
+		want   string // in the error
+	}{
+		"zero quantum":       {func(s *Snapshot) { s.Quantum = 0 }, "zero quantum"},
+		"queued twice":       {func(s *Snapshot) { s.RunQ = append(s.RunQ, queued) }, twice("run queue", queued)},
+		"running and queued": {func(s *Snapshot) { s.RunQ = append(s.RunQ, run) }, twice("run queue", run)},
+		"queued and waiting": {func(s *Snapshot) {
+			s.Waits = []WaitImage{{Addr: 0x3000, TIDs: []int32{queued}}}
+		}, twice("wait queue", queued)},
+		"waiting on two mutexes": {func(s *Snapshot) {
+			s.RunQ, s.Waits = nil, []WaitImage{{0x3000, []int32{queued}}, {0x3004, []int32{queued}}}
+		}, twice("wait queue", queued)},
+	} {
+		s, err := DecodeSnapshot(base.Encode()) // a deep copy
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(s)
+		if _, err := Restore(ckptConfig(nil), s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore error = %v, want one containing %q", name, err, c.want)
+		}
+	}
+	if _, err := Restore(ckptConfig(nil), base); err != nil {
+		t.Errorf("the unmutated capture: %v", err)
 	}
 }
 
