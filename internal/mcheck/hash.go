@@ -21,11 +21,14 @@ import (
 //
 // A hash is the sha256 of a key with three parts:
 //
-//   - kernel.Kernel.AppendStateKey, per kernel: an injective encoding of
-//     exactly the behavioral non-memory state — registers, PCs, thread
-//     states, run queue order, wait queues, registration ranges, ll/sc
-//     reservations, write buffers — read from the live structs, with the
-//     accounting left out by construction;
+//   - kernel.Kernel.AppendStateKey, per kernel: the checkpoint's field
+//     walk run in key mode, an injective encoding of exactly the
+//     behavioral non-memory state — registers, PCs, thread states, run
+//     queue order, wait queues, registration ranges, ll/sc reservations,
+//     write buffers — read from the live structs. Which fields are
+//     accounting is decided in the walk itself, which visits them only
+//     when vmach.Codec.Accounting reports true, so key and checkpoint
+//     cannot disagree on what state is;
 //   - vmach.Memory.Digest: memory, the bulk of the state, re-hashing only
 //     the pages written since the last hash (its PageFaults counter,
 //     accounting like the rest, is left out);
@@ -35,7 +38,7 @@ import (
 // nothing. Two states get the same hash exactly when their full
 // checkpoints, accounting zeroed, encode equally: the relation
 // hash_test.go pins against an Encode-based reference, and
-// TestStateKeyFields pins which checkpoint fields are accounting.
+// TestStateKeyFields checks the walks' classification of every field.
 
 // keyBufs recycles the buffers keys are assembled in.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
