@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +122,43 @@ func TestWatchdogAbortOnOverlongSequence(t *testing.T) {
 	}
 	if k.Stats.WatchdogAborts != 1 {
 		t.Errorf("WatchdogAborts = %d", k.Stats.WatchdogAborts)
+	}
+}
+
+// A watchdog abort stops its thread without recording a fault. A capture
+// taken after the abort restores without the livelock, so the run ends
+// by reporting the thread as faulted with no fault, as it does for any
+// negative fault kind an edited checkpoint carries; a re-capture records
+// that kind as -1.
+func TestRestoreAfterWatchdogAbort(t *testing.T) {
+	cfg := func() Config {
+		return Config{
+			Strategy: &Designated{},
+			CheckAt:  CheckAtResume,
+			Quantum:  3,
+			Watchdog: chaos.Watchdog{Policy: chaos.WatchdogAbort, MaxRestarts: 40},
+		}
+	}
+	k, _, _ := bootCounter(t, cfg(), guest.MechDesignated, 1, 1)
+	var le *LivelockError
+	if err := k.Run(); !errors.As(err, &le) {
+		t.Fatalf("expected livelock abort, got %v", err)
+	}
+	for _, kind := range []int32{-1, -5} {
+		s := k.Capture()
+		s.CurID = -1 // the aborted thread stays current; a restore would run it
+		s.Threads[le.Thread].FaultKind = kind
+		r, err := Restore(cfg(), s)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		want := fmt.Sprintf("thread %d faulted: <nil>", le.Thread)
+		if err := r.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("kind %d: run error = %v, want one containing %q", kind, err, want)
+		}
+		if got := r.Capture().Threads[le.Thread].FaultKind; got != -1 {
+			t.Errorf("kind %d: re-captured fault kind %d, want -1", kind, got)
+		}
 	}
 }
 
