@@ -37,7 +37,7 @@ func metric(parts ...string) string {
 // BenchmarkTable1 regenerates Table 1: software mutual exclusion
 // microbenchmarks on the simulated DECstation 5000/200.
 func BenchmarkTable1(b *testing.B) {
-	rows, err := bench.Table1(iters(b, 2000))
+	rows, err := bench.Table1(&bench.Harness{}, iters(b, 2000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2: thread management operations under
 // kernel emulation vs restartable atomic sequences.
 func BenchmarkTable2(b *testing.B) {
-	rows, err := bench.Table2(iters(b, 300))
+	rows, err := bench.Table2(&bench.Harness{}, iters(b, 300))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func BenchmarkTable2(b *testing.B) {
 // two mechanisms, with trap/restart/suspension counts.
 func BenchmarkTable3(b *testing.B) {
 	s := bench.DefaultScale()
-	rows, err := bench.Table3(s)
+	rows, err := bench.Table3(&bench.Harness{}, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4: hardware vs software Test-And-Set
 // across the eight processor architectures.
 func BenchmarkTable4(b *testing.B) {
-	rows, err := bench.Table4(iters(b, 2000))
+	rows, err := bench.Table4(&bench.Harness{}, iters(b, 2000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkI860 regenerates the §7 comparison of the i860's hardware lock
 // bit against software restartable sequences.
 func BenchmarkI860(b *testing.B) {
-	rows, err := bench.TableI860(iters(b, 2000))
+	rows, err := bench.TableI860(&bench.Harness{}, iters(b, 2000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkI860(b *testing.B) {
 
 // BenchmarkLamport compares the two software-reservation protocols.
 func BenchmarkLamport(b *testing.B) {
-	rows, err := bench.TableLamport(iters(b, 2000))
+	rows, err := bench.TableLamport(&bench.Harness{}, iters(b, 2000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func BenchmarkLamport(b *testing.B) {
 func BenchmarkHoldups(b *testing.B) {
 	s := bench.DefaultScale()
 	s.Quantum = 3000
-	rows, err := bench.TableHoldups(s)
+	rows, err := bench.TableHoldups(&bench.Harness{}, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkHoldups(b *testing.B) {
 
 // BenchmarkAblation regenerates the §4.1 PC-check placement study.
 func BenchmarkAblation(b *testing.B) {
-	rows, err := bench.TableAblation(3, 150)
+	rows, err := bench.TableAblation(&bench.Harness{}, 3, 150)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -55,6 +55,7 @@ type benchOpts struct {
 	level        float64
 	timeout      uint64
 	cpus         string // CPU counts for -table smp/server/rmr, e.g. "1,2,4"
+	cpuList      []int  // cpus parsed by check; nil keeps each table's default
 	jsonOut      string // per-table results as JSON ("-" = stdout)
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
@@ -68,12 +69,12 @@ func main() {
 	}
 	var o benchOpts
 	flag.StringVar(&o.table, "table", "all", "which table to run: "+strings.Join(names, ",")+",all")
-	flag.IntVar(&o.iters, "iters", 20000, "microbenchmark loop iterations")
-	flag.IntVar(&o.scale, "scale", 1, "table 3 workload multiplier")
+	flag.IntVar(&o.iters, "iters", 20000, "microbenchmark loop iterations (at least 10)")
+	flag.IntVar(&o.scale, "scale", 1, "table 3 workload multiplier (at least 1)")
 	flag.Uint64Var(&o.seed, "seed", 0, "chaos master seed (0 = default); use with -level to replay a failure")
 	flag.Float64Var(&o.level, "level", 0, "chaos fault intensity in (0,1]; 0 sweeps the default levels")
 	flag.Uint64Var(&o.timeout, "timeout", 0, "cycle budget per run (0 = substrate default); a livelocked guest exits nonzero")
-	flag.StringVar(&o.jsonOut, "json", "", "write per-table results (name, cycles, restarts, traps) as JSON (\"-\" = stdout)")
+	flag.StringVar(&o.jsonOut, "json", "", "write per-table results (name, run counters, rows) as JSON (\"-\" = stdout)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of every substrate run (\"-\" = stdout; load in Perfetto)")
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
 	flag.StringVar(&o.cpus, "cpus", "", "comma-separated CPU counts for -table smp (default \"1,2,4\"), -table server (default \"1,2,4,8\"), and -table rmr (default \"1,2,3,4,6,8\")")
@@ -86,12 +87,23 @@ func main() {
 	}
 }
 
-// table is one registry entry. run regenerates the table and returns its
-// printed text; rows is the row-level detail for the -json record, nil
-// for tables whose record carries only the aggregate counters.
+// table is one registry entry. run regenerates the table through the
+// harness h and returns its rows, for the -json record, and its printed
+// text.
 type table struct {
 	name, title string
-	run         func(o benchOpts) (rows any, text string, err error)
+	run         func(h *bench.Harness, o benchOpts) (rows any, text string, err error)
+}
+
+// entry builds a registry entry from a table's run and format functions.
+func entry[R any](name, title string, run func(*bench.Harness, benchOpts) ([]R, error), format func([]R) string) table {
+	return table{name, title, func(h *bench.Harness, o benchOpts) (any, string, error) {
+		rows, err := run(h, o)
+		if err != nil {
+			return nil, "", err
+		}
+		return rows, format(rows), nil
+	}}
 }
 
 // tableResult is one -json record: the aggregate substrate counters behind
@@ -102,180 +114,116 @@ type tableResult struct {
 	Rows any `json:"rows,omitempty"`
 }
 
-// textOnly finishes a registry run whose rows stay out of the -json record.
-func textOnly[R any](rows R, err error, format func(R) string) (any, string, error) {
-	if err != nil {
-		return nil, "", err
+// seedOr is the -seed flag, or def when it is unset.
+func (o benchOpts) seedOr(def uint64) uint64 {
+	if o.seed != 0 {
+		return o.seed
 	}
-	return nil, format(rows), nil
-}
-
-// withRows finishes a registry run whose rows go into the -json record.
-func withRows[R any](rows []R, err error, format func([]R) string) (any, string, error) {
-	if err != nil {
-		return nil, "", err
-	}
-	return rows, format(rows), nil
+	return def
 }
 
 // tables is the registry: -list, -table, -json and the tests iterate it,
 // and `-table all` runs it in this order.
 var tables = []table{
-	{"1", "Table 1: mutual exclusion microbenchmarks, DECstation 5000/200 (simulated)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.Table1(o.iters)
-		return textOnly(rows, err, bench.FormatTable1)
-	}},
-	{"2", "Table 2: thread management overhead, emulation vs R.A.S.", func(o benchOpts) (any, string, error) {
-		rows, err := bench.Table2(o.iters / 10)
-		return textOnly(rows, err, bench.FormatTable2)
-	}},
-	{"3", "Table 3: application performance", func(o benchOpts) (any, string, error) {
+	entry("1", "Table 1: mutual exclusion microbenchmarks, DECstation 5000/200 (simulated)", func(h *bench.Harness, o benchOpts) ([]bench.T1Row, error) {
+		return bench.Table1(h, o.iters)
+	}, bench.FormatTable1),
+	entry("2", "Table 2: thread management overhead, emulation vs R.A.S.", func(h *bench.Harness, o benchOpts) ([]bench.T2Row, error) {
+		return bench.Table2(h, o.iters/10)
+	}, bench.FormatTable2),
+	entry("3", "Table 3: application performance", func(h *bench.Harness, o benchOpts) ([]bench.T3Row, error) {
 		s := bench.DefaultScale()
 		s.TextParas *= o.scale
 		s.AFSDirs *= o.scale
 		s.ParthChain *= o.scale
 		s.ProtonKB *= o.scale
-		rows, err := bench.Table3(s)
-		return textOnly(rows, err, bench.FormatTable3)
-	}},
-	{"4", "Table 4: hardware vs software Test-And-Set, eight processors", func(o benchOpts) (any, string, error) {
-		rows, err := bench.Table4(o.iters)
-		return textOnly(rows, err, bench.FormatTable4)
-	}},
-	{"i860", "i860 hardware lock bit vs software (§7)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableI860(o.iters)
-		return textOnly(rows, err, bench.FormatI860)
-	}},
-	{"lamport", "Software reservation protocols (Figure 1 vs Figure 2)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableLamport(o.iters)
-		return textOnly(rows, err, bench.FormatLamport)
-	}},
-	{"holdups", "parthenon-10 lock holdups (§5.3)", func(o benchOpts) (any, string, error) {
+		return bench.Table3(h, s)
+	}, bench.FormatTable3),
+	entry("4", "Table 4: hardware vs software Test-And-Set, eight processors", func(h *bench.Harness, o benchOpts) ([]bench.T4Row, error) {
+		return bench.Table4(h, o.iters)
+	}, bench.FormatTable4),
+	entry("i860", "i860 hardware lock bit vs software (§7)", func(h *bench.Harness, o benchOpts) ([]bench.I860Row, error) {
+		return bench.TableI860(h, o.iters)
+	}, bench.FormatI860),
+	entry("lamport", "Software reservation protocols (Figure 1 vs Figure 2)", func(h *bench.Harness, o benchOpts) ([]bench.LamportRow, error) {
+		return bench.TableLamport(h, o.iters)
+	}, bench.FormatLamport),
+	entry("holdups", "parthenon-10 lock holdups (§5.3)", func(h *bench.Harness, o benchOpts) ([]bench.HoldupRow, error) {
 		s := bench.DefaultScale()
 		s.Quantum = 3000
-		rows, err := bench.TableHoldups(s)
-		return textOnly(rows, err, bench.FormatHoldups)
-	}},
-	{"ablation", "PC-check placement ablation (§4.1)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableAblation(3, 200)
-		return textOnly(rows, err, bench.FormatAblation)
-	}},
-	{"wbuf", "Write-buffer sensitivity (§5.1 design remark)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableWriteBuffer(o.iters)
-		return textOnly(rows, err, bench.FormatWriteBuffer)
-	}},
-	{"ranges", "Registration-table size vs check cost (§3.1 restriction)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableRegistrationRanges(3, 200)
-		if err != nil {
-			return nil, "", err
-		}
-		return nil, bench.FormatRanges(rows, arch.R3000().PCCheckDesignatedCycles), nil
-	}},
-	{"quantum", "Restart frequency vs scheduling quantum (validating §5.3's optimism)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableQuantumSweep(4, 500, nil)
-		return textOnly(rows, err, bench.FormatQuantumSweep)
-	}},
-	{"workers", "Server worker pool on a uniprocessor (afs-bench client)", func(o benchOpts) (any, string, error) {
-		rows, err := bench.TableServerWorkers(nil)
-		return textOnly(rows, err, bench.FormatServerWorkers)
-	}},
-	{"chaos", "Chaos sweep: seeded fault injection, watchdog, degradation", func(o benchOpts) (any, string, error) {
+		return bench.TableHoldups(h, s)
+	}, bench.FormatHoldups),
+	entry("ablation", "PC-check placement ablation (§4.1)", func(h *bench.Harness, o benchOpts) ([]bench.AblationRow, error) {
+		return bench.TableAblation(h, 3, 200)
+	}, bench.FormatAblation),
+	entry("wbuf", "Write-buffer sensitivity (§5.1 design remark)", func(h *bench.Harness, o benchOpts) ([]bench.WBufRow, error) {
+		return bench.TableWriteBuffer(h, o.iters)
+	}, bench.FormatWriteBuffer),
+	entry("ranges", "Registration-table size vs check cost (§3.1 restriction)", func(h *bench.Harness, o benchOpts) ([]bench.RangesRow, error) {
+		return bench.TableRegistrationRanges(h, 3, 200)
+	}, func(rows []bench.RangesRow) string {
+		return bench.FormatRanges(rows, arch.R3000().PCCheckDesignatedCycles)
+	}),
+	entry("quantum", "Restart frequency vs scheduling quantum (validating §5.3's optimism)", func(h *bench.Harness, o benchOpts) ([]bench.QuantumRow, error) {
+		return bench.TableQuantumSweep(h, 4, 500, nil)
+	}, bench.FormatQuantumSweep),
+	entry("workers", "Server worker pool on a uniprocessor (afs-bench client)", func(h *bench.Harness, o benchOpts) ([]bench.WorkerRow, error) {
+		return bench.TableServerWorkers(h, nil)
+	}, bench.FormatServerWorkers),
+	entry("chaos", "Chaos sweep: seeded fault injection, watchdog, degradation", func(h *bench.Harness, o benchOpts) ([]bench.ChaosRow, error) {
 		cfg := bench.DefaultChaosConfig()
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
 		if o.level > 0 {
 			cfg.Levels = []float64{o.level}
 		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableChaos(cfg)
-		return textOnly(rows, err, bench.FormatChaos)
-	}},
-	{"recovery", "Recovery sweep: thread kills, orphan repair, checkpoint/restore", func(o benchOpts) (any, string, error) {
+		return bench.TableChaos(h, cfg)
+	}, bench.FormatChaos),
+	entry("recovery", "Recovery sweep: thread kills, orphan repair, checkpoint/restore", func(h *bench.Harness, o benchOpts) ([]bench.RecoveryRow, error) {
 		cfg := bench.DefaultRecoveryConfig()
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableRecovery(cfg)
-		return textOnly(rows, err, bench.FormatRecovery)
-	}},
-	{"persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func(o benchOpts) (any, string, error) {
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		return bench.TableRecovery(h, cfg)
+	}, bench.FormatRecovery),
+	entry("persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func(h *bench.Harness, o benchOpts) ([]bench.PersistRow, error) {
 		cfg := bench.DefaultPersistConfig()
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TablePersist(cfg)
-		return withRows(rows, err, bench.FormatPersist)
-	}},
-	{"journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func(o benchOpts) (any, string, error) {
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		return bench.TablePersist(h, cfg)
+	}, bench.FormatPersist),
+	entry("journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func(h *bench.Harness, o benchOpts) ([]bench.JournalRow, error) {
 		cfg := bench.DefaultJournalConfig()
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableJournal(cfg)
-		return withRows(rows, err, bench.FormatJournal)
-	}},
-	{"smp", "SMP sweep: §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc", func(o benchOpts) (any, string, error) {
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		return bench.TableJournal(h, cfg)
+	}, bench.FormatJournal),
+	entry("smp", "SMP sweep: §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc", func(h *bench.Harness, o benchOpts) ([]bench.SMPRow, error) {
 		cfg := bench.DefaultSMPConfig()
-		cpuList, err := parseCPUList(o.cpus)
-		if err != nil {
-			return nil, "", err
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		if o.cpuList != nil {
+			cfg.CPUList = o.cpuList
 		}
-		if cpuList != nil {
-			cfg.CPUList = cpuList
-		}
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableSMP(cfg)
-		return withRows(rows, err, bench.FormatSMP)
-	}},
-	{"server", "Server sweep: per-CPU request plane vs mutex queue, one million requests", func(o benchOpts) (any, string, error) {
+		return bench.TableSMP(h, cfg)
+	}, bench.FormatSMP),
+	entry("server", "Server sweep: per-CPU request plane vs mutex queue, one million requests", func(h *bench.Harness, o benchOpts) ([]bench.ServerRow, error) {
 		cfg := bench.DefaultServerConfig()
-		cpuList, err := parseCPUList(o.cpus)
-		if err != nil {
-			return nil, "", err
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		if o.cpuList != nil {
+			cfg.CPUList, cfg.Shards = o.cpuList, o.cpuList
 		}
-		if cpuList != nil {
-			cfg.CPUList = cpuList
-			cfg.Shards = cpuList
-		}
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableServer(cfg)
-		return withRows(rows, err, bench.FormatServer)
-	}},
-	{"rmr", "RMR sweep: queue locks' remote references per passage vs the spinlock's", func(o benchOpts) (any, string, error) {
+		return bench.TableServer(h, cfg)
+	}, bench.FormatServer),
+	entry("rmr", "RMR sweep: queue locks' remote references per passage vs the spinlock's", func(h *bench.Harness, o benchOpts) ([]bench.RMRRow, error) {
 		cfg := bench.DefaultRMRConfig()
-		cpuList, err := parseCPUList(o.cpus)
-		if err != nil {
-			return nil, "", err
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		if o.cpuList != nil {
+			cfg.CPUList = o.cpuList
 		}
-		if cpuList != nil {
-			cfg.CPUList = cpuList
-		}
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableRMR(cfg)
-		return withRows(rows, err, bench.FormatRMR)
-	}},
-	{"resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func(o benchOpts) (any, string, error) {
+		return bench.TableRMR(h, cfg)
+	}, bench.FormatRMR),
+	// The resilience campaigns run inside internal/resilience's supervisor,
+	// outside the harness, so this record's counters stay zero.
+	entry("resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func(h *bench.Harness, o benchOpts) ([]bench.ResilienceRow, error) {
 		cfg := bench.DefaultResilienceConfig()
-		if o.seed != 0 {
-			cfg.Seed = o.seed
-		}
-		cfg.MaxCycles = o.timeout
-		rows, err := bench.TableResilience(cfg)
-		return withRows(rows, err, bench.FormatResilience)
-	}},
+		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		return bench.TableResilience(cfg)
+	}, bench.FormatResilience),
 }
 
 // parseCPUList turns "-cpus 1,2,4" into []int{1, 2, 4}.
@@ -294,12 +242,30 @@ func parseCPUList(s string) ([]int, error) {
 	return out, nil
 }
 
+// check rejects flag values no table runs correctly with and parses -cpus.
+func (o *benchOpts) check() error {
+	switch {
+	case o.iters < 10:
+		return fmt.Errorf("-iters %d: want at least 10 (table 2 runs iters/10)", o.iters)
+	case o.scale < 1:
+		return fmt.Errorf("-scale %d: want at least 1", o.scale)
+	case !(o.level >= 0 && o.level <= 1):
+		return fmt.Errorf("-level %g: want a value in [0, 1]", o.level)
+	}
+	var err error
+	o.cpuList, err = parseCPUList(o.cpus)
+	return err
+}
+
 func runOpts(o benchOpts) error {
 	if o.list {
 		for _, t := range tables {
 			fmt.Printf("%-10s %s\n", t.name, t.title)
 		}
 		return nil
+	}
+	if err := o.check(); err != nil {
+		return err
 	}
 	var selected []table
 	for _, t := range tables {
@@ -311,11 +277,12 @@ func runOpts(o benchOpts) error {
 		return fmt.Errorf("unknown table %q", o.table)
 	}
 
-	// Observability: one bus receives every substrate run the harness
-	// starts (rebased end-to-end by the bench package), feeding the
-	// Chrome capture and the event-derived metrics.
+	// Observability: one bus receives every substrate run of every
+	// table, rebased end-to-end onto one timeline, feeding the Chrome
+	// capture and the event-derived metrics.
 	var capture *obs.Capture
 	var pm *obs.PaperMetrics
+	var trace *obs.Rebase
 	if o.traceOut != "" || o.metrics != "" {
 		bus := obs.NewBus(0)
 		if o.traceOut != "" {
@@ -326,23 +293,19 @@ func runOpts(o benchOpts) error {
 			pm = obs.NewPaperMetrics(nil)
 			bus.Attach(pm)
 		}
-		bench.SetTraceSink(bus)
-		defer bench.SetTraceSink(nil)
+		trace = obs.NewRebase(bus)
 	}
 
 	results := make([]tableResult, 0, len(selected))
 	for _, t := range selected {
 		fmt.Printf("\n== %s ==\n\n", t.title)
-		rec := tableResult{Name: t.name}
-		bench.CollectStats(&rec.RunStats)
-		rows, text, err := t.run(o)
-		bench.CollectStats(nil)
+		h := &bench.Harness{Trace: trace}
+		rows, text, err := t.run(h, o)
 		if err != nil {
 			return err
 		}
 		fmt.Print(text)
-		rec.Rows = rows
-		results = append(results, rec)
+		results = append(results, tableResult{Name: t.name, RunStats: h.Stats, Rows: rows})
 	}
 
 	if o.jsonOut != "" {

@@ -96,7 +96,6 @@ func TestJSONAllTablesOwnRows(t *testing.T) {
 	if len(all) != len(tables) {
 		t.Fatalf("-table all wrote %d records, want %d", len(all), len(tables))
 	}
-	withRows := 0
 	for i, tb := range tables {
 		alone := records(tb.name)
 		if len(alone) != 1 || !bytes.Equal(all[i], alone[0]) {
@@ -109,12 +108,43 @@ func TestJSONAllTablesOwnRows(t *testing.T) {
 		if rec.Name != tb.name {
 			t.Errorf("record %d is %q, want %q", i, rec.Name, tb.name)
 		}
-		if rec.Rows != nil {
-			withRows++
-		}
 	}
-	if withRows != 6 {
-		t.Errorf("%d records carry rows, want 6 (smp, persist, journal, server, rmr, resilience)", withRows)
+}
+
+// Every -json record traces its table back to the runs behind it: it
+// carries the table's rows, snake_case keys only, and the counters of at
+// least one harness run.
+func TestJSONEveryRecordHasRowsAndRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "all.json")
+	if err := runOpts(benchOpts{table: "all", iters: 500, scale: 1, cpus: "1", jsonOut: path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnakeKeys(t, data)
+	var recs []struct {
+		Name string            `json:"name"`
+		Runs int               `json:"runs"`
+		Rows []json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(tables) {
+		t.Fatalf("-table all wrote %d records, want %d", len(recs), len(tables))
+	}
+	for _, r := range recs {
+		if len(r.Rows) == 0 {
+			t.Errorf("table %s: no rows in its -json record", r.Name)
+		}
+		// The one exception: the resilience campaigns run inside
+		// internal/resilience's supervisor, which reaches the harness
+		// only after ROADMAP item 1 reworks it.
+		if r.Runs == 0 && r.Name != "resilience" {
+			t.Errorf("table %s: runs = 0, want every substrate run counted", r.Name)
+		}
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // and a many-store mechanism (Lamport reservation) under different
 // write-buffer configurations.
 type WBufRow struct {
-	Memory      string
-	RASMicros   float64
-	LamportAMic float64
-	Ratio       float64 // LamportA / RAS
+	Memory      string  `json:"memory"`
+	RASMicros   float64 `json:"ras_micros"`
+	LamportAMic float64 `json:"lamport_a_micros"`
+	Ratio       float64 `json:"ratio"` // LamportA / RAS
 }
 
 // TableWriteBuffer reproduces §5.1's design remark: "a scheme requiring
@@ -25,7 +25,7 @@ type WBufRow struct {
 // write-through cache and a shallow write-buffer". The reservation
 // protocol issues five stores per critical section against RAS's two, so
 // shallowing the write buffer hurts it disproportionately.
-func TableWriteBuffer(iters int) ([]WBufRow, error) {
+func TableWriteBuffer(h *Harness, iters int) ([]WBufRow, error) {
 	mems := []struct {
 		name  string
 		depth int
@@ -48,7 +48,7 @@ func TableWriteBuffer(iters int) ([]WBufRow, error) {
 		}
 		per := func(m guest.Mechanism) (float64, error) {
 			strat, at := strategyFor(m)
-			k, err := runGuest(prof, strat, at, noPreempt,
+			k, err := runGuest(h, prof, strat, at, noPreempt,
 				guest.WriteBufferProbeProgram(m, iters, pad))
 			if err != nil {
 				return 0, err
@@ -81,10 +81,10 @@ func FormatWriteBuffer(rows []WBufRow) string {
 // RangesRow is one line of the multi-range registration ablation: the same
 // contended-counter workload, under a registration table of growing size.
 type RangesRow struct {
-	Ranges      int
-	Micros      float64
-	CheckCycles int // kernel cycles per suspension check at this table size
-	Restarts    uint64
+	Ranges      int     `json:"ranges"`
+	Micros      float64 `json:"micros"`
+	CheckCycles int     `json:"check_cycles"` // kernel cycles per suspension check at this table size
+	Restarts    uint64  `json:"restarts"`
 }
 
 // TableRegistrationRanges quantifies why Mach restricted each address
@@ -93,7 +93,7 @@ type RangesRow struct {
 // suspension-time check costs grow with N and the whole workload slows
 // down, while the designated-sequence check stays O(1) regardless of how
 // many sequences a program inlines.
-func TableRegistrationRanges(workers, iters int) ([]RangesRow, error) {
+func TableRegistrationRanges(h *Harness, workers, iters int) ([]RangesRow, error) {
 	prof := arch.R3000()
 	var rows []RangesRow
 	for _, n := range []int{1, 8, 64, 256} {
@@ -106,7 +106,7 @@ func TableRegistrationRanges(workers, iters int) ([]RangesRow, error) {
 		prog := guest.Assemble(guest.MutexCounterProgram(guest.MechRegistered, workers, iters))
 		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat,
 			CheckAt: kernel.CheckAtSuspend, Quantum: 61}, prog, "main", guest.StackTop(0), true)
-		if err := k.Run(); err != nil {
+		if err := h.Run(k); err != nil {
 			return nil, err
 		}
 		if got := k.M.Mem.Peek(prog.MustSymbol("counter")); got != uint32(workers*iters) {

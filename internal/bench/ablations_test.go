@@ -9,7 +9,7 @@ import (
 // §5.1's write-buffer claim: the many-store reservation protocol degrades
 // more than the one-store RAS when the write buffer shallows.
 func TestTableWriteBufferShape(t *testing.T) {
-	rows, err := TableWriteBuffer(2000)
+	rows, err := TableWriteBuffer(&Harness{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTableWriteBufferShape(t *testing.T) {
 // §3.1's single-sequence restriction: the linear multi-range check slows
 // the whole workload as the table grows; correctness is preserved.
 func TestTableRegistrationRangesShape(t *testing.T) {
-	rows, err := TableRegistrationRanges(3, 150)
+	rows, err := TableRegistrationRanges(&Harness{}, 3, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Package bench is the experiment harness: it regenerates every table of
 // the paper's evaluation (Tables 1-4 of §5-§6) plus the auxiliary
 // observations (§5.3's lock-holdup analysis, §7's i860 lock bit, §4.1's
-// PC-check placement), printing rows in the paper's shape.
+// PC-check placement), printing rows in the paper's shape. Each table
+// runs every substrate it builds through a Harness, which traces and
+// counts the runs.
 //
 // Absolute microseconds come from the simulator's cycle-cost model, so they
 // will not match the 1992 hardware exactly; EXPERIMENTS.md records
@@ -27,15 +29,12 @@ const noPreempt = 1 << 40
 
 // runGuest assembles and runs a guest program to completion on a fresh
 // kernel, returning the kernel for inspection.
-func runGuest(prof *arch.Profile, strat kernel.Strategy, checkAt kernel.CheckTime,
+func runGuest(h *Harness, prof *arch.Profile, strat kernel.Strategy, checkAt kernel.CheckTime,
 	quantum uint64, src string) (*kernel.Kernel, error) {
 	prog := guest.Assemble(src)
 	k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat, CheckAt: checkAt, Quantum: quantum},
 		prog, "main", guest.StackTop(0), true)
-	attachKernel(k)
-	err := k.Run()
-	noteKernelRun(k)
-	if err != nil {
+	if err := h.Run(k); err != nil {
 		return k, fmt.Errorf("bench: %s: %w", prof.Name, err)
 	}
 	return k, nil
@@ -58,16 +57,16 @@ func strategyFor(m guest.Mechanism) (kernel.Strategy, kernel.CheckTime) {
 // T1Row is one line of Table 1: the software mutual exclusion
 // microbenchmark on the DECstation 5000/200.
 type T1Row struct {
-	Mechanism string
-	Micros    float64
+	Mechanism string  `json:"mechanism"`
+	Micros    float64 `json:"micros"`
 }
 
 // Table1 reproduces Table 1: elapsed time per critical section (enter with
 // Test-And-Set, increment a counter, leave by clearing), loop overhead
 // subtracted, on the R3000 profile.
-func Table1(iters int) ([]T1Row, error) {
+func Table1(h *Harness, iters int) ([]T1Row, error) {
 	prof := arch.R3000()
-	loop, err := runGuest(prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
+	loop, err := runGuest(h, prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +85,7 @@ func Table1(iters int) ([]T1Row, error) {
 	rows := make([]T1Row, 0, len(mechs))
 	for _, mc := range mechs {
 		strat, at := strategyFor(mc.m)
-		k, err := runGuest(prof, strat, at, noPreempt, guest.MicrobenchProgram(mc.m, iters))
+		k, err := runGuest(h, prof, strat, at, noPreempt, guest.MicrobenchProgram(mc.m, iters))
 		if err != nil {
 			return nil, err
 		}
@@ -99,14 +98,14 @@ func Table1(iters int) ([]T1Row, error) {
 // T2Row is one line of Table 2: thread management operations under kernel
 // emulation vs restartable atomic sequences.
 type T2Row struct {
-	Benchmark  string
-	EmulMicros float64
-	RASMicros  float64
+	Benchmark  string  `json:"benchmark"`
+	EmulMicros float64 `json:"emul_micros"`
+	RASMicros  float64 `json:"ras_micros"`
 }
 
 // table2Bench measures one thread-management benchmark: it returns elapsed
 // cycles per operation for the given mechanism.
-func table2Bench(name string, mech core.Mechanism, iters int) (float64, error) {
+func table2Bench(h *Harness, name string, mech core.Mechanism, iters int) (float64, error) {
 	prof := arch.R3000()
 	proc := uniproc.New(uniproc.Config{Profile: prof, Quantum: noPreempt})
 	pkg := cthreads.New(mech)
@@ -176,25 +175,22 @@ func table2Bench(name string, mech core.Mechanism, iters int) (float64, error) {
 	default:
 		return 0, fmt.Errorf("bench: unknown table 2 benchmark %q", name)
 	}
-	attachProc(proc)
-	err := proc.Run()
-	noteProcRun(proc)
-	if err != nil {
+	if err := h.Run(proc); err != nil {
 		return 0, err
 	}
 	return prof.Micros(end-start) / float64(iters), nil
 }
 
 // Table2 reproduces Table 2.
-func Table2(iters int) ([]T2Row, error) {
+func Table2(h *Harness, iters int) ([]T2Row, error) {
 	prof := arch.R3000()
 	var rows []T2Row
 	for _, name := range []string{"Spinlock", "MutexLock", "ForkTest", "PingPong"} {
-		emul, err := table2Bench(name, core.NewKernelEmul(prof), iters)
+		emul, err := table2Bench(h, name, core.NewKernelEmul(prof), iters)
 		if err != nil {
 			return nil, err
 		}
-		ras, err := table2Bench(name, core.NewRAS(), iters)
+		ras, err := table2Bench(h, name, core.NewRAS(), iters)
 		if err != nil {
 			return nil, err
 		}
@@ -206,25 +202,25 @@ func Table2(iters int) ([]T2Row, error) {
 // T4Row is one line of Table 4: hardware vs software Test-And-Set
 // acquire/release across eight processor architectures.
 type T4Row struct {
-	Processor   string
-	Interlocked float64
-	Registered  float64
-	Linkage     float64
-	Designated  float64
+	Processor   string  `json:"processor"`
+	Interlocked float64 `json:"interlocked"`
+	Registered  float64 `json:"registered"`
+	Linkage     float64 `json:"linkage"`
+	Designated  float64 `json:"designated"`
 }
 
 // Table4 reproduces Table 4.
-func Table4(iters int) ([]T4Row, error) {
+func Table4(h *Harness, iters int) ([]T4Row, error) {
 	var rows []T4Row
 	for _, prof := range arch.Table4() {
-		loop, err := runGuest(prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
+		loop, err := runGuest(h, prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
 		if err != nil {
 			return nil, err
 		}
 		loopCycles := loop.M.Stats.Cycles
 		per := func(m guest.Mechanism) (float64, error) {
 			strat, at := strategyFor(m)
-			k, err := runGuest(prof, strat, at, noPreempt, guest.AcquireReleaseProgram(m, iters))
+			k, err := runGuest(h, prof, strat, at, noPreempt, guest.AcquireReleaseProgram(m, iters))
 			if err != nil {
 				return 0, err
 			}
@@ -242,7 +238,7 @@ func Table4(iters int) ([]T4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		link, err := runGuest(prof, kernel.NoRecovery{}, 0, noPreempt, guest.LinkageProgram(iters))
+		link, err := runGuest(h, prof, kernel.NoRecovery{}, 0, noPreempt, guest.LinkageProgram(iters))
 		if err != nil {
 			return nil, err
 		}
@@ -255,15 +251,15 @@ func Table4(iters int) ([]T4Row, error) {
 // I860Row compares the i860's hardware restartable sequence (the lock bit,
 // §7) with software approaches on the i860 profile.
 type I860Row struct {
-	Mechanism string
-	Micros    float64
+	Mechanism string  `json:"mechanism"`
+	Micros    float64 `json:"micros"`
 }
 
 // TableI860 reproduces the §7 observation that the i860's hardware support
 // "offers little performance advantage over software techniques".
-func TableI860(iters int) ([]I860Row, error) {
+func TableI860(h *Harness, iters int) ([]I860Row, error) {
 	prof := arch.I860()
-	loop, err := runGuest(prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
+	loop, err := runGuest(h, prof, kernel.NoRecovery{}, 0, noPreempt, guest.EmptyLoopProgram(iters))
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +274,7 @@ func TableI860(iters int) ([]I860Row, error) {
 		{"Designated sequence", guest.MechDesignated},
 	} {
 		strat, at := strategyFor(mc.m)
-		k, err := runGuest(prof, strat, at, noPreempt, guest.AcquireReleaseProgram(mc.m, iters))
+		k, err := runGuest(h, prof, strat, at, noPreempt, guest.AcquireReleaseProgram(mc.m, iters))
 		if err != nil {
 			return nil, err
 		}
@@ -290,12 +286,12 @@ func TableI860(iters int) ([]I860Row, error) {
 // LamportRow compares the two software-reservation protocols at the
 // uniproc level (complementing Table 1's guest-level measurement).
 type LamportRow struct {
-	Protocol string
-	Micros   float64
+	Protocol string  `json:"protocol"`
+	Micros   float64 `json:"micros"`
 }
 
 // TableLamport measures protocol (a) vs protocol (b) per critical section.
-func TableLamport(iters int) ([]LamportRow, error) {
+func TableLamport(h *Harness, iters int) ([]LamportRow, error) {
 	prof := arch.R3000()
 	run := func(lock core.Locker) (float64, error) {
 		proc := uniproc.New(uniproc.Config{Profile: prof, Quantum: noPreempt})
@@ -312,10 +308,7 @@ func TableLamport(iters int) ([]LamportRow, error) {
 			}
 			end = e.Now()
 		})
-		attachProc(proc)
-		err := proc.Run()
-		noteProcRun(proc)
-		if err != nil {
+		if err := h.Run(proc); err != nil {
 			return 0, err
 		}
 		return prof.Micros(end-start) / float64(iters), nil

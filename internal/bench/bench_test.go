@@ -8,7 +8,7 @@ import (
 // Table 1 shape: inline < branch < reservation(b) < reservation(a) <
 // emulation.
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1(2000)
+	rows, err := Table1(&Harness{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTable1Shape(t *testing.T) {
 // Table 2 shape: RAS beats emulation on every thread-management benchmark,
 // by the largest factor on Spinlock and the smallest on ForkTest/PingPong.
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(400)
+	rows, err := Table2(&Harness{}, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTable3Shape(t *testing.T) {
 	// large enough that its blocking handoffs dominate the suspension
 	// counts, as in the paper.
 	s.TextParas, s.AFSBytes, s.ParthChain, s.ProtonKB = 10, 1024, 30, 160
-	rows, err := Table3(s)
+	rows, err := Table3(&Harness{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTable3Shape(t *testing.T) {
 // software beats the interlocked instruction on the architectures the
 // paper calls out.
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(2000)
+	rows, err := Table4(&Harness{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTableI860(t *testing.T) {
-	rows, err := TableI860(2000)
+	rows, err := TableI860(&Harness{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTableI860(t *testing.T) {
 }
 
 func TestTableLamport(t *testing.T) {
-	rows, err := TableLamport(2000)
+	rows, err := TableLamport(&Harness{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTableHoldups(t *testing.T) {
 	s := DefaultScale()
 	s.ParthChain = 40
 	s.Quantum = 3000
-	rows, err := TableHoldups(s)
+	rows, err := TableHoldups(&Harness{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTableHoldups(t *testing.T) {
 }
 
 func TestTableAblation(t *testing.T) {
-	rows, err := TableAblation(3, 120)
+	rows, err := TableAblation(&Harness{}, 3, 120)
 	if err != nil {
 		t.Fatal(err)
 	}

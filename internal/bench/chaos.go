@@ -48,14 +48,14 @@ func tableRepro(table string, seed uint64) string {
 
 // ChaosRow is one scenario outcome of the chaos table.
 type ChaosRow struct {
-	Scenario string
-	Seed     uint64
-	Level    float64
-	Injected uint64
-	Restarts uint64
-	Extends  uint64 // watchdog quantum extensions
-	Aborts   uint64 // watchdog aborts (expected ones only)
-	Outcome  string
+	Scenario string  `json:"scenario"`
+	Seed     uint64  `json:"seed"`
+	Level    float64 `json:"level"`
+	Injected uint64  `json:"injected"`
+	Restarts uint64  `json:"restarts"`
+	Extends  uint64  `json:"extends"` // watchdog quantum extensions
+	Aborts   uint64  `json:"aborts"`  // watchdog aborts (expected ones only)
+	Outcome  string  `json:"outcome"`
 }
 
 // TableChaos runs the seeded fault-injection sweep on both substrates:
@@ -74,7 +74,7 @@ type ChaosRow struct {
 //     outside a true sequence.
 //
 // Any failure is returned as an error carrying the one-line seed reproducer.
-func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
+func TableChaos(h *Harness, cfg ChaosConfig) ([]ChaosRow, error) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 1
 	}
@@ -101,7 +101,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 			for s := 0; s < cfg.Seeds; s++ {
 				seed := chaos.Derive(cfg.Seed, uint64(s)+1)
 				plan := chaos.NewPlan(seed, level)
-				k, counterAddr, want, err := vmachChaosRun(sc.strat(), sc.at, sc.mech,
+				k, counterAddr, want, err := vmachChaosRun(h, sc.strat(), sc.at, sc.mech,
 					sc.quantum, cfg, plan, chaos.Watchdog{Policy: chaos.WatchdogExtend})
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v (repro: %s)", sc.name, err, plan.Repro())
@@ -111,7 +111,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 						sc.name, got, want, plan.Repro())
 				}
 				rows = append(rows, ChaosRow{
-					Scenario: sc.name, Seed: seed, Level: level,
+					Scenario: sc.name, Seed: seed, Level: plan.Level,
 					Injected: k.Stats.Injected, Restarts: k.Stats.Restarts,
 					Extends: k.Stats.WatchdogExtends, Outcome: "exact",
 				})
@@ -121,7 +121,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 
 	// vmach livelock: quantum 3 cannot fit the 6-cycle designated sequence.
 	{
-		k, _, _, err := vmachChaosRun(&kernel.Designated{}, kernel.CheckAtResume,
+		k, _, _, err := vmachChaosRun(h, &kernel.Designated{}, kernel.CheckAtResume,
 			guest.MechDesignated, 3, ChaosConfig{Workers: 1, Iters: 1, MaxCycles: cfg.MaxCycles},
 			nil, chaos.Watchdog{Policy: chaos.WatchdogAbort, MaxRestarts: 40})
 		if !errors.Is(err, kernel.ErrLivelock) {
@@ -133,7 +133,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 		})
 	}
 	{
-		k, counterAddr, want, err := vmachChaosRun(&kernel.Designated{}, kernel.CheckAtResume,
+		k, counterAddr, want, err := vmachChaosRun(h, &kernel.Designated{}, kernel.CheckAtResume,
 			guest.MechDesignated, 3, ChaosConfig{Workers: 1, Iters: 5, MaxCycles: cfg.MaxCycles},
 			nil, chaos.Watchdog{Policy: chaos.WatchdogExtend, MaxRestarts: 12})
 		if err != nil {
@@ -156,7 +156,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 		for s := 0; s < cfg.Seeds; s++ {
 			seed := chaos.Derive(cfg.Seed, 0xF00D, uint64(s)+1)
 			plan := chaos.NewPlan(seed, level)
-			proc, counter, err := uniprocChaosRun(cfg, core.NewRAS(), 200, plan,
+			proc, counter, err := uniprocChaosRun(h, cfg, core.NewRAS(), 200, plan,
 				chaos.Watchdog{Policy: chaos.WatchdogExtend})
 			if err != nil {
 				return nil, fmt.Errorf("uniproc/ras: %v (repro: %s)", err, plan.Repro())
@@ -166,7 +166,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 					counter, cfg.Workers*cfg.Iters, plan.Repro())
 			}
 			rows = append(rows, ChaosRow{
-				Scenario: "uniproc/ras", Seed: seed, Level: level,
+				Scenario: "uniproc/ras", Seed: seed, Level: plan.Level,
 				Injected: proc.Stats.Injected, Restarts: proc.Stats.Restarts,
 				Extends: proc.Stats.WatchdogExtends, Outcome: "exact",
 			})
@@ -178,7 +178,7 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	{
 		d := core.NewDegrading(core.NewRAS(), core.NewKernelEmul(arch.R3000()))
 		d.OpRestartLimit = 8
-		proc, counter, err := uniprocChaosRun(cfg, d, 2, nil, chaos.Watchdog{})
+		proc, counter, err := uniprocChaosRun(h, cfg, d, 2, nil, chaos.Watchdog{})
 		if err != nil {
 			return nil, fmt.Errorf("uniproc/degrading: %v (repro: %s)", err, tableRepro("chaos", cfg.Seed))
 		}
@@ -208,18 +208,18 @@ func TableChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	return rows, nil
 }
 
-func vmachChaosRun(strat kernel.Strategy, at kernel.CheckTime, mech guest.Mechanism,
+func vmachChaosRun(h *Harness, strat kernel.Strategy, at kernel.CheckTime, mech guest.Mechanism,
 	quantum uint64, cfg ChaosConfig, faults chaos.Injector, wd chaos.Watchdog) (*kernel.Kernel, uint32, uint32, error) {
 	prog := guest.Assemble(guest.MutexCounterProgram(mech, cfg.Workers, cfg.Iters))
 	k := kernel.Boot(kernel.Config{
 		Strategy: strat, CheckAt: at, Quantum: quantum,
 		MaxCycles: cfg.MaxCycles, Faults: faults, Watchdog: wd,
 	}, prog, "main", guest.StackTop(0), true)
-	err := k.Run()
+	err := h.Run(k)
 	return k, prog.MustSymbol("counter"), uint32(cfg.Workers * cfg.Iters), err
 }
 
-func uniprocChaosRun(cfg ChaosConfig, m core.Mechanism, quantum uint64,
+func uniprocChaosRun(h *Harness, cfg ChaosConfig, m core.Mechanism, quantum uint64,
 	faults chaos.Injector, wd chaos.Watchdog) (*uniproc.Processor, core.Word, error) {
 	proc := uniproc.New(uniproc.Config{
 		Quantum: quantum, MaxCycles: cfg.MaxCycles, Faults: faults, Watchdog: wd,
@@ -237,7 +237,7 @@ func uniprocChaosRun(cfg ChaosConfig, m core.Mechanism, quantum uint64,
 			}
 		})
 	}
-	err := proc.Run()
+	err := h.Run(proc)
 	return proc, counter, err
 }
 

@@ -10,7 +10,7 @@ func TestTableChaos(t *testing.T) {
 	cfg.Seeds = 2
 	cfg.Levels = []float64{0.5, 1}
 	cfg.Iters = 80
-	rows, err := TableChaos(cfg)
+	rows, err := TableChaos(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +37,18 @@ func TestTableChaos(t *testing.T) {
 }
 
 // The sweep is replayable: the same master seed yields identical rows.
+// A level above 1 runs as level 1, and its rows must say so.
 func TestTableChaosDeterministic(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Seeds = 1
 	cfg.Levels = []float64{1}
 	cfg.Iters = 60
-	r1, err := TableChaos(cfg)
+	r1, err := TableChaos(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TableChaos(cfg)
+	cfg.Levels = []float64{5}
+	r2, err := TableChaos(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,12 @@ type JournalRow struct {
 
 // vmachJournalPassage runs the guest journal fault-free and reports the
 // passage cost: cycles and persist operations for Target transactions.
-func vmachJournalPassage(cfg JournalConfig, mode string) (JournalRow, error) {
+func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
 	k := kernel.Boot(persistKernelConfig(mem, nil, cfg.MaxCycles), prog, "main", guest.StackTop(0), true)
-	if err := k.Run(); err != nil {
+	if err := h.Run(k); err != nil {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: %v (repro: %s)", mode, err, tableRepro("journal", cfg.Seed))
 	}
 	a, b := mem.Peek(prog.MustSymbol("va")), mem.Peek(prog.MustSymbol("vb"))
@@ -82,7 +82,7 @@ func vmachJournalPassage(cfg JournalConfig, mode string) (JournalRow, error) {
 // and requires exact recovery every time. Repairs counts the crashes
 // that left a committed in-flight record (host-checked with the same
 // checksum rule the guest's recovery path applies).
-func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
+func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	fail := func(format string, args ...any) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("vmach/"+mode+"-torn: "+format+" (repro: %s)",
@@ -95,7 +95,7 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 	calMem := vmach.NewMemory()
 	calMem.EnablePersistence()
 	cal := boot(calMem, nil, true)
-	if err := cal.Run(); err != nil {
+	if err := h.Run(cal); err != nil {
 		return fail("calibration: %v", err)
 	}
 	span := cal.Steps()
@@ -113,7 +113,7 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 		mem.EnablePersistence()
 		k := boot(mem, chaos.OneShot{Point: chaos.PointStep, N: at,
 			Action: chaos.Action{CrashVolatile: true, Torn: true}}, true)
-		if err := k.Run(); !errors.Is(err, kernel.ErrMachineCrash) {
+		if err := h.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 			return fail("crash %d at step %d: run = %v", c, at, err)
 		}
 		// The crash already tore the volatile tier down; audit the NVM
@@ -125,7 +125,7 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 			repairs++
 		}
 		k2 := boot(mem, nil, false)
-		if err := k2.Run(); err != nil {
+		if err := h.Run(k2); err != nil {
 			return fail("crash %d at step %d: reboot run: %v", c, at, err)
 		}
 		a, b := mem.Peek(va), mem.Peek(vb)
@@ -142,7 +142,7 @@ func vmachJournalTornSweep(cfg JournalConfig, mode string) (JournalRow, error) {
 
 // pstructPassage runs a persistent stack fault-free and reports the
 // passage cost of one logged transaction per operation.
-func pstructPassage(cfg JournalConfig, kind string, mode core.LogMode) (JournalRow, error) {
+func pstructPassage(h *Harness, cfg JournalConfig, kind string, mode core.LogMode) (JournalRow, error) {
 	arena := pstructBenchArena(kind, cfg.Ops)
 	p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles})
 	p.EnablePersistence()
@@ -150,7 +150,7 @@ func pstructPassage(cfg JournalConfig, kind string, mode core.LogMode) (JournalR
 	p.Go("main", func(e *uniproc.Env) {
 		opErr = pstructBenchOps(e, arena, kind, mode, cfg.Ops, nil)
 	})
-	if err := p.Run(); err != nil {
+	if err := h.Run(p); err != nil {
 		return JournalRow{}, fmt.Errorf("uniproc/%s-%s passage: %v (repro: %s)", kind, mode, err, tableRepro("journal", cfg.Seed))
 	}
 	if opErr != nil {
@@ -203,7 +203,7 @@ func pstructBenchOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode cor
 // ordinals with torn write-backs and recovers on a fresh processor: the
 // recovered stack must hold exactly 1..k for k = committed or committed+1
 // — each transaction is all-or-nothing, committed ones never lost.
-func pstructTornSweep(cfg JournalConfig, mode core.LogMode) (JournalRow, error) {
+func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (JournalRow, error) {
 	fail := func(format string, args ...any) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("uniproc/stack-"+mode.String()+"-torn: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
@@ -213,7 +213,7 @@ func pstructTornSweep(cfg JournalConfig, mode core.LogMode) (JournalRow, error) 
 	cal.Go("main", func(e *uniproc.Env) {
 		_ = pstructBenchOps(e, pstructBenchArena("stack", cfg.Ops), "stack", mode, cfg.Ops, nil)
 	})
-	if err := cal.Run(); err != nil {
+	if err := h.Run(cal); err != nil {
 		return fail("calibration: %v", err)
 	}
 	span := cal.PersistOps()
@@ -231,7 +231,7 @@ func pstructTornSweep(cfg JournalConfig, mode core.LogMode) (JournalRow, error) 
 		p1.Go("main", func(e *uniproc.Env) {
 			_ = pstructBenchOps(e, arena, "stack", mode, cfg.Ops, &committed)
 		})
-		if err := p1.Run(); !errors.Is(err, uniproc.ErrMachineCrash) {
+		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
 			return fail("crash %d at persist op %d: run = %v", c, at, err)
 		}
 		// Recover on a fresh processor from the arena words alone, then
@@ -251,7 +251,7 @@ func pstructTornSweep(cfg JournalConfig, mode core.LogMode) (JournalRow, error) 
 				vals = append(vals, v)
 			}
 		})
-		if err := p2.Run(); err != nil {
+		if err := h.Run(p2); err != nil {
 			return fail("crash %d at persist op %d: recovery run: %v", c, at, err)
 		}
 		k := len(vals)
@@ -278,7 +278,7 @@ func pstructTornSweep(cfg JournalConfig, mode core.LogMode) (JournalRow, error) 
 // with one seeded torn crash, and remounts: every committed append must
 // survive, at most the in-flight one may additionally appear, and the
 // journal's metrics report the replay.
-func memfsJournalReplay(cfg JournalConfig) (JournalRow, error) {
+func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 	fail := func(format string, args ...any) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("memfs/journal-replay: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
@@ -314,7 +314,7 @@ func memfsJournalReplay(cfg JournalConfig) (JournalRow, error) {
 		n := 0
 		calErr = workload(j, e, &n)
 	})
-	if err := cal.Run(); err != nil {
+	if err := h.Run(cal); err != nil {
 		return fail("calibration: %v", err)
 	}
 	if calErr != nil {
@@ -338,7 +338,7 @@ func memfsJournalReplay(cfg JournalConfig) (JournalRow, error) {
 			}
 			_ = workload(j, e, &committed)
 		})
-		if err := p1.Run(); !errors.Is(err, uniproc.ErrMachineCrash) {
+		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
 			return fail("crash %d at persist op %d: run = %v", c, at, err)
 		}
 		crashes++
@@ -356,7 +356,7 @@ func memfsJournalReplay(cfg JournalConfig) (JournalRow, error) {
 			}
 			got, _ = j.ReadFile(e, "/log")
 		})
-		if err := p2.Run(); err != nil {
+		if err := h.Run(p2); err != nil {
 			return fail("crash %d at persist op %d: remount run: %v", c, at, err)
 		}
 		if mountErr != nil {
@@ -390,21 +390,21 @@ func memfsJournalReplay(cfg JournalConfig) (JournalRow, error) {
 //     records written and replayed;
 //   - mcheck walk: the exhaustive K=1 torn-crash enumeration of the redo
 //     journal at every persist boundary, zero violations.
-func TableJournal(cfg JournalConfig) ([]JournalRow, error) {
+func TableJournal(h *Harness, cfg JournalConfig) ([]JournalRow, error) {
 	if cfg.Crashes <= 0 {
 		cfg.Crashes = 1
 	}
 	var rows []JournalRow
 
 	for _, mode := range []string{"redo", "undo"} {
-		row, err := vmachJournalPassage(cfg, mode)
+		row, err := vmachJournalPassage(h, cfg, mode)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	for _, mode := range []string{"redo", "undo"} {
-		row, err := vmachJournalTornSweep(cfg, mode)
+		row, err := vmachJournalTornSweep(h, cfg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +412,7 @@ func TableJournal(cfg JournalConfig) ([]JournalRow, error) {
 	}
 	for _, kind := range []string{"stack", "queue"} {
 		for _, mode := range []core.LogMode{core.Redo, core.Undo} {
-			row, err := pstructPassage(cfg, kind, mode)
+			row, err := pstructPassage(h, cfg, kind, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -420,13 +420,13 @@ func TableJournal(cfg JournalConfig) ([]JournalRow, error) {
 		}
 	}
 	for _, mode := range []core.LogMode{core.Redo, core.Undo} {
-		row, err := pstructTornSweep(cfg, mode)
+		row, err := pstructTornSweep(h, cfg, mode)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	row, err := memfsJournalReplay(cfg)
+	row, err := memfsJournalReplay(h, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func testJournalConfig(t *testing.T) JournalConfig {
 }
 
 func TestTableJournal(t *testing.T) {
-	rows, err := TableJournal(testJournalConfig(t))
+	rows, err := TableJournal(&Harness{}, testJournalConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestTableJournal(t *testing.T) {
 func TestTableJournalDeterministic(t *testing.T) {
 	cfg := testJournalConfig(t)
 	cfg.Crashes = 3
-	r1, err := TableJournal(cfg)
+	r1, err := TableJournal(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TableJournal(cfg)
+	r2, err := TableJournal(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func persistKernelConfig(mem *vmach.Memory, faults chaos.Injector, maxCycles uin
 // memory. For the well-flushed program every crash must lose at most one
 // increment and every reboot must complete the exact workload; for the
 // under-flushed control the sweep instead reports the worst loss it saw.
-func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool, salt uint64) (PersistRow, error) {
+func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, wellFlushed bool, salt uint64) (PersistRow, error) {
 	prog := guest.Assemble(src)
 	fail := func(format string, args ...any) (PersistRow, error) {
 		return PersistRow{}, fmt.Errorf(scenario+": "+format+" (repro: %s)",
@@ -79,7 +79,7 @@ func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool
 	calMem := vmach.NewMemory()
 	calMem.EnablePersistence()
 	cal := boot(calMem, nil, true)
-	if err := cal.Run(); err != nil {
+	if err := h.Run(cal); err != nil {
 		return fail("calibration: %v", err)
 	}
 	span := cal.Steps()
@@ -96,7 +96,7 @@ func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool
 		k := boot(mem, chaos.OneShot{Point: chaos.PointStep, N: at,
 			Action: chaos.Action{CrashVolatile: true}}, true)
 		mem.Watch(counterAddr, func(old, new isa.Word) { committed++ })
-		if err := k.Run(); !errors.Is(err, kernel.ErrMachineCrash) {
+		if err := h.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 			return fail("crash %d at step %d: run = %v", c, at, err)
 		}
 		// The injected crash already discarded the volatile tier.
@@ -110,7 +110,7 @@ func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool
 		// Reboot the same binary over the surviving memory: no reload, the
 		// image and the recovery state are both in NVM.
 		k2 := boot(mem, nil, false)
-		if err := k2.Run(); err != nil {
+		if err := h.Run(k2); err != nil {
 			return fail("crash %d at step %d: reboot run: %v", c, at, err)
 		}
 		if got := mem.Peek(counterAddr); got != c0+want {
@@ -135,7 +135,7 @@ func vmachPersistSweep(cfg PersistConfig, scenario, src string, wellFlushed bool
 // uniprocPersistSweep is the runtime-layer sweep: core.PersistentMutex
 // plus a caller-persisted counter, crashed at seeded memory-operation
 // ordinals and recovered on a fresh processor from word contents alone.
-func uniprocPersistSweep(cfg PersistConfig) (PersistRow, error) {
+func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 	fail := func(format string, args ...any) (PersistRow, error) {
 		return PersistRow{}, fmt.Errorf("uniproc/crash-sweep: "+format+" (repro: %s)",
 			append(args, tableRepro("persist", cfg.Seed))...)
@@ -166,7 +166,7 @@ func uniprocPersistSweep(cfg PersistConfig) (PersistRow, error) {
 			e.Fork("worker", workload(calMu, &calCounter, &calN))
 		}
 	})
-	if err := cal.Run(); err != nil {
+	if err := h.Run(cal); err != nil {
 		return fail("calibration: %v", err)
 	}
 	span := cal.MemOps()
@@ -185,7 +185,7 @@ func uniprocPersistSweep(cfg PersistConfig) (PersistRow, error) {
 				e.Fork("worker", workload(mu, &counter, &committed))
 			}
 		})
-		if err := p1.Run(); !errors.Is(err, uniproc.ErrMachineCrash) {
+		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
 			return fail("crash %d at memop %d: run = %v", c, at, err)
 		}
 		c0 := counter
@@ -202,7 +202,7 @@ func uniprocPersistSweep(cfg PersistConfig) (PersistRow, error) {
 				e.Fork("worker", workload(mu, &counter, &committed))
 			}
 		})
-		if err := p2.Run(); err != nil {
+		if err := h.Run(p2); err != nil {
 			return fail("crash %d at memop %d: reboot run: %v", c, at, err)
 		}
 		if want := c0 + core.Word(cfg.Workers*cfg.Iters); counter != want {
@@ -228,27 +228,27 @@ func uniprocPersistSweep(cfg PersistConfig) (PersistRow, error) {
 //     pass with zero violations.
 //
 // Any failure is returned as an error naming the seed that reproduces it.
-func TablePersist(cfg PersistConfig) ([]PersistRow, error) {
+func TablePersist(h *Harness, cfg PersistConfig) ([]PersistRow, error) {
 	if cfg.Crashes <= 0 {
 		cfg.Crashes = 1
 	}
 	var rows []PersistRow
 
-	row, err := vmachPersistSweep(cfg, "vmach/crash-sweep",
+	row, err := vmachPersistSweep(h, cfg, "vmach/crash-sweep",
 		guest.PersistentCounterProgram(cfg.Workers, cfg.Iters), true, 0x58)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, row)
 
-	row, err = vmachPersistSweep(cfg, "vmach/underflush-control",
+	row, err = vmachPersistSweep(h, cfg, "vmach/underflush-control",
 		guest.UnderflushedCounterProgram(cfg.Workers, cfg.Iters), false, 0x59)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, row)
 
-	row, err = uniprocPersistSweep(cfg)
+	row, err = uniprocPersistSweep(h, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func testPersistConfig(t *testing.T) PersistConfig {
 }
 
 func TestTablePersist(t *testing.T) {
-	rows, err := TablePersist(testPersistConfig(t))
+	rows, err := TablePersist(&Harness{}, testPersistConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestTablePersist(t *testing.T) {
 func TestTablePersistDeterministic(t *testing.T) {
 	cfg := testPersistConfig(t)
 	cfg.Crashes = 3
-	r1, err := TablePersist(cfg)
+	r1, err := TablePersist(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TablePersist(cfg)
+	r2, err := TablePersist(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

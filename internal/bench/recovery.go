@@ -37,12 +37,12 @@ func DefaultRecoveryConfig() RecoveryConfig {
 
 // RecoveryRow is one scenario outcome of the recovery table.
 type RecoveryRow struct {
-	Scenario  string
-	Seed      uint64
-	Schedules int
-	Kills     uint64
-	Repairs   uint64
-	Outcome   string
+	Scenario  string `json:"scenario"`
+	Seed      uint64 `json:"seed"`
+	Schedules int    `json:"schedules"`
+	Kills     uint64 `json:"kills"`
+	Repairs   uint64 `json:"repairs"`
+	Outcome   string `json:"outcome"`
 }
 
 // rmeWatch validates the recoverable-counter guest program's lock
@@ -156,7 +156,7 @@ func (w *rmeWatch) verify(runErr error) error {
 //     they struck and replayed to the uncrashed run's exact final state.
 //
 // Any failure is returned as an error naming the seed that reproduces it.
-func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
+func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 	if cfg.Schedules <= 0 {
 		cfg.Schedules = 1
 	}
@@ -185,7 +185,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 					}
 				})
 			}
-			err := p.Run()
+			err := h.Run(p)
 			return p, m, counter, gocount, err
 		}
 		ref, _, _, _, err := run(nil)
@@ -239,7 +239,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			}, cfg.Workers, cfg.Iters)
 		}
 		ref := mk(nil)
-		if err := ref.verify(ref.k.Run()); err != nil {
+		if err := ref.verify(h.Run(ref.k)); err != nil {
 			return nil, fmt.Errorf("%s: reference: %v (repro: %s)", name, err, tableRepro("recovery", cfg.Seed))
 		}
 		span := ref.k.Steps()
@@ -252,7 +252,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 				shots = append(shots, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Kill: true}})
 			}
 			w := mk(chaos.Compose(shots...))
-			if err := w.verify(w.k.Run()); err != nil {
+			if err := w.verify(h.Run(w.k)); err != nil {
 				return nil, fmt.Errorf("%s: schedule %d (seed %#x): %v (repro: %s)", name, s, cfg.Seed, err, tableRepro("recovery", cfg.Seed))
 			}
 			kills += w.k.Stats.Kills
@@ -268,7 +268,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 	{
 		ref := newRMEWatch(kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles},
 			cfg.Workers, cfg.Iters)
-		if err := ref.verify(ref.k.Run()); err != nil {
+		if err := ref.verify(h.Run(ref.k)); err != nil {
 			return nil, fmt.Errorf("vmach/checkpoint-replay: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 		}
 		total := ref.k.M.Stats.Instructions
@@ -292,7 +292,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("vmach/checkpoint-replay: restore: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
-			if err := k2.Run(); err != nil {
+			if err := h.Run(k2); err != nil {
 				return nil, fmt.Errorf("vmach/checkpoint-replay: replay: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
 			if k2.Stats != ref.k.Stats || k2.M.Stats != ref.k.M.Stats {
@@ -311,7 +311,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			return kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
 		}
 		ref := newRMEWatch(mkCfg(nil), cfg.Workers, cfg.Iters)
-		if err := ref.verify(ref.k.Run()); err != nil {
+		if err := ref.verify(h.Run(ref.k)); err != nil {
 			return nil, fmt.Errorf("vmach/crash-restore: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 		}
 		span := ref.k.Steps()
@@ -319,7 +319,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			at := chaos.Derive(cfg.Seed, 0x57, uint64(c))%span + 1
 			w := newRMEWatch(mkCfg(chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}),
 				cfg.Workers, cfg.Iters)
-			if err := w.k.Run(); !errors.Is(err, kernel.ErrMachineCrash) {
+			if err := h.Run(w.k); !errors.Is(err, kernel.ErrMachineCrash) {
 				return nil, fmt.Errorf("vmach/crash-restore: crash %d at step %d: run = %v (repro: %s)", c, at, err, tableRepro("recovery", cfg.Seed))
 			}
 			snap, err := kernel.DecodeSnapshot(w.k.Capture().Encode())
@@ -330,7 +330,7 @@ func TableRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("vmach/crash-restore: restore: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
-			if err := k2.Run(); err != nil {
+			if err := h.Run(k2); err != nil {
 				return nil, fmt.Errorf("vmach/crash-restore: replay: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
 			// The crash injection itself is the only accounting difference

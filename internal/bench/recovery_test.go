@@ -18,7 +18,7 @@ func testRecoveryConfig(t *testing.T) RecoveryConfig {
 }
 
 func TestTableRecovery(t *testing.T) {
-	rows, err := TableRecovery(testRecoveryConfig(t))
+	rows, err := TableRecovery(&Harness{}, testRecoveryConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestTableRecovery(t *testing.T) {
 func TestTableRecoveryDeterministic(t *testing.T) {
 	cfg := testRecoveryConfig(t)
 	cfg.Schedules = 10
-	r1, err := TableRecovery(cfg)
+	r1, err := TableRecovery(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TableRecovery(cfg)
+	r2, err := TableRecovery(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func rmrRow(res *qlock.Result) RMRRow {
 // one contender per CPU, and appends a recovery section: recoverable
 // MCS under seeded single-kill schedules, which must stay exact while
 // the repair counters account for the damage.
-func TableRMR(cfg RMRConfig) ([]RMRRow, error) {
+func TableRMR(h *Harness, cfg RMRConfig) ([]RMRRow, error) {
 	if len(cfg.CPUList) == 0 {
 		cfg.CPUList = DefaultRMRConfig().CPUList
 	}
@@ -105,22 +105,29 @@ func TableRMR(cfg RMRConfig) ([]RMRRow, error) {
 	for _, mode := range cfg.Modes {
 		for _, v := range qlock.Variants() {
 			for _, cpus := range cfg.CPUList {
-				res, err := qlock.Start(qlock.Config{
+				r, err := qlock.New(qlock.Config{
 					Variant:   v,
 					CPUs:      cpus,
 					Iters:     cfg.Iters,
 					Mode:      mode,
 					MaxCycles: cfg.MaxCycles,
 				})
+				if err == nil {
+					err = h.Run(r.Sys)
+				}
+				var res *qlock.Result
+				if err == nil {
+					res, err = r.Collect()
+				}
 				if err != nil {
-					return nil, fmt.Errorf("bench: rmr: %w", err)
+					return nil, fmt.Errorf("bench: rmr %s/%dcpu/%s: %w", v, cpus, mode, err)
 				}
 				rows = append(rows, rmrRow(res))
 			}
 		}
 	}
 	for _, mode := range cfg.Modes {
-		row, err := rmrKillRow(cfg, mode)
+		row, err := rmrKillRow(h, cfg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +142,7 @@ func TableRMR(cfg RMRConfig) ([]RMRRow, error) {
 // ordinal; exactness must hold on every one (modulo the worker that
 // dies inside its critical section between the counter increment and
 // its own completion count).
-func rmrKillRow(cfg RMRConfig, mode smp.Mode) (RMRRow, error) {
+func rmrKillRow(h *Harness, cfg RMRConfig, mode smp.Mode) (RMRRow, error) {
 	kills := cfg.Kills
 	if kills <= 0 {
 		kills = 32
@@ -144,9 +151,9 @@ func rmrKillRow(cfg RMRConfig, mode smp.Mode) (RMRRow, error) {
 	var cycles uint64
 	lat := obs.NewHistogram(obs.ExpBuckets(1, qlock.LatBuckets))
 	for i := 0; i < kills; i++ {
-		h := chaos.Derive(cfg.Seed, uint64(mode), uint64(i))
-		cpu := int(h >> 32 & 1)
-		at := h%1500 + 1
+		d := chaos.Derive(cfg.Seed, uint64(mode), uint64(i))
+		cpu := int(d >> 32 & 1)
+		at := d%1500 + 1
 		r, err := qlock.New(qlock.Config{
 			Variant:   qlock.RMCS,
 			CPUs:      2,
@@ -164,7 +171,7 @@ func rmrKillRow(cfg RMRConfig, mode smp.Mode) (RMRRow, error) {
 		if err != nil {
 			return RMRRow{}, fmt.Errorf("bench: rmr kill %d: %w", i, err)
 		}
-		if err := r.Sys.Run(); err != nil {
+		if err := h.Run(r.Sys); err != nil {
 			return RMRRow{}, fmt.Errorf("bench: rmr kill %d (cpu%d@%d): %w", i, cpu, at, err)
 		}
 		res, err := r.Collect()

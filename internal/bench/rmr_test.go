@@ -17,7 +17,7 @@ func TestTableRMR(t *testing.T) {
 		Seed:    7,
 		Kills:   8,
 	}
-	rows, err := TableRMR(cfg)
+	rows, err := TableRMR(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,16 +120,13 @@ func ServerSystem(cfg smp.Config, v guest.ServerVariant, clients, iters int) (*s
 // per CPU. Every request is accounted: a served-count mismatch fails the
 // run (this is what the racy drain variant trips under forced schedules;
 // under the round-robin bench schedule both variants are clean).
-func serverRun(cfg ServerConfig, mode smp.Mode, v guest.ServerVariant, cpus, iters int) (ServerRow, error) {
+func serverRun(h *Harness, cfg ServerConfig, mode smp.Mode, v guest.ServerVariant, cpus, iters int) (ServerRow, error) {
 	sys, prog, err := ServerSystem(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles},
 		v, cfg.Clients, iters)
 	if err != nil {
 		return ServerRow{}, err
 	}
-	attachSMP(sys)
-	err = sys.Run()
-	noteSMPRun(sys)
-	if err != nil {
+	if err := h.Run(sys); err != nil {
 		return ServerRow{}, fmt.Errorf("bench: server %s/%dcpu/%s: %w", v, cpus, mode, err)
 	}
 	requests := uint64(cpus * cfg.Clients * iters)
@@ -177,7 +174,7 @@ func serverRun(cfg ServerConfig, mode smp.Mode, v guest.ServerVariant, cpus, ite
 // cfg.UXRequests file operations at the uxserver, with the passage-cost
 // histogram attached so the row carries client-observed latency
 // quantiles.
-func uxRun(cfg ServerConfig, perCPU bool, shards int) (ServerRow, error) {
+func uxRun(h *Harness, cfg ServerConfig, perCPU bool, shards int) (ServerRow, error) {
 	proc := uniproc.New(uniproc.Config{Profile: arch.R3000(), Quantum: 20000, JitterSeed: 23})
 	pkg := cthreads.New(core.NewRAS())
 	var srv *uxserver.Server
@@ -221,10 +218,7 @@ func uxRun(cfg ServerConfig, perCPU bool, shards int) (ServerRow, error) {
 		}
 		srv.Shutdown(e)
 	})
-	attachProc(proc)
-	err := proc.Run()
-	noteProcRun(proc)
-	if err != nil {
+	if err := h.Run(proc); err != nil {
 		return ServerRow{}, fmt.Errorf("bench: server %s/%dshard: %w", impl, shards, err)
 	}
 	if clientErr != nil {
@@ -265,7 +259,7 @@ func uxRun(cfg ServerConfig, perCPU bool, shards int) (ServerRow, error) {
 // mode, then the rebuilt uxserver against the single-queue original
 // across shard counts. Over a million requests end to end with the
 // default configuration.
-func TableServer(cfg ServerConfig) ([]ServerRow, error) {
+func TableServer(h *Harness, cfg ServerConfig) ([]ServerRow, error) {
 	if len(cfg.CPUList) == 0 {
 		cfg.CPUList = []int{1, 2, 4, 8}
 	}
@@ -298,7 +292,7 @@ func TableServer(cfg ServerConfig) ([]ServerRow, error) {
 				iters = cfg.MutexIters
 			}
 			for _, cpus := range cfg.CPUList {
-				row, err := serverRun(cfg, mode, v, cpus, iters)
+				row, err := serverRun(h, cfg, mode, v, cpus, iters)
 				if err != nil {
 					return nil, err
 				}
@@ -308,7 +302,7 @@ func TableServer(cfg ServerConfig) ([]ServerRow, error) {
 	}
 	for _, perCPU := range []bool{false, true} {
 		for _, shards := range cfg.Shards {
-			row, err := uxRun(cfg, perCPU, shards)
+			row, err := uxRun(h, cfg, perCPU, shards)
 			if err != nil {
 				return nil, err
 			}

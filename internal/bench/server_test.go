@@ -34,7 +34,7 @@ func rowsBy(rows []ServerRow, impl string) map[int]ServerRow {
 // baseline's does not, and the per-CPU request path executes zero
 // remote references where the mutex path executes many.
 func TestServerScalingVsMutexFlatline(t *testing.T) {
-	rows, err := TableServer(smallServerConfig())
+	rows, err := TableServer(&Harness{}, smallServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestServerScalingVsMutexFlatline(t *testing.T) {
 func TestServerUniprocRowsCarryQuantiles(t *testing.T) {
 	cfg := smallServerConfig()
 	cfg.CPUList = []int{1} // keep the guest half minimal
-	rows, err := TableServer(cfg)
+	rows, err := TableServer(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,13 +70,10 @@ func SMPCounterSystem(cfg smp.Config, lock guest.SMPLock, workers, iters int) (*
 // smpRun executes one cell: `workers` threads per CPU, each making
 // `iters` passages through lock l, on an SMP() machine with the given
 // coherence mode. The counter is verified — a lost update fails the run.
-func smpRun(cfg SMPConfig, mode smp.Mode, lock guest.SMPLock, cpus int) (SMPRow, error) {
+func smpRun(h *Harness, cfg SMPConfig, mode smp.Mode, lock guest.SMPLock, cpus int) (SMPRow, error) {
 	sys, prog := SMPCounterSystem(smp.Config{CPUs: cpus, Mode: mode, MaxCycles: cfg.MaxCycles},
 		lock, cfg.Workers, cfg.Iters)
-	attachSMP(sys)
-	err := sys.Run()
-	noteSMPRun(sys)
-	if err != nil {
+	if err := h.Run(sys); err != nil {
 		return SMPRow{}, fmt.Errorf("bench: smp %s/%dcpu/%s: %w", lock, cpus, mode, err)
 	}
 	passages := uint64(cpus * cfg.Workers * cfg.Iters)
@@ -106,7 +103,7 @@ func smpRun(cfg SMPConfig, mode smp.Mode, lock guest.SMPLock, cpus int) (SMPRow,
 // never touch the bus — shows up as lower passage cost than the pure
 // spinlock whenever a CPU hosts more than one contender, and as zero
 // RMRs per passage whenever there is only one CPU.
-func TableSMP(cfg SMPConfig) ([]SMPRow, error) {
+func TableSMP(h *Harness, cfg SMPConfig) ([]SMPRow, error) {
 	if len(cfg.CPUList) == 0 {
 		cfg.CPUList = []int{1, 2, 4}
 	}
@@ -124,7 +121,7 @@ func TableSMP(cfg SMPConfig) ([]SMPRow, error) {
 	for _, mode := range cfg.Modes {
 		for _, lock := range locks {
 			for _, cpus := range cfg.CPUList {
-				row, err := smpRun(cfg, mode, lock, cpus)
+				row, err := smpRun(h, cfg, mode, lock, cpus)
 				if err != nil {
 					return nil, err
 				}

@@ -26,7 +26,7 @@ func findSMP(t *testing.T, rows []SMPRow, lock string, cpus int, mode string) SM
 }
 
 func TestTableSMP(t *testing.T) {
-	rows, err := TableSMP(testSMPConfig())
+	rows, err := TableSMP(&Harness{}, testSMPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestTableSMP(t *testing.T) {
 }
 
 func TestTableSMPDeterministic(t *testing.T) {
-	a, err := TableSMP(testSMPConfig())
+	a, err := TableSMP(&Harness{}, testSMPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TableSMP(testSMPConfig())
+	b, err := TableSMP(&Harness{}, testSMPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTableSMPDeterministic(t *testing.T) {
 // pays a trap per passage.
 func TestHybridDegeneratesToRAS(t *testing.T) {
 	const iters = 400
-	t1, err := Table1(iters)
+	t1, err := Table1(&Harness{}, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHybridDegeneratesToRAS(t *testing.T) {
 	}
 
 	cfg := SMPConfig{CPUList: []int{1}, Workers: 1, Iters: iters, Modes: []smp.Mode{smp.CC}}
-	rows, err := TableSMP(cfg)
+	rows, err := TableSMP(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,19 +16,19 @@ import (
 // QuantumRow is one point of the quantum-sensitivity sweep: how often
 // restartable sequences are actually interrupted as the timeslice varies.
 type QuantumRow struct {
-	Quantum        uint64
-	AtomicOps      uint64
-	Suspensions    uint64
-	Restarts       uint64
-	RestartsPerOp  float64 // restarts / atomic operations
-	RestartsPerSus float64 // restarts / suspensions
+	Quantum        uint64  `json:"quantum"`
+	AtomicOps      uint64  `json:"atomic_ops"`
+	Suspensions    uint64  `json:"suspensions"`
+	Restarts       uint64  `json:"restarts"`
+	RestartsPerOp  float64 `json:"restarts_per_op"`  // restarts / atomic operations
+	RestartsPerSus float64 `json:"restarts_per_sus"` // restarts / suspensions
 }
 
 // TableQuantumSweep quantifies the paper's central bet — "short atomic
 // sequences are rarely interrupted" — as a function of the scheduling
 // quantum. Even at absurdly small quanta the restart rate per atomic
 // operation stays small; at realistic quanta it is negligible.
-func TableQuantumSweep(workers, iters int, quanta []uint64) ([]QuantumRow, error) {
+func TableQuantumSweep(h *Harness, workers, iters int, quanta []uint64) ([]QuantumRow, error) {
 	if len(quanta) == 0 {
 		quanta = []uint64{50, 200, 1000, 10000, 100000}
 	}
@@ -49,7 +49,7 @@ func TableQuantumSweep(workers, iters int, quanta []uint64) ([]QuantumRow, error
 				}
 			})
 		}
-		if err := proc.Run(); err != nil {
+		if err := h.Run(proc); err != nil {
 			return nil, err
 		}
 		if counter != core.Word(ops) {
@@ -84,10 +84,10 @@ func FormatQuantumSweep(rows []QuantumRow) string {
 
 // WorkerRow is one point of the server worker-count study.
 type WorkerRow struct {
-	Workers  int
-	Secs     float64
-	Switches uint64
-	Blocks   uint64
+	Workers  int     `json:"workers"`
+	Secs     float64 `json:"secs"`
+	Switches uint64  `json:"switches"`
+	Blocks   uint64  `json:"blocks"`
 }
 
 // TableServerWorkers runs the afs-bench script against the multithreaded
@@ -95,7 +95,7 @@ type WorkerRow struct {
 // workers cannot add throughput for a single client — they only add context
 // switching — which is the §1.1 observation that microkernel service
 // threading exposes synchronization cost rather than hiding it.
-func TableServerWorkers(counts []int) ([]WorkerRow, error) {
+func TableServerWorkers(h *Harness, counts []int) ([]WorkerRow, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8}
 	}
@@ -111,7 +111,7 @@ func TableServerWorkers(counts []int) ([]WorkerRow, error) {
 			})
 			srv.Shutdown(e)
 		})
-		if err := proc.Run(); err != nil {
+		if err := h.Run(proc); err != nil {
 			return nil, err
 		}
 		if appErr != nil {

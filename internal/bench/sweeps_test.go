@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestQuantumSweepShape(t *testing.T) {
-	rows, err := TableQuantumSweep(4, 300, nil)
+	rows, err := TableQuantumSweep(&Harness{}, 4, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestQuantumSweepShape(t *testing.T) {
 }
 
 func TestServerWorkersShape(t *testing.T) {
-	rows, err := TableServerWorkers(nil)
+	rows, err := TableServerWorkers(&Harness{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,24 +47,24 @@ func DefaultScale() Scale {
 
 // AppStats is one measured run of one application.
 type AppStats struct {
-	Secs        float64
-	EmulTraps   uint64
-	Restarts    uint64
-	Suspensions uint64 // involuntary suspensions + blocking waits
-	Holdups     uint64 // lock-found-held events (§5.3)
+	Secs        float64 `json:"secs"`
+	EmulTraps   uint64  `json:"emul_traps"`
+	Restarts    uint64  `json:"restarts"`
+	Suspensions uint64  `json:"suspensions"` // involuntary suspensions + blocking waits
+	Holdups     uint64  `json:"holdups"`     // lock-found-held events (§5.3)
 }
 
 // T3Row is one line of Table 3: an application under kernel emulation and
 // under restartable atomic sequences.
 type T3Row struct {
-	Program string
-	Emul    AppStats
-	RAS     AppStats
+	Program string   `json:"program"`
+	Emul    AppStats `json:"emul"`
+	RAS     AppStats `json:"ras"`
 }
 
 // appRunner sets up a processor/thread package and runs one application's
 // client thread.
-func runApp(s Scale, mech core.Mechanism, needServer bool,
+func runApp(h *Harness, s Scale, mech core.Mechanism, needServer bool,
 	client func(e *uniproc.Env, pkg *cthreads.Pkg, srv *uxserver.Server) error) (AppStats, error) {
 	proc := uniproc.New(uniproc.Config{
 		Profile: arch.R3000(), Quantum: s.Quantum, JitterSeed: s.Seed,
@@ -81,10 +81,7 @@ func runApp(s Scale, mech core.Mechanism, needServer bool,
 			srv.Shutdown(e)
 		}
 	})
-	attachProc(proc)
-	err := proc.Run()
-	noteProcRun(proc)
-	if err != nil {
+	if err := h.Run(proc); err != nil {
 		return AppStats{}, err
 	}
 	if appErr != nil {
@@ -148,15 +145,15 @@ func table3Programs(s Scale) []struct {
 
 // Table3 reproduces Table 3: each application under kernel emulation and
 // under restartable atomic sequences.
-func Table3(s Scale) ([]T3Row, error) {
+func Table3(h *Harness, s Scale) ([]T3Row, error) {
 	prof := arch.R3000()
 	var rows []T3Row
 	for _, p := range table3Programs(s) {
-		emul, err := runApp(s, core.NewKernelEmul(prof), p.needServer, p.client)
+		emul, err := runApp(h, s, core.NewKernelEmul(prof), p.needServer, p.client)
 		if err != nil {
 			return nil, fmt.Errorf("%s (emulation): %w", p.name, err)
 		}
-		ras, err := runApp(s, core.NewRAS(), p.needServer, p.client)
+		ras, err := runApp(h, s, core.NewRAS(), p.needServer, p.client)
 		if err != nil {
 			return nil, fmt.Errorf("%s (ras): %w", p.name, err)
 		}
@@ -183,13 +180,13 @@ func FormatTable3(rows []T3Row) string {
 // found a Test-And-Set lock held by a (suspended) holder. The paper
 // observed roughly twice as many holdups under kernel emulation.
 type HoldupRow struct {
-	Mechanism string
-	Holdups   uint64
-	Secs      float64
+	Mechanism string  `json:"mechanism"`
+	Holdups   uint64  `json:"holdups"`
+	Secs      float64 `json:"secs"`
 }
 
 // TableHoldups reproduces the §5.3 lock-holdup comparison on parthenon-10.
-func TableHoldups(s Scale) ([]HoldupRow, error) {
+func TableHoldups(h *Harness, s Scale) ([]HoldupRow, error) {
 	prof := arch.R3000()
 	client := table3Programs(s)[3] // parthenon-10
 	var rows []HoldupRow
@@ -200,7 +197,7 @@ func TableHoldups(s Scale) ([]HoldupRow, error) {
 		{"Kernel Emulation", core.NewKernelEmul(prof)},
 		{"Restartable Atomic Sequences", core.NewRAS()},
 	} {
-		st, err := runApp(s, mc.m, client.needServer, client.client)
+		st, err := runApp(h, s, mc.m, client.needServer, client.client)
 		if err != nil {
 			return nil, err
 		}
@@ -223,17 +220,17 @@ func FormatHoldups(rows []HoldupRow) string {
 // run on the instruction-level simulator with the designated-sequence
 // workload under heavy preemption.
 type AblationRow struct {
-	Config      string
-	Micros      float64
-	Restarts    uint64
-	Rejects     uint64
-	Suspensions uint64
+	Config      string  `json:"config"`
+	Micros      float64 `json:"micros"`
+	Restarts    uint64  `json:"restarts"`
+	Rejects     uint64  `json:"rejects"`
+	Suspensions uint64  `json:"suspensions"`
 }
 
 // TableAblation compares early (suspend-time, Mach) vs late (resume-time,
 // Taos) PC checks for the designated strategy, and the user-level
 // detection alternative, on an adversarial 61-cycle quantum.
-func TableAblation(workers, iters int) ([]AblationRow, error) {
+func TableAblation(h *Harness, workers, iters int) ([]AblationRow, error) {
 	prof := arch.R3000()
 	type cfg struct {
 		name  string
@@ -252,7 +249,7 @@ func TableAblation(workers, iters int) ([]AblationRow, error) {
 		prog := guest.Assemble(guest.MutexCounterProgram(c.m, workers, iters))
 		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: c.strat, CheckAt: c.at, Quantum: 61},
 			prog, "main", guest.StackTop(0), true)
-		if err := k.Run(); err != nil {
+		if err := h.Run(k); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
 		if got := k.M.Mem.Peek(prog.MustSymbol("counter")); got != uint32(workers*iters) {
