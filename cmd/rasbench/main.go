@@ -277,25 +277,23 @@ func runOpts(o benchOpts) error {
 		return fmt.Errorf("unknown table %q", o.table)
 	}
 
-	// Observability: one bus receives every substrate run of every
-	// table, rebased end-to-end onto one timeline, feeding the Chrome
-	// capture and the event-derived metrics.
-	var capture *obs.Capture
-	var pm *obs.PaperMetrics
-	var trace *obs.Rebase
-	if o.traceOut != "" || o.metrics != "" {
-		bus := obs.NewBus(0)
-		if o.traceOut != "" {
-			capture = &obs.Capture{}
-			bus.Attach(capture)
-		}
-		if o.metrics != "" {
-			pm = obs.NewPaperMetrics(nil)
-			bus.Attach(pm)
-		}
-		trace = obs.NewRebase(bus)
+	// Observability: one observer receives every substrate run of every
+	// table, rebased end to end onto one timeline, and streams the Chrome
+	// trace and the event-derived metrics.
+	ob, err := obs.NewObserver(obs.Outputs{TraceOut: o.traceOut, Metrics: o.metrics})
+	if err != nil {
+		return err
 	}
+	err = runTables(selected, o, ob.Trace)
+	if cerr := ob.Close(os.Stdout); err == nil {
+		err = cerr
+	}
+	return err
+}
 
+// runTables prints every selected table, each run through its own
+// harness over trace, and writes the -json records.
+func runTables(selected []table, o benchOpts, trace *obs.Rebase) error {
 	results := make([]tableResult, 0, len(selected))
 	for _, t := range selected {
 		fmt.Printf("\n== %s ==\n\n", t.title)
@@ -307,38 +305,12 @@ func runOpts(o benchOpts) error {
 		fmt.Print(text)
 		results = append(results, tableResult{Name: t.name, RunStats: h.Stats, Rows: rows})
 	}
-
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := writeOut(o.jsonOut, append(data, '\n')); err != nil {
-			return err
-		}
+	if o.jsonOut == "" {
+		return nil
 	}
-	if capture != nil {
-		data, err := obs.ChromeTrace(capture.Events())
-		if err != nil {
-			return err
-		}
-		if err := writeOut(o.traceOut, data); err != nil {
-			return err
-		}
-	}
-	if pm != nil {
-		if err := writeOut(o.metrics, []byte(pm.Dump())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeOut writes data to path, with "-" meaning stdout.
-func writeOut(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
+	data, err := json.MarshalIndent(results, "", " ")
+	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return obs.WriteOut(os.Stdout, o.jsonOut, append(data, '\n'))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -180,6 +181,27 @@ func TestTraceOutAcrossRuns(t *testing.T) {
 	if !strings.Contains(string(md), "emul_traps_total") ||
 		!strings.Contains(string(md), "dispatches_total") {
 		t.Errorf("metrics dump incomplete:\n%s", md)
+	}
+}
+
+// The persist table's runs end with slices still open (its crash runs);
+// two traces of it must still be byte-identical.
+func TestTraceOutDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var traces [2][]byte
+	for i := range traces {
+		path := filepath.Join(dir, fmt.Sprintf("persist%d.json", i))
+		if err := runOpts(benchOpts{table: "persist", iters: 500, scale: 1, traceOut: path}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = data
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Error("two -table persist -trace-out runs wrote different traces")
 	}
 }
 

@@ -325,35 +325,28 @@ func replay(c *config, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "rascheck:", err)
 		return 2
 	}
-	opt := mcheck.Options{}
-	var capture *obs.Capture
-	if c.traceOut != "" {
-		capture = &obs.Capture{}
-		opt.Tracer = capture
-	}
-	vio, err := mcheck.RunOnce(m, s.Decisions, opt)
+	ob, err := obs.NewObserver(obs.Outputs{TraceOut: c.traceOut})
 	if err != nil {
 		fmt.Fprintln(errw, "rascheck:", err)
 		return 2
 	}
-	fmt.Fprintf(out, "replayed %s: model %s, %d decisions\n", c.replay, s.Model, len(s.Decisions))
-	for _, v := range vio {
-		fmt.Fprintf(out, "violation: %v\n", v)
-	}
-	if len(vio) == 0 {
-		fmt.Fprintln(out, "no violations reproduced")
-	}
-	if capture != nil {
-		data, err := obs.ChromeTrace(capture.Events())
-		if err != nil {
-			fmt.Fprintln(errw, "rascheck:", err)
-			return 2
+	ob.TraceLine = "trace: %s (%d events)\n"
+	vio, err := mcheck.RunOnce(m, s.Decisions, mcheck.Options{Tracer: ob.Sink()})
+	if err == nil {
+		fmt.Fprintf(out, "replayed %s: model %s, %d decisions\n", c.replay, s.Model, len(s.Decisions))
+		for _, v := range vio {
+			fmt.Fprintf(out, "violation: %v\n", v)
 		}
-		if err := os.WriteFile(c.traceOut, data, 0o644); err != nil {
-			fmt.Fprintln(errw, "rascheck:", err)
-			return 2
+		if len(vio) == 0 {
+			fmt.Fprintln(out, "no violations reproduced")
 		}
-		fmt.Fprintf(out, "trace: %s (%d events)\n", c.traceOut, capture.Len())
+	}
+	if cerr := ob.Close(out); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintln(errw, "rascheck:", err)
+		return 2
 	}
 	// A replayed counterexample is EXPECTED to violate: exit 0 when it
 	// does, 1 when the defect did not reproduce.

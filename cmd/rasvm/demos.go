@@ -12,7 +12,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/mcheck"
-	"repro/internal/obs"
 	"repro/internal/qlock"
 	"repro/internal/resilience"
 	"repro/internal/vmach"
@@ -21,7 +20,7 @@ import (
 )
 
 // runCounter is -demo counter: the shared-counter workload under -mech.
-func runCounter(w io.Writer, o options) error {
+func runCounter(w io.Writer, o options, ob *observer) error {
 	m, err := lookup("-mech", o.mech, guest.Mechanism.String,
 		guest.MechNone, guest.MechRegistered, guest.MechDesignated, guest.MechEmul,
 		guest.MechInterlocked, guest.MechLockB, guest.MechUserLevel,
@@ -29,7 +28,7 @@ func runCounter(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	return runKernel(w, o, guest.MutexCounterProgram(m, o.workers, o.iters), func(mem *vmach.Memory, prog *asm.Program) {
+	return runKernel(w, o, ob, guest.MutexCounterProgram(m, o.workers, o.iters), func(mem *vmach.Memory, prog *asm.Program) {
 		got, want := mem.Peek(prog.MustSymbol("counter")), uint32(o.workers*o.iters)
 		status := "CORRECT"
 		if got != want {
@@ -41,8 +40,8 @@ func runCounter(w io.Writer, o options) error {
 
 // runRecoverable is -demo recoverable: the owner+epoch mutex, whose
 // survivors repair a lock orphaned by a -kill-at thread death.
-func runRecoverable(w io.Writer, o options) error {
-	return runKernel(w, o, guest.RecoverableCounterProgram(o.workers, o.iters), func(mem *vmach.Memory, prog *asm.Program) {
+func runRecoverable(w io.Writer, o options, ob *observer) error {
+	return runKernel(w, o, ob, guest.RecoverableCounterProgram(o.workers, o.iters), func(mem *vmach.Memory, prog *asm.Program) {
 		fmt.Fprintf(w, "counter:       %d (max %d; killed threads stop counting)\n",
 			mem.Peek(prog.MustSymbol("counter")), o.workers*o.iters)
 		printLock(w, mem, prog)
@@ -60,7 +59,7 @@ func printLock(w io.Writer, mem *vmach.Memory, prog *asm.Program) {
 // kernel the -arch/-strategy/-check/-watchdog flags configure, with the
 // -kill-at/-crash-at faults and -checkpoint snapshots, and prints the
 // kernel statistics; report, if set, adds the demo's own final state.
-func runKernel(w io.Writer, o options, src string, report func(*vmach.Memory, *asm.Program)) error {
+func runKernel(w io.Writer, o options, ob *observer, src string, report func(*vmach.Memory, *asm.Program)) error {
 	prof := arch.ByName(o.arch)
 	if prof == nil {
 		return fmt.Errorf("unknown architecture %q (try -list)", o.arch)
@@ -111,16 +110,12 @@ func runKernel(w io.Writer, o options, src string, report func(*vmach.Memory, *a
 		}
 		k = kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
 	}
-	ob := newObserver(o)
-	k.Tracer = ob.sink()
-	if o.profTop > 0 || o.folded != "" {
-		ob.prof = obs.NewCycleProfiler()
-		k.AttachProfiler(ob.prof, prog)
-	}
+	k.AttachProfiler(ob.Profiler, prog)
 
 	var runErr error
 	if o.checkpointAt > 0 {
 		var finished bool
+		ob.h.Attach(k)
 		if finished, runErr = k.RunSteps(o.checkpointAt); !finished {
 			if err := writeCheckpoint(w, k, o.checkpoint, "at step"); err != nil {
 				return err
@@ -128,7 +123,7 @@ func runKernel(w io.Writer, o options, src string, report func(*vmach.Memory, *a
 			runErr = k.Run()
 		}
 	} else {
-		runErr = k.Run()
+		runErr = ob.h.Run(k)
 	}
 	if errors.Is(runErr, kernel.ErrMachineCrash) && o.checkpoint != "" && o.checkpointAt == 0 {
 		if err := writeCheckpoint(w, k, o.checkpoint, "at crash"); err != nil {
@@ -157,9 +152,6 @@ func runKernel(w io.Writer, o options, src string, report func(*vmach.Memory, *a
 	}
 	if len(k.Console) > 0 {
 		fmt.Fprintf(w, "console:       %v\n", k.Console)
-	}
-	if err := ob.finish(w); err != nil {
-		return err
 	}
 	if errors.Is(runErr, kernel.ErrLivelock) || errors.Is(runErr, kernel.ErrBudget) {
 		// A livelocked or overrunning guest: name each thread's last PC and
@@ -194,7 +186,7 @@ func writeCheckpoint(w io.Writer, k *kernel.Kernel, path, why string) error {
 // over it — no reload, so the lock and log state it recovers from are
 // the survivors'. Then report prints the demo's final state, and the
 // persist costs of the last boot follow.
-func crashReboot(w io.Writer, o options, wd chaos.Watchdog, prog *asm.Program,
+func crashReboot(w io.Writer, o options, ob *observer, wd chaos.Watchdog, prog *asm.Program,
 	dump func(*vmach.Memory), report func(*vmach.Memory) error) error {
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
@@ -205,7 +197,8 @@ func crashReboot(w io.Writer, o options, wd chaos.Watchdog, prog *asm.Program,
 			Action: chaos.Action{CrashVolatile: true, Torn: o.torn}}
 	}
 	k := kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
-	err := k.Run()
+	k.AttachProfiler(ob.Profiler, prog)
+	err := ob.h.Run(k)
 	if o.crashAt > 0 {
 		if !errors.Is(err, kernel.ErrMachineCrash) {
 			return fmt.Errorf("the guest finished before step %d (run = %v); try a smaller -crash-at", o.crashAt, err)
@@ -215,7 +208,8 @@ func crashReboot(w io.Writer, o options, wd chaos.Watchdog, prog *asm.Program,
 			k.M.Stats.Flushes, k.M.Stats.Fences, k.M.Stats.LinesPersisted)
 		cfg.Faults = nil
 		k = kernel.Boot(cfg, prog, "main", guest.StackTop(0), false)
-		if err := k.Run(); err != nil {
+		k.AttachProfiler(ob.Profiler, prog)
+		if err := ob.h.Run(k); err != nil {
 			return fmt.Errorf("reboot run: %w", err)
 		}
 	} else if err != nil {
@@ -230,7 +224,7 @@ func crashReboot(w io.Writer, o options, wd chaos.Watchdog, prog *asm.Program,
 // runPersistent is -demo persistent: the crash-consistent counter guest,
 // which after a -crash-at reboot repairs the lock it finds in NVM and
 // completes the workload exactly.
-func runPersistent(w io.Writer, o options) error {
+func runPersistent(w io.Writer, o options, ob *observer) error {
 	prog, err := asm.Assemble(guest.PersistentCounterProgram(o.workers, o.iters))
 	if err != nil {
 		return err
@@ -241,7 +235,7 @@ func runPersistent(w io.Writer, o options) error {
 	// want is the exact final counter: the reboot reruns the full workload
 	// on top of whatever the NVM image preserved.
 	want, status := uint32(o.workers*o.iters), "CORRECT"
-	return crashReboot(w, o, chaos.Watchdog{Policy: chaos.WatchdogExtend}, prog,
+	return crashReboot(w, o, ob, chaos.Watchdog{Policy: chaos.WatchdogExtend}, prog,
 		func(mem *vmach.Memory) {
 			c0 := mem.Peek(counter)
 			fmt.Fprintf(w, "crash:         volatile tier discarded at step %d\n", o.crashAt)
@@ -267,7 +261,7 @@ func runPersistent(w io.Writer, o options) error {
 // With -log nofence the record never reaches NVM, and a torn crash that
 // splits the two data write-backs leaves the words unequal with nothing
 // to repair them from: the demo reports the inconsistency.
-func runJournal(w io.Writer, o options) error {
+func runJournal(w io.Writer, o options, ob *observer) error {
 	var src string
 	switch o.logMode {
 	case "redo", "undo":
@@ -286,7 +280,7 @@ func runJournal(w io.Writer, o options) error {
 	fmt.Fprintf(w, "demo:          journal (-log %s, target %d, %d-byte persistence lines)\n",
 		o.logMode, o.iters, vmach.LineBytes)
 	status := "CONSISTENT"
-	return crashReboot(w, o, chaos.Watchdog{}, prog,
+	return crashReboot(w, o, ob, chaos.Watchdog{}, prog,
 		func(mem *vmach.Memory) {
 			kind := "clean"
 			if o.torn {
@@ -322,7 +316,7 @@ func runJournal(w io.Writer, o options) error {
 // runSMP is -demo smp: the shared-counter workload on an N-CPU system,
 // with -lock choosing the arbitration scheme. -kill-at and -crash-at
 // strike the thread running on -kill-cpu.
-func runSMP(w io.Writer, o options) error {
+func runSMP(w io.Writer, o options, ob *observer) error {
 	lock, err := lookup("-lock", o.lock, guest.SMPLock.String,
 		guest.SMPHybrid, guest.SMPSpin, guest.SMPLLSC, guest.SMPRASOnly)
 	if err != nil {
@@ -336,7 +330,7 @@ func runSMP(w io.Writer, o options) error {
 		MaxCycles: o.timeout, Faults: faults}, lock, o.workers, o.iters)
 	header := fmt.Sprintf("cpus:          %d (%s lock, %d workers x %d iters each)\n",
 		o.cpus, lock, o.workers, o.iters)
-	return runSystem(w, o, sys, header, true, func() {
+	return runSystem(w, ob, sys, header, true, func() {
 		got := sys.Mem.Peek(prog.MustSymbol("counter"))
 		want := uint32(o.cpus * o.workers * o.iters)
 		status := "CORRECT"
@@ -354,7 +348,7 @@ func runSMP(w io.Writer, o options) error {
 // baseline, or the planted racy drain) with -workers clients per CPU
 // each submitting -iters requests: per-CPU served counts, zero RMRs on
 // the percpu path, and the exact request accounting.
-func runServer(w io.Writer, o options) error {
+func runServer(w io.Writer, o options, ob *observer) error {
 	v, err := lookup("-variant", o.variant, guest.ServerVariant.String,
 		guest.ServerPerCPU, guest.ServerMutex, guest.ServerRacyDrain)
 	if err != nil {
@@ -370,7 +364,7 @@ func runServer(w io.Writer, o options) error {
 	}
 	header := fmt.Sprintf("cpus:          %d (%s request plane, %d clients x %d requests per CPU)\n",
 		o.cpus, v, o.workers, o.iters)
-	return runSystem(w, o, sys, header, false, func() {
+	return runSystem(w, ob, sys, header, false, func() {
 		served, batches := guest.ServerCounts(sys.Mem, prog, v, o.cpus)
 		want := uint64(o.cpus * o.workers * o.iters)
 		status := "ALL SERVED"
@@ -385,14 +379,16 @@ func runServer(w io.Writer, o options) error {
 	})
 }
 
-// runSystem runs an SMP system with the observer's bus on every CPU, then
+// smpTraceLine is the trace line of the SMP demos, whose Chrome traces
+// have one process group per CPU.
+const smpTraceLine = "trace:         %s (%d events; one track per CPU in Perfetto)\n"
+
+// runSystem runs an SMP system through the observer's harness, then
 // prints header, one line per CPU (with its kill count if kills), the
 // system totals and the demo's own tail.
-func runSystem(w io.Writer, o options, sys *smp.System, header string, kills bool, tail func()) error {
-	ob := newObserver(o)
-	ob.tracks = "one track per CPU in Perfetto"
-	sys.AttachTracer(ob.sink())
-	runErr := sys.Run()
+func runSystem(w io.Writer, ob *observer, sys *smp.System, header string, kills bool, tail func()) error {
+	ob.TraceLine = smpTraceLine
+	runErr := ob.h.Run(sys)
 	fmt.Fprint(w, header)
 	for i, k := range sys.CPUs {
 		fmt.Fprintf(w, "cpu%-2d          cycles %-10d restarts %-4d preemptions %-4d rmrs %-6d",
@@ -405,9 +401,6 @@ func runSystem(w io.Writer, o options, sys *smp.System, header string, kills boo
 	fmt.Fprintf(w, "total:         %d cycles (%d wall), %d RMRs\n",
 		sys.TotalCycles(), sys.MaxCycles(), sys.TotalRMRs())
 	tail()
-	if err := ob.finish(w); err != nil {
-		return err
-	}
 	return runErr
 }
 
@@ -417,7 +410,7 @@ func runSystem(w io.Writer, o options, sys *smp.System, header string, kills boo
 // the recoverable variant must repair; the printout accounts for every
 // passage, repair, splice and fallback, plus the passage-latency
 // quantiles the guest logged.
-func runQlock(w io.Writer, o options) error {
+func runQlock(w io.Writer, o options, ob *observer) error {
 	variant, err := lookup("-lock", o.lock, qlock.Variant.String,
 		append(qlock.Variants(), qlock.RMCSUnspliced)...)
 	if err != nil {
@@ -436,7 +429,8 @@ func runQlock(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	runErr := r.Sys.Run()
+	ob.TraceLine = smpTraceLine
+	runErr := ob.h.Run(r.Sys)
 
 	fmt.Fprintf(w, "lock:          %s, %d CPUs x %d passages, %s mode\n",
 		variant, o.cpus, o.iters, mode)
@@ -483,9 +477,8 @@ func runQlock(w io.Writer, o options) error {
 // rows. Step plans drive the ISA resilient-server guest, persist and
 // memop plans the uniproc uxserver plane. With no -plan, a 100-crash
 // mixed step campaign is derived from a clean calibration run. -workers
-// and -iters, when set, replace the table's workload size; -trace N
-// lists the first N boots.
-func runResilience(w io.Writer, o options) error {
+// and -iters, when set, replace the table's workload size.
+func runResilience(w io.Writer, o options, _ *observer) error {
 	cfg := bench.DefaultResilienceConfig()
 	cfg.MaxCycles = o.timeout
 	if o.setFlags["workers"] {
@@ -505,11 +498,6 @@ func runResilience(w io.Writer, o options) error {
 		return err
 	}
 	world, scfg := bench.ResilienceCampaign(cfg, plan)
-	scfg.OnBoot = func(boot int, degraded bool, backoff uint64) {
-		if boot < o.trace {
-			fmt.Fprintf(w, "  boot %-4d degraded=%-5v backoff=%d\n", boot, degraded, backoff)
-		}
-	}
 	fmt.Fprintf(w, "plan:          %s\n", plan)
 	out, err := resilience.Supervise(world, scfg)
 	fmt.Fprintf(w, "campaign:      %v\n", out)
@@ -532,7 +520,7 @@ func runResilience(w io.Writer, o options) error {
 // the same violation the checker found, now with the full observability
 // stack attached (-trace-out for a Chrome trace of the failing
 // interleaving).
-func runReplaySched(w io.Writer, o options) error {
+func runReplaySched(w io.Writer, o options, ob *observer) error {
 	s, err := mcheck.ReadFile(o.replaySched)
 	if err != nil {
 		return err
@@ -541,8 +529,7 @@ func runReplaySched(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	ob := newObserver(o)
-	vio, err := mcheck.RunOnce(m, s.Decisions, mcheck.Options{Tracer: ob.sink()})
+	vio, err := mcheck.RunOnce(m, s.Decisions, mcheck.Options{Tracer: ob.Sink()})
 	if err != nil {
 		return err
 	}
@@ -560,5 +547,5 @@ func runReplaySched(w io.Writer, o options) error {
 	if len(vio) == 0 {
 		fmt.Fprintf(w, "violations:    none reproduced\n")
 	}
-	return ob.finish(w)
+	return nil
 }

@@ -50,6 +50,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/obs"
 )
@@ -85,23 +86,31 @@ type options struct {
 	setFlags                map[string]bool // flags the user set explicitly
 }
 
-// scenario is one built-in -demo workload.
+// scenario is one built-in -demo workload. refuses lists the
+// observability flags its runs cannot feed; run refuses them up front.
 type scenario struct {
-	name string
-	run  func(w io.Writer, o options) error
+	name    string
+	run     func(w io.Writer, o options, ob *observer) error
+	refuses []string
 }
+
+// smpRefuses: the cycle profiler keeps one shadow stack per thread ID,
+// and an SMP system's thread IDs repeat on every CPU.
+var smpRefuses = []string{"-profile", "-folded"}
 
 // scenarios is the -demo registry: the flag help, the unknown-demo error
 // and the golden tests all iterate it.
 var scenarios = []scenario{
-	{"counter", runCounter},
-	{"recoverable", runRecoverable},
-	{"persistent", runPersistent},
-	{"journal", runJournal},
-	{"smp", runSMP},
-	{"server", runServer},
-	{"qlock", runQlock},
-	{"resilience", runResilience},
+	{"counter", runCounter, nil},
+	{"recoverable", runRecoverable, nil},
+	{"persistent", runPersistent, nil},
+	{"journal", runJournal, nil},
+	{"smp", runSMP, smpRefuses},
+	{"server", runServer, smpRefuses},
+	{"qlock", runQlock, smpRefuses},
+	// The campaign's boots run inside resilience.Supervise, not through
+	// the harness, so no event reaches the observer.
+	{"resilience", runResilience, []string{"-trace", "-trace-out", "-metrics", "-profile", "-folded"}},
 }
 
 func main() {
@@ -163,27 +172,56 @@ func parseFlags(args []string) (o options, list bool) {
 	return o, list
 }
 
-// run executes one invocation, writing its report to w.
+// run executes one invocation, writing its report to w, then the
+// observability outputs its flags ask for.
 func run(w io.Writer, o options) error {
+	var s scenario
 	switch {
 	case o.replaySched != "":
-		return runReplaySched(w, o)
+		s = scenario{"-replay-sched", runReplaySched, smpRefuses}
 	case o.demo != "":
-		s, err := lookup("-demo", o.demo, func(s scenario) string { return s.name }, scenarios...)
-		if err != nil {
+		var err error
+		if s, err = lookup("-demo", o.demo, func(s scenario) string { return s.name }, scenarios...); err != nil {
 			return err
 		}
-		return s.run(w, o)
-	case o.restore != "":
-		return runKernel(w, o, "", nil)
-	case len(o.args) == 1:
+		s.name = "-demo " + s.name
+	case o.restore != "" || len(o.args) == 1:
+		s = scenario{run: runSource}
+	default:
+		return errors.New("expected one source file, -demo, or -restore")
+	}
+	on := map[string]bool{"-trace": o.trace > 0, "-trace-out": o.traceOut != "", "-metrics": o.metrics != "",
+		"-profile": o.profTop > 0, "-folded": o.folded != ""}
+	for _, f := range s.refuses {
+		if on[f] {
+			return fmt.Errorf("%s cannot honour %s", s.name, f)
+		}
+	}
+	oo, err := obs.NewObserver(obs.Outputs{Tail: o.trace, TraceOut: o.traceOut, Metrics: o.metrics,
+		Profile: o.profTop, Folded: o.folded})
+	if err != nil {
+		return err
+	}
+	oo.TraceLine = "trace:         %s (%d events; load in Perfetto)\n"
+	ob := &observer{Observer: oo, h: bench.Harness{Trace: oo.Trace}}
+	err = s.run(w, o, ob)
+	if cerr := ob.Close(w); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// runSource runs the source file, or the -restore snapshot, on the kernel.
+func runSource(w io.Writer, o options, ob *observer) error {
+	var src string
+	if o.restore == "" {
 		raw, err := os.ReadFile(o.args[0])
 		if err != nil {
 			return err
 		}
-		return runKernel(w, o, string(raw), nil)
+		src = string(raw)
 	}
-	return errors.New("expected one source file, -demo, or -restore")
+	return runKernel(w, o, ob, src, nil)
 }
 
 // lookup returns the value among vals whose name is s; the error names
@@ -243,81 +281,9 @@ func cpuFaults(o options, crash chaos.Action) (func(cpu int) chaos.Injector, err
 	}, nil
 }
 
-// observer is the observability stack the flags ask for: one bus feeds
-// the -trace ring tail, the -trace-out Chrome capture and the -metrics
-// event-derived counters; -profile and -folded share one cycle profiler
-// (uniprocessor kernels only). Nil parts are off.
+// observer is the command line's obs.Observer and the harness that runs
+// every substrate under its trace.
 type observer struct {
-	o       options
-	bus     *obs.Bus
-	capture *obs.Capture
-	pm      *obs.PaperMetrics
-	prof    *obs.CycleProfiler
-	tracks  string // how the trace line says to view the capture
-}
-
-func newObserver(o options) *observer {
-	ob := &observer{o: o, tracks: "load in Perfetto"}
-	if o.trace > 0 || o.traceOut != "" || o.metrics != "" {
-		ob.bus = obs.NewBus(o.trace)
-		if o.traceOut != "" {
-			ob.capture = &obs.Capture{}
-			ob.bus.Attach(ob.capture)
-		}
-		if o.metrics != "" {
-			ob.pm = obs.NewPaperMetrics(nil)
-			ob.bus.Attach(ob.pm)
-		}
-	}
-	return ob
-}
-
-// sink is the bus as a tracer, or nil when no event consumer is on.
-func (ob *observer) sink() obs.Sink {
-	if ob.bus == nil {
-		return nil
-	}
-	return ob.bus
-}
-
-// finish prints the ring tail and profile report and writes the trace,
-// metrics and folded-stack outputs.
-func (ob *observer) finish(w io.Writer) error {
-	o := ob.o
-	if o.trace > 0 {
-		fmt.Fprintf(w, "\nlast %d of %d kernel events:\n%s", len(ob.bus.Events()), ob.bus.Total(), ob.bus)
-	}
-	if ob.capture != nil {
-		data, err := obs.ChromeTrace(ob.capture.Events())
-		if err == nil {
-			err = writeOut(w, o.traceOut, data)
-		}
-		if err != nil {
-			return err
-		}
-		if o.traceOut != "-" {
-			fmt.Fprintf(w, "trace:         %s (%d events; %s)\n", o.traceOut, ob.capture.Len(), ob.tracks)
-		}
-	}
-	if ob.pm != nil {
-		if err := writeOut(w, o.metrics, []byte(ob.pm.Dump())); err != nil {
-			return err
-		}
-	}
-	if ob.prof != nil && o.profTop > 0 {
-		fmt.Fprintf(w, "\ncycle profile (top %d):\n%s", o.profTop, ob.prof.Report(o.profTop))
-	}
-	if ob.prof != nil && o.folded != "" {
-		return writeOut(w, o.folded, []byte(ob.prof.Folded()))
-	}
-	return nil
-}
-
-// writeOut writes data to path, with "-" meaning w.
-func writeOut(w io.Writer, path string, data []byte) error {
-	if path == "-" {
-		_, err := w.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	*obs.Observer
+	h bench.Harness
 }

@@ -121,6 +121,73 @@ func TestFoldedProfileOut(t *testing.T) {
 	}
 }
 
+// Every demo honours each observability flag or refuses it by name:
+// -trace prints the ring tail, -trace-out writes a valid Chrome trace,
+// -metrics the counters, -profile the report and -folded the stacks.
+// Every refusal is one its scenario declares.
+func TestDemosHonourObservabilityFlags(t *testing.T) {
+	lines := map[string]string{
+		"counter":     "-demo counter -workers 2 -iters 20 -quantum 53",
+		"recoverable": "-demo recoverable -workers 2 -iters 20 -quantum 300 -kill-at 500",
+		"persistent":  "-demo persistent -workers 2 -iters 20 -crash-at 300",
+		"journal":     "-demo journal -iters 20 -crash-at 300",
+		"smp":         "-demo smp -cpus 2 -workers 1 -iters 20",
+		"server":      "-demo server -cpus 2 -workers 1 -iters 10",
+		"qlock":       "-demo qlock -lock mcs -cpus 2 -iters 10",
+		"resilience":  "-demo resilience",
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	flags := []struct {
+		flag, arg string
+		honoured  func(stdout, file string) bool
+	}{
+		{"-trace", "3", func(stdout, _ string) bool { return strings.Contains(stdout, "kernel events:\n[") }},
+		{"-trace-out", out, func(_, file string) bool {
+			doc, err := obs.DecodeChromeTrace([]byte(file))
+			if err != nil {
+				return false
+			}
+			_, err = obs.ValidateChrome(doc)
+			return err == nil && len(doc.TraceEvents) > 0
+		}},
+		{"-metrics", out, func(_, file string) bool {
+			n, ok := metricValue(file, "dispatches_total")
+			return ok && n > 0
+		}},
+		{"-profile", "3", func(stdout, _ string) bool { return strings.Contains(stdout, "cycle profile (top 3)") }},
+		{"-folded", out, func(_, file string) bool { return strings.Contains(file, "[kernel] ") }},
+	}
+	for _, s := range scenarios {
+		line, ok := lines[s.name]
+		if !ok {
+			t.Errorf("demo %q has no case", s.name)
+			continue
+		}
+		for _, f := range flags {
+			os.Remove(out)
+			o, _ := parseFlags(append(strings.Fields(line), f.flag, f.arg))
+			var stdout strings.Builder
+			err := run(&stdout, o)
+			file, _ := os.ReadFile(out)
+			refused := false
+			for _, r := range s.refuses {
+				refused = refused || r == f.flag
+			}
+			switch {
+			case refused:
+				if err == nil || !strings.Contains(err.Error(), f.flag) {
+					t.Errorf("%s %s: err = %v, want a refusal naming %s", line, f.flag, err, f.flag)
+				}
+			case err != nil:
+				t.Errorf("%s %s: %v", line, f.flag, err)
+			case !f.honoured(stdout.String(), string(file)):
+				t.Errorf("%s %s: flag dropped; stdout:\n%s\nfile:\n%.300s", line, f.flag, stdout.String(), file)
+			}
+		}
+	}
+}
+
 // metricValue extracts a counter's value from a Registry dump line of the
 // form "name                value  # help".
 func metricValue(dump, name string) (uint64, bool) {

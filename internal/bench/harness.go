@@ -42,19 +42,7 @@ type Substrate interface{ Run() error }
 // difference keeps a restored kernel from recounting the work its
 // checkpoint already holds.
 func (h *Harness) Run(s Substrate) error {
-	if h.Trace != nil {
-		h.Trace.Advance()
-		switch s := s.(type) {
-		case *kernel.Kernel:
-			s.Tracer = h.Trace
-		case *uniproc.Processor:
-			s.Tracer = h.Trace
-		case *smp.System:
-			// One segment covers every CPU: the Chrome exporter splits
-			// the per-CPU streams into process groups by their CPU stamp.
-			s.AttachTracer(h.Trace)
-		}
-	}
+	h.Attach(s)
 	before := counters(s)
 	err := s.Run()
 	after := counters(s)
@@ -64,6 +52,27 @@ func (h *Harness) Run(s Substrate) error {
 	h.Stats.Preemptions += after.Preemptions - before.Preemptions
 	h.Stats.EmulTraps += after.EmulTraps - before.EmulTraps
 	return err
+}
+
+// Attach starts a new rebased trace segment and attaches it to s. Run
+// calls it; a caller that drives a kernel in pieces (RunSteps to a
+// checkpoint cut, then Run) calls it once instead, so the pieces share
+// one segment.
+func (h *Harness) Attach(s Substrate) {
+	if h.Trace == nil {
+		return
+	}
+	h.Trace.Advance()
+	switch s := s.(type) {
+	case *kernel.Kernel:
+		s.Tracer = h.Trace
+	case *uniproc.Processor:
+		s.Tracer = h.Trace
+	case *smp.System:
+		// One segment covers every CPU: the Chrome exporter splits
+		// the per-CPU streams into process groups by their CPU stamp.
+		s.AttachTracer(h.Trace)
+	}
 }
 
 // counters reads s's cumulative counters. The runtime layer has no

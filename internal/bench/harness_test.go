@@ -42,7 +42,15 @@ func TestHarnessCountsRestoredRunOnce(t *testing.T) {
 	if split.Stats != want {
 		t.Errorf("crash + restore counted %+v, want the straight run's %+v over 2 runs", split.Stats, straight.Stats)
 	}
-	if _, err := obs.ValidateChrome(obs.ChromeTraceDoc(capture.Events())); err != nil {
+	data, err := obs.ChromeTrace(capture.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := obs.DecodeChromeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateChrome(doc); err != nil {
 		t.Errorf("crash + restore trace invalid: %v", err)
 	}
 }

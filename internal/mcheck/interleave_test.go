@@ -255,7 +255,7 @@ func TestSwitchWalkerHazards(t *testing.T) {
 		// counterexample traces every event of its run.
 		m := switchModel(t, "smp-counter", map[string]string{"lock": "ras-only"})
 		ds := sw(7, 20)
-		lazyBus, fullBus := obs.NewBus(16), obs.NewBus(16)
+		lazyBus, fullBus := obs.NewRing(16), obs.NewRing(16)
 		in, err := m.New(ds, Options{Tracer: lazyBus})
 		if err != nil {
 			t.Fatal(err)

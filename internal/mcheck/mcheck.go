@@ -245,7 +245,7 @@ func (v *violations) terminal(err error, cpu int) {
 // Options is harness wiring threaded into every instance a model builds.
 type Options struct {
 	// Tracer, when non-nil, receives the substrate's event stream —
-	// replaying a counterexample with an obs.Bus attached yields the
+	// replaying a counterexample with an obs.Observer attached yields the
 	// Chrome trace of the failing interleaving.
 	Tracer obs.Sink
 }

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"sort"
 )
 
 // ChaosTID is the synthetic track carrying chaos-injection instant events
@@ -40,113 +44,130 @@ func suspends(k Kind) bool {
 // track identifies one exported Chrome track: a (process, thread) pair.
 // The exporter maps each source CPU to a Chrome process, so an SMP stream
 // renders as one track group per CPU; uniprocessor streams all land in
-// process 0 exactly as before.
+// process 0.
 type track struct{ pid, tid int }
 
-// ChromeTraceDoc converts a chronological event stream into a Chrome
-// trace document: one process group per CPU, one track per thread whose
-// "running" slices are bounded by dispatch and suspension events, instant
-// events for everything else on the owning thread's track, and every
-// chaos injection mirrored as an instant on the dedicated ChaosTID track
-// of the injecting CPU's group.
-func ChromeTraceDoc(events []Event) *ChromeDoc {
-	doc := &ChromeDoc{DisplayTimeUnit: "ns", TraceEvents: []ChromeEvent{}}
-	open := map[track]bool{}    // track -> has an open "running" slice
-	named := map[track]bool{}   // track -> thread_name metadata emitted
-	procNamed := map[int]bool{} // pid -> process_name metadata emitted
-	var last uint64
-
-	name := func(tr track) {
-		if tr.pid != 0 && !procNamed[tr.pid] {
-			procNamed[tr.pid] = true
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: "process_name", Phase: "M", PID: tr.pid,
-				Args: map[string]interface{}{"name": fmt.Sprintf("cpu%d", tr.pid)},
-			})
-		}
-		if named[tr] {
-			return
-		}
-		named[tr] = true
-		label := fmt.Sprintf("t%d", tr.tid)
-		if tr.tid == ChaosTID {
-			label = "chaos"
-		}
-		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: "thread_name", Phase: "M", PID: tr.pid, TID: tr.tid,
-			Args: map[string]interface{}{"name": label},
-		})
-	}
-
-	for _, ev := range events {
-		if ev.Cycle > last {
-			last = ev.Cycle
-		}
-		tr := track{pid: ev.CPU, tid: ev.Thread}
-		name(tr)
-		switch {
-		case ev.Type == KindDispatch:
-			if open[tr] { // defensive: never emit unbalanced B
-				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-					Name: "running", Phase: "E", TS: ev.Cycle, PID: tr.pid, TID: tr.tid,
-				})
-			}
-			open[tr] = true
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: "running", Phase: "B", TS: ev.Cycle, PID: tr.pid, TID: tr.tid,
-			})
-		case suspends(ev.Type):
-			args := map[string]interface{}{"arg": ev.Arg}
-			if ev.PC != 0 {
-				args["pc"] = fmt.Sprintf("%#08x", ev.PC)
-			}
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: ev.Type.String(), Phase: "i", TS: ev.Cycle, PID: tr.pid,
-				TID: tr.tid, Scope: "t", Args: args,
-			})
-			if open[tr] {
-				open[tr] = false
-				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-					Name: "running", Phase: "E", TS: ev.Cycle, PID: tr.pid, TID: tr.tid,
-				})
-			}
-		default:
-			args := map[string]interface{}{"arg": ev.Arg}
-			if ev.PC != 0 {
-				args["pc"] = fmt.Sprintf("%#08x", ev.PC)
-			}
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: ev.Type.String(), Phase: "i", TS: ev.Cycle, PID: tr.pid,
-				TID: tr.tid, Scope: "t", Args: args,
-			})
-		}
-		if ev.Type == KindInject {
-			name(track{pid: ev.CPU, tid: ChaosTID})
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: "inject", Phase: "i", TS: ev.Cycle, PID: ev.CPU, TID: ChaosTID,
-				Scope: "t",
-				Args: map[string]interface{}{
-					"action": fmt.Sprintf("%#x", ev.Arg),
-					"thread": ev.Thread,
-				},
-			})
-		}
-	}
-	// Close slices still open when the stream ends (run cut short by a
-	// crash or the event horizon), keeping every track's B/E balanced.
-	for tr, isOpen := range open {
-		if isOpen {
-			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-				Name: "running", Phase: "E", TS: last, PID: tr.pid, TID: tr.tid,
-			})
-		}
-	}
-	return doc
+// ChromeWriter is a Sink that converts each event into Chrome trace-event
+// JSON as it arrives and streams it to an io.Writer: one process group
+// per CPU, one track per thread whose "running" slices are bounded by
+// dispatch and suspension events, instant events for everything else on
+// the owning thread's track, and every chaos injection mirrored as an
+// instant on the dedicated ChaosTID track of the injecting CPU's group.
+// It holds only per-track state, so a trace costs memory in its tracks,
+// not its events. The bytes are those of json.MarshalIndent(doc, "", " ")
+// over the whole document, written one event at a time.
+type ChromeWriter struct {
+	w         *bufio.Writer
+	tracks    map[track]bool // named tracks -> has an open "running" slice
+	procNamed map[int]bool   // pid -> process_name metadata emitted
+	last      uint64         // highest cycle seen
+	n         int            // Chrome events written
 }
 
-// ChromeTrace renders the event stream as Chrome trace-event JSON.
+// NewChromeWriter starts a Chrome trace document on w.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	c := &ChromeWriter{w: bufio.NewWriter(w), tracks: map[track]bool{}, procNamed: map[int]bool{}}
+	c.w.WriteString("{\n \"traceEvents\": [")
+	return c
+}
+
+// Event implements Sink.
+func (c *ChromeWriter) Event(ev Event) {
+	if ev.Cycle > c.last {
+		c.last = ev.Cycle
+	}
+	tr := track{pid: ev.CPU, tid: ev.Thread}
+	c.name(tr)
+	if ev.Type == KindDispatch {
+		if c.tracks[tr] { // defensive: never emit unbalanced B
+			c.emit(ChromeEvent{Name: "running", Phase: "E", TS: ev.Cycle, PID: tr.pid, TID: tr.tid})
+		}
+		c.tracks[tr] = true
+		c.emit(ChromeEvent{Name: "running", Phase: "B", TS: ev.Cycle, PID: tr.pid, TID: tr.tid})
+	} else {
+		args := map[string]interface{}{"arg": ev.Arg}
+		if ev.PC != 0 {
+			args["pc"] = fmt.Sprintf("%#08x", ev.PC)
+		}
+		c.emit(ChromeEvent{Name: ev.Type.String(), Phase: "i", TS: ev.Cycle, PID: tr.pid, TID: tr.tid, Scope: "t", Args: args})
+		if suspends(ev.Type) && c.tracks[tr] {
+			c.tracks[tr] = false
+			c.emit(ChromeEvent{Name: "running", Phase: "E", TS: ev.Cycle, PID: tr.pid, TID: tr.tid})
+		}
+	}
+	if ev.Type == KindInject {
+		c.name(track{pid: ev.CPU, tid: ChaosTID})
+		c.emit(ChromeEvent{Name: "inject", Phase: "i", TS: ev.Cycle, PID: ev.CPU, TID: ChaosTID, Scope: "t",
+			Args: map[string]interface{}{"action": fmt.Sprintf("%#x", ev.Arg), "thread": ev.Thread}})
+	}
+}
+
+// Close ends slices still open when the stream ends (a run cut short by
+// a crash or the event horizon) at the last cycle seen, in (pid, tid)
+// order so the bytes do not depend on map order, then finishes the
+// document and flushes it. It does not close the underlying writer.
+func (c *ChromeWriter) Close() error {
+	var open []track
+	for tr, isOpen := range c.tracks {
+		if isOpen {
+			open = append(open, tr)
+		}
+	}
+	sort.Slice(open, func(i, j int) bool {
+		return open[i].pid < open[j].pid || open[i].pid == open[j].pid && open[i].tid < open[j].tid
+	})
+	for _, tr := range open {
+		c.emit(ChromeEvent{Name: "running", Phase: "E", TS: c.last, PID: tr.pid, TID: tr.tid})
+	}
+	if c.n > 0 {
+		c.w.WriteString("\n ")
+	}
+	c.w.WriteString("],\n \"displayTimeUnit\": \"ns\"\n}")
+	return c.w.Flush()
+}
+
+// name emits the process_name and thread_name metadata of a track the
+// first time it appears.
+func (c *ChromeWriter) name(tr track) {
+	if tr.pid != 0 && !c.procNamed[tr.pid] {
+		c.procNamed[tr.pid] = true
+		c.emit(ChromeEvent{Name: "process_name", Phase: "M", PID: tr.pid,
+			Args: map[string]interface{}{"name": fmt.Sprintf("cpu%d", tr.pid)}})
+	}
+	if _, ok := c.tracks[tr]; ok {
+		return
+	}
+	c.tracks[tr] = false
+	label := fmt.Sprintf("t%d", tr.tid)
+	if tr.tid == ChaosTID {
+		label = "chaos"
+	}
+	c.emit(ChromeEvent{Name: "thread_name", Phase: "M", PID: tr.pid, TID: tr.tid,
+		Args: map[string]interface{}{"name": label}})
+}
+
+// emit writes one array element, indented as MarshalIndent indents the
+// elements of the document's traceEvents array. The bufio.Writer keeps
+// the first write error for Close.
+func (c *ChromeWriter) emit(ce ChromeEvent) {
+	data, _ := json.MarshalIndent(ce, "  ", " ") // a ChromeEvent always marshals
+	if c.n > 0 {
+		c.w.WriteByte(',')
+	}
+	c.n++
+	c.w.WriteString("\n  ")
+	c.w.Write(data)
+}
+
+// ChromeTrace renders an event stream as Chrome trace-event JSON.
 func ChromeTrace(events []Event) ([]byte, error) {
-	return json.MarshalIndent(ChromeTraceDoc(events), "", " ")
+	var b bytes.Buffer
+	c := NewChromeWriter(&b)
+	for _, ev := range events {
+		c.Event(ev)
+	}
+	err := c.Close()
+	return b.Bytes(), err
 }
 
 // DecodeChromeTrace parses Chrome trace-event JSON produced by ChromeTrace

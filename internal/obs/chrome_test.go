@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -62,8 +64,53 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// The streamed bytes are encoding/json's indented layout of the document
+// they decode to, for an empty stream too.
+func TestChromeWriterMatchesMarshalIndent(t *testing.T) {
+	for _, evs := range [][]Event{nil, chromeStream(), openTracks()} {
+		data := mustChrome(t, evs)
+		want, err := json.MarshalIndent(chromeDoc(t, evs), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("streamed trace differs from MarshalIndent:\n%s\nwant:\n%s", data, want)
+		}
+	}
+}
+
+// openTracks leaves four running slices open on two CPUs when it ends.
+func openTracks() []Event {
+	return []Event{
+		{Cycle: 0, Type: KindDispatch, Thread: 3, CPU: 1},
+		{Cycle: 0, Type: KindDispatch, Thread: 2},
+		{Cycle: 10, Type: KindSyscall, Thread: 2, PC: 0x1000, Arg: 7},
+		{Cycle: 20, Type: KindDispatch, Thread: 0, CPU: 1},
+		{Cycle: 30, Type: KindDispatch, Thread: 1},
+		{Cycle: 40, Type: KindInject, Thread: 1, Arg: 0x4},
+	}
+}
+
+// Slices still open at the end close in (pid, tid) order, so converting
+// the same stream twice gives the same bytes.
+func TestChromeTraceClosesInTrackOrder(t *testing.T) {
+	first := mustChrome(t, openTracks())
+	if second := mustChrome(t, openTracks()); !bytes.Equal(first, second) {
+		t.Fatal("two conversions of one stream differ")
+	}
+	doc := chromeDoc(t, openTracks())
+	evs := doc.TraceEvents
+	tail := evs[len(evs)-4:]
+	want := []track{{0, 1}, {0, 2}, {1, 0}, {1, 3}}
+	for i, ev := range tail {
+		if ev.Phase != "E" || ev.TS != 40 || (track{ev.PID, ev.TID}) != want[i] {
+			t.Errorf("close %d = %s at %d on pid %d tid %d, want E at 40 on %v", i, ev.Phase, ev.TS, ev.PID, ev.TID, want[i])
+		}
+	}
+}
+
 func TestChromeTraceSliceShape(t *testing.T) {
-	doc := ChromeTraceDoc(chromeStream())
+	doc := chromeDoc(t, chromeStream())
 	// Count running slices per thread: t0 runs twice, t1 once.
 	begins := map[int]int{}
 	for _, ev := range doc.TraceEvents {
@@ -82,7 +129,7 @@ func TestChromeTraceSliceShape(t *testing.T) {
 func TestChromeTraceClosesDanglingSlices(t *testing.T) {
 	// A dispatch with no matching suspension: the exporter must close the
 	// slice at the last cycle so ValidateChrome's balance check passes.
-	doc := ChromeTraceDoc([]Event{
+	doc := chromeDoc(t, []Event{
 		{Cycle: 0, Type: KindDispatch, Thread: 0},
 		{Cycle: 90, Type: KindSyscall, Thread: 0},
 	})
@@ -94,7 +141,7 @@ func TestChromeTraceClosesDanglingSlices(t *testing.T) {
 func TestChromeTraceDoubleDispatch(t *testing.T) {
 	// Back-to-back dispatches of the same thread (restart paths do this)
 	// must not produce nested unbalanced B events.
-	doc := ChromeTraceDoc([]Event{
+	doc := chromeDoc(t, []Event{
 		{Cycle: 0, Type: KindDispatch, Thread: 0},
 		{Cycle: 50, Type: KindDispatch, Thread: 0},
 		{Cycle: 80, Type: KindExit, Thread: 0},
@@ -147,4 +194,14 @@ func mustChrome(t *testing.T, evs []Event) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// chromeDoc converts evs and decodes the bytes back into a document.
+func chromeDoc(t *testing.T, evs []Event) *ChromeDoc {
+	t.Helper()
+	doc, err := DecodeChromeTrace(mustChrome(t, evs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }

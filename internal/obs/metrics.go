@@ -25,21 +25,6 @@ func (c *Counter) Value() uint64 { return c.v }
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add moves the gauge by delta (possibly negative).
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
 // Histogram is a fixed-bucket histogram of uint64 observations. Bounds are
 // inclusive upper bucket edges; one implicit overflow bucket catches the
 // rest.
@@ -179,7 +164,6 @@ func ExpBuckets(first uint64, n int) []uint64 {
 // world is single-threaded by construction, so no locking is needed.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -187,7 +171,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -200,16 +183,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use with the
@@ -235,7 +208,7 @@ func (r *Registry) CounterValue(name string) uint64 {
 }
 
 // Dump renders every metric as plain text, sorted by name: one
-// `name value  # help` line per counter and gauge, and a block per
+// `name value  # help` line per counter, and a block per
 // histogram with count, sum, mean and cumulative buckets.
 func (r *Registry) Dump() string {
 	var b strings.Builder
@@ -247,15 +220,6 @@ func (r *Registry) Dump() string {
 	for _, n := range names {
 		c := r.counters[n]
 		fmt.Fprintf(&b, "%-34s %12d  # %s\n", n, c.v, c.help)
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		g := r.gauges[n]
-		fmt.Fprintf(&b, "%-34s %12d  # %s\n", n, g.v, g.help)
 	}
 	names = names[:0]
 	for n := range r.hists {

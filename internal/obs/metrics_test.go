@@ -20,12 +20,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.CounterValue("absent_total") != 0 {
 		t.Error("absent counter should read 0")
 	}
-	g := r.Gauge("g", "g")
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Errorf("gauge = %d, want 4", g.Value())
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

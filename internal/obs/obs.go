@@ -10,10 +10,11 @@
 // *passage cost*. Both demand first-class measurement. This package
 // provides it in four layers:
 //
-//   - an event bus: a bounded drop-oldest ring buffer with a common event
-//     schema (virtual-cycle timestamp, thread, kind, args) that both
-//     substrates publish into through their existing Tracer hooks;
-//   - a metrics registry: counters, gauges and fixed-bucket histograms,
+//   - an event stream: a common event schema (virtual-cycle timestamp,
+//     thread, kind, args) that both substrates publish into through their
+//     existing Tracer hooks, a bounded drop-oldest Ring for tails, and a
+//     Rebase that stitches many runs onto one timeline;
+//   - a metrics registry: counters and fixed-bucket histograms,
 //     pre-wired (see PaperMetrics) with the paper's headline counters and
 //     an RMR-style passage-cost histogram for core.RecoverableMutex;
 //   - cycle-attributed profilers: per-PC/per-symbol flat+cumulative cycle
@@ -21,9 +22,11 @@
 //     retired-instruction hook) and per-callsite memory-op profiles for
 //     the uniprocessor runtime (MemProfiler), both with folded-stack
 //     (flamegraph-ready) text output;
-//   - exporters: Chrome trace-event JSON (Perfetto-loadable; one track per
-//     thread plus an instant-event track for chaos injections) and a
-//     plain-text metrics dump.
+//   - exporters: Chrome trace-event JSON streamed as events arrive
+//     (Perfetto-loadable; one track per thread plus an instant-event
+//     track for chaos injections) and a plain-text metrics dump, both
+//     built, with the ring tail and the profiles, by the Observer a
+//     command line makes from its flags.
 //
 // obs depends only on the standard library, so every substrate (and core,
 // bench, and the CLIs) can import it without cycles.
@@ -155,7 +158,7 @@ func (ev Event) String() string {
 }
 
 // Sink receives published events. Both substrates' Tracer interfaces are
-// aliases of Sink, so a Ring, a Bus, a Capture, or a PaperMetrics can be
+// aliases of Sink, so a Ring, a Capture, a Rebase, or a PaperMetrics can be
 // installed directly as either substrate's tracer.
 type Sink interface {
 	Event(Event)

@@ -2,8 +2,9 @@ package obs
 
 // PaperMetrics wires a Registry to the paper's headline counters and the
 // RME passage-cost histogram, deriving every value from the event stream
-// (not copied from substrate stats — the acceptance test for the bus is
-// that the two agree exactly). Install it as (or attach it to) a tracer.
+// (not copied from substrate stats — the acceptance test for the events is
+// that the two agree exactly). Install it as a tracer, or let an Observer
+// feed it.
 type PaperMetrics struct {
 	Reg *Registry
 

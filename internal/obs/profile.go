@@ -135,6 +135,10 @@ func (p *CycleProfiler) NoteKernel(cycles uint64) {
 	p.folded["[kernel]"] += cycles
 }
 
+// ResetStacks forgets every thread's shadow call stack, for a new kernel
+// whose threads reuse the IDs of one sampled before.
+func (p *CycleProfiler) ResetStacks() { p.stacks = make(map[int][]string) }
+
 // Samples returns the number of retired instructions sampled.
 func (p *CycleProfiler) Samples() uint64 { return p.samples }
 

@@ -2,7 +2,7 @@ package obs
 
 import "strings"
 
-// Ring is the bounded event buffer at the heart of the bus: a fixed-size
+// Ring is the bounded event buffer behind a tail: a fixed-size
 // drop-oldest ring. Publishing never allocates after the buffer fills and
 // never blocks; when capacity is exceeded the oldest event is overwritten
 // and Dropped is incremented, so Total() == len(Events()) + Dropped()
@@ -67,8 +67,8 @@ func (r *Ring) String() string {
 	return b.String()
 }
 
-// Capture is an unbounded Sink retaining every event, for trace export
-// where the whole run must survive (the ring is for steady-state tails).
+// Capture is an unbounded Sink retaining every event, for tests that
+// inspect a whole run (the Chrome writer streams instead of holding one).
 type Capture struct {
 	evs []Event
 }

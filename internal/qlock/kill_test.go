@@ -219,7 +219,8 @@ func TestCrashRestoreMidHandoff(t *testing.T) {
 		if err := sys2.Run(); err != nil {
 			t.Fatalf("checkpoint@%d: resumed run: %v", at, err)
 		}
-		res, err := CollectFrom(base, sys2, r2.Prog)
+		r2.Sys = sys2
+		res, err := r2.Collect()
 		if err != nil {
 			t.Fatalf("checkpoint@%d: %v", at, err)
 		}

@@ -200,30 +200,12 @@ func NewWith(cfg Config, prog *asm.Program) (*Run, error) {
 // QnodeAddr returns worker cpu's qnode address.
 func (r *Run) QnodeAddr(cpu int) uint32 { return r.Prog.Qnodes + uint32(64*cpu) }
 
-// Start runs cfg to completion and collects the result. The counter
-// is verified against the completed passages — mutual exclusion must
-// hold even if cfg injected kills.
-func Start(cfg Config) (*Result, error) {
-	r, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Sys.Run(); err != nil {
-		return nil, fmt.Errorf("qlock: %s/%dcpu/%s: %w", cfg.Variant, r.Cfg.CPUs, cfg.Mode, err)
-	}
-	return r.Collect()
-}
-
 // Collect peels the run's results out of guest memory and verifies
-// the exactness invariant counter == sum(per-thread completions).
+// the exactness invariant counter == sum(per-thread completions). A
+// checkpoint test that restores into a fresh system swaps it into Sys
+// first.
 func (r *Run) Collect() (*Result, error) {
-	return CollectFrom(r.Cfg, r.Sys, r.Prog)
-}
-
-// CollectFrom collects against an explicit system — for checkpoint
-// tests that Restore into a fresh smp.System mid-run.
-func CollectFrom(cfg Config, sys *smp.System, info ProgramInfo) (*Result, error) {
-	cfg = cfg.defaulted()
+	cfg, sys, info := r.Cfg, r.Sys, r.Prog
 	res := &Result{
 		Variant: cfg.Variant,
 		CPUs:    cfg.CPUs,

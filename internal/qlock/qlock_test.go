@@ -7,6 +7,19 @@ import (
 	"repro/internal/vmach/smp"
 )
 
+// run builds cfg, runs it to completion and collects the result, which
+// verifies the counter against the completed passages.
+func run(cfg Config) (*Result, error) {
+	r, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Sys.Run(); err != nil {
+		return nil, err
+	}
+	return r.Collect()
+}
+
 // TestExactness runs every sound variant over CPU counts and both
 // coherence modes: the counter must equal the completed passages and
 // every worker must finish.
@@ -14,7 +27,7 @@ func TestExactness(t *testing.T) {
 	for _, v := range Variants() {
 		for _, cpus := range []int{1, 2, 4} {
 			for _, mode := range []smp.Mode{smp.CC, smp.DSM} {
-				res, err := Start(Config{Variant: v, CPUs: cpus, Iters: 8, Mode: mode})
+				res, err := run(Config{Variant: v, CPUs: cpus, Iters: 8, Mode: mode})
 				if err != nil {
 					t.Fatalf("%s/%dcpu/%s: %v", v, cpus, mode, err)
 				}
@@ -38,7 +51,7 @@ func TestExactness(t *testing.T) {
 // the enqueue ticket log must account for every passage too.
 func TestAuditOrder(t *testing.T) {
 	for _, v := range []Variant{MCS, RMCS} {
-		res, err := Start(Config{Variant: v, CPUs: 3, Iters: 5, Audit: true})
+		res, err := run(Config{Variant: v, CPUs: 3, Iters: 5, Audit: true})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -81,7 +94,7 @@ func sameMultiset(a, b []int) bool {
 // count.
 func TestRMRShape(t *testing.T) {
 	perPassage := func(v Variant, cpus int) float64 {
-		res, err := Start(Config{Variant: v, CPUs: cpus, Iters: 20})
+		res, err := run(Config{Variant: v, CPUs: cpus, Iters: 20})
 		if err != nil {
 			t.Fatalf("%s/%d: %v", v, cpus, err)
 		}
@@ -108,7 +121,7 @@ func TestTryAcquire(t *testing.T) {
 	// Worker 0 holds its CS until worker 1 gives up; worker 1 tries
 	// with a small budget, must abort (tail self-dequeue), and worker
 	// 0's release must cope with its stale next link.
-	res, err := Start(Config{
+	res, err := run(Config{
 		Variant:  RMCS,
 		CPUs:     2,
 		Iters:    1,
@@ -132,7 +145,7 @@ func TestTryAcquire(t *testing.T) {
 // TestTryAcquireUncontended: with no contention TryAcquire always
 // succeeds.
 func TestTryAcquireUncontended(t *testing.T) {
-	res, err := Start(Config{Variant: RMCS, CPUs: 1, Iters: 6, TryBound: 50})
+	res, err := run(Config{Variant: RMCS, CPUs: 1, Iters: 6, TryBound: 50})
 	if err != nil {
 		t.Fatalf("try uncontended: %v", err)
 	}

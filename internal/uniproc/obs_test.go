@@ -28,10 +28,8 @@ func obsWorkload(p *Processor) {
 
 func TestRuntimeBusMetricsMatchStats(t *testing.T) {
 	p := New(Config{Quantum: 37})
-	bus := obs.NewBus(0)
 	pm := obs.NewPaperMetrics(nil)
-	bus.Attach(pm)
-	p.Tracer = bus
+	p.Tracer = pm
 	obsWorkload(p)
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
@@ -48,8 +46,8 @@ func TestRuntimeBusMetricsMatchStats(t *testing.T) {
 	if got := pm.Preemptions.Value() + pm.Spurious.Value(); got != p.Stats.Suspensions {
 		t.Errorf("preemptions+spurious = %d, stats suspensions = %d", got, p.Stats.Suspensions)
 	}
-	if bus.Total() == 0 {
-		t.Error("bus saw no events")
+	if pm.Dispatches.Value() == 0 {
+		t.Error("metrics saw no dispatches")
 	}
 }
 
@@ -76,9 +74,7 @@ func TestRuntimeMemProfiler(t *testing.T) {
 func TestRuntimeBusExportsValidChromeTrace(t *testing.T) {
 	p := New(Config{Quantum: 37})
 	cap := &obs.Capture{}
-	bus := obs.NewBus(64)
-	bus.Attach(cap)
-	p.Tracer = bus
+	p.Tracer = cap
 	obsWorkload(p)
 	if err := p.Run(); err != nil {
 		t.Fatal(err)

@@ -721,7 +721,14 @@ func (k *Kernel) chargeKernel(cy uint64) {
 
 // AttachProfiler installs a cycle profiler seeded with the program's
 // symbol table, so samples resolve to guest symbols rather than raw PCs.
+// The kernel's threads start with empty call stacks, so the profiler
+// drops the stacks of any kernel it sampled before (a rebooted kernel
+// reuses thread IDs). A nil profiler leaves the kernel unprofiled.
 func (k *Kernel) AttachProfiler(p *obs.CycleProfiler, prog *asm.Program) {
+	if p == nil {
+		return
+	}
+	p.ResetStacks()
 	if prog != nil {
 		syms := make([]obs.Symbol, 0, len(prog.Symbols))
 		for name, addr := range prog.Symbols {

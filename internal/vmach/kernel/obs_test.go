@@ -30,10 +30,8 @@ func bootTraced(t *testing.T, wire func(k *Kernel, prog *asm.Program)) *Kernel {
 }
 
 func TestKernelBusMetricsMatchStats(t *testing.T) {
-	bus := obs.NewBus(0)
 	pm := obs.NewPaperMetrics(nil)
-	bus.Attach(pm)
-	k := bootTraced(t, func(k *Kernel, _ *asm.Program) { k.Tracer = bus })
+	k := bootTraced(t, func(k *Kernel, _ *asm.Program) { k.Tracer = pm })
 
 	if k.Stats.Restarts == 0 || k.Stats.Preemptions == 0 {
 		t.Fatalf("workload produced no restarts/preemptions (restarts=%d preempt=%d)",
@@ -50,16 +48,14 @@ func TestKernelBusMetricsMatchStats(t *testing.T) {
 	if got := pm.Syscalls.Value(); got != k.Stats.Syscalls {
 		t.Errorf("syscalls_total = %d, stats = %d", got, k.Stats.Syscalls)
 	}
-	if bus.Total() == 0 {
-		t.Error("bus saw no events")
+	if pm.Dispatches.Value() == 0 {
+		t.Error("metrics saw no dispatches")
 	}
 }
 
 func TestKernelBusExportsValidChromeTrace(t *testing.T) {
 	cap := &obs.Capture{}
-	bus := obs.NewBus(64)
-	bus.Attach(cap)
-	bootTraced(t, func(k *Kernel, _ *asm.Program) { k.Tracer = bus })
+	bootTraced(t, func(k *Kernel, _ *asm.Program) { k.Tracer = cap })
 
 	data, err := obs.ChromeTrace(cap.Events())
 	if err != nil {

@@ -153,7 +153,7 @@ func (s *System) KillThread(cpu, local int) error {
 
 // AttachTracer installs one sink on every CPU. Events arrive stamped with
 // their CPU (kernel tracing does this natively) and CPU-local thread IDs;
-// obs.ChromeTraceDoc renders them as one process group per CPU.
+// obs.ChromeWriter renders them as one process group per CPU.
 func (s *System) AttachTracer(sink obs.Sink) {
 	for _, k := range s.CPUs {
 		k.Tracer = sink

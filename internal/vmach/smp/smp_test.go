@@ -215,12 +215,19 @@ func TestKillThreadAddressing(t *testing.T) {
 // to a valid Chrome document with one process group per CPU.
 func TestHybridTraceHasPerCPUTracks(t *testing.T) {
 	s, _ := buildCounter(Config{CPUs: 2}, guest.SMPHybrid, 2, 10)
-	bus := obs.NewBus(1 << 16)
-	s.AttachTracer(bus)
+	var capture obs.Capture
+	s.AttachTracer(&capture)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	doc := obs.ChromeTraceDoc(bus.Events())
+	data, err := obs.ChromeTrace(capture.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := obs.DecodeChromeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := obs.ValidateChrome(doc); err != nil {
 		t.Fatalf("invalid chrome doc: %v", err)
 	}
