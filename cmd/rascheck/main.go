@@ -82,6 +82,10 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "rascheck: -expect must be pass or violation, got %q\n", c.expect)
 		return 2
 	}
+	if c.traceOut != "" && c.replay == "" {
+		fmt.Fprintln(errw, "rascheck: -trace-out needs -replay: only a replayed schedule is traced")
+		return 2
+	}
 	switch {
 	case c.list:
 		return listModels(out)

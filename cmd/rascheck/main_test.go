@@ -103,6 +103,24 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// -trace-out traces only a replay; with -model or -suite it would write
+// nothing, so it is refused by name before anything runs.
+func TestTraceOutNeedsReplay(t *testing.T) {
+	for _, args := range [][]string{
+		{"-model", "counter", "-max-decisions", "1"},
+		{"-suite"},
+	} {
+		trace := filepath.Join(t.TempDir(), "rc.json")
+		code, _, errw := runCLI(t, append(args, "-trace-out", trace)...)
+		if code != 2 || !strings.Contains(errw, "-trace-out") {
+			t.Errorf("args %v: exit %d, stderr %q; want 2 naming -trace-out", args, code, errw)
+		}
+		if _, err := os.Stat(trace); err == nil {
+			t.Errorf("args %v: refused run still wrote %s", args, trace)
+		}
+	}
+}
+
 // A smoke test of the suite runner on two canned entries, one expected
 // pass and one expected violation. The full suite runs once in
 // internal/mcheck's TestSuite; `make check` and CI run it through this CLI.

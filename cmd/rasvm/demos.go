@@ -52,7 +52,7 @@ func runRecoverable(w io.Writer, o options, ob *observer) error {
 func printLock(w io.Writer, mem *vmach.Memory, prog *asm.Program) {
 	lw := mem.Peek(prog.MustSymbol("lock"))
 	fmt.Fprintf(w, "lock word:     %#x (owner %d, epoch %d), repairs %d\n",
-		lw, int32(lw&0xFFFF)-1, lw>>16, mem.Peek(prog.MustSymbol("repairs")))
+		lw, guest.LockOwner(lw), guest.LockEpoch(lw), mem.Peek(prog.MustSymbol("repairs")))
 }
 
 // runKernel runs src (or the -restore snapshot) on the uniprocessor
@@ -262,20 +262,14 @@ func runPersistent(w io.Writer, o options, ob *observer) error {
 // splits the two data write-backs leaves the words unequal with nothing
 // to repair them from: the demo reports the inconsistency.
 func runJournal(w io.Writer, o options, ob *observer) error {
-	var src string
-	switch o.logMode {
-	case "redo", "undo":
-		src = guest.JournalProgram(o.logMode, o.iters)
-	case "nofence":
-		src = guest.NoFenceJournalProgram(o.iters)
-	default:
+	src, ok := guest.JournalSource(o.logMode, o.iters)
+	if !ok {
 		return fmt.Errorf("-demo journal: unknown -log %q (redo, undo, nofence)", o.logMode)
 	}
 	prog, err := asm.Assemble(src)
 	if err != nil {
 		return err
 	}
-	jlog, applied := prog.MustSymbol("jlog"), prog.MustSymbol("applied")
 	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
 	fmt.Fprintf(w, "demo:          journal (-log %s, target %d, %d-byte persistence lines)\n",
 		o.logMode, o.iters, vmach.LineBytes)
@@ -286,17 +280,16 @@ func runJournal(w io.Writer, o options, ob *observer) error {
 			if o.torn {
 				kind = "torn"
 			}
-			seq, xa, xb, ck := mem.Peek(jlog), mem.Peek(jlog+4), mem.Peek(jlog+8), mem.Peek(jlog+12)
-			ap := mem.Peek(applied)
+			r := guest.ReadJournal(mem.Peek, prog)
 			verdict := "stale (seq != applied+1): nothing in flight"
-			if guest.JournalCksum(seq, xa, xb) != ck {
+			if !r.Whole() {
 				verdict = "invalid checksum: torn or never flushed, data untouched"
-			} else if seq == ap+1 {
+			} else if r.Commits() {
 				verdict = "commits: recovery will repair va and vb from it"
 			}
 			fmt.Fprintf(w, "crash:         %s, volatile tier discarded at step %d\n", kind, o.crashAt)
-			fmt.Fprintf(w, "NVM state:     va=%d vb=%d applied=%d\n", mem.Peek(va), mem.Peek(vb), ap)
-			fmt.Fprintf(w, "NVM record:    seq=%d xa=%d xb=%d ck=%#x — %s\n", seq, xa, xb, ck, verdict)
+			fmt.Fprintf(w, "NVM state:     va=%d vb=%d applied=%d\n", mem.Peek(va), mem.Peek(vb), r.Applied)
+			fmt.Fprintf(w, "NVM record:    seq=%d xa=%d xb=%d ck=%#x — %s\n", r.Seq, r.XA, r.XB, r.Ck, verdict)
 			status = "RECOVERED"
 		},
 		func(mem *vmach.Memory) error {
@@ -305,7 +298,7 @@ func runJournal(w io.Writer, o options, ob *observer) error {
 				status = "INCONSISTENT"
 			}
 			fmt.Fprintf(w, "va / vb:       %d / %d (target %d)  [%s]\n", a, b, o.iters, status)
-			fmt.Fprintf(w, "transactions:  %d applied\n", mem.Peek(applied))
+			fmt.Fprintf(w, "transactions:  %d applied\n", guest.ReadJournal(mem.Peek, prog).Applied)
 			if status == "INCONSISTENT" {
 				return fmt.Errorf("journal %s: recovered state is inconsistent (va=%d vb=%d)", o.logMode, a, b)
 			}

@@ -60,7 +60,7 @@ func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
-	k := kernel.Boot(persistKernelConfig(mem, nil, cfg.MaxCycles), prog, "main", guest.StackTop(0), true)
+	k := kernel.Boot(kernel.PersistConfig(mem, nil, cfg.MaxCycles), prog, "main", guest.StackTop(0), true)
 	if err := h.Run(k); err != nil {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: %v (repro: %s)", mode, err, tableRepro("journal", cfg.Seed))
 	}
@@ -80,8 +80,8 @@ func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow
 // vmachJournalTornSweep crashes the guest journal at seeded step ordinals
 // with torn write-backs, reboots the same binary over the surviving NVM,
 // and requires exact recovery every time. Repairs counts the crashes
-// that left a committed in-flight record (host-checked with the same
-// checksum rule the guest's recovery path applies).
+// that left a committed in-flight record (host-checked with the guest's
+// own recovery rule, guest.JournalRecord.Commits).
 func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	fail := func(format string, args ...any) (JournalRow, error) {
@@ -89,7 +89,7 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
 	boot := func(mem *vmach.Memory, faults chaos.Injector, cold bool) *kernel.Kernel {
-		return kernel.Boot(persistKernelConfig(mem, faults, cfg.MaxCycles), prog, "main", guest.StackTop(0), cold)
+		return kernel.Boot(kernel.PersistConfig(mem, faults, cfg.MaxCycles), prog, "main", guest.StackTop(0), cold)
 	}
 
 	calMem := vmach.NewMemory()
@@ -100,7 +100,6 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 	}
 	span := cal.Steps()
 
-	jlog, applied := prog.MustSymbol("jlog"), prog.MustSymbol("applied")
 	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
 	var repairs uint64
 	salt := uint64(0x6A)
@@ -118,10 +117,7 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 		}
 		// The crash already tore the volatile tier down; audit the NVM
 		// image with the guest's own recovery rule before rebooting.
-		seq := uint32(mem.NVPeek(jlog))
-		xa, xb := uint32(mem.NVPeek(jlog+4)), uint32(mem.NVPeek(jlog+8))
-		ck := uint32(mem.NVPeek(jlog + 12))
-		if guest.JournalCksum(seq, xa, xb) == ck && seq == uint32(mem.NVPeek(applied))+1 {
+		if guest.ReadJournal(mem.NVPeek, prog).Commits() {
 			repairs++
 		}
 		k2 := boot(mem, nil, false)

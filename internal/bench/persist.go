@@ -45,20 +45,6 @@ type PersistRow struct {
 	Outcome string `json:"outcome"`
 }
 
-// persistKernelConfig is the recovery-capable kernel configuration the
-// vmach sweeps run under; mirror of the persistence test harness.
-func persistKernelConfig(mem *vmach.Memory, faults chaos.Injector, maxCycles uint64) kernel.Config {
-	return kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   300,
-		Memory:    mem,
-		Faults:    faults,
-		MaxCycles: maxCycles,
-		Watchdog:  chaos.Watchdog{Policy: chaos.WatchdogExtend},
-	}
-}
-
 // vmachPersistSweep crashes src at Crashes seeded step ordinals with the
 // volatile tier discarded, then reboots the same binary over the surviving
 // memory. For the well-flushed program every crash must lose at most one
@@ -71,7 +57,7 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 			append(args, tableRepro("persist", cfg.Seed))...)
 	}
 	boot := func(mem *vmach.Memory, faults chaos.Injector, load bool) *kernel.Kernel {
-		return kernel.Boot(persistKernelConfig(mem, faults, cfg.MaxCycles),
+		return kernel.Boot(kernel.PersistConfig(mem, faults, cfg.MaxCycles),
 			prog, "main", guest.StackTop(0), load)
 	}
 
@@ -116,8 +102,8 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 		if got := mem.Peek(counterAddr); got != c0+want {
 			return fail("crash %d at step %d: counter after reboot = %d, want %d", c, at, got, c0+want)
 		}
-		if owner := mem.Peek(prog.MustSymbol("lock")) & 0xFFFF; owner != 0 {
-			return fail("crash %d at step %d: lock still owned by %d after reboot", c, at, owner)
+		if owner := guest.LockOwner(mem.Peek(prog.MustSymbol("lock"))); owner >= 0 {
+			return fail("crash %d at step %d: lock still owned by %d after reboot", c, at, owner+1)
 		}
 		repairs += uint64(mem.Peek(prog.MustSymbol("repairs")))
 	}

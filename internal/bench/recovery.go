@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/isa"
 	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
 )
@@ -45,97 +45,45 @@ type RecoveryRow struct {
 	Outcome   string `json:"outcome"`
 }
 
-// rmeWatch validates the recoverable-counter guest program's lock
-// discipline through memory watchpoints — the vmach analogue of
-// core.RMEChecker. It sees every committed store to the lock and counter
-// words and checks the RME invariants: increments happen only under the
-// lock, a held lock changes hands only when the previous owner is dead,
-// and every steal bumps the epoch by exactly one.
-type rmeWatch struct {
-	k          *kernel.Kernel
-	lockAddr   uint32
-	violations []string
-	increments uint64
-	steals     uint64
+// rmeRun is one run of the recoverable-counter guest program under
+// guest.WatchRME — the vmach analogue of core.RMEChecker: watchpoints see
+// every committed store to the lock and counter words and judge it by
+// the RME rules the guest package owns.
+type rmeRun struct {
+	k    *kernel.Kernel
+	prog *asm.Program
+	rme  *guest.RMECounts
+	err  error // the first broken rule
 }
 
-func (w *rmeWatch) violate(format string, args ...any) {
-	if len(w.violations) < 8 {
-		w.violations = append(w.violations, fmt.Sprintf(format, args...))
-	}
-}
-
-func newRMEWatch(cfg kernel.Config, workers, iters int) *rmeWatch {
+func newRMERun(cfg kernel.Config, workers, iters int) *rmeRun {
 	prog := guest.Assemble(guest.RecoverableCounterProgram(workers, iters))
-	k := kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
-
-	w := &rmeWatch{k: k, lockAddr: prog.MustSymbol("lock")}
-	storer := func() int {
-		if cur := k.Current(); cur != nil {
-			return cur.ID
-		}
-		return -1
-	}
-	dead := func(tid int) bool {
-		if tid < 0 || tid >= len(k.Threads()) {
-			return true
-		}
-		switch k.Threads()[tid].State {
-		case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-			return true
-		}
-		return false
-	}
-	k.M.Mem.Watch(w.lockAddr, func(old, new isa.Word) {
-		me := storer()
-		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
-		oldEpoch, newEpoch := old>>16, new>>16
-		switch {
-		case oldOwner == 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch {
-				w.violate("bad acquire %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner == 0:
-			if oldOwner != me+1 || newEpoch != oldEpoch {
-				w.violate("bad release %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner != 0:
-			w.steals++
-			if newOwner != me+1 || newEpoch != oldEpoch+1 {
-				w.violate("bad steal %#x->%#x by t%d", old, new, me)
-			}
-			if !dead(oldOwner - 1) {
-				w.violate("t%d stole from live t%d — ME breach", me, oldOwner-1)
-			}
+	r := &rmeRun{k: kernel.Boot(cfg, prog, "main", guest.StackTop(0), true), prog: prog}
+	r.rme = guest.WatchRME(r.k.M.Mem, prog, r.k, false, func(b guest.RMEBreach) {
+		if r.err == nil {
+			r.err = errors.New(b.Msg)
 		}
 	})
-	k.M.Mem.Watch(prog.MustSymbol("counter"), func(old, new isa.Word) {
-		w.increments++
-		lock := k.M.Mem.Peek(w.lockAddr)
-		if me := storer(); int(lock&0xFFFF) != me+1 || new != old+1 {
-			w.violate("t%d incremented %d->%d with lock %#x", me, old, new, lock)
-		}
-	})
-	return w
+	return r
 }
 
 // verify reports the first problem with a finished run, or nil.
-func (w *rmeWatch) verify(runErr error) error {
+func (r *rmeRun) verify(runErr error) error {
 	if runErr != nil {
 		return runErr
 	}
-	if len(w.violations) > 0 {
-		return errors.New(w.violations[0])
+	if r.err != nil {
+		return r.err
 	}
-	for _, th := range w.k.Threads() {
+	for _, th := range r.k.Threads() {
 		switch th.State {
 		case kernel.StateDone, kernel.StateKilled:
 		default:
 			return fmt.Errorf("thread %d stuck in state %v", th.ID, th.State)
 		}
 	}
-	if got := uint64(w.k.M.Mem.Peek(w.lockAddr + 4)); got != w.increments {
-		return fmt.Errorf("counter %d but %d watched increments", got, w.increments)
+	if got := uint64(r.k.M.Mem.Peek(r.prog.MustSymbol("counter"))); got != r.rme.Increments {
+		return fmt.Errorf("counter %d but %d watched increments", got, r.rme.Increments)
 	}
 	return nil
 }
@@ -227,16 +175,19 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 		})
 	}
 
+	// vmCfg is the kernel every vmach leg boots: a 250-cycle quantum.
+	vmCfg := func(strat kernel.Strategy, faults chaos.Injector) kernel.Config {
+		return kernel.Config{Strategy: strat, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
+	}
+
 	// Vmach kill sweeps, one per strategy.
 	for _, strat := range []func() kernel.Strategy{
 		func() kernel.Strategy { return &kernel.Registration{} },
 		func() kernel.Strategy { return &kernel.Designated{} },
 	} {
 		name := "vmach/kill-sweep/" + strat().Name()
-		mk := func(faults chaos.Injector) *rmeWatch {
-			return newRMEWatch(kernel.Config{
-				Strategy: strat(), Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults,
-			}, cfg.Workers, cfg.Iters)
+		mk := func(faults chaos.Injector) *rmeRun {
+			return newRMERun(vmCfg(strat(), faults), cfg.Workers, cfg.Iters)
 		}
 		ref := mk(nil)
 		if err := ref.verify(h.Run(ref.k)); err != nil {
@@ -256,7 +207,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 				return nil, fmt.Errorf("%s: schedule %d (seed %#x): %v (repro: %s)", name, s, cfg.Seed, err, tableRepro("recovery", cfg.Seed))
 			}
 			kills += w.k.Stats.Kills
-			repairs += w.steals
+			repairs += w.rme.Steals
 		}
 		rows = append(rows, RecoveryRow{
 			Scenario: name, Seed: cfg.Seed, Schedules: cfg.Schedules,
@@ -266,8 +217,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 
 	// Checkpoint replay at deterministic cuts.
 	{
-		ref := newRMEWatch(kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles},
-			cfg.Workers, cfg.Iters)
+		ref := newRMERun(vmCfg(&kernel.Registration{}, nil), cfg.Workers, cfg.Iters)
 		if err := ref.verify(h.Run(ref.k)); err != nil {
 			return nil, fmt.Errorf("vmach/checkpoint-replay: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 		}
@@ -275,8 +225,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 		cuts := 0
 		for _, frac := range []uint64{1, 2, 3} {
 			cut := total * frac / 4
-			w := newRMEWatch(kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles},
-				cfg.Workers, cfg.Iters)
+			w := newRMERun(vmCfg(&kernel.Registration{}, nil), cfg.Workers, cfg.Iters)
 			if fin, err := w.k.RunSteps(cut); fin {
 				return nil, fmt.Errorf("vmach/checkpoint-replay: cut %d finished early (%v) (repro: %s)", cut, err, tableRepro("recovery", cfg.Seed))
 			}
@@ -288,7 +237,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 			if !bytes.Equal(enc, snap.Encode()) {
 				return nil, fmt.Errorf("vmach/checkpoint-replay: re-encoding not bit-identical (repro: %s)", tableRepro("recovery", cfg.Seed))
 			}
-			k2, err := kernel.Restore(kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles}, snap)
+			k2, err := kernel.Restore(vmCfg(&kernel.Registration{}, nil), snap)
 			if err != nil {
 				return nil, fmt.Errorf("vmach/checkpoint-replay: restore: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
@@ -307,17 +256,14 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 
 	// Crash restore: checkpoint where the crash struck, replay the rest.
 	{
-		mkCfg := func(faults chaos.Injector) kernel.Config {
-			return kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
-		}
-		ref := newRMEWatch(mkCfg(nil), cfg.Workers, cfg.Iters)
+		ref := newRMERun(vmCfg(&kernel.Registration{}, nil), cfg.Workers, cfg.Iters)
 		if err := ref.verify(h.Run(ref.k)); err != nil {
 			return nil, fmt.Errorf("vmach/crash-restore: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 		}
 		span := ref.k.Steps()
 		for c := 0; c < cfg.Crashes; c++ {
 			at := chaos.Derive(cfg.Seed, 0x57, uint64(c))%span + 1
-			w := newRMEWatch(mkCfg(chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}),
+			w := newRMERun(vmCfg(&kernel.Registration{}, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}),
 				cfg.Workers, cfg.Iters)
 			if err := h.Run(w.k); !errors.Is(err, kernel.ErrMachineCrash) {
 				return nil, fmt.Errorf("vmach/crash-restore: crash %d at step %d: run = %v (repro: %s)", c, at, err, tableRepro("recovery", cfg.Seed))
@@ -326,7 +272,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("vmach/crash-restore: decode: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}
-			k2, err := kernel.Restore(mkCfg(nil), snap)
+			k2, err := kernel.Restore(vmCfg(&kernel.Registration{}, nil), snap)
 			if err != nil {
 				return nil, fmt.Errorf("vmach/crash-restore: restore: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
 			}

@@ -217,6 +217,17 @@ func (s *PersistentStack) Len(e *uniproc.Env) int { return int(e.Load(&s.a[topId
 // Cap returns the capacity.
 func (s *PersistentStack) Cap() int { return s.cap }
 
+// Contents returns the elements bottom-first without changing the
+// stack (volatile reads: the depth, then each value).
+func (s *PersistentStack) Contents(e *uniproc.Env) []uniproc.Word {
+	top := int(e.Load(&s.a[topIdx]))
+	vs := make([]uniproc.Word, 0, top)
+	for i := 0; i < top; i++ {
+		vs = append(vs, e.Load(&s.a[topIdx+1+i]))
+	}
+	return vs
+}
+
 // Push pushes v as one logged transaction.
 func (s *PersistentStack) Push(e *uniproc.Env, v uniproc.Word) error {
 	top := int(e.Load(&s.a[topIdx]))
@@ -271,6 +282,18 @@ func (q *PersistentQueue) Len(e *uniproc.Env) int {
 
 // Cap returns the capacity.
 func (q *PersistentQueue) Cap() int { return q.cap }
+
+// Contents returns the elements oldest-first without changing the queue
+// (volatile reads: head, tail, then each value).
+func (q *PersistentQueue) Contents(e *uniproc.Env) []uniproc.Word {
+	head := e.Load(&q.a[dataBase+headOff])
+	tail := e.Load(&q.a[dataBase+tailOff])
+	vs := make([]uniproc.Word, 0, int(tail-head))
+	for i := head; i != tail; i++ {
+		vs = append(vs, e.Load(&q.a[dataBase+ringOff+int(uint32(i)%uint32(q.cap))]))
+	}
+	return vs
+}
 
 // Enqueue appends v as one logged transaction.
 func (q *PersistentQueue) Enqueue(e *uniproc.Env, v uniproc.Word) error {

@@ -510,19 +510,52 @@ worker:                         # a0 = own kernel thread id
 	la   s2, counter
 	li   s0, %d             # iterations
 wloop:
-acq:
-	lw   s3, 0(s1)          # current lock word
-	andi t1, s3, 0xFFFF     # owner field
+%scs:
+	lw   t1, 0(s2)          # critical section: counter++
+	addi t1, t1, 1
+	sw   t1, 0(s2)
+%s	addi s0, s0, -1
+	bne  s0, zero, wloop
+	li   v0, 0              # SysExit
+	move a0, zero
+	syscall
+
+%s
+	.data
+lock:    .word 0
+counter: .word 0
+repairs: .word 0
+`, workers, StackBase+0xFF0, iters,
+		recoverableAcquire("s3", "cs", false), recoverableRelease, recoverableCAS)
+	return b.String()
+}
+
+// recoverableAcquire emits the acquire loop the recoverable guests share.
+// A free lock word is taken by CAS with its epoch kept; a held word's
+// owner is asked after with SysThreadAlive, and a dead owner's lock is
+// stolen by CAS with the epoch bumped and the steal counted at symbol
+// "repairs" — flushed too when durable. The loop expects the lock at s1
+// and the owner field (tid+1) in s6, loads the word into register w,
+// clobbers t1-t4, a0, a1 and v0, and branches to label held once the
+// lock is taken.
+func recoverableAcquire(w, held string, durable bool) string {
+	flush := ""
+	if durable {
+		flush = "\tflush 0(t3)\n"
+	}
+	return fmt.Sprintf(`acq:
+	lw   %[1]s, 0(s1)          # current lock word
+	andi t1, %[1]s, 0xFFFF     # owner field
 	beq  t1, zero, acq_free
 	addi a0, t1, -1         # held: ask the kernel if the owner can still run
 	li   v0, 10             # SysThreadAlive
 	syscall
 	bne  v0, zero, acq_wait
-	srl  t2, s3, 16         # orphaned: steal with the epoch bumped
+	srl  t2, %[1]s, 16         # orphaned: steal with the epoch bumped
 	addi t2, t2, 1
 	sll  t2, t2, 16
 	or   t2, t2, s6
-	move a0, s3             # CAS(lock: expect s3 -> t2)
+	move a0, %[1]s             # CAS(lock: expect the word -> t2)
 	move a1, t2
 	jal  cas
 	beq  v0, zero, acq      # lost the race to another repairer: re-read
@@ -530,37 +563,39 @@ acq:
 	lw   t4, 0(t3)
 	addi t4, t4, 1
 	sw   t4, 0(t3)
-	b    cs
+%[3]s	b    %[2]s
 acq_free:
-	srl  t2, s3, 16
+	srl  t2, %[1]s, 16
 	sll  t2, t2, 16
 	or   t2, t2, s6         # free: take it, epoch unchanged
-	move a0, s3
+	move a0, %[1]s
 	move a1, t2
 	jal  cas
 	beq  v0, zero, acq
-	b    cs
+	b    %[2]s
 acq_wait:
 	li   v0, 1              # SysYield while the live owner works
 	syscall
 	b    acq
-cs:
-	lw   t1, 0(s2)          # critical section: counter++
-	addi t1, t1, 1
-	sw   t1, 0(s2)
-	lw   t1, 0(s1)          # release: clear owner, preserve epoch. Only the
-	srl  t1, t1, 16         # owner writes a held word, so the non-atomic
-	sll  t1, t1, 16         # read-modify-write is safe; dying inside it
-	sw   t1, 0(s1)          # leaves an orphan for the next steal.
-	addi s0, s0, -1
-	bne  s0, zero, wloop
-	li   v0, 0              # SysExit
-	move a0, zero
-	syscall
+`, w, held, flush)
+}
 
-cas:                            # CAS word at s1: a0 = expect, a1 = new;
-cas_seq:                        # v0 = 1 if swapped. Restartable: canonical
-	lw   v0, 0(s1)          # designated shape, and registered by main.
+// recoverableRelease clears the owner field of the lock word at s1 and
+// keeps the epoch; it clobbers t1. Only the owner writes a held word, so
+// the non-atomic read-modify-write is safe; dying inside it leaves an
+// orphan for the next steal.
+const recoverableRelease = `	lw   t1, 0(s1)          # release: clear owner, preserve epoch
+	srl  t1, t1, 16
+	sll  t1, t1, 16
+	sw   t1, 0(s1)
+`
+
+// recoverableCAS is the recoverable guests' compare-and-swap on the word
+// at s1, written in the canonical designated shape and registered by
+// main, so it is restartable under both strategies.
+const recoverableCAS = `cas:                            # CAS word at s1: a0 = expect, a1 = new;
+cas_seq:                        # v0 = 1 if swapped
+	lw   v0, 0(s1)
 	ori  t9, zero, 1
 	bne  v0, a0, cas_fail
 	landmark
@@ -570,14 +605,7 @@ cas_seq:                        # v0 = 1 if swapped. Restartable: canonical
 cas_fail:
 	li   v0, 0
 	jr   ra
-
-	.data
-lock:    .word 0
-counter: .word 0
-repairs: .word 0
-`, workers, StackBase+0xFF0, iters)
-	return b.String()
-}
+`
 
 // MicrobenchProgram builds the paper's Table 1 microbenchmark: one thread
 // enters a critical section with a Test-And-Set lock, increments a counter,

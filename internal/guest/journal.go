@@ -3,17 +3,17 @@ package guest
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
-// JournalMagic seeds the guest journal record checksum. It is exported so
-// host-side checkers (mcheck, rasvm -demo journal) can recompute the
-// checksum over an NVM dump and decide, exactly as the guest's recovery
-// path does, whether the surviving log record commits.
-const JournalMagic = 0x5EED1E55
+// journalMagic seeds the guest journal record checksum.
+const journalMagic = 0x5EED1E55
 
-// JournalCksum is the host-side mirror of the guest's jck routine:
+// journalCksum is the host-side mirror of the guest's jck routine:
 //
-//	ck = seq ^ rot1(xa) ^ rot2(xb) ^ JournalMagic
+//	ck = seq ^ rot1(xa) ^ rot2(xb) ^ journalMagic
 //
 // The positional rotates matter. A torn crash during the log-line flush
 // persists a memory-order prefix of the line's words, splicing the new
@@ -24,9 +24,69 @@ const JournalMagic = 0x5EED1E55
 // checksum recomputed over the spliced words: bit 0 of the difference
 // survives every splice point. A plain xor of the words would not have
 // that property (the deltas could cancel).
-func JournalCksum(seq, xa, xb uint32) uint32 {
-	rot := func(v uint32, k uint) uint32 { return v<<k | v>>(32-k) }
-	return seq ^ rot(xa, 1) ^ rot(xb, 2) ^ JournalMagic
+func journalCksum(seq, xa, xb isa.Word) isa.Word {
+	rot := func(v isa.Word, k uint) isa.Word { return v<<k | v>>(32-k) }
+	return seq ^ rot(xa, 1) ^ rot(xb, 2) ^ journalMagic
+}
+
+// JournalRecord is the guest journal's durable state as a crash leaves
+// it: the log record at symbol jlog and the applied sequence at symbol
+// applied that recovery judges it against.
+type JournalRecord struct {
+	Seq, XA, XB, Ck isa.Word
+	Applied         isa.Word
+}
+
+// ReadJournal reads a journal program's record through peek: a memory's
+// Peek, or its NVPeek for the durable tier alone.
+func ReadJournal(peek func(addr uint32) isa.Word, p *asm.Program) JournalRecord {
+	log := p.MustSymbol("jlog")
+	return JournalRecord{
+		Seq: peek(log), XA: peek(log + 4), XB: peek(log + 8), Ck: peek(log + 12),
+		Applied: peek(p.MustSymbol("applied")),
+	}
+}
+
+// Whole reports whether the record's checksum matches its words; a torn
+// or never-flushed record fails (see journalCksum for why splices can't
+// collide).
+func (r JournalRecord) Whole() bool { return journalCksum(r.Seq, r.XA, r.XB) == r.Ck }
+
+// Commits is the guest's recovery rule: the record commits iff it is
+// whole and seq == applied+1, i.e. its transaction was in flight.
+func (r JournalRecord) Commits() bool { return r.Whole() && r.Seq == r.Applied+1 }
+
+// Recover returns what va and vb hold once the guest's recovery has run
+// over va=a, vb=b: a committing record re-stores its values (redo: the
+// new ones roll forward; undo: the old ones roll back), anything else
+// leaves the words alone.
+func (r JournalRecord) Recover(a, b isa.Word) (isa.Word, isa.Word) {
+	if r.Commits() {
+		return r.XA, r.XB
+	}
+	return a, b
+}
+
+// JournalSource selects a journal program by mode name, reporting false
+// for an unknown one: "redo" and "undo" are JournalProgram's
+// disciplines, and "nofence" is the planted bug — the redo program with
+// the log line's flush+fence omitted, so a transaction's in-place
+// updates are initiated while its record still sits in the volatile
+// tier. The record's line is never even flushed, so NVM never holds it:
+// a torn crash that persists va's write-back but not vb's leaves the two
+// words unequal with nothing to repair them from — the violation the
+// mcheck "journal-nofence" entry must catch and shrink to a single
+// decision. (Clean crashes stay consistent: both write-backs share one
+// fence, so they die or survive together. Only torn-write crashes expose
+// this bug, which is exactly why the torn fault exists.)
+func JournalSource(mode string, target int) (string, bool) {
+	switch mode {
+	case "redo", "undo":
+		return JournalProgram(mode, target), true
+	case "nofence":
+		return journalProgram(target, false, false), true
+	}
+	return "", false
 }
 
 // JournalProgram builds a single-threaded crash-consistent transaction
@@ -50,7 +110,7 @@ func JournalCksum(seq, xa, xb uint32) uint32 {
 // The record is four words on one 64-byte line — seq, xa, xb, checksum —
 // with the checksum in the highest word: a torn crash persists a prefix
 // of the line, so a record with a valid checksum is a whole record (see
-// JournalCksum for why splices can't collide). va and vb live on lines of
+// journalCksum for why splices can't collide). va and vb live on lines of
 // their own, which is what makes the missing-fence variant detectable: a
 // torn crash between their write-backs can persist one without the
 // other, and only a durable log record can repair that.
@@ -68,20 +128,6 @@ func JournalProgram(mode string, target int) string {
 		return journalProgram(target, true, true)
 	}
 	panic(fmt.Sprintf("guest: unknown journal mode %q", mode))
-}
-
-// NoFenceJournalProgram is the planted bug: the redo program with the
-// log line's flush+fence omitted, so a transaction's in-place updates
-// are initiated while its record still sits in the volatile tier. The
-// record's line is never even flushed, so NVM never holds it: a torn
-// crash that persists va's write-back but not vb's leaves the two words
-// unequal with nothing to repair them from — the violation the mcheck
-// "journal-nofence" entry must catch and shrink to a single decision.
-// (Clean crashes stay consistent: both write-backs share one fence, so
-// they die or survive together. Only torn-write crashes expose this
-// bug, which is exactly why the torn fault exists.)
-func NoFenceJournalProgram(target int) string {
-	return journalProgram(target, false, false)
 }
 
 func journalProgram(target int, undo, wellFenced bool) string {
@@ -185,6 +231,6 @@ jlog:	.word 0                 # seq
 va:	.word 0
 	.space 60
 vb:	.word 0
-`, target, JournalMagic, claim, logA, logB, logPersist, commitFence)
+`, target, journalMagic, claim, logA, logB, logPersist, commitFence)
 	return b.String()
 }

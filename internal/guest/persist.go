@@ -62,22 +62,8 @@ main:
 	la   a0, cas_seq
 	li   a1, 20             # lw + ori + bne + landmark + sw
 	syscall
-	la   s1, lock           # --- recovery: no worker exists yet, so any
-	lw   t1, 0(s1)          # owner the NVM lock word names is dead
-	andi t2, t1, 0xFFFF
-	beq  t2, zero, boot
-	srl  t2, t1, 16         # repair: bump epoch, clear owner
-	addi t2, t2, 1
-	sll  t2, t2, 16
-	sw   t2, 0(s1)
-	la   t3, repairs
-	lw   t4, 0(t3)
-	addi t4, t4, 1
-	sw   t4, 0(t3)
-	flush 0(s1)             # the repair itself must be durable before
-	flush 0(t3)             # workers can crash the machine again
-	fence
-boot:
+	la   s1, lock           # --- recovery, before any worker exists
+%sboot:
 	li   s0, %d             # number of workers
 	li   s1, 1              # next thread id
 spawnloop:
@@ -103,78 +89,54 @@ worker:                         # a0 = own kernel thread id
 	la   s2, counter
 	li   s0, %d             # iterations
 wloop:
-acq:
-	lw   s3, 0(s1)          # current lock word
-	andi t1, s3, 0xFFFF     # owner field
-	beq  t1, zero, acq_free
-	addi a0, t1, -1         # held: ask the kernel if the owner can still run
-	li   v0, 10             # SysThreadAlive
-	syscall
-	bne  v0, zero, acq_wait
-	srl  t2, s3, 16         # orphaned: steal with the epoch bumped
-	addi t2, t2, 1
-	sll  t2, t2, 16
-	or   t2, t2, s6
-	move a0, s3             # CAS(lock: expect s3 -> t2)
-	move a1, t2
-	jal  cas
-	beq  v0, zero, acq      # lost the race to another repairer: re-read
-	la   t3, repairs
-	lw   t4, 0(t3)
-	addi t4, t4, 1
-	sw   t4, 0(t3)
-	flush 0(t3)
-	b    acquired
-acq_free:
-	srl  t2, s3, 16
-	sll  t2, t2, 16
-	or   t2, t2, s6         # free: take it, epoch unchanged
-	move a0, s3
-	move a1, t2
-	jal  cas
-	beq  v0, zero, acq
-	b    acquired
-acq_wait:
-	li   v0, 1              # SysYield while the live owner works
-	syscall
-	b    acq
-acquired:
+%sacquired:
 	flush 0(s1)             # P1: ownership is durable before the critical
 	fence                   # section runs
 	lw   t1, 0(s2)          # critical section: counter++
 	addi t1, t1, 1
 	sw   t1, 0(s2)
-%s	lw   t1, 0(s1)          # release: clear owner, preserve epoch. Only the
-	srl  t1, t1, 16         # owner writes a held word, so the non-atomic
-	sll  t1, t1, 16         # read-modify-write is safe; dying inside it
-	sw   t1, 0(s1)          # leaves an orphan for the next steal.
-%s	addi s0, s0, -1
+%s%s%s	addi s0, s0, -1
 	bne  s0, zero, wloop
 	li   v0, 0              # SysExit
 	move a0, zero
 	syscall
 
-cas:                            # CAS word at s1: a0 = expect, a1 = new;
-cas_seq:                        # v0 = 1 if swapped. Restartable: canonical
-	lw   v0, 0(s1)          # designated shape, and registered by main.
-	ori  t9, zero, 1
-	bne  v0, a0, cas_fail
-	landmark
-	sw   a1, 0(s1)          # commit
-	move v0, t9
-	jr   ra
-cas_fail:
-	li   v0, 0
-	jr   ra
-
+%s
 	.data
 lock:    .word 0                # one variable per 64-byte persistence line:
 	.space 60               # flushing one must not persist another
 counter: .word 0
 	.space 60
 repairs: .word 0
-`, workers, StackBase+0xFF0, iters,
+`, bootRepair("boot"), workers, StackBase+0xFF0, iters,
+		recoverableAcquire("s3", "acquired", true),
 		persist("s2"), // P2: the increment
-		persist("s1")) // P3: the release
+		recoverableRelease,
+		persist("s1"), // P3: the release
+		recoverableCAS)
 	return b.String()
+}
+
+// bootRepair emits the persistent guests' boot-time recovery of the lock
+// word at s1, continuing at label next. Main runs it before spawning any
+// worker, so whatever owner the NVM word names is dead: the word is freed
+// with the epoch bumped, the repair counted at symbol "repairs", and both
+// made durable before workers can crash the machine again. Clobbers
+// t1-t4.
+func bootRepair(next string) string {
+	return fmt.Sprintf(`	lw   t1, 0(s1)
+	andi t2, t1, 0xFFFF
+	beq  t2, zero, %s
+	srl  t2, t1, 16         # repair: bump epoch, clear owner
+	addi t2, t2, 1
+	sll  t2, t2, 16
+	sw   t2, 0(s1)
+	la   t3, repairs
+	lw   t4, 0(t3)
+	addi t4, t4, 1
+	sw   t4, 0(t3)
+	flush 0(s1)
+	flush 0(t3)
+	fence
+`, next)
 }

@@ -69,21 +69,8 @@ main:
 	sw   zero, 0(s5)
 	flush 0(s5)
 	fence
-	lw   t1, 0(s1)          # --- R2: any owner the NVM word names is dead
-	andi t2, t1, 0xFFFF
-	beq  t2, zero, replay
-	srl  t2, t1, 16
-	addi t2, t2, 1
-	sll  t2, t2, 16
-	sw   t2, 0(s1)
-	la   t3, repairs
-	lw   t4, 0(t3)
-	addi t4, t4, 1
-	sw   t4, 0(t3)
-	flush 0(s1)
-	flush 0(t3)
-	fence
-replay:                         # --- R3: one-slot WAL replay with dedup
+	# --- R2: any owner the NVM lock word names is dead
+%sreplay:                         # --- R3: one-slot WAL replay with dedup
 	lw   t1, 0(s3)
 	beq  t1, zero, recount
 	srl  t5, t1, 16         # t5 = worker id of the intent
@@ -160,42 +147,7 @@ worker:                         # a0 = own kernel thread id = worker id
 wloop:
 	slt  t0, s5, s0
 	bne  t0, zero, wdone
-acq:
-	lw   t8, 0(s1)
-	andi t1, t8, 0xFFFF
-	beq  t1, zero, acq_free
-	addi a0, t1, -1         # held: is the owner still alive?
-	li   v0, 10             # SysThreadAlive
-	syscall
-	bne  v0, zero, acq_wait
-	srl  t2, t8, 16         # orphaned: steal with the epoch bumped
-	addi t2, t2, 1
-	sll  t2, t2, 16
-	or   t2, t2, s6
-	move a0, t8
-	move a1, t2
-	jal  cas
-	beq  v0, zero, acq
-	la   t3, repairs
-	lw   t4, 0(t3)
-	addi t4, t4, 1
-	sw   t4, 0(t3)
-	flush 0(t3)
-	b    acquired
-acq_free:
-	srl  t2, t8, 16
-	sll  t2, t2, 16
-	or   t2, t2, s6
-	move a0, t8
-	move a1, t2
-	jal  cas
-	beq  v0, zero, acq
-	b    acquired
-acq_wait:
-	li   v0, 1              # SysYield
-	syscall
-	b    acq
-acquired:
+%sacquired:
 	flush 0(s1)             # P1: ownership durable before the effect
 	fence
 	sll  t1, s7, 16         # W1: durable intent (w, seq)
@@ -214,11 +166,7 @@ acquired:
 	sw   zero, 0(s3)        # W4: intent retired
 	flush 0(s3)
 	fence
-	lw   t1, 0(s1)          # release: clear owner, keep epoch
-	srl  t1, t1, 16
-	sll  t1, t1, 16
-	sw   t1, 0(s1)
-	flush 0(s1)             # P3
+%s	flush 0(s1)             # P3
 	fence
 	addi s0, s0, 1
 	b    wloop
@@ -227,19 +175,7 @@ wdone:
 	move a0, zero
 	syscall
 
-cas:                            # CAS word at s1: a0 = expect, a1 = new;
-cas_seq:                        # v0 = 1 if swapped. Registered by main.
-	lw   v0, 0(s1)
-	ori  t9, zero, 1
-	bne  v0, a0, cas_fail
-	landmark
-	sw   a1, 0(s1)          # commit
-	move v0, t9
-	jr   ra
-cas_fail:
-	li   v0, 0
-	jr   ra
-
+%s
 	.data
 lock:    .word 0                # one variable per 64-byte persistence line
 	.space 60
@@ -254,7 +190,8 @@ readonly: .word 0
 repairs: .word 0
 	.space 60
 applied:
-`, workers, workers, StackBase+0xFF0, iters)
+`, bootRepair("replay"), workers, workers, StackBase+0xFF0, iters,
+		recoverableAcquire("t8", "acquired", true), recoverableRelease, recoverableCAS)
 	for w := 0; w < workers; w++ {
 		fmt.Fprintf(&b, "\t.word 0\n\t.space 60\n")
 	}

@@ -35,7 +35,7 @@ func MountFS(e *uniproc.Env, pkg *cthreads.Pkg, arena []uniproc.Word, opt Option
 	}
 	j := &JFS{fs: memfs.New(pkg), log: l, mu: pkg.NewMutex()}
 	for _, rec := range recs {
-		if err := j.apply(e, rec.Kind, rec.Path, rec.Data); err != nil {
+		if err := j.apply(e, rec); err != nil {
 			return nil, fmt.Errorf("journal: replay of %s #%d %s: %w", rec.Kind, rec.Seq, rec.Path, err)
 		}
 	}
@@ -50,36 +50,38 @@ func (j *JFS) FS() *memfs.FS { return j.fs }
 func (j *JFS) Log() *Log { return j.log }
 
 // apply performs rec's in-place update on the volatile tree.
-func (j *JFS) apply(e *uniproc.Env, kind Kind, path string, data []byte) error {
-	switch kind {
+func (j *JFS) apply(e *uniproc.Env, rec Record) error {
+	switch rec.Kind {
 	case OpMkdir:
-		return j.fs.Mkdir(e, path)
+		return j.fs.Mkdir(e, rec.Path)
 	case OpCreate:
-		return j.fs.Create(e, path)
+		return j.fs.Create(e, rec.Path)
 	case OpWriteFile:
-		return j.fs.WriteFile(e, path, data)
+		return j.fs.WriteFile(e, rec.Path, rec.Data)
 	case OpAppend:
-		return j.fs.Append(e, path, data)
+		return j.fs.Append(e, rec.Path, rec.Data)
 	case OpRemove:
-		return j.fs.Remove(e, path)
+		return j.fs.Remove(e, rec.Path)
 	}
-	return fmt.Errorf("journal: unknown record kind %d", kind)
+	return fmt.Errorf("journal: unknown record kind %d", rec.Kind)
 }
 
-// mutate is the write-ahead path: validate, commit the record, apply.
-func (j *JFS) mutate(e *uniproc.Env, kind Kind, path string, data []byte) error {
+// Do performs rec's operation (its Seq is ignored) through the
+// write-ahead path: validate, commit the record, apply. Mkdir, Create,
+// WriteFile, Append and Remove are Do with the record spelled out.
+func (j *JFS) Do(e *uniproc.Env, rec Record) error {
 	j.mu.Lock(e)
 	defer j.mu.Unlock(e)
-	if err := j.precheck(e, kind, path); err != nil {
+	if err := j.precheck(e, rec.Kind, rec.Path); err != nil {
 		return err
 	}
-	if _, err := j.log.Append(e, kind, path, data); err != nil {
+	if _, err := j.log.Append(e, rec.Kind, rec.Path, rec.Data); err != nil {
 		return err
 	}
-	if err := j.apply(e, kind, path, data); err != nil {
+	if err := j.apply(e, rec); err != nil {
 		// The record is durable but the apply failed: the volatile tree
 		// and the log disagree, which the precheck exists to rule out.
-		panic(fmt.Sprintf("journal: committed record failed to apply: %s %s: %v", kind, path, err))
+		panic(fmt.Sprintf("journal: committed record failed to apply: %s %s: %v", rec.Kind, rec.Path, err))
 	}
 	return nil
 }
@@ -157,27 +159,27 @@ func checkPath(path string) error {
 
 // Mkdir journals and creates a directory.
 func (j *JFS) Mkdir(e *uniproc.Env, path string) error {
-	return j.mutate(e, OpMkdir, path, nil)
+	return j.Do(e, Record{Kind: OpMkdir, Path: path})
 }
 
 // Create journals and creates an empty file.
 func (j *JFS) Create(e *uniproc.Env, path string) error {
-	return j.mutate(e, OpCreate, path, nil)
+	return j.Do(e, Record{Kind: OpCreate, Path: path})
 }
 
 // WriteFile journals and replaces a file's contents.
 func (j *JFS) WriteFile(e *uniproc.Env, path string, data []byte) error {
-	return j.mutate(e, OpWriteFile, path, data)
+	return j.Do(e, Record{Kind: OpWriteFile, Path: path, Data: data})
 }
 
 // Append journals and appends to a file.
 func (j *JFS) Append(e *uniproc.Env, path string, data []byte) error {
-	return j.mutate(e, OpAppend, path, data)
+	return j.Do(e, Record{Kind: OpAppend, Path: path, Data: data})
 }
 
 // Remove journals and deletes a file or empty directory.
 func (j *JFS) Remove(e *uniproc.Env, path string) error {
-	return j.mutate(e, OpRemove, path, nil)
+	return j.Do(e, Record{Kind: OpRemove, Path: path})
 }
 
 // ReadFile reads through to the volatile tree.

@@ -35,13 +35,8 @@ func journalModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var src string
-	switch p["mode"] {
-	case "redo", "undo":
-		src = guest.JournalProgram(p["mode"], target)
-	case "nofence":
-		src = guest.NoFenceJournalProgram(target)
-	default:
+	src, ok := guest.JournalSource(p["mode"], target)
+	if !ok {
 		return nil, fmt.Errorf("mcheck: journal: unknown mode %q", p["mode"])
 	}
 	primary, err := tornPrimary(p, "journal")
@@ -52,25 +47,13 @@ func journalModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: journal: %v", err)
 	}
-	jlog, applied := prog.MustSymbol("jlog"), prog.MustSymbol("applied")
 	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
-	// checkNVM simulates the guest's own recovery decision over the NVM
-	// image and demands the recovered state is consistent: va == vb,
-	// within the target. This is the journal's core invariant — every
-	// reachable NVM image is one a reboot repairs.
+	// checkNVM applies the guest's own recovery rule to the NVM image and
+	// demands the recovered state is consistent: va == vb, within the
+	// target. This is the journal's core invariant — every reachable NVM
+	// image is one a reboot repairs.
 	checkNVM := func(in *rebootInstance, where string) {
-		seq := uint32(in.mem.NVPeek(jlog))
-		xa := uint32(in.mem.NVPeek(jlog + 4))
-		xb := uint32(in.mem.NVPeek(jlog + 8))
-		ck := uint32(in.mem.NVPeek(jlog + 12))
-		ap := uint32(in.mem.NVPeek(applied))
-		a := uint32(in.mem.NVPeek(va))
-		b := uint32(in.mem.NVPeek(vb))
-		if guest.JournalCksum(seq, xa, xb) == ck && seq == ap+1 {
-			// A committed in-flight record: recovery re-stores its
-			// values (redo: news roll forward; undo: olds roll back).
-			a, b = xa, xb
-		}
+		a, b := guest.ReadJournal(in.mem.NVPeek, prog).Recover(in.mem.NVPeek(va), in.mem.NVPeek(vb))
 		if a != b {
 			in.vio.add("journal-consistency",
 				"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
@@ -224,7 +207,7 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 				}
 				if boot == 0 {
 					for _, r := range jfsScript {
-						if err := jfsApply(e, j, r); err != nil {
+						if err := j.Do(e, r); err != nil {
 							mountErr = fmt.Errorf("op %d: %w", returned, err)
 							return
 						}
@@ -255,23 +238,6 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 			}
 		})
 	})}, nil
-}
-
-// jfsApply performs one scripted operation through the journal.
-func jfsApply(e *uniproc.Env, j *journal.JFS, r journal.Record) error {
-	switch r.Kind {
-	case journal.OpMkdir:
-		return j.Mkdir(e, r.Path)
-	case journal.OpCreate:
-		return j.Create(e, r.Path)
-	case journal.OpWriteFile:
-		return j.WriteFile(e, r.Path, r.Data)
-	case journal.OpAppend:
-		return j.Append(e, r.Path, r.Data)
-	case journal.OpRemove:
-		return j.Remove(e, r.Path)
-	}
-	return fmt.Errorf("mcheck: unknown journal op %d", r.Kind)
 }
 
 // jfsDump flattens the tree to a canonical string for state comparison.
@@ -322,7 +288,7 @@ func jfsPrefixStates() ([]string, error) {
 		}
 		states[0] = jfsDump(e, j)
 		for i, r := range jfsScript {
-			if err := jfsApply(e, j, r); err != nil {
+			if err := j.Do(e, r); err != nil {
 				runErr = fmt.Errorf("op %d: %w", i, err)
 				return
 			}
@@ -422,7 +388,7 @@ func pstructRunOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.
 			}
 			retired()
 		}
-		return pstructStackState(e, arena), nil
+		return pstructState(s.Contents(e)), nil
 	}
 	q := core.NewPersistentQueue(arena, mode)
 	q.Recover(e)
@@ -436,34 +402,13 @@ func pstructRunOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.
 		}
 		retired()
 	}
-	return pstructQueueState(e, arena), nil
+	return pstructState(q.Contents(e)), nil
 }
 
-// pstructStackState reads the stack's observable state without mutating
-// it: [depth, values bottom-first...]. The depth word sits just below
-// the value area, which starts at StackArenaWords(0).
-func pstructStackState(e *uniproc.Env, arena []uniproc.Word) []uniproc.Word {
-	top := e.Load(&arena[core.StackArenaWords(0)-1])
-	state := []uniproc.Word{top}
-	for i := 0; i < int(top); i++ {
-		state = append(state, e.Load(&arena[core.StackArenaWords(0)+i]))
-	}
-	return state
-}
-
-// pstructQueueState reads the queue's observable state without mutating
-// it: [length, values oldest-first...]. head/tail sit at the two words
-// before the ring, which starts at QueueArenaWords(0).
-func pstructQueueState(e *uniproc.Env, arena []uniproc.Word) []uniproc.Word {
-	ring := core.QueueArenaWords(0)
-	capacity := len(arena) - ring
-	head := e.Load(&arena[ring-2])
-	tail := e.Load(&arena[ring-1])
-	state := []uniproc.Word{tail - head}
-	for i := head; i != tail; i++ {
-		state = append(state, e.Load(&arena[ring+int(uint32(i)%uint32(capacity))]))
-	}
-	return state
+// pstructState is a structure's observable state: its length, then its
+// contents (stack bottom-first, queue oldest-first).
+func pstructState(vs []uniproc.Word) []uniproc.Word {
+	return append([]uniproc.Word{uniproc.Word(len(vs))}, vs...)
 }
 
 // pstructPrefixStates computes the observable state after each prefix

@@ -25,6 +25,7 @@ import (
 	"slices"
 
 	"repro/internal/chaos"
+	"repro/internal/guest"
 	"repro/internal/obs"
 	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
@@ -207,6 +208,9 @@ func (v *violations) add(kind, format string, args ...any) {
 		v.list = append(v.list, Violation{Kind: kind, Msg: fmt.Sprintf(format, args...)})
 	}
 }
+
+// breach records a broken guest RME rule under its own kind.
+func (v *violations) breach(b guest.RMEBreach) { v.add(b.Kind, "%s", b.Msg) }
 
 // terminalKinds maps the substrates' terminal run errors to violation
 // kinds; any other error is an abort.

@@ -133,6 +133,10 @@ func (in *rebootInstance) RunToEnd() {
 	in.finish()
 }
 
+// CurrentID and ThreadAlive answer guest.WatchRME for the current boot.
+func (in *rebootInstance) CurrentID() int           { return in.k.CurrentID() }
+func (in *rebootInstance) ThreadAlive(tid int) bool { return in.k.ThreadAlive(tid) }
+
 func (in *rebootInstance) Cursor() uint64          { return in.cursor() }
 func (in *rebootInstance) Violations() []Violation { return in.vio.list }
 
@@ -189,53 +193,16 @@ func persistModel(p map[string]string) (Model, error) {
 				in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
 					got, in.boots+1, want, cStart, perBoot)
 			}
-			if owner := in.mem.Peek(lockAddr) & 0xFFFF; owner != 0 {
-				in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner)
+			if owner := guest.LockOwner(in.mem.Peek(lockAddr)); owner >= 0 {
+				in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner+1)
 			}
 		}
-		watchPersistRME(in, lockAddr, counterAddr)
+		// Installed once, on the shared memory, so the watchpoints survive
+		// reboots; the instance answers for whichever kernel is running.
+		// Repair is admitted: main (thread 0, alone) frees a crashed boot's
+		// lock with the epoch bumped before any worker exists.
+		guest.WatchRME(in.mem, prog, in, true, in.vio.breach)
 		in.boot()
 		return in, nil
 	}}, nil
-}
-
-// watchPersistRME installs the recoverable-mutex watchpoints once, on
-// the shared memory, so they survive reboots. They read the *current*
-// kernel through the instance, and extend the watchRME rules with the
-// one transition crash recovery adds: main (thread 0, alone) releasing a
-// dead owner's lock with the epoch bumped, before any worker exists.
-func watchPersistRME(in *rebootInstance, lockAddr, counterAddr uint32) {
-	in.mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := currentTID(in.k)
-		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
-		oldEpoch, newEpoch := old>>16, new>>16
-		switch {
-		case oldOwner == 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch {
-				in.vio.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner == 0:
-			switch {
-			case oldOwner == me+1 && newEpoch == oldEpoch:
-				// Release by the owner.
-			case me == 0 && newEpoch == oldEpoch+1 && threadDead(in.k, oldOwner-1):
-				// Boot-time repair of a crashed boot's owner.
-			default:
-				in.vio.add("rme", "bad release/repair %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch+1 {
-				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
-			}
-			if !threadDead(in.k, oldOwner-1) {
-				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
-			}
-		}
-	})
-	in.mem.Watch(counterAddr, func(old, new isa.Word) {
-		lock := in.mem.Peek(lockAddr)
-		if me := currentTID(in.k); int(lock&0xFFFF) != me+1 || new != old+1 {
-			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
-		}
-	})
 }

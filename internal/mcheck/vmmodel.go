@@ -99,27 +99,6 @@ func hasAct(ds []Decision, a Action) bool {
 	return false
 }
 
-// currentTID is the ID of the thread k is running, or -1 between
-// threads.
-func currentTID(k *kernel.Kernel) int {
-	if t := k.Current(); t != nil {
-		return t.ID
-	}
-	return -1
-}
-
-// threadDead reports whether tid names no live thread of k.
-func threadDead(k *kernel.Kernel, tid int) bool {
-	if tid < 0 || tid >= len(k.Threads()) {
-		return true
-	}
-	switch k.Threads()[tid].State {
-	case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-		return true
-	}
-	return false
-}
-
 // watchMutexCounter installs the mutual-exclusion and lost-update
 // checkers on a lock/counter workload: ownership is tracked at the lock
 // word, and judged at the counter — the critical section's effect — so a
@@ -127,7 +106,7 @@ func threadDead(k *kernel.Kernel, tid int) bool {
 func watchMutexCounter(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) {
 	holder := -1
 	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := currentTID(k)
+		me := k.CurrentID()
 		switch {
 		case old == 0 && new != 0:
 			holder = me
@@ -139,7 +118,7 @@ func watchMutexCounter(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violat
 		}
 	})
 	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		me := currentTID(k)
+		me := k.CurrentID()
 		if me != holder {
 			v.add("mutual-exclusion", "t%d stored counter %d->%d while t%d holds the lock", me, old, new, holder)
 		}
@@ -269,7 +248,8 @@ func broken2storeModel(p map[string]string) (Model, error) {
 // recoverableModel checks guest.RecoverableCounterProgram — the
 // owner+epoch recoverable lock — under forced kills: the RME dead-owner-
 // repair invariants (increments only under the lock, steals only from
-// the dead, epoch bumps exactly once per steal) as memory watchpoints.
+// the dead, epoch bumps exactly once per steal) as guest.WatchRME's
+// memory watchpoints.
 func recoverableModel(p map[string]string) (Model, error) {
 	workers, iters, err := workerIters(p)
 	if err != nil {
@@ -288,13 +268,13 @@ func recoverableModel(p map[string]string) (Model, error) {
 		k := in.k
 		k.Load(prog)
 		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
-		increments := watchRME(k, prog.MustSymbol("lock"), prog.MustSymbol("counter"), &in.vio)
+		rme := guest.WatchRME(k.M.Mem, prog, k, false, in.vio.breach)
 		want := isa.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		in.finish = func() {
 			got := k.M.Mem.Peek(prog.MustSymbol("counter"))
-			if got != isa.Word(*increments) {
-				in.vio.add("rme", "counter = %d but %d watched increments", got, *increments)
+			if got != isa.Word(rme.Increments) {
+				in.vio.add("rme", "counter = %d but %d watched increments", got, rme.Increments)
 			}
 			if !kills && got != want {
 				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
@@ -305,41 +285,4 @@ func recoverableModel(p map[string]string) (Model, error) {
 		}
 		return in, nil
 	}}, nil
-}
-
-// watchRME installs the recoverable-mutex watchpoints on the owner+epoch
-// lock word (low 16 bits: owner thread ID + 1; high bits: steal epoch)
-// and the counter. It returns the watched increment count.
-func watchRME(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) *uint64 {
-	increments := new(uint64)
-	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := currentTID(k)
-		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
-		oldEpoch, newEpoch := old>>16, new>>16
-		switch {
-		case oldOwner == 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch {
-				v.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner == 0:
-			if oldOwner != me+1 || newEpoch != oldEpoch {
-				v.add("rme", "bad release %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch+1 {
-				v.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
-			}
-			if !threadDead(k, oldOwner-1) {
-				v.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
-			}
-		}
-	})
-	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		*increments++
-		lock := k.M.Mem.Peek(lockAddr)
-		if me := currentTID(k); int(lock&0xFFFF) != me+1 || new != old+1 {
-			v.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
-		}
-	})
-	return increments
 }

@@ -56,29 +56,13 @@ func NewVMWorld(cfg VMWorldConfig) *VMWorld {
 	}
 }
 
-func (w *VMWorld) kernelConfig(faults chaos.Injector) kernel.Config {
-	return kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   300,
-		Memory:    w.mem,
-		Faults:    faults,
-		MaxCycles: w.cfg.MaxCycles,
-		Watchdog:  chaos.Watchdog{Policy: chaos.WatchdogExtend},
-	}
-}
-
 // CalibrateSpan runs a separate, throwaway machine cleanly and returns
 // its step count — the ordinal span a chaos.CrashPlan should scatter
 // crashes over.
 func (w *VMWorld) CalibrateSpan() (uint64, error) {
 	mem := vmach.NewMemory()
 	mem.EnablePersistence()
-	k := kernel.Boot(kernel.Config{
-		Strategy: &kernel.Designated{}, CheckAt: kernel.CheckAtResume, Quantum: 300,
-		Memory:    mem,
-		MaxCycles: w.cfg.MaxCycles, Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend},
-	}, w.prog, "main", guest.StackTop(0), true)
+	k := kernel.Boot(kernel.PersistConfig(mem, nil, w.cfg.MaxCycles), w.prog, "main", guest.StackTop(0), true)
 	if err := k.Run(); err != nil {
 		return 0, err
 	}
@@ -106,7 +90,7 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 		w.mem = vmach.NewMemory()
 		w.mem.EnablePersistence()
 	}
-	k := kernel.Boot(w.kernelConfig(inj), w.prog, "main", guest.StackTop(0), cold)
+	k := kernel.Boot(kernel.PersistConfig(w.mem, inj, w.cfg.MaxCycles), w.prog, "main", guest.StackTop(0), cold)
 	if cold {
 		// One watcher for the machine's whole existence: record the step
 		// at which this boot's recovery completed (R5 stores 1).
@@ -189,8 +173,8 @@ func (w *VMWorld) Check() error {
 	if wal := w.mem.Peek(w.prog.MustSymbol("wal")); wal != 0 {
 		return fmt.Errorf("final audit: unretired WAL intent %#x", wal)
 	}
-	if owner := w.mem.Peek(w.prog.MustSymbol("lock")) & 0xFFFF; owner != 0 {
-		return fmt.Errorf("final audit: lock still owned by %d", owner)
+	if owner := guest.LockOwner(w.mem.Peek(w.prog.MustSymbol("lock"))); owner >= 0 {
+		return fmt.Errorf("final audit: lock still owned by %d", owner+1)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "repro/internal/asm"
+import (
+	"repro/internal/asm"
+	"repro/internal/chaos"
+	"repro/internal/vmach"
+)
 
 // Boot is the machine's power-on/reboot entry point: it builds a kernel
 // over cfg (whose Memory field carries whatever state the previous life
@@ -26,4 +30,20 @@ func Boot(cfg Config, prog *asm.Program, entry string, stackTop uint32, cold boo
 	}
 	k.Spawn(prog.MustSymbol(entry), stackTop)
 	return k
+}
+
+// PersistConfig is the configuration the persistent guests boot under
+// across whole-machine crashes, over mem, the machine's persistent
+// memory: designated sequences checked at resume, a 300-cycle quantum,
+// and a watchdog that extends a livelocked sequence's slice.
+func PersistConfig(mem *vmach.Memory, faults chaos.Injector, maxCycles uint64) Config {
+	return Config{
+		Strategy:  &Designated{},
+		CheckAt:   CheckAtResume,
+		Quantum:   300,
+		Memory:    mem,
+		Faults:    faults,
+		MaxCycles: maxCycles,
+		Watchdog:  chaos.Watchdog{Policy: chaos.WatchdogExtend},
+	}
 }

@@ -706,6 +706,14 @@ func (k *Kernel) notifyDeath(t *Thread) {
 // watchpoints use it to attribute stores to threads.
 func (k *Kernel) Current() *Thread { return k.cur }
 
+// CurrentID returns the running thread's ID, or -1 between timeslices.
+func (k *Kernel) CurrentID() int {
+	if k.cur == nil {
+		return -1
+	}
+	return k.cur.ID
+}
+
 // Steps returns the retired-instruction ordinal consulted for
 // chaos.PointStep injection — the kernel's fault-schedule cursor. It
 // counts with or without an injector installed.
