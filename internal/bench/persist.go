@@ -102,8 +102,8 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 		if got := mem.Peek(counterAddr); got != c0+want {
 			return fail("crash %d at step %d: counter after reboot = %d, want %d", c, at, got, c0+want)
 		}
-		if owner := guest.LockOwner(mem.Peek(prog.MustSymbol("lock"))); owner >= 0 {
-			return fail("crash %d at step %d: lock still owned by %d after reboot", c, at, owner+1)
+		if held := guest.HeldLock(mem.Peek(prog.MustSymbol("lock"))); held != "" {
+			return fail("crash %d at step %d: %s after reboot", c, at, held)
 		}
 		repairs += uint64(mem.Peek(prog.MustSymbol("repairs")))
 	}

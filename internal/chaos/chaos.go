@@ -208,6 +208,12 @@ func (c *Cursor) At(p Point, n uint64) (a Action, ok bool) {
 	return
 }
 
+// Quiet returns the cursor's hint at p: no ordinal below it can fire, so
+// a substrate may pass every ordinal under it without calling At. A
+// fresh cursor's hint is 0 until At first consults the injector; a nil
+// injector's is Never.
+func (c *Cursor) Quiet(p Point) uint64 { return c.next[p] }
+
 func (c *Cursor) consult(p Point, n uint64) (Action, bool) {
 	if m := c.inj.Next(p, n); m > n {
 		c.next[p] = m

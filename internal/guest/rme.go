@@ -16,6 +16,17 @@ import (
 // owner, or -1 when the lock is free.
 func LockOwner(w isa.Word) int { return int(w&0xFFFF) - 1 }
 
+// HeldLock words an audit's finding that a recoverable lock word is
+// still held, naming the owner by thread ID as rasvm's lock line does:
+// "lock still owned by thread N". It returns "" for a free word.
+func HeldLock(w isa.Word) string {
+	owner := LockOwner(w)
+	if owner < 0 {
+		return ""
+	}
+	return fmt.Sprintf("lock still owned by thread %d", owner)
+}
+
 // LockEpoch returns a recoverable lock word's steal epoch: one bump per
 // repair of a dead owner's lock.
 func LockEpoch(w isa.Word) isa.Word { return w >> 16 }

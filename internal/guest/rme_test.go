@@ -27,6 +27,17 @@ func TestLockWordDecode(t *testing.T) {
 	}
 }
 
+// An audit names a held lock's owner by thread ID, not by the owner
+// field (ID + 1) the word stores.
+func TestHeldLockNamesThread(t *testing.T) {
+	if got, want := HeldLock(lockWord(2, 1)), "lock still owned by thread 2"; got != want {
+		t.Errorf("HeldLock = %q, want %q", got, want)
+	}
+	if got := HeldLock(lockWord(-1, 5)); got != "" {
+		t.Errorf("free word: HeldLock = %q, want \"\"", got)
+	}
+}
+
 // Every lock-word transition the guests make is legal, and every
 // illegal one names the rule it breaks: the branches no planted-bug
 // guest reaches.

@@ -193,8 +193,8 @@ func persistModel(p map[string]string) (Model, error) {
 				in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
 					got, in.boots+1, want, cStart, perBoot)
 			}
-			if owner := guest.LockOwner(in.mem.Peek(lockAddr)); owner >= 0 {
-				in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner+1)
+			if held := guest.HeldLock(in.mem.Peek(lockAddr)); held != "" {
+				in.vio.add("lock-discipline", "%s after the final boot completed", held)
 			}
 		}
 		// Installed once, on the shared memory, so the watchpoints survive

@@ -180,6 +180,23 @@ func TestVMWorldCampaign(t *testing.T) {
 	}
 }
 
+// The final audit catches a lock planted on an orphan owner and names
+// the owner by thread ID.
+func TestVMWorldAuditNamesOrphanOwner(t *testing.T) {
+	w := NewVMWorld(VMWorldConfig{Workers: 1, Iters: 3})
+	if rep := w.Boot(0, nil, false); !rep.Completed || rep.Err != nil {
+		t.Fatalf("clean boot: %+v", rep)
+	}
+	if err := w.Check(); err != nil {
+		t.Fatalf("clean audit: %v", err)
+	}
+	w.mem.Poke(w.prog.MustSymbol("lock"), 1<<16|3) // thread 2, epoch 1
+	err := w.Check()
+	if want := "final audit: lock still owned by thread 2"; err == nil || err.Error() != want {
+		t.Errorf("audit = %v, want %q", err, want)
+	}
+}
+
 // Degraded lives on the VM substrate: force an immediate demotion and
 // verify the guest's readonly path recovers without applying anything.
 func TestVMWorldDegradedBoot(t *testing.T) {

@@ -173,8 +173,8 @@ func (w *VMWorld) Check() error {
 	if wal := w.mem.Peek(w.prog.MustSymbol("wal")); wal != 0 {
 		return fmt.Errorf("final audit: unretired WAL intent %#x", wal)
 	}
-	if owner := guest.LockOwner(w.mem.Peek(w.prog.MustSymbol("lock"))); owner >= 0 {
-		return fmt.Errorf("final audit: lock still owned by %d", owner+1)
+	if held := guest.HeldLock(w.mem.Peek(w.prog.MustSymbol("lock"))); held != "" {
+		return fmt.Errorf("final audit: %s", held)
 	}
 	return nil
 }

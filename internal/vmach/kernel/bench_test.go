@@ -8,13 +8,14 @@ import (
 	"repro/internal/guest"
 )
 
-// BenchmarkKernelChaos is the host cost of a guest instruction under a
-// seeded chaos plan, in the benchmark's vm-ras shape: one op is one run
-// of MutexCounterProgram, 4 workers x 3000 iterations at quantum 300
-// under chaos.NewPlan(seed, 0.25) with the extending watchdog, rotating
-// the designated, registered and emulated mechanisms. ns/instr is the
-// whole kernel's time, fault probes included, per retired instruction.
-func BenchmarkKernelChaos(b *testing.B) {
+// BenchmarkKernelRun is the host cost of a guest instruction through
+// Kernel.Run under a seeded chaos plan, in the benchmark's vm-ras shape:
+// one op is one run of MutexCounterProgram, 4 workers x 3000 iterations
+// at quantum 300 under chaos.NewPlan(seed, 0.25) with the extending
+// watchdog, rotating the designated, registered and emulated mechanisms.
+// ns/instr is the whole kernel's time, quiet batches and fault probes
+// included, per retired instruction.
+func BenchmarkKernelRun(b *testing.B) {
 	mechs := []struct {
 		mech  guest.Mechanism
 		strat func() Strategy

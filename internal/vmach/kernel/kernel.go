@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -262,6 +263,12 @@ type Kernel struct {
 	userHandler    uint32
 	hasUserHandler bool
 
+	// batching marks a quiet batch in progress; steps is then biased by
+	// the batch's starting instruction count (see runQuiet). It sits in
+	// the padding after hasUserHandler: every mcheck schedule and crash
+	// boot allocates a Kernel, and 512 bytes is a size class.
+	batching bool
+
 	// Taos-style mutex wait queues, keyed by mutex word address.
 	waitq   map[uint32][]*Thread
 	blocked int
@@ -405,7 +412,7 @@ var ErrMachineCrash = errors.New("kernel: injected machine crash")
 // if any thread faulted or the cycle budget was exceeded.
 func (k *Kernel) Run() error {
 	for {
-		if fin, err := k.stepOnce(); fin {
+		if fin, err := k.stepOnce(chaos.Never); fin {
 			return err
 		}
 	}
@@ -419,7 +426,8 @@ func (k *Kernel) Run() error {
 func (k *Kernel) RunSteps(n uint64) (finished bool, err error) {
 	target := k.M.Stats.Instructions + n
 	for k.M.Stats.Instructions < target {
-		if fin, e := k.stepOnce(); fin {
+		// A batch ends on the instruction that reaches target at the latest.
+		if fin, e := k.stepOnce(target - k.M.Stats.Instructions - 1); fin {
 			return true, e
 		}
 	}
@@ -429,13 +437,16 @@ func (k *Kernel) RunSteps(n uint64) (finished bool, err error) {
 // StepOne performs one scheduler iteration — dispatch or one guest
 // instruction — reporting whether the run finished and its verdict. It is
 // the instruction-granularity stepping hook the SMP round-robin scheduler
-// drives; Run is equivalent to calling it until finished.
-func (k *Kernel) StepOne() (finished bool, err error) { return k.stepOnce() }
+// and the model checker drive; Run is equivalent to calling it until
+// finished.
+func (k *Kernel) StepOne() (finished bool, err error) { return k.stepOnce(0) }
 
 // stepOnce performs one scheduler iteration: dispatch if no thread is
-// running, otherwise execute one instruction and service whatever it
-// raised. It reports the run finished (with the run's verdict) or not.
-func (k *Kernel) stepOnce() (finished bool, err error) {
+// running, otherwise execute the running thread's instructions up to one
+// the kernel must see — passing at most limit quiet ones before it — and
+// service whatever that one raised. It reports the run finished (with
+// the run's verdict) or not.
+func (k *Kernel) stepOnce(limit uint64) (finished bool, err error) {
 	if k.livelock != nil {
 		return true, k.livelock
 	}
@@ -456,15 +467,16 @@ func (k *Kernel) stepOnce() (finished bool, err error) {
 		return true, ErrBudget
 	}
 
-	var profPC uint32
-	var profCyc uint64
-	if k.Profiler != nil {
-		profPC = k.cur.Ctx.PC
-		profCyc = k.M.Stats.Cycles
-	}
-	ev := k.M.Step(&k.cur.Ctx)
-	if k.Profiler != nil {
-		k.profileStep(profPC, k.M.Stats.Cycles-profCyc)
+	var ev vmach.Event
+	switch {
+	case k.Profiler != nil:
+		pc, cyc := k.cur.Ctx.PC, k.M.Stats.Cycles
+		ev = k.M.Step(&k.cur.Ctx)
+		k.profileStep(pc, k.M.Stats.Cycles-cyc)
+	case limit == 0:
+		ev = k.M.Step(&k.cur.Ctx)
+	default:
+		ev = k.runQuiet(limit)
 	}
 	switch ev.Kind {
 	case vmach.EventNone:
@@ -492,6 +504,33 @@ func (k *Kernel) stepOnce() (finished bool, err error) {
 		k.fault(ev.Fault)
 	}
 	return false, nil
+}
+
+// runQuiet executes the running thread through its quiet window: the
+// instructions after which the kernel would only count a step, because
+// the slice has time left, the cycle budget holds, the lock bit is clear
+// and the fault cursor promises no step fault below its hint. It passes
+// at most limit of them and returns the event of the instruction that
+// ended the window, which the caller services as if it were the only one.
+func (k *Kernel) runQuiet(limit uint64) vmach.Event {
+	var quiet uint64
+	if next := k.faultAt.Quiet(chaos.PointStep); next > k.steps+1 {
+		quiet = min(limit, next-k.steps-1)
+	}
+	until := k.sliceAt
+	if k.maxCycles < until {
+		until = k.maxCycles + 1
+	}
+	// While the batch runs, steps holds the count less the instruction
+	// count at the next instruction's start, so Steps can add the live
+	// count to it; the bias comes off with the batch's quiet instructions.
+	base := k.M.Stats.Instructions + 1
+	k.steps -= base
+	k.batching = true
+	ev, n := k.M.Run(&k.cur.Ctx, quiet, until)
+	k.steps += base + n
+	k.batching = false
+	return ev
 }
 
 func (k *Kernel) finish() error {
@@ -610,8 +649,19 @@ func (k *Kernel) injectStep(act chaos.Action) {
 // stood, so a restore followed by Run replays the uncrashed remainder.
 func (k *Kernel) crash() {
 	k.trace(obs.KindCrash, k.cur, k.steps)
-	k.crashed = fmt.Errorf("%w at step %d", ErrMachineCrash, k.steps)
+	k.crashed = &crashError{step: k.steps}
 }
+
+// crashError is an injected crash's verdict, "kernel: injected machine
+// crash at step N"; it unwraps to ErrMachineCrash. A crash-restart
+// campaign builds one per boot, so it is rendered only when read.
+type crashError struct{ step uint64 }
+
+func (e *crashError) Error() string {
+	return ErrMachineCrash.Error() + " at step " + strconv.FormatUint(e.step, 10)
+}
+
+func (e *crashError) Unwrap() error { return ErrMachineCrash }
 
 // reap finalizes a killed thread. Death strikes between instructions, so
 // the context freezes wherever the thread stood — possibly inside a
@@ -716,8 +766,15 @@ func (k *Kernel) CurrentID() int {
 
 // Steps returns the retired-instruction ordinal consulted for
 // chaos.PointStep injection — the kernel's fault-schedule cursor. It
-// counts with or without an injector installed.
-func (k *Kernel) Steps() uint64 { return k.steps }
+// counts with or without an injector installed. A memory watcher that
+// asks mid-batch gets the count as single-stepping would have it: the
+// batch's instructions before the executing one have retired.
+func (k *Kernel) Steps() uint64 {
+	if k.batching {
+		return k.steps + k.M.Stats.Instructions
+	}
+	return k.steps
+}
 
 // chargeKernel accounts kernel-path cycles on the global clock.
 func (k *Kernel) chargeKernel(cy uint64) {

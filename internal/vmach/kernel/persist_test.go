@@ -164,8 +164,8 @@ func TestPersistentCounterCrashRecovery(t *testing.T) {
 			t.Errorf("crash@%d: counter after reboot = %d, want %d (C0=%d + %d new)",
 				crashAt, got, want, c0, workers*iters)
 		}
-		if owner := k2.M.Mem.Peek(sym.lock) & 0xFFFF; owner != 0 {
-			t.Errorf("crash@%d: lock still owned by %d after clean reboot", crashAt, owner)
+		if held := guest.HeldLock(k2.M.Mem.Peek(sym.lock)); held != "" {
+			t.Errorf("crash@%d: %s after clean reboot", crashAt, held)
 		}
 	}
 }

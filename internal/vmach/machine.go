@@ -153,242 +153,259 @@ func (m *Machine) charge(ctx *Context, c isa.Class) {
 // Step executes one instruction. The returned Event is EventNone for
 // ordinary instructions; syscalls, breaks and faults return control to the
 // kernel with the PC *not* advanced past the triggering instruction
-// (faults) or with SyscallPC recorded (syscalls).
+// (faults) or with SyscallPC recorded (syscalls). Step is Run(ctx, 0, 0).
 func (m *Machine) Step(ctx *Context) Event {
-	w, pre, f := m.Mem.fetch(ctx.PC)
-	if f != nil {
-		return Event{Kind: EventFault, Fault: f}
-	}
-	var inst isa.Inst
-	var class isa.Class
-	if pre != nil {
-		inst, class = pre.Inst, pre.Class
-	} else {
-		inst = isa.Decode(w)
-		class = isa.ClassOf(inst)
-	}
-	m.Stats.Instructions++
+	ev, _ := m.Run(ctx, 0, 0)
+	return ev
+}
 
+// Run executes instructions until one needs the kernel: the one
+// interpreter loop, of which Step is the single-instruction case. After an
+// instruction that raises no event, Run goes on to the next only when
+// quiet is still above the count of instructions it let pass, the lock
+// bit is clear and the clock is below until; otherwise it returns that
+// instruction's EventNone. It returns the event of the last instruction
+// executed, as Step would have, and how many quiet instructions it let
+// pass before it (at most quiet) — instructions the kernel would have let
+// pass one by one.
+func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 	reg := func(r int) isa.Word { return ctx.Regs[r] }
 	set := func(r int, v isa.Word) {
 		if r != isa.RegZero {
 			ctx.Regs[r] = v
 		}
 	}
-	next := ctx.PC + 4
-
-	switch inst.Op {
-	case isa.OpSpecial:
-		switch inst.Funct {
-		case isa.FnSLL:
-			set(inst.Rd, reg(inst.Rt)<<uint(inst.Shamt))
-		case isa.FnSRL:
-			set(inst.Rd, reg(inst.Rt)>>uint(inst.Shamt))
-		case isa.FnSRA:
-			set(inst.Rd, isa.Word(int32(reg(inst.Rt))>>uint(inst.Shamt)))
-		case isa.FnADD:
-			set(inst.Rd, reg(inst.Rs)+reg(inst.Rt))
-		case isa.FnSUB:
-			set(inst.Rd, reg(inst.Rs)-reg(inst.Rt))
-		case isa.FnAND:
-			set(inst.Rd, reg(inst.Rs)&reg(inst.Rt))
-		case isa.FnOR:
-			set(inst.Rd, reg(inst.Rs)|reg(inst.Rt))
-		case isa.FnXOR:
-			set(inst.Rd, reg(inst.Rs)^reg(inst.Rt))
-		case isa.FnNOR:
-			set(inst.Rd, ^(reg(inst.Rs) | reg(inst.Rt)))
-		case isa.FnSLT:
-			if int32(reg(inst.Rs)) < int32(reg(inst.Rt)) {
-				set(inst.Rd, 1)
-			} else {
-				set(inst.Rd, 0)
-			}
-		case isa.FnSLTU:
-			if reg(inst.Rs) < reg(inst.Rt) {
-				set(inst.Rd, 1)
-			} else {
-				set(inst.Rd, 0)
-			}
-		case isa.FnJR:
-			next = reg(inst.Rs)
-		case isa.FnJALR:
-			set(inst.Rd, ctx.PC+4)
-			next = reg(inst.Rs)
-		case isa.FnSYSCALL:
-			m.charge(ctx, class)
-			ev := Event{Kind: EventSyscall, SyscallPC: ctx.PC}
-			ctx.PC += 4
-			return ev
-		case isa.FnBREAK:
-			m.charge(ctx, class)
-			return Event{Kind: EventBreak}
-		case isa.FnLANDMARK:
-			// Non-destructive no-op; exists only to be recognized by the
-			// kernel's designated-sequence check.
-		default:
-			return m.illegal(ctx)
-		}
-
-	case isa.OpADDI:
-		set(inst.Rt, reg(inst.Rs)+isa.Word(inst.Imm))
-	case isa.OpSLTI:
-		if int32(reg(inst.Rs)) < inst.Imm {
-			set(inst.Rt, 1)
-		} else {
-			set(inst.Rt, 0)
-		}
-	case isa.OpSLTIU:
-		if reg(inst.Rs) < isa.Word(inst.Imm) {
-			set(inst.Rt, 1)
-		} else {
-			set(inst.Rt, 0)
-		}
-	case isa.OpANDI:
-		set(inst.Rt, reg(inst.Rs)&inst.Uimm)
-	case isa.OpORI:
-		set(inst.Rt, reg(inst.Rs)|inst.Uimm)
-	case isa.OpXORI:
-		set(inst.Rt, reg(inst.Rs)^inst.Uimm)
-	case isa.OpLUI:
-		set(inst.Rt, inst.Uimm<<16)
-
-	case isa.OpLW:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		v, f := m.Mem.LoadWord(addr)
+	for n := uint64(0); ; n++ {
+		w, pre, f := m.Mem.fetch(ctx.PC)
 		if f != nil {
-			return Event{Kind: EventFault, Fault: f}
+			return Event{Kind: EventFault, Fault: f}, n
 		}
-		set(inst.Rt, v)
-		m.Stats.Loads++
-		m.coherent(addr, false)
+		var inst isa.Inst
+		var class isa.Class
+		if pre != nil {
+			inst, class = pre.Inst, pre.Class
+		} else {
+			inst = isa.Decode(w)
+			class = isa.ClassOf(inst)
+		}
+		m.Stats.Instructions++
+		next := ctx.PC + 4
 
-	case isa.OpSW:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
-			return Event{Kind: EventFault, Fault: f}
-		}
-		m.Stats.Stores++
-		m.coherent(addr, true)
-		m.writeBuffer()
-		// A store ends an i860 hardware restartable sequence.
-		ctx.LockActive = false
-
-	case isa.OpBEQ:
-		if reg(inst.Rs) == reg(inst.Rt) {
-			next = branchTarget(ctx.PC, inst.Imm)
-		}
-	case isa.OpBNE:
-		if reg(inst.Rs) != reg(inst.Rt) {
-			next = branchTarget(ctx.PC, inst.Imm)
-		}
-	case isa.OpBLEZ:
-		if int32(reg(inst.Rs)) <= 0 {
-			next = branchTarget(ctx.PC, inst.Imm)
-		}
-	case isa.OpBGTZ:
-		if int32(reg(inst.Rs)) > 0 {
-			next = branchTarget(ctx.PC, inst.Imm)
-		}
-
-	case isa.OpJ:
-		next = inst.Targ << 2
-	case isa.OpJAL:
-		set(isa.RegRA, ctx.PC+4)
-		next = inst.Targ << 2
-
-	case isa.OpTAS, isa.OpXCHG, isa.OpFAA:
-		if !m.Profile.HasInterlocked {
-			return m.illegal(ctx)
-		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		old, f := m.Mem.LoadWord(addr)
-		if f != nil {
-			return Event{Kind: EventFault, Fault: f}
-		}
-		var nw isa.Word
 		switch inst.Op {
-		case isa.OpTAS:
-			nw = 1
-		case isa.OpXCHG:
-			nw = reg(inst.Rt)
-		case isa.OpFAA:
-			nw = old + 1
-		}
-		if f := m.Mem.StoreWord(addr, nw); f != nil {
-			return Event{Kind: EventFault, Fault: f}
-		}
-		set(inst.Rt, old)
-		m.Stats.Interlocked++
-		m.coherent(addr, true)
+		case isa.OpSpecial:
+			switch inst.Funct {
+			case isa.FnSLL:
+				set(inst.Rd, reg(inst.Rt)<<uint(inst.Shamt))
+			case isa.FnSRL:
+				set(inst.Rd, reg(inst.Rt)>>uint(inst.Shamt))
+			case isa.FnSRA:
+				set(inst.Rd, isa.Word(int32(reg(inst.Rt))>>uint(inst.Shamt)))
+			case isa.FnADD:
+				set(inst.Rd, reg(inst.Rs)+reg(inst.Rt))
+			case isa.FnSUB:
+				set(inst.Rd, reg(inst.Rs)-reg(inst.Rt))
+			case isa.FnAND:
+				set(inst.Rd, reg(inst.Rs)&reg(inst.Rt))
+			case isa.FnOR:
+				set(inst.Rd, reg(inst.Rs)|reg(inst.Rt))
+			case isa.FnXOR:
+				set(inst.Rd, reg(inst.Rs)^reg(inst.Rt))
+			case isa.FnNOR:
+				set(inst.Rd, ^(reg(inst.Rs) | reg(inst.Rt)))
+			case isa.FnSLT:
+				if int32(reg(inst.Rs)) < int32(reg(inst.Rt)) {
+					set(inst.Rd, 1)
+				} else {
+					set(inst.Rd, 0)
+				}
+			case isa.FnSLTU:
+				if reg(inst.Rs) < reg(inst.Rt) {
+					set(inst.Rd, 1)
+				} else {
+					set(inst.Rd, 0)
+				}
+			case isa.FnJR:
+				next = reg(inst.Rs)
+			case isa.FnJALR:
+				set(inst.Rd, ctx.PC+4)
+				next = reg(inst.Rs)
+			case isa.FnSYSCALL:
+				m.charge(ctx, class)
+				ev := Event{Kind: EventSyscall, SyscallPC: ctx.PC}
+				ctx.PC += 4
+				return ev, n
+			case isa.FnBREAK:
+				m.charge(ctx, class)
+				return Event{Kind: EventBreak}, n
+			case isa.FnLANDMARK:
+				// Non-destructive no-op; exists only to be recognized by the
+				// kernel's designated-sequence check.
+			default:
+				return m.illegal(ctx), n
+			}
 
-	case isa.OpLL:
-		if !m.Profile.HasLLSC {
-			return m.illegal(ctx)
-		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		v, f := m.Mem.LoadWord(addr)
-		if f != nil {
-			return Event{Kind: EventFault, Fault: f}
-		}
-		set(inst.Rt, v)
-		m.Stats.Loads++
-		m.resValid, m.resAddr = true, addr
-		m.coherent(addr, false)
+		case isa.OpADDI:
+			set(inst.Rt, reg(inst.Rs)+isa.Word(inst.Imm))
+		case isa.OpSLTI:
+			if int32(reg(inst.Rs)) < inst.Imm {
+				set(inst.Rt, 1)
+			} else {
+				set(inst.Rt, 0)
+			}
+		case isa.OpSLTIU:
+			if reg(inst.Rs) < isa.Word(inst.Imm) {
+				set(inst.Rt, 1)
+			} else {
+				set(inst.Rt, 0)
+			}
+		case isa.OpANDI:
+			set(inst.Rt, reg(inst.Rs)&inst.Uimm)
+		case isa.OpORI:
+			set(inst.Rt, reg(inst.Rs)|inst.Uimm)
+		case isa.OpXORI:
+			set(inst.Rt, reg(inst.Rs)^inst.Uimm)
+		case isa.OpLUI:
+			set(inst.Rt, inst.Uimm<<16)
 
-	case isa.OpSC:
-		if !m.Profile.HasLLSC {
-			return m.illegal(ctx)
-		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		if m.resValid && m.resAddr == addr {
+		case isa.OpLW:
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
+			v, f := m.Mem.LoadWord(addr)
+			if f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
+			set(inst.Rt, v)
+			m.Stats.Loads++
+			m.coherent(addr, false)
+
+		case isa.OpSW:
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
 			if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
-				return Event{Kind: EventFault, Fault: f}
+				return Event{Kind: EventFault, Fault: f}, n
 			}
 			m.Stats.Stores++
-			set(inst.Rt, 1)
 			m.coherent(addr, true)
 			m.writeBuffer()
-			// Like sw, a successful sc ends an i860 sequence.
+			// A store ends an i860 hardware restartable sequence.
 			ctx.LockActive = false
-		} else {
-			set(inst.Rt, 0)
+
+		case isa.OpBEQ:
+			if reg(inst.Rs) == reg(inst.Rt) {
+				next = branchTarget(ctx.PC, inst.Imm)
+			}
+		case isa.OpBNE:
+			if reg(inst.Rs) != reg(inst.Rt) {
+				next = branchTarget(ctx.PC, inst.Imm)
+			}
+		case isa.OpBLEZ:
+			if int32(reg(inst.Rs)) <= 0 {
+				next = branchTarget(ctx.PC, inst.Imm)
+			}
+		case isa.OpBGTZ:
+			if int32(reg(inst.Rs)) > 0 {
+				next = branchTarget(ctx.PC, inst.Imm)
+			}
+
+		case isa.OpJ:
+			next = inst.Targ << 2
+		case isa.OpJAL:
+			set(isa.RegRA, ctx.PC+4)
+			next = inst.Targ << 2
+
+		case isa.OpTAS, isa.OpXCHG, isa.OpFAA:
+			if !m.Profile.HasInterlocked {
+				return m.illegal(ctx), n
+			}
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
+			old, f := m.Mem.LoadWord(addr)
+			if f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
+			var nw isa.Word
+			switch inst.Op {
+			case isa.OpTAS:
+				nw = 1
+			case isa.OpXCHG:
+				nw = reg(inst.Rt)
+			case isa.OpFAA:
+				nw = old + 1
+			}
+			if f := m.Mem.StoreWord(addr, nw); f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
+			set(inst.Rt, old)
+			m.Stats.Interlocked++
+			m.coherent(addr, true)
+
+		case isa.OpLL:
+			if !m.Profile.HasLLSC {
+				return m.illegal(ctx), n
+			}
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
+			v, f := m.Mem.LoadWord(addr)
+			if f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
+			set(inst.Rt, v)
+			m.Stats.Loads++
+			m.resValid, m.resAddr = true, addr
+			m.coherent(addr, false)
+
+		case isa.OpSC:
+			if !m.Profile.HasLLSC {
+				return m.illegal(ctx), n
+			}
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
+			if m.resValid && m.resAddr == addr {
+				if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
+					return Event{Kind: EventFault, Fault: f}, n
+				}
+				m.Stats.Stores++
+				set(inst.Rt, 1)
+				m.coherent(addr, true)
+				m.writeBuffer()
+				// Like sw, a successful sc ends an i860 sequence.
+				ctx.LockActive = false
+			} else {
+				set(inst.Rt, 0)
+			}
+			m.resValid = false
+
+		case isa.OpFLUSH:
+			addr := reg(inst.Rs) + isa.Word(inst.Imm)
+			if _, f := m.Mem.FlushLine(addr); f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
+			m.Stats.Flushes++
+
+		case isa.OpFENCE:
+			// The fence cannot retire until every initiated write-back has
+			// reached NVM; it pays the per-line drain latency on the spot.
+			n := uint64(m.Mem.Fence())
+			m.Stats.Fences++
+			m.Stats.LinesPersisted += n
+			drain := n * uint64(m.Profile.PersistDrainCycles)
+			m.Stats.Cycles += drain
+			m.Stats.PersistCycles += drain
+
+		case isa.OpLOCKB:
+			if !m.Profile.HasLockBit {
+				return m.illegal(ctx), n
+			}
+			ctx.LockActive = true
+			ctx.LockPC = ctx.PC
+			ctx.LockBudget = m.Profile.LockBMaxCycles
+			m.Stats.LockBStarts++
+
+		default:
+			return m.illegal(ctx), n
 		}
-		m.resValid = false
 
-	case isa.OpFLUSH:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		if _, f := m.Mem.FlushLine(addr); f != nil {
-			return Event{Kind: EventFault, Fault: f}
+		m.charge(ctx, class)
+		ctx.PC = next
+		if n >= quiet || ctx.LockActive || m.Stats.Cycles >= until {
+			return Event{Kind: EventNone}, n
 		}
-		m.Stats.Flushes++
-
-	case isa.OpFENCE:
-		// The fence cannot retire until every initiated write-back has
-		// reached NVM; it pays the per-line drain latency on the spot.
-		n := uint64(m.Mem.Fence())
-		m.Stats.Fences++
-		m.Stats.LinesPersisted += n
-		drain := n * uint64(m.Profile.PersistDrainCycles)
-		m.Stats.Cycles += drain
-		m.Stats.PersistCycles += drain
-
-	case isa.OpLOCKB:
-		if !m.Profile.HasLockBit {
-			return m.illegal(ctx)
-		}
-		ctx.LockActive = true
-		ctx.LockPC = ctx.PC
-		ctx.LockBudget = m.Profile.LockBMaxCycles
-		m.Stats.LockBStarts++
-
-	default:
-		return m.illegal(ctx)
 	}
-
-	m.charge(ctx, class)
-	ctx.PC = next
-	return Event{Kind: EventNone}
 }
 
 // writeBuffer models a write-through cache's store buffer (§5.1): each
