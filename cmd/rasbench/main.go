@@ -217,12 +217,10 @@ var tables = []table{
 		}
 		return bench.TableRMR(h, cfg)
 	}, bench.FormatRMR),
-	// The resilience campaigns run inside internal/resilience's supervisor,
-	// outside the harness, so this record's counters stay zero.
 	entry("resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func(h *bench.Harness, o benchOpts) ([]bench.ResilienceRow, error) {
 		cfg := bench.DefaultResilienceConfig()
 		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
-		return bench.TableResilience(cfg)
+		return bench.TableResilience(h, cfg)
 	}, bench.FormatResilience),
 }
 

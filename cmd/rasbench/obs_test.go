@@ -140,10 +140,7 @@ func TestJSONEveryRecordHasRowsAndRuns(t *testing.T) {
 		if len(r.Rows) == 0 {
 			t.Errorf("table %s: no rows in its -json record", r.Name)
 		}
-		// The one exception: the resilience campaigns run inside
-		// internal/resilience's supervisor, which reaches the harness
-		// only after ROADMAP item 1 reworks it.
-		if r.Runs == 0 && r.Name != "resilience" {
+		if r.Runs == 0 {
 			t.Errorf("table %s: runs = 0, want every substrate run counted", r.Name)
 		}
 	}

@@ -108,7 +108,7 @@ func runKernel(w io.Writer, o options, ob *observer, src string, report func(*vm
 		if _, ok := prog.SymbolAddr("main"); !ok {
 			return fmt.Errorf("program has no main symbol")
 		}
-		k = kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
+		k = kernel.Boot(cfg, prog, guest.StackTop(0))
 	}
 	k.AttachProfiler(ob.Profiler, prog)
 
@@ -179,43 +179,44 @@ func writeCheckpoint(w io.Writer, k *kernel.Kernel, path, why string) error {
 	return nil
 }
 
-// crashReboot runs prog on a fresh two-tier NVRAM memory under the
-// designated strategy (checked at resume). With -crash-at, the injected
-// crash DISCARDS the volatile tier (or tears it, with -torn); dump then
-// reads the NVM image the crash left, and the same binary warm-reboots
-// over it — no reload, so the lock and log state it recovers from are
-// the survivors'. Then report prints the demo's final state, and the
-// persist costs of the last boot follow.
+// crashReboot runs prog on a kernel.Lives machine under the designated
+// strategy (checked at resume). With -crash-at, the injected crash
+// DISCARDS the volatile tier (or tears it, with -torn); dump then reads
+// the NVM image the crash left, and the same machine warm-reboots over
+// it — no reload, so the lock and log state it recovers from are the
+// survivors'. Then report prints the demo's final state, and the persist
+// costs of the last boot follow.
 func crashReboot(w io.Writer, o options, ob *observer, wd chaos.Watchdog, prog *asm.Program,
 	dump func(*vmach.Memory), report func(*vmach.Memory) error) error {
-	mem := vmach.NewMemory()
-	mem.EnablePersistence()
-	cfg := kernel.Config{Strategy: &kernel.Designated{}, CheckAt: kernel.CheckAtResume,
-		Quantum: o.quantum, MaxCycles: o.timeout, Memory: mem, Watchdog: wd}
+	l := kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
+		Config: kernel.Config{Strategy: &kernel.Designated{}, CheckAt: kernel.CheckAtResume,
+			Quantum: o.quantum, MaxCycles: o.timeout, Watchdog: wd},
+		Runner: func(k *kernel.Kernel) error {
+			k.AttachProfiler(ob.Profiler, prog)
+			return ob.h.Run(k)
+		}}
+	var faults chaos.Injector
 	if o.crashAt > 0 {
-		cfg.Faults = chaos.OneShot{Point: chaos.PointStep, N: o.crashAt,
+		faults = chaos.OneShot{Point: chaos.PointStep, N: o.crashAt,
 			Action: chaos.Action{CrashVolatile: true, Torn: o.torn}}
 	}
-	k := kernel.Boot(cfg, prog, "main", guest.StackTop(0), true)
-	k.AttachProfiler(ob.Profiler, prog)
-	err := ob.h.Run(k)
+	k := l.Boot(faults)
+	err := l.Run(k)
 	if o.crashAt > 0 {
 		if !errors.Is(err, kernel.ErrMachineCrash) {
 			return fmt.Errorf("the guest finished before step %d (run = %v); try a smaller -crash-at", o.crashAt, err)
 		}
-		dump(mem)
+		dump(l.Memory())
 		fmt.Fprintf(w, "boot 1:        %d flushes, %d fences, %d lines persisted\n",
 			k.M.Stats.Flushes, k.M.Stats.Fences, k.M.Stats.LinesPersisted)
-		cfg.Faults = nil
-		k = kernel.Boot(cfg, prog, "main", guest.StackTop(0), false)
-		k.AttachProfiler(ob.Profiler, prog)
-		if err := ob.h.Run(k); err != nil {
+		k = l.Boot(nil)
+		if err := l.Run(k); err != nil {
 			return fmt.Errorf("reboot run: %w", err)
 		}
 	} else if err != nil {
 		return err
 	}
-	err = report(mem)
+	err = report(l.Memory())
 	fmt.Fprintf(w, "persists:      %d flushes, %d fences, %d lines drained (%d cycles)\n",
 		k.M.Stats.Flushes, k.M.Stats.Fences, k.M.Stats.LinesPersisted, k.M.Stats.PersistCycles)
 	return err
@@ -471,7 +472,7 @@ func runQlock(w io.Writer, o options, ob *observer) error {
 // memop plans the uniproc uxserver plane. With no -plan, a 100-crash
 // mixed step campaign is derived from a clean calibration run. -workers
 // and -iters, when set, replace the table's workload size.
-func runResilience(w io.Writer, o options, _ *observer) error {
+func runResilience(w io.Writer, o options, ob *observer) error {
 	cfg := bench.DefaultResilienceConfig()
 	cfg.MaxCycles = o.timeout
 	if o.setFlags["workers"] {
@@ -485,12 +486,13 @@ func runResilience(w io.Writer, o options, _ *observer) error {
 	if o.plan != "" {
 		plan, err = chaos.ParseCrashPlan(o.plan)
 	} else {
-		plan, err = bench.CampaignPlan(cfg, chaos.PointStep, 100)
+		cfg.Crashes = 100
+		plan, err = bench.CampaignPlan(&ob.h, cfg, chaos.PointStep)
 	}
 	if err != nil {
 		return err
 	}
-	world, scfg := bench.ResilienceCampaign(cfg, plan)
+	world, scfg := bench.ResilienceCampaign(&ob.h, cfg, plan)
 	fmt.Fprintf(w, "plan:          %s\n", plan)
 	out, err := resilience.Supervise(world, scfg)
 	fmt.Fprintf(w, "campaign:      %v\n", out)

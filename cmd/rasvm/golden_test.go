@@ -98,7 +98,7 @@ func TestGoldenCoversEveryDemo(t *testing.T) {
 // from the plan it prints: same boots, crashes, recovery crashes and
 // availability.
 func TestResilienceRowsReplay(t *testing.T) {
-	rows, err := bench.TableResilience(bench.DefaultResilienceConfig())
+	rows, err := bench.TableResilience(&bench.Harness{}, bench.DefaultResilienceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,9 @@ var scenarios = []scenario{
 	{"smp", runSMP, smpRefuses},
 	{"server", runServer, smpRefuses},
 	{"qlock", runQlock, smpRefuses},
-	// The campaign's boots run inside resilience.Supervise, not through
-	// the harness, so no event reaches the observer.
-	{"resilience", runResilience, []string{"-trace", "-trace-out", "-metrics", "-profile", "-folded"}},
+	// The profiler reads a kernel's guest stacks, and persist and memop
+	// plans run the uniproc server plane, which has none.
+	{"resilience", runResilience, []string{"-profile", "-folded"}},
 }
 
 func main() {

@@ -206,3 +206,29 @@ func metricValue(dump, name string) (uint64, bool) {
 	}
 	return 0, false
 }
+
+// A persist plan runs the uniproc server plane: every boot and the
+// calibration still stream into -trace-out through the observer's
+// harness.
+func TestResiliencePersistPlanTraceOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	o, _ := parseFlags([]string{"-demo", "resilience",
+		"-plan", "crashplan:seed=0x1,point=persist,span=25,crashes=120,mix=1:2:1", "-trace-out", path})
+	if err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := obs.DecodeChromeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateChrome(doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Error("trace has no events")
+	}
+}

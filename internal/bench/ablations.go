@@ -105,7 +105,7 @@ func TableRegistrationRanges(h *Harness, workers, iters int) ([]RangesRow, error
 		}
 		prog := guest.Assemble(guest.MutexCounterProgram(guest.MechRegistered, workers, iters))
 		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat,
-			CheckAt: kernel.CheckAtSuspend, Quantum: 61}, prog, "main", guest.StackTop(0), true)
+			CheckAt: kernel.CheckAtSuspend, Quantum: 61}, prog, guest.StackTop(0))
 		if err := h.Run(k); err != nil {
 			return nil, err
 		}

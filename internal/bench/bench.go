@@ -33,7 +33,7 @@ func runGuest(h *Harness, prof *arch.Profile, strat kernel.Strategy, checkAt ker
 	quantum uint64, src string) (*kernel.Kernel, error) {
 	prog := guest.Assemble(src)
 	k := kernel.Boot(kernel.Config{Profile: prof, Strategy: strat, CheckAt: checkAt, Quantum: quantum},
-		prog, "main", guest.StackTop(0), true)
+		prog, guest.StackTop(0))
 	if err := h.Run(k); err != nil {
 		return k, fmt.Errorf("bench: %s: %w", prof.Name, err)
 	}

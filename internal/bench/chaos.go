@@ -214,7 +214,7 @@ func vmachChaosRun(h *Harness, strat kernel.Strategy, at kernel.CheckTime, mech 
 	k := kernel.Boot(kernel.Config{
 		Strategy: strat, CheckAt: at, Quantum: quantum,
 		MaxCycles: cfg.MaxCycles, Faults: faults, Watchdog: wd,
-	}, prog, "main", guest.StackTop(0), true)
+	}, prog, guest.StackTop(0))
 	err := h.Run(k)
 	return k, prog.MustSymbol("counter"), uint32(cfg.Workers * cfg.Iters), err
 }

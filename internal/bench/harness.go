@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/asm"
+	"repro/internal/guest"
 	"repro/internal/obs"
 	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
@@ -97,3 +99,15 @@ func counters(s Substrate) RunStats {
 	}
 	panic(fmt.Sprintf("bench: unknown substrate %T", s))
 }
+
+// lives is the persistent machine the crash sweeps boot prog on: every
+// life under kernel.PersistConfig, run through h.
+func (h *Harness) lives(prog *asm.Program, maxCycles uint64) kernel.Lives {
+	return kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
+		Config: kernel.PersistConfig(maxCycles), Runner: h.runKernel}
+}
+
+// runKernel and runProcessor are Run in the shapes kernel.Lives and the
+// resilience worlds take.
+func (h *Harness) runKernel(k *kernel.Kernel) error        { return h.Run(k) }
+func (h *Harness) runProcessor(p *uniproc.Processor) error { return h.Run(p) }

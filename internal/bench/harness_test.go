@@ -16,7 +16,7 @@ func TestHarnessCountsRestoredRunOnce(t *testing.T) {
 	prog := guest.Assemble(guest.MutexCounterProgram(guest.MechRegistered, 2, 40))
 	boot := func(faults chaos.Injector) *kernel.Kernel {
 		return kernel.Boot(kernel.Config{Strategy: &kernel.Registration{}, Quantum: 250, Faults: faults},
-			prog, "main", guest.StackTop(0), true)
+			prog, guest.StackTop(0))
 	}
 	var straight Harness
 	if err := straight.Run(boot(nil)); err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/mcheck"
 	"repro/internal/obs"
 	"repro/internal/uniproc"
-	"repro/internal/vmach"
 	"repro/internal/vmach/kernel"
 )
 
@@ -57,14 +56,13 @@ type JournalRow struct {
 // vmachJournalPassage runs the guest journal fault-free and reports the
 // passage cost: cycles and persist operations for Target transactions.
 func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
-	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
-	mem := vmach.NewMemory()
-	mem.EnablePersistence()
-	k := kernel.Boot(kernel.PersistConfig(mem, nil, cfg.MaxCycles), prog, "main", guest.StackTop(0), true)
-	if err := h.Run(k); err != nil {
+	l := h.lives(guest.Assemble(guest.JournalProgram(mode, cfg.Target)), cfg.MaxCycles)
+	k := l.Boot(nil)
+	if err := l.Run(k); err != nil {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: %v (repro: %s)", mode, err, tableRepro("journal", cfg.Seed))
 	}
-	a, b := mem.Peek(prog.MustSymbol("va")), mem.Peek(prog.MustSymbol("vb"))
+	mem := l.Memory()
+	a, b := mem.Peek(l.Prog.MustSymbol("va")), mem.Peek(l.Prog.MustSymbol("vb"))
 	if int(a) != cfg.Target || int(b) != cfg.Target {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: va=%d vb=%d, want %d (repro: %s)",
 			mode, a, b, cfg.Target, tableRepro("journal", cfg.Seed))
@@ -78,27 +76,21 @@ func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow
 }
 
 // vmachJournalTornSweep crashes the guest journal at seeded step ordinals
-// with torn write-backs, reboots the same binary over the surviving NVM,
-// and requires exact recovery every time. Repairs counts the crashes
+// with torn write-backs, warm-reboots the same machine over the surviving
+// NVM, and requires exact recovery every time. Repairs counts the crashes
 // that left a committed in-flight record (host-checked with the guest's
 // own recovery rule, guest.JournalRecord.Commits).
 func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
-	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
 	fail := func(format string, args ...any) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("vmach/"+mode+"-torn: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
-	boot := func(mem *vmach.Memory, faults chaos.Injector, cold bool) *kernel.Kernel {
-		return kernel.Boot(kernel.PersistConfig(mem, faults, cfg.MaxCycles), prog, "main", guest.StackTop(0), cold)
-	}
-
-	calMem := vmach.NewMemory()
-	calMem.EnablePersistence()
-	cal := boot(calMem, nil, true)
-	if err := h.Run(cal); err != nil {
+	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
+	machine := h.lives(prog, cfg.MaxCycles)
+	span, err := machine.Calibrate()
+	if err != nil {
 		return fail("calibration: %v", err)
 	}
-	span := cal.Steps()
 
 	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
 	var repairs uint64
@@ -107,21 +99,20 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 		salt = 0x6B
 	}
 	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.Derive(cfg.Seed, salt, uint64(c))%span + 1
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
-		k := boot(mem, chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{CrashVolatile: true, Torn: true}}, true)
-		if err := h.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
+		at := kernel.CrashStep(cfg.Seed, salt, c, span)
+		l := machine
+		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
+			Action: chaos.Action{CrashVolatile: true, Torn: true}})
+		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 			return fail("crash %d at step %d: run = %v", c, at, err)
 		}
 		// The crash already tore the volatile tier down; audit the NVM
 		// image with the guest's own recovery rule before rebooting.
+		mem := l.Memory()
 		if guest.ReadJournal(mem.NVPeek, prog).Commits() {
 			repairs++
 		}
-		k2 := boot(mem, nil, false)
-		if err := h.Run(k2); err != nil {
+		if err := l.Run(l.Boot(nil)); err != nil {
 			return fail("crash %d at step %d: reboot run: %v", c, at, err)
 		}
 		a, b := mem.Peek(va), mem.Peek(vb)
@@ -140,8 +131,7 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 // passage cost of one logged transaction per operation.
 func pstructPassage(h *Harness, cfg JournalConfig, kind string, mode core.LogMode) (JournalRow, error) {
 	arena := pstructBenchArena(kind, cfg.Ops)
-	p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles})
-	p.EnablePersistence()
+	p := persistProc(cfg.MaxCycles, nil)
 	var opErr error
 	p.Go("main", func(e *uniproc.Env) {
 		opErr = pstructBenchOps(e, arena, kind, mode, cfg.Ops, nil)
@@ -204,8 +194,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 		return JournalRow{}, fmt.Errorf("uniproc/stack-"+mode.String()+"-torn: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
-	cal := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles})
-	cal.EnablePersistence()
+	cal := persistProc(cfg.MaxCycles, nil)
 	cal.Go("main", func(e *uniproc.Env) {
 		_ = pstructBenchOps(e, pstructBenchArena("stack", cfg.Ops), "stack", mode, cfg.Ops, nil)
 	})
@@ -220,10 +209,8 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 		at := chaos.Derive(cfg.Seed, salt, uint64(c))%span + 1
 		arena := pstructBenchArena("stack", cfg.Ops)
 		committed := 0
-		p1 := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles,
-			Faults: chaos.OneShot{Point: chaos.PointPersist, N: at,
-				Action: chaos.Action{CrashVolatile: true, Torn: true}}})
-		p1.EnablePersistence()
+		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
+			Action: chaos.Action{CrashVolatile: true, Torn: true}})
 		p1.Go("main", func(e *uniproc.Env) {
 			_ = pstructBenchOps(e, arena, "stack", mode, cfg.Ops, &committed)
 		})
@@ -234,8 +221,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 		// drain the stack: it must pop k..1 for an admissible k.
 		var vals []uniproc.Word
 		var repaired bool
-		p2 := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles})
-		p2.EnablePersistence()
+		p2 := persistProc(cfg.MaxCycles, nil)
 		p2.Go("main", func(e *uniproc.Env) {
 			s := core.NewPersistentStack(arena, mode)
 			repaired = s.Recover(e)
@@ -279,11 +265,6 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("memfs/journal-replay: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
-	newProc := func(faults chaos.Injector) *uniproc.Processor {
-		p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles, Faults: faults})
-		p.EnablePersistence()
-		return p
-	}
 	workload := func(j *journal.JFS, e *uniproc.Env, committed *int) error {
 		if err := j.Create(e, "/log"); err != nil {
 			return err
@@ -298,7 +279,7 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 		return nil
 	}
 
-	cal := newProc(nil)
+	cal := persistProc(cfg.MaxCycles, nil)
 	calArena := make([]uniproc.Word, 4096)
 	var calErr error
 	cal.Go("main", func(e *uniproc.Env) {
@@ -325,7 +306,7 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 		arena := make([]uniproc.Word, 4096)
 		committed := 0
 		reg1 := obs.NewRegistry()
-		p1 := newProc(chaos.OneShot{Point: chaos.PointPersist, N: at,
+		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
 			Action: chaos.Action{CrashVolatile: true, Torn: true}})
 		p1.Go("main", func(e *uniproc.Env) {
 			j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, journal.Options{Metrics: reg1})
@@ -343,7 +324,7 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 		reg2 := obs.NewRegistry()
 		var got []byte
 		var mountErr error
-		p2 := newProc(nil)
+		p2 := persistProc(cfg.MaxCycles, nil)
 		p2.Go("main", func(e *uniproc.Env) {
 			j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, journal.Options{Metrics: reg2})
 			if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mcheck"
 	"repro/internal/uniproc"
-	"repro/internal/vmach"
 	"repro/internal/vmach/kernel"
 )
 
@@ -46,43 +45,36 @@ type PersistRow struct {
 }
 
 // vmachPersistSweep crashes src at Crashes seeded step ordinals with the
-// volatile tier discarded, then reboots the same binary over the surviving
-// memory. For the well-flushed program every crash must lose at most one
-// increment and every reboot must complete the exact workload; for the
-// under-flushed control the sweep instead reports the worst loss it saw.
+// volatile tier discarded, then warm-reboots the same machine over the
+// surviving memory. For the well-flushed program every crash must lose
+// at most one increment and every reboot must complete the exact
+// workload; for the under-flushed control the sweep instead reports the
+// worst loss it saw.
 func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, wellFlushed bool, salt uint64) (PersistRow, error) {
-	prog := guest.Assemble(src)
 	fail := func(format string, args ...any) (PersistRow, error) {
 		return PersistRow{}, fmt.Errorf(scenario+": "+format+" (repro: %s)",
 			append(args, tableRepro("persist", cfg.Seed))...)
 	}
-	boot := func(mem *vmach.Memory, faults chaos.Injector, load bool) *kernel.Kernel {
-		return kernel.Boot(kernel.PersistConfig(mem, faults, cfg.MaxCycles),
-			prog, "main", guest.StackTop(0), load)
-	}
-
-	// Calibrate the step span on a clean run.
-	calMem := vmach.NewMemory()
-	calMem.EnablePersistence()
-	cal := boot(calMem, nil, true)
-	if err := h.Run(cal); err != nil {
+	prog := guest.Assemble(src)
+	machine := h.lives(prog, cfg.MaxCycles)
+	span, err := machine.Calibrate()
+	if err != nil {
 		return fail("calibration: %v", err)
 	}
-	span := cal.Steps()
 
 	counterAddr := prog.MustSymbol("counter")
 	want := isa.Word(cfg.Workers * cfg.Iters)
 	var repairs uint64
 	var maxLoss int64
 	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.Derive(cfg.Seed, salt, uint64(c))%span + 1
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
+		at := kernel.CrashStep(cfg.Seed, salt, c, span)
+		l := machine
 		committed := 0
-		k := boot(mem, chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{CrashVolatile: true}}, true)
+		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
+			Action: chaos.Action{CrashVolatile: true}})
+		mem := l.Memory()
 		mem.Watch(counterAddr, func(old, new isa.Word) { committed++ })
-		if err := h.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
+		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 			return fail("crash %d at step %d: run = %v", c, at, err)
 		}
 		// The injected crash already discarded the volatile tier.
@@ -93,10 +85,7 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 		if wellFlushed && int(c0) < committed-1 {
 			return fail("crash %d at step %d: NVM counter %d but %d committed — lost more than one", c, at, c0, committed)
 		}
-		// Reboot the same binary over the surviving memory: no reload, the
-		// image and the recovery state are both in NVM.
-		k2 := boot(mem, nil, false)
-		if err := h.Run(k2); err != nil {
+		if err := l.Run(l.Boot(nil)); err != nil {
 			return fail("crash %d at step %d: reboot run: %v", c, at, err)
 		}
 		if got := mem.Peek(counterAddr); got != c0+want {
@@ -116,6 +105,14 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 	}
 	return PersistRow{Scenario: scenario, Seed: cfg.Seed, Crashes: cfg.Crashes,
 		Repairs: repairs, MaxLoss: maxLoss, Outcome: outcome}, nil
+}
+
+// persistProc is a uniprocessor with the two-tier persistence model on
+// and the crash sweeps' 2000-cycle quantum.
+func persistProc(maxCycles uint64, faults chaos.Injector) *uniproc.Processor {
+	p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: maxCycles, Faults: faults})
+	p.EnablePersistence()
+	return p
 }
 
 // uniprocPersistSweep is the runtime-layer sweep: core.PersistentMutex
@@ -139,13 +136,7 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 			}
 		}
 	}
-	newProc := func(faults chaos.Injector) *uniproc.Processor {
-		p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles, Faults: faults})
-		p.EnablePersistence()
-		return p
-	}
-
-	cal := newProc(nil)
+	cal := persistProc(cfg.MaxCycles, nil)
 	calMu, calCounter, calN := core.NewPersistentMutex(), core.Word(0), 0
 	cal.Go("main", func(e *uniproc.Env) {
 		for w := 0; w < cfg.Workers; w++ {
@@ -164,7 +155,7 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 		mu := core.NewPersistentMutex()
 		var counter core.Word
 		committed := 0
-		p1 := newProc(chaos.OneShot{Point: chaos.PointMemOp, N: at,
+		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointMemOp, N: at,
 			Action: chaos.Action{CrashVolatile: true}})
 		p1.Go("main", func(e *uniproc.Env) {
 			for w := 0; w < cfg.Workers; w++ {
@@ -181,7 +172,7 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 		if int(c0) < committed-1 {
 			return fail("crash %d at memop %d: NVM counter %d but %d committed", c, at, c0, committed)
 		}
-		p2 := newProc(nil)
+		p2 := persistProc(cfg.MaxCycles, nil)
 		p2.Go("main", func(e *uniproc.Env) {
 			mu.Recover(e)
 			for w := 0; w < cfg.Workers; w++ {

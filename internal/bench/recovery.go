@@ -58,7 +58,7 @@ type rmeRun struct {
 
 func newRMERun(cfg kernel.Config, workers, iters int) *rmeRun {
 	prog := guest.Assemble(guest.RecoverableCounterProgram(workers, iters))
-	r := &rmeRun{k: kernel.Boot(cfg, prog, "main", guest.StackTop(0), true), prog: prog}
+	r := &rmeRun{k: kernel.Boot(cfg, prog, guest.StackTop(0)), prog: prog}
 	r.rme = guest.WatchRME(r.k.M.Mem, prog, r.k, false, func(b guest.RMEBreach) {
 		if r.err == nil {
 			r.err = errors.New(b.Msg)

@@ -63,26 +63,29 @@ type ResilienceRow struct {
 // that replay plan. Step plans drive the ISA resilient-server guest
 // (cfg.Workers x cfg.Iters, demoting after 4 crashes inside recovery);
 // persist and memop plans drive the uniproc uxserver plane (cfg.Clients
-// x cfg.Requests on 2 shards). The table's campaign rows and rasvm's
-// resilience demo both build through it, so a printed plan replays its
-// row.
-func ResilienceCampaign(cfg ResilienceConfig, plan *chaos.CrashPlan) (resilience.World, resilience.Config) {
+// x cfg.Requests on 2 shards). Every boot runs through h. The table's
+// campaign rows and rasvm's resilience demo both build through it, so a
+// printed plan replays its row.
+func ResilienceCampaign(h *Harness, cfg ResilienceConfig, plan *chaos.CrashPlan) (resilience.World, resilience.Config) {
 	scfg := resilience.Config{Boots: plan.Boot, MaxBoots: plan.Crashes + 256, JitterSeed: plan.Seed}
 	if plan.Point == chaos.PointStep {
 		scfg.MaxBoots, scfg.CrashLoopK = plan.Crashes+1024, 4
-		return resilience.NewVMWorld(cfg.vmWorld()), scfg
+		return resilience.NewVMWorld(cfg.vmWorld(h)), scfg
 	}
-	return resilience.NewServerWorld(cfg.serverWorld(plan.Seed)), scfg
+	return resilience.NewServerWorld(cfg.serverWorld(h, plan.Seed)), scfg
 }
 
-// CampaignPlan returns a plan of crashes crashes at point, seeded
+// CampaignPlan returns the plan of a campaign at point: cfg.Crashes
+// crashes at a step point, cfg.ServerCrashes at any other, seeded
 // cfg.Seed and mixed 1:2:1 clean:volatile:torn, whose span comes from a
-// clean calibration run of the world ResilienceCampaign builds.
-func CampaignPlan(cfg ResilienceConfig, point chaos.Point, crashes int) (*chaos.CrashPlan, error) {
-	plan := &chaos.CrashPlan{Seed: cfg.Seed, Point: point, Crashes: crashes,
+// clean calibration run, through h, of the world ResilienceCampaign
+// builds.
+func CampaignPlan(h *Harness, cfg ResilienceConfig, point chaos.Point) (*chaos.CrashPlan, error) {
+	plan := &chaos.CrashPlan{Seed: cfg.Seed, Point: point, Crashes: cfg.ServerCrashes,
 		WClean: 1, WVolatile: 2, WTorn: 1}
 	if point == chaos.PointStep {
-		span, err := resilience.NewVMWorld(cfg.vmWorld()).CalibrateSpan()
+		plan.Crashes = cfg.Crashes
+		span, err := resilience.NewVMWorld(cfg.vmWorld(h)).CalibrateSpan()
 		if err != nil {
 			return nil, fmt.Errorf("calibration: %v", err)
 		}
@@ -91,24 +94,25 @@ func CampaignPlan(cfg ResilienceConfig, point chaos.Point, crashes int) (*chaos.
 		// make real progress between crashes yet the workload is still
 		// unfinished when the last planned crash lands and completes in
 		// the clean tail.
-		plan.Span = 3*span/uint64(crashes) + 1
+		plan.Span = 3*span/uint64(plan.Crashes) + 1
 		return plan, nil
 	}
-	rep := resilience.NewServerWorld(cfg.serverWorld(cfg.Seed)).Boot(0, nil, false)
+	rep := resilience.NewServerWorld(cfg.serverWorld(h, cfg.Seed)).Boot(0, nil, false)
 	if rep.Err != nil {
 		return nil, fmt.Errorf("calibration: %v", rep.Err)
 	}
-	plan.Span = 2*rep.PersistOps/uint64(crashes) + 1
+	plan.Span = 2*rep.PersistOps/uint64(plan.Crashes) + 1
 	return plan, nil
 }
 
-func (cfg ResilienceConfig) vmWorld() resilience.VMWorldConfig {
-	return resilience.VMWorldConfig{Workers: cfg.Workers, Iters: cfg.Iters, MaxCycles: cfg.MaxCycles}
+func (cfg ResilienceConfig) vmWorld(h *Harness) resilience.VMWorldConfig {
+	return resilience.VMWorldConfig{Workers: cfg.Workers, Iters: cfg.Iters,
+		MaxCycles: cfg.MaxCycles, Run: h.runKernel}
 }
 
-func (cfg ResilienceConfig) serverWorld(seed uint64) resilience.ServerWorldConfig {
+func (cfg ResilienceConfig) serverWorld(h *Harness, seed uint64) resilience.ServerWorldConfig {
 	return resilience.ServerWorldConfig{Clients: cfg.Clients, Iters: cfg.Requests,
-		Shards: 2, MaxCycles: cfg.MaxCycles, JitterSeed: seed}
+		Shards: 2, MaxCycles: cfg.MaxCycles, JitterSeed: seed, Run: h.runProcessor}
 }
 
 // resilienceCampaign runs one campaign row: the plan's crashes mixed
@@ -118,16 +122,16 @@ func (cfg ResilienceConfig) serverWorld(seed uint64) resilience.ServerWorldConfi
 // mid-workload. The uniproc row runs the uxserver.ResilientServer with
 // retrying clients, deadlines, admission control and dedup across
 // reboots, auditing acked-implies-durable after every boot.
-func resilienceCampaign(cfg ResilienceConfig, scenario string, point chaos.Point, crashes int) (ResilienceRow, error) {
+func resilienceCampaign(h *Harness, cfg ResilienceConfig, scenario string, point chaos.Point) (ResilienceRow, error) {
 	fail := func(format string, args ...any) (ResilienceRow, error) {
 		return ResilienceRow{}, fmt.Errorf(scenario+": "+format+" (repro: %s)",
 			append(args, tableRepro("resilience", cfg.Seed))...)
 	}
-	plan, err := CampaignPlan(cfg, point, crashes)
+	plan, err := CampaignPlan(h, cfg, point)
 	if err != nil {
 		return fail("%v", err)
 	}
-	w, scfg := ResilienceCampaign(cfg, plan)
+	w, scfg := ResilienceCampaign(h, cfg, plan)
 	out, err := resilience.Supervise(w, scfg)
 	if err != nil {
 		return fail("%v", err)
@@ -142,8 +146,8 @@ func resilienceCampaign(cfg ResilienceConfig, scenario string, point chaos.Point
 		RecP95: out.RecoveryP95}
 	switch w := w.(type) {
 	case *resilience.VMWorld:
-		if out.Crashes < crashes*9/10 {
-			return fail("only %d of %d planned crashes landed — the span no longer bites", out.Crashes, crashes)
+		if out.Crashes < plan.Crashes*9/10 {
+			return fail("only %d of %d planned crashes landed — the span no longer bites", out.Crashes, plan.Crashes)
 		}
 		if out.RecoveryCrashes == 0 {
 			return fail("no crash landed inside recovery — the campaign no longer covers the reboot loop")
@@ -162,14 +166,14 @@ func resilienceCampaign(cfg ResilienceConfig, scenario string, point chaos.Point
 // own counter flush) demote the server to read-only mode, the degraded
 // boots serve reads and shed the probe mutation, hysteresis re-promotes,
 // and the workload then completes exactly-once.
-func uniprocDegradedCycle(cfg ResilienceConfig) (ResilienceRow, error) {
+func uniprocDegradedCycle(h *Harness, cfg ResilienceConfig) (ResilienceRow, error) {
 	fail := func(format string, args ...any) (ResilienceRow, error) {
 		return ResilienceRow{}, fmt.Errorf("uniproc/degraded-cycle: "+format+" (repro: %s)",
 			append(args, tableRepro("resilience", cfg.Seed))...)
 	}
 	const loopK = 3
 	w := resilience.NewServerWorld(resilience.ServerWorldConfig{
-		Clients: 2, Iters: 6, MaxCycles: cfg.MaxCycles, JitterSeed: cfg.Seed})
+		Clients: 2, Iters: 6, MaxCycles: cfg.MaxCycles, JitterSeed: cfg.Seed, Run: h.runProcessor})
 	out, err := resilience.Supervise(w, resilience.Config{
 		Boots: func(boot int) chaos.Injector {
 			if boot >= loopK {
@@ -220,7 +224,7 @@ func uniprocDegradedCycle(cfg ResilienceConfig) (ResilienceRow, error) {
 //     campaign, volatile and torn, which must pass with zero violations.
 //
 // Any failure is returned as an error naming the seed that reproduces it.
-func TableResilience(cfg ResilienceConfig) ([]ResilienceRow, error) {
+func TableResilience(h *Harness, cfg ResilienceConfig) ([]ResilienceRow, error) {
 	if cfg.Crashes <= 0 {
 		cfg.Crashes = 1
 	}
@@ -229,19 +233,19 @@ func TableResilience(cfg ResilienceConfig) ([]ResilienceRow, error) {
 	}
 	var rows []ResilienceRow
 
-	row, err := resilienceCampaign(cfg, "vmach/crash-campaign", chaos.PointStep, cfg.Crashes)
+	row, err := resilienceCampaign(h, cfg, "vmach/crash-campaign", chaos.PointStep)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, row)
 
-	row, err = resilienceCampaign(cfg, "uniproc/server-campaign", chaos.PointPersist, cfg.ServerCrashes)
+	row, err = resilienceCampaign(h, cfg, "uniproc/server-campaign", chaos.PointPersist)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, row)
 
-	row, err = uniprocDegradedCycle(cfg)
+	row, err = uniprocDegradedCycle(h, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -23,9 +23,15 @@ func testResilienceConfig(t *testing.T) ResilienceConfig {
 }
 
 func TestTableResilience(t *testing.T) {
-	rows, err := TableResilience(testResilienceConfig(t))
+	h := &Harness{}
+	rows, err := TableResilience(h, testResilienceConfig(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every boot of the three supervised rows and both campaigns'
+	// calibration runs went through the harness.
+	if want := rows[0].Boots + rows[1].Boots + rows[2].Boots + 2; h.Stats.Runs != want {
+		t.Errorf("harness counted %d runs, want %d", h.Stats.Runs, want)
 	}
 	want := map[string]bool{
 		"vmach/crash-campaign":    false,
@@ -88,11 +94,11 @@ func TestTableResilienceDeterministic(t *testing.T) {
 		t.Skip("two full tables")
 	}
 	cfg := testResilienceConfig(t)
-	a, err := TableResilience(cfg)
+	a, err := TableResilience(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TableResilience(cfg)
+	b, err := TableResilience(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TableAblation(h *Harness, workers, iters int) ([]AblationRow, error) {
 	for _, c := range cfgs {
 		prog := guest.Assemble(guest.MutexCounterProgram(c.m, workers, iters))
 		k := kernel.Boot(kernel.Config{Profile: prof, Strategy: c.strat, CheckAt: c.at, Quantum: 61},
-			prog, "main", guest.StackTop(0), true)
+			prog, guest.StackTop(0))
 		if err := h.Run(k); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

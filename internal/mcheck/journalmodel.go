@@ -53,7 +53,8 @@ func journalModel(p map[string]string) (Model, error) {
 	// target. This is the journal's core invariant — every reachable NVM
 	// image is one a reboot repairs.
 	checkNVM := func(in *rebootInstance, where string) {
-		a, b := guest.ReadJournal(in.mem.NVPeek, prog).Recover(in.mem.NVPeek(va), in.mem.NVPeek(vb))
+		mem := in.mem()
+		a, b := guest.ReadJournal(mem.NVPeek, prog).Recover(mem.NVPeek(va), mem.NVPeek(vb))
 		if a != b {
 			in.vio.add("journal-consistency",
 				"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
@@ -75,14 +76,14 @@ func journalModel(p map[string]string) (Model, error) {
 		// image left behind.
 		in.crash = func(d Decision) {
 			if d.Act == ActCrashTorn {
-				in.mem.DiscardUnflushedTorn(d.At)
+				in.mem().DiscardUnflushedTorn(d.At)
 			} else {
-				in.mem.DiscardUnflushed()
+				in.mem().DiscardUnflushed()
 			}
 			checkNVM(in, fmt.Sprintf("crash at persist op %d", d.At))
 		}
 		in.finish = func() {
-			a, b := uint32(in.mem.Peek(va)), uint32(in.mem.Peek(vb))
+			a, b := uint32(in.mem().Peek(va)), uint32(in.mem().Peek(vb))
 			if a != uint32(target) || b != uint32(target) {
 				in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
 					a, b, in.boots+1, target)

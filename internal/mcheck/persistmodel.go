@@ -22,24 +22,18 @@ import (
 // every state the protocol can leave in NVM is crashed into and must
 // recover. With K=2 the second crash can land inside recovery itself.
 //
-// Unlike the other vmach models the crash is not rendered as a chaos
-// injector: the instance itself discards the volatile tier, checks the
-// bounded-durability-loss invariant, and boots a fresh kernel over the
-// shared memory — a crash here is a transition the run continues through,
-// not a terminal event. rebootInstance is that run; the journal model
-// reuses it with its own crash audit.
-
-// rebootInstance is a pausable vmach run over one persistent memory in
-// which a crash decision is a transition: the model's crash closure
-// audits and discards the volatile tier, and the same binary boots again
-// over what survived. The cursor counts persist operations (flushes +
-// fences) retired across all boots.
+// rebootInstance is that run, shared with the journal model: a pausable
+// run of one kernel.Lives machine in which, unlike the other vmach
+// models, a crash is not a chaos injector's terminal event but a
+// transition the run continues through — the model's crash closure
+// audits and discards the volatile tier, and the machine warm-boots
+// again over what survived. The cursor counts persist operations
+// (flushes + fences) retired across all boots.
 type rebootInstance struct {
-	prog *asm.Program
-	mem  *vmach.Memory
-	k    *kernel.Kernel
-	opt  Options
-	vio  violations
+	lives kernel.Lives
+	k     *kernel.Kernel
+	opt   Options
+	vio   violations
 
 	ds   []Decision
 	next int // next decision to fire
@@ -60,34 +54,23 @@ type rebootInstance struct {
 	runErr error
 }
 
-// newRebootInstance builds an unbooted instance over a fresh persistent
-// memory; the model installs its closures and watchpoints, then boots.
+// newRebootInstance builds an unbooted machine for prog; the model
+// installs its closures, boots, then watches the shared memory.
 func newRebootInstance(prog *asm.Program, ds []Decision, opt Options) *rebootInstance {
-	mem := vmach.NewMemory()
-	mem.EnablePersistence()
-	return &rebootInstance{prog: prog, mem: mem, opt: opt, ds: ds}
+	return &rebootInstance{opt: opt, ds: ds, lives: kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
+		Config: kernel.Config{Strategy: &kernel.Designated{}, CheckAt: kernel.CheckAtResume,
+			Quantum: modelQuantum, MaxCycles: modelBudget}}}
 }
 
-// boot starts a kernel over the shared (surviving) memory. Only the first
-// boot loads the program image: on a reboot the image is already durable
-// in NVM, and reloading would reset the very data words recovery reads.
+// boot starts the machine's next life over the shared (surviving) memory.
 func (in *rebootInstance) boot() {
-	k := kernel.New(kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Memory:    in.mem,
-	})
+	in.k = in.lives.Boot(nil)
 	if in.opt.Tracer != nil {
-		k.Tracer = in.opt.Tracer
+		in.k.Tracer = in.opt.Tracer
 	}
-	in.k = k
-	if in.boots == 0 {
-		k.Load(in.prog)
-	}
-	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
 }
+
+func (in *rebootInstance) mem() *vmach.Memory { return in.lives.Memory() }
 
 // cursor counts persist operations retired across all boots.
 func (in *rebootInstance) cursor() uint64 {
@@ -177,23 +160,23 @@ func persistModel(p map[string]string) (Model, error) {
 		in.crash = func(Decision) {
 			// The bounded-durability-loss invariant at this persist
 			// boundary, then the CrashVolatile discard.
-			vol := int64(in.mem.Peek(counterAddr))
-			nvm := int64(in.mem.NVPeek(counterAddr))
+			vol := int64(in.mem().Peek(counterAddr))
+			nvm := int64(in.mem().NVPeek(counterAddr))
 			if vol-nvm > 1 {
 				in.vio.add("persist-loss",
 					"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
 					in.cursor(), vol, nvm, vol-nvm)
 			}
-			in.mem.DiscardUnflushed()
-			cStart = in.mem.Peek(counterAddr)
+			in.mem().DiscardUnflushed()
+			cStart = in.mem().Peek(counterAddr)
 		}
 		in.finish = func() {
-			got := in.mem.Peek(counterAddr)
+			got := in.mem().Peek(counterAddr)
 			if want := cStart + perBoot; got != want {
 				in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
 					got, in.boots+1, want, cStart, perBoot)
 			}
-			if held := guest.HeldLock(in.mem.Peek(lockAddr)); held != "" {
+			if held := guest.HeldLock(in.mem().Peek(lockAddr)); held != "" {
 				in.vio.add("lock-discipline", "%s after the final boot completed", held)
 			}
 		}
@@ -201,8 +184,8 @@ func persistModel(p map[string]string) (Model, error) {
 		// reboots; the instance answers for whichever kernel is running.
 		// Repair is admitted: main (thread 0, alone) frees a crashed boot's
 		// lock with the epoch bumped before any worker exists.
-		guest.WatchRME(in.mem, prog, in, true, in.vio.breach)
 		in.boot()
+		guest.WatchRME(in.mem(), prog, in, true, in.vio.breach)
 		return in, nil
 	}}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/resilience"
+	"repro/internal/uniproc"
 )
 
 // The supervisor-in-the-loop model: the whole crash-restart stack —
@@ -19,21 +20,6 @@ import (
 // K=2 the exhaustive walk therefore covers crash-during-recovery and
 // the crash-loop demotion path, and a violating schedule is replayable
 // as a one-line .sched like every other model.
-
-// offsetWorld wraps the server world, accumulating each life's persist
-// ops so the next life's injector can be offset into the global space.
-type offsetWorld struct {
-	w    *resilience.ServerWorld
-	base uint64
-}
-
-func (o *offsetWorld) Boot(boot int, inj chaos.Injector, degraded bool) resilience.Report {
-	rep := o.w.Boot(boot, inj, degraded)
-	o.base += rep.PersistOps
-	return rep
-}
-
-func (o *offsetWorld) Check() error { return o.w.Check() }
 
 // resilienceModel builds the model. variant=dedup is the shipped
 // exactly-once server; variant=nodedup is the planted missing-dedup
@@ -62,18 +48,23 @@ func resilienceModel(p map[string]string) (Model, error) {
 		return nil, fmt.Errorf("mcheck: resilience: unknown kind %q", p["kind"])
 	}
 	return &model{name: "resilience", params: p, primary: prim, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
-		ow := &offsetWorld{w: resilience.NewServerWorld(resilience.ServerWorldConfig{
+		// base accumulates each life's persist ops, so the next life's
+		// injector is offset into the global space.
+		var base uint64
+		w := resilience.NewServerWorld(resilience.ServerWorldConfig{
 			Clients: clients,
 			Iters:   iters,
 			Shards:  1,
 			NoDedup: variant == "nodedup",
-		})}
-		inner := newInjector(chaos.PointPersist, ds)
-		out, err := resilience.Supervise(ow, resilience.Config{
-			Boots: func(boot int) chaos.Injector {
-				// ow.base at call time = persist ops before this life.
-				return chaos.Offset(inner, ow.base)
+			Run: func(p *uniproc.Processor) error {
+				err := p.Run()
+				base += p.PersistOps()
+				return err
 			},
+		})
+		inner := newInjector(chaos.PointPersist, ds)
+		out, err := resilience.Supervise(w, resilience.Config{
+			Boots:    func(boot int) chaos.Injector { return chaos.Offset(inner, base) },
 			MaxBoots: 8, CrashLoopK: 2, RepromoteAfter: 1, JitterSeed: 1,
 		})
 		switch {
@@ -86,6 +77,6 @@ func resilienceModel(p map[string]string) (Model, error) {
 		case !out.Completed:
 			vio.add("stuck", "campaign ended without completing: %v", out)
 		}
-		return ow.base
+		return base
 	})}, nil
 }

@@ -18,20 +18,25 @@ type ServerWorldConfig struct {
 	Clients, Iters int
 	// Shards is the server's per-CPU plane width.
 	Shards int
-	// Deadline, RetryBase and RetryCap shape the client's availability
-	// behavior: reply deadline, then capped exponential retry backoff,
-	// all in cycles. Defaults 20000 / 200 / 5000.
-	Deadline, RetryBase, RetryCap uint64
 	// NoDedup runs the planted missing-dedup server (verification only
 	// — the campaign must then FAIL its final audit).
 	NoDedup bool
 	// MaxCycles bounds one boot. Default 1 << 22.
 	MaxCycles uint64
-	// Quantum and JitterSeed feed the processor's scheduler.
-	Quantum uint64
-	// JitterSeed seeds scheduling jitter.
+	// JitterSeed seeds the processor's scheduling jitter.
 	JitterSeed uint64
+	// Run runs every boot; nil means (*uniproc.Processor).Run.
+	Run func(*uniproc.Processor) error
 }
+
+// The reply deadline, capped exponential retry backoff and timeslice,
+// in cycles.
+const (
+	serverDeadline = 20000
+	retryBase      = 200
+	retryCap       = 5000
+	serverQuantum  = 2048
+)
 
 func (c *ServerWorldConfig) defaults() {
 	if c.Clients < 1 {
@@ -43,20 +48,11 @@ func (c *ServerWorldConfig) defaults() {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.Deadline == 0 {
-		c.Deadline = 20000
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 200
-	}
-	if c.RetryCap == 0 {
-		c.RetryCap = 5000
-	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 1 << 22
 	}
-	if c.Quantum == 0 {
-		c.Quantum = 2048
+	if c.Run == nil {
+		c.Run = (*uniproc.Processor).Run
 	}
 }
 
@@ -117,20 +113,20 @@ func sleepUntil(e *uniproc.Env, t uint64) {
 // machine crash simply unwinds the thread; the next boot's client
 // resumes from acked, which is exactly a cross-boot retry.
 func (w *ServerWorld) client(e *uniproc.Env, s *uxserver.ResilientServer, c int) {
-	backoff := w.cfg.RetryBase
+	backoff := uint64(retryBase)
 	for seq := w.acked[c] + 1; seq <= uint64(w.cfg.Iters); {
 		err := s.Apply(e, c, seq)
 		switch {
 		case err == nil:
 			w.acked[c] = seq
 			seq++
-			backoff = w.cfg.RetryBase
+			backoff = retryBase
 		case errors.Is(err, uxserver.ErrOverload),
 			errors.Is(err, uxserver.ErrDeadline),
 			errors.Is(err, uxserver.ErrDegraded):
 			sleepUntil(e, e.Now()+backoff)
-			if backoff *= 2; backoff > w.cfg.RetryCap {
-				backoff = w.cfg.RetryCap
+			if backoff *= 2; backoff > retryCap {
+				backoff = retryCap
 			}
 		default:
 			// ErrStopped or a server-side failure: nothing more this life.
@@ -143,7 +139,7 @@ func (w *ServerWorld) client(e *uniproc.Env, s *uxserver.ResilientServer, c int)
 // the server object are all volatile — only w's words survive.
 func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	p := uniproc.New(uniproc.Config{
-		Quantum:    w.cfg.Quantum,
+		Quantum:    serverQuantum,
 		MaxCycles:  w.cfg.MaxCycles,
 		Faults:     inj,
 		JitterSeed: w.cfg.JitterSeed + uint64(boot),
@@ -153,7 +149,7 @@ func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	s := uxserver.NewResilient(pkg, uxserver.ResilientConfig{
 		Clients:  w.cfg.Clients,
 		Shards:   w.cfg.Shards,
-		Deadline: w.cfg.Deadline,
+		Deadline: serverDeadline,
 		NoDedup:  w.cfg.NoDedup,
 	}, w.arena, w.applied, &w.effects)
 
@@ -188,7 +184,7 @@ func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 			})
 		}
 	})
-	err := p.Run()
+	err := w.cfg.Run(p)
 	rep.Cycles = p.Clock()
 	rep.PersistOps = p.PersistOps()
 	w.addStats(s.Stats())

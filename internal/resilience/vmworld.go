@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/asm"
 	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/isa"
@@ -19,17 +18,18 @@ type VMWorldConfig struct {
 	Workers, Iters int
 	// MaxCycles bounds one boot. Default 1 << 22.
 	MaxCycles uint64
+	// Run runs every boot and the calibration run; nil means
+	// (*kernel.Kernel).Run.
+	Run func(*kernel.Kernel) error
 }
 
 // VMWorld is the machine-substrate World: the resilient server guest on
-// a vmach machine whose NVM is the only thing that survives a Boot. A
-// cold boot loads the program image; every reboot is kernel.Boot warm —
-// same memory, no reload — so the guest's own R1..R5 recovery path is
-// what stands between a crash and the workload resuming.
+// a kernel.Lives machine whose NVM is the only thing that survives a
+// Boot, so the guest's own R1..R5 recovery path is what stands between a
+// crash and the workload resuming.
 type VMWorld struct {
-	cfg  VMWorldConfig
-	prog *asm.Program
-	mem  *vmach.Memory
+	cfg   VMWorldConfig
+	lives kernel.Lives
 
 	// Per-boot recovery watch state, read by the one watcher registered
 	// at cold boot (vmach watchers cannot be unregistered).
@@ -50,52 +50,40 @@ func NewVMWorld(cfg VMWorldConfig) *VMWorld {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 22
 	}
-	return &VMWorld{
-		cfg:  cfg,
-		prog: guest.Assemble(guest.ResilientServerProgram(cfg.Workers, cfg.Iters)),
-	}
+	return &VMWorld{cfg: cfg, lives: kernel.Lives{
+		Prog:     guest.Assemble(guest.ResilientServerProgram(cfg.Workers, cfg.Iters)),
+		StackTop: guest.StackTop(0), Config: kernel.PersistConfig(cfg.MaxCycles), Runner: cfg.Run}}
 }
 
 // CalibrateSpan runs a separate, throwaway machine cleanly and returns
 // its step count — the ordinal span a chaos.CrashPlan should scatter
 // crashes over.
-func (w *VMWorld) CalibrateSpan() (uint64, error) {
-	mem := vmach.NewMemory()
-	mem.EnablePersistence()
-	k := kernel.Boot(kernel.PersistConfig(mem, nil, w.cfg.MaxCycles), w.prog, "main", guest.StackTop(0), true)
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return k.Steps(), nil
-}
+func (w *VMWorld) CalibrateSpan() (uint64, error) { return w.lives.Calibrate() }
 
-func (w *VMWorld) appliedAddr(worker int) uint32 {
-	return w.prog.MustSymbol("applied") + uint32(worker)*64
-}
+func (w *VMWorld) appliedAddr(worker int) uint32 { return w.sym("applied") + uint32(worker)*64 }
 
 // sumApplied reads the durable dedup table.
 func (w *VMWorld) sumApplied() isa.Word {
 	var sum isa.Word
 	for i := 0; i < w.cfg.Workers; i++ {
-		sum += w.mem.Peek(w.appliedAddr(i))
+		sum += w.mem().Peek(w.appliedAddr(i))
 	}
 	return sum
 }
 
+func (w *VMWorld) mem() *vmach.Memory     { return w.lives.Memory() }
+func (w *VMWorld) sym(name string) uint32 { return w.lives.Prog.MustSymbol(name) }
+
 // Boot powers the machine on (cold the first time, warm — over the
 // surviving NVM, without reloading — after that) and runs one life.
 func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
-	cold := w.mem == nil
-	if cold {
-		w.mem = vmach.NewMemory()
-		w.mem.EnablePersistence()
-	}
-	k := kernel.Boot(kernel.PersistConfig(w.mem, inj, w.cfg.MaxCycles), w.prog, "main", guest.StackTop(0), cold)
+	cold := w.mem() == nil
+	k := w.lives.Boot(inj)
 	if cold {
 		// One watcher for the machine's whole existence: record the step
 		// at which this boot's recovery completed (R5 stores 1).
-		recAddr := w.prog.MustSymbol("recovered")
-		w.mem.Watch(recAddr, func(old, new isa.Word) {
+		recAddr := w.sym("recovered")
+		w.mem().Watch(recAddr, func(old, new isa.Word) {
 			if new == 1 && !w.recSeen {
 				w.recSeen = true
 				w.recSteps = w.kern.Steps()
@@ -106,21 +94,21 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	// BIOS-level boot flags, durable by construction: clear the
 	// recovery-complete word so a crash classifies against THIS life's
 	// recovery, and set the service mode the supervisor chose.
-	w.mem.Poke(w.prog.MustSymbol("recovered"), 0)
+	w.mem().Poke(w.sym("recovered"), 0)
 	ro := isa.Word(0)
 	if degraded {
 		ro = 1
 	}
-	w.mem.Poke(w.prog.MustSymbol("readonly"), ro)
+	w.mem().Poke(w.sym("readonly"), ro)
 
 	var rep Report
-	err := k.Run()
+	err := w.lives.Run(k)
 	rep.Cycles = k.Steps()
 	rep.RecoveryCycles = w.recSteps
 	switch {
 	case errors.Is(err, kernel.ErrMachineCrash):
 		rep.Crashed = true
-		rep.InRecovery = w.mem.Peek(w.prog.MustSymbol("recovered")) == 0
+		rep.InRecovery = w.mem().Peek(w.sym("recovered")) == 0
 	case err != nil:
 		rep.Err = err
 		return rep
@@ -131,8 +119,8 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	// W2..W3 window, where the dedup entry is durable but the counter
 	// increment is not — legal only if it is a single effect and the WAL
 	// intent that will repair it on the next boot survived.
-	if w.mem.Peek(w.prog.MustSymbol("recovered")) == 1 {
-		c, s := w.mem.Peek(w.prog.MustSymbol("counter")), w.sumApplied()
+	if w.mem().Peek(w.sym("recovered")) == 1 {
+		c, s := w.mem().Peek(w.sym("counter")), w.sumApplied()
 		switch {
 		case !rep.Crashed && c != s:
 			rep.Err = fmt.Errorf("counter %d != sum(applied) %d", c, s)
@@ -143,7 +131,7 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 		case rep.Crashed && s-c > 1:
 			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d by more than one effect", c, s)
 			return rep
-		case rep.Crashed && s-c == 1 && w.mem.Peek(w.prog.MustSymbol("wal")) == 0:
+		case rep.Crashed && s-c == 1 && w.mem().Peek(w.sym("wal")) == 0:
 			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d with no surviving intent", c, s)
 			return rep
 		}
@@ -158,22 +146,22 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 // NVM — every worker's whole range applied, the counter equal to the
 // total, the WAL retired, the lock free.
 func (w *VMWorld) Check() error {
-	if w.mem == nil {
+	if w.mem() == nil {
 		return errors.New("vmworld: never booted")
 	}
 	for i := 0; i < w.cfg.Workers; i++ {
-		if got := w.mem.Peek(w.appliedAddr(i)); got != isa.Word(w.cfg.Iters) {
+		if got := w.mem().Peek(w.appliedAddr(i)); got != isa.Word(w.cfg.Iters) {
 			return fmt.Errorf("final audit: worker %d applied = %d, want %d", i+1, got, w.cfg.Iters)
 		}
 	}
 	want := isa.Word(w.cfg.Workers * w.cfg.Iters)
-	if got := w.mem.Peek(w.prog.MustSymbol("counter")); got != want {
+	if got := w.mem().Peek(w.sym("counter")); got != want {
 		return fmt.Errorf("final audit: counter = %d, want %d (exactly-once broken)", got, want)
 	}
-	if wal := w.mem.Peek(w.prog.MustSymbol("wal")); wal != 0 {
+	if wal := w.mem().Peek(w.sym("wal")); wal != 0 {
 		return fmt.Errorf("final audit: unretired WAL intent %#x", wal)
 	}
-	if held := guest.HeldLock(w.mem.Peek(w.prog.MustSymbol("lock"))); held != "" {
+	if held := guest.HeldLock(w.mem().Peek(w.sym("lock"))); held != "" {
 		return fmt.Errorf("final audit: %s", held)
 	}
 	return nil
@@ -182,8 +170,8 @@ func (w *VMWorld) Check() error {
 // Repairs reads the durable count of lock repairs (recovery-path and
 // orphan-steal) the machine performed across its lives.
 func (w *VMWorld) Repairs() uint64 {
-	if w.mem == nil {
+	if w.mem() == nil {
 		return 0
 	}
-	return uint64(w.mem.Peek(w.prog.MustSymbol("repairs")))
+	return uint64(w.mem().Peek(w.sym("repairs")))
 }

@@ -36,7 +36,7 @@ func BenchmarkKernelRun(b *testing.B) {
 		k := Boot(Config{Strategy: m.strat(), CheckAt: m.at, Quantum: 300,
 			Faults:   chaos.NewPlan(chaos.Derive(1, uint64(i)), 0.25),
 			Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend}},
-			prog, "main", guest.StackTop(0), true)
+			prog, guest.StackTop(0))
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

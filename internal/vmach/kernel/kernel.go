@@ -198,8 +198,6 @@ type Config struct {
 	Strategy Strategy  // nil means NoRecovery
 	CheckAt  CheckTime // when the PC check runs
 	Quantum  uint64    // timeslice in cycles (0: default 10000)
-	// PageFaultServiceCycles is charged to fault a page in. Default 2000.
-	PageFaultServiceCycles uint64
 	// MaxCycles aborts a run that exceeds the budget. Default 2^40.
 	MaxCycles uint64
 	// EvictEvery, when nonzero, evicts the suspended thread's code page on
@@ -239,15 +237,14 @@ type Kernel struct {
 	// CPUID is which CPU of an SMP complex this kernel is (0 standalone).
 	CPUID int
 
-	pageFaultCycles uint64
-	maxCycles       uint64
-	evictEvery      uint64
-	faultAt         chaos.Cursor
-	watchdog        chaos.Watchdog
-	steps           uint64         // retired-instruction ordinal for PointStep
-	livelock        *LivelockError // set by a watchdog abort; ends the run
-	crashed         error          // set by an injected machine crash; ends the run
-	deathFns        []func(*Thread)
+	maxCycles  uint64
+	evictEvery uint64
+	faultAt    chaos.Cursor
+	watchdog   chaos.Watchdog
+	steps      uint64         // retired-instruction ordinal for PointStep
+	livelock   *LivelockError // set by a watchdog abort; ends the run
+	crashed    error          // set by an injected machine crash; ends the run
+	deathFns   []func(*Thread)
 
 	threads []*Thread
 	runq    []*Thread
@@ -304,25 +301,21 @@ func New(cfg Config) *Kernel {
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 10000
 	}
-	if cfg.PageFaultServiceCycles == 0 {
-		cfg.PageFaultServiceCycles = 2000
-	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 40
 	}
 	return &Kernel{
-		waitq:           make(map[uint32][]*Thread),
-		M:               vmach.NewWithMemory(cfg.Profile, cfg.Memory),
-		CPUID:           cfg.CPUID,
-		Profile:         cfg.Profile,
-		Strategy:        cfg.Strategy,
-		CheckAt:         cfg.CheckAt,
-		Quantum:         cfg.Quantum,
-		pageFaultCycles: cfg.PageFaultServiceCycles,
-		maxCycles:       cfg.MaxCycles,
-		evictEvery:      cfg.EvictEvery,
-		faultAt:         chaos.NewCursor(cfg.Faults),
-		watchdog:        cfg.Watchdog,
+		waitq:      make(map[uint32][]*Thread),
+		M:          vmach.NewWithMemory(cfg.Profile, cfg.Memory),
+		CPUID:      cfg.CPUID,
+		Profile:    cfg.Profile,
+		Strategy:   cfg.Strategy,
+		CheckAt:    cfg.CheckAt,
+		Quantum:    cfg.Quantum,
+		maxCycles:  cfg.MaxCycles,
+		evictEvery: cfg.EvictEvery,
+		faultAt:    chaos.NewCursor(cfg.Faults),
+		watchdog:   cfg.Watchdog,
 	}
 }
 
@@ -943,10 +936,13 @@ func (k *Kernel) watchdogRestart(t *Thread) {
 	k.livelock = &LivelockError{Thread: t.ID, SeqPC: start, Restarts: t.SeqRestarts}
 }
 
+// pageFaultCycles is charged to fault a page in.
+const pageFaultCycles = 2000
+
 func (k *Kernel) servicePage(addr uint32) {
 	k.Stats.PageFaults++
 	k.trace(obs.KindPageFault, k.cur, uint64(addr))
-	k.chargeKernel(k.pageFaultCycles)
+	k.chargeKernel(pageFaultCycles)
 	k.M.Mem.SetPresent(addr, true)
 }
 

@@ -20,6 +20,13 @@ func persistMem() *vmach.Memory {
 	return m
 }
 
+// persistConfig is PersistConfig over mem under faults, unbudgeted.
+func persistConfig(mem *vmach.Memory, faults chaos.Injector) Config {
+	cfg := PersistConfig(0)
+	cfg.Memory, cfg.Faults = mem, faults
+	return cfg
+}
+
 // TestCrashIsFullyPersistent pins the legacy contract satellite to the
 // chaos.Action.Crash doc: Crash models a machine with fully persistent
 // memory, so every committed store survives the halt — even on a memory
@@ -30,9 +37,9 @@ func TestCrashIsFullyPersistent(t *testing.T) {
 	const crashAt = 2000
 	run := func(act chaos.Action) (counter isa.Word, increments int) {
 		mem := persistMem()
-		k, prog := boot(t, PersistConfig(mem, chaos.OneShot{
+		k, prog := boot(t, persistConfig(mem, chaos.OneShot{
 			Point: chaos.PointStep, N: crashAt, Action: act,
-		}, 0), guest.RecoverableCounterProgram(2, 50))
+		}), guest.RecoverableCounterProgram(2, 50))
 		counterAddr := prog.MustSymbol("counter")
 		mem.Watch(counterAddr, func(old, new isa.Word) { increments++ })
 		if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
@@ -108,7 +115,7 @@ func TestCrashVolatileDegradesToCrashOnPlainMemory(t *testing.T) {
 func crashThenReboot(t *testing.T, src string, faults chaos.Injector) (c0 isa.Word, incrs int, k2 *Kernel, prog2 *program) {
 	t.Helper()
 	mem := persistMem()
-	k, prog := boot(t, PersistConfig(mem, faults, 0), src)
+	k, prog := boot(t, persistConfig(mem, faults), src)
 	counterAddr := prog.MustSymbol("counter")
 	mem.Watch(counterAddr, func(old, new isa.Word) { incrs++ })
 	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
@@ -117,7 +124,7 @@ func crashThenReboot(t *testing.T, src string, faults chaos.Injector) (c0 isa.Wo
 	// The injected CrashVolatile already discarded the volatile tier: what
 	// memory holds now is NVM contents only.
 	c0 = mem.Peek(counterAddr)
-	k2 = New(PersistConfig(mem, nil, 0))
+	k2 = New(persistConfig(mem, nil))
 	// No Load on reboot: the program image is already durable in NVM, and
 	// reloading would also reset the very data words recovery must read.
 	k2.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
@@ -129,7 +136,7 @@ type program struct{ counter, lock, repairs uint32 }
 // calibrateSteps runs src uninjected and returns its PointStep count.
 func calibrateSteps(t *testing.T, src string) uint64 {
 	t.Helper()
-	k, _ := boot(t, PersistConfig(persistMem(), nil, 0), src)
+	k, _ := boot(t, persistConfig(persistMem(), nil), src)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +191,7 @@ func TestUnderflushedCounterLosesIncrements(t *testing.T) {
 		return chaos.Action{}
 	})
 	mem := persistMem()
-	k, prog := boot(t, PersistConfig(mem, inj, 0), guest.UnderflushedCounterProgram(1, 6))
+	k, prog := boot(t, persistConfig(mem, inj), guest.UnderflushedCounterProgram(1, 6))
 	mem.Watch(prog.MustSymbol("counter"), func(old, new isa.Word) { incrs++ })
 	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
 		t.Fatalf("Run = %v, want ErrMachineCrash", err)
@@ -217,9 +224,9 @@ func TestPersistentReleasePathKillSweep(t *testing.T) {
 	total := calibrateSteps(t, src) // bounds the sweep
 	for at := uint64(1); at <= total; at++ {
 		mem := persistMem()
-		k, prog := boot(t, PersistConfig(mem, chaos.OneShot{
+		k, prog := boot(t, persistConfig(mem, chaos.OneShot{
 			Point: chaos.PointStep, N: at, Action: chaos.Action{Kill: true},
-		}, 0), src)
+		}), src)
 		counterAddr := prog.MustSymbol("counter")
 		lockAddr := prog.MustSymbol("lock")
 		violations := 0

@@ -104,7 +104,7 @@ func counterBoot(cfg Config, m guest.Mechanism, workers, iters int) bootFunc {
 // memory, crashing at step n with act.
 func persistBoot(n uint64, act chaos.Action) bootFunc {
 	return func(t testing.TB) (*Kernel, *asm.Program) {
-		return boot(t, PersistConfig(persistMem(), chaos.OneShot{Point: chaos.PointStep, N: n, Action: act}, 0),
+		return boot(t, persistConfig(persistMem(), chaos.OneShot{Point: chaos.PointStep, N: n, Action: act}),
 			guest.RecoverableCounterProgram(2, 50))
 	}
 }
