@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRecognizer -fuzztime=30s ./internal/vmach/kernel/
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/vmach/kernel/
 	$(GO) test -fuzz=FuzzKernelRun -fuzztime=30s ./internal/vmach/kernel/
+	$(GO) test -fuzz=FuzzStepUpTo -fuzztime=30s ./internal/vmach/kernel/
 	$(GO) test -fuzz=FuzzSMPCheckpoint -fuzztime=30s ./internal/vmach/smp/
 	$(GO) test -fuzz=FuzzChaosPlan -fuzztime=30s ./internal/chaos/
 	$(GO) test -fuzz=FuzzInjectorNext -fuzztime=30s ./internal/chaos/

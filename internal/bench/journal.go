@@ -206,7 +206,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 	salt := uint64(0x7A) + uint64(mode)
 	var repairs uint64
 	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.Derive(cfg.Seed, salt, uint64(c))%span + 1
+		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
 		arena := pstructBenchArena("stack", cfg.Ops)
 		committed := 0
 		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
@@ -302,7 +302,7 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 	var written, replayed uint64
 	var crashes int
 	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.Derive(cfg.Seed, 0x8A, uint64(c))%span + 1
+		at := chaos.DeriveOrdinal(span, cfg.Seed, 0x8A, uint64(c))
 		arena := make([]uniproc.Word, 4096)
 		committed := 0
 		reg1 := obs.NewRegistry()

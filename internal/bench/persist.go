@@ -151,7 +151,7 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 	var repairs uint64
 	var maxLoss int64
 	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.Derive(cfg.Seed, 0x5A, uint64(c))%span + 1
+		at := chaos.DeriveOrdinal(span, cfg.Seed, 0x5A, uint64(c))
 		mu := core.NewPersistentMutex()
 		var counter core.Word
 		committed := 0

@@ -147,7 +147,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 			n := 1 + int(chaos.Derive(cfg.Seed, 0x55, uint64(s))%3)
 			shots := make([]chaos.Injector, 0, n)
 			for i := 0; i < n; i++ {
-				at := chaos.Derive(cfg.Seed, 0x55, uint64(s), uint64(i))%span + 1
+				at := chaos.DeriveOrdinal(span, cfg.Seed, 0x55, uint64(s), uint64(i))
 				shots = append(shots, chaos.OneShot{Point: chaos.PointMemOp, N: at, Action: chaos.Action{Kill: true}})
 			}
 			p, m, counter, gocount, err := run(chaos.Compose(shots...))
@@ -199,7 +199,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 			n := 1 + int(chaos.Derive(cfg.Seed, 0x56, uint64(s))%3)
 			shots := make([]chaos.Injector, 0, n)
 			for i := 0; i < n; i++ {
-				at := chaos.Derive(cfg.Seed, 0x56, uint64(s), uint64(i))%span + 1
+				at := chaos.DeriveOrdinal(span, cfg.Seed, 0x56, uint64(s), uint64(i))
 				shots = append(shots, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Kill: true}})
 			}
 			w := mk(chaos.Compose(shots...))
@@ -262,7 +262,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 		}
 		span := ref.k.Steps()
 		for c := 0; c < cfg.Crashes; c++ {
-			at := chaos.Derive(cfg.Seed, 0x57, uint64(c))%span + 1
+			at := chaos.DeriveOrdinal(span, cfg.Seed, 0x57, uint64(c))
 			w := newRMERun(vmCfg(&kernel.Registration{}, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}),
 				cfg.Workers, cfg.Iters)
 			if err := h.Run(w.k); !errors.Is(err, kernel.ErrMachineCrash) {

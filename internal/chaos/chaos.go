@@ -396,6 +396,14 @@ func Derive(seed uint64, vals ...uint64) uint64 {
 	return h
 }
 
+// DeriveOrdinal is the ordinal in [1, span] at which a seeded sweep
+// strikes — Derive(seed, vals...) reduced into the span. Every crash and
+// kill sweep draws its points through it, so a sweep's points replay from
+// (seed, vals) alone.
+func DeriveOrdinal(span, seed uint64, vals ...uint64) uint64 {
+	return Derive(seed, vals...)%span + 1
+}
+
 // OneShot is an Injector requesting a single action at exactly the N-th
 // occurrence of one point (ordinals are 1-based) and nothing anywhere else.
 // It is how the recovery sweeps express a deterministic schedule — "kill

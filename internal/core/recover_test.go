@@ -202,7 +202,7 @@ func TestRecoverableMutexKillSweep(t *testing.T) {
 		nKills := 1 + s%3
 		injs := make([]chaos.Injector, 0, nKills)
 		for k := 0; k < nKills; k++ {
-			n := chaos.Derive(0x524D45, uint64(s), uint64(k))%span + 1
+			n := chaos.DeriveOrdinal(span, 0x524D45, uint64(s), uint64(k))
 			injs = append(injs, chaos.OneShot{Point: chaos.PointMemOp, N: n, Action: chaos.Action{Kill: true}})
 		}
 		p, m, counter, gocount, err := rmeRun(chaos.Compose(injs...), 4, 25)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/chaos"
 	"repro/internal/vmach/smp"
 )
 
@@ -16,19 +17,29 @@ import (
 // when set, applies ActKill decisions to the CPU holding the
 // interleaving; without it they are no-ops here (the kernel-preempt
 // models render theirs through the chaos injector).
+//
+// The CPU holding the interleaving runs in batches (smp.System.StepCPU
+// with n > 1): nothing but that CPU moves until the turn ends, the next
+// decision's ordinal comes up or the caller's pause target is reached,
+// so a batch capped at the nearest of the three passes through exactly
+// the states single steps would, and rotation, ActSwitch and ActKill
+// apply at the same global ordinal.
 type interleaver struct {
 	sys     *smp.System
 	vio     violations
 	ds      []Decision // sorted by At; next is ds[di]
 	di      int
 	cur     int    // CPU holding the interleaving
-	steps   uint64 // global step ordinal: total StepCPU calls
+	steps   uint64 // global step ordinal: scheduler steps across CPUs
 	turn    uint64 // steps since the interleaving last moved
 	turnMax uint64
 	kill    func(cpu int)
 	finish  func() // the model's end-state invariants
 	done    bool
 	ended   bool
+	// single caps every batch at one step: the grain batching must be
+	// indistinguishable from. Only equivalence tests set it.
+	single bool
 }
 
 // next is the first unfinished CPU after cur, or cur when every CPU is
@@ -49,7 +60,9 @@ func (il *interleaver) rotate() {
 	il.turn = 0
 }
 
-func (il *interleaver) step() {
+// step runs one batch of the CPU holding the interleaving, stopping at
+// the global ordinal at at the latest.
+func (il *interleaver) step(at uint64) {
 	if il.sys.AllDone() {
 		il.done = true
 		return
@@ -57,9 +70,16 @@ func (il *interleaver) step() {
 	if il.sys.Done(il.cur) || il.turn >= il.turnMax {
 		il.rotate()
 	}
-	il.sys.StepCPU(il.cur)
-	il.steps++
-	il.turn++
+	n := min(at-il.steps, il.turnMax-il.turn)
+	if il.di < len(il.ds) && il.ds[il.di].At > il.steps {
+		n = min(n, il.ds[il.di].At-il.steps)
+	}
+	if il.single {
+		n = 1
+	}
+	ran, cpuDone := il.sys.StepCPU(il.cur, n)
+	il.steps += ran
+	il.turn += ran
 	for il.di < len(il.ds) && il.ds[il.di].At == il.steps {
 		switch il.ds[il.di].Act {
 		case ActSwitch:
@@ -71,14 +91,14 @@ func (il *interleaver) step() {
 		}
 		il.di++
 	}
-	if il.sys.AllDone() {
+	if cpuDone && il.sys.AllDone() {
 		il.done = true
 	}
 }
 
 func (il *interleaver) RunTo(at uint64) bool {
 	for !il.done && il.steps < at {
-		il.step()
+		il.step(at)
 	}
 	return il.done
 }
@@ -88,7 +108,7 @@ func (il *interleaver) RunTo(at uint64) bool {
 // invariants.
 func (il *interleaver) RunToEnd() {
 	for !il.done {
-		il.step()
+		il.step(chaos.Never)
 	}
 	if il.ended {
 		return

@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func pauseAgrees(t testing.TB, m scratchBuilder, ds []Decision) (fromWalker bool
 	if a, b := lazy.RunTo(at), full.RunTo(at); a != b {
 		t.Errorf("%v: RunTo done %v, from scratch %v", ds, a, b)
 	}
-	pausedAgrees(t, ds, lazy, full)
+	pausedAgrees(t, fmt.Sprint(ds), lazy, full)
 	sc, _ := lazy.(*switchChild)
 	fromWalker = sc != nil && sc.full == nil
 	lazy.RunToEnd()
@@ -63,19 +64,21 @@ func pauseAgrees(t testing.TB, m scratchBuilder, ds []Decision) (fromWalker bool
 	return fromWalker
 }
 
-// pausedAgrees compares two instances paused at the same ordinal.
-func pausedAgrees(t testing.TB, ds []Decision, lazy, full Instance) {
+// pausedAgrees compares an instance with its reference build (from
+// scratch, or single-stepped) at the same pause; what names the
+// schedule and the pause.
+func pausedAgrees(t testing.TB, what string, in, ref Instance) {
 	t.Helper()
-	if a, b := lazy.Cursor(), full.Cursor(); a != b {
-		t.Errorf("%v: cursor %d, from scratch %d", ds, a, b)
+	if a, b := in.Cursor(), ref.Cursor(); a != b {
+		t.Errorf("%s: cursor %d, reference %d", what, a, b)
 	}
-	ha, oka := lazy.StateHash()
-	hb, okb := full.StateHash()
+	ha, oka := in.StateHash()
+	hb, okb := ref.StateHash()
 	if ha != hb || oka != okb {
-		t.Errorf("%v: paused state hash differs from scratch", ds)
+		t.Errorf("%s: state hash differs from the reference", what)
 	}
-	if a, b := lazy.Violations(), full.Violations(); !slices.Equal(a, b) {
-		t.Errorf("%v: paused violations %v, from scratch %v", ds, a, b)
+	if a, b := in.Violations(), ref.Violations(); !slices.Equal(a, b) {
+		t.Errorf("%s: violations %v, reference %v", what, a, b)
 	}
 }
 
@@ -228,10 +231,10 @@ func TestSwitchWalkerHazards(t *testing.T) {
 		b.RunTo(19)
 		fa, _ := m.build(ds1, Options{})
 		fa.RunTo(7)
-		pausedAgrees(t, ds1, a, fa)
+		pausedAgrees(t, fmt.Sprint(ds1), a, fa)
 		fb, _ := m.build(ds2, Options{})
 		fb.RunTo(19)
-		pausedAgrees(t, ds2, b, fb)
+		pausedAgrees(t, fmt.Sprint(ds2), b, fb)
 	})
 
 	t.Run("run-to-end-only", func(t *testing.T) {
@@ -367,18 +370,130 @@ func FuzzSwitchWalker(f *testing.F) {
 // smp-counter{lock=llsc} at K=2 (25,644 schedules), and reports the
 // checker's throughput in schedules per second.
 func BenchmarkExhaustiveSMP(b *testing.B) {
-	m, err := BuildModel("smp-counter", map[string]string{"lock": "llsc"})
+	benchExhaustive(b, "smp-counter", map[string]string{"lock": "llsc"}, 2)
+}
+
+// BenchmarkExhaustivePercpuServer times the suite's global-lock
+// percpu-server entry at 2 CPUs, K=1: no state is pruned, so every one
+// of its ~4,255 schedules replays its prefix and runs to its end, almost
+// all of it in batches between decisions.
+func BenchmarkExhaustivePercpuServer(b *testing.B) {
+	benchExhaustive(b, "percpu-server", map[string]string{"variant": "mutex", "cpus": "2", "iters": "1"}, 1)
+}
+
+// benchExhaustive reports the schedules/s of an exhaustive walk.
+func benchExhaustive(b *testing.B, model string, over map[string]string, k int) {
+	m, err := BuildModel(model, over)
 	if err != nil {
 		b.Fatal(err)
 	}
 	schedules := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := (&Explorer{Model: m, MaxDecisions: 2}).Exhaustive()
+		rep, err := (&Explorer{Model: m, MaxDecisions: k}).Exhaustive()
 		if err != nil {
 			b.Fatal(err)
 		}
 		schedules += rep.Schedules
 	}
 	b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
+}
+
+// singleStepped builds ds's instance of m stepping one scheduler step
+// per call, the grain the batched instances must be indistinguishable
+// from.
+func singleStepped(t testing.TB, m Model, ds []Decision) Instance {
+	t.Helper()
+	in, err := m.New(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := in.(*switchChild); ok {
+		in = c.materialize()
+	}
+	switch in := in.(type) {
+	case *interleaver:
+		in.single = true
+	case *vmachInstance:
+		in.single = true
+	default:
+		t.Fatalf("%s builds a %T, which does not batch", m.Name(), in)
+	}
+	return in
+}
+
+// scheduleAgrees runs ds batched and single-stepped, pausing both at
+// its last decision, and requires the same answers there and at the end.
+func scheduleAgrees(t testing.TB, m Model, ds []Decision) {
+	t.Helper()
+	batched, err := m.New(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := singleStepped(t, m, ds)
+	at := ds[len(ds)-1].At
+	if a, b := batched.RunTo(at), single.RunTo(at); a != b {
+		t.Fatalf("%v: RunTo done %v, single-stepped %v", ds, a, b)
+	}
+	pausedAgrees(t, fmt.Sprint(ds, " paused"), batched, single)
+	batched.RunToEnd()
+	single.RunToEnd()
+	pausedAgrees(t, fmt.Sprint(ds, " at the end"), batched, single)
+}
+
+// Kernel.StepUpTo batches stand for exactly the single steps they
+// replace. On a percpu-preempt, a kill, a switch and a uniprocessor-
+// preempt model, three walks must read the same cursor, state hash and
+// violations batched as stepped one scheduler step per call:
+//
+//   - the undisturbed run, paused at ordinals 1, 3, 6, 10, ... (no
+//     decision caps these batches, so a pause that overshoots shows);
+//   - every K=1 child, paused at its decision and run to its end;
+//   - K=2 children whose first decision fires inside the batches of the
+//     walk to the second (every 16th first ordinal, gaps 1 and 5).
+func TestInterleaverBatchesMatchSingleStep(t *testing.T) {
+	for _, c := range []struct {
+		model string
+		over  map[string]string
+	}{
+		{"percpu-server", map[string]string{"variant": "mutex", "cpus": "2", "iters": "1"}},
+		{"qlock-rec", map[string]string{"variant": "rmcs"}},
+		{"smp-counter", map[string]string{"lock": "llsc"}},
+		{"counter", map[string]string{"mech": "registered"}},
+	} {
+		t.Run(c.model, func(t *testing.T) {
+			t.Parallel()
+			m, err := BuildModel(c.model, c.over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := m.New(nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := singleStepped(t, m, nil)
+			for at, gap := uint64(1), uint64(2); ; at, gap = at+gap, gap+1 {
+				if a, b := root.RunTo(at), ref.RunTo(at); a != b {
+					t.Fatalf("undisturbed run: RunTo(%d) done %v, single-stepped %v", at, a, b)
+				} else if a {
+					break
+				}
+				if pausedAgrees(t, fmt.Sprintf("undisturbed run paused at %d", at), root, ref); t.Failed() {
+					return
+				}
+			}
+			root.RunToEnd()
+			ref.RunToEnd()
+			pausedAgrees(t, "undisturbed run at the end", root, ref)
+			act := m.Primary()
+			for at := uint64(1); at <= root.Cursor() && !t.Failed(); at++ {
+				scheduleAgrees(t, m, []Decision{{At: at, Act: act}})
+				if at%16 == 1 {
+					for _, gap := range []uint64{1, 5} {
+						scheduleAgrees(t, m, []Decision{{At: at, Act: act}, {At: at + gap, Act: act}})
+					}
+				}
+			}
+		})
+	}
 }

@@ -35,6 +35,9 @@ type vmachInstance struct {
 	expectCrash bool
 	// finish applies the model's end-state invariants.
 	finish func()
+	// single caps every batch at one step: the grain batching must be
+	// indistinguishable from. Only equivalence tests set it.
+	single bool
 }
 
 // newVmachInstance builds the standard model-checking kernel around an
@@ -53,8 +56,15 @@ func newVmachInstance(strat kernel.Strategy, ds []Decision, opt Options) *vmachI
 	return &vmachInstance{k: k, expectCrash: hasAct(ds, ActCrash)}
 }
 
-func (in *vmachInstance) step() {
-	fin, err := in.k.StepOne()
+// step runs the kernel up to n steps further in one batch: the quiet
+// instructions of a batch are exactly the step ordinals no decision can
+// fire at, so a batch that stops at the caller's pause target passes
+// through the states single steps would.
+func (in *vmachInstance) step(n uint64) {
+	if in.single {
+		n = 1
+	}
+	_, fin, err := in.k.StepUpTo(n)
 	if fin {
 		in.done = true
 		in.runErr = err
@@ -63,14 +73,14 @@ func (in *vmachInstance) step() {
 
 func (in *vmachInstance) RunTo(at uint64) bool {
 	for !in.done && in.k.Steps() < at {
-		in.step()
+		in.step(at - in.k.Steps())
 	}
 	return in.done
 }
 
 func (in *vmachInstance) RunToEnd() {
 	for !in.done {
-		in.step()
+		in.step(chaos.Never)
 	}
 	if in.ended {
 		return

@@ -90,8 +90,6 @@ type Config struct {
 	// re-promotion; each demotion doubles the effective threshold.
 	// Default 2.
 	RepromoteAfter int
-	// OnBoot, when set, observes each boot before it runs.
-	OnBoot func(boot int, degraded bool, backoff uint64)
 }
 
 func (c *Config) defaults() {
@@ -181,9 +179,6 @@ func Supervise(w World, cfg Config) (Outcome, error) {
 		var inj chaos.Injector
 		if cfg.Boots != nil {
 			inj = cfg.Boots(boot)
-		}
-		if cfg.OnBoot != nil {
-			cfg.OnBoot(boot, degraded, wait)
 		}
 		rep := w.Boot(boot, inj, degraded)
 		out.Reports = append(out.Reports, rep)

@@ -405,7 +405,7 @@ var ErrMachineCrash = errors.New("kernel: injected machine crash")
 // if any thread faulted or the cycle budget was exceeded.
 func (k *Kernel) Run() error {
 	for {
-		if fin, err := k.stepOnce(chaos.Never); fin {
+		if _, fin, err := k.stepOnce(chaos.Never); fin {
 			return err
 		}
 	}
@@ -420,7 +420,7 @@ func (k *Kernel) RunSteps(n uint64) (finished bool, err error) {
 	target := k.M.Stats.Instructions + n
 	for k.M.Stats.Instructions < target {
 		// A batch ends on the instruction that reaches target at the latest.
-		if fin, e := k.stepOnce(target - k.M.Stats.Instructions - 1); fin {
+		if _, fin, e := k.stepOnce(target - k.M.Stats.Instructions - 1); fin {
 			return true, e
 		}
 	}
@@ -430,34 +430,52 @@ func (k *Kernel) RunSteps(n uint64) (finished bool, err error) {
 // StepOne performs one scheduler iteration — dispatch or one guest
 // instruction — reporting whether the run finished and its verdict. It is
 // the instruction-granularity stepping hook the SMP round-robin scheduler
-// and the model checker drive; Run is equivalent to calling it until
-// finished.
-func (k *Kernel) StepOne() (finished bool, err error) { return k.stepOnce(0) }
+// drives; Run is equivalent to calling it until finished. StepOne is
+// StepUpTo(1).
+func (k *Kernel) StepOne() (finished bool, err error) {
+	_, finished, err = k.stepOnce(0)
+	return finished, err
+}
+
+// StepUpTo does the work of up to n StepOne calls in one scheduler
+// iteration: a dispatch, or a quiet batch of at most n-1 instructions
+// after which the kernel would only count a step, followed by one
+// instruction serviced as StepOne services it. It returns how many
+// StepOne calls that work stood for (1 plus the batch's quiet
+// instructions, never more than n) and the run's verdict once finished.
+// A caller that interleaves at StepOne grain — the model checker — caps
+// n at its next scheduling decision and so sees every state it would
+// have seen stepping singly. An n of 0 counts as 1.
+func (k *Kernel) StepUpTo(n uint64) (steps uint64, finished bool, err error) {
+	quiet, finished, err := k.stepOnce(max(n, 1) - 1)
+	return quiet + 1, finished, err
+}
 
 // stepOnce performs one scheduler iteration: dispatch if no thread is
 // running, otherwise execute the running thread's instructions up to one
 // the kernel must see — passing at most limit quiet ones before it — and
-// service whatever that one raised. It reports the run finished (with
-// the run's verdict) or not.
-func (k *Kernel) stepOnce(limit uint64) (finished bool, err error) {
+// service whatever that one raised. It reports how many quiet
+// instructions it passed, and whether the run finished (with the run's
+// verdict).
+func (k *Kernel) stepOnce(limit uint64) (quiet uint64, finished bool, err error) {
 	if k.livelock != nil {
-		return true, k.livelock
+		return 0, true, k.livelock
 	}
 	if k.crashed != nil {
-		return true, k.crashed
+		return 0, true, k.crashed
 	}
 	if k.cur == nil {
 		if len(k.runq) == 0 {
 			if k.blocked > 0 {
-				return true, ErrDeadlock
+				return 0, true, ErrDeadlock
 			}
-			return true, k.finish()
+			return 0, true, k.finish()
 		}
 		k.dispatch()
-		return false, nil // re-test livelock: a resume-time check may have aborted
+		return 0, false, nil // re-test livelock: a resume-time check may have aborted
 	}
 	if k.M.Stats.Cycles > k.maxCycles {
-		return true, ErrBudget
+		return 0, true, ErrBudget
 	}
 
 	var ev vmach.Event
@@ -469,7 +487,7 @@ func (k *Kernel) stepOnce(limit uint64) (finished bool, err error) {
 	case limit == 0:
 		ev = k.M.Step(&k.cur.Ctx)
 	default:
-		ev = k.runQuiet(limit)
+		ev, quiet = k.runQuiet(limit)
 	}
 	switch ev.Kind {
 	case vmach.EventNone:
@@ -496,7 +514,7 @@ func (k *Kernel) stepOnce(limit uint64) (finished bool, err error) {
 	case vmach.EventFault:
 		k.fault(ev.Fault)
 	}
-	return false, nil
+	return quiet, false, nil
 }
 
 // runQuiet executes the running thread through its quiet window: the
@@ -504,8 +522,9 @@ func (k *Kernel) stepOnce(limit uint64) (finished bool, err error) {
 // the slice has time left, the cycle budget holds, the lock bit is clear
 // and the fault cursor promises no step fault below its hint. It passes
 // at most limit of them and returns the event of the instruction that
-// ended the window, which the caller services as if it were the only one.
-func (k *Kernel) runQuiet(limit uint64) vmach.Event {
+// ended the window, which the caller services as if it were the only one,
+// and how many quiet instructions it passed before it.
+func (k *Kernel) runQuiet(limit uint64) (vmach.Event, uint64) {
 	var quiet uint64
 	if next := k.faultAt.Quiet(chaos.PointStep); next > k.steps+1 {
 		quiet = min(limit, next-k.steps-1)
@@ -523,7 +542,7 @@ func (k *Kernel) runQuiet(limit uint64) vmach.Event {
 	ev, n := k.M.Run(&k.cur.Ctx, quiet, until)
 	k.steps += base + n
 	k.batching = false
-	return ev
+	return ev, n
 }
 
 func (k *Kernel) finish() error {

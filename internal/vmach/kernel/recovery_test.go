@@ -213,7 +213,7 @@ func TestRecoverableCounterKillSweep(t *testing.T) {
 				n := 1 + int(chaos.Derive(seed, uint64(s))%3)
 				var shots []chaos.Injector
 				for i := 0; i < n; i++ {
-					at := chaos.Derive(seed, uint64(s), uint64(i))%span + 1
+					at := chaos.DeriveOrdinal(span, seed, uint64(s), uint64(i))
 					shots = append(shots, chaos.OneShot{
 						Point: chaos.PointStep, N: at, Action: chaos.Action{Kill: true},
 					})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -113,16 +114,17 @@ func plan(seed uint64, level float64) chaos.Injector { return chaos.NewPlan(seed
 
 var extend = chaos.Watchdog{Policy: chaos.WatchdogExtend}
 
-// Run passes quiet instructions in batches; nothing a run leaves behind
-// may tell it from the StepOne loop it replaces: stats, step ordinals,
-// console, checkpoint bytes, error text, trace events and what memory
-// watchers saw.
-func TestRunMatchesStepOne(t *testing.T) {
-	type runCase struct {
-		name  string
-		build bootFunc
-		err   bool // the run must end in an error
-	}
+// runCase is one kernel configuration the batched paths are checked on.
+type runCase struct {
+	name  string
+	build bootFunc
+	err   bool // the run must end in an error
+}
+
+// runCases covers chaos plans at every intensity on each mechanism, a
+// kill plan, the three crash kinds, the i860 lock bit, a write buffer and
+// cycle budgets that overrun at many points.
+func runCases() []runCase {
 	cases := []runCase{
 		{"designated/level0", counterBoot(Config{Strategy: &Designated{}, CheckAt: CheckAtResume, Quantum: 300,
 			Faults: plan(1, 0), Watchdog: extend}, guest.MechDesignated, 4, 300), false},
@@ -154,7 +156,15 @@ func TestRunMatchesStepOne(t *testing.T) {
 		cases = append(cases, runCase{fmt.Sprintf("budget/%d", budget), counterBoot(Config{Strategy: &Designated{},
 			CheckAt: CheckAtResume, Quantum: 300, MaxCycles: budget, Faults: plan(8, 0.25)}, guest.MechDesignated, 4, 300), true})
 	}
-	for _, c := range cases {
+	return cases
+}
+
+// Run passes quiet instructions in batches; nothing a run leaves behind
+// may tell it from the StepOne loop it replaces: stats, step ordinals,
+// console, checkpoint bytes, error text, trace events and what memory
+// watchers saw.
+func TestRunMatchesStepOne(t *testing.T) {
+	for _, c := range runCases() {
 		t.Run(c.name, func(t *testing.T) {
 			r := assertRunMatchesStepOne(t, c.build)
 			if (r.Err != "") != c.err {
@@ -164,6 +174,109 @@ func TestRunMatchesStepOne(t *testing.T) {
 				t.Error("no counter store observed; the watcher check is vacuous")
 			}
 		})
+	}
+}
+
+// cutSize draws cut c's StepUpTo budget from seed: mostly short cuts,
+// which land inside quiet windows, some long ones and some unbounded
+// ones, which only the kernel's own window ends.
+func cutSize(seed uint64, c int) uint64 {
+	z := chaos.Derive(seed, uint64(c))
+	switch z % 8 {
+	case 0:
+		return chaos.Never
+	case 1, 2:
+		return 1 + (z>>8)%5000
+	}
+	return 1 + (z>>8)%16
+}
+
+// assertStepUpToMatchesStepOne drives one kernel by StepUpTo cuts drawn
+// from seed and a twin by StepOne calls, in lockstep: after each cut the
+// twin takes as many StepOne calls as the cut reported standing for, and
+// both must agree on whether the run finished, its error text, the
+// kernel and machine stats and the step ordinal (and, every 32nd cut,
+// the checkpoint bytes). At the end the two runs must leave the same
+// runResult, and the cuts' counts must sum to the StepOne calls.
+func assertStepUpToMatchesStepOne(t testing.TB, build bootFunc, seed uint64) runResult {
+	t.Helper()
+	var batched, single runResult
+	kb, prog := build(t)
+	observe(kb, prog, &batched)
+	ks, prog := build(t)
+	observe(ks, prog, &single)
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	var sum, calls uint64
+	var fin, sfin bool
+	var err, serr error
+	for cut := 0; !fin; cut++ {
+		n := cutSize(seed, cut)
+		var got uint64
+		got, fin, err = kb.StepUpTo(n)
+		if got < 1 || got > n {
+			t.Fatalf("cut %d: StepUpTo(%d) stood for %d StepOne calls", cut, n, got)
+		}
+		sum += got
+		for i := uint64(0); i < got; i++ {
+			if sfin {
+				t.Fatalf("cut %d: StepUpTo(%d) stood for %d StepOne calls, but the StepOne loop finished after %d",
+					cut, n, got, i)
+			}
+			sfin, serr = ks.StepOne()
+			calls++
+		}
+		switch {
+		case fin != sfin || errText(err) != errText(serr):
+			t.Fatalf("cut %d: StepUpTo = %v, %v; StepOne loop = %v, %v", cut, fin, err, sfin, serr)
+		case kb.Stats != ks.Stats || kb.M.Stats != ks.M.Stats || kb.Steps() != ks.Steps():
+			t.Fatalf("cut %d (StepUpTo(%d) = %d): StepUpTo run at step %d, stats %+v, %+v;\n StepOne loop at step %d, stats %+v, %+v",
+				cut, n, got, kb.Steps(), kb.Stats, kb.M.Stats, ks.Steps(), ks.Stats, ks.M.Stats)
+		case cut%32 == 0 && !reflect.DeepEqual(kb.Capture().Encode(), ks.Capture().Encode()):
+			t.Fatalf("cut %d: checkpoint differs at step %d", cut, kb.Steps())
+		}
+	}
+	batched.finish(kb, err)
+	single.finish(ks, serr)
+	if !reflect.DeepEqual(batched, single) {
+		t.Fatalf("StepUpTo cuts differ from a StepOne loop: err=%q vs %q, %d vs %d events, %d vs %d stores",
+			batched.Err, single.Err, len(batched.Events), len(single.Events), len(batched.Stores), len(single.Stores))
+	}
+	if sum != calls {
+		t.Fatalf("StepUpTo cuts stood for %d StepOne calls; the StepOne loop made %d", sum, calls)
+	}
+	return batched
+}
+
+// StepUpTo(n) is the work of up to n StepOne calls: cut anywhere, it
+// leaves exactly the state that many single steps leave, so the model
+// checker can batch between its decisions.
+func TestStepUpToMatchesStepOne(t *testing.T) {
+	for _, c := range runCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				r := assertStepUpToMatchesStepOne(t, c.build, seed)
+				if (r.Err != "") != c.err {
+					t.Errorf("seed %d: run error %q; want an error: %v", seed, r.Err, c.err)
+				}
+				if len(r.Stores) == 0 {
+					t.Errorf("seed %d: no counter store observed; the watcher check is vacuous", seed)
+				}
+			}
+		})
+	}
+}
+
+// Every mcheck schedule and crash-restart boot allocates a Kernel, and
+// 512 bytes is a malloc size class: a field that pushes the struct past
+// it costs every one of those allocations the next class up.
+func TestKernelFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Kernel{}); size > 512 {
+		t.Errorf("unsafe.Sizeof(Kernel{}) = %d, want <= 512", size)
 	}
 }
 
@@ -210,6 +323,31 @@ func TestRunStepsCutsMatchStepOne(t *testing.T) {
 	}
 }
 
+// fuzzMechs are the mechanisms the fuzz targets pick from.
+var fuzzMechs = []struct {
+	mech    guest.Mechanism
+	profile *arch.Profile
+	strat   func() Strategy
+	at      CheckTime
+}{
+	{guest.MechDesignated, nil, func() Strategy { return &Designated{} }, CheckAtResume},
+	{guest.MechRegistered, nil, func() Strategy { return &Registration{} }, CheckAtSuspend},
+	{guest.MechEmul, nil, func() Strategy { return NoRecovery{} }, CheckAtSuspend},
+	{guest.MechLockB, arch.I860(), func() Strategy { return NoRecovery{} }, CheckAtSuspend},
+}
+
+// fuzzBoot builds a two-worker counter under a chaos plan from fuzz
+// inputs.
+func fuzzBoot(seed uint64, level uint8, quantum uint16, mech uint8, budget uint16) bootFunc {
+	m := fuzzMechs[int(mech)%len(fuzzMechs)]
+	return func(t testing.TB) (*Kernel, *asm.Program) {
+		return boot(t, Config{Profile: m.profile, Strategy: m.strat(), CheckAt: m.at,
+			Quantum: uint64(quantum%4096) + 8, MaxCycles: 64*uint64(budget) + uint64(quantum),
+			Faults: chaos.NewPlan(seed, float64(level)/255), Watchdog: extend},
+			guest.MutexCounterProgram(m.mech, 2, 40))
+	}
+}
+
 // FuzzKernelRun checks Run against a StepOne loop over random plan
 // seeds, intensities, quanta, mechanisms and cycle budgets.
 func FuzzKernelRun(f *testing.F) {
@@ -217,25 +355,19 @@ func FuzzKernelRun(f *testing.F) {
 	f.Add(uint64(0xBEEF), uint8(255), uint16(37), uint8(1), uint16(0xFFFF))
 	f.Add(uint64(7), uint8(0), uint16(5000), uint8(2), uint16(301))
 	f.Add(uint64(42), uint8(128), uint16(53), uint8(3), uint16(77))
-	mechs := []struct {
-		mech    guest.Mechanism
-		profile *arch.Profile
-		strat   func() Strategy
-		at      CheckTime
-	}{
-		{guest.MechDesignated, nil, func() Strategy { return &Designated{} }, CheckAtResume},
-		{guest.MechRegistered, nil, func() Strategy { return &Registration{} }, CheckAtSuspend},
-		{guest.MechEmul, nil, func() Strategy { return NoRecovery{} }, CheckAtSuspend},
-		{guest.MechLockB, arch.I860(), func() Strategy { return NoRecovery{} }, CheckAtSuspend},
-	}
 	f.Fuzz(func(t *testing.T, seed uint64, level uint8, quantum uint16, mech uint8, budget uint16) {
-		m := mechs[int(mech)%len(mechs)]
-		build := func(t testing.TB) (*Kernel, *asm.Program) {
-			return boot(t, Config{Profile: m.profile, Strategy: m.strat(), CheckAt: m.at,
-				Quantum: uint64(quantum%4096) + 8, MaxCycles: 64*uint64(budget) + uint64(quantum),
-				Faults: chaos.NewPlan(seed, float64(level)/255), Watchdog: extend},
-				guest.MutexCounterProgram(m.mech, 2, 40))
-		}
-		assertRunMatchesStepOne(t, build)
+		assertRunMatchesStepOne(t, fuzzBoot(seed, level, quantum, mech, budget))
+	})
+}
+
+// FuzzStepUpTo checks StepUpTo cuts against a StepOne loop over random
+// cut seeds, plan seeds, intensities, quanta, mechanisms and budgets.
+func FuzzStepUpTo(f *testing.F) {
+	f.Add(uint64(1), uint64(1), uint8(64), uint16(300), uint8(0), uint16(0xFFFF))
+	f.Add(uint64(2), uint64(0xBEEF), uint8(255), uint16(37), uint8(1), uint16(0xFFFF))
+	f.Add(uint64(3), uint64(7), uint8(0), uint16(5000), uint8(2), uint16(301))
+	f.Add(uint64(4), uint64(42), uint8(128), uint16(53), uint8(3), uint16(77))
+	f.Fuzz(func(t *testing.T, cuts, seed uint64, level uint8, quantum uint16, mech uint8, budget uint16) {
+		assertStepUpToMatchesStepOne(t, fuzzBoot(seed, level, quantum, mech, budget), cuts)
 	})
 }

@@ -123,11 +123,17 @@ func (m *Machine) ClearReservation() { m.resValid = false }
 // armed.
 func (m *Machine) Reservation() (uint32, bool) { return m.resAddr, m.resValid }
 
-// coherent charges the coherence cost model for one committed data access.
+// coherent charges the coherence cost model for one committed data
+// access. It is the inlined guard: a uniprocessor, with no hook, makes
+// no call.
 func (m *Machine) coherent(addr uint32, write bool) {
-	if m.Coherence == nil {
-		return
+	if m.Coherence != nil {
+		m.chargeCoherence(addr, write)
 	}
+}
+
+// chargeCoherence prices one committed data access on an SMP complex.
+func (m *Machine) chargeCoherence(addr uint32, write bool) {
 	extra, rmr := m.Coherence.Access(addr, write)
 	m.Stats.Cycles += extra
 	m.Stats.CoherenceCycles += extra
@@ -408,15 +414,20 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 	}
 }
 
-// writeBuffer models a write-through cache's store buffer (§5.1): each
-// store enqueues an entry that retires WriteBufferDrainCycles later; a
-// store against a full buffer stalls the processor until the oldest entry
-// drains. Disabled when the profile's depth is zero.
+// writeBuffer models a write-through cache's store buffer (§5.1) for one
+// store. It is the inlined guard: a profile without a buffer (depth zero)
+// makes no call.
 func (m *Machine) writeBuffer() {
-	p := m.Profile
-	if p.WriteBufferDepth <= 0 {
-		return
+	if m.Profile.WriteBufferDepth > 0 {
+		m.bufferStore()
 	}
+}
+
+// bufferStore enqueues a store's write-buffer entry, which retires
+// WriteBufferDrainCycles later; a store against a full buffer stalls the
+// processor until the oldest entry drains.
+func (m *Machine) bufferStore() {
+	p := m.Profile
 	now := m.Stats.Cycles
 	for len(m.wb) > 0 && m.wb[0] <= now {
 		m.wb = m.wb[1:]

@@ -19,7 +19,7 @@ func stepUntilPC(t *testing.T, s *System, cpu int, pc uint32) uint64 {
 		if cur := k.Current(); cur != nil && cur.Ctx.PC == pc {
 			return k.Steps()
 		}
-		if s.StepCPU(cpu) {
+		if _, done := s.StepCPU(cpu, 1); done {
 			t.Fatalf("cpu%d finished (%v) before reaching pc %#x", cpu, s.CPUVerdict(cpu), pc)
 		}
 	}
@@ -92,8 +92,8 @@ func TestKillLastRunnableOnOneCPU(t *testing.T) {
 	}
 	// Two steps retire only register setup — CPU0's worker has not
 	// touched the lock, so its death cannot strand the shared word.
-	s.StepCPU(0)
-	s.StepCPU(0)
+	s.StepCPU(0, 1)
+	s.StepCPU(0, 1)
 	if err := s.KillThread(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,8 @@ func TestCrashDuringHybridHandoff(t *testing.T) {
 		}
 		return nil
 	})
-	for !crashed.StepCPU(0) {
+	for done := false; !done; {
+		_, done = crashed.StepCPU(0, 1)
 	}
 	if err := crashed.CPUVerdict(0); !errors.Is(err, kernel.ErrMachineCrash) {
 		t.Fatalf("cpu0 verdict %v, want machine crash", err)

@@ -181,21 +181,23 @@ func (s *System) StepRound() (finished bool) {
 	return finished
 }
 
-// StepCPU advances one chosen CPU by a single scheduler step — the free
-// interleaving primitive the model checker builds arbitrary cross-CPU
-// schedules from, where StepRound fixes the round-robin order. Stepping a
-// finished CPU is a no-op. It reports whether that CPU has now finished;
-// a CPU that ends with an error keeps the error as its verdict.
-func (s *System) StepCPU(i int) (cpuDone bool) {
+// StepCPU advances one chosen CPU by up to n scheduler steps in one
+// kernel.StepUpTo — the free interleaving primitive the model checker
+// builds arbitrary cross-CPU schedules from, where StepRound fixes the
+// round-robin order. It returns how many single scheduler steps that
+// stood for (at most n; stepping a finished CPU is a no-op that counts
+// one) and whether that CPU has now finished; a CPU that ends with an
+// error keeps the error as its verdict.
+func (s *System) StepCPU(i int, n uint64) (steps uint64, cpuDone bool) {
 	if s.done[i] {
-		return true
+		return 1, true
 	}
-	fin, err := s.CPUs[i].StepOne()
+	steps, fin, err := s.CPUs[i].StepUpTo(n)
 	if fin {
 		s.done[i] = true
 		s.verds[i] = err
 	}
-	return s.done[i]
+	return steps, s.done[i]
 }
 
 // Done reports whether CPU i has finished.
