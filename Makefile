@@ -65,20 +65,24 @@ examples:
 check:
 	$(GO) run ./cmd/rascheck -suite -out mcheck-out
 
+# Every fuzz target, FUZZTIME each (CI runs `make fuzz FUZZTIME=20s`).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzAssemble -fuzztime=30s ./internal/asm/
-	$(GO) test -fuzz=FuzzAsm -fuzztime=30s ./internal/asm/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/asm/
-	$(GO) test -fuzz=FuzzStepPredecoded -fuzztime=30s ./internal/vmach/
-	$(GO) test -fuzz=FuzzMemoryDigest -fuzztime=30s ./internal/vmach/
-	$(GO) test -fuzz=FuzzRecognizer -fuzztime=30s ./internal/vmach/kernel/
-	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/vmach/kernel/
-	$(GO) test -fuzz=FuzzKernelRun -fuzztime=30s ./internal/vmach/kernel/
-	$(GO) test -fuzz=FuzzStepUpTo -fuzztime=30s ./internal/vmach/kernel/
-	$(GO) test -fuzz=FuzzSMPCheckpoint -fuzztime=30s ./internal/vmach/smp/
-	$(GO) test -fuzz=FuzzChaosPlan -fuzztime=30s ./internal/chaos/
-	$(GO) test -fuzz=FuzzInjectorNext -fuzztime=30s ./internal/chaos/
-	$(GO) test -fuzz=FuzzSwitchWalker -fuzztime=30s ./internal/mcheck/
+	$(GO) test -run '^$$' -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/asm/
+	$(GO) test -run '^$$' -fuzz=FuzzAsm -fuzztime=$(FUZZTIME) ./internal/asm/
+	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/asm/
+	$(GO) test -run '^$$' -fuzz=FuzzStepPredecoded -fuzztime=$(FUZZTIME) ./internal/vmach/
+	$(GO) test -run '^$$' -fuzz=FuzzMemoryDigest -fuzztime=$(FUZZTIME) ./internal/vmach/
+	$(GO) test -run '^$$' -fuzz=FuzzMemoryCrash -fuzztime=$(FUZZTIME) ./internal/vmach/
+	$(GO) test -run '^$$' -fuzz=FuzzRecognizer -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
+	$(GO) test -run '^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
+	$(GO) test -run '^$$' -fuzz=FuzzKernelRun -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
+	$(GO) test -run '^$$' -fuzz=FuzzStepUpTo -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
+	$(GO) test -run '^$$' -fuzz=FuzzSMPCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmach/smp/
+	$(GO) test -run '^$$' -fuzz=FuzzChaosPlan -fuzztime=$(FUZZTIME) ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz=FuzzInjectorNext -fuzztime=$(FUZZTIME) ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz=FuzzSwitchWalker -fuzztime=$(FUZZTIME) ./internal/mcheck/
 
 fmt:
 	gofmt -w .

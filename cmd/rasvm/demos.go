@@ -78,7 +78,7 @@ func runKernel(w io.Writer, o options, ob *observer, src string, report func(*vm
 	if err != nil {
 		return err
 	}
-	faults, err := faultSchedule(o, chaos.Action{Crash: true})
+	faults, err := faultSchedule(o, chaos.Action{Crash: chaos.CrashClean})
 	if err != nil {
 		return err
 	}
@@ -197,8 +197,11 @@ func crashReboot(w io.Writer, o options, ob *observer, wd chaos.Watchdog, prog *
 		}}
 	var faults chaos.Injector
 	if o.crashAt > 0 {
-		faults = chaos.OneShot{Point: chaos.PointStep, N: o.crashAt,
-			Action: chaos.Action{CrashVolatile: true, Torn: o.torn}}
+		a := chaos.Action{Crash: chaos.CrashVolatile}
+		if o.torn {
+			a.Crash = chaos.CrashTorn
+		}
+		faults = chaos.OneShot{Point: chaos.PointStep, N: o.crashAt, Action: a}
 	}
 	k := l.Boot(faults)
 	err := l.Run(k)
@@ -316,7 +319,7 @@ func runSMP(w io.Writer, o options, ob *observer) error {
 	if err != nil {
 		return err
 	}
-	faults, err := cpuFaults(o, chaos.Action{Crash: true})
+	faults, err := cpuFaults(o, chaos.Action{Crash: chaos.CrashClean})
 	if err != nil {
 		return err
 	}

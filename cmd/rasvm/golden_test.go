@@ -51,8 +51,9 @@ var goldenCases = []struct {
 	{"resilience-default", "-demo resilience", false},
 	{"resilience-step", "-demo resilience -plan crashplan:seed=0x1,point=step,span=230,crashes=1000,mix=1:2:1", false},
 	{"resilience-persist", "-demo resilience -plan crashplan:seed=0x1,point=persist,span=25,crashes=120,mix=1:2:1", false},
-	// ROADMAP item 2: a double apply under mixed crash kinds.
-	{"resilience-seed2", "-demo resilience -plan crashplan:seed=0x2,point=step,span=230,crashes=1000,mix=1:2:1", true},
+	// Once a double apply: a clean crash kept stale NVM images that a
+	// later volatile or torn crash reverted to.
+	{"resilience-seed2", "-demo resilience -plan crashplan:seed=0x2,point=step,span=230,crashes=1000,mix=1:2:1", false},
 }
 
 func TestGolden(t *testing.T) {

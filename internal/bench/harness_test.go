@@ -25,7 +25,7 @@ func TestHarnessCountsRestoredRunOnce(t *testing.T) {
 
 	var capture obs.Capture
 	split := Harness{Trace: obs.NewRebase(&capture)}
-	k := boot(chaos.OneShot{Point: chaos.PointStep, N: 300, Action: chaos.Action{Crash: true}})
+	k := boot(chaos.OneShot{Point: chaos.PointStep, N: 300, Action: chaos.Action{Crash: chaos.CrashClean}})
 	if err := split.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 		t.Fatalf("crash run = %v, want ErrMachineCrash", err)
 	}

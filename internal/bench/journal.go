@@ -99,10 +99,10 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 		salt = 0x6B
 	}
 	for c := 0; c < cfg.Crashes; c++ {
-		at := kernel.CrashStep(cfg.Seed, salt, c, span)
+		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
 		l := machine
 		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{CrashVolatile: true, Torn: true}})
+			Action: chaos.Action{Crash: chaos.CrashTorn}})
 		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
 			return fail("crash %d at step %d: run = %v", c, at, err)
 		}
@@ -210,7 +210,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 		arena := pstructBenchArena("stack", cfg.Ops)
 		committed := 0
 		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
-			Action: chaos.Action{CrashVolatile: true, Torn: true}})
+			Action: chaos.Action{Crash: chaos.CrashTorn}})
 		p1.Go("main", func(e *uniproc.Env) {
 			_ = pstructBenchOps(e, arena, "stack", mode, cfg.Ops, &committed)
 		})
@@ -307,7 +307,7 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 		committed := 0
 		reg1 := obs.NewRegistry()
 		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
-			Action: chaos.Action{CrashVolatile: true, Torn: true}})
+			Action: chaos.Action{Crash: chaos.CrashTorn}})
 		p1.Go("main", func(e *uniproc.Env) {
 			j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, journal.Options{Metrics: reg1})
 			if err != nil {

@@ -67,11 +67,11 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 	var repairs uint64
 	var maxLoss int64
 	for c := 0; c < cfg.Crashes; c++ {
-		at := kernel.CrashStep(cfg.Seed, salt, c, span)
+		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
 		l := machine
 		committed := 0
 		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{CrashVolatile: true}})
+			Action: chaos.Action{Crash: chaos.CrashVolatile}})
 		mem := l.Memory()
 		mem.Watch(counterAddr, func(old, new isa.Word) { committed++ })
 		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
@@ -156,7 +156,7 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 		var counter core.Word
 		committed := 0
 		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointMemOp, N: at,
-			Action: chaos.Action{CrashVolatile: true}})
+			Action: chaos.Action{Crash: chaos.CrashVolatile}})
 		p1.Go("main", func(e *uniproc.Env) {
 			for w := 0; w < cfg.Workers; w++ {
 				e.Fork("worker", workload(mu, &counter, &committed))

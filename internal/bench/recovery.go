@@ -263,7 +263,7 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 		span := ref.k.Steps()
 		for c := 0; c < cfg.Crashes; c++ {
 			at := chaos.DeriveOrdinal(span, cfg.Seed, 0x57, uint64(c))
-			w := newRMERun(vmCfg(&kernel.Registration{}, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}),
+			w := newRMERun(vmCfg(&kernel.Registration{}, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: chaos.CrashClean}}),
 				cfg.Workers, cfg.Iters)
 			if err := h.Run(w.k); !errors.Is(err, kernel.ErrMachineCrash) {
 				return nil, fmt.Errorf("vmach/crash-restore: crash %d at step %d: run = %v (repro: %s)", c, at, err, tableRepro("recovery", cfg.Seed))

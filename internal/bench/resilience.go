@@ -180,7 +180,7 @@ func uniprocDegradedCycle(h *Harness, cfg ResilienceConfig) (ResilienceRow, erro
 				return nil
 			}
 			return chaos.OneShot{Point: chaos.PointPersist, N: 1,
-				Action: chaos.Action{CrashVolatile: true}}
+				Action: chaos.Action{Crash: chaos.CrashVolatile}}
 		},
 		CrashLoopK: loopK, RepromoteAfter: 2, JitterSeed: cfg.Seed,
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/resilience"
 )
 
 func testResilienceConfig(t *testing.T) ResilienceConfig {
@@ -104,5 +105,21 @@ func TestTableResilienceDeterministic(t *testing.T) {
 	}
 	if FormatResilience(a) != FormatResilience(b) {
 		t.Errorf("same seed produced different tables:\n%s\nvs\n%s", FormatResilience(a), FormatResilience(b))
+	}
+}
+
+// Plan seeds 1–40 of the E27 step campaign all complete and pass the
+// exactly-once audit. While a clean crash kept the persistence model's
+// stale NVM images, a later volatile or torn crash reverted lines to
+// them and 12 of these seeds failed with a double apply.
+func TestResilienceStepPlansExactlyOnce(t *testing.T) {
+	cfg := DefaultResilienceConfig()
+	for seed := uint64(1); seed <= 40; seed++ {
+		plan := &chaos.CrashPlan{Seed: seed, Point: chaos.PointStep, Span: 230, Crashes: 1000,
+			WClean: 1, WVolatile: 2, WTorn: 1}
+		world, scfg := ResilienceCampaign(&Harness{}, cfg, plan)
+		if out, err := resilience.Supervise(world, scfg); err != nil || !out.Completed {
+			t.Errorf("%s: %v (%v)", plan, err, out)
+		}
 	}
 }

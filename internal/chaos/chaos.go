@@ -52,8 +52,8 @@ const (
 	// the virtual uniprocessor. Crash faults land here so a schedule can
 	// name "the k-th persist boundary" directly — the ordinal space the
 	// model checker's journal and persistent-structure walks enumerate.
-	// Only the crash kinds (Crash, CrashVolatile, Torn) are honoured at
-	// this point; persist operations are not preemption points.
+	// Only crashes are honoured at this point; persist operations are
+	// not preemption points.
 	PointPersist
 )
 
@@ -99,64 +99,75 @@ type Action struct {
 	// killed inside a critical section orphans the lock forever).
 	Kill bool
 	// Crash halts the whole machine mid-run: the substrate stops
-	// scheduling and reports a machine-crash error. Crash models a machine
-	// with FULLY PERSISTENT memory — every committed store survives, so
-	// the halted state is left intact exactly as written, ready for
-	// checkpointing. Recovery is by checkpoint/restore. (Seeds before the
-	// persistence model relied on this implicitly; it is now the
-	// documented contract, asserted by TestCrashIsFullyPersistent.)
-	Crash bool
-	// CrashVolatile is the NVRAM-model crash: the machine halts as with
-	// Crash, but first every memory line whose write-back has not been
-	// fenced reverts to its NVM image (vmach.Memory.DiscardUnflushed).
-	// What a recovery path sees afterwards is NVM contents only — the
-	// failure mode the recoverable-mutex literature assumes. On memories
-	// without the persistence model enabled it degrades to Crash.
-	CrashVolatile bool
-	// Torn modifies CrashVolatile: instead of losing every unfenced line
-	// cleanly, lines whose write-back was initiated (flushed) but not yet
-	// fenced persist only a PREFIX of their words — the torn-write failure
-	// mode of real NVM controllers, where power is lost halfway through
-	// draining a line. The prefix length is derived deterministically from
-	// the crash ordinal, so a torn crash replays exactly. Meaningless
-	// without CrashVolatile; ignored on non-persistent memories.
-	Torn bool
+	// scheduling and reports a machine-crash error. Its kind says what
+	// the crash leaves in memory; see CrashKind.
+	Crash CrashKind
 }
+
+// CrashKind says what a whole-machine crash leaves in memory. Each
+// substrate applies a kind with one rule: vmach.Memory.Crash on 64-byte
+// lines, uniproc.Processor.Crash on words. A volatile or torn crash on a
+// memory without the persistence model has no volatile tier to lose: it
+// degrades to a clean crash, and the substrate traces the degradation.
+type CrashKind uint8
+
+const (
+	// CrashNone: no crash.
+	CrashNone CrashKind = iota
+	// CrashClean is a crash of a machine with fully persistent memory:
+	// every committed store survives, so the halted state is intact
+	// exactly as written, ready for checkpointing or a warm reboot. On a
+	// memory with the persistence model the volatile tier becomes durable,
+	// as under eADR, where the caches are flushed on power loss.
+	// TestCrashIsFullyPersistent asserts the contract.
+	CrashClean
+	// CrashVolatile is the NVRAM-model crash: every memory line whose
+	// write-back has not been fenced reverts to its NVM image, so a
+	// recovery path sees NVM contents only, the failure mode the
+	// recoverable-mutex literature assumes.
+	CrashVolatile
+	// CrashTorn is CrashVolatile with torn write-backs: lines whose
+	// write-back was initiated (flushed) but not fenced persist only a
+	// PREFIX of their words, the failure mode of an NVM controller that
+	// loses power halfway through draining a line. The prefix is derived
+	// from the crash ordinal, so a torn crash replays exactly.
+	CrashTorn
+)
+
+// crashBits are each kind's trace bits: clean 32, volatile 64, torn
+// 64|128.
+var crashBits = [...]uint64{CrashNone: 0, CrashClean: 32, CrashVolatile: 64, CrashTorn: 192}
 
 // Any reports whether the action requests any fault at all.
 func (a Action) Any() bool {
 	return a.Preempt || a.SpuriousSuspend || a.EvictCode || a.EvictData ||
-		a.Jitter != 0 || a.Kill || a.Crash || a.CrashVolatile || a.Torn
+		a.Jitter != 0 || a.Kill || a.Crash != CrashNone
 }
 
 // Bits packs the action's flags for compact trace output.
 func (a Action) Bits() uint64 {
-	var b uint64
-	if a.Preempt {
-		b |= 1
-	}
-	if a.SpuriousSuspend {
-		b |= 2
-	}
-	if a.EvictCode {
-		b |= 4
-	}
-	if a.EvictData {
-		b |= 8
-	}
-	if a.Kill {
-		b |= 16
-	}
-	if a.Crash {
-		b |= 32
-	}
-	if a.CrashVolatile {
-		b |= 64
-	}
-	if a.Torn {
-		b |= 128
+	b := crashBits[a.Crash]
+	for i, f := range [...]bool{a.Preempt, a.SpuriousSuspend, a.EvictCode, a.EvictData, a.Kill} {
+		if f {
+			b |= 1 << i
+		}
 	}
 	return b
+}
+
+// Merge returns the faults of a and x together: flags OR-ed, jitters
+// summed, and the later crash kind in CrashKind order (torn over
+// volatile over clean).
+func (a Action) Merge(x Action) Action {
+	return Action{
+		Preempt:         a.Preempt || x.Preempt,
+		SpuriousSuspend: a.SpuriousSuspend || x.SpuriousSuspend,
+		EvictCode:       a.EvictCode || x.EvictCode,
+		EvictData:       a.EvictData || x.EvictData,
+		Jitter:          a.Jitter + x.Jitter,
+		Kill:            a.Kill || x.Kill,
+		Crash:           max(a.Crash, x.Crash),
+	}
 }
 
 // Injector decides the faults at each instrumentation point; n is the
@@ -292,7 +303,7 @@ func (p *Plan) At(pt Point, n uint64) Action {
 	if pt < PointDispatch || pt > PointMemOp {
 		return a
 	}
-	h := splitmix64(p.seedPrefix(pt) ^ n) // = Derive(p.Seed, uint64(pt)+1, n)
+	h := Mix(p.seedPrefix(pt) ^ n) // = Derive(p.Seed, uint64(pt)+1, n)
 	switch pt {
 	case PointStep, PointMemOp:
 		if uint32(h&0xFFFF) < p.PreemptRate {
@@ -350,7 +361,7 @@ func (p *Plan) Next(pt Point, n uint64) uint64 {
 		end = Never
 	}
 	for m := n; m < end; m++ {
-		h := splitmix64(pre ^ m)
+		h := Mix(pre ^ m)
 		if uint32(h&0xFFFF) < r0 || uint32(h>>16&0xFFFF) < r1 || uint32(h>>32&0xFFFF) < r2 {
 			return m
 		}
@@ -362,9 +373,9 @@ func (p *Plan) Next(pt Point, n uint64) uint64 {
 // rebuilding the cache when the Plan is new or its Seed was reassigned.
 func (p *Plan) seedPrefix(pt Point) uint64 {
 	if !p.prefixOK || p.prefixSeed != p.Seed {
-		h := splitmix64(p.Seed)
+		h := Mix(p.Seed)
 		for i := range p.prefix {
-			p.prefix[i] = splitmix64(h ^ uint64(i+1))
+			p.prefix[i] = Mix(h ^ uint64(i+1))
 		}
 		p.prefixSeed, p.prefixOK = p.Seed, true
 	}
@@ -377,8 +388,8 @@ func (p *Plan) Repro() string {
 	return fmt.Sprintf("go run ./cmd/rasbench -table chaos -seed %#x -level %g", p.Seed, p.Level)
 }
 
-// splitmix64 is the SplitMix64 output function: a bijective avalanche mix.
-func splitmix64(x uint64) uint64 {
+// Mix is the SplitMix64 output function: a bijective avalanche mix.
+func Mix(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -389,9 +400,9 @@ func splitmix64(x uint64) uint64 {
 // deterministic stream per distinct argument tuple. Exported so tests and
 // harnesses can derive per-scenario seeds from one master seed.
 func Derive(seed uint64, vals ...uint64) uint64 {
-	h := splitmix64(seed)
+	h := Mix(seed)
 	for _, v := range vals {
-		h = splitmix64(h ^ v)
+		h = Mix(h ^ v)
 	}
 	return h
 }
@@ -431,13 +442,13 @@ func (o OneShot) Next(p Point, n uint64) uint64 {
 	return Never
 }
 
-// composed merges several injectors: flags are OR-ed, jitters summed.
+// composed merges several injectors' actions.
 type composed []Injector
 
 // Compose returns an Injector that consults every given injector at each
-// point and merges their requests (boolean faults OR, jitter sums). Nil
-// entries are skipped. Used to overlay deterministic kill/crash schedules
-// on a background Plan.
+// point and merges their requests with Action.Merge. Nil entries are
+// skipped. Used to overlay deterministic kill/crash schedules on a
+// background Plan.
 func Compose(injs ...Injector) Injector {
 	var c composed
 	for _, in := range injs {
@@ -452,16 +463,7 @@ func Compose(injs ...Injector) Injector {
 func (c composed) At(p Point, n uint64) Action {
 	var a Action
 	for _, in := range c {
-		x := in.At(p, n)
-		a.Preempt = a.Preempt || x.Preempt
-		a.SpuriousSuspend = a.SpuriousSuspend || x.SpuriousSuspend
-		a.EvictCode = a.EvictCode || x.EvictCode
-		a.EvictData = a.EvictData || x.EvictData
-		a.Kill = a.Kill || x.Kill
-		a.Crash = a.Crash || x.Crash
-		a.CrashVolatile = a.CrashVolatile || x.CrashVolatile
-		a.Torn = a.Torn || x.Torn
-		a.Jitter += x.Jitter
+		a = a.Merge(in.At(p, n))
 	}
 	return a
 }

@@ -113,9 +113,27 @@ func TestActionBitsAndAny(t *testing.T) {
 	if !(Action{Jitter: -5}).Any() {
 		t.Error("jitter-only action not Any")
 	}
-	k := Action{Kill: true, Crash: true}
+	k := Action{Kill: true, Crash: CrashClean}
 	if !k.Any() || k.Bits() != 16|32 {
 		t.Errorf("kill/crash bits = %#x", k.Bits())
+	}
+	// The crash kinds keep the trace bits of the flags they replaced.
+	for kind, want := range map[CrashKind]uint64{CrashClean: 32, CrashVolatile: 64, CrashTorn: 192} {
+		if a := (Action{Crash: kind}); !a.Any() || a.Bits() != want {
+			t.Errorf("crash kind %d: bits = %d, want %d", kind, a.Bits(), want)
+		}
+	}
+}
+
+func TestDeriveOrdinalInSpan(t *testing.T) {
+	for _, span := range []uint64{1, 2, 7, 230, 1 << 40} {
+		for seed := uint64(0); seed < 4; seed++ {
+			for c := uint64(0); c < 200; c++ {
+				if at := DeriveOrdinal(span, seed, 0x58, c); at < 1 || at > span {
+					t.Fatalf("DeriveOrdinal(%d, %d, 0x58, %d) = %d, outside [1, %d]", span, seed, c, at, span)
+				}
+			}
+		}
 	}
 }
 
@@ -172,13 +190,14 @@ func TestComposeMergesActions(t *testing.T) {
 		nil,
 		OneShot{Point: PointMemOp, N: 7, Action: Action{Kill: true}},
 		OneShot{Point: PointMemOp, N: 7, Action: Action{Preempt: true, Jitter: 3}},
-		OneShot{Point: PointMemOp, N: 9, Action: Action{Crash: true, Jitter: -1}},
+		OneShot{Point: PointMemOp, N: 9, Action: Action{Crash: CrashVolatile, Jitter: -1}},
+		OneShot{Point: PointMemOp, N: 9, Action: Action{Crash: CrashClean}},
 	)
 	a := c.At(PointMemOp, 7)
-	if !a.Kill || !a.Preempt || a.Jitter != 3 || a.Crash {
+	if !a.Kill || !a.Preempt || a.Jitter != 3 || a.Crash != CrashNone {
 		t.Errorf("merge at 7: %+v", a)
 	}
-	if a = c.At(PointMemOp, 9); !a.Crash || a.Jitter != -1 {
+	if a = c.At(PointMemOp, 9); a.Crash != CrashVolatile || a.Jitter != -1 {
 		t.Errorf("merge at 9: %+v", a)
 	}
 	if a = c.At(PointMemOp, 8); a.Any() {

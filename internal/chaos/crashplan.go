@@ -9,8 +9,8 @@ import (
 // CrashPlan is a deterministic multi-crash campaign: the schedule a
 // supervised reboot-in-place run (internal/resilience) is driven by. For
 // each boot b in [0, Crashes) the plan injects exactly one whole-machine
-// crash — its ordinal drawn uniformly from [1, Span] and its kind (clean
-// Crash, CrashVolatile, or Torn) drawn from the mix weights, both pure
+// crash — its ordinal drawn uniformly from [1, Span] and its CrashKind
+// (clean, volatile or torn) drawn from the mix weights, both pure
 // functions of (Seed, b) — and after Crashes boots the machine runs
 // clean, so every campaign terminates. A crash whose ordinal exceeds the
 // boot's natural length simply never fires; the boot completes early.
@@ -30,26 +30,18 @@ type CrashPlan struct {
 	Point   Point  // ordinal space the crashes land in (step, memop, persist)
 	Span    uint64 // crash ordinals are drawn from [1, Span]
 	Crashes int    // boots that get a crash; later boots run clean
-	// Kind mix weights (clean Crash : CrashVolatile : Torn). All zero
-	// means volatile-only.
+	// Kind mix weights (clean : volatile : torn). All zero means
+	// volatile-only.
 	WClean, WVolatile, WTorn int
 }
 
-func (p *CrashPlan) mix() (c, v, t int) {
-	c, v, t = p.WClean, p.WVolatile, p.WTorn
-	if c < 0 {
-		c = 0
+// mix returns the plan's nonnegative kind weights, indexed by kind.
+func (p *CrashPlan) mix() (w [CrashTorn + 1]int) {
+	w[CrashClean], w[CrashVolatile], w[CrashTorn] = max(p.WClean, 0), max(p.WVolatile, 0), max(p.WTorn, 0)
+	if w[CrashClean]+w[CrashVolatile]+w[CrashTorn] == 0 {
+		w[CrashVolatile] = 1
 	}
-	if v < 0 {
-		v = 0
-	}
-	if t < 0 {
-		t = 0
-	}
-	if c+v+t == 0 {
-		v = 1
-	}
-	return
+	return w
 }
 
 // CrashAt returns boot b's crash: the 1-based ordinal at p.Point and the
@@ -60,15 +52,11 @@ func (p *CrashPlan) CrashAt(b int) (n uint64, a Action, ok bool) {
 		return 0, Action{}, false
 	}
 	n = Derive(p.Seed, 0xCA11, uint64(b))%p.Span + 1
-	c, v, t := p.mix()
-	k := Derive(p.Seed, 0xCA12, uint64(b)) % uint64(c+v+t)
-	switch {
-	case k < uint64(c):
-		a = Action{Crash: true}
-	case k < uint64(c+v):
-		a = Action{CrashVolatile: true}
-	default:
-		a = Action{CrashVolatile: true, Torn: true}
+	w := p.mix()
+	k := int(Derive(p.Seed, 0xCA12, uint64(b)) % uint64(w[CrashClean]+w[CrashVolatile]+w[CrashTorn]))
+	a.Crash = CrashClean
+	for ; k >= w[a.Crash]; a.Crash++ {
+		k -= w[a.Crash]
 	}
 	return n, a, true
 }
@@ -87,9 +75,9 @@ func (p *CrashPlan) Boot(b int) Injector {
 //
 //	crashplan:seed=0x1,point=step,span=600,crashes=1000,mix=1:2:1
 func (p *CrashPlan) String() string {
-	c, v, t := p.mix()
+	w := p.mix()
 	return fmt.Sprintf("crashplan:seed=%#x,point=%s,span=%d,crashes=%d,mix=%d:%d:%d",
-		p.Seed, p.Point, p.Span, p.Crashes, c, v, t)
+		p.Seed, p.Point, p.Span, p.Crashes, w[CrashClean], w[CrashVolatile], w[CrashTorn])
 }
 
 // ParsePoint inverts Point.String for the points a crash plan can name.

@@ -17,13 +17,13 @@ func TestCrashPlanDeterminism(t *testing.T) {
 		if n2 != n || a2 != a {
 			t.Fatalf("boot %d: plan not deterministic", b)
 		}
-		switch {
-		case a.Crash:
+		switch a.Crash {
+		case CrashClean:
 			clean++
-		case a.Torn:
-			torn++
-		case a.CrashVolatile:
+		case CrashVolatile:
 			vol++
+		case CrashTorn:
+			torn++
 		}
 	}
 	if clean == 0 || vol == 0 || torn == 0 {
@@ -88,9 +88,9 @@ func TestCrashPlanParseErrors(t *testing.T) {
 }
 
 func TestOffsetInjector(t *testing.T) {
-	inner := OneShot{Point: PointPersist, N: 10, Action: Action{CrashVolatile: true}}
+	inner := OneShot{Point: PointPersist, N: 10, Action: Action{Crash: CrashVolatile}}
 	inj := Offset(inner, 7)
-	if a := inj.At(PointPersist, 3); !a.CrashVolatile {
+	if a := inj.At(PointPersist, 3); a.Crash != CrashVolatile {
 		t.Fatalf("offset injector missed global ordinal 10 (local 3): %+v", a)
 	}
 	if a := inj.At(PointPersist, 10); a.Any() {

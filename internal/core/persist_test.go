@@ -61,7 +61,7 @@ func TestPersistentMutexCrashRecovery(t *testing.T) {
 		// Boot 1: crash with the volatile tier discarded at the fault.
 		p1 := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 			Point: chaos.PointMemOp, N: crashAt,
-			Action: chaos.Action{CrashVolatile: true},
+			Action: chaos.Action{Crash: chaos.CrashVolatile},
 		}})
 		p1.EnablePersistence()
 		p1.Go("main", func(e *uniproc.Env) {
@@ -132,7 +132,7 @@ func TestPersistentMutexRecoverySweep(t *testing.T) {
 		st := &state{mu: NewPersistentMutex()}
 		p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 			Point: chaos.PointPersist, N: n,
-			Action: chaos.Action{CrashVolatile: true},
+			Action: chaos.Action{Crash: chaos.CrashVolatile},
 		}})
 		p.EnablePersistence()
 		p.Go("main", func(e *uniproc.Env) {
@@ -202,7 +202,7 @@ func TestPersistentMutexRecoverySweep(t *testing.T) {
 						t.Fatal(err)
 					}
 					err, _, _ = recBoot(st, chaos.OneShot{
-						Point: pt, N: i, Action: chaos.Action{CrashVolatile: true},
+						Point: pt, N: i, Action: chaos.Action{Crash: chaos.CrashVolatile},
 					})
 					if !errors.Is(err, uniproc.ErrMachineCrash) {
 						t.Fatalf("prelude@%d %v@%d: recovery did not crash: %v", n, pt, i, err)
@@ -210,7 +210,7 @@ func TestPersistentMutexRecoverySweep(t *testing.T) {
 					checkBound(t, st, "mid-repair")
 					if j > 0 {
 						err, _, _ = recBoot(st, chaos.OneShot{
-							Point: pt, N: j, Action: chaos.Action{CrashVolatile: true},
+							Point: pt, N: j, Action: chaos.Action{Crash: chaos.CrashVolatile},
 						})
 						if err != nil && !errors.Is(err, uniproc.ErrMachineCrash) {
 							t.Fatal(err)

@@ -22,7 +22,7 @@ package core
 //
 // Either way a recovery re-execution is a sequence of constant stores,
 // so crash-during-recovery is idempotent, and the log record's checksum
-// is stored and flushed LAST: a torn crash (chaos.Action.Torn) persists
+// is stored and flushed LAST: a torn crash (chaos.CrashTorn) persists
 // a flush-order prefix of the pending words, so a record with a valid
 // checksum is always a whole record.
 //

@@ -83,6 +83,14 @@ func TestPersistentStackQueueSemantics(t *testing.T) {
 // expected contents after the first i ops.
 var pushPopScript = []int{+10, +20, -1, +30, +40, -1, -1, +50, -1, -1}
 
+// tornCrash is a volatile crash, torn when torn is set.
+func tornCrash(torn bool) chaos.Action {
+	if torn {
+		return chaos.Action{Crash: chaos.CrashTorn}
+	}
+	return chaos.Action{Crash: chaos.CrashVolatile}
+}
+
 func stackStateAfter(prefix int) []uniproc.Word {
 	var st []uniproc.Word
 	for _, op := range pushPopScript[:prefix] {
@@ -155,7 +163,7 @@ func TestPersistentStackCrashSweep(t *testing.T) {
 					p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 						Point:  chaos.PointPersist,
 						N:      c,
-						Action: chaos.Action{CrashVolatile: true, Torn: torn},
+						Action: tornCrash(torn),
 					}})
 					p.EnablePersistence()
 					p.Go("main", func(e *uniproc.Env) {
@@ -255,7 +263,7 @@ func TestPersistentQueueCrashSweep(t *testing.T) {
 					p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 						Point:  chaos.PointPersist,
 						N:      c,
-						Action: chaos.Action{CrashVolatile: true, Torn: torn},
+						Action: tornCrash(torn),
 					}})
 					p.EnablePersistence()
 					p.Go("main", func(e *uniproc.Env) {
@@ -318,7 +326,7 @@ func TestPersistentStackCrashDuringRecovery(t *testing.T) {
 				p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 					Point:  chaos.PointPersist,
 					N:      3, // after the log fence, mid-apply
-					Action: chaos.Action{CrashVolatile: true},
+					Action: chaos.Action{Crash: chaos.CrashVolatile},
 				}})
 				p.EnablePersistence()
 				p.Go("main", func(e *uniproc.Env) {
@@ -350,7 +358,7 @@ func TestPersistentStackCrashDuringRecovery(t *testing.T) {
 				p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 					Point:  chaos.PointPersist,
 					N:      c,
-					Action: chaos.Action{CrashVolatile: true},
+					Action: chaos.Action{Crash: chaos.CrashVolatile},
 				}})
 				p.EnablePersistence()
 				p.Go("main", func(e *uniproc.Env) {

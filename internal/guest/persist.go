@@ -10,7 +10,7 @@ import (
 // enabled: the same owner-naming lock word (epoch<<16 | tid+1) and CAS
 // acquire, plus explicit flush/fence persist points so that the lock,
 // counter and repair tally survive a whole-machine crash that discards
-// unflushed lines (chaos.Action.CrashVolatile).
+// unflushed lines (chaos.CrashVolatile).
 //
 // The protocol's three persist points:
 //

@@ -41,6 +41,14 @@ var script = []op{
 	{OpWriteFile, "/d/sub/c", "gamma"},
 }
 
+// tornCrash is a volatile crash, torn when torn is set.
+func tornCrash(torn bool) chaos.Action {
+	if torn {
+		return chaos.Action{Crash: chaos.CrashTorn}
+	}
+	return chaos.Action{Crash: chaos.CrashVolatile}
+}
+
 func doOp(e *uniproc.Env, j *JFS, o op) error {
 	switch o.kind {
 	case OpMkdir:
@@ -228,7 +236,7 @@ func TestCrashAtEveryPersistBoundaryRecoversPrefix(t *testing.T) {
 			p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 				Point:  chaos.PointPersist,
 				N:      c,
-				Action: chaos.Action{CrashVolatile: true, Torn: torn},
+				Action: tornCrash(torn),
 			}})
 			p.EnablePersistence()
 			p.Go("main", func(e *uniproc.Env) {
@@ -279,7 +287,7 @@ func TestSkipFenceLosesCommittedOp(t *testing.T) {
 		p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 			Point:  chaos.PointPersist,
 			N:      c,
-			Action: chaos.Action{CrashVolatile: true},
+			Action: chaos.Action{Crash: chaos.CrashVolatile},
 		}})
 		p.EnablePersistence()
 		p.Go("main", func(e *uniproc.Env) {
@@ -346,7 +354,7 @@ func TestTornTailDetectedAndZeroed(t *testing.T) {
 		p := uniproc.New(uniproc.Config{Faults: chaos.OneShot{
 			Point:  chaos.PointPersist,
 			N:      c,
-			Action: chaos.Action{CrashVolatile: true, Torn: true},
+			Action: chaos.Action{Crash: chaos.CrashTorn},
 		}})
 		p.EnablePersistence()
 		p.Go("main", func(e *uniproc.Env) {

@@ -13,7 +13,7 @@
 //
 // A crash before the fence loses the record cleanly — unfenced words
 // revert to the NVM zeros, and the operation never happened. A TORN crash
-// (chaos.Action.Torn) persists a flush-order prefix of the record's
+// (chaos.CrashTorn) persists a flush-order prefix of the record's
 // words; the checksum is the last word flushed, so a torn record can
 // never validate, and Mount detects it, discards it, and zeroes the tail
 // (zeroing is itself flushed and fenced before the space is reused).

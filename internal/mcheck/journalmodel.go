@@ -28,7 +28,7 @@ import (
 // vmach: guest.JournalProgram under crashes at every persist boundary.
 
 // journalModel runs the guest journal on a rebootInstance: a crash
-// discards the volatile tier (torn or clean, per the decision's action)
+// discards the volatile tier (torn or whole, per the decision's action)
 // and audits the surviving NVM image for recoverable consistency.
 func journalModel(p map[string]string) (Model, error) {
 	target, err := paramInt(p, "target")
@@ -70,16 +70,9 @@ func journalModel(p map[string]string) (Model, error) {
 			}
 		}
 		in := newRebootInstance(prog, ds, opt)
-		// A crash discards the volatile tier — torn write-backs when the
-		// decision says so, the tear derived from the decision ordinal
-		// so a .sched replays the exact same split — and audits the NVM
-		// image left behind.
-		in.crash = func(d Decision) {
-			if d.Act == ActCrashTorn {
-				in.mem().DiscardUnflushedTorn(d.At)
-			} else {
-				in.mem().DiscardUnflushed()
-			}
+		// A crash discards the volatile tier (torn write-backs when the
+		// decision says so); audit the NVM image left behind.
+		in.crashed = func(d Decision) {
 			checkNVM(in, fmt.Sprintf("crash at persist op %d", d.At))
 		}
 		in.finish = func() {

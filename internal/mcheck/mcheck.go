@@ -52,7 +52,7 @@ const (
 	// crash points between persist operations.
 	ActCrashVolatile
 	// ActCrashTorn is ActCrashVolatile with torn write-backs
-	// (chaos.Action.Torn): lines with an initiated-but-unfenced
+	// (chaos.CrashTorn): lines with an initiated-but-unfenced
 	// write-back persist only a deterministic prefix of their words.
 	// The torn split is derived from the decision ordinal, so a .sched
 	// replays the exact same tear.
@@ -142,6 +142,17 @@ type injector struct {
 	ats   []uint64 // the keys of acts, ascending
 }
 
+// actFaults is the Act↔fault table: the chaos action each decision
+// injects. ActSwitch injects none; the interleaver applies it.
+var actFaults = [...]chaos.Action{
+	ActPreempt:       {Preempt: true},
+	ActKill:          {Kill: true},
+	ActCrash:         {Crash: chaos.CrashClean},
+	ActSwitch:        {},
+	ActCrashVolatile: {Crash: chaos.CrashVolatile},
+	ActCrashTorn:     {Crash: chaos.CrashTorn},
+}
+
 func newInjector(point chaos.Point, ds []Decision) *injector {
 	in := &injector{point: point, acts: map[uint64]chaos.Action{}}
 	for _, d := range ds {
@@ -149,20 +160,7 @@ func newInjector(point chaos.Point, ds []Decision) *injector {
 		if !ok {
 			in.ats = append(in.ats, d.At)
 		}
-		switch d.Act {
-		case ActPreempt:
-			a.Preempt = true
-		case ActKill:
-			a.Kill = true
-		case ActCrash:
-			a.Crash = true
-		case ActCrashVolatile:
-			a.CrashVolatile = true
-		case ActCrashTorn:
-			a.CrashVolatile = true
-			a.Torn = true
-		}
-		in.acts[d.At] = a
+		in.acts[d.At] = a.Merge(actFaults[d.Act])
 	}
 	slices.Sort(in.ats)
 	return in

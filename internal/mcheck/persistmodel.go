@@ -12,9 +12,9 @@ import (
 
 // The persist model: guest.PersistentCounterProgram on a memory with the
 // two-tier NVRAM persistence model enabled, checked against whole-machine
-// crashes that discard every unfenced line (chaos.Action.CrashVolatile
-// semantics) followed by a reboot of the same binary over the surviving
-// NVM contents.
+// crashes that discard every unfenced line (chaos.CrashVolatile)
+// followed by a reboot of the same binary over the surviving NVM
+// contents.
 //
 // The decision ordinal space is NOT retired instructions but retired
 // persist operations — flushes plus fences, accumulated across reboots —
@@ -25,10 +25,10 @@ import (
 // rebootInstance is that run, shared with the journal model: a pausable
 // run of one kernel.Lives machine in which, unlike the other vmach
 // models, a crash is not a chaos injector's terminal event but a
-// transition the run continues through — the model's crash closure
-// audits and discards the volatile tier, and the machine warm-boots
-// again over what survived. The cursor counts persist operations
-// (flushes + fences) retired across all boots.
+// transition the run continues through — memory takes the decision's
+// crash kind, the model audits both sides of it, and the machine
+// warm-boots again over what survived. The cursor counts persist
+// operations (flushes + fences) retired across all boots.
 type rebootInstance struct {
 	lives kernel.Lives
 	k     *kernel.Kernel
@@ -43,9 +43,10 @@ type rebootInstance struct {
 	opsBase uint64
 	boots   int
 
-	// crash audits the NVM image at decision d and discards the volatile
-	// tier; it runs before opsBase advances, so cursor() still reads d.At.
-	crash func(d Decision)
+	// At crash decision d, audit (if set) inspects memory before it takes
+	// the crash and crashed inspects what survived. Both run before
+	// opsBase advances, so cursor() still reads d.At.
+	audit, crashed func(d Decision)
 	// finish applies the model's end-state invariants.
 	finish func()
 
@@ -85,7 +86,13 @@ func (in *rebootInstance) step() {
 	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
 		d := in.ds[in.next]
 		in.next++
-		in.crash(d)
+		if in.audit != nil {
+			in.audit(d)
+		}
+		// The tear of a torn crash derives from the decision ordinal, so
+		// a .sched replays the exact same split.
+		in.mem().Crash(actFaults[d.Act].Crash, d.At)
+		in.crashed(d)
 		in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
 		in.boots++
 		in.boot()
@@ -157,9 +164,8 @@ func persistModel(p map[string]string) (Model, error) {
 		// boot (the image's 0 on the first); the final counter must be
 		// exactly cStart + perBoot.
 		var cStart isa.Word
-		in.crash = func(Decision) {
-			// The bounded-durability-loss invariant at this persist
-			// boundary, then the CrashVolatile discard.
+		// The bounded-durability-loss invariant at this persist boundary.
+		in.audit = func(Decision) {
 			vol := int64(in.mem().Peek(counterAddr))
 			nvm := int64(in.mem().NVPeek(counterAddr))
 			if vol-nvm > 1 {
@@ -167,9 +173,8 @@ func persistModel(p map[string]string) (Model, error) {
 					"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
 					in.cursor(), vol, nvm, vol-nvm)
 			}
-			in.mem().DiscardUnflushed()
-			cStart = in.mem().Peek(counterAddr)
 		}
+		in.crashed = func(Decision) { cStart = in.mem().Peek(counterAddr) }
 		in.finish = func() {
 			got := in.mem().Peek(counterAddr)
 			if want := cStart + perBoot; got != want {

@@ -62,7 +62,7 @@ const (
 	KindCrash                     // injected whole-machine crash ended the run
 	KindRepair                    // orphaned lock repaired (Arg = dead owner's ID)
 	KindEmulTrap                  // kernel-emulated atomic operation
-	KindCrashDegraded             // CrashVolatile on a non-persistent memory fell back to Crash
+	KindCrashDegraded             // a volatile or torn crash on a non-persistent memory fell back to a clean one
 	numKinds
 )
 

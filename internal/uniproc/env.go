@@ -81,10 +81,9 @@ func (e *Env) ChargeCall() { e.charge(2 * e.p.profile.JumpCycles) }
 
 // chaosMemOp consults the fault injector at a Load/Store boundary — the
 // runtime layer's preemption points — and applies forced preemptions,
-// spurious suspensions, thread kills, and machine crashes (fully
-// persistent or volatile). Suspensions inside a restartable sequence
-// trigger the normal rollback path; kills and crashes unwind the thread
-// (or the whole run) where it stands. All faults are suppressed while
+// spurious suspensions, thread kills, and machine crashes. Suspensions
+// inside a restartable sequence trigger the normal rollback path; kills
+// and crashes unwind the thread (or the whole run) where it stands. All faults are suppressed while
 // interrupts are masked: a trap handler can neither be preempted nor die
 // halfway through kernel state.
 func (e *Env) chaosMemOp() {
@@ -92,7 +91,7 @@ func (e *Env) chaosMemOp() {
 	p.memOps++ // counted even without an injector: a fault-free reference
 	// run reports the same ordinal stream a kill schedule will see.
 	act, ok := p.faultAt.At(chaos.PointMemOp, p.memOps)
-	if !ok || !act.Preempt && !act.SpuriousSuspend && !act.Kill && !act.Crash && !act.CrashVolatile {
+	if !ok || !act.Preempt && !act.SpuriousSuspend && !act.Kill && act.Crash == chaos.CrashNone {
 		return
 	}
 	if e.masked > 0 {
@@ -103,24 +102,8 @@ func (e *Env) chaosMemOp() {
 	}
 	p.Stats.Injected++
 	p.trace(obs.KindInject, e.t, act.Bits())
-	if act.Crash || act.CrashVolatile {
-		if act.CrashVolatile {
-			// The volatile tier dies with the machine; on a non-persistent
-			// memory this reverts nothing, degrades to Crash, and says so.
-			switch {
-			case !p.persist:
-				p.trace(obs.KindCrashDegraded, e.t, act.Bits())
-			case act.Torn:
-				p.DiscardUnflushedTorn(p.memOps)
-			default:
-				p.DiscardUnflushed()
-			}
-		}
-		p.trace(obs.KindCrash, e.t, 0)
-		if p.runErr == nil {
-			p.runErr = fmt.Errorf("%w: at memop %d in %v", ErrMachineCrash, p.memOps, e.t)
-		}
-		panic(abortSignal{})
+	if act.Crash != chaos.CrashNone {
+		e.crash(act, "memop", p.memOps)
 	}
 	if act.Kill {
 		e.killSelf()
@@ -335,28 +318,25 @@ func (e *Env) chaosPersistOp() {
 	p := e.p
 	p.persistOps++
 	act, ok := p.faultAt.At(chaos.PointPersist, p.persistOps)
-	if !ok || !act.Crash && !act.CrashVolatile {
-		return
-	}
-	if e.masked > 0 {
+	if !ok || act.Crash == chaos.CrashNone || e.masked > 0 {
 		return
 	}
 	p.Stats.Injected++
 	p.trace(obs.KindInject, e.t, act.Bits())
-	if act.CrashVolatile {
-		switch {
-		case !p.persist:
-			// Nothing volatile to lose: degrades to legacy Crash.
-			p.trace(obs.KindCrashDegraded, e.t, act.Bits())
-		case act.Torn:
-			p.DiscardUnflushedTorn(p.persistOps)
-		default:
-			p.DiscardUnflushed()
-		}
+	e.crash(act, "persist op", p.persistOps)
+}
+
+// crash halts the machine for an injected crash at the n-th occurrence
+// of a point: memory takes the crash (a kind the processor cannot honour
+// is traced as degraded), and the run unwinds with ErrMachineCrash.
+func (e *Env) crash(act chaos.Action, point string, n uint64) {
+	p := e.p
+	if !p.Crash(act.Crash, n) {
+		p.trace(obs.KindCrashDegraded, e.t, act.Bits())
 	}
 	p.trace(obs.KindCrash, e.t, 0)
 	if p.runErr == nil {
-		p.runErr = fmt.Errorf("%w: at persist op %d in %v", ErrMachineCrash, p.persistOps, e.t)
+		p.runErr = fmt.Errorf("%w: at %s %d in %v", ErrMachineCrash, point, n, e.t)
 	}
 	panic(abortSignal{})
 }

@@ -127,7 +127,7 @@ func TestKillSuppressedWhileMasked(t *testing.T) {
 // unwinds every thread.
 func TestCrashAbortsRun(t *testing.T) {
 	p := New(Config{
-		Faults: chaos.OneShot{Point: chaos.PointMemOp, N: 10, Action: chaos.Action{Crash: true}},
+		Faults: chaos.OneShot{Point: chaos.PointMemOp, N: 10, Action: chaos.Action{Crash: chaos.CrashClean}},
 	})
 	var w Word
 	for i := 0; i < 4; i++ {

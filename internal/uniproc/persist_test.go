@@ -9,8 +9,8 @@ import (
 )
 
 // Store → Flush → Fence walks a word across the tiers, a later store
-// cancels an unfenced write-back, and a discard reverts exactly the
-// unfenced words — the runtime-layer mirror of the vmach line buffer.
+// cancels an unfenced write-back, and a volatile crash reverts exactly
+// the unfenced words — the runtime-layer mirror of the vmach line buffer.
 func TestPersistenceTiersAtWordGranularity(t *testing.T) {
 	var a, b Word = 7, 0
 	p := New(Config{})
@@ -41,9 +41,7 @@ func TestPersistenceTiersAtWordGranularity(t *testing.T) {
 		t.Errorf("Flushes=%d Fences=%d Persists=%d, want 2/2/1",
 			p.Stats.Flushes, p.Stats.Fences, p.Stats.Persists)
 	}
-	if n := p.DiscardUnflushed(); n != 1 {
-		t.Fatalf("discard reverted %d words, want 1 (only b was unfenced)", n)
-	}
+	p.Crash(chaos.CrashVolatile, 0)
 	if a != 42 || b != 0 {
 		t.Fatalf("after crash: a=%d b=%d, want a=42 b=0", a, b)
 	}
@@ -76,7 +74,8 @@ func TestFenceChargesDrainPerWord(t *testing.T) {
 }
 
 // Without EnablePersistence, Flush and Fence are charged hints on fully
-// persistent RAM: nothing to lose, nothing to drain.
+// persistent RAM: nothing to lose, nothing to drain, and a volatile
+// crash degrades.
 func TestFlushIsHintWithoutPersistence(t *testing.T) {
 	var w Word
 	p := New(Config{})
@@ -91,13 +90,13 @@ func TestFlushIsHintWithoutPersistence(t *testing.T) {
 	if p.Stats.Persists != 0 {
 		t.Errorf("non-persistent processor persisted %d words", p.Stats.Persists)
 	}
-	if p.DiscardUnflushed() != 0 || w != 9 {
-		t.Fatal("non-persistent processor lost a committed store")
+	if p.Crash(chaos.CrashVolatile, 0) || w != 9 {
+		t.Fatal("non-persistent processor honoured a volatile crash or lost a committed store")
 	}
 }
 
-// An injected CrashVolatile discards the volatile tier before stopping
-// the run; on the same schedule, legacy Crash keeps every committed
+// An injected volatile crash discards the volatile tier before stopping
+// the run; on the same schedule, a clean crash keeps every committed
 // store — the two halves of the chaos crash contract.
 func TestCrashVolatileDiscardsUnflushed(t *testing.T) {
 	run := func(act chaos.Action) Word {
@@ -117,10 +116,10 @@ func TestCrashVolatileDiscardsUnflushed(t *testing.T) {
 		}
 		return w
 	}
-	if got := run(chaos.Action{CrashVolatile: true}); got != 1 {
+	if got := run(chaos.Action{Crash: chaos.CrashVolatile}); got != 1 {
 		t.Errorf("after volatile crash w = %d, want 1 (last fenced value)", got)
 	}
-	if got := run(chaos.Action{Crash: true}); got != 3 {
+	if got := run(chaos.Action{Crash: chaos.CrashClean}); got != 3 {
 		t.Errorf("after fully-persistent crash w = %d, want 3 (every committed store survives)", got)
 	}
 }
@@ -129,7 +128,7 @@ func TestCrashVolatileDiscardsUnflushed(t *testing.T) {
 // i-th flushed word survived, every earlier-flushed pending word did too.
 // Dirty words that were never flushed always revert, and a word whose
 // write-back a later store cancelled never survives.
-func TestDiscardUnflushedTornPersistsFlushOrderPrefix(t *testing.T) {
+func TestTornCrashPersistsFlushOrderPrefix(t *testing.T) {
 	const n = 8
 	run := func(h uint64) []Word {
 		words := make([]Word, n+2)
@@ -148,7 +147,7 @@ func TestDiscardUnflushedTornPersistsFlushOrderPrefix(t *testing.T) {
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
-		p.DiscardUnflushedTorn(h)
+		p.Crash(chaos.CrashTorn, h)
 		return words
 	}
 	partial := false
@@ -217,34 +216,34 @@ func TestCrashAtPersistBoundary(t *testing.T) {
 	}
 	// Crash right after the first fence: the fenced value survives, the
 	// pre-fence flush alone (op 1) would not have persisted anything.
-	if got, _ := run(chaos.Action{CrashVolatile: true}, 2); got != 1 {
+	if got, _ := run(chaos.Action{Crash: chaos.CrashVolatile}, 2); got != 1 {
 		t.Errorf("crash after fence 1: w = %d, want 1", got)
 	}
-	if got, _ := run(chaos.Action{CrashVolatile: true}, 1); got != 0 {
+	if got, _ := run(chaos.Action{Crash: chaos.CrashVolatile}, 1); got != 0 {
 		t.Errorf("crash after flush 1 (unfenced): w = %d, want 0", got)
 	}
-	if got, _ := run(chaos.Action{CrashVolatile: true}, 4); got != 2 {
+	if got, _ := run(chaos.Action{Crash: chaos.CrashVolatile}, 4); got != 2 {
 		t.Errorf("crash after fence 2: w = %d, want 2", got)
 	}
 	// A torn crash at a flush boundary with a single pending word either
 	// drained it or lost it — both legal, never a third value.
-	if got, _ := run(chaos.Action{CrashVolatile: true, Torn: true}, 3); got != 0 && got != 2 {
+	if got, _ := run(chaos.Action{Crash: chaos.CrashTorn}, 3); got != 0 && got != 2 {
 		t.Errorf("torn crash after flush 2: w = %d, want 0 or 2", got)
 	}
 	// The ordinal stream is observable for schedule construction.
-	if _, p := run(chaos.Action{Crash: true}, 4); p.PersistOps() != 4 {
+	if _, p := run(chaos.Action{Crash: chaos.CrashClean}, 4); p.PersistOps() != 4 {
 		t.Errorf("PersistOps = %d at the crash, want 4", p.PersistOps())
 	}
 }
 
-// CrashVolatile on a processor that never enabled persistence degrades to
-// legacy Crash semantics — every committed store survives — and announces
-// the degradation with an obs event.
+// A torn crash on a processor that never enabled persistence degrades to
+// a clean crash — every committed store survives — and announces the
+// degradation with an obs event.
 func TestCrashVolatileDegradesWithoutPersistence(t *testing.T) {
 	var w Word
 	ring := obs.NewRing(256)
 	p := New(Config{Faults: chaos.OneShot{
-		Point: chaos.PointMemOp, N: 2, Action: chaos.Action{CrashVolatile: true, Torn: true},
+		Point: chaos.PointMemOp, N: 2, Action: chaos.Action{Crash: chaos.CrashTorn},
 	}})
 	p.Tracer = ring
 	p.Go("main", func(e *Env) {

@@ -402,11 +402,11 @@ func (p *Processor) PersistOps() uint64 { return p.persistOps }
 
 // EnablePersistence turns on the two-tier NVRAM persistence model: every
 // Store/Commit lands in a volatile tier, reaches the non-volatile tier
-// only through Env.Flush + Env.Fence, and an injected volatile crash
-// (chaos.Action.CrashVolatile) or an explicit DiscardUnflushed reverts
-// every unfenced word to its NVM image. Word granularity stands in for
-// vmach's 64-byte lines: this substrate has no addresses, and the paper's
-// argument needs only "some stores survive a crash and some do not".
+// only through Env.Flush + Env.Fence, and a volatile crash (Crash with
+// chaos.CrashVolatile) reverts every unfenced word to its NVM image.
+// Word granularity stands in for vmach's 64-byte lines: this substrate
+// has no addresses, and the paper's argument needs only "some stores
+// survive a crash and some do not".
 // Must be called before Run.
 func (p *Processor) EnablePersistence() {
 	p.persist = true
@@ -440,43 +440,43 @@ func (p *Processor) NVPeek(w *Word) Word {
 	return *w
 }
 
-// DiscardUnflushed reverts every word whose volatile contents were never
-// fenced to its NVM image — the memory side of a machine crash — and
-// returns how many words it reverted. Injected CrashVolatile faults call
-// it before stopping the run; harnesses may also call it on a finished
-// (crashed) processor before handing the surviving Words to a fresh one.
-func (p *Processor) DiscardUnflushed() int {
-	n := len(p.nvShadow)
+// Crash applies a crash of kind k to the persistence tiers, word by
+// word, and reports whether the processor could honour it: a volatile or
+// torn crash needs the persistence model, and without it leaves memory
+// as a clean crash does.
+//   - clean: every committed store survives, and the volatile tier
+//     becomes durable (as under eADR);
+//   - volatile: every word never fenced reverts to its NVM image;
+//   - torn: as volatile, except that a prefix of the pending words, in
+//     flush order and of a length derived from h, drains first. Word
+//     granularity stands in for vmach's partial 64-byte line drain: the
+//     failure mode the journal's checksums must catch is "some of the
+//     stores I flushed before one fence survived and some did not".
+//
+// Either way the persistence buffer empties.
+func (p *Processor) Crash(k chaos.CrashKind, h uint64) bool {
+	if !p.persist || k == chaos.CrashNone {
+		return k <= chaos.CrashClean
+	}
+	switch k {
+	case chaos.CrashClean:
+		clear(p.nvShadow)
+	case chaos.CrashTorn:
+		pending := p.pendingOrdered()
+		if len(pending) > 0 {
+			n := chaos.Derive(h, uint64(len(pending))) % uint64(len(pending)+1)
+			for _, w := range pending[:n] {
+				delete(p.nvShadow, w) // drained: the volatile value is now durable
+			}
+		}
+	}
 	for w, old := range p.nvShadow {
 		*w = old
 	}
-	if p.persist {
-		p.nvShadow = make(map[*Word]Word)
-		p.nvPending = make(map[*Word]bool)
-		p.nvOrder = nil
-	}
-	return n
-}
-
-// DiscardUnflushedTorn is the torn-write variant of a volatile crash
-// (chaos.Action.Torn): the NVM controller was partway through draining
-// the initiated write-backs when power failed. A deterministic prefix of
-// the pending words — in flush order, length derived from h — persist
-// their volatile contents; the rest, and every dirty-but-unflushed word,
-// revert to their NVM images. The word granularity stands in for vmach's
-// partial 64-byte line drain: the failure mode the journal's checksums
-// must catch is "some of the stores I flushed before one fence survived
-// and some did not". Returns the number of words reverted.
-func (p *Processor) DiscardUnflushedTorn(h uint64) int {
-	pending := p.pendingOrdered()
-	k := 0
-	if len(pending) > 0 {
-		k = int(chaos.Derive(h, uint64(len(pending))) % uint64(len(pending)+1))
-	}
-	for _, w := range pending[:k] {
-		delete(p.nvShadow, w) // drained: the volatile value is now durable
-	}
-	return p.DiscardUnflushed()
+	p.nvShadow = make(map[*Word]Word)
+	p.nvPending = make(map[*Word]bool)
+	p.nvOrder = nil
+	return true
 }
 
 // pendingOrdered returns the live pending words in flush order, dropping

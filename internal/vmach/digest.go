@@ -14,7 +14,7 @@ import (
 // keeps a sha256 digest per page, computed the first time the page is
 // hashed and reused until a write to the page marks it stale: StoreWord
 // (through the data page cache, which carries the page's entry), Poke,
-// and the crash reverts DiscardUnflushed and DiscardUnflushedTorn. Restore
+// and the reverts of Crash. Restore
 // drops the whole cache. A hash then costs O(pages written since the last
 // one), not a copy and encoding of the whole memory.
 //

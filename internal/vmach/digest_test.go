@@ -3,6 +3,8 @@ package vmach
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/chaos"
 )
 
 // digestBase is the first of the three pages FuzzMemoryDigest writes.
@@ -105,9 +107,9 @@ func FuzzMemoryDigest(f *testing.F) {
 			case 5:
 				m.Fence()
 			case 6:
-				m.DiscardUnflushed()
+				m.Crash(chaos.CrashVolatile, 0)
 			case 7:
-				m.DiscardUnflushedTorn(uint64(arg()))
+				m.Crash(chaos.CrashTorn, uint64(arg()))
 			case 8:
 				saved = m.Capture()
 			case 9:

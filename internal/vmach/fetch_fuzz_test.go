@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/chaos"
 	"repro/internal/isa"
 )
 
@@ -179,11 +180,11 @@ func FuzzStepPredecoded(f *testing.F) {
 					codeIn, dataIn = fast.Mem.Present(fetchText), fast.Mem.Present(fetchData)
 				}
 			case 5:
-				both(func(m *Memory) { m.DiscardUnflushed() })
+				both(func(m *Memory) { m.Crash(chaos.CrashVolatile, 0) })
 			case 6:
 				h := uint64(byteAt(oi))
 				oi++
-				both(func(m *Memory) { m.DiscardUnflushedTorn(h) })
+				both(func(m *Memory) { m.Crash(chaos.CrashTorn, h) })
 			}
 
 			ref.Mem.flushPageCaches()

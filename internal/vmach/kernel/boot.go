@@ -78,13 +78,6 @@ func (l *Lives) Calibrate() (uint64, error) {
 	return k.Steps(), nil
 }
 
-// CrashStep is the step in [1, span] at which crash c of the sweep
-// seeded seed and salted salt strikes, drawn by chaos.DeriveOrdinal like
-// every other sweep's crash and kill points.
-func CrashStep(seed, salt uint64, c int, span uint64) uint64 {
-	return chaos.DeriveOrdinal(span, seed, salt, uint64(c))
-}
-
 // life builds one life's kernel: warm over mem, or cold over fresh
 // persistent memory when mem is nil.
 func (l *Lives) life(mem *vmach.Memory, faults chaos.Injector) *Kernel {

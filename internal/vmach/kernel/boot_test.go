@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/isa"
 )
@@ -49,7 +50,7 @@ func TestLivesWarmBootKeepsNVM(t *testing.T) {
 	counter := l.Prog.MustSymbol("counter")
 	const marker = isa.Word(0xBEEF)
 	mem.Poke(counter, marker)
-	mem.DiscardUnflushed() // a crash: only what is durable survives
+	mem.Crash(chaos.CrashVolatile, 0) // only what is durable survives
 	k := l.Boot(nil)
 	if l.Memory() != mem || k.M.Mem != mem {
 		t.Fatal("warm boot changed the machine's memory")
@@ -98,17 +99,5 @@ func TestLivesCalibrateLeavesMachineUntouched(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Errorf("runner ran %d times, want 3 (one life, two calibrations)", runs)
-	}
-}
-
-func TestCrashStepInSpan(t *testing.T) {
-	for _, span := range []uint64{1, 2, 7, 230, 1 << 40} {
-		for seed := uint64(0); seed < 4; seed++ {
-			for c := 0; c < 200; c++ {
-				if at := CrashStep(seed, 0x58, c, span); at < 1 || at > span {
-					t.Fatalf("CrashStep(%d, 0x58, %d, %d) = %d, outside [1, %d]", seed, c, span, at, span)
-				}
-			}
-		}
 	}
 }

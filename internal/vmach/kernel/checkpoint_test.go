@@ -150,7 +150,7 @@ func TestCrashCheckpointRestoreReplays(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	crash := chaos.OneShot{Point: chaos.PointStep, N: 700, Action: chaos.Action{Crash: true}}
+	crash := chaos.OneShot{Point: chaos.PointStep, N: 700, Action: chaos.Action{Crash: chaos.CrashClean}}
 	k := ckptBoot(t, crash)
 	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
 		t.Fatalf("crashed run = %v, want ErrMachineCrash", err)

@@ -200,11 +200,6 @@ type Config struct {
 	Quantum  uint64    // timeslice in cycles (0: default 10000)
 	// MaxCycles aborts a run that exceeds the budget. Default 2^40.
 	MaxCycles uint64
-	// EvictEvery, when nonzero, evicts the suspended thread's code page on
-	// every Nth involuntary suspension — failure injection for the §4.1
-	// hazard: the kernel's own PC check then page-faults and must recover.
-	// For seeded, combinable fault schedules use Faults instead.
-	EvictEvery uint64
 	// Faults, when non-nil, decides the faults at every dispatch,
 	// involuntary suspension, and retired instruction; the requested
 	// faults (forced preemptions, spurious suspensions, page evictions,
@@ -237,14 +232,13 @@ type Kernel struct {
 	// CPUID is which CPU of an SMP complex this kernel is (0 standalone).
 	CPUID int
 
-	maxCycles  uint64
-	evictEvery uint64
-	faultAt    chaos.Cursor
-	watchdog   chaos.Watchdog
-	steps      uint64         // retired-instruction ordinal for PointStep
-	livelock   *LivelockError // set by a watchdog abort; ends the run
-	crashed    error          // set by an injected machine crash; ends the run
-	deathFns   []func(*Thread)
+	maxCycles uint64
+	faultAt   chaos.Cursor
+	watchdog  chaos.Watchdog
+	steps     uint64         // retired-instruction ordinal for PointStep
+	livelock  *LivelockError // set by a watchdog abort; ends the run
+	crashed   error          // set by an injected machine crash; ends the run
+	deathFns  []func(*Thread)
 
 	threads []*Thread
 	runq    []*Thread
@@ -305,17 +299,16 @@ func New(cfg Config) *Kernel {
 		cfg.MaxCycles = 1 << 40
 	}
 	return &Kernel{
-		waitq:      make(map[uint32][]*Thread),
-		M:          vmach.NewWithMemory(cfg.Profile, cfg.Memory),
-		CPUID:      cfg.CPUID,
-		Profile:    cfg.Profile,
-		Strategy:   cfg.Strategy,
-		CheckAt:    cfg.CheckAt,
-		Quantum:    cfg.Quantum,
-		maxCycles:  cfg.MaxCycles,
-		evictEvery: cfg.EvictEvery,
-		faultAt:    chaos.NewCursor(cfg.Faults),
-		watchdog:   cfg.Watchdog,
+		waitq:     make(map[uint32][]*Thread),
+		M:         vmach.NewWithMemory(cfg.Profile, cfg.Memory),
+		CPUID:     cfg.CPUID,
+		Profile:   cfg.Profile,
+		Strategy:  cfg.Strategy,
+		CheckAt:   cfg.CheckAt,
+		Quantum:   cfg.Quantum,
+		maxCycles: cfg.MaxCycles,
+		faultAt:   chaos.NewCursor(cfg.Faults),
+		watchdog:  cfg.Watchdog,
 	}
 }
 
@@ -624,23 +617,14 @@ func (k *Kernel) injectStep(act chaos.Action) {
 		k.M.Mem.SetPresent(t.Ctx.Regs[isa.RegSP], false)
 	}
 	switch {
-	case act.CrashVolatile:
-		// The NVRAM-model crash: unflushed lines revert to their NVM
-		// images before the machine halts, so everything after the halt —
-		// checkpoints, recovery reboots — sees NVM contents only. On a
-		// memory without the persistence model there is no volatile tier
-		// to lose and the fault degrades to the legacy full-persistence
-		// Crash; the degradation is announced so a trace reader can tell
-		// the schedule did not get the semantics it asked for.
-		if !k.M.Mem.Persistent() {
+	case act.Crash != chaos.CrashNone:
+		// Memory takes the crash first, so everything after the halt —
+		// checkpoints, recovery reboots — sees what survived it. A kind
+		// the memory cannot honour is announced, so a trace reader can
+		// tell the schedule did not get the semantics it asked for.
+		if !k.M.Mem.Crash(act.Crash, k.steps) {
 			k.trace(obs.KindCrashDegraded, t, act.Bits())
-		} else if act.Torn {
-			k.M.Mem.DiscardUnflushedTorn(k.steps)
-		} else {
-			k.M.Mem.DiscardUnflushed()
 		}
-		k.crash()
-	case act.Crash:
 		k.crash()
 	case act.Kill:
 		k.reap(t)
@@ -853,11 +837,6 @@ func (k *Kernel) suspend(t *Thread) {
 	k.Stats.Suspensions++
 	k.chargeKernel(uint64(k.Profile.SuspendCycles))
 
-	// Failure injection: evict the thread's code page so that any PC check
-	// reading the instruction stream must itself take a page fault.
-	if k.evictEvery > 0 && k.Stats.Suspensions%k.evictEvery == 0 {
-		k.M.Mem.SetPresent(t.Ctx.PC, false)
-	}
 	if act, ok := k.faultAt.At(chaos.PointSuspend, k.Stats.Suspensions); ok {
 		k.Stats.Injected++
 		k.trace(obs.KindInject, t, act.Bits())

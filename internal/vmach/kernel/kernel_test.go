@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/asm"
+	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/isa"
 )
@@ -613,6 +614,15 @@ func TestMicros(t *testing.T) {
 	}
 }
 
+// evictEvery evicts the suspended thread's code page on every nth
+// involuntary suspension, so a PC check reading the instruction stream
+// must itself take a page fault.
+func evictEvery(n uint64) chaos.Injector {
+	return injectorFunc(func(p chaos.Point, k uint64) chaos.Action {
+		return chaos.Action{EvictCode: p == chaos.PointSuspend && k%n == 0}
+	})
+}
+
 // Failure injection: evicting the suspended thread's code page forces the
 // designated-sequence check itself to page-fault (§4.1); the kernel must
 // service the fault, retry the check, and preserve atomicity.
@@ -624,7 +634,7 @@ func TestEvictionInjectionDesignated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := New(Config{Strategy: &Designated{}, CheckAt: at, Quantum: 211, EvictEvery: 3, MaxCycles: 50_000_000})
+		k := New(Config{Strategy: &Designated{}, CheckAt: at, Quantum: 211, Faults: evictEvery(3), MaxCycles: 50_000_000})
 		k.Load(prog)
 		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
 		if err := k.Run(); err != nil {
@@ -665,7 +675,7 @@ func TestEvictionInjectionAllStrategies(t *testing.T) {
 		// A roomy quantum keeps the user-level trampoline overhead from
 		// swamping guest progress (vectoring every resume through guest
 		// code is expensive — §4.1's point).
-		k := New(Config{Strategy: c.strat, CheckAt: c.at, Quantum: 1500, EvictEvery: 2, MaxCycles: 50_000_000})
+		k := New(Config{Strategy: c.strat, CheckAt: c.at, Quantum: 1500, Faults: evictEvery(2), MaxCycles: 50_000_000})
 		k.Load(prog)
 		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
 		if err := k.Run(); err != nil {

@@ -224,7 +224,7 @@ spin:
 // the current thread in place (for checkpointing at the crash point).
 func TestInjectedCrashStopsRun(t *testing.T) {
 	k, _ := boot(t, Config{
-		Faults: chaos.OneShot{Point: chaos.PointStep, N: 25, Action: chaos.Action{Crash: true}},
+		Faults: chaos.OneShot{Point: chaos.PointStep, N: 25, Action: chaos.Action{Crash: chaos.CrashClean}},
 	}, `
 main:
 	li   t0, 1000

@@ -27,12 +27,13 @@ func persistConfig(mem *vmach.Memory, faults chaos.Injector) Config {
 	return cfg
 }
 
-// TestCrashIsFullyPersistent pins the legacy contract satellite to the
-// chaos.Action.Crash doc: Crash models a machine with fully persistent
-// memory, so every committed store survives the halt — even on a memory
-// with the persistence model enabled, and even though nothing was ever
-// flushed. CrashVolatile on the same schedule is the contrast: the
-// unflushed counter reverts to its NVM image.
+// TestCrashIsFullyPersistent pins the clean-crash contract of
+// chaos.CrashClean: every committed store survives the halt — even on a
+// memory with the persistence model enabled, and even though nothing was
+// ever flushed. A volatile crash on the same schedule is the contrast:
+// the unflushed counter reverts to its NVM image. On a persistent memory
+// the clean crash makes the volatile tier durable (eADR), so a volatile
+// or torn crash in the next life reverts nothing it kept.
 func TestCrashIsFullyPersistent(t *testing.T) {
 	const crashAt = 2000
 	run := func(act chaos.Action) (counter isa.Word, increments int) {
@@ -48,25 +49,53 @@ func TestCrashIsFullyPersistent(t *testing.T) {
 		return mem.Peek(counterAddr), increments
 	}
 
-	c, r := run(chaos.Action{Crash: true})
+	c, r := run(chaos.Action{Crash: chaos.CrashClean})
 	if r == 0 {
 		t.Fatal("crash fired before any increment; pick a later step")
 	}
 	if int(c) != r {
-		t.Errorf("legacy Crash lost stores: counter=%d, %d increments committed", c, r)
+		t.Errorf("clean crash lost stores: counter=%d, %d increments committed", c, r)
 	}
 
-	cv, rv := run(chaos.Action{CrashVolatile: true})
+	cv, rv := run(chaos.Action{Crash: chaos.CrashVolatile})
 	if rv != r {
 		t.Fatalf("schedules diverged: %d vs %d increments", rv, r)
 	}
 	if cv != 0 {
-		t.Errorf("CrashVolatile kept an unflushed counter: %d, want 0 (NVM image)", cv)
+		t.Errorf("volatile crash kept an unflushed counter: %d, want 0 (NVM image)", cv)
+	}
+
+	for _, second := range []chaos.CrashKind{chaos.CrashVolatile, chaos.CrashTorn} {
+		l := Lives{Prog: guest.Assemble(guest.RecoverableCounterProgram(2, 50)),
+			StackTop: guest.StackTop(0), Config: PersistConfig(0)}
+		crash := func(kind chaos.CrashKind, at uint64) {
+			k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: kind}})
+			if err := l.Run(k); !errors.Is(err, ErrMachineCrash) {
+				t.Fatalf("Run = %v, want ErrMachineCrash", err)
+			}
+		}
+		crash(chaos.CrashClean, crashAt)
+		mem := l.Memory()
+		counterAddr := l.Prog.MustSymbol("counter")
+		if mem.Peek(counterAddr) == 0 {
+			t.Fatal("clean crash fired before any increment; pick a later step")
+		}
+		if mem.NVPeek(counterAddr) != mem.Peek(counterAddr) || mem.DirtyLines() != nil {
+			t.Errorf("after a clean crash NVM differs from memory (dirty lines %v)", mem.DirtyLines())
+		}
+		// The warm boot's first instruction stores nothing, so a crash
+		// there must leave memory exactly as the clean crash did.
+		kept := mem.Digest()
+		crash(second, 1)
+		if mem.Digest() != kept {
+			t.Errorf("a crash of kind %d after a clean one reverted memory the clean crash kept", second)
+		}
 	}
 }
 
-// On a memory without the persistence model, CrashVolatile degrades to
-// Crash: there is no volatile tier to lose, committed stores survive, and
+// On a memory without the persistence model, a volatile or torn crash
+// degrades to a clean one: there is no volatile tier to lose, committed
+// stores survive, and
 // the kernel announces the downgrade with a crash-degraded trace event so
 // a schedule reader can tell it did not get the semantics it asked for.
 // On a persistent memory the same schedule must stay silent.
@@ -79,7 +108,7 @@ func TestCrashVolatileDegradesToCrashOnPlainMemory(t *testing.T) {
 			Memory:   mem,
 			Faults: chaos.OneShot{
 				Point: chaos.PointStep, N: 2000,
-				Action: chaos.Action{CrashVolatile: true, Torn: true},
+				Action: chaos.Action{Crash: chaos.CrashTorn},
 			},
 		}, guest.RecoverableCounterProgram(2, 50))
 		k.Tracer = ring
@@ -96,7 +125,7 @@ func TestCrashVolatileDegradesToCrashOnPlainMemory(t *testing.T) {
 
 	k, prog, degraded := run(nil) // nil Memory: plain, no persistence model
 	if got := k.M.Mem.Peek(prog.MustSymbol("counter")); got == 0 {
-		t.Error("CrashVolatile on plain memory lost committed stores")
+		t.Error("torn crash on plain memory lost committed stores")
 	}
 	if degraded != 1 {
 		t.Errorf("crash-degraded events on plain memory = %d, want exactly 1", degraded)
@@ -121,7 +150,7 @@ func crashThenReboot(t *testing.T, src string, faults chaos.Injector) (c0 isa.Wo
 	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
 		t.Fatalf("phase 1: Run = %v, want ErrMachineCrash", err)
 	}
-	// The injected CrashVolatile already discarded the volatile tier: what
+	// The injected volatile crash already discarded the volatile tier: what
 	// memory holds now is NVM contents only.
 	c0 = mem.Peek(counterAddr)
 	k2 = New(persistConfig(mem, nil))
@@ -158,7 +187,7 @@ func TestPersistentCounterCrashRecovery(t *testing.T) {
 		}
 		c0, incrs, k2, sym := crashThenReboot(t,
 			guest.PersistentCounterProgram(workers, iters),
-			chaos.OneShot{Point: chaos.PointStep, N: crashAt, Action: chaos.Action{CrashVolatile: true}})
+			chaos.OneShot{Point: chaos.PointStep, N: crashAt, Action: chaos.Action{Crash: chaos.CrashVolatile}})
 		if int(c0) < incrs-1 {
 			t.Errorf("crash@%d: NVM counter %d but %d increments committed; protocol lost more than one",
 				crashAt, c0, incrs)
@@ -186,7 +215,7 @@ func TestUnderflushedCounterLosesIncrements(t *testing.T) {
 	inj := injectorFunc(func(p chaos.Point, n uint64) chaos.Action {
 		if p == chaos.PointStep && !fired && incrs >= 3 {
 			fired = true
-			return chaos.Action{CrashVolatile: true}
+			return chaos.Action{Crash: chaos.CrashVolatile}
 		}
 		return chaos.Action{}
 	})

@@ -141,9 +141,9 @@ func runCases() []runCase {
 		{"kill-plan", counterBoot(Config{Strategy: &Designated{}, CheckAt: CheckAtResume, Quantum: 300,
 			Faults: chaos.NewKillPlan(0xC0FFEE, 1), MaxCycles: 5_000_000, Watchdog: extend},
 			guest.MechDesignated, 4, 300), false},
-		{"crash/clean", persistBoot(2000, chaos.Action{Crash: true}), true},
-		{"crash/volatile", persistBoot(2000, chaos.Action{CrashVolatile: true}), true},
-		{"crash/torn", persistBoot(2003, chaos.Action{CrashVolatile: true, Torn: true}), true},
+		{"crash/clean", persistBoot(2000, chaos.Action{Crash: chaos.CrashClean}), true},
+		{"crash/volatile", persistBoot(2000, chaos.Action{Crash: chaos.CrashVolatile}), true},
+		{"crash/torn", persistBoot(2003, chaos.Action{Crash: chaos.CrashTorn}), true},
 		{"lockbit", counterBoot(Config{Profile: arch.I860(), Quantum: 53, Faults: plan(6, 0.25)},
 			guest.MechLockB, 3, 100), false},
 		{"write-buffer", counterBoot(Config{Profile: arch.R3000().WithWriteBuffer(2, 12), Strategy: &Registration{},
@@ -283,7 +283,7 @@ func TestKernelFitsSizeClass(t *testing.T) {
 // A crash's verdict reads as it always has and still matches
 // ErrMachineCrash.
 func TestCrashErrorText(t *testing.T) {
-	k, _ := persistBoot(2000, chaos.Action{Crash: true})(t)
+	k, _ := persistBoot(2000, chaos.Action{Crash: chaos.CrashClean})(t)
 	err := k.Run()
 	if want := "kernel: injected machine crash at step 2000"; err == nil || err.Error() != want {
 		t.Errorf("Run = %v, want %q", err, want)

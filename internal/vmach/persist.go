@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/chaos"
 	"repro/internal/isa"
 )
 
@@ -15,16 +16,17 @@ import (
 // A committed store lands in the volatile tier only; the line's NVM image
 // keeps its pre-store contents until the guest writes the line back with
 // the flush instruction AND makes the write-back durable with fence. A
-// volatile crash (chaos.Action.CrashVolatile) discards the volatile tier,
+// volatile crash (chaos.CrashVolatile) discards the volatile tier,
 // reverting every unflushed line to its NVM image — which is exactly the
-// state a recovery path gets to see.
+// state a recovery path gets to see. Crash is the one rule for every
+// crash kind.
 //
 // The model is conservative and deterministic: a line flushed but not yet
 // fenced does NOT survive a crash, and a store to a flushed-but-unfenced
 // line cancels the outstanding write-back (it must be flushed again).
 //
 // Persistence is off by default — Memory behaves as fully persistent RAM,
-// which is the legacy `Crash` semantics — and is enabled per memory with
+// the clean-crash semantics — and is enabled per memory with
 // EnablePersistence.
 
 // Line geometry: 64-byte lines of 16 words, matching smp.LineShift.
@@ -94,66 +96,42 @@ func (m *Memory) Fence() int {
 	return n
 }
 
-// DiscardUnflushed models the memory side of a volatile machine crash:
-// every line whose write-back has not been fenced reverts to its NVM
-// image, and the persistence buffer empties. Returns the number of lines
-// that lost volatile contents. Watchpoints do not fire — a crash is not a
-// committed store.
-func (m *Memory) DiscardUnflushed() int {
-	n := len(m.nvLines)
-	for line, img := range m.nvLines {
-		base := line << LineShift
-		copy(m.page(base)[base>>2&(PageWords-1):][:LineWords], img[:])
-		m.invalidateDigest(base >> PageShift)
+// Crash applies a crash of kind k to memory, line by line, and reports
+// whether the memory could honour it: a volatile or torn crash needs the
+// persistence model, and without it leaves memory as a clean crash does.
+//   - clean: every committed store survives, and the volatile tier
+//     becomes durable (as under eADR): no line keeps an NVM image older
+//     than its contents, so a later crash cannot revert it;
+//   - volatile: every line whose write-back has not been fenced reverts
+//     to its NVM image;
+//   - torn: as volatile, except that each line with a pending write-back
+//     (flushed, not fenced) keeps a prefix of its volatile words, its
+//     length derived from h and the line number so the tear replays.
+//
+// Either way the persistence buffer empties. Watchpoints do not fire: a
+// crash is not a committed store.
+func (m *Memory) Crash(k chaos.CrashKind, h uint64) bool {
+	if !m.persist || k == chaos.CrashNone {
+		return k <= chaos.CrashClean
 	}
-	clear(m.nvLines)
-	clear(m.pending)
-	return n
-}
-
-// DiscardUnflushedTorn is the torn-write variant of a volatile crash
-// (chaos.Action.Torn): power is lost while the NVM controller is halfway
-// through draining the initiated write-backs. Every line with a PENDING
-// write-back (flushed, fence not yet reached) persists only a prefix of
-// its words — the first k words of the line carry their volatile
-// contents, the rest revert to the NVM image — where k is derived
-// deterministically from h and the line number, so a torn crash replays
-// exactly. Lines that were dirty but never flushed revert entirely, as in
-// DiscardUnflushed. Returns the number of lines that lost at least one
-// word. Watchpoints do not fire — a crash is not a committed store.
-func (m *Memory) DiscardUnflushedTorn(h uint64) int {
-	n := 0
 	for line, img := range m.nvLines {
 		keep := 0 // words of the line whose volatile contents persist
-		if m.pending[line] {
-			keep = int(splitmix(h^uint64(line)) % (LineWords + 1))
+		switch {
+		case k == chaos.CrashClean:
+			keep = LineWords
+		case k == chaos.CrashTorn && m.pending[line]:
+			keep = int(chaos.Mix(h^uint64(line)) % (LineWords + 1))
 		}
 		base := line << LineShift
 		mem := m.page(base)[base>>2&(PageWords-1):][:LineWords]
-		torn := false
-		for i := keep; i < LineWords; i++ {
-			if mem[i] != img[i] {
-				torn = true
-			}
-			mem[i] = img[i]
-		}
-		if torn {
-			n++
+		if !slices.Equal(mem[keep:], img[keep:]) {
+			copy(mem[keep:], img[keep:])
 			m.invalidateDigest(base >> PageShift)
 		}
 	}
 	clear(m.nvLines)
 	clear(m.pending)
-	return n
-}
-
-// splitmix is SplitMix64 (mirrors chaos.Derive's mixer) — kept local so
-// the memory model does not depend on the chaos package.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	return true
 }
 
 // NVPeek reads the NVM-tier value of the word at addr — what a crash at

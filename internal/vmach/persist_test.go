@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/asm"
+	"repro/internal/chaos"
 	"repro/internal/isa"
 )
 
@@ -39,9 +40,7 @@ func TestPersistenceTiers(t *testing.T) {
 	if m.DirtyLines() != nil || m.PendingLines() != nil {
 		t.Fatal("persistence buffer not empty after fence")
 	}
-	if n := m.DiscardUnflushed(); n != 0 {
-		t.Fatalf("discard reverted %d lines after full persist, want 0", n)
-	}
+	m.Crash(chaos.CrashVolatile, 0)
 	if got := m.Peek(0x1000); got != 42 {
 		t.Fatalf("word = %d after crash, want 42 (it was fenced)", got)
 	}
@@ -59,9 +58,7 @@ func TestStoreCancelsPendingWriteback(t *testing.T) {
 	if n := m.Fence(); n != 0 {
 		t.Fatalf("Fence persisted %d lines, want 0 (write-back was cancelled)", n)
 	}
-	if n := m.DiscardUnflushed(); n != 1 {
-		t.Fatalf("discard reverted %d lines, want 1", n)
-	}
+	m.Crash(chaos.CrashVolatile, 0)
 	if got := m.Peek(0x2000); got != 0 {
 		t.Fatalf("word = %d after crash, want 0 (neither store was fenced)", got)
 	}
@@ -69,15 +66,15 @@ func TestStoreCancelsPendingWriteback(t *testing.T) {
 
 // A crash reverts exactly the unfenced lines; fenced ones keep their
 // volatile contents.
-func TestDiscardUnflushedRevertsOnlyUnfenced(t *testing.T) {
+func TestVolatileCrashRevertsOnlyUnfenced(t *testing.T) {
 	m := NewMemory()
 	m.EnablePersistence()
 	m.StoreWord(0x1000, 10) // line A: flushed and fenced
 	m.StoreWord(0x1040, 20) // line B: left dirty
 	m.FlushLine(0x1000)
 	m.Fence()
-	if n := m.DiscardUnflushed(); n != 1 {
-		t.Fatalf("discard reverted %d lines, want 1", n)
+	if !m.Crash(chaos.CrashVolatile, 0) {
+		t.Fatal("persistent memory refused a volatile crash")
 	}
 	if a, b := m.Peek(0x1000), m.Peek(0x1040); a != 10 || b != 0 {
 		t.Fatalf("after crash: A=%d B=%d, want A=10 B=0", a, b)
@@ -117,7 +114,7 @@ func TestFlushNotPresentPageFaults(t *testing.T) {
 }
 
 // Without EnablePersistence, flush and fence are hints on fully
-// persistent RAM and a crash loses nothing.
+// persistent RAM and a crash loses nothing: a volatile crash degrades.
 func TestFlushIsHintWithoutPersistence(t *testing.T) {
 	m := NewMemory()
 	m.StoreWord(0x1000, 9)
@@ -127,8 +124,8 @@ func TestFlushIsHintWithoutPersistence(t *testing.T) {
 	if n := m.Fence(); n != 0 {
 		t.Fatalf("fence on non-persistent memory persisted %d lines", n)
 	}
-	if m.DiscardUnflushed() != 0 || m.Peek(0x1000) != 9 {
-		t.Fatal("non-persistent memory lost a committed store")
+	if m.Crash(chaos.CrashVolatile, 0) || m.Peek(0x1000) != 9 {
+		t.Fatal("non-persistent memory honoured a volatile crash or lost a committed store")
 	}
 }
 
@@ -221,8 +218,8 @@ func TestMachineFlushFaultsOnNotPresentPage(t *testing.T) {
 
 // A torn crash persists a deterministic PREFIX of each pending line's
 // words — never a subset with gaps — while dirty-but-unflushed lines
-// revert entirely, exactly as in a clean volatile crash.
-func TestDiscardUnflushedTornPersistsLinePrefix(t *testing.T) {
+// revert entirely, exactly as in a volatile crash.
+func TestTornCrashPersistsLinePrefix(t *testing.T) {
 	build := func() *Memory {
 		m := NewMemory()
 		m.EnablePersistence()
@@ -250,7 +247,7 @@ func TestDiscardUnflushedTornPersistsLinePrefix(t *testing.T) {
 	partial := false
 	for h := uint64(0); h < 32; h++ {
 		m := build()
-		m.DiscardUnflushedTorn(h)
+		m.Crash(chaos.CrashTorn, h)
 		k := prefixLen(m)
 		if 0 < k && k < LineWords {
 			partial = true
@@ -263,12 +260,13 @@ func TestDiscardUnflushedTornPersistsLinePrefix(t *testing.T) {
 		}
 		// Determinism: the same ordinal tears the same way.
 		m2 := build()
-		m2.DiscardUnflushedTorn(h)
+		m2.Crash(chaos.CrashTorn, h)
 		if prefixLen(m2) != k {
 			t.Fatalf("h=%d: torn crash is not deterministic", h)
 		}
 		// What survived the crash is durable: a second crash changes nothing.
-		if m.DiscardUnflushed() != 0 {
+		m.Crash(chaos.CrashVolatile, 0)
+		if prefixLen(m) != k {
 			t.Fatalf("h=%d: torn survivors were not durable", h)
 		}
 	}
@@ -298,8 +296,95 @@ func TestSnapshotRoundTripsPersistenceState(t *testing.T) {
 	if got := m2.NVPeek(0x1040); got != 2 {
 		t.Fatalf("restored pending line fenced to %d, want 2", got)
 	}
-	m2.DiscardUnflushed() // ...and the restored dirty line still reverts
+	m2.Crash(chaos.CrashVolatile, 0) // ...and the restored dirty line still reverts
 	if a, b := m2.Peek(0x1000), m2.Peek(0x1040); a != 0 || b != 2 {
 		t.Fatalf("after restore+fence+crash: %d/%d, want 0/2", a, b)
 	}
+}
+
+// FuzzMemoryCrash runs a random sequence of stores, flushes and fences on
+// a persistent memory, then each crash kind on its own copy, and checks
+// the crash rule word by word over the lines the sequence can touch:
+//   - clean: Peek is unchanged, and NVPeek == Peek;
+//   - volatile: Peek equals the pre-crash NVPeek;
+//   - torn: a pending line keeps a prefix of its volatile words and the
+//     NVM image after it; every other line reads its pre-crash NVPeek.
+//
+// After every kind the persistence buffer is empty.
+func FuzzMemoryCrash(f *testing.F) {
+	// Each op is an opcode byte and an argument byte: 0 stores, 1
+	// flushes, 2 fences. The last byte seeds the tear.
+	f.Add([]byte{0, 1, 0, 17, 1, 1, 2, 0, 0, 40, 1, 40, 7})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 1, 0, 0, 20, 1, 20, 0, 21, 0xC0})
+	f.Add([]byte{0, 5, 1, 5, 2, 0, 0, 5, 0, 6, 1, 6, 0, 50, 1, 50, 2, 0, 0, 63, 3})
+	const base, words = 0x8000, 4 * LineWords // four lines
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := NewMemory()
+		m.EnablePersistence()
+		for i := 0; i+1 < len(ops) && i < 512; i += 2 {
+			a := base + uint32(ops[i+1])%words*4
+			switch ops[i] % 3 {
+			case 0:
+				m.StoreWord(a, isa.Word(i+1))
+			case 1:
+				m.FlushLine(a)
+			case 2:
+				m.Fence()
+			}
+		}
+		var h uint64
+		if len(ops) > 0 {
+			h = uint64(ops[len(ops)-1])
+		}
+		var vol, nv [words]isa.Word
+		for i := range vol {
+			vol[i], nv[i] = m.Peek(base+uint32(i)*4), m.NVPeek(base+uint32(i)*4)
+		}
+		pending := map[uint32]bool{}
+		for _, ln := range m.PendingLines() {
+			pending[ln] = true
+		}
+		img := m.Capture()
+		none := NewMemory()
+		none.Restore(img)
+		if !none.Crash(chaos.CrashNone, h) || !reflect.DeepEqual(none.Capture(), img) {
+			t.Fatal("CrashNone changed memory")
+		}
+		for _, kind := range []chaos.CrashKind{chaos.CrashClean, chaos.CrashVolatile, chaos.CrashTorn} {
+			c := NewMemory()
+			c.Restore(img)
+			if !c.Crash(kind, h) {
+				t.Fatalf("kind %d: persistent memory refused the crash", kind)
+			}
+			if c.DirtyLines() != nil || c.PendingLines() != nil {
+				t.Fatalf("kind %d: persistence buffer not empty after the crash", kind)
+			}
+			for line := 0; line < words/LineWords; line++ {
+				kept := LineWords // the prefix of the line's words that kept their volatile contents
+				for w := 0; w < LineWords; w++ {
+					i := line*LineWords + w
+					got := c.Peek(base + uint32(i)*4)
+					if got != c.NVPeek(base+uint32(i)*4) {
+						t.Fatalf("kind %d: word %d reads %d but NVM holds %d after the crash", kind, i, got, c.NVPeek(base+uint32(i)*4))
+					}
+					want := nv[i]
+					switch {
+					case kind == chaos.CrashClean:
+						want = vol[i]
+					case kind == chaos.CrashTorn && pending[(base>>LineShift)+uint32(line)]:
+						if w < kept && got != vol[i] {
+							kept = w
+						}
+						if w < kept {
+							want = vol[i]
+						}
+					}
+					if got != want {
+						t.Fatalf("kind %d: word %d = %d, want %d (volatile %d, NVM %d, pending %v)",
+							kind, i, got, want, vol[i], nv[i], pending[(base>>LineShift)+uint32(line)])
+					}
+				}
+			}
+		}
+	})
 }

@@ -58,37 +58,18 @@ func (s *System) Capture() *Snapshot {
 // the profile, strategies, quantum and harness wiring, which must match
 // the capturing config for the replay to be exact.
 func Restore(cfg Config, snap *Snapshot) (*System, error) {
-	cfg.CPUs = len(snap.Kernels)
-	cfg.Mode = snap.Mode
-	cfg.Costs = snap.Costs
+	cfg.Mode, cfg.Costs = snap.Mode, snap.Costs
 	cfg = defaultedConfig(cfg)
-	s := &System{
-		Mem:   vmach.NewMemory(),
-		Coh:   NewCoherence(cfg.Mode, cfg.Costs),
-		done:  make([]bool, cfg.CPUs),
-		verds: make([]error, cfg.CPUs),
-	}
-	for i, ks := range snap.Kernels {
-		kcfg := kernel.Config{
-			Profile:   cfg.Profile,
-			Strategy:  cfg.NewStrategy(),
-			CheckAt:   cfg.CheckAt,
-			Quantum:   cfg.Quantum,
-			MaxCycles: cfg.MaxCycles,
-			Memory:    s.Mem,
-			CPUID:     i,
-			Watchdog:  cfg.Watchdog,
-		}
-		if cfg.Faults != nil {
-			kcfg.Faults = cfg.Faults(i)
-		}
-		k, err := kernel.Restore(kcfg, ks)
+	cfg.CPUs = len(snap.Kernels)
+	s, err := build(cfg, func(i int, kcfg kernel.Config) (*kernel.Kernel, error) {
+		k, err := kernel.Restore(kcfg, snap.Kernels[i])
 		if err != nil {
 			return nil, fmt.Errorf("smp: cpu%d: %w", i, err)
 		}
-		k.M.Coherence = s.Coh.attach(k.M)
-		k.PeerAlive = s.ThreadAliveG
-		s.CPUs = append(s.CPUs, k)
+		return k, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The per-CPU restores each wiped the shared memory with their empty
 	// images; install the real contents (and the directory) last.

@@ -138,7 +138,7 @@ func TestCrashDuringHybridHandoff(t *testing.T) {
 	// Pass 2: same trajectory, machine crash at that ordinal.
 	crashed, unbiasPC, counterAddr := build(func(cpu int) chaos.Injector {
 		if cpu == 0 {
-			return chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: true}}
+			return chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Crash: chaos.CrashClean}}
 		}
 		return nil
 	})

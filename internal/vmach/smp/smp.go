@@ -84,7 +84,17 @@ func defaultedConfig(cfg Config) Config {
 
 // New builds a system from cfg.
 func New(cfg Config) *System {
-	cfg = defaultedConfig(cfg)
+	s, _ := build(defaultedConfig(cfg), func(_ int, kcfg kernel.Config) (*kernel.Kernel, error) {
+		return kernel.New(kcfg), nil
+	})
+	return s
+}
+
+// build wires a system over one fresh shared memory: CPU i's kernel comes
+// from newCPU with cfg's per-CPU kernel config, then joins the coherence
+// directory and the global liveness oracle. cfg must be defaulted apart
+// from CPUs, which build takes as given.
+func build(cfg Config, newCPU func(i int, kcfg kernel.Config) (*kernel.Kernel, error)) (*System, error) {
 	s := &System{
 		Mem:   vmach.NewMemory(),
 		Coh:   NewCoherence(cfg.Mode, cfg.Costs),
@@ -105,12 +115,15 @@ func New(cfg Config) *System {
 		if cfg.Faults != nil {
 			kcfg.Faults = cfg.Faults(i)
 		}
-		k := kernel.New(kcfg)
+		k, err := newCPU(i, kcfg)
+		if err != nil {
+			return nil, err
+		}
 		k.M.Coherence = s.Coh.attach(k.M)
 		k.PeerAlive = s.ThreadAliveG
 		s.CPUs = append(s.CPUs, k)
 	}
-	return s
+	return s, nil
 }
 
 // ThreadAliveG answers liveness for a global thread id (GlobalID
@@ -127,14 +140,9 @@ func (s *System) ThreadAliveG(gtid int) bool {
 	return s.CPUs[cpu].ThreadAlive(local)
 }
 
-// Load copies an assembled program into the shared memory (once: every
-// CPU sees it) and installs the program's predecoded text for instruction
-// fetch.
-func (s *System) Load(p *asm.Program) {
-	s.Mem.LoadProgramWords(p.TextBase, p.Text)
-	s.Mem.LoadProgramWords(p.DataBase, p.Data)
-	s.Mem.SetText(p.TextBase, p.Predecoded())
-}
+// Load loads an assembled program through CPU 0 into the shared memory,
+// where every CPU sees it (kernel.Kernel.Load).
+func (s *System) Load(p *asm.Program) { s.CPUs[0].Load(p) }
 
 // Spawn creates a ready thread on the given CPU. The caller picks the
 // stack; use guest.StackTop(GlobalID(cpu, local)) to keep stacks of
