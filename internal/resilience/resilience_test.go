@@ -190,7 +190,7 @@ func TestVMWorldAuditNamesOrphanOwner(t *testing.T) {
 	if err := w.Check(); err != nil {
 		t.Fatalf("clean audit: %v", err)
 	}
-	w.mem().Poke(w.sym("lock"), 1<<16|3) // thread 2, epoch 1
+	w.mem().Poke(w.addr.lock, 1<<16|3) // thread 2, epoch 1
 	err := w.Check()
 	if want := "final audit: lock still owned by thread 2"; err == nil || err.Error() != want {
 		t.Errorf("audit = %v, want %q", err, want)

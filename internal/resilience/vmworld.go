@@ -30,6 +30,7 @@ type VMWorldConfig struct {
 type VMWorld struct {
 	cfg   VMWorldConfig
 	lives kernel.Lives
+	addr  vmAddrs // the guest words the world reads and writes
 
 	// Per-boot recovery watch state, read by the one watcher registered
 	// at cold boot (vmach watchers cannot be unregistered).
@@ -50,9 +51,20 @@ func NewVMWorld(cfg VMWorldConfig) *VMWorld {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 22
 	}
-	return &VMWorld{cfg: cfg, lives: kernel.Lives{
-		Prog:     guest.Assemble(guest.ResilientServerProgram(cfg.Workers, cfg.Iters)),
-		StackTop: guest.StackTop(0), Config: kernel.PersistConfig(cfg.MaxCycles), Runner: cfg.Run}}
+	prog := guest.Assemble(guest.ResilientServerProgram(cfg.Workers, cfg.Iters))
+	return &VMWorld{cfg: cfg, addr: vmAddrs{
+		recovered: prog.MustSymbol("recovered"), readonly: prog.MustSymbol("readonly"),
+		counter: prog.MustSymbol("counter"), wal: prog.MustSymbol("wal"),
+		applied: prog.MustSymbol("applied"), lock: prog.MustSymbol("lock"),
+		repairs: prog.MustSymbol("repairs"),
+	}, lives: kernel.Lives{
+		Prog: prog, StackTop: guest.StackTop(0), Config: kernel.PersistConfig(cfg.MaxCycles), Runner: cfg.Run}}
+}
+
+// vmAddrs are the addresses of the resilient server guest's symbols,
+// resolved once: a campaign reads them on every boot.
+type vmAddrs struct {
+	recovered, readonly, counter, wal, applied, lock, repairs uint32
 }
 
 // CalibrateSpan runs a separate, throwaway machine cleanly and returns
@@ -60,7 +72,7 @@ func NewVMWorld(cfg VMWorldConfig) *VMWorld {
 // crashes over.
 func (w *VMWorld) CalibrateSpan() (uint64, error) { return w.lives.Calibrate() }
 
-func (w *VMWorld) appliedAddr(worker int) uint32 { return w.sym("applied") + uint32(worker)*64 }
+func (w *VMWorld) appliedAddr(worker int) uint32 { return w.addr.applied + uint32(worker)*64 }
 
 // sumApplied reads the durable dedup table.
 func (w *VMWorld) sumApplied() isa.Word {
@@ -71,8 +83,7 @@ func (w *VMWorld) sumApplied() isa.Word {
 	return sum
 }
 
-func (w *VMWorld) mem() *vmach.Memory     { return w.lives.Memory() }
-func (w *VMWorld) sym(name string) uint32 { return w.lives.Prog.MustSymbol(name) }
+func (w *VMWorld) mem() *vmach.Memory { return w.lives.Memory() }
 
 // Boot powers the machine on (cold the first time, warm — over the
 // surviving NVM, without reloading — after that) and runs one life.
@@ -82,8 +93,7 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	if cold {
 		// One watcher for the machine's whole existence: record the step
 		// at which this boot's recovery completed (R5 stores 1).
-		recAddr := w.sym("recovered")
-		w.mem().Watch(recAddr, func(old, new isa.Word) {
+		w.mem().Watch(w.addr.recovered, func(old, new isa.Word) {
 			if new == 1 && !w.recSeen {
 				w.recSeen = true
 				w.recSteps = w.kern.Steps()
@@ -94,12 +104,12 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	// BIOS-level boot flags, durable by construction: clear the
 	// recovery-complete word so a crash classifies against THIS life's
 	// recovery, and set the service mode the supervisor chose.
-	w.mem().Poke(w.sym("recovered"), 0)
+	w.mem().Poke(w.addr.recovered, 0)
 	ro := isa.Word(0)
 	if degraded {
 		ro = 1
 	}
-	w.mem().Poke(w.sym("readonly"), ro)
+	w.mem().Poke(w.addr.readonly, ro)
 
 	var rep Report
 	err := w.lives.Run(k)
@@ -108,7 +118,7 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	switch {
 	case errors.Is(err, kernel.ErrMachineCrash):
 		rep.Crashed = true
-		rep.InRecovery = w.mem().Peek(w.sym("recovered")) == 0
+		rep.InRecovery = w.mem().Peek(w.addr.recovered) == 0
 	case err != nil:
 		rep.Err = err
 		return rep
@@ -119,8 +129,8 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	// W2..W3 window, where the dedup entry is durable but the counter
 	// increment is not — legal only if it is a single effect and the WAL
 	// intent that will repair it on the next boot survived.
-	if w.mem().Peek(w.sym("recovered")) == 1 {
-		c, s := w.mem().Peek(w.sym("counter")), w.sumApplied()
+	if w.mem().Peek(w.addr.recovered) == 1 {
+		c, s := w.mem().Peek(w.addr.counter), w.sumApplied()
 		switch {
 		case !rep.Crashed && c != s:
 			rep.Err = fmt.Errorf("counter %d != sum(applied) %d", c, s)
@@ -131,7 +141,7 @@ func (w *VMWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 		case rep.Crashed && s-c > 1:
 			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d by more than one effect", c, s)
 			return rep
-		case rep.Crashed && s-c == 1 && w.mem().Peek(w.sym("wal")) == 0:
+		case rep.Crashed && s-c == 1 && w.mem().Peek(w.addr.wal) == 0:
 			rep.Err = fmt.Errorf("counter %d lags sum(applied) %d with no surviving intent", c, s)
 			return rep
 		}
@@ -155,13 +165,13 @@ func (w *VMWorld) Check() error {
 		}
 	}
 	want := isa.Word(w.cfg.Workers * w.cfg.Iters)
-	if got := w.mem().Peek(w.sym("counter")); got != want {
+	if got := w.mem().Peek(w.addr.counter); got != want {
 		return fmt.Errorf("final audit: counter = %d, want %d (exactly-once broken)", got, want)
 	}
-	if wal := w.mem().Peek(w.sym("wal")); wal != 0 {
+	if wal := w.mem().Peek(w.addr.wal); wal != 0 {
 		return fmt.Errorf("final audit: unretired WAL intent %#x", wal)
 	}
-	if held := guest.HeldLock(w.mem().Peek(w.sym("lock"))); held != "" {
+	if held := guest.HeldLock(w.mem().Peek(w.addr.lock)); held != "" {
 		return fmt.Errorf("final audit: %s", held)
 	}
 	return nil
@@ -173,5 +183,5 @@ func (w *VMWorld) Repairs() uint64 {
 	if w.mem() == nil {
 		return 0
 	}
-	return uint64(w.mem().Peek(w.sym("repairs")))
+	return uint64(w.mem().Peek(w.addr.repairs))
 }

@@ -300,8 +300,8 @@ func (e *Env) Fence() {
 			delete(p.nvShadow, w)
 			n++
 		}
-		p.nvPending = make(map[*Word]bool)
-		p.nvOrder = nil
+		clear(p.nvPending)
+		p.nvOrder = p.nvOrder[:0]
 		p.Stats.Persists += uint64(n)
 	}
 	e.charge(p.profile.FenceCycles + n*p.profile.PersistDrainCycles)

@@ -473,9 +473,9 @@ func (p *Processor) Crash(k chaos.CrashKind, h uint64) bool {
 	for w, old := range p.nvShadow {
 		*w = old
 	}
-	p.nvShadow = make(map[*Word]Word)
-	p.nvPending = make(map[*Word]bool)
-	p.nvOrder = nil
+	clear(p.nvShadow)
+	clear(p.nvPending)
+	p.nvOrder = p.nvOrder[:0]
 	return true
 }
 

@@ -57,15 +57,15 @@ func (m *Memory) Digest() [sha256.Size]byte {
 	} else {
 		b = append(b, 0)
 	}
-	keys = SortedKeys(keys[:0], m.nvLines)
-	b = le.AppendUint32(b, uint32(len(keys)))
-	for _, ln := range keys {
-		b = le.AppendUint32(b, ln)
-		for _, w := range m.nvLines[ln] {
+	b = le.AppendUint32(b, uint32(len(m.dirty)))
+	for i := range m.dirty {
+		d := &m.dirty[i]
+		b = le.AppendUint32(b, d.ln)
+		for _, w := range d.img {
 			b = le.AppendUint32(b, uint32(w))
 		}
 	}
-	keys = SortedKeys(keys[:0], m.pending)
+	keys = m.appendPending(keys[:0])
 	b = appendU32s(b, keys)
 	m.digestBuf, m.digestKeys = b, keys
 	return sha256.Sum256(b)

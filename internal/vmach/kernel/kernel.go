@@ -998,13 +998,13 @@ func (k *Kernel) syscall(ev vmach.Event) {
 		k.Console = append(k.Console, a0)
 
 	case SysRasRegister:
-		// The range is vetted before it is trusted (verify.go): a
-		// malformed sequence — or a kernel without registration support —
-		// fails the call, and the thread package overwrites the sequence
-		// with a conventional mechanism (§3.1).
-		if err := k.RegisterSequence(int(t.AS), a0, a1); err != nil {
-			t.Ctx.Regs[isa.RegV0] = ^isa.Word(0)
-		} else {
+		// A kernel without registration support fails the call at once;
+		// otherwise the range is vetted before it is trusted (verify.go)
+		// and a malformed sequence fails it. On failure the thread
+		// package overwrites the sequence with a conventional mechanism
+		// (§3.1).
+		t.Ctx.Regs[isa.RegV0] = ^isa.Word(0)
+		if takesRegistrations(k.Strategy) && k.RegisterSequence(int(t.AS), a0, a1) == nil {
 			t.Ctx.Regs[isa.RegV0] = 0
 		}
 

@@ -130,3 +130,13 @@ func (k *Kernel) RegisterSequence(as int, start, length uint32) error {
 	}
 	return nil
 }
+
+// takesRegistrations reports whether RegisterSequence can record a range
+// with strategy s: whether a registration on it is worth vetting.
+func takesRegistrations(s Strategy) bool {
+	switch s.(type) {
+	case *Registration, *MultiRegistration:
+		return true
+	}
+	return false
+}

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/guest"
@@ -244,5 +246,65 @@ seq:
 	}
 	if th.Ctx.PC != prog.MustSymbol("seq")+8 {
 		t.Error("PC moved despite rejection")
+	}
+}
+
+// registerProgram registers its counter loop's sequence, keeps the
+// syscall's result in result, then runs the loop.
+const registerProgram = `
+main:
+	la   s1, counter
+	li   s2, 100
+	la   a0, seq
+	li   a1, 16
+	li   v0, 3
+	syscall
+	move s3, v0
+	nop                     # where a designated rollback of seq lands
+loop:
+seq:
+	lw   v0, 0(s1)
+	addi v0, v0, 1
+	landmark
+	sw   v0, 0(s1)
+	addi s2, s2, -1
+	bgtz s2, loop
+	la   t0, result
+	sw   s3, 0(t0)
+	li   v0, 0
+	move a0, zero
+	syscall
+
+	.data
+counter:
+	.word 0
+result:
+	.word 0
+`
+
+// A kernel whose strategy takes no registrations fails the register
+// syscall without vetting the range, and nothing else may show it: the
+// guest reads v0 = -1, and the digest pins the run's stats, trace events
+// and checkpoint bytes as they were when every range was vetted. A
+// registering kernel still accepts the same range.
+func TestRegisterSyscallFailsFastWithoutRegistrations(t *testing.T) {
+	run := func(s Strategy) (*runResult, isa.Word) {
+		k, prog := boot(t, Config{Strategy: s, Quantum: 150}, registerProgram)
+		k.Spawn(prog.MustSymbol("main"), guest.StackTop(1))
+		r := &runResult{}
+		observe(k, prog, r)
+		r.finish(k, k.Run())
+		return r, k.M.Mem.Peek(prog.MustSymbol("result"))
+	}
+	if _, got := run(&Registration{}); got != 0 {
+		t.Fatalf("registering kernel: syscall result %d, want 0", int32(got))
+	}
+	r, got := run(&Designated{})
+	if got != ^isa.Word(0) {
+		t.Fatalf("designated kernel: syscall result %d, want -1", int32(got))
+	}
+	const want = "dd3e9f922b38ddfca104789a81289643b75f57697e6d220cf7d08009ae4f6f5d"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", *r)))); sum != want {
+		t.Errorf("designated run digest %s, want %s: stats, trace or checkpoint moved", sum, want)
 	}
 }

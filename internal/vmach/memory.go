@@ -5,7 +5,9 @@
 package vmach
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -62,13 +64,14 @@ type Memory struct {
 	PageFaults uint64
 
 	// Two-tier persistence (see persist.go). When persist is false —
-	// the default — memory is fully persistent RAM and the maps stay nil.
-	// nvLines holds the NVM image of every line whose volatile contents
-	// differ from it; pending marks lines with an initiated (flush) but
-	// not yet durable (fence) write-back.
+	// the default — memory is fully persistent RAM and dirty stays
+	// empty. dirty holds one entry per line whose volatile contents
+	// differ from NVM, sorted by line number: the line's NVM image and
+	// whether it has an initiated (flush) but not yet durable (fence)
+	// write-back. Crash and Fence shrink it in place, so a warm memory
+	// reuses its capacity and a dirtied line allocates nothing.
 	persist bool
-	nvLines map[uint32]*[LineWords]isa.Word
-	pending map[uint32]bool
+	dirty   []dirtyLine
 
 	// watchers, keyed by word address, observe committed stores. Harness
 	// state, not machine state: snapshots do not capture them.
@@ -226,7 +229,7 @@ func (m *Memory) StoreWord(addr uint32, v isa.Word) *Fault {
 		return f
 	}
 	if m.persist {
-		m.shadow(addr)
+		m.shadow(p, addr)
 	}
 	if d := m.dataCache.dig; d != nil {
 		d.valid = false
@@ -263,8 +266,8 @@ func (m *Memory) Peek(addr uint32) isa.Word {
 func (m *Memory) Poke(addr uint32, v isa.Word) {
 	m.page(addr)[addr>>2&(PageWords-1)] = v
 	m.invalidateDigest(addr >> PageShift)
-	if img, dirty := m.nvLines[addr>>LineShift]; dirty {
-		img[addr>>2&(LineWords-1)] = v
+	if i, ok := m.findLine(addr >> LineShift); ok {
+		m.dirty[i].img[addr>>2&(LineWords-1)] = v
 	}
 }
 
@@ -273,4 +276,16 @@ func (m *Memory) LoadProgramWords(base uint32, words []isa.Word) {
 	for i, w := range words {
 		m.Poke(base+uint32(i*4), w)
 	}
+}
+
+// SortedKeys appends the keys of km to dst in ascending order.
+func SortedKeys[K cmp.Ordered, V any](dst []K, km map[K]V) []K {
+	if len(km) == 0 { // skip the iterator's setup: state hashing sorts many empty maps
+		return dst
+	}
+	for k := range km {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }

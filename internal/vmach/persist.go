@@ -1,7 +1,6 @@
 package vmach
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/chaos"
@@ -25,6 +24,14 @@ import (
 // fenced does NOT survive a crash, and a store to a flushed-but-unfenced
 // line cancels the outstanding write-back (it must be flushed again).
 //
+// The volatile tier is held as one slice of dirty lines, sorted by line
+// number and searched by bisection: each entry carries the line's NVM
+// image and its pending (flushed, not fenced) flag. A store to a clean
+// line inserts an entry in place, a fence compacts the slice over the
+// lines it persisted, and a crash truncates it, so a machine that keeps
+// its memory across crashes allocates nothing per dirtied line once the
+// slice has grown to its working size.
+//
 // Persistence is off by default — Memory behaves as fully persistent RAM,
 // the clean-crash semantics — and is enabled per memory with
 // EnablePersistence.
@@ -36,31 +43,54 @@ const (
 	LineWords = LineBytes / 4
 )
 
+// dirtyLine is one line of the volatile tier: its line number, its NVM
+// image (the contents a crash reverts it to), and whether a write-back
+// has been initiated (flush) but not yet made durable (fence).
+type dirtyLine struct {
+	ln      uint32
+	pending bool
+	img     [LineWords]isa.Word
+}
+
 // EnablePersistence switches the memory to the two-tier model. Contents
 // already in memory (e.g. a loaded program image) are treated as durable.
-func (m *Memory) EnablePersistence() {
-	m.persist = true
-	if m.nvLines == nil {
-		m.nvLines = make(map[uint32]*[LineWords]isa.Word)
-		m.pending = make(map[uint32]bool)
-	}
-}
+func (m *Memory) EnablePersistence() { m.persist = true }
 
 // Persistent reports whether the two-tier persistence model is enabled.
 func (m *Memory) Persistent() bool { return m.persist }
 
-// shadow snapshots the line holding addr into the NVM tier before its
-// first volatile overwrite, and cancels any outstanding write-back for it.
-// Caller must only invoke it with persistence enabled, before the store.
-func (m *Memory) shadow(addr uint32) {
-	line := addr >> LineShift
-	if _, dirty := m.nvLines[line]; !dirty {
-		img := new([LineWords]isa.Word)
-		base := line << LineShift
-		copy(img[:], m.page(base)[base>>2&(PageWords-1):][:LineWords])
-		m.nvLines[line] = img
+// findLine returns the index of line ln in m.dirty, or the index where it
+// would be inserted, and whether it is there. The search is written out
+// rather than calling slices.BinarySearchFunc, whose comparison closure
+// costs a call per probe on every store.
+func (m *Memory) findLine(ln uint32) (int, bool) {
+	lo, hi := 0, len(m.dirty)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.dirty[mid].ln < ln {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	delete(m.pending, line)
+	return lo, lo < len(m.dirty) && m.dirty[lo].ln == ln
+}
+
+// shadow snapshots the line holding addr, on page p, into the NVM tier
+// before its first volatile overwrite, and cancels any outstanding
+// write-back for it. Caller must only invoke it with persistence enabled,
+// before the store.
+func (m *Memory) shadow(p *[PageWords]isa.Word, addr uint32) {
+	ln := addr >> LineShift
+	i, ok := m.findLine(ln)
+	if !ok {
+		m.dirty = append(m.dirty, dirtyLine{})
+		copy(m.dirty[i+1:], m.dirty[i:])
+		d := &m.dirty[i]
+		d.ln = ln
+		copy(d.img[:], p[addr>>2&(PageWords-1)&^(LineWords-1):])
+	}
+	m.dirty[i].pending = false
 }
 
 // FlushLine initiates write-back of the 64-byte line holding addr toward
@@ -73,26 +103,30 @@ func (m *Memory) FlushLine(addr uint32) (bool, *Fault) {
 		m.PageFaults++
 		return false, &Fault{FaultNotPresent, addr}
 	}
-	if !m.persist {
-		return false, nil // a hint on fully persistent memory
+	i, ok := m.findLine(addr >> LineShift)
+	if !ok {
+		return false, nil // a clean line, or a hint on fully persistent memory
 	}
-	line := addr >> LineShift
-	if _, dirty := m.nvLines[line]; !dirty {
-		return false, nil
-	}
-	m.pending[line] = true
+	m.dirty[i].pending = true
 	return true, nil
 }
 
 // Fence makes every initiated write-back durable: each pending line's
-// volatile contents become its NVM contents. Returns how many lines were
-// persisted (the machine charges NVM write-back latency per line).
+// volatile contents become its NVM contents, so its entry is dropped.
+// Returns how many lines were persisted (the machine charges NVM
+// write-back latency per line).
 func (m *Memory) Fence() int {
-	n := len(m.pending)
-	for line := range m.pending {
-		delete(m.nvLines, line)
+	kept := 0
+	for i := range m.dirty {
+		if !m.dirty[i].pending {
+			if kept != i {
+				m.dirty[kept] = m.dirty[i]
+			}
+			kept++
+		}
 	}
-	clear(m.pending)
+	n := len(m.dirty) - kept
+	m.dirty = m.dirty[:kept]
 	return n
 }
 
@@ -108,59 +142,63 @@ func (m *Memory) Fence() int {
 //     (flushed, not fenced) keeps a prefix of its volatile words, its
 //     length derived from h and the line number so the tear replays.
 //
-// Either way the persistence buffer empties. Watchpoints do not fire: a
-// crash is not a committed store.
+// Either way the persistence buffer empties, keeping its capacity for
+// the next life. Watchpoints do not fire: a crash is not a committed
+// store.
 func (m *Memory) Crash(k chaos.CrashKind, h uint64) bool {
 	if !m.persist || k == chaos.CrashNone {
 		return k <= chaos.CrashClean
 	}
-	for line, img := range m.nvLines {
+	for i := range m.dirty {
+		d := &m.dirty[i]
 		keep := 0 // words of the line whose volatile contents persist
 		switch {
 		case k == chaos.CrashClean:
 			keep = LineWords
-		case k == chaos.CrashTorn && m.pending[line]:
-			keep = int(chaos.Mix(h^uint64(line)) % (LineWords + 1))
+		case k == chaos.CrashTorn && d.pending:
+			keep = int(chaos.Mix(h^uint64(d.ln)) % (LineWords + 1))
 		}
-		base := line << LineShift
+		base := d.ln << LineShift
 		mem := m.page(base)[base>>2&(PageWords-1):][:LineWords]
-		if !slices.Equal(mem[keep:], img[keep:]) {
-			copy(mem[keep:], img[keep:])
+		if !slices.Equal(mem[keep:], d.img[keep:]) {
+			copy(mem[keep:], d.img[keep:])
 			m.invalidateDigest(base >> PageShift)
 		}
 	}
-	clear(m.nvLines)
-	clear(m.pending)
+	m.dirty = m.dirty[:0]
 	return true
 }
 
 // NVPeek reads the NVM-tier value of the word at addr — what a crash at
 // this instant would leave behind — without disturbing either tier.
 func (m *Memory) NVPeek(addr uint32) isa.Word {
-	if m.persist {
-		if img, dirty := m.nvLines[addr>>LineShift]; dirty {
-			return img[addr>>2&(LineWords-1)]
-		}
+	if i, ok := m.findLine(addr >> LineShift); ok {
+		return m.dirty[i].img[addr>>2&(LineWords-1)]
 	}
 	return m.Peek(addr)
 }
 
 // DirtyLines returns the sorted line numbers whose volatile contents
-// differ from NVM (including lines with a pending, unfenced write-back).
-func (m *Memory) DirtyLines() []uint32 { return SortedKeys(nil, m.nvLines) }
+// differ from NVM (including lines with a pending, unfenced write-back),
+// or nil if there are none.
+func (m *Memory) DirtyLines() []uint32 {
+	var lns []uint32
+	for i := range m.dirty {
+		lns = append(lns, m.dirty[i].ln)
+	}
+	return lns
+}
 
 // PendingLines returns the sorted line numbers with an initiated but not
-// yet fenced write-back.
-func (m *Memory) PendingLines() []uint32 { return SortedKeys(nil, m.pending) }
+// yet fenced write-back, or nil if there are none.
+func (m *Memory) PendingLines() []uint32 { return m.appendPending(nil) }
 
-// SortedKeys appends the keys of km to dst in ascending order.
-func SortedKeys[K cmp.Ordered, V any](dst []K, km map[K]V) []K {
-	if len(km) == 0 { // skip the iterator's setup: state hashing sorts many empty maps
-		return dst
+// appendPending appends the pending line numbers to dst in order.
+func (m *Memory) appendPending(dst []uint32) []uint32 {
+	for i := range m.dirty {
+		if m.dirty[i].pending {
+			dst = append(dst, m.dirty[i].ln)
+		}
 	}
-	for k := range km {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
 	return dst
 }

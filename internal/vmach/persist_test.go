@@ -302,9 +302,70 @@ func TestSnapshotRoundTripsPersistenceState(t *testing.T) {
 	}
 }
 
+// refTier is the persistence tier kept in maps, the differential
+// reference for FuzzMemoryCrash. vol holds the volatile words of the
+// lines the fuzz touches, indexed from their base.
+type refTier struct {
+	base    uint32
+	vol     []isa.Word
+	nv      map[uint32][LineWords]isa.Word // line -> NVM image, dirty lines only
+	pending map[uint32]bool
+}
+
+func (r *refTier) store(a uint32, v isa.Word) {
+	ln := a >> LineShift
+	if _, dirty := r.nv[ln]; !dirty {
+		var img [LineWords]isa.Word
+		first := (ln<<LineShift - r.base) / 4
+		copy(img[:], r.vol[first:first+LineWords])
+		r.nv[ln] = img
+	}
+	delete(r.pending, ln)
+	r.vol[(a-r.base)/4] = v
+}
+
+func (r *refTier) flush(a uint32) bool {
+	_, dirty := r.nv[a>>LineShift]
+	if dirty {
+		r.pending[a>>LineShift] = true
+	}
+	return dirty
+}
+
+func (r *refTier) fence() int {
+	n := len(r.pending)
+	for ln := range r.pending {
+		delete(r.nv, ln)
+	}
+	clear(r.pending)
+	return n
+}
+
+func (r *refTier) nvPeek(a uint32) isa.Word {
+	if img, dirty := r.nv[a>>LineShift]; dirty {
+		return img[a>>2&(LineWords-1)]
+	}
+	return r.vol[(a-r.base)/4]
+}
+
+// image is what Capture of a memory holding exactly the reference's
+// state returns; the lines must lie in one page.
+func (r *refTier) image() *MemoryImage {
+	img := &MemoryImage{Persist: true, Pages: []PageImage{{PN: r.base >> PageShift}}}
+	copy(img.Pages[0].Words[r.base>>2&(PageWords-1):], r.vol)
+	for _, ln := range SortedKeys(nil, r.nv) {
+		img.NVLines = append(img.NVLines, LineImage{LN: ln, Words: r.nv[ln]})
+	}
+	img.PendingLines = SortedKeys(nil, r.pending)
+	return img
+}
+
 // FuzzMemoryCrash runs a random sequence of stores, flushes and fences on
-// a persistent memory, then each crash kind on its own copy, and checks
-// the crash rule word by word over the lines the sequence can touch:
+// a persistent memory beside refTier, then each crash kind on its own
+// copy. After every op, FlushLine's and Fence's results, NVPeek of every
+// word, DirtyLines, PendingLines (nil when empty), Capture and Digest
+// must match the reference. Then it checks the crash rule word by word
+// over the lines the sequence can touch:
 //   - clean: Peek is unchanged, and NVPeek == Peek;
 //   - volatile: Peek equals the pre-crash NVPeek;
 //   - torn: a pending line keeps a prefix of its volatile words and the
@@ -317,19 +378,47 @@ func FuzzMemoryCrash(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 17, 1, 1, 2, 0, 0, 40, 1, 40, 7})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 1, 0, 0, 20, 1, 20, 0, 21, 0xC0})
 	f.Add([]byte{0, 5, 1, 5, 2, 0, 0, 5, 0, 6, 1, 6, 0, 50, 1, 50, 2, 0, 0, 63, 3})
+	f.Add([]byte{0, 60, 0, 2, 0, 33, 0, 20, 1, 2, 1, 60, 0, 60, 1, 33, 2, 0, 1, 20, 0, 3, 9})
 	const base, words = 0x8000, 4 * LineWords // four lines
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := NewMemory()
 		m.EnablePersistence()
+		ref := &refTier{base: base, vol: make([]isa.Word, words),
+			nv: map[uint32][LineWords]isa.Word{}, pending: map[uint32]bool{}}
 		for i := 0; i+1 < len(ops) && i < 512; i += 2 {
 			a := base + uint32(ops[i+1])%words*4
 			switch ops[i] % 3 {
 			case 0:
 				m.StoreWord(a, isa.Word(i+1))
+				ref.store(a, isa.Word(i+1))
 			case 1:
-				m.FlushLine(a)
+				if got, _ := m.FlushLine(a); got != ref.flush(a) {
+					t.Fatalf("op %d: FlushLine(%#x) = %v, reference %v", i/2, a, got, !got)
+				}
 			case 2:
-				m.Fence()
+				if got, want := m.Fence(), ref.fence(); got != want {
+					t.Fatalf("op %d: Fence persisted %d lines, reference %d", i/2, got, want)
+				}
+			}
+			for w := uint32(0); w < words; w++ {
+				if got, want := m.NVPeek(base+4*w), ref.nvPeek(base+4*w); got != want {
+					t.Fatalf("op %d: NVPeek word %d = %d, reference %d", i/2, w, got, want)
+				}
+			}
+			want := ref.image()
+			if got := m.DirtyLines(); !reflect.DeepEqual(got, SortedKeys(nil, ref.nv)) {
+				t.Fatalf("op %d: DirtyLines = %v, reference %v", i/2, got, SortedKeys(nil, ref.nv))
+			}
+			if got := m.PendingLines(); !reflect.DeepEqual(got, want.PendingLines) {
+				t.Fatalf("op %d: PendingLines = %v, reference %v", i/2, got, want.PendingLines)
+			}
+			if got := m.Capture(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d: Capture differs from the reference image", i/2)
+			}
+			r := NewMemory()
+			r.Restore(want)
+			if m.Digest() != r.Digest() {
+				t.Fatalf("op %d: Digest differs from the reference memory's", i/2)
 			}
 		}
 		var h uint64
@@ -387,4 +476,49 @@ func FuzzMemoryCrash(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A warm persistence tier allocates nothing. kernel.Lives keeps one
+// memory across a machine's crashes, so once the dirty-line slice has
+// grown to a life's working set, later lives dirty, flush, fence and
+// crash within its capacity.
+func TestPersistTierSteadyStateAllocs(t *testing.T) {
+	m := NewMemory()
+	m.EnablePersistence()
+	cycle := func() {
+		// Out of line order, so entries are inserted mid-slice too.
+		for _, line := range []uint32{5, 1, 7, 3, 0, 6, 2, 4} {
+			m.StoreWord(0x8000+line*LineBytes, isa.Word(line))
+		}
+		m.FlushLine(0x8000 + 3*LineBytes)
+		m.FlushLine(0x8000 + 6*LineBytes)
+		if n := m.Fence(); n != 2 {
+			t.Fatalf("Fence persisted %d lines, want 2", n)
+		}
+		m.Crash(chaos.CrashVolatile, 0)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm store/flush/fence/crash cycle allocated %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkPersistStoreFence is the host cost of the persistence tier's
+// bookkeeping: each op stores to one line it flushes and fences and to
+// one it leaves dirty, and every 64th op crashes, so the dirty set grows
+// to 64 lines and empties again as a crash-restart campaign's does.
+func BenchmarkPersistStoreFence(b *testing.B) {
+	m := NewMemory()
+	m.EnablePersistence()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		durable := 0x8000 + uint32(i%64)*LineBytes
+		m.StoreWord(durable, isa.Word(i))
+		m.StoreWord(0x10000+uint32(i*37%64)*LineBytes, isa.Word(i))
+		m.FlushLine(durable)
+		m.Fence()
+		if i%64 == 63 {
+			m.Crash(chaos.CrashVolatile, 0)
+		}
+	}
 }

@@ -56,8 +56,12 @@ func (s *System) Capture() *Snapshot {
 // Restore builds a system from cfg and installs the snapshot. The CPU
 // count, coherence mode and costs come from the snapshot; cfg supplies
 // the profile, strategies, quantum and harness wiring, which must match
-// the capturing config for the replay to be exact.
+// the capturing config for the replay to be exact. A snapshot with no
+// CPUs is refused.
 func Restore(cfg Config, snap *Snapshot) (*System, error) {
+	if len(snap.Kernels) == 0 {
+		return nil, errors.New("smp: snapshot has 0 CPUs")
+	}
 	cfg.Mode, cfg.Costs = snap.Mode, snap.Costs
 	cfg = defaultedConfig(cfg)
 	cfg.CPUs = len(snap.Kernels)
@@ -91,7 +95,10 @@ func (s *Snapshot) walk(c *vmach.Codec) {
 	c.U64(&s.Costs.Local)
 	c.U64(&s.Costs.Remote)
 	c.U64(&s.Costs.Invalidate)
-	for i := range vmach.Items(c, &s.Kernels, 4) {
+	if n := vmach.Items(c, &s.Kernels, 4); c.Decoding() && n == 0 {
+		c.Fail("%d CPUs", n)
+	}
+	for i := range s.Kernels {
 		if s.Kernels[i] == nil {
 			s.Kernels[i] = &kernel.Snapshot{}
 		}
@@ -121,8 +128,8 @@ func (s *Snapshot) Encode() []byte {
 }
 
 // DecodeSnapshot parses an encoded SMP checkpoint. Malformed input —
-// truncation, bad magic, bad version, an embedded kernel snapshot that
-// does not decode, trailing bytes — yields an error matching
+// truncation, bad magic, bad version, zero CPUs, an embedded kernel
+// snapshot that does not decode, trailing bytes — yields an error matching
 // ErrBadSnapshot; the decoder never panics on garbage.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}

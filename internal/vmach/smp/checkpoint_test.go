@@ -3,9 +3,11 @@ package smp
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/vmach"
 )
 
 // midRunSnapshot runs a 2-CPU hybrid workload partway and captures it.
@@ -82,6 +84,18 @@ func TestSMPDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
+	}
+}
+
+// A system has at least one CPU: a checkpoint with none neither decodes
+// nor restores, and both errors name the CPU count.
+func TestSMPCheckpointRejectsZeroCPUs(t *testing.T) {
+	snap := &Snapshot{Mode: CC, Mem: &vmach.MemoryImage{}}
+	if _, err := DecodeSnapshot(snap.Encode()); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "0 CPUs") {
+		t.Errorf("decode: err = %v, want ErrBadSnapshot naming 0 CPUs", err)
+	}
+	if s, err := Restore(Config{}, snap); err == nil || !strings.Contains(err.Error(), "0 CPUs") {
+		t.Errorf("restore: (%v, %v), want an error naming 0 CPUs", s, err)
 	}
 }
 

@@ -26,8 +26,9 @@ type MemoryImage struct {
 	PageFaults uint64
 
 	// Two-tier persistence state. Persist records whether the model is
-	// enabled; NVLines and PendingLines mirror Memory.nvLines/pending.
-	// All empty on fully persistent memories.
+	// enabled; NVLines holds every dirty line's NVM image and
+	// PendingLines the lines among them with an unfenced write-back,
+	// both strictly increasing. All empty on fully persistent memories.
 	Persist      bool
 	NVLines      []LineImage
 	PendingLines []uint32
@@ -41,8 +42,8 @@ func (m *Memory) Capture() *MemoryImage {
 	}
 	img.NotPresent = SortedKeys(nil, m.notPresent)
 	img.Persist = m.persist
-	for _, ln := range m.DirtyLines() {
-		img.NVLines = append(img.NVLines, LineImage{LN: ln, Words: *m.nvLines[ln]})
+	for i := range m.dirty {
+		img.NVLines = append(img.NVLines, LineImage{LN: m.dirty[i].ln, Words: m.dirty[i].img})
 	}
 	img.PendingLines = m.PendingLines()
 	return img
@@ -50,7 +51,9 @@ func (m *Memory) Capture() *MemoryImage {
 
 // Restore replaces the memory's contents with the image's. Watchpoints
 // registered on the memory, and its installed text table, survive a
-// restore.
+// restore. The image's persistence tier must be one Capture could
+// produce (MemoryImage.Walk rejects any other when decoding); Restore
+// panics on one that is not.
 func (m *Memory) Restore(img *MemoryImage) {
 	m.flushPageCaches()
 	m.digests, m.digestOrder = nil, nil
@@ -65,16 +68,20 @@ func (m *Memory) Restore(img *MemoryImage) {
 	}
 	m.PageFaults = img.PageFaults
 	m.persist = img.Persist
-	m.nvLines, m.pending = nil, nil
+	m.dirty = m.dirty[:0]
 	if img.Persist {
-		m.nvLines = make(map[uint32]*[LineWords]isa.Word, len(img.NVLines))
-		m.pending = make(map[uint32]bool, len(img.PendingLines))
 		for i := range img.NVLines {
-			w := img.NVLines[i].Words // copy: the image stays pristine
-			m.nvLines[img.NVLines[i].LN] = &w
+			if i > 0 && img.NVLines[i].LN <= img.NVLines[i-1].LN {
+				panic("vmach: Restore: NVLines not strictly increasing")
+			}
+			m.dirty = append(m.dirty, dirtyLine{ln: img.NVLines[i].LN, img: img.NVLines[i].Words})
 		}
 		for _, ln := range img.PendingLines {
-			m.pending[ln] = true
+			i, ok := m.findLine(ln)
+			if !ok {
+				panic("vmach: Restore: pending line without an NVM image")
+			}
+			m.dirty[i].pending = true
 		}
 	}
 }
@@ -155,6 +162,9 @@ func (m *MachineImage) Walk(c *Codec) {
 
 // Walk is the memory image's field walk. The key leaves the whole image
 // out: the model checker hashes live memory through Memory.Digest.
+// Decoding, it rejects a persistence tier Capture cannot produce: lines
+// on a memory without the model, NVM lines or pending lines out of
+// strictly increasing order, or a pending line with no NVM image.
 func (img *MemoryImage) Walk(c *Codec) {
 	if c.mode == keying {
 		return
@@ -170,9 +180,37 @@ func (img *MemoryImage) Walk(c *Codec) {
 	for i := range Items(c, &img.NVLines, 4+4*LineWords) {
 		c.U32(&img.NVLines[i].LN)
 		c.Words(img.NVLines[i].Words[:])
+		if c.Decoding() && i > 0 && img.NVLines[i].LN <= img.NVLines[i-1].LN {
+			c.Fail("NVM lines not strictly increasing")
+		}
 	}
 	Items(c, &img.PendingLines, 4)
 	c.Words(img.PendingLines)
+	if c.Decoding() {
+		img.checkTier(c)
+	}
+}
+
+// checkTier fails c unless the decoded persistence tier is one Capture
+// could have produced.
+func (img *MemoryImage) checkTier(c *Codec) {
+	if !img.Persist && (len(img.NVLines) > 0 || len(img.PendingLines) > 0) {
+		c.Fail("persistence lines on a memory without the model")
+	}
+	j := 0 // the first NVM line not below the pending line
+	for i, ln := range img.PendingLines {
+		if i > 0 && ln <= img.PendingLines[i-1] {
+			c.Fail("pending lines not strictly increasing")
+			return
+		}
+		for j < len(img.NVLines) && img.NVLines[j].LN < ln {
+			j++
+		}
+		if j == len(img.NVLines) || img.NVLines[j].LN != ln {
+			c.Fail("pending line %#x has no NVM image", ln)
+			return
+		}
+	}
 }
 
 // Walk is the context's field walk.

@@ -1,7 +1,9 @@
 package vmach
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -142,5 +144,51 @@ func TestRestoreRejectsProfileMismatch(t *testing.T) {
 	img.ProfileName = "some-other-cpu"
 	if err := a.Restore(img); err == nil {
 		t.Fatal("profile mismatch not rejected")
+	}
+}
+
+// Decoding, MemoryImage.Walk refuses every persistence tier Capture
+// cannot produce: Memory holds each dirty line once, in line order, with
+// its pending flag beside its NVM image.
+func TestDecodeRejectsImpossibleTiers(t *testing.T) {
+	errBad := errors.New("bad image")
+	lines := func(lns ...uint32) []LineImage {
+		var out []LineImage
+		for _, ln := range lns {
+			out = append(out, LineImage{LN: ln, Words: [LineWords]isa.Word{isa.Word(ln)}})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		persist bool
+		nv      []LineImage
+		pending []uint32
+		want    string // "" when the image is one Capture can produce
+	}{
+		{"captured tier", true, lines(3, 9), []uint32{9}, ""},
+		{"NVM lines out of order", true, lines(9, 3), nil, "NVM lines not strictly increasing"},
+		{"NVM line twice", true, lines(3, 3), nil, "NVM lines not strictly increasing"},
+		{"pending lines out of order", true, lines(3, 9), []uint32{9, 3}, "pending lines not strictly increasing"},
+		{"pending line twice", true, lines(3), []uint32{3, 3}, "pending lines not strictly increasing"},
+		{"pending line without an NVM image", true, lines(3, 9), []uint32{4}, "pending line 0x4 has no NVM image"},
+		{"pending line past the NVM lines", true, lines(3), []uint32{3, 10}, "pending line 0xa has no NVM image"},
+		{"lines without the model", false, lines(3), nil, "persistence lines on a memory without the model"},
+	} {
+		img := &MemoryImage{Persist: c.persist, NVLines: c.nv, PendingLines: c.pending}
+		enc := Encoder(nil)
+		img.Walk(&enc)
+		dec := Decoder(enc.Bytes(), errBad)
+		got := &MemoryImage{}
+		got.Walk(&dec)
+		err := dec.Err()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "" && !reflect.DeepEqual(got, img):
+			t.Errorf("%s: decoded %+v, want %+v", c.name, got, img)
+		case c.want != "" && (!errors.Is(err, errBad) || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
