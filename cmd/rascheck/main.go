@@ -203,7 +203,11 @@ func explore(c *config, out, errw io.Writer) int {
 func reproCommand(c *config, rep *mcheck.Report) string {
 	cmd := fmt.Sprintf("rascheck -model %s", rep.ModelName)
 	if c.params != "" {
-		cmd += " -params " + c.params
+		p := c.params
+		if strings.ContainsAny(p, " \t") {
+			p = "'" + p + "'" // a value with spaces, such as pstruct's script
+		}
+		cmd += " -params " + p
 	}
 	cmd += fmt.Sprintf(" -mode %s -max-decisions %d", rep.Mode, rep.MaxDecisions)
 	if rep.Horizon > 0 {

@@ -86,6 +86,13 @@ func TestExploreUnexpectedOutcome(t *testing.T) {
 	if !strings.Contains(errw, "repro: rascheck -model broken2store") {
 		t.Errorf("no repro line:\n%s", errw)
 	}
+
+	// A parameter value with spaces stays one shell word.
+	_, _, errw = runCLI(t, "-model", "pstruct", "-params", "script=1 2",
+		"-max-decisions", "1", "-expect", "violation", "-out", t.TempDir())
+	if !strings.Contains(errw, "repro: rascheck -model pstruct -params 'script=1 2' ") {
+		t.Errorf("repro line does not quote the script:\n%s", errw)
+	}
 }
 
 func TestUsageErrors(t *testing.T) {

@@ -3,15 +3,13 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/cthreads"
 	"repro/internal/guest"
-	"repro/internal/journal"
 	"repro/internal/mcheck"
-	"repro/internal/obs"
 	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
 )
@@ -127,14 +125,19 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 	}, nil
 }
 
-// pstructPassage runs a persistent stack fault-free and reports the
-// passage cost of one logged transaction per operation.
+// pstructPassage runs a persistent stack or queue fault-free and reports
+// the passage cost of one logged transaction per operation: the pstruct
+// model's workload, pushing or enqueueing 1..Ops.
 func pstructPassage(h *Harness, cfg JournalConfig, kind string, mode core.LogMode) (JournalRow, error) {
-	arena := pstructBenchArena(kind, cfg.Ops)
+	ops := make([]int, cfg.Ops)
+	for i := range ops {
+		ops[i] = i + 1
+	}
+	arena := mcheck.PStructArena(kind, cfg.Ops)
 	p := persistProc(cfg.MaxCycles, nil)
 	var opErr error
 	p.Go("main", func(e *uniproc.Env) {
-		opErr = pstructBenchOps(e, arena, kind, mode, cfg.Ops, nil)
+		_, opErr = mcheck.PStructOps(e, arena, kind, mode, ops, func() {})
 	})
 	if err := h.Run(p); err != nil {
 		return JournalRow{}, fmt.Errorf("uniproc/%s-%s passage: %v (repro: %s)", kind, mode, err, tableRepro("journal", cfg.Seed))
@@ -149,204 +152,43 @@ func pstructPassage(h *Harness, cfg JournalConfig, kind string, mode core.LogMod
 	}, nil
 }
 
-func pstructBenchArena(kind string, ops int) []uniproc.Word {
-	if kind == "stack" {
-		return make([]uniproc.Word, core.StackArenaWords(ops))
-	}
-	return make([]uniproc.Word, core.QueueArenaWords(ops))
-}
-
-// pstructBenchOps pushes/enqueues 1..ops, bumping committed (when non-nil)
-// after each returned operation.
-func pstructBenchOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.LogMode, ops int, committed *int) error {
-	if kind == "stack" {
-		s := core.NewPersistentStack(arena, mode)
-		s.Recover(e)
-		for i := 1; i <= ops; i++ {
-			if err := s.Push(e, uniproc.Word(i)); err != nil {
-				return err
-			}
-			if committed != nil {
-				*committed++
-			}
-		}
-		return nil
-	}
-	q := core.NewPersistentQueue(arena, mode)
-	q.Recover(e)
-	for i := 1; i <= ops; i++ {
-		if err := q.Enqueue(e, uniproc.Word(i)); err != nil {
-			return err
-		}
-		if committed != nil {
-			*committed++
-		}
-	}
-	return nil
-}
-
-// pstructTornSweep crashes the stack workload at seeded persist-operation
-// ordinals with torn write-backs and recovers on a fresh processor: the
-// recovered stack must hold exactly 1..k for k = committed or committed+1
-// — each transaction is all-or-nothing, committed ones never lost.
+// pstructTornSweep crashes the pstruct model's stack, pushing 1..Ops, at
+// seeded persist-operation ordinals with torn write-backs; the model
+// recovers it on a fresh processor and requires exactly the state after
+// the operations that returned, or after the one in flight.
 func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (JournalRow, error) {
-	fail := func(format string, args ...any) (JournalRow, error) {
-		return JournalRow{}, fmt.Errorf("uniproc/stack-"+mode.String()+"-torn: "+format+" (repro: %s)",
-			append(args, tableRepro("journal", cfg.Seed))...)
+	script := make([]string, cfg.Ops)
+	for i := range script {
+		script[i] = strconv.Itoa(i + 1)
 	}
-	cal := persistProc(cfg.MaxCycles, nil)
-	cal.Go("main", func(e *uniproc.Env) {
-		_ = pstructBenchOps(e, pstructBenchArena("stack", cfg.Ops), "stack", mode, cfg.Ops, nil)
-	})
-	if err := h.Run(cal); err != nil {
-		return fail("calibration: %v", err)
-	}
-	span := cal.PersistOps()
-
-	salt := uint64(0x7A) + uint64(mode)
-	var repairs uint64
-	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
-		arena := pstructBenchArena("stack", cfg.Ops)
-		committed := 0
-		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
-			Action: chaos.Action{Crash: chaos.CrashTorn}})
-		p1.Go("main", func(e *uniproc.Env) {
-			_ = pstructBenchOps(e, arena, "stack", mode, cfg.Ops, &committed)
-		})
-		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
-			return fail("crash %d at persist op %d: run = %v", c, at, err)
-		}
-		// Recover on a fresh processor from the arena words alone, then
-		// drain the stack: it must pop k..1 for an admissible k.
-		var vals []uniproc.Word
-		var repaired bool
-		p2 := persistProc(cfg.MaxCycles, nil)
-		p2.Go("main", func(e *uniproc.Env) {
-			s := core.NewPersistentStack(arena, mode)
-			repaired = s.Recover(e)
-			for {
-				v, ok := s.Pop(e)
-				if !ok {
-					break
-				}
-				vals = append(vals, v)
-			}
-		})
-		if err := h.Run(p2); err != nil {
-			return fail("crash %d at persist op %d: recovery run: %v", c, at, err)
-		}
-		k := len(vals)
-		if k != committed && k != committed+1 {
-			return fail("crash %d at persist op %d: recovered %d elements with %d committed", c, at, k, committed)
-		}
-		for i, v := range vals {
-			if int(v) != k-i {
-				return fail("crash %d at persist op %d: recovered stack %v is not 1..%d", c, at, vals, k)
-			}
-		}
-		if repaired {
-			repairs++
-		}
+	out, err := h.sweep("uniproc/stack-torn-sweep/"+mode.String(), "pstruct",
+		map[string]string{"struct": "stack", "mode": mode.String(), "torn": "1", "script": strings.Join(script, " ")},
+		cfg.Crashes, crashPlan(cfg.Seed, 0x7A+uint64(mode), mcheck.ActCrashTorn))
+	if err != nil {
+		return JournalRow{}, err
 	}
 	return JournalRow{
 		Scenario: "uniproc/stack-torn-sweep", Mode: mode.String(), Seed: cfg.Seed,
-		Crashes: cfg.Crashes, Ops: cfg.Ops, Repairs: repairs,
+		Crashes: cfg.Crashes, Ops: cfg.Ops, Repairs: out.Repairs,
 		Outcome: "all-or-nothing recovery",
 	}, nil
 }
 
-// memfsJournalReplay appends through the journaled memfs, tears it down
-// with one seeded torn crash, and remounts: every committed append must
-// survive, at most the in-flight one may additionally appear, and the
-// journal's metrics report the replay.
+// memfsJournalReplay crashes the memfs-journal model's E24 workload
+// (create /log, then Ops one-byte appends) at seeded persist-operation
+// ordinals with torn write-backs and remounts: the tree must be the
+// state after every returned operation, or after the one in flight. The
+// row sums the journal records written and replayed.
 func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
-	fail := func(format string, args ...any) (JournalRow, error) {
-		return JournalRow{}, fmt.Errorf("memfs/journal-replay: "+format+" (repro: %s)",
-			append(args, tableRepro("journal", cfg.Seed))...)
-	}
-	workload := func(j *journal.JFS, e *uniproc.Env, committed *int) error {
-		if err := j.Create(e, "/log"); err != nil {
-			return err
-		}
-		*committed = 0 // Create counts as op 0's setup, appends are the ops
-		for i := 0; i < cfg.Ops; i++ {
-			if err := j.Append(e, "/log", []byte{'x'}); err != nil {
-				return err
-			}
-			*committed++
-		}
-		return nil
-	}
-
-	cal := persistProc(cfg.MaxCycles, nil)
-	calArena := make([]uniproc.Word, 4096)
-	var calErr error
-	cal.Go("main", func(e *uniproc.Env) {
-		j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), calArena, journal.Options{})
-		if err != nil {
-			calErr = err
-			return
-		}
-		n := 0
-		calErr = workload(j, e, &n)
-	})
-	if err := h.Run(cal); err != nil {
-		return fail("calibration: %v", err)
-	}
-	if calErr != nil {
-		return fail("calibration: %v", calErr)
-	}
-	span := cal.PersistOps()
-
-	var written, replayed uint64
-	var crashes int
-	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.DeriveOrdinal(span, cfg.Seed, 0x8A, uint64(c))
-		arena := make([]uniproc.Word, 4096)
-		committed := 0
-		reg1 := obs.NewRegistry()
-		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointPersist, N: at,
-			Action: chaos.Action{Crash: chaos.CrashTorn}})
-		p1.Go("main", func(e *uniproc.Env) {
-			j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, journal.Options{Metrics: reg1})
-			if err != nil {
-				return
-			}
-			_ = workload(j, e, &committed)
-		})
-		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
-			return fail("crash %d at persist op %d: run = %v", c, at, err)
-		}
-		crashes++
-		written += reg1.CounterValue("journal_records_written")
-
-		reg2 := obs.NewRegistry()
-		var got []byte
-		var mountErr error
-		p2 := persistProc(cfg.MaxCycles, nil)
-		p2.Go("main", func(e *uniproc.Env) {
-			j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, journal.Options{Metrics: reg2})
-			if err != nil {
-				mountErr = err
-				return
-			}
-			got, _ = j.ReadFile(e, "/log")
-		})
-		if err := h.Run(p2); err != nil {
-			return fail("crash %d at persist op %d: remount run: %v", c, at, err)
-		}
-		if mountErr != nil {
-			return fail("crash %d at persist op %d: remount: %v", c, at, mountErr)
-		}
-		replayed += reg2.CounterValue("journal_records_replayed")
-		if committed > 0 && (len(got) < committed || len(got) > committed+1) {
-			return fail("crash %d at persist op %d: /log has %d bytes with %d committed", c, at, len(got), committed)
-		}
+	out, err := h.sweep("memfs/journal-replay", "memfs-journal",
+		map[string]string{"appends": strconv.Itoa(cfg.Ops), "torn": "1"},
+		cfg.Crashes, crashPlan(cfg.Seed, 0x8A, mcheck.ActCrashTorn))
+	if err != nil {
+		return JournalRow{}, err
 	}
 	return JournalRow{
-		Scenario: "memfs/journal-replay", Seed: cfg.Seed, Crashes: crashes,
-		Ops: cfg.Ops, PersistOps: written, Repairs: replayed,
+		Scenario: "memfs/journal-replay", Seed: cfg.Seed, Crashes: cfg.Crashes,
+		Ops: cfg.Ops, PersistOps: out.Written, Repairs: out.Replayed,
 		Outcome: "committed appends survive",
 	}, nil
 }
@@ -360,11 +202,12 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 //     seeded ordinals, rebooted, exact recovery required;
 //   - uniproc passage: core.PersistentStack and core.PersistentQueue in
 //     both logging modes, persist ops and cycles per transaction;
-//   - uniproc torn sweep: the stack crashed at seeded persist ordinals,
-//     recovered cold, all-or-nothing transactionality required;
-//   - memfs journal replay: seeded torn crashes over the journaled
-//     filesystem, committed appends never lost, metrics reporting the
-//     records written and replayed;
+//   - uniproc torn sweep: the pstruct model's stack crashed at seeded
+//     persist ordinals, recovered cold, all-or-nothing transactionality
+//     required;
+//   - memfs journal replay: the memfs-journal model's appends crashed
+//     torn at seeded ordinals, committed appends never lost, the records
+//     written and replayed summed;
 //   - mcheck walk: the exhaustive K=1 torn-crash enumeration of the redo
 //     journal at every persist boundary, zero violations.
 func TableJournal(h *Harness, cfg JournalConfig) ([]JournalRow, error) {
@@ -409,20 +252,12 @@ func TableJournal(h *Harness, cfg JournalConfig) ([]JournalRow, error) {
 	}
 	rows = append(rows, row)
 
-	m, err := mcheck.BuildModel("journal", map[string]string{"mode": "redo", "torn": "1"})
+	schedules, err := exhaustiveK1("mcheck/journal-boundaries", "journal", map[string]string{"mode": "redo", "torn": "1"})
 	if err != nil {
 		return nil, err
-	}
-	e := &mcheck.Explorer{Model: m, MaxDecisions: 1}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Passed() {
-		return nil, fmt.Errorf("mcheck/journal-boundaries: %v (repro: %s)", rep, tableRepro("journal", cfg.Seed))
 	}
 	rows = append(rows, JournalRow{Scenario: "mcheck/journal-boundaries", Mode: "redo",
-		Crashes: rep.Schedules - 1, Outcome: "exhaustive K=1 torn, zero violations"})
+		Crashes: schedules - 1, Outcome: "exhaustive K=1 torn, zero violations"})
 	return rows, nil
 }
 

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
 )
 
@@ -90,10 +89,10 @@ func (r *rmeRun) verify(runErr error) error {
 
 // TableRecovery runs the recoverable-mutual-exclusion validation:
 //
-//   - uniproc kill sweep: core.RecoverableMutex under seeded thread-kill
-//     schedules — the RMEChecker must record zero violations, the counter
-//     must equal its Go-side shadow exactly, and every surviving thread
-//     must finish;
+//   - uniproc kill sweep: the uni-rme model (core.RecoverableMutex)
+//     under seeded thread-kill schedules — the RMEChecker must record
+//     zero violations, the counter must equal its Go-side shadow exactly,
+//     and every surviving thread must finish;
 //   - vmach kill sweeps: the guest owner+epoch lock on the ISA-level
 //     kernel, one sweep per recovery strategy, with watchpoint-validated
 //     lock-word transitions;
@@ -103,7 +102,8 @@ func (r *rmeRun) verify(runErr error) error {
 //   - crash restore: injected whole-machine crashes checkpointed where
 //     they struck and replayed to the uncrashed run's exact final state.
 //
-// Any failure is returned as an error naming the seed that reproduces it.
+// Any failure is returned as an error naming the seed that reproduces it;
+// the kill sweep's is the failing schedule as a .sched file.
 func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 	if cfg.Schedules <= 0 {
 		cfg.Schedules = 1
@@ -113,67 +113,17 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 	}
 	var rows []RecoveryRow
 
-	// Uniproc kill sweep.
-	{
-		run := func(faults chaos.Injector) (*uniproc.Processor, *core.RecoverableMutex, core.Word, uint64, error) {
-			p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles, Faults: faults})
-			m := core.NewRecoverableMutex()
-			m.Checker = core.NewRMEChecker()
-			var counter core.Word
-			var gocount uint64
-			for i := 0; i < cfg.Workers; i++ {
-				p.Go("worker", func(e *uniproc.Env) {
-					for it := 0; it < cfg.Iters; it++ {
-						m.Acquire(e)
-						v := e.Load(&counter)
-						e.ChargeALU(1)
-						gocount++
-						e.Store(&counter, v+1)
-						m.Release(e)
-					}
-				})
-			}
-			err := h.Run(p)
-			return p, m, counter, gocount, err
-		}
-		ref, _, _, _, err := run(nil)
-		if err != nil {
-			return nil, fmt.Errorf("uniproc/kill-sweep: reference: %v (repro: %s)", err, tableRepro("recovery", cfg.Seed))
-		}
-		span := ref.MemOps()
-		schedules := 2 * cfg.Schedules
-		var kills, repairs uint64
-		for s := 0; s < schedules; s++ {
-			n := 1 + int(chaos.Derive(cfg.Seed, 0x55, uint64(s))%3)
-			shots := make([]chaos.Injector, 0, n)
-			for i := 0; i < n; i++ {
-				at := chaos.DeriveOrdinal(span, cfg.Seed, 0x55, uint64(s), uint64(i))
-				shots = append(shots, chaos.OneShot{Point: chaos.PointMemOp, N: at, Action: chaos.Action{Kill: true}})
-			}
-			p, m, counter, gocount, err := run(chaos.Compose(shots...))
-			if err != nil {
-				return nil, fmt.Errorf("uniproc/kill-sweep: schedule %d (seed %#x): %v (repro: %s)", s, cfg.Seed, err, tableRepro("recovery", cfg.Seed))
-			}
-			if v := m.Checker.Violations(); len(v) != 0 {
-				return nil, fmt.Errorf("uniproc/kill-sweep: schedule %d (seed %#x): %s (repro: %s)", s, cfg.Seed, v[0], tableRepro("recovery", cfg.Seed))
-			}
-			if uint64(counter) != gocount {
-				return nil, fmt.Errorf("uniproc/kill-sweep: schedule %d (seed %#x): counter=%d shadow=%d (repro: %s)",
-					s, cfg.Seed, counter, gocount, tableRepro("recovery", cfg.Seed))
-			}
-			for _, th := range p.Threads() {
-				if !th.Done() {
-					return nil, fmt.Errorf("uniproc/kill-sweep: schedule %d (seed %#x): stuck acquirer %v (repro: %s)", s, cfg.Seed, th, tableRepro("recovery", cfg.Seed))
-				}
-			}
-			kills += p.Stats.Kills
-			repairs += m.Checker.Steals()
-		}
-		rows = append(rows, RecoveryRow{
-			Scenario: "uniproc/kill-sweep", Seed: cfg.Seed, Schedules: schedules,
-			Kills: kills, Repairs: repairs, Outcome: "ME held, exact shadow",
-		})
+	// Uniproc kill sweep: the uni-rme model's instances.
+	out, err := h.sweep("uniproc/kill-sweep", "uni-rme",
+		map[string]string{"workers": strconv.Itoa(cfg.Workers), "iters": strconv.Itoa(cfg.Iters)},
+		2*cfg.Schedules, killPlan(cfg.Seed, 0x55))
+	if err != nil {
+		return nil, err
 	}
+	rows = append(rows, RecoveryRow{
+		Scenario: "uniproc/kill-sweep", Seed: cfg.Seed, Schedules: 2 * cfg.Schedules,
+		Kills: out.Kills, Repairs: out.Repairs, Outcome: "ME held, exact shadow",
+	})
 
 	// vmCfg is the kernel every vmach leg boots: a 250-cycle quantum.
 	vmCfg := func(strat kernel.Strategy, faults chaos.Injector) kernel.Config {

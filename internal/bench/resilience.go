@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/mcheck"
 	"repro/internal/resilience"
 )
 
@@ -254,20 +253,11 @@ func TableResilience(h *Harness, cfg ResilienceConfig) ([]ResilienceRow, error) 
 	// Exhaustive supervisor-in-the-loop walk via the model checker.
 	schedules := 0
 	for _, kind := range []string{"volatile", "torn"} {
-		m, err := mcheck.BuildModel("resilience", map[string]string{"kind": kind})
+		n, err := exhaustiveK1("mcheck/exactly-once ("+kind+")", "resilience", map[string]string{"kind": kind})
 		if err != nil {
 			return nil, err
 		}
-		e := &mcheck.Explorer{Model: m, MaxDecisions: 1}
-		rep, err := e.Exhaustive()
-		if err != nil {
-			return nil, err
-		}
-		if !rep.Passed() {
-			return nil, fmt.Errorf("mcheck/exactly-once (%s): %v (repro: %s)",
-				kind, rep, tableRepro("resilience", cfg.Seed))
-		}
-		schedules += rep.Schedules
+		schedules += n
 	}
 	rows = append(rows, ResilienceRow{Scenario: "mcheck/exactly-once",
 		Plan: "every global persist ordinal", Crashes: schedules - 2,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/asm"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cthreads"
 	"repro/internal/guest"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/uniproc"
 )
 
@@ -114,7 +116,7 @@ func shiftDecisions(ds []Decision, base uint64) []Decision {
 // ends without crashing. A crash reboots; any other end is classified
 // and checked, and ends the run. It returns the persist ops retired
 // across all boots, the run's cursor.
-func rebootUni(ds []Decision, opt Options, vio *violations, body func(proc *uniproc.Processor, boot int) (check func())) uint64 {
+func rebootUni(ds []Decision, opt Options, vio *violations, out *Outcome, body func(proc *uniproc.Processor, boot int) (check func())) uint64 {
 	var cum uint64
 	for boot := 0; boot < len(ds)+2; boot++ {
 		proc := uniproc.New(uniproc.Config{
@@ -125,9 +127,10 @@ func rebootUni(ds []Decision, opt Options, vio *violations, body func(proc *unip
 		proc.Tracer = opt.Tracer
 		proc.EnablePersistence()
 		check := body(proc, boot)
-		err := proc.Run()
+		err := opt.run(proc)
 		cum += proc.PersistOps()
 		if errors.Is(err, uniproc.ErrMachineCrash) {
+			out.Crashes++
 			continue
 		}
 		vio.terminal(err, -1)
@@ -150,8 +153,9 @@ func tornPrimary(p map[string]string, model string) (Action, error) {
 	return 0, fmt.Errorf("mcheck: %s: torn must be 0 or 1, got %q", model, p["torn"])
 }
 
-// jfsScript is the memfs-journal workload: every operation kind the
-// journal logs, with a remove so replay must handle deletion too.
+// jfsScript is the memfs-journal workload at appends=0: every operation
+// kind the journal logs, with a remove so replay must handle deletion
+// too.
 var jfsScript = []journal.Record{
 	{Kind: journal.OpMkdir, Path: "/d"},
 	{Kind: journal.OpCreate, Path: "/d/a"},
@@ -159,6 +163,16 @@ var jfsScript = []journal.Record{
 	{Kind: journal.OpAppend, Path: "/d/a", Data: []byte("-beta")},
 	{Kind: journal.OpCreate, Path: "/d/b"},
 	{Kind: journal.OpRemove, Path: "/d/b"},
+}
+
+// jfsAppends is the workload at appends=n, E24's memfs sweep: create
+// /log, then n one-byte appends.
+func jfsAppends(n int) []journal.Record {
+	script := []journal.Record{{Kind: journal.OpCreate, Path: "/log"}}
+	for range n {
+		script = append(script, journal.Record{Kind: journal.OpAppend, Path: "/log", Data: []byte{'x'}})
+	}
+	return script
 }
 
 const jfsArenaWords = 1024
@@ -182,25 +196,33 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	script := jfsScript
+	if n, err := strconv.Atoi(p["appends"]); err != nil || n < 0 {
+		return nil, fmt.Errorf("mcheck: memfs-journal: appends must be a count, got %q", p["appends"])
+	} else if n > 0 {
+		script = jfsAppends(n)
+	}
 	// The reference states are fault-free and shared by every instance.
-	states, err := jfsPrefixStates()
+	states, err := jfsPrefixStates(script)
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: memfs-journal: %v", err)
 	}
-	return &model{name: "memfs-journal", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "memfs-journal", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations, out *Outcome) uint64 {
 		arena := make([]uniproc.Word, jfsArenaWords)
+		mopt := jopt
+		mopt.Metrics = obs.NewRegistry()
 		returned := 0
-		return rebootUni(ds, opt, vio, func(proc *uniproc.Processor, boot int) func() {
+		cursor := rebootUni(ds, opt, vio, out, func(proc *uniproc.Processor, boot int) func() {
 			var mountErr error
 			var state string
 			proc.Go("main", func(e *uniproc.Env) {
-				j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, jopt)
+				j, err := journal.MountFS(e, cthreads.New(core.NewRAS()), arena, mopt)
 				if err != nil {
 					mountErr = err
 					return
 				}
 				if boot == 0 {
-					for _, r := range jfsScript {
+					for _, r := range script {
 						if err := j.Do(e, r); err != nil {
 							mountErr = fmt.Errorf("op %d: %w", returned, err)
 							return
@@ -231,6 +253,9 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 				}
 			}
 		})
+		out.Written = mopt.Metrics.CounterValue("journal_records_written")
+		out.Replayed = mopt.Metrics.CounterValue("journal_records_replayed")
+		return cursor
 	})}, nil
 }
 
@@ -268,8 +293,8 @@ func jfsDump(e *uniproc.Env, j *journal.JFS) string {
 
 // jfsPrefixStates runs each script prefix on a fault-free processor and
 // returns its canonical dump (index p = state after the first p ops).
-func jfsPrefixStates() ([]string, error) {
-	states := make([]string, len(jfsScript)+1)
+func jfsPrefixStates(script []journal.Record) ([]string, error) {
+	states := make([]string, len(script)+1)
 	arena := make([]uniproc.Word, jfsArenaWords)
 	var runErr error
 	proc := uniproc.New(uniproc.Config{})
@@ -281,7 +306,7 @@ func jfsPrefixStates() ([]string, error) {
 			return
 		}
 		states[0] = jfsDump(e, j)
-		for i, r := range jfsScript {
+		for i, r := range script {
 			if err := j.Do(e, r); err != nil {
 				runErr = fmt.Errorf("op %d: %w", i, err)
 				return
@@ -302,10 +327,23 @@ func jfsPrefixStates() ([]string, error) {
 // returned+1 (the one in-flight operation, when its commit point was
 // crossed) — never a torn intermediate, never a lost committed op.
 
-// pstructScript: positive = push/enqueue the value, -1 = pop/dequeue.
-var pstructScript = []int{10, 20, -1, 30}
-
-const pstructCap = 4
+// pstructScript parses the script parameter: space-separated ops,
+// positive = push/enqueue the value, -1 = pop/dequeue. The structure's
+// capacity is the script's length.
+func pstructScript(s string) ([]int, error) {
+	var ops []int
+	for _, f := range strings.Fields(s) {
+		op, err := strconv.Atoi(f)
+		if err != nil || op == 0 || op < -1 {
+			return nil, fmt.Errorf("script op %q is neither a positive value nor -1", f)
+		}
+		ops = append(ops, op)
+	}
+	if len(ops) == 0 {
+		return nil, errors.New("empty script")
+	}
+	return ops, nil
+}
 
 func pstructModel(p map[string]string) (Model, error) {
 	mode, err := core.ParseLogMode(p["mode"])
@@ -320,24 +358,32 @@ func pstructModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	states, err := pstructPrefixStates(kind, mode)
+	script, err := pstructScript(p["script"])
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: pstruct: %v", err)
 	}
-	return &model{name: "pstruct", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
-		arena := make([]uniproc.Word, pstructArenaWords(kind))
+	states, err := pstructPrefixStates(kind, mode, script)
+	if err != nil {
+		return nil, fmt.Errorf("mcheck: pstruct: %v", err)
+	}
+	return &model{name: "pstruct", params: p, primary: primary, new: uniNew(func(ds []Decision, opt Options, vio *violations, out *Outcome) uint64 {
+		arena := PStructArena(kind, len(script))
 		returned := 0
-		return rebootUni(ds, opt, vio, func(proc *uniproc.Processor, boot int) func() {
+		return rebootUni(ds, opt, vio, out, func(proc *uniproc.Processor, boot int) func() {
 			var state []uniproc.Word
 			var opErr error
 			proc.Go("main", func(e *uniproc.Env) {
 				// Recover runs first on every boot — a crash inside a
 				// previous boot's recovery re-runs it here, idempotently.
-				ops := pstructScript
+				ops := script
 				if boot > 0 {
 					ops = nil
 				}
-				state, opErr = pstructRunOps(e, arena, kind, mode, ops, func() { returned++ })
+				var repaired bool
+				if repaired, opErr = PStructOps(e, arena, kind, mode, ops, func() { returned++ }); repaired {
+					out.Repairs++
+				}
+				state = pstructState(e, arena, kind, mode)
 			})
 			return func() {
 				if opErr != nil {
@@ -356,72 +402,79 @@ func pstructModel(p map[string]string) (Model, error) {
 	})}, nil
 }
 
-func pstructArenaWords(kind string) int {
+// PStructArena returns a zeroed arena for a persistent stack or queue
+// (kind) of the given capacity.
+func PStructArena(kind string, capacity int) []uniproc.Word {
 	if kind == "stack" {
-		return core.StackArenaWords(pstructCap)
+		return make([]uniproc.Word, core.StackArenaWords(capacity))
 	}
-	return core.QueueArenaWords(pstructCap)
+	return make([]uniproc.Word, core.QueueArenaWords(capacity))
 }
 
-// pstructRunOps recovers the structure on arena, applies ops (positive
-// = push/enqueue, -1 = pop/dequeue, calling retired after each), and
-// returns the observable state. Sequence and log words are excluded —
-// the redo discipline lets the applied-sequence write-back lag one
-// fence, so only the logical contents are comparable across crashes.
-func pstructRunOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.LogMode, ops []int, retired func()) ([]uniproc.Word, error) {
+// PStructOps is the pstruct model's workload: it recovers the persistent
+// stack or queue (kind) on arena, then applies ops (positive =
+// push/enqueue, -1 = pop/dequeue), calling retired after each. It
+// reports whether recovery repaired a transaction. It reads nothing
+// else, so a fault-free run costs exactly the recovery and the ops.
+func PStructOps(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.LogMode, ops []int, retired func()) (repaired bool, err error) {
 	if kind == "stack" {
 		s := core.NewPersistentStack(arena, mode)
-		s.Recover(e)
+		repaired = s.Recover(e)
 		for _, op := range ops {
 			if op < 0 {
 				if _, ok := s.Pop(e); !ok {
-					return nil, errors.New("pop on empty stack")
+					return repaired, errors.New("pop on empty stack")
 				}
 			} else if err := s.Push(e, uniproc.Word(op)); err != nil {
-				return nil, err
+				return repaired, err
 			}
 			retired()
 		}
-		return pstructState(s.Contents(e)), nil
+		return repaired, nil
 	}
 	q := core.NewPersistentQueue(arena, mode)
-	q.Recover(e)
+	repaired = q.Recover(e)
 	for _, op := range ops {
 		if op < 0 {
 			if _, ok := q.Dequeue(e); !ok {
-				return nil, errors.New("dequeue on empty queue")
+				return repaired, errors.New("dequeue on empty queue")
 			}
 		} else if err := q.Enqueue(e, uniproc.Word(op)); err != nil {
-			return nil, err
+			return repaired, err
 		}
 		retired()
 	}
-	return pstructState(q.Contents(e)), nil
+	return repaired, nil
 }
 
-// pstructState is a structure's observable state: its length, then its
-// contents (stack bottom-first, queue oldest-first).
-func pstructState(vs []uniproc.Word) []uniproc.Word {
+// pstructState is the structure's observable state: its length, then
+// its contents (stack bottom-first, queue oldest-first). Sequence and log
+// words are excluded — the redo discipline lets the applied-sequence
+// write-back lag one fence, so only the logical contents are comparable
+// across crashes.
+func pstructState(e *uniproc.Env, arena []uniproc.Word, kind string, mode core.LogMode) []uniproc.Word {
+	var vs []uniproc.Word
+	if kind == "stack" {
+		vs = core.NewPersistentStack(arena, mode).Contents(e)
+	} else {
+		vs = core.NewPersistentQueue(arena, mode).Contents(e)
+	}
 	return append([]uniproc.Word{uniproc.Word(len(vs))}, vs...)
 }
 
 // pstructPrefixStates computes the observable state after each prefix
 // of the script on a fault-free processor.
-func pstructPrefixStates(kind string, mode core.LogMode) ([][]uniproc.Word, error) {
-	states := make([][]uniproc.Word, len(pstructScript)+1)
+func pstructPrefixStates(kind string, mode core.LogMode, script []int) ([][]uniproc.Word, error) {
+	states := make([][]uniproc.Word, len(script)+1)
 	var runErr error
-	for n := 0; n <= len(pstructScript); n++ {
-		n := n
-		arena := make([]uniproc.Word, pstructArenaWords(kind))
+	for n := range states {
+		arena := PStructArena(kind, len(script))
 		proc := uniproc.New(uniproc.Config{})
 		proc.EnablePersistence()
 		proc.Go("main", func(e *uniproc.Env) {
-			st, err := pstructRunOps(e, arena, kind, mode, pstructScript[:n], func() {})
-			if err != nil {
-				runErr = err
-				return
+			if _, runErr = PStructOps(e, arena, kind, mode, script[:n], func() {}); runErr == nil {
+				states[n] = pstructState(e, arena, kind, mode)
 			}
-			states[n] = st
 		})
 		if err := proc.Run(); err != nil {
 			return nil, err

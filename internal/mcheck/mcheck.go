@@ -250,6 +250,33 @@ type Options struct {
 	// replaying a counterexample with an obs.Observer attached yields the
 	// Chrome trace of the failing interleaving.
 	Tracer obs.Sink
+	// Run, when non-nil, runs each uniproc processor a model builds in
+	// place of p.Run(), in the shape the resilience worlds take: bench
+	// passes its Harness, so the runs are traced and counted. Prefix-state
+	// reference runs do not go through it.
+	Run func(p *uniproc.Processor) error
+}
+
+// run runs p through the Run hook, or directly.
+func (o Options) run(p *uniproc.Processor) error {
+	if o.Run != nil {
+		return o.Run(p)
+	}
+	return p.Run()
+}
+
+// Outcome is what one finished run did, beyond its verdict: the sums a
+// bench sweep that replays the model reports. Only the uniproc models
+// record one.
+type Outcome struct {
+	Kills   uint64 // threads the schedule killed
+	Crashes uint64 // boots that ended in a crash
+	// Repairs counts recoveries that had something to mend: dead-owner
+	// steals (uni-rme), transactions recovery rolled (pstruct).
+	Repairs uint64
+	// Written and Replayed count journal records appended and fenced,
+	// and replayed at mount (memfs-journal).
+	Written, Replayed uint64
 }
 
 // Instance is one run of a model under one schedule.
@@ -297,6 +324,15 @@ func (m *model) Params() map[string]string { return m.params }
 func (m *model) Primary() Action           { return m.primary }
 func (m *model) New(ds []Decision, opt Options) (Instance, error) {
 	return m.new(ds, opt)
+}
+
+// OutcomeOf reports what a finished instance's run did; an instance of
+// a model that records no outcome reports the zero Outcome.
+func OutcomeOf(in Instance) Outcome {
+	if u, ok := in.(*uniInstance); ok {
+		return u.out
+	}
+	return Outcome{}
 }
 
 // RunOnce builds an instance for ds, runs it to completion, and reports

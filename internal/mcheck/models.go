@@ -58,14 +58,14 @@ var registry = map[string]modelEntry{
 		doc:      "vmach guest WAL transaction, crash at every persist boundary; mode=redo|undo|nofence, torn=0|1",
 	},
 	"memfs-journal": {
-		defaults: map[string]string{"variant": "fenced", "torn": "0"},
+		defaults: map[string]string{"variant": "fenced", "torn": "0", "appends": "0"},
 		build:    memfsJournalModel,
-		doc:      "uniproc journaled memfs script; remount after any crash must be a script prefix; variant=fenced|nofence",
+		doc:      "uniproc journaled memfs script; remount after any crash must be a script prefix; variant=fenced|nofence, appends=N replaces the mixed script with create /log + N one-byte appends",
 	},
 	"pstruct": {
-		defaults: map[string]string{"struct": "stack", "mode": "redo", "torn": "0"},
+		defaults: map[string]string{"struct": "stack", "mode": "redo", "torn": "0", "script": "10 20 -1 30"},
 		build:    pstructModel,
-		doc:      "uniproc persistent stack/queue transactionality under crashes; struct=stack|queue, mode=undo|redo",
+		doc:      "uniproc persistent stack/queue transactionality under crashes; struct=stack|queue, mode=undo|redo, script=space-separated ops (value = push, -1 = pop; capacity = length)",
 	},
 	"percpu-queue": {
 		defaults: map[string]string{"drain": "safe", "producers": "2", "iters": "2", "cpus": "1"},

@@ -53,7 +53,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &model{name: "percpu-queue", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "percpu-queue", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations, _ *Outcome) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
 			MaxCycles: modelBudget,
@@ -99,7 +99,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 				}
 			}
 		})
-		vio.terminal(proc.Run(), -1)
+		vio.terminal(opt.run(proc), -1)
 		want := uint64(producers * iters)
 		st := q.Stats()
 		if !hasAct(ds, ActKill) {

@@ -1,27 +1,21 @@
 package mcheck
 
-// A minimal splitmix64 generator: deterministic, seedable, dependency-
-// free. Schedule i of a random exploration derives its own stream from
-// (seed, i), so any single sample replays without regenerating the ones
-// before it.
+import "repro/internal/chaos"
+
+// The random explorer's generator: a SplitMix64 stream over chaos.Mix,
+// deterministic and seedable. Schedule i of a random exploration derives
+// its own stream from (seed, i), so any single sample replays without
+// regenerating the ones before it.
 
 type randState struct{ s uint64 }
 
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // newRand builds the stream for sample i of a seed.
 func newRand(seed, i uint64) *randState {
-	return &randState{s: splitmix64(seed+0x9e3779b97f4a7c15) ^ splitmix64(i+0x6a09e667f3bcc909)}
+	return &randState{s: chaos.Mix(seed) ^ chaos.Mix(i+0xcbd26cae74724cf4)}
 }
 
 func (r *randState) next() uint64 {
+	v := chaos.Mix(r.s)
 	r.s += 0x9e3779b97f4a7c15
-	return splitmix64(r.s)
+	return v
 }

@@ -47,7 +47,7 @@ func resilienceModel(p map[string]string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("mcheck: resilience: unknown kind %q", p["kind"])
 	}
-	return &model{name: "resilience", params: p, primary: prim, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "resilience", params: p, primary: prim, new: uniNew(func(ds []Decision, opt Options, vio *violations, _ *Outcome) uint64 {
 		// base accumulates each life's persist ops, so the next life's
 		// injector is offset into the global space.
 		var base uint64
@@ -57,7 +57,7 @@ func resilienceModel(p map[string]string) (Model, error) {
 			Shards:  1,
 			NoDedup: variant == "nodedup",
 			Run: func(p *uniproc.Processor) error {
-				err := p.Run()
+				err := opt.run(p)
 				base += p.PersistOps()
 				return err
 			},

@@ -13,22 +13,28 @@ import (
 // uniInstance runs its whole schedule on the first RunTo or RunToEnd and
 // cannot hash a paused state: the exhaustive explorer enumerates these
 // (small) decision spaces without pruning. A model supplies only run,
-// which builds the processors, drives them, applies its invariants and
-// returns the cursor. The ordinal space is PointMemOp (guest Load/Store
-// operations) here, and persist operations for the crash-family models
-// (memfs-journal, pstruct, resilience).
+// which builds the processors, drives them through opt.run, applies its
+// invariants, records its Outcome and returns the cursor. The ordinal
+// space is PointMemOp (guest Load/Store operations) here, and persist
+// operations for the crash-family models (memfs-journal, pstruct,
+// resilience).
+
+// uniRun is a uniproc model's whole run: it records breaches in vio and
+// what the run did in out, and returns the cursor.
+type uniRun func(ds []Decision, opt Options, vio *violations, out *Outcome) (cursor uint64)
 
 type uniInstance struct {
-	run    func(ds []Decision, opt Options, vio *violations) (cursor uint64)
+	run    uniRun
 	ds     []Decision
 	opt    Options
 	vio    violations
+	out    Outcome
 	done   bool
 	cursor uint64
 }
 
 // uniNew builds the Model.New of a uniproc model from its run func.
-func uniNew(run func(ds []Decision, opt Options, vio *violations) uint64) func([]Decision, Options) (Instance, error) {
+func uniNew(run uniRun) func([]Decision, Options) (Instance, error) {
 	return func(ds []Decision, opt Options) (Instance, error) {
 		return &uniInstance{run: run, ds: ds, opt: opt}, nil
 	}
@@ -40,7 +46,7 @@ func (in *uniInstance) RunToEnd() {
 		return
 	}
 	in.done = true
-	in.cursor = in.run(in.ds, in.opt, &in.vio)
+	in.cursor = in.run(in.ds, in.opt, &in.vio, &in.out)
 }
 func (in *uniInstance) Cursor() uint64              { return in.cursor }
 func (in *uniInstance) Violations() []Violation     { return in.vio.list }
@@ -59,7 +65,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 	if sync != "ras" && sync != "none" {
 		return nil, fmt.Errorf("mcheck: uni-counter: unknown sync %q", sync)
 	}
-	return &model{name: "uni-counter", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "uni-counter", params: p, primary: ActPreempt, new: uniNew(func(ds []Decision, opt Options, vio *violations, _ *Outcome) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
 			MaxCycles: modelBudget,
@@ -83,7 +89,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		vio.terminal(proc.Run(), -1)
+		vio.terminal(opt.run(proc), -1)
 		want := core.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		switch {
@@ -106,7 +112,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &model{name: "uni-rme", params: p, primary: ActKill, new: uniNew(func(ds []Decision, opt Options, vio *violations) uint64 {
+	return &model{name: "uni-rme", params: p, primary: ActKill, new: uniNew(func(ds []Decision, opt Options, vio *violations, out *Outcome) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   2000,
 			MaxCycles: modelBudget,
@@ -129,7 +135,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		vio.terminal(proc.Run(), -1)
+		vio.terminal(opt.run(proc), -1)
 		for _, s := range mtx.Checker.Violations() {
 			vio.add("rme", "%s", s)
 		}
@@ -141,6 +147,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 				vio.add("stuck", "thread %v never finished", th)
 			}
 		}
+		out.Kills, out.Repairs = proc.Stats.Kills, mtx.Checker.Steals()
 		return proc.MemOps()
 	})}, nil
 }
