@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzChaosPlan -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzInjectorNext -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzSwitchWalker -fuzztime=$(FUZZTIME) ./internal/mcheck/
+	$(GO) test -run '^$$' -fuzz=FuzzMount -fuzztime=$(FUZZTIME) ./internal/journal/
 
 fmt:
 	gofmt -w .

@@ -1,5 +1,5 @@
 // Package journal is a crash-consistent write-ahead log on the NVRAM
-// persistence model (PR 6): checksummed, sequence-numbered records are
+// persistence model: checksummed, sequence-numbered records are
 // flushed and fenced BEFORE the in-place update they describe, so the
 // durable log always runs ahead of the volatile state it shadows and a
 // mount can rebuild that state from NVM contents alone.
@@ -15,11 +15,20 @@
 // revert to the NVM zeros, and the operation never happened. A TORN crash
 // (chaos.CrashTorn) persists a flush-order prefix of the record's
 // words; the checksum is the last word flushed, so a torn record can
-// never validate, and Mount detects it, discards it, and zeroes the tail
-// (zeroing is itself flushed and fenced before the space is reused).
-// Records are glued by strict sequence continuity: record n+1 is only
-// accepted directly after record n, so a stale record surviving past a
-// zeroed gap can never be replayed out of order.
+// never validate, and Mount detects it and discards it. Records are
+// glued by strict sequence continuity: record n+1 is only accepted
+// directly after record n, so a stale record surviving past a zeroed gap
+// can never be replayed out of order.
+//
+// Mount's cost is bounded by the log, not the arena. Append is the log's
+// only writer, it stores and flushes the header first, and every crash
+// kind keeps a prefix of the append it interrupts, so the debris past the
+// valid prefix is at most one record whose header, if it survived,
+// states its extent. Mount zeroes exactly that extent, back to front and
+// the header last, then flushes and fences: a crash inside the zeroing
+// leaves the header standing, and the next mount finishes the job. The
+// invariant this rests on — after a mount, every word past the head is
+// zero in both tiers — is what CheckTail audits.
 package journal
 
 import (
@@ -92,6 +101,8 @@ var (
 	ErrFull     = errors.New("journal: log full")
 	ErrTooLarge = errors.New("journal: record too large")
 	ErrCorrupt  = errors.New("journal: corrupt record")
+	// ErrDirtyTail is CheckTail's finding: a nonzero word past the head.
+	ErrDirtyTail = errors.New("journal: nonzero word past the log head")
 )
 
 // Options configures a log.
@@ -104,6 +115,11 @@ type Options struct {
 	// can additionally leave a partial record. Never set outside
 	// verification.
 	SkipFence bool
+	// ZeroForward is a second planted bug: Mount zeroes the torn tail
+	// front to back, header first, so a crash inside the zeroing can
+	// leave a zero header over surviving debris that no later mount
+	// reads. CheckTail must catch it. Never set outside verification.
+	ZeroForward bool
 	// Metrics, when non-nil, receives the journal's counters:
 	// journal_records_written, journal_records_replayed,
 	// journal_torn_words_discarded.
@@ -124,11 +140,13 @@ type Log struct {
 }
 
 // Mount scans the arena — NVM contents only — validating records by
-// magic, checksum, and strict sequence continuity. The first invalid
-// word ends the valid prefix: everything after it is a torn tail from an
-// append the crash interrupted, which Mount zeroes (flushed and fenced)
-// before the space is reused. It returns the mounted log, positioned to
-// append, and the replayed records in order.
+// magic, checksum, and strict sequence continuity. The first record that
+// fails ends the valid prefix: it is debris from the one append a crash
+// interrupted, or a zero header where the log ends. Mount zeroes the
+// extent that header states (flushed and fenced) before the space is
+// reused, and reads nothing past it, so its cost is the log's, not the
+// arena's. It returns the mounted log, positioned to append, and the
+// replayed records in order.
 func Mount(e *uniproc.Env, arena []uniproc.Word, opt Options) (*Log, []Record, error) {
 	l := &Log{arena: arena, opt: opt}
 	if reg := opt.Metrics; reg != nil {
@@ -138,12 +156,16 @@ func Mount(e *uniproc.Env, arena []uniproc.Word, opt Options) (*Log, []Record, e
 	}
 	var recs []Record
 	for {
-		rec, n, ok := l.decodeAt(e, l.head)
-		if !ok {
-			break
-		}
-		if rec.Seq != l.seq+1 {
-			break // stale or replayed-out-of-order record: not ours
+		rec, n, ok := l.readAt(e, l.head)
+		if !ok || rec.Seq != l.seq+1 {
+			// Debris of at most one interrupted append (a stale record
+			// is not ours either). Zeroing it must itself be durable
+			// before the space is reused, or a second crash could
+			// resurrect half-overwritten debris.
+			if z := l.zeroTail(e, n); z > 0 && l.torn != nil {
+				l.torn.Add(uint64(z))
+			}
+			return l, recs, nil
 		}
 		recs = append(recs, rec)
 		l.seq = rec.Seq
@@ -152,34 +174,72 @@ func Mount(e *uniproc.Env, arena []uniproc.Word, opt Options) (*Log, []Record, e
 			l.replayed.Inc()
 		}
 	}
-	// Zero the torn tail. Everything past the valid prefix is debris from
-	// at most one interrupted append (plus the zeros the arena started
-	// with); the zeroing must itself be durable before the space is
-	// reused, or a second crash could resurrect half-overwritten debris.
-	if n := l.zeroTail(e); n > 0 && l.torn != nil {
-		l.torn.Add(uint64(n))
-	}
-	return l, recs, nil
 }
 
-// zeroTail zeroes every nonzero word from head to the end of the arena,
-// returning how many it zeroed. The flush/fence runs only when something
-// was actually zeroed.
-func (l *Log) zeroTail(e *uniproc.Env) int {
+// zeroTail zeroes the nonzero words of [head, head+extent), the extent
+// readAt just loaded (so it reads them again without a charge), and
+// returns how many it zeroed. It zeroes back to front and the header
+// last, so a crash part way leaves the header, and with it the extent,
+// for the next mount; the flush/fence runs only when something was
+// zeroed. Options.ZeroForward plants the opposite order.
+func (l *Log) zeroTail(e *uniproc.Env, extent int) int {
 	n := 0
-	for i := l.head; i < len(l.arena); i++ {
-		e.ChargeALU(1)
-		if e.Load(&l.arena[i]) == 0 {
-			continue
+	zero := func(i int) {
+		if l.arena[i] == 0 {
+			return
 		}
 		e.Store(&l.arena[i], 0)
 		e.Flush(&l.arena[i])
 		n++
 	}
+	if l.opt.ZeroForward {
+		for i := l.head; i < l.head+extent; i++ {
+			zero(i)
+		}
+	} else {
+		for i := l.head + extent - 1; i >= l.head; i-- {
+			zero(i)
+		}
+	}
 	if n > 0 {
 		e.Fence()
 	}
 	return n
+}
+
+// CheckTail audits the invariant a bounded mount rests on: every arena
+// word past the log's head is zero in both tiers of p, the processor the
+// log's arena lives on. Call it after Mount (or any append) returns. It
+// reads the volatile words as a plain slice and the NVM tier only
+// through p's shadowed words, and charges nothing: it is a harness
+// check, not a guest operation.
+func (l *Log) CheckTail(p *uniproc.Processor) error {
+	tail := l.arena[l.head:]
+	if i := firstNonzero(tail); i >= 0 {
+		return fmt.Errorf("%w: word %d holds %#x (head %d)", ErrDirtyTail, l.head+i, uint32(tail[i]), l.head)
+	}
+	if i, nv := p.NVDiverged(tail); i >= 0 {
+		return fmt.Errorf("%w: word %d's NVM image holds %#x (head %d)", ErrDirtyTail, l.head+i, uint32(nv), l.head)
+	}
+	return nil
+}
+
+// zeroBlock is what firstNonzero compares whole blocks of words against.
+var zeroBlock [256]uniproc.Word
+
+// firstNonzero returns the index of the first nonzero word of ws, or -1.
+// Comparing a block as an array is one memequal call, about four times
+// faster than testing its words one by one.
+func firstNonzero(ws []uniproc.Word) int {
+	i := 0
+	for ; i+len(zeroBlock) <= len(ws) && *(*[len(zeroBlock)]uniproc.Word)(ws[i:]) == zeroBlock; i += len(zeroBlock) {
+	}
+	for ; i < len(ws); i++ {
+		if ws[i] != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Append encodes rec (Seq is assigned by the log), makes it durable, and
@@ -232,43 +292,58 @@ func (l *Log) Seq() uint32 { return l.seq }
 // Free returns how many arena words remain.
 func (l *Log) Free() int { return len(l.arena) - l.head }
 
-// decodeAt validates and decodes the record starting at word i.
-func (l *Log) decodeAt(e *uniproc.Env, i int) (Record, int, bool) {
+// readAt loads the record whose header is at word i: the header and,
+// when it is nonzero, the extent it states, capped at the arena's end.
+// It returns the record, that extent (0 for a zero header, or for i at
+// the arena's end), and whether the extent decodes as a valid record.
+func (l *Log) readAt(e *uniproc.Env, i int) (Record, int, bool) {
 	if i >= len(l.arena) {
 		return Record{}, 0, false
 	}
 	h := uint32(e.Load(&l.arena[i]))
+	if h == 0 {
+		return Record{}, 0, false
+	}
+	total := headWords + int(h&0xFFFF) + 1
+	extent := min(total, len(l.arena)-i)
+	e.ChargeALU(extent)
+	for j := i; j < i+extent; j++ {
+		e.Load(&l.arena[j]) // the replay read, charged like any load
+	}
+	if extent < total {
+		return Record{}, extent, false // it would run past the arena's end
+	}
+	rec, ok := l.decode(i, h)
+	return rec, extent, ok
+}
+
+// decode validates and decodes the record with header h at word i, whose
+// words readAt loaded.
+func (l *Log) decode(i int, h uint32) (Record, bool) {
 	kind := Kind(h >> 16 & 0xFF)
 	payload := int(h & 0xFFFF)
 	if h>>24 != magic || kind == 0 || kind >= numKinds || payload < 2 {
-		return Record{}, 0, false
+		return Record{}, false
 	}
 	total := headWords + payload + 1
-	if i+total > len(l.arena) {
-		return Record{}, 0, false
-	}
-	e.ChargeALU(total)
-	for j := i; j < i+total; j++ {
-		e.Load(&l.arena[j]) // the replay read, charged like any load
-	}
 	if uint32(l.arena[i+total-1]) != uint32(cksum(l.arena[i:i+total-1])) {
-		return Record{}, 0, false
+		return Record{}, false
 	}
 	rec := Record{Seq: uint32(l.arena[i+1]), Kind: kind}
 	w := i + headWords
 	pathLen := int(l.arena[w])
 	w++
 	if w+wordsFor(pathLen) >= i+total-1 {
-		return Record{}, 0, false // path would overrun the dataLen word
+		return Record{}, false // path would overrun the dataLen word
 	}
 	rec.Path = string(getBytes(l.arena, &w, pathLen))
 	dataLen := int(l.arena[w])
 	w++
 	if payload != 2+wordsFor(pathLen)+wordsFor(dataLen) {
-		return Record{}, 0, false
+		return Record{}, false
 	}
 	rec.Data = getBytes(l.arena, &w, dataLen)
-	return rec, total, true
+	return rec, true
 }
 
 // wordsFor returns the words needed to pack n bytes.

@@ -181,14 +181,21 @@ const jfsArenaWords = 1024
 // boundary. The invariant is the write-ahead contract: after any crash,
 // the remounted tree equals a PREFIX of the script — all-or-nothing per
 // operation, at least every operation that returned, never reordered.
-// variant=nofence mounts with the planted Options.SkipFence bug, which
-// this model must catch as journal-loss.
+// Every completed mount is also audited (journal-tail): every arena word
+// past the log's head is zero in both tiers, the invariant that lets a
+// mount zero one record's debris instead of the arena. variant=nofence
+// mounts with the planted Options.SkipFence bug, which this model must
+// catch as journal-loss; variant=zeroforward plants
+// Options.ZeroForward, which a torn append followed by a torn crash
+// inside the next mount turns into journal-tail (K=2).
 func memfsJournalModel(p map[string]string) (Model, error) {
 	var jopt journal.Options
 	switch p["variant"] {
 	case "fenced":
 	case "nofence":
 		jopt.SkipFence = true
+	case "zeroforward":
+		jopt.ZeroForward = true
 	default:
 		return nil, fmt.Errorf("mcheck: memfs-journal: unknown variant %q", p["variant"])
 	}
@@ -220,6 +227,9 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 				if err != nil {
 					mountErr = err
 					return
+				}
+				if err := j.Log().CheckTail(proc); err != nil {
+					vio.add("journal-tail", "boot %d: %v", boot+1, err)
 				}
 				if boot == 0 {
 					for _, r := range script {

@@ -186,6 +186,59 @@ func TestMemfsJournalSkipFenceCaught(t *testing.T) {
 	t.Logf("%v", rep)
 }
 
+// The planted front-to-back mount zeroing (variant=zeroforward): a torn
+// append leaves one record's debris, a torn crash inside the next mount
+// persists the zeroed header but not the words after it, and the mount
+// after that reads a zero header over surviving debris. The tail audit
+// must catch it at K=2, shrink it to two decisions and write a .sched
+// that replays; the shipped back-to-front order passes the same walk.
+func TestMemfsJournalZeroForwardCaughtAndShrunk(t *testing.T) {
+	over := map[string]string{"variant": "zeroforward", "torn": "1"}
+	rep, err := (&Explorer{Model: build(t, "memfs-journal", over), MaxDecisions: 2}).Exhaustive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cex := rep.Counterexample
+	if cex == nil {
+		t.Fatalf("checker missed the front-to-back mount zeroing: %v", rep)
+	}
+	if n := len(cex.Schedule.Decisions); n != 2 {
+		t.Errorf("counterexample has %d decisions, want 2 (a torn append, then a torn crash inside the mount)", n)
+	}
+	if cex.Violations[0].Kind != "journal-tail" {
+		t.Errorf("first violation %v, want journal-tail", cex.Violations[0])
+	}
+	path := t.TempDir() + "/zeroforward.sched"
+	if err := cex.Schedule.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := BuildSchedule(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vio, err := RunOnce(rm, back.Decisions, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vio) == 0 || vio[0].Kind != "journal-tail" {
+		t.Fatalf("counterexample replays as %v, want journal-tail (repro: go run ./cmd/rascheck -replay %s)", vio, path)
+	}
+	t.Logf("%v: %v", rep, cex.Schedule.Decisions)
+
+	over["variant"] = "fenced"
+	rep, err = (&Explorer{Model: build(t, "memfs-journal", over), MaxDecisions: 2}).Exhaustive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("back-to-front zeroing: %v\nrepro: %s", rep, reproLine(rep))
+	}
+}
+
 // Every persistent-structure flavor — stack and queue, undo and redo,
 // clean and torn crashes — recovers to the state after exactly the
 // returned operations (or the one in flight) at every persist boundary.

@@ -60,7 +60,7 @@ var registry = map[string]modelEntry{
 	"memfs-journal": {
 		defaults: map[string]string{"variant": "fenced", "torn": "0", "appends": "0"},
 		build:    memfsJournalModel,
-		doc:      "uniproc journaled memfs script; remount after any crash must be a script prefix; variant=fenced|nofence, appends=N replaces the mixed script with create /log + N one-byte appends",
+		doc:      "uniproc journaled memfs script; remount after any crash must be a script prefix; variant=fenced|nofence|zeroforward (the planted front-to-back mount zeroing), appends=N replaces the mixed script with create /log + N one-byte appends",
 	},
 	"pstruct": {
 		defaults: map[string]string{"struct": "stack", "mode": "redo", "torn": "0", "script": "10 20 -1 30"},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/journal"
 	"repro/internal/resilience"
 	"repro/internal/uniproc"
 )
@@ -70,6 +71,9 @@ func resilienceModel(p map[string]string) (Model, error) {
 		switch {
 		case errors.Is(err, resilience.ErrRestartBudget):
 			vio.add("stuck", "%v", err)
+		case errors.Is(err, journal.ErrDirtyTail):
+			// A boot's mount left debris past the log head.
+			vio.add("journal-tail", "%v", err)
 		case err != nil:
 			// Per-boot audits and the final exactly-once accounting both
 			// surface here (acked-but-lost, counter drift, double-apply).

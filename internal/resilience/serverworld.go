@@ -62,7 +62,8 @@ func (c *ServerWorldConfig) defaults() {
 // retrying its way through machine crashes. The clients themselves model
 // the EXTERNAL world: their record of acknowledged sequence numbers
 // (acked) survives every reboot, and the world audits after every boot
-// that the machine never forgot an effect it acknowledged.
+// that the machine never forgot an effect it acknowledged, and after
+// every recovery that the mounted log's tail is zero in both tiers.
 type ServerWorld struct {
 	cfg   ServerWorldConfig
 	arena []uniproc.Word
@@ -157,6 +158,11 @@ func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	var recErr error
 	p.Go("main", func(e *uniproc.Env) {
 		if recErr = s.Recover(e); recErr != nil {
+			return
+		}
+		// The mount zeroed only one record's debris; that is sound only
+		// while every word past the log's head is zero in both tiers.
+		if recErr = s.Log().CheckTail(p); recErr != nil {
 			return
 		}
 		rep.RecoveryCycles = e.Now()

@@ -22,6 +22,7 @@ package uniproc
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
@@ -438,6 +439,28 @@ func (p *Processor) NVPeek(w *Word) Word {
 		return old
 	}
 	return *w
+}
+
+// NVDiverged returns the lowest index i at which ws[i]'s NVM image
+// differs from its volatile contents, with that image, or -1. Only a
+// shadowed word can differ, so it visits the shadowed words, not ws: an
+// audit of a long region after a fence costs nothing here. Harness-only,
+// like NVPeek.
+func (p *Processor) NVDiverged(ws []Word) (int, Word) {
+	first, img := -1, Word(0)
+	if len(ws) == 0 {
+		return first, img
+	}
+	// Only pointer arithmetic places a shadowed word in ws; the address
+	// is compared, never dereferenced.
+	base, size := uintptr(unsafe.Pointer(&ws[0])), unsafe.Sizeof(ws[0])
+	for w, nv := range p.nvShadow {
+		off := uintptr(unsafe.Pointer(w)) - base
+		if i := int(off / size); off < uintptr(len(ws))*size && nv != ws[i] && (first < 0 || i < first) {
+			first, img = i, nv
+		}
+	}
+	return first, img
 }
 
 // Crash applies a crash of kind k to the persistence tiers, word by

@@ -12,15 +12,16 @@ const digestBase = 0x40000
 
 // FuzzMemoryDigest runs a random sequence of memory operations — stores,
 // pokes, peeks that allocate pages, presence flips, the persistence
-// operations (enable, flush, fence, volatile and torn crash reverts) and
-// Capture/Restore — with Digest calls in between. At every Digest the
+// operations (enable, flush, fence, volatile and torn crash reverts),
+// program loads across a page boundary and Capture/Restore — with Digest
+// calls in between. At every Digest the
 // incrementally maintained digest must equal the digest of a fresh memory
 // restored from Capture(), and two digests may only be equal when their
 // images are (PageFaults aside). A write path that forgets to mark its
 // page's digest stale fails the first check after it.
 func FuzzMemoryDigest(f *testing.F) {
 	// Each op is an opcode byte followed by its argument bytes; see the
-	// switch below. 11 is a digest check.
+	// switch below. 11 is a digest check, 12 a program load.
 	f.Add([]byte{
 		0, 0, 1, 7, 11, // store page 0 word 1, check
 		0, 0, 1, 8, 11, // store the same word again: a cache hit
@@ -51,6 +52,13 @@ func FuzzMemoryDigest(f *testing.F) {
 		0, 1, 5, 6, 11, // so this store faults
 		2, 1, 0, 0, 1, 5, 6, 11, // present again, and it lands
 		10, 7, 0, 11, 9, 11, // a page the capture lacks, then restore
+	})
+	f.Add([]byte{
+		10, 1, 0, 10, 2, 0, 11, // pages 1 and 2 exist and are digested
+		12, 1, 10, 200, 11, // a load from page 1's end into page 2
+		3, 0, 2, 5, 9, 11, // dirty a line on page 2
+		12, 1, 30, 100, 11, // a load over it
+		6, 11, // a volatile crash keeps the loaded words
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := NewMemory()
@@ -90,7 +98,7 @@ func FuzzMemoryDigest(f *testing.F) {
 			return a
 		}
 		for ; at < len(ops) && at < 4096; at++ {
-			switch op := ops[at]; op % 12 {
+			switch op := ops[at]; op % 13 {
 			case 0:
 				a := addr()
 				m.StoreWord(a, uint32(arg()))
@@ -121,6 +129,15 @@ func FuzzMemoryDigest(f *testing.F) {
 				m.Peek(digestBase + uint32(pn)*PageSize + uint32(w%48)*4)
 			case 11:
 				check(at)
+			case 12:
+				// A program load from a word near a page's end, into the
+				// next page: both pages' digests must go stale.
+				a, n := addr(), int(arg())
+				words := make([]uint32, n)
+				for k := range words {
+					words[k] = uint32(at + k)
+				}
+				m.LoadProgramWords(a+PageSize-48*4, words)
 			}
 		}
 		check(at)

@@ -271,10 +271,35 @@ func (m *Memory) Poke(addr uint32, v isa.Word) {
 	}
 }
 
-// LoadProgramWords copies words into memory starting at base.
+// LoadProgramWords copies words into memory starting at base, as a Poke
+// of each word would: ignoring presence bits and writing through to both
+// persistence tiers. It copies a page at a time and patches each dirty
+// line's NVM image once, so a program load costs one page lookup per
+// page, not two map lookups per word.
 func (m *Memory) LoadProgramWords(base uint32, words []isa.Word) {
-	for i, w := range words {
-		m.Poke(base+uint32(i*4), w)
+	base &^= 3 // Poke drops the low address bits too
+	if room := (1<<32 - uint64(base)) / 4; uint64(len(words)) > room {
+		// The load wraps past the top of the address space, as Poke's
+		// address arithmetic does.
+		m.LoadProgramWords(base, words[:room])
+		m.LoadProgramWords(0, words[room:])
+		return
+	}
+	for addr, rest := base, words; len(rest) > 0; {
+		n := copy(m.page(addr)[addr>>2&(PageWords-1):], rest)
+		m.invalidateDigest(addr >> PageShift)
+		addr += uint32(n) * 4
+		rest = rest[n:]
+	}
+	if len(words) == 0 {
+		return
+	}
+	last := base + uint32(len(words)-1)*4
+	for i, _ := m.findLine(base >> LineShift); i < len(m.dirty) && m.dirty[i].ln <= last>>LineShift; i++ {
+		d := &m.dirty[i]
+		lo := max(d.ln<<LineShift, base)
+		hi := min(d.ln<<LineShift+LineBytes-4, last)
+		copy(d.img[lo>>2&(LineWords-1):], words[(lo-base)/4:(hi-base)/4+1])
 	}
 }
 

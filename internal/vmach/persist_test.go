@@ -302,6 +302,26 @@ func TestSnapshotRoundTripsPersistenceState(t *testing.T) {
 	}
 }
 
+// A program load that runs past the top of the address space wraps to
+// address 0, as poking each word does, and patches the dirty lines on
+// both sides of the wrap.
+func TestLoadProgramWordsWrapsLikePoke(t *testing.T) {
+	m, pk := NewMemory(), NewMemory()
+	for _, mem := range []*Memory{m, pk} {
+		mem.EnablePersistence()
+		mem.StoreWord(0xFFFFFFF8, 1) // dirty the top line
+		mem.StoreWord(0x4, 2)        // and the bottom one
+	}
+	words := []isa.Word{10, 11, 12, 13, 14, 15}
+	m.LoadProgramWords(0xFFFFFFF2, words) // unaligned, as Poke allows
+	for k, w := range words {
+		pk.Poke(0xFFFFFFF0+uint32(4*k), w)
+	}
+	if !reflect.DeepEqual(m.Capture(), pk.Capture()) {
+		t.Fatalf("wrapped load:\n%+v\npoked:\n%+v", m.Capture(), pk.Capture())
+	}
+}
+
 // refTier is the persistence tier kept in maps, the differential
 // reference for FuzzMemoryCrash. vol holds the volatile words of the
 // lines the fuzz touches, indexed from their base.
@@ -321,6 +341,16 @@ func (r *refTier) store(a uint32, v isa.Word) {
 		r.nv[ln] = img
 	}
 	delete(r.pending, ln)
+	r.vol[(a-r.base)/4] = v
+}
+
+// poke is Poke: the word changes in both tiers, and a dirty line's NVM
+// image takes it too.
+func (r *refTier) poke(a uint32, v isa.Word) {
+	if img, dirty := r.nv[a>>LineShift]; dirty {
+		img[a>>2&(LineWords-1)] = v
+		r.nv[a>>LineShift] = img
+	}
 	r.vol[(a-r.base)/4] = v
 }
 
@@ -360,11 +390,13 @@ func (r *refTier) image() *MemoryImage {
 	return img
 }
 
-// FuzzMemoryCrash runs a random sequence of stores, flushes and fences on
-// a persistent memory beside refTier, then each crash kind on its own
-// copy. After every op, FlushLine's and Fence's results, NVPeek of every
-// word, DirtyLines, PendingLines (nil when empty), Capture and Digest
-// must match the reference. Then it checks the crash rule word by word
+// FuzzMemoryCrash runs a random sequence of stores, flushes, fences and
+// program loads on a persistent memory beside refTier, then each crash
+// kind on its own copy. A load (LoadProgramWords) must also leave the
+// memory equal to a second one that took the same ops but pokes the
+// load's words one at a time. After every op, FlushLine's and Fence's
+// results, NVPeek of every word, DirtyLines, PendingLines (nil when
+// empty), Capture and Digest must match the reference. Then it checks the crash rule word by word
 // over the lines the sequence can touch:
 //   - clean: Peek is unchanged, and NVPeek == Peek;
 //   - volatile: Peek equals the pre-crash NVPeek;
@@ -374,30 +406,49 @@ func (r *refTier) image() *MemoryImage {
 // After every kind the persistence buffer is empty.
 func FuzzMemoryCrash(f *testing.F) {
 	// Each op is an opcode byte and an argument byte: 0 stores, 1
-	// flushes, 2 fences. The last byte seeds the tear.
+	// flushes, 2 fences, 3 loads a run of words from the argument's word
+	// to at most the end of the four lines. The last byte seeds the tear.
 	f.Add([]byte{0, 1, 0, 17, 1, 1, 2, 0, 0, 40, 1, 40, 7})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 1, 0, 0, 20, 1, 20, 0, 21, 0xC0})
 	f.Add([]byte{0, 5, 1, 5, 2, 0, 0, 5, 0, 6, 1, 6, 0, 50, 1, 50, 2, 0, 0, 63, 3})
 	f.Add([]byte{0, 60, 0, 2, 0, 33, 0, 20, 1, 2, 1, 60, 0, 60, 1, 33, 2, 0, 1, 20, 0, 3, 9})
+	f.Add([]byte{0, 5, 0, 40, 1, 40, 3, 3, 0, 20, 3, 29, 2, 0, 3, 0, 1, 5, 3, 41})
 	const base, words = 0x8000, 4 * LineWords // four lines
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := NewMemory()
 		m.EnablePersistence()
+		pk := NewMemory() // m's ops, with each load poked word by word
+		pk.EnablePersistence()
 		ref := &refTier{base: base, vol: make([]isa.Word, words),
 			nv: map[uint32][LineWords]isa.Word{}, pending: map[uint32]bool{}}
 		for i := 0; i+1 < len(ops) && i < 512; i += 2 {
 			a := base + uint32(ops[i+1])%words*4
-			switch ops[i] % 3 {
+			switch ops[i] % 4 {
 			case 0:
 				m.StoreWord(a, isa.Word(i+1))
+				pk.StoreWord(a, isa.Word(i+1))
 				ref.store(a, isa.Word(i+1))
 			case 1:
 				if got, _ := m.FlushLine(a); got != ref.flush(a) {
 					t.Fatalf("op %d: FlushLine(%#x) = %v, reference %v", i/2, a, got, !got)
 				}
+				pk.FlushLine(a)
 			case 2:
 				if got, want := m.Fence(), ref.fence(); got != want {
 					t.Fatalf("op %d: Fence persisted %d lines, reference %d", i/2, got, want)
+				}
+				pk.Fence()
+			case 3:
+				n := min(1+int(ops[i+1])/words*7+i%11, int(base+words*4-a)/4)
+				load := make([]isa.Word, n)
+				for k := range load {
+					load[k] = isa.Word(1000*(i+1) + k)
+					pk.Poke(a+uint32(4*k), load[k])
+					ref.poke(a+uint32(4*k), load[k])
+				}
+				m.LoadProgramWords(a, load)
+				if !reflect.DeepEqual(m.Capture(), pk.Capture()) || m.Digest() != pk.Digest() {
+					t.Fatalf("op %d: LoadProgramWords(%#x, %d words) differs from poking them", i/2, a, n)
 				}
 			}
 			for w := uint32(0); w < words; w++ {
