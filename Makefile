@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
 	$(GO) test -run '^$$' -fuzz=FuzzKernelRun -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
 	$(GO) test -run '^$$' -fuzz=FuzzStepUpTo -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
+	$(GO) test -run '^$$' -fuzz=FuzzLivesWarmBoot -fuzztime=$(FUZZTIME) ./internal/vmach/kernel/
 	$(GO) test -run '^$$' -fuzz=FuzzSMPCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmach/smp/
 	$(GO) test -run '^$$' -fuzz=FuzzChaosPlan -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzInjectorNext -fuzztime=$(FUZZTIME) ./internal/chaos/

@@ -100,10 +100,10 @@ func counters(s Substrate) RunStats {
 	panic(fmt.Sprintf("bench: unknown substrate %T", s))
 }
 
-// lives is the persistent machine the crash sweeps boot prog on: every
-// life under kernel.PersistConfig, run through h.
-func (h *Harness) lives(prog *asm.Program, maxCycles uint64) kernel.Lives {
-	return kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
+// lives builds a persistent machine for the crash sweeps to boot prog
+// on: every life under kernel.PersistConfig, run through h.
+func (h *Harness) lives(prog *asm.Program, maxCycles uint64) *kernel.Lives {
+	return &kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
 		Config: kernel.PersistConfig(maxCycles), Runner: h.runKernel}
 }
 

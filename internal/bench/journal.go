@@ -74,18 +74,18 @@ func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow
 }
 
 // vmachJournalTornSweep crashes the guest journal at seeded step ordinals
-// with torn write-backs, warm-reboots the same machine over the surviving
-// NVM, and requires exact recovery every time. Repairs counts the crashes
-// that left a committed in-flight record (host-checked with the guest's
-// own recovery rule, guest.JournalRecord.Commits).
+// with torn write-backs, each on a fresh machine, warm-reboots that
+// machine over the surviving NVM, and requires exact recovery every
+// time. Repairs counts the crashes that left a committed in-flight
+// record (host-checked with the guest's own recovery rule,
+// guest.JournalRecord.Commits).
 func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
 	fail := func(format string, args ...any) (JournalRow, error) {
 		return JournalRow{}, fmt.Errorf("vmach/"+mode+"-torn: "+format+" (repro: %s)",
 			append(args, tableRepro("journal", cfg.Seed))...)
 	}
 	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
-	machine := h.lives(prog, cfg.MaxCycles)
-	span, err := machine.Calibrate()
+	span, err := h.lives(prog, cfg.MaxCycles).Calibrate()
 	if err != nil {
 		return fail("calibration: %v", err)
 	}
@@ -98,7 +98,7 @@ func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalR
 	}
 	for c := 0; c < cfg.Crashes; c++ {
 		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
-		l := machine
+		l := h.lives(prog, cfg.MaxCycles) // a fresh machine for every crash
 		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
 			Action: chaos.Action{Crash: chaos.CrashTorn}})
 		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {

@@ -44,19 +44,18 @@ type PersistRow struct {
 }
 
 // vmachPersistSweep crashes src at Crashes seeded step ordinals with the
-// volatile tier discarded, then warm-reboots the same machine over the
-// surviving memory. For the well-flushed program every crash must lose
-// at most one increment and every reboot must complete the exact
-// workload; for the under-flushed control the sweep instead reports the
-// worst loss it saw.
+// volatile tier discarded, each on a fresh machine, then warm-reboots
+// that machine over the surviving memory. For the well-flushed program
+// every crash must lose at most one increment and every reboot must
+// complete the exact workload; for the under-flushed control the sweep
+// instead reports the worst loss it saw.
 func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, wellFlushed bool, salt uint64) (PersistRow, error) {
 	fail := func(format string, args ...any) (PersistRow, error) {
 		return PersistRow{}, fmt.Errorf(scenario+": "+format+" (repro: %s)",
 			append(args, tableRepro("persist", cfg.Seed))...)
 	}
 	prog := guest.Assemble(src)
-	machine := h.lives(prog, cfg.MaxCycles)
-	span, err := machine.Calibrate()
+	span, err := h.lives(prog, cfg.MaxCycles).Calibrate()
 	if err != nil {
 		return fail("calibration: %v", err)
 	}
@@ -67,7 +66,7 @@ func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, well
 	var maxLoss int64
 	for c := 0; c < cfg.Crashes; c++ {
 		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
-		l := machine
+		l := h.lives(prog, cfg.MaxCycles) // a fresh machine for every crash
 		committed := 0
 		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
 			Action: chaos.Action{Crash: chaos.CrashVolatile}})

@@ -18,6 +18,7 @@ package guest
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/asm"
 )
@@ -850,11 +851,27 @@ empty:
 }
 
 // Assemble assembles a guest source string, panicking on error: guest
-// sources are generated, so failure is a bug in this package.
+// sources are generated, so failure is a bug in this package. Each
+// source is assembled once per process: every call with the same source
+// returns the same program, which callers share and must not modify
+// (kernels and SMP systems only read it).
 func Assemble(src string) *asm.Program {
+	assembled.Lock()
+	defer assembled.Unlock()
+	if p, ok := assembled.progs[src]; ok {
+		return p
+	}
 	p, err := asm.Assemble(src)
 	if err != nil {
 		panic(fmt.Sprintf("guest: internal assembly error: %v\nsource:\n%s", err, src))
 	}
+	assembled.progs[src] = p
 	return p
 }
+
+// assembled memoizes Assemble by source. Guest sources are generated
+// from a few small parameters, so the table stays small.
+var assembled = struct {
+	sync.Mutex
+	progs map[string]*asm.Program
+}{progs: map[string]*asm.Program{}}

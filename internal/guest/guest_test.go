@@ -2,6 +2,7 @@ package guest
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -90,6 +91,35 @@ func TestAssembleHelperOK(t *testing.T) {
 	p := Assemble(EmptyLoopProgram(10))
 	if _, ok := p.SymbolAddr("main"); !ok {
 		t.Error("main symbol missing")
+	}
+}
+
+// Each source is assembled once: a repeated call returns the same
+// program and allocates nothing, from any number of goroutines.
+func TestAssembleMemoizesBySource(t *testing.T) {
+	srcs := []string{EmptyLoopProgram(11), PersistentCounterProgram(2, 5), EmptyLoopProgram(12)}
+	want := make([]*asm.Program, len(srcs))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range srcs {
+				Assemble(srcs[(g+i)%len(srcs)])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, src := range srcs {
+		want[i] = Assemble(src)
+	}
+	for i, src := range srcs {
+		if p := Assemble(src); p != want[i] {
+			t.Errorf("source %d assembled twice", i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Assemble(srcs[1]) }); n != 0 {
+		t.Errorf("a repeated Assemble allocates %v times, want 0", n)
 	}
 }
 

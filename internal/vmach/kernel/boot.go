@@ -38,7 +38,18 @@ func PersistConfig(maxCycles uint64) Config {
 // Boot is warm and does not reload, since the image went in through the
 // durable tier and reloading would overwrite the recovery state (lock
 // words, journals, applied tables) the program's boot path reads.
+//
+// The machine owns one kernel for its whole existence: a warm Boot
+// resets the kernel the cold one built (and the arch.Profile it chose,
+// when Config names none) instead of building another. So the *Kernel
+// a Boot returns, its threads and its slices are valid until the next
+// Boot, and per-life hooks — Tracer, Profiler, PeerAlive, OnThreadDeath
+// callbacks — start every life unset and are installed again for each
+// one, by the Runner or by the caller between Boot and Run. A Lives must
+// not be copied: copies would share that kernel.
 type Lives struct {
+	_ noCopy
+
 	Prog     *asm.Program
 	StackTop uint32 // main's initial stack pointer
 	Config   Config // every life's; Boot sets Memory and Faults
@@ -46,18 +57,39 @@ type Lives struct {
 	// (*Kernel).Run.
 	Runner func(*Kernel) error
 
-	mem *vmach.Memory
+	k *Kernel // nil before the first Boot
 }
 
+// noCopy makes go vet's copylocks check report a copied Lives.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Memory is the machine's persistent memory, nil before the first Boot.
-func (l *Lives) Memory() *vmach.Memory { return l.mem }
+func (l *Lives) Memory() *vmach.Memory {
+	if l.k == nil {
+		return nil
+	}
+	return l.k.M.Mem
+}
 
 // Boot starts the machine's next life under faults (nil for a clean
-// life): cold the first time, warm after that.
+// life): cold the first time, warm after that. The kernel it returns is
+// valid until the next Boot.
 func (l *Lives) Boot(faults chaos.Injector) *Kernel {
-	k := l.life(l.mem, faults)
-	l.mem = k.M.Mem
-	return k
+	if l.k == nil {
+		l.k = l.cold(faults)
+		return l.k
+	}
+	cfg := l.Config
+	cfg.Memory, cfg.Faults = l.k.M.Mem, faults
+	if cfg.Profile == nil {
+		cfg.Profile = l.k.Profile
+	}
+	l.k.reset(cfg)
+	l.k.Spawn(l.Prog.MustSymbol("main"), l.StackTop)
+	return l.k
 }
 
 // Run runs one life through the Runner.
@@ -68,27 +100,21 @@ func (l *Lives) Run(k *Kernel) error {
 	return l.Runner(k)
 }
 
-// Calibrate runs a clean cold life on throwaway memory and returns its
-// step count, the span crash steps are drawn from.
+// Calibrate runs a clean cold life on throwaway memory, with a kernel of
+// its own, and returns its step count, the span crash steps are drawn
+// from.
 func (l *Lives) Calibrate() (uint64, error) {
-	k := l.life(nil, nil)
+	k := l.cold(nil)
 	if err := l.Run(k); err != nil {
 		return 0, err
 	}
 	return k.Steps(), nil
 }
 
-// life builds one life's kernel: warm over mem, or cold over fresh
-// persistent memory when mem is nil.
-func (l *Lives) life(mem *vmach.Memory, faults chaos.Injector) *Kernel {
+// cold builds a cold life's kernel over fresh persistent memory.
+func (l *Lives) cold(faults chaos.Injector) *Kernel {
 	cfg := l.Config
-	cfg.Memory, cfg.Faults = mem, faults
-	if mem == nil {
-		cfg.Memory = vmach.NewMemory()
-		cfg.Memory.EnablePersistence()
-		return Boot(cfg, l.Prog, l.StackTop)
-	}
-	k := New(cfg)
-	k.Spawn(l.Prog.MustSymbol("main"), l.StackTop)
-	return k
+	cfg.Memory, cfg.Faults = vmach.NewMemory(), faults
+	cfg.Memory.EnablePersistence()
+	return Boot(cfg, l.Prog, l.StackTop)
 }

@@ -101,3 +101,25 @@ func TestLivesCalibrateLeavesMachineUntouched(t *testing.T) {
 		t.Errorf("runner ran %d times, want 3 (one life, two calibrations)", runs)
 	}
 }
+
+// A warm boot resets the machine's one kernel: once a full life has
+// grown its tables, a boot allocates nothing.
+func TestLivesWarmBootAllocs(t *testing.T) {
+	var runs int
+	l := testLives(&runs)
+	if err := l.Run(l.Boot(nil)); err != nil {
+		t.Fatal(err)
+	}
+	k := l.Boot(nil)
+	if err := l.Run(k); err != nil {
+		t.Fatal(err)
+	}
+	crash := crashAt(chaos.CrashVolatile, 100)
+	if n := testing.AllocsPerRun(100, func() {
+		if l.Boot(crash) != k {
+			t.Fatal("a warm boot built a new kernel")
+		}
+	}); n != 0 {
+		t.Errorf("a warm Lives.Boot allocates %v times, want 0", n)
+	}
+}

@@ -256,7 +256,7 @@ type Kernel struct {
 
 	// batching marks a quiet batch in progress; steps is then biased by
 	// the batch's starting instruction count (see runQuiet). It sits in
-	// the padding after hasUserHandler: every mcheck schedule and crash
+	// the padding after hasUserHandler: every mcheck schedule and cold
 	// boot allocates a Kernel, and 512 bytes is a size class.
 	batching bool
 
@@ -286,6 +286,18 @@ type Kernel struct {
 
 // New creates a kernel and machine from cfg.
 func New(cfg Config) *Kernel {
+	k := new(Kernel)
+	k.reset(cfg)
+	return k
+}
+
+// reset returns k to the state New(cfg) builds, so New is reset applied
+// to a zero Kernel. Every field starts over, the per-life hooks (Tracer,
+// Profiler, PeerAlive, death callbacks) included; what carries over is
+// allocation only: the machine struct and its write buffer, the thread,
+// run-queue and registration slices, the wait-queue map, and the Thread
+// structs past the thread table's end, which SpawnAS re-initialises.
+func (k *Kernel) reset(cfg Config) {
 	if cfg.Profile == nil {
 		cfg.Profile = arch.R3000()
 	}
@@ -298,17 +310,30 @@ func New(cfg Config) *Kernel {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 40
 	}
-	return &Kernel{
-		waitq:     make(map[uint32][]*Thread),
-		M:         vmach.NewWithMemory(cfg.Profile, cfg.Memory),
-		CPUID:     cfg.CPUID,
+	m := k.M
+	if m == nil {
+		m = new(vmach.Machine)
+	}
+	m.Reset(cfg.Profile, cfg.Memory)
+	threads, runq, ras, waitq := k.threads[:0], k.runq[:0], k.ras[:0], k.waitq
+	if waitq == nil {
+		waitq = make(map[uint32][]*Thread)
+	}
+	clear(waitq)
+	*k = Kernel{
+		M:         m,
 		Profile:   cfg.Profile,
 		Strategy:  cfg.Strategy,
 		CheckAt:   cfg.CheckAt,
 		Quantum:   cfg.Quantum,
+		CPUID:     cfg.CPUID,
 		maxCycles: cfg.MaxCycles,
 		faultAt:   chaos.NewCursor(cfg.Faults),
 		watchdog:  cfg.Watchdog,
+		threads:   threads,
+		runq:      runq,
+		ras:       ras,
+		waitq:     waitq,
 	}
 }
 
@@ -328,7 +353,17 @@ func (k *Kernel) Spawn(entry, stackTop uint32, args ...isa.Word) *Thread {
 
 // SpawnAS creates a ready thread in the given address space.
 func (k *Kernel) SpawnAS(as int, entry, stackTop uint32, args ...isa.Word) *Thread {
-	t := &Thread{ID: len(k.threads), ThreadImage: ThreadImage{AS: int32(as), FaultKind: -1}}
+	// A reset leaves the previous life's threads past the table's end;
+	// the next one is re-initialised in place.
+	id := len(k.threads)
+	var t *Thread
+	if id < cap(k.threads) {
+		t = k.threads[:id+1][id]
+	}
+	if t == nil {
+		t = new(Thread)
+	}
+	*t = Thread{ID: id, ThreadImage: ThreadImage{AS: int32(as), FaultKind: -1}}
 	t.Ctx.PC = entry
 	t.Ctx.Regs[isa.RegSP] = stackTop
 	for i, a := range args {

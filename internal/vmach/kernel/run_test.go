@@ -271,9 +271,11 @@ func TestStepUpToMatchesStepOne(t *testing.T) {
 	}
 }
 
-// Every mcheck schedule and crash-restart boot allocates a Kernel, and
-// 512 bytes is a malloc size class: a field that pushes the struct past
-// it costs every one of those allocations the next class up.
+// Every mcheck schedule and cold boot allocates a Kernel, and 512 bytes
+// is a malloc size class: a field that pushes the struct past it costs
+// every one of those allocations the next class up. A warm boot reuses
+// its kernel's Thread structs through the thread table's spare capacity,
+// so that reuse needs no field.
 func TestKernelFitsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Kernel{}); size > 512 {
 		t.Errorf("unsafe.Sizeof(Kernel{}) = %d, want <= 512", size)

@@ -109,10 +109,20 @@ func New(p *arch.Profile) *Machine {
 // machines (the CPUs of an SMP complex) can share one physical memory. A
 // nil mem allocates a fresh one.
 func NewWithMemory(p *arch.Profile, mem *Memory) *Machine {
+	m := new(Machine)
+	m.Reset(p, mem)
+	return m
+}
+
+// Reset returns m to the state NewWithMemory(p, mem) builds: zero stats,
+// no coherence hook, an empty write buffer and no reservation. The write
+// buffer keeps its capacity, so a machine reset for every life of a
+// persistent machine does not grow it again.
+func (m *Machine) Reset(p *arch.Profile, mem *Memory) {
 	if mem == nil {
 		mem = NewMemory()
 	}
-	return &Machine{Mem: mem, Profile: p}
+	*m = Machine{Mem: mem, Profile: p, wb: m.wb[:0]}
 }
 
 // ClearReservation invalidates the machine's ll/sc reservation (context

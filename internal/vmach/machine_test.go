@@ -1,7 +1,9 @@
 package vmach
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -517,5 +519,65 @@ func TestIllegalPrimaryOpcode(t *testing.T) {
 	ctx := &Context{PC: 0x1000}
 	if ev := m.Step(ctx); ev.Kind != EventFault || ev.Fault.Kind != FaultIllegal {
 		t.Fatalf("event = %+v", ev)
+	}
+}
+
+// coherenceStub is a CoherenceHook that prices nothing.
+type coherenceStub struct{}
+
+func (coherenceStub) Access(uint32, bool) (uint64, bool) { return 0, false }
+
+// machineResetFields classify every Machine field by what Reset does:
+// true for a field whose allocation it keeps (emptied), false for one
+// that starts over as NewWithMemory builds it. A new field in neither
+// fails TestMachineResetMatchesNew.
+var machineResetFields = map[string]bool{
+	"Mem": false, "Profile": false, "Stats": false, "Coherence": false,
+	"resValid": false, "resAddr": false,
+	"wb": true,
+}
+
+// TestMachineResetMatchesNew dirties every Machine field, resets the
+// machine onto another profile and memory, and requires each field as
+// NewWithMemory builds it, with the write buffer's array kept.
+func TestMachineResetMatchesNew(t *testing.T) {
+	typ := reflect.TypeOf(Machine{})
+	for i := 0; i < typ.NumField(); i++ {
+		if _, ok := machineResetFields[typ.Field(i).Name]; !ok {
+			t.Errorf("field Machine.%s is neither reset nor reused", typ.Field(i).Name)
+		}
+	}
+	m := NewWithMemory(arch.R3000(), NewMemory())
+	m.Mem.Poke(0x1000, 1)
+	m.Stats.Cycles, m.Coherence = 9, coherenceStub{}
+	m.wb = append(m.wb, 1, 2, 3)
+	m.resValid, m.resAddr = true, 0x40
+	p, mem := arch.I860(), NewMemory()
+	fresh := NewWithMemory(p, mem)
+	field := func(m *Machine, i int) any {
+		f := reflect.ValueOf(m).Elem().Field(i)
+		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if reflect.DeepEqual(field(m, i), field(fresh, i)) {
+			t.Errorf("field Machine.%s is not dirty: the check of its reset is vacuous", typ.Field(i).Name)
+		}
+	}
+	wb := &m.wb[0]
+	m.Reset(p, mem)
+	for i := 0; i < typ.NumField(); i++ {
+		got, want := field(m, i), field(fresh, i)
+		if machineResetFields[typ.Field(i).Name] {
+			if n := reflect.ValueOf(got).Len(); n != 0 {
+				t.Errorf("Machine.%s holds %d entries after Reset, want none", typ.Field(i).Name, n)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after Reset, Machine.%s = %#v, want %#v", typ.Field(i).Name, got, want)
+		}
+	}
+	if cap(m.wb) == 0 || &m.wb[:1][0] != wb {
+		t.Error("Reset dropped the write buffer's array")
 	}
 }
