@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&o.scale, "scale", 1, "table 3 workload multiplier (at least 1)")
 	flag.Uint64Var(&o.seed, "seed", 0, "chaos master seed (0 = default); use with -level to replay a failure")
 	flag.Float64Var(&o.level, "level", 0, "chaos fault intensity in (0,1]; 0 sweeps the default levels")
-	flag.Uint64Var(&o.timeout, "timeout", 0, "cycle budget per run (0 = substrate default); a livelocked guest exits nonzero. Legs that run an mcheck model (the uniproc kill and crash sweeps, the exhaustive walks) keep the checker's own budget")
+	flag.Uint64Var(&o.timeout, "timeout", 0, "cycle budget per run (0 = substrate default); a livelocked guest exits nonzero. Every leg that runs an mcheck model (the kill and crash sweeps on both substrates, the exhaustive walks) keeps the checker's own budget")
 	flag.StringVar(&o.jsonOut, "json", "", "write per-table results (name, run counters, rows) as JSON (\"-\" = stdout)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of every substrate run (\"-\" = stdout; load in Perfetto)")
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")

@@ -3,8 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/asm"
-	"repro/internal/guest"
+	"repro/internal/mcheck"
 	"repro/internal/obs"
 	"repro/internal/uniproc"
 	"repro/internal/vmach/kernel"
@@ -36,17 +35,22 @@ type RunStats struct {
 }
 
 // Substrate is one machine a table runs: a *kernel.Kernel, a
-// *uniproc.Processor or an *smp.System.
-type Substrate interface{ Run() error }
+// *uniproc.Processor or an *smp.System. It is the checker's type, so a
+// model's instances run through the same Harness.
+type Substrate = mcheck.Substrate
 
 // Run attaches the trace to s as a new rebased segment, runs s to
-// completion, and folds in the counters this run added. Counting the
-// difference keeps a restored kernel from recounting the work its
-// checkpoint already holds.
-func (h *Harness) Run(s Substrate) error {
+// completion, and folds in the counters this run added.
+func (h *Harness) Run(s Substrate) error { return h.run(s, s.Run) }
+
+// run is Run with drive in place of s.Run — the shape mcheck.Options.Run
+// takes, so the checker's models drive their substrates through it.
+// Counting the difference keeps a restored kernel, or a checker instance
+// driven past a pause, from recounting work done before drive.
+func (h *Harness) run(s Substrate, drive func() error) error {
 	h.Attach(s)
 	before := counters(s)
-	err := s.Run()
+	err := drive()
 	after := counters(s)
 	h.Stats.Runs++
 	h.Stats.Cycles += after.Cycles - before.Cycles
@@ -98,13 +102,6 @@ func counters(s Substrate) RunStats {
 		return rs
 	}
 	panic(fmt.Sprintf("bench: unknown substrate %T", s))
-}
-
-// lives builds a persistent machine for the crash sweeps to boot prog
-// on: every life under kernel.PersistConfig, run through h.
-func (h *Harness) lives(prog *asm.Program, maxCycles uint64) *kernel.Lives {
-	return &kernel.Lives{Prog: prog, StackTop: guest.StackTop(0),
-		Config: kernel.PersistConfig(maxCycles), Runner: h.runKernel}
 }
 
 // runKernel and runProcessor are Run in the shapes kernel.Lives and the

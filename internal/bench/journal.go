@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/mcheck"
@@ -54,7 +52,8 @@ type JournalRow struct {
 // vmachJournalPassage runs the guest journal fault-free and reports the
 // passage cost: cycles and persist operations for Target transactions.
 func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
-	l := h.lives(guest.Assemble(guest.JournalProgram(mode, cfg.Target)), cfg.MaxCycles)
+	l := &kernel.Lives{Prog: guest.Assemble(guest.JournalProgram(mode, cfg.Target)), StackTop: guest.StackTop(0),
+		Config: kernel.PersistConfig(cfg.MaxCycles), Runner: h.runKernel}
 	k := l.Boot(nil)
 	if err := l.Run(k); err != nil {
 		return JournalRow{}, fmt.Errorf("vmach/%s passage: %v (repro: %s)", mode, err, tableRepro("journal", cfg.Seed))
@@ -70,58 +69,6 @@ func vmachJournalPassage(h *Harness, cfg JournalConfig, mode string) (JournalRow
 		Cycles:     k.M.Stats.Cycles,
 		PersistOps: k.M.Stats.Flushes + k.M.Stats.Fences,
 		Outcome:    "target reached",
-	}, nil
-}
-
-// vmachJournalTornSweep crashes the guest journal at seeded step ordinals
-// with torn write-backs, each on a fresh machine, warm-reboots that
-// machine over the surviving NVM, and requires exact recovery every
-// time. Repairs counts the crashes that left a committed in-flight
-// record (host-checked with the guest's own recovery rule,
-// guest.JournalRecord.Commits).
-func vmachJournalTornSweep(h *Harness, cfg JournalConfig, mode string) (JournalRow, error) {
-	fail := func(format string, args ...any) (JournalRow, error) {
-		return JournalRow{}, fmt.Errorf("vmach/"+mode+"-torn: "+format+" (repro: %s)",
-			append(args, tableRepro("journal", cfg.Seed))...)
-	}
-	prog := guest.Assemble(guest.JournalProgram(mode, cfg.Target))
-	span, err := h.lives(prog, cfg.MaxCycles).Calibrate()
-	if err != nil {
-		return fail("calibration: %v", err)
-	}
-
-	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
-	var repairs uint64
-	salt := uint64(0x6A)
-	if mode == "undo" {
-		salt = 0x6B
-	}
-	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
-		l := h.lives(prog, cfg.MaxCycles) // a fresh machine for every crash
-		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{Crash: chaos.CrashTorn}})
-		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
-			return fail("crash %d at step %d: run = %v", c, at, err)
-		}
-		// The crash already tore the volatile tier down; audit the NVM
-		// image with the guest's own recovery rule before rebooting.
-		mem := l.Memory()
-		if guest.ReadJournal(mem.NVPeek, prog).Commits() {
-			repairs++
-		}
-		if err := l.Run(l.Boot(nil)); err != nil {
-			return fail("crash %d at step %d: reboot run: %v", c, at, err)
-		}
-		a, b := mem.Peek(va), mem.Peek(vb)
-		if int(a) != cfg.Target || int(b) != cfg.Target {
-			return fail("crash %d at step %d: va=%d vb=%d after reboot, want %d", c, at, a, b, cfg.Target)
-		}
-	}
-	return JournalRow{
-		Scenario: "vmach/torn-sweep", Mode: mode, Seed: cfg.Seed,
-		Crashes: cfg.Crashes, Ops: cfg.Target, Repairs: repairs,
-		Outcome: "exact recovery",
 	}, nil
 }
 
@@ -163,7 +110,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 	}
 	out, err := h.sweep("uniproc/stack-torn-sweep/"+mode.String(), "pstruct",
 		map[string]string{"struct": "stack", "mode": mode.String(), "torn": "1", "script": strings.Join(script, " ")},
-		cfg.Crashes, crashPlan(cfg.Seed, 0x7A+uint64(mode), mcheck.ActCrashTorn))
+		cfg.Crashes, "", crashPlan(cfg.Seed, 0x7A+uint64(mode), mcheck.ActCrashTorn))
 	if err != nil {
 		return JournalRow{}, err
 	}
@@ -182,7 +129,7 @@ func pstructTornSweep(h *Harness, cfg JournalConfig, mode core.LogMode) (Journal
 func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 	out, err := h.sweep("memfs/journal-replay", "memfs-journal",
 		map[string]string{"appends": strconv.Itoa(cfg.Ops), "torn": "1"},
-		cfg.Crashes, crashPlan(cfg.Seed, 0x8A, mcheck.ActCrashTorn))
+		cfg.Crashes, "", crashPlan(cfg.Seed, 0x8A, mcheck.ActCrashTorn))
 	if err != nil {
 		return JournalRow{}, err
 	}
@@ -198,8 +145,9 @@ func memfsJournalReplay(h *Harness, cfg JournalConfig) (JournalRow, error) {
 //   - vmach passage: the guest WAL transaction loop fault-free in redo
 //     and undo modes — the fence-count difference is the passage cost
 //     the logging discipline buys;
-//   - vmach torn sweeps: both modes crashed with torn write-backs at
-//     seeded ordinals, rebooted, exact recovery required;
+//   - vmach torn sweeps: the journal model in both modes, crashed with
+//     torn write-backs at seeded persist-op ordinals, rebooted, every
+//     crash's NVM image and the final state audited;
 //   - uniproc passage: core.PersistentStack and core.PersistentQueue in
 //     both logging modes, persist ops and cycles per transaction;
 //   - uniproc torn sweep: the pstruct model's stack crashed at seeded
@@ -223,12 +171,18 @@ func TableJournal(h *Harness, cfg JournalConfig) ([]JournalRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	for _, mode := range []string{"redo", "undo"} {
-		row, err := vmachJournalTornSweep(h, cfg, mode)
+	for i, mode := range []string{"redo", "undo"} {
+		out, err := h.sweep("vmach/"+mode+"-torn", "journal",
+			map[string]string{"mode": mode, "target": strconv.Itoa(cfg.Target), "torn": "1"},
+			cfg.Crashes, "", crashPlan(cfg.Seed, 0x6A+uint64(i), mcheck.ActCrashTorn))
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, JournalRow{
+			Scenario: "vmach/torn-sweep", Mode: mode, Seed: cfg.Seed,
+			Crashes: cfg.Crashes, Ops: cfg.Target, Repairs: out.Repairs,
+			Outcome: "exact recovery",
+		})
 	}
 	for _, kind := range []string{"stack", "queue"} {
 		for _, mode := range []core.LogMode{core.Redo, core.Undo} {

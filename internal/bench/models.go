@@ -12,11 +12,11 @@ import (
 )
 
 // The tables' legs that run an mcheck model: the exhaustive K=1 walks,
-// and the seeded uniproc kill and crash sweeps, which replay a model's
-// instances instead of restating its workload and audit. A failure's
-// error text is a .sched file: comment lines naming the scenario and
-// what went wrong, then the schedule, which `rascheck -replay` and
-// `rasvm -replay-sched` re-execute.
+// and the seeded kill and crash sweeps on both substrates, which replay
+// a model's instances instead of restating its workload and audit. A
+// failure's error text is a .sched file: comment lines naming the
+// scenario and what went wrong, then the schedule, which `rascheck
+// -replay` and `rasvm -replay-sched` re-execute.
 
 // schedError renders a failing schedule as an error whose text parses
 // back (mcheck.Parse) to s.
@@ -48,17 +48,21 @@ func exhaustiveK1(scenario, model string, params map[string]string) (int, error)
 }
 
 // sweep runs n seeded schedules of a model through h and sums their
-// outcomes. It calibrates the ordinal span with the undisturbed run,
-// then gives schedule i the decisions plan(span, i) derives, sorted and
-// one per ordinal. A violation, in calibration too, or a crash decision
-// that never fired fails the sweep.
-func (h *Harness) sweep(scenario, model string, params map[string]string, n int, plan func(span, i uint64) []mcheck.Decision) (mcheck.Outcome, error) {
+// outcomes (MaxLoss is the largest any schedule saw). It calibrates the
+// ordinal span with the undisturbed run, then gives schedule i the
+// decisions plan(span, i) derives, sorted and one per ordinal. A crash
+// decision that never fired fails the sweep, and so does a violation, in
+// calibration too — unless expect names its kind: a planted-bug control
+// passes when at least one schedule reports an expect violation and none
+// reports another kind.
+func (h *Harness) sweep(scenario, model string, params map[string]string, n int, expect string, plan func(span, i uint64) []mcheck.Decision) (mcheck.Outcome, error) {
 	var sum mcheck.Outcome
 	m, err := mcheck.BuildModel(model, params)
 	if err != nil {
 		return sum, err
 	}
-	opt := mcheck.Options{Run: h.runProcessor}
+	opt := mcheck.Options{Run: h.run}
+	caught := false
 	// run runs one schedule and returns its outcome and cursor.
 	run := func(what string, ds []mcheck.Decision) (mcheck.Outcome, uint64, error) {
 		in, err := m.New(ds, opt)
@@ -69,8 +73,11 @@ func (h *Harness) sweep(scenario, model string, params map[string]string, n int,
 		fail := func(why string) error {
 			return schedError(scenario+": "+what, why, &mcheck.Schedule{Model: m.Name(), Params: m.Params(), Decisions: ds})
 		}
-		if vio := in.Violations(); len(vio) > 0 {
-			return mcheck.Outcome{}, 0, fail(vio[0].String())
+		for _, v := range in.Violations() {
+			if expect == "" || v.Kind != expect {
+				return mcheck.Outcome{}, 0, fail(v.String())
+			}
+			caught = true
 		}
 		var crashes uint64
 		for _, d := range ds {
@@ -101,6 +108,10 @@ func (h *Harness) sweep(scenario, model string, params map[string]string, n int,
 		sum.Repairs += out.Repairs
 		sum.Written += out.Written
 		sum.Replayed += out.Replayed
+		sum.MaxLoss = max(sum.MaxLoss, out.MaxLoss)
+	}
+	if expect != "" && !caught {
+		return sum, fmt.Errorf("%s: no schedule of %d reported %s; the planted bug is gone", scenario, n, expect)
 	}
 	return sum, nil
 }

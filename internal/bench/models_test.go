@@ -37,19 +37,44 @@ func replayFailure(t *testing.T, err error) *mcheck.Schedule {
 	return s
 }
 
-// A bench sweep's audit is its model's audit: the sweep over the planted
-// missing-fence journal fails, and its error replays through the checker
-// to the same first violation.
+// A bench sweep's audit is its model's audit: a sweep over a planted
+// bug fails on either substrate — the uniproc missing-fence memfs
+// journal and the vmach missing-fence guest journal — and its error
+// replays through the checker to the same first violation.
 func TestSweepAuditIsTheModels(t *testing.T) {
-	h := &Harness{}
-	_, err := h.sweep("memfs/nofence", "memfs-journal", map[string]string{"variant": "nofence"},
-		24, crashPlan(1, 0x8A, mcheck.ActCrashVolatile))
-	s := replayFailure(t, err)
-	if s.Model != "memfs-journal" || s.Params["variant"] != "nofence" || len(s.Decisions) != 1 {
-		t.Errorf("reproducer %+v is not one crash of the nofence journal", s)
+	for _, c := range []struct {
+		scenario, model string
+		params          map[string]string
+		plan            func(span, i uint64) []mcheck.Decision
+	}{
+		{"memfs/nofence", "memfs-journal", map[string]string{"variant": "nofence"}, crashPlan(1, 0x8A, mcheck.ActCrashVolatile)},
+		{"vmach/nofence-torn", "journal", map[string]string{"mode": "nofence", "torn": "1"}, crashPlan(1, 0x6A, mcheck.ActCrashTorn)},
+	} {
+		h := &Harness{}
+		_, err := h.sweep(c.scenario, c.model, c.params, 24, "", c.plan)
+		s := replayFailure(t, err)
+		if s.Model != c.model || len(s.Decisions) != 1 {
+			t.Errorf("%s: reproducer %+v is not one crash of %s", c.scenario, s, c.model)
+		}
+		for k, v := range c.params {
+			if s.Params[k] != v {
+				t.Errorf("%s: reproducer has %s=%q, want %q", c.scenario, k, s.Params[k], v)
+			}
+		}
+		if h.Stats.Runs == 0 {
+			t.Errorf("%s: the sweep's runs bypassed the harness", c.scenario)
+		}
 	}
-	if h.Stats.Runs == 0 {
-		t.Error("the sweep's runs bypassed the harness")
+}
+
+// A control sweep passes only while its planted bug is caught: over the
+// well-flushed persist guest, which never loses more than one increment,
+// the control fails.
+func TestSweepControlGuard(t *testing.T) {
+	_, err := (&Harness{}).sweep("vmach/flushed-control", "persist", map[string]string{"workers": "2", "iters": "6", "variant": "flushed"},
+		24, "persist-loss", crashPlan(1, 0x59, mcheck.ActCrashVolatile))
+	if err == nil || !strings.Contains(err.Error(), "planted bug is gone") {
+		t.Fatalf("a control over the flushed guest: err = %v", err)
 	}
 }
 
@@ -58,7 +83,7 @@ func TestSweepAuditIsTheModels(t *testing.T) {
 // derived crash never fires.
 func TestSweepFailsCalibrationAndUnfiredCrashes(t *testing.T) {
 	_, err := (&Harness{}).sweep("uniproc/over-budget", "uni-rme", map[string]string{"workers": "1", "iters": "10000000"},
-		1, killPlan(1, 0x55))
+		1, "", killPlan(1, 0x55))
 	if err == nil || !strings.Contains(err.Error(), "calibration: budget: ") {
 		t.Fatalf("an over-budget calibration run: err = %v", err)
 	}
@@ -69,7 +94,7 @@ func TestSweepFailsCalibrationAndUnfiredCrashes(t *testing.T) {
 	past := func(span, i uint64) []mcheck.Decision {
 		return []mcheck.Decision{{At: span + 1, Act: mcheck.ActCrashTorn}}
 	}
-	_, err = (&Harness{}).sweep("pstruct/past-end", "pstruct", nil, 1, past)
+	_, err = (&Harness{}).sweep("pstruct/past-end", "pstruct", nil, 1, "", past)
 	if err == nil || !strings.Contains(err.Error(), "0 of 1 crash decisions fired") {
 		t.Fatalf("a crash past the run's end: err = %v", err)
 	}

@@ -3,14 +3,13 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/guest"
-	"repro/internal/isa"
+	"repro/internal/mcheck"
 	"repro/internal/uniproc"
-	"repro/internal/vmach/kernel"
 )
 
 // PersistConfig parametrizes the persistence table (experiment E23): the
@@ -41,68 +40,6 @@ type PersistRow struct {
 	// crash discarded; the well-flushed protocol bounds it at 1.
 	MaxLoss int64  `json:"max_loss"`
 	Outcome string `json:"outcome"`
-}
-
-// vmachPersistSweep crashes src at Crashes seeded step ordinals with the
-// volatile tier discarded, each on a fresh machine, then warm-reboots
-// that machine over the surviving memory. For the well-flushed program
-// every crash must lose at most one increment and every reboot must
-// complete the exact workload; for the under-flushed control the sweep
-// instead reports the worst loss it saw.
-func vmachPersistSweep(h *Harness, cfg PersistConfig, scenario, src string, wellFlushed bool, salt uint64) (PersistRow, error) {
-	fail := func(format string, args ...any) (PersistRow, error) {
-		return PersistRow{}, fmt.Errorf(scenario+": "+format+" (repro: %s)",
-			append(args, tableRepro("persist", cfg.Seed))...)
-	}
-	prog := guest.Assemble(src)
-	span, err := h.lives(prog, cfg.MaxCycles).Calibrate()
-	if err != nil {
-		return fail("calibration: %v", err)
-	}
-
-	counterAddr := prog.MustSymbol("counter")
-	want := isa.Word(cfg.Workers * cfg.Iters)
-	var repairs uint64
-	var maxLoss int64
-	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.DeriveOrdinal(span, cfg.Seed, salt, uint64(c))
-		l := h.lives(prog, cfg.MaxCycles) // a fresh machine for every crash
-		committed := 0
-		k := l.Boot(chaos.OneShot{Point: chaos.PointStep, N: at,
-			Action: chaos.Action{Crash: chaos.CrashVolatile}})
-		mem := l.Memory()
-		mem.Watch(counterAddr, func(old, new isa.Word) { committed++ })
-		if err := l.Run(k); !errors.Is(err, kernel.ErrMachineCrash) {
-			return fail("crash %d at step %d: run = %v", c, at, err)
-		}
-		// The injected crash already discarded the volatile tier.
-		c0 := mem.Peek(counterAddr)
-		if loss := int64(committed) - int64(c0); loss > maxLoss {
-			maxLoss = loss
-		}
-		if wellFlushed && int(c0) < committed-1 {
-			return fail("crash %d at step %d: NVM counter %d but %d committed — lost more than one", c, at, c0, committed)
-		}
-		if err := l.Run(l.Boot(nil)); err != nil {
-			return fail("crash %d at step %d: reboot run: %v", c, at, err)
-		}
-		if got := mem.Peek(counterAddr); got != c0+want {
-			return fail("crash %d at step %d: counter after reboot = %d, want %d", c, at, got, c0+want)
-		}
-		if held := guest.HeldLock(mem.Peek(prog.MustSymbol("lock"))); held != "" {
-			return fail("crash %d at step %d: %s after reboot", c, at, held)
-		}
-		repairs += uint64(mem.Peek(prog.MustSymbol("repairs")))
-	}
-	outcome := "loss <= 1, exact recovery"
-	if !wellFlushed {
-		if maxLoss <= 1 {
-			return fail("control kept its counter (max loss %d); the planted bug is gone", maxLoss)
-		}
-		outcome = "loss detected (control)"
-	}
-	return PersistRow{Scenario: scenario, Seed: cfg.Seed, Crashes: cfg.Crashes,
-		Repairs: repairs, MaxLoss: maxLoss, Outcome: outcome}, nil
 }
 
 // persistProc is a uniprocessor with the two-tier persistence model on
@@ -191,11 +128,13 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 
 // TablePersist runs the NVRAM persistence validation (E23):
 //
-//   - vmach crash sweep: the persistent counter guest crashed (volatile
-//     tier discarded) at seeded instruction ordinals, rebooted over the
-//     surviving NVM, bounded-loss and exact-recovery checked per crash;
+//   - vmach crash sweep: the persist model's guest crashed (volatile
+//     tier discarded) at seeded persist-op ordinals, rebooted over the
+//     surviving NVM, its bounded-loss and exact-recovery audits run at
+//     every crash;
 //   - vmach under-flush control: the same sweep over the deliberately
-//     under-flushed variant must observe a loss greater than one;
+//     under-flushed variant must report persist-loss, a loss greater
+//     than one;
 //   - uniproc crash sweep: core.PersistentMutex with a caller-persisted
 //     counter, same protocol at memory-operation granularity;
 //   - flush-boundary walk: the model checker's exhaustive K=1 enumeration
@@ -209,21 +148,27 @@ func TablePersist(h *Harness, cfg PersistConfig) ([]PersistRow, error) {
 	}
 	var rows []PersistRow
 
-	row, err := vmachPersistSweep(h, cfg, "vmach/crash-sweep",
-		guest.PersistentCounterProgram(cfg.Workers, cfg.Iters), true, 0x58)
-	if err != nil {
-		return nil, err
+	// The vmach sweeps: the persist model's instances, each crashed
+	// once at a seeded persist-op ordinal. The control is the planted
+	// under-flushed variant, which must lose more than one increment.
+	for _, leg := range []struct {
+		scenario, variant, expect, outcome string
+		salt                               uint64
+	}{
+		{"vmach/crash-sweep", "flushed", "", "loss <= 1, exact recovery", 0x58},
+		{"vmach/underflush-control", "underflush", "persist-loss", "loss detected (control)", 0x59},
+	} {
+		out, err := h.sweep(leg.scenario, "persist",
+			map[string]string{"workers": strconv.Itoa(cfg.Workers), "iters": strconv.Itoa(cfg.Iters), "variant": leg.variant},
+			cfg.Crashes, leg.expect, crashPlan(cfg.Seed, leg.salt, mcheck.ActCrashVolatile))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, PersistRow{Scenario: leg.scenario, Seed: cfg.Seed, Crashes: cfg.Crashes,
+			Repairs: out.Repairs, MaxLoss: out.MaxLoss, Outcome: leg.outcome})
 	}
-	rows = append(rows, row)
 
-	row, err = vmachPersistSweep(h, cfg, "vmach/underflush-control",
-		guest.UnderflushedCounterProgram(cfg.Workers, cfg.Iters), false, 0x59)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
-
-	row, err = uniprocPersistSweep(h, cfg)
+	row, err := uniprocPersistSweep(h, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -93,9 +93,10 @@ func (r *rmeRun) verify(runErr error) error {
 //     under seeded thread-kill schedules — the RMEChecker must record
 //     zero violations, the counter must equal its Go-side shadow exactly,
 //     and every surviving thread must finish;
-//   - vmach kill sweeps: the guest owner+epoch lock on the ISA-level
-//     kernel, one sweep per recovery strategy, with watchpoint-validated
-//     lock-word transitions;
+//   - vmach kill sweeps: the recoverable model — the guest owner+epoch
+//     lock on the ISA-level kernel under a 250-cycle timer — one sweep
+//     per recovery strategy, with watchpoint-validated lock-word
+//     transitions;
 //   - checkpoint replay: a run cut at deterministic points, carried
 //     through the binary wire format, and replayed to bit-identical final
 //     state;
@@ -103,7 +104,7 @@ func (r *rmeRun) verify(runErr error) error {
 //     they struck and replayed to the uncrashed run's exact final state.
 //
 // Any failure is returned as an error naming the seed that reproduces it;
-// the kill sweep's is the failing schedule as a .sched file.
+// a kill sweep's is the failing schedule as a .sched file.
 func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 	if cfg.Schedules <= 0 {
 		cfg.Schedules = 1
@@ -113,10 +114,11 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 	}
 	var rows []RecoveryRow
 
-	// Uniproc kill sweep: the uni-rme model's instances.
-	out, err := h.sweep("uniproc/kill-sweep", "uni-rme",
-		map[string]string{"workers": strconv.Itoa(cfg.Workers), "iters": strconv.Itoa(cfg.Iters)},
-		2*cfg.Schedules, killPlan(cfg.Seed, 0x55))
+	// The kill sweeps: the uni-rme model's instances, then the
+	// recoverable model's under each vmach recovery strategy.
+	workers, iters := strconv.Itoa(cfg.Workers), strconv.Itoa(cfg.Iters)
+	out, err := h.sweep("uniproc/kill-sweep", "uni-rme", map[string]string{"workers": workers, "iters": iters},
+		2*cfg.Schedules, "", killPlan(cfg.Seed, 0x55))
 	if err != nil {
 		return nil, err
 	}
@@ -124,45 +126,22 @@ func TableRecovery(h *Harness, cfg RecoveryConfig) ([]RecoveryRow, error) {
 		Scenario: "uniproc/kill-sweep", Seed: cfg.Seed, Schedules: 2 * cfg.Schedules,
 		Kills: out.Kills, Repairs: out.Repairs, Outcome: "ME held, exact shadow",
 	})
-
-	// vmCfg is the kernel every vmach leg boots: a 250-cycle quantum.
-	vmCfg := func(strat kernel.Strategy, faults chaos.Injector) kernel.Config {
-		return kernel.Config{Strategy: strat, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
-	}
-
-	// Vmach kill sweeps, one per strategy.
-	for _, strat := range []func() kernel.Strategy{
-		func() kernel.Strategy { return &kernel.Registration{} },
-		func() kernel.Strategy { return &kernel.Designated{} },
-	} {
-		name := "vmach/kill-sweep/" + strat().Name()
-		mk := func(faults chaos.Injector) *rmeRun {
-			return newRMERun(vmCfg(strat(), faults), cfg.Workers, cfg.Iters)
-		}
-		ref := mk(nil)
-		if err := ref.verify(h.Run(ref.k)); err != nil {
-			return nil, fmt.Errorf("%s: reference: %v (repro: %s)", name, err, tableRepro("recovery", cfg.Seed))
-		}
-		span := ref.k.Steps()
-		var kills, repairs uint64
-		for s := 0; s < cfg.Schedules; s++ {
-			n := 1 + int(chaos.Derive(cfg.Seed, 0x56, uint64(s))%3)
-			shots := make([]chaos.Injector, 0, n)
-			for i := 0; i < n; i++ {
-				at := chaos.DeriveOrdinal(span, cfg.Seed, 0x56, uint64(s), uint64(i))
-				shots = append(shots, chaos.OneShot{Point: chaos.PointStep, N: at, Action: chaos.Action{Kill: true}})
-			}
-			w := mk(chaos.Compose(shots...))
-			if err := w.verify(h.Run(w.k)); err != nil {
-				return nil, fmt.Errorf("%s: schedule %d (seed %#x): %v (repro: %s)", name, s, cfg.Seed, err, tableRepro("recovery", cfg.Seed))
-			}
-			kills += w.k.Stats.Kills
-			repairs += w.rme.Steals
+	for _, strat := range []string{"registration", "designated"} {
+		name := "vmach/kill-sweep/" + strat
+		out, err := h.sweep(name, "recoverable", map[string]string{"strategy": strat, "workers": workers, "iters": iters},
+			cfg.Schedules, "", killPlan(cfg.Seed, 0x56))
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, RecoveryRow{
 			Scenario: name, Seed: cfg.Seed, Schedules: cfg.Schedules,
-			Kills: kills, Repairs: repairs, Outcome: "ME held, watchpoints clean",
+			Kills: out.Kills, Repairs: out.Repairs, Outcome: "ME held, watchpoints clean",
 		})
+	}
+
+	// vmCfg is the kernel the checkpoint legs boot: a 250-cycle quantum.
+	vmCfg := func(strat kernel.Strategy, faults chaos.Injector) kernel.Config {
+		return kernel.Config{Strategy: strat, Quantum: 250, MaxCycles: cfg.MaxCycles, Faults: faults}
 	}
 
 	// Checkpoint replay at deterministic cuts.

@@ -17,7 +17,11 @@ import (
 // absolute timer deadline), none of which can influence a future
 // transition under the model checker's run conditions — an effectively
 // infinite quantum (no timer preemption), no watchdog, no page
-// evictions, a cycle budget far above any bounded run.
+// evictions, a cycle budget far above any bounded run. A model that runs
+// a live timer (recoverable, at a 250-cycle quantum) breaks the first
+// condition: its deadline decides where the next preemption falls, so
+// its instances report StateHash ok=false and the explorer walks them
+// without pruning.
 //
 // A hash is the sha256 of a key with three parts:
 //
@@ -59,11 +63,11 @@ func hashKernel(k *kernel.Kernel, extra ...byte) [32]byte {
 // reboots. The persist-op cursor lives in the machine stats, which the
 // key leaves out, and two runs paused in identical kernel states still
 // differ if their remaining crash schedules start at different ordinals
-// (cursor, next decision) or boot counts.
-func hashRebooting(k *kernel.Kernel, cursor uint64, next, boots int) [32]byte {
+// (cursor) or decisions (next, which also counts the crashed boots).
+func hashRebooting(k *kernel.Kernel, cursor uint64, next int) [32]byte {
 	var extra [16]byte
 	binary.LittleEndian.PutUint64(extra[:8], cursor)
-	binary.LittleEndian.PutUint64(extra[8:], uint64(next)|uint64(boots)<<32)
+	binary.LittleEndian.PutUint64(extra[8:], uint64(next))
 	return hashKernel(k, extra[:]...)
 }
 

@@ -41,11 +41,11 @@ func refHashKernel(k *kernel.Kernel) [32]byte {
 	return sha256.Sum256(s.Encode())
 }
 
-func refHashRebooting(k *kernel.Kernel, cursor uint64, next, boots int) [32]byte {
+func refHashRebooting(k *kernel.Kernel, cursor uint64, next int) [32]byte {
 	h := refHashKernel(k)
 	var extra [16]byte
 	binary.LittleEndian.PutUint64(extra[:8], cursor)
-	binary.LittleEndian.PutUint64(extra[8:], uint64(next)|uint64(boots)<<32)
+	binary.LittleEndian.PutUint64(extra[8:], uint64(next))
 	return sha256.Sum256(append(h[:], extra[:]...))
 }
 
@@ -71,7 +71,7 @@ func refStateHash(t *testing.T, in Instance) [32]byte {
 	case *vmachInstance:
 		return refHashKernel(in.k)
 	case *rebootInstance:
-		return refHashRebooting(in.k, in.cursor(), in.next, in.boots)
+		return refHashRebooting(in.k, in.cursor(), in.next)
 	case *switchChild:
 		var h [32]byte
 		if in.paused(func(il *interleaver) { h = refHashSMP(il.sys, il.next(), 0) }) {
@@ -239,6 +239,35 @@ func TestStateHashAllocs(t *testing.T) {
 	for _, p := range pausedStates(t) {
 		if n := testing.AllocsPerRun(100, func() { p.in.StateHash() }); n != 0 {
 			t.Errorf("%s: %v allocations per StateHash, want 0", p.name, n)
+		}
+	}
+}
+
+// A kernel whose timer runs does not hash: its deadline is behavioral
+// state the key leaves out, so the recoverable model (a 250-cycle timer)
+// reports ok=false at every pause, while the counter model, whose timer
+// is parked, still hashes.
+func TestLiveTimersDoNotHash(t *testing.T) {
+	for _, c := range []struct {
+		model  string
+		hashes bool
+	}{
+		{"recoverable", false},
+		{"counter", true},
+	} {
+		in, err := build(t, c.model, nil).New(nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []uint64{0, 5, 40} {
+			in.RunTo(at)
+			if _, ok := in.StateHash(); ok != c.hashes {
+				t.Errorf("%s paused at step %d: StateHash ok = %v, want %v", c.model, in.Cursor(), ok, c.hashes)
+			}
+		}
+		in.RunToEnd()
+		if vio := in.Violations(); len(vio) > 0 {
+			t.Errorf("%s: undisturbed run violates: %v", c.model, vio)
 		}
 	}
 }

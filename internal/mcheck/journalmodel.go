@@ -73,15 +73,19 @@ func journalModel(p map[string]string) (Model, error) {
 		}
 		in := newRebootInstance(prog, ds, opt)
 		// A crash discards the volatile tier (torn write-backs when the
-		// decision says so); audit the NVM image left behind.
+		// decision says so); audit the NVM image left behind, and count
+		// it a repair when it holds a committed record to roll.
 		in.crashed = func(d Decision) {
 			checkNVM(in, fmt.Sprintf("crash at persist op %d", d.At))
+			if guest.ReadJournal(in.mem().NVPeek, prog).Commits() {
+				in.out.Repairs++
+			}
 		}
 		in.finish = func() {
 			a, b := uint32(in.mem().Peek(va)), uint32(in.mem().Peek(vb))
 			if a != uint32(target) || b != uint32(target) {
 				in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
-					a, b, in.boots+1, target)
+					a, b, in.next+1, target)
 			}
 			checkNVM(in, "final NVM image")
 		}
@@ -127,7 +131,7 @@ func rebootUni(ds []Decision, opt Options, vio *violations, out *Outcome, body f
 		proc.Tracer = opt.Tracer
 		proc.EnablePersistence()
 		check := body(proc, boot)
-		err := opt.run(proc)
+		err := opt.run(proc, proc.Run)
 		cum += proc.PersistOps()
 		if errors.Is(err, uniproc.ErrMachineCrash) {
 			out.Crashes++

@@ -244,39 +244,49 @@ func (v *violations) terminal(err error, cpu int) {
 	}
 }
 
+// Substrate is one machine a model runs: a *kernel.Kernel or a
+// *uniproc.Processor.
+type Substrate interface{ Run() error }
+
 // Options is harness wiring threaded into every instance a model builds.
 type Options struct {
 	// Tracer, when non-nil, receives the substrate's event stream —
 	// replaying a counterexample with an obs.Observer attached yields the
 	// Chrome trace of the failing interleaving.
 	Tracer obs.Sink
-	// Run, when non-nil, runs each uniproc processor a model builds in
-	// place of p.Run(), in the shape the resilience worlds take: bench
-	// passes its Harness, so the runs are traced and counted. Prefix-state
-	// reference runs do not go through it.
-	Run func(p *uniproc.Processor) error
+	// Run, when non-nil, is called with each substrate a model builds
+	// and the function that drives it — a uniproc processor's whole run,
+	// a vmach instance's remaining steps, one life of a rebooting
+	// machine — and calls drive in its place: bench passes its Harness,
+	// so the runs are traced and counted. Prefix-state reference runs do
+	// not go through it.
+	Run func(s Substrate, drive func() error) error
 }
 
-// run runs p through the Run hook, or directly.
-func (o Options) run(p *uniproc.Processor) error {
+// run drives s through the Run hook, or directly.
+func (o Options) run(s Substrate, drive func() error) error {
 	if o.Run != nil {
-		return o.Run(p)
+		return o.Run(s, drive)
 	}
-	return p.Run()
+	return drive()
 }
 
 // Outcome is what one finished run did, beyond its verdict: the sums a
-// bench sweep that replays the model reports. Only the uniproc models
-// record one.
+// bench sweep that replays the model reports.
 type Outcome struct {
 	Kills   uint64 // threads the schedule killed
 	Crashes uint64 // boots that ended in a crash
 	// Repairs counts recoveries that had something to mend: dead-owner
-	// steals (uni-rme), transactions recovery rolled (pstruct).
+	// steals (uni-rme, recoverable), the guest's boot-time lock repairs
+	// (persist), crashes that left a committed journal record (journal),
+	// transactions recovery rolled (pstruct).
 	Repairs uint64
 	// Written and Replayed count journal records appended and fenced,
 	// and replayed at mount (memfs-journal).
 	Written, Replayed uint64
+	// MaxLoss is the most committed increments one crash discarded: the
+	// persist audit's volatile-minus-NVM counter.
+	MaxLoss int64
 }
 
 // Instance is one run of a model under one schedule.
@@ -329,8 +339,13 @@ func (m *model) New(ds []Decision, opt Options) (Instance, error) {
 // OutcomeOf reports what a finished instance's run did; an instance of
 // a model that records no outcome reports the zero Outcome.
 func OutcomeOf(in Instance) Outcome {
-	if u, ok := in.(*uniInstance); ok {
-		return u.out
+	switch in := in.(type) {
+	case *uniInstance:
+		return in.out
+	case *vmachInstance:
+		return in.out
+	case *rebootInstance:
+		return in.out
 	}
 	return Outcome{}
 }

@@ -30,7 +30,7 @@ var registry = map[string]modelEntry{
 	"recoverable": {
 		defaults: map[string]string{"workers": "2", "iters": "1", "strategy": "registration"},
 		build:    recoverableModel,
-		doc:      "vmach owner+epoch recoverable lock under forced kills",
+		doc:      "vmach owner+epoch recoverable lock under forced kills and a 250-cycle timer",
 	},
 	"persist": {
 		defaults: map[string]string{"workers": "1", "iters": "2", "variant": "flushed"},

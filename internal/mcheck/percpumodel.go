@@ -99,7 +99,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 				}
 			}
 		})
-		vio.terminal(opt.run(proc), -1)
+		vio.terminal(opt.run(proc, proc.Run), -1)
 		want := uint64(producers * iters)
 		st := q.Stats()
 		if !hasAct(ds, ActKill) {
@@ -146,7 +146,7 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 		if variant == "ras" {
 			strat = kernel.NewMultiRegistration()
 		}
-		in := newVmachInstance(strat, ds, opt)
+		in := newVmachInstance(strat, modelQuantum, ds, opt)
 		k := in.k
 		k.Load(prog)
 		if variant == "ras" {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/guest"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/vmach"
 	"repro/internal/vmach/kernel"
 )
@@ -28,20 +29,22 @@ import (
 // transition the run continues through — memory takes the decision's
 // crash kind, the model audits both sides of it, and the machine
 // warm-boots again over what survived. The cursor counts persist
-// operations (flushes + fences) retired across all boots.
+// operations (flushes + fences) retired across all boots. Each life runs
+// through the Run hook; its Outcome counts the crashes, and the model
+// adds what its audits saw.
 type rebootInstance struct {
 	lives kernel.Lives
 	k     *kernel.Kernel
 	opt   Options
 	vio   violations
+	out   Outcome
 
 	ds   []Decision
-	next int // next decision to fire
+	next int // next decision to fire; every fired decision crashed a boot
 
 	// opsBase is the persist-op count retired by previous boots; the
 	// cursor is opsBase plus the current kernel's flush+fence tally.
 	opsBase uint64
-	boots   int
 
 	// At crash decision d, audit (if set) inspects memory before it takes
 	// the crash and crashed inspects what survived. Both run before
@@ -71,6 +74,12 @@ func (in *rebootInstance) boot() {
 	}
 }
 
+// reboot warm-boots the machine after its current life crashed.
+func (in *rebootInstance) reboot() {
+	in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
+	in.boot()
+}
+
 func (in *rebootInstance) mem() *vmach.Memory { return in.lives.Memory() }
 
 // cursor counts persist operations retired across all boots.
@@ -78,11 +87,12 @@ func (in *rebootInstance) cursor() uint64 {
 	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
 }
 
-func (in *rebootInstance) step() {
+// step retires one instruction. When it retires the persist op at the
+// next decision's ordinal, memory takes the crash and step reports that
+// the life ended; the caller reboots. Each instruction advances the
+// cursor by at most one, so at most one decision can fire per step.
+func (in *rebootInstance) step() (crashed bool) {
 	fin, err := in.k.StepOne()
-	// A persist op just retired the next decision's ordinal: crash here.
-	// Each instruction advances the cursor by at most one, so at most one
-	// decision can fire per step.
 	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
 		d := in.ds[in.next]
 		in.next++
@@ -92,33 +102,56 @@ func (in *rebootInstance) step() {
 		// The tear of a torn crash derives from the decision ordinal, so
 		// a .sched replays the exact same split.
 		in.mem().Crash(actFaults[d.Act].Crash, d.At)
+		if tr := in.k.Tracer; tr != nil {
+			ev := obs.Event{Cycle: in.k.M.Stats.Cycles, Type: obs.KindCrash, Arg: d.At, CPU: in.k.CPUID}
+			if t := in.k.Current(); t != nil {
+				ev.Thread, ev.PC = t.ID, t.Ctx.PC
+			}
+			tr.Event(ev)
+		}
 		in.crashed(d)
-		in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-		in.boots++
-		in.boot()
-		return
+		in.out.Crashes++
+		return true
 	}
 	if fin {
 		in.done = true
 		in.runErr = err
 	}
+	return false
+}
+
+// life runs the current life until it crashes or the run ends.
+func (in *rebootInstance) life() error {
+	for !in.done {
+		if in.step() {
+			return kernel.ErrMachineCrash
+		}
+	}
+	return in.runErr
 }
 
 func (in *rebootInstance) RunTo(at uint64) bool {
 	for !in.done && in.cursor() < at {
-		in.step()
+		if in.step() {
+			in.reboot()
+		}
 	}
 	return in.done
 }
 
+// RunToEnd runs each remaining life through the Run hook.
 func (in *rebootInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
 	if in.ended {
 		return
 	}
 	in.ended = true
+	for {
+		in.opt.run(in.k, in.life)
+		if in.done {
+			break
+		}
+		in.reboot()
+	}
 	in.vio.terminal(in.runErr, -1)
 	in.finish()
 }
@@ -131,8 +164,9 @@ func (in *rebootInstance) Cursor() uint64          { return in.cursor() }
 func (in *rebootInstance) Violations() []Violation { return in.vio.list }
 
 func (in *rebootInstance) StateHash() ([32]byte, bool) {
-	return hashRebooting(in.k, in.cursor(), in.next, in.boots), true
+	return hashRebooting(in.k, in.cursor(), in.next), true
 }
+
 func persistModel(p map[string]string) (Model, error) {
 	workers, iters, err := workerIters(p)
 	if err != nil {
@@ -151,7 +185,7 @@ func persistModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: persist: %v", err)
 	}
-	counterAddr, lockAddr := prog.MustSymbol("counter"), prog.MustSymbol("lock")
+	counterAddr, lockAddr, repairsAddr := prog.MustSymbol("counter"), prog.MustSymbol("lock"), prog.MustSymbol("repairs")
 	perBoot := isa.Word(workers * iters)
 	return &model{name: "persist", params: p, primary: ActCrashVolatile, new: func(ds []Decision, opt Options) (Instance, error) {
 		for _, d := range ds {
@@ -168,6 +202,7 @@ func persistModel(p map[string]string) (Model, error) {
 		in.audit = func(Decision) {
 			vol := int64(in.mem().Peek(counterAddr))
 			nvm := int64(in.mem().NVPeek(counterAddr))
+			in.out.MaxLoss = max(in.out.MaxLoss, vol-nvm)
 			if vol-nvm > 1 {
 				in.vio.add("persist-loss",
 					"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
@@ -179,11 +214,12 @@ func persistModel(p map[string]string) (Model, error) {
 			got := in.mem().Peek(counterAddr)
 			if want := cStart + perBoot; got != want {
 				in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
-					got, in.boots+1, want, cStart, perBoot)
+					got, in.next+1, want, cStart, perBoot)
 			}
 			if held := guest.HeldLock(in.mem().Peek(lockAddr)); held != "" {
 				in.vio.add("lock-discipline", "%s after the final boot completed", held)
 			}
+			in.out.Repairs = uint64(in.mem().Peek(repairsAddr))
 		}
 		// Installed once, on the shared memory, so the watchpoints survive
 		// reboots; the instance answers for whichever kernel is running.

@@ -58,7 +58,7 @@ func resilienceModel(p map[string]string) (Model, error) {
 			Shards:  1,
 			NoDedup: variant == "nodedup",
 			Run: func(p *uniproc.Processor) error {
-				err := opt.run(p)
+				err := opt.run(p, p.Run)
 				base += p.PersistOps()
 				return err
 			},

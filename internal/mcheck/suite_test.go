@@ -21,7 +21,7 @@ var suiteGolden = map[string]struct {
 	"counter{mech=designated},exhaustive,K=2":                      {2904, 859, 1974, nil, ""},
 	"counter{mech=none},exhaustive,K=2":                            {2542, 870, 1627, []Decision{{45, ActPreempt}, {55, ActPreempt}}, "mutual-exclusion: t1 stored counter 0->1 while t2 holds the lock"},
 	"broken2store{},exhaustive,K=1":                                {9, 7, 1, []Decision{{8, ActPreempt}}, "counter-exact: counter = 3, want 2 (restart re-applied a committed store)"},
-	"recoverable{},exhaustive,K=1":                                 {116, 115, 0, nil, ""},
+	"recoverable{},exhaustive,K=1":                                 {116, 0, 0, nil, ""},
 	"smp-counter{lock=hybrid},exhaustive,K=2":                      {109193, 3036, 106097, nil, ""},
 	"smp-counter{lock=llsc},exhaustive,K=2":                        {25644, 509, 25113, nil, ""},
 	"smp-counter{lock=ras-only},exhaustive,K=2":                    {276, 168, 107, []Decision{{7, ActSwitch}, {20, ActSwitch}}, "lost-update: counter store 1->1 is not an increment"},

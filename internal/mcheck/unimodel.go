@@ -89,7 +89,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		vio.terminal(opt.run(proc), -1)
+		vio.terminal(opt.run(proc, proc.Run), -1)
 		want := core.Word(workers * iters)
 		kills := hasAct(ds, ActKill)
 		switch {
@@ -135,7 +135,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 				}
 			})
 		}
-		vio.terminal(opt.run(proc), -1)
+		vio.terminal(opt.run(proc, proc.Run), -1)
 		for _, s := range mtx.Checker.Violations() {
 			vio.add("rme", "%s", s)
 		}

@@ -13,9 +13,10 @@ import (
 
 // vmach-backed models. Every instance is a fresh kernel over the model's
 // pre-assembled program, with the schedule rendered as a chaos injector
-// at PointStep, the timer effectively disabled (the schedule is the only
-// scheduler), and a generous cycle budget as a safety net. The decision
-// ordinal space is kernel.Steps(): retired user instructions.
+// at PointStep, the timer parked so the schedule is the only scheduler
+// (recoverable alone runs a timer), and a generous cycle budget as a
+// safety net. The decision ordinal space is kernel.Steps(): retired user
+// instructions.
 
 // modelQuantum pushes the timer past any bounded run, so the only
 // preemptions are the schedule's. modelBudget is the runaway net.
@@ -26,10 +27,15 @@ const (
 
 type vmachInstance struct {
 	k      *kernel.Kernel
+	opt    Options
 	vio    violations
+	out    Outcome
 	done   bool
 	ended  bool
 	runErr error
+	// timed marks a kernel whose timer runs: its deadline is behavioral
+	// state the state hash leaves out, so the instance does not hash.
+	timed bool
 	// expectCrash marks schedules that contain a crash decision, whose
 	// ErrMachineCrash outcome is the point, not a violation.
 	expectCrash bool
@@ -42,18 +48,18 @@ type vmachInstance struct {
 
 // newVmachInstance builds the standard model-checking kernel around an
 // instance: schedule injector installed (always, so step ordinals
-// count), timer parked.
-func newVmachInstance(strat kernel.Strategy, ds []Decision, opt Options) *vmachInstance {
+// count), timer at quantum (modelQuantum parks it).
+func newVmachInstance(strat kernel.Strategy, quantum uint64, ds []Decision, opt Options) *vmachInstance {
 	k := kernel.New(kernel.Config{
 		Strategy:  strat,
-		Quantum:   modelQuantum,
+		Quantum:   quantum,
 		MaxCycles: modelBudget,
 		Faults:    newInjector(chaos.PointStep, ds),
 	})
 	if opt.Tracer != nil {
 		k.Tracer = opt.Tracer
 	}
-	return &vmachInstance{k: k, expectCrash: hasAct(ds, ActCrash)}
+	return &vmachInstance{k: k, opt: opt, timed: quantum != modelQuantum, expectCrash: hasAct(ds, ActCrash)}
 }
 
 // step runs the kernel up to n steps further in one batch: the quiet
@@ -78,25 +84,33 @@ func (in *vmachInstance) RunTo(at uint64) bool {
 	return in.done
 }
 
+// RunToEnd drives the rest of the run through the Run hook.
 func (in *vmachInstance) RunToEnd() {
-	for !in.done {
-		in.step(chaos.Never)
-	}
 	if in.ended {
 		return
 	}
 	in.ended = true
+	in.opt.run(in.k, func() error {
+		for !in.done {
+			in.step(chaos.Never)
+		}
+		return in.runErr
+	})
 	if !errors.Is(in.runErr, kernel.ErrMachineCrash) {
 		in.vio.terminal(in.runErr, -1)
 	} else if !in.expectCrash {
 		in.vio.add("crash", "%v", in.runErr)
 	}
+	in.out.Kills = in.k.Stats.Kills
 	in.finish()
 }
 
 func (in *vmachInstance) Cursor() uint64          { return in.k.Steps() }
 func (in *vmachInstance) Violations() []Violation { return in.vio.list }
 func (in *vmachInstance) StateHash() ([32]byte, bool) {
+	if in.timed {
+		return [32]byte{}, false
+	}
 	return hashKernel(in.k), true
 }
 
@@ -174,7 +188,7 @@ func counterModel(p map[string]string) (Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		in := newVmachInstance(strat, ds, opt)
+		in := newVmachInstance(strat, modelQuantum, ds, opt)
 		k := in.k
 		k.Load(prog)
 		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
@@ -232,7 +246,7 @@ func broken2storeModel(p map[string]string) (Model, error) {
 	}
 	return &model{name: "broken2store", params: p, primary: ActPreempt, new: func(ds []Decision, opt Options) (Instance, error) {
 		strat := kernel.NewMultiRegistration()
-		in := newVmachInstance(strat, ds, opt)
+		in := newVmachInstance(strat, modelQuantum, ds, opt)
 		k := in.k
 		k.Load(prog)
 		lo, hi := prog.MustSymbol("bad_seq"), prog.MustSymbol("bad_end")
@@ -255,11 +269,17 @@ func broken2storeModel(p map[string]string) (Model, error) {
 	}}, nil
 }
 
+// recoverableQuantum is the recoverable model's timer: the kills land
+// among the timer's preemptions, as on a running system (E19's vmach
+// kill sweeps).
+const recoverableQuantum = 250
+
 // recoverableModel checks guest.RecoverableCounterProgram — the
-// owner+epoch recoverable lock — under forced kills: the RME dead-owner-
-// repair invariants (increments only under the lock, steals only from
-// the dead, epoch bumps exactly once per steal) as guest.WatchRME's
-// memory watchpoints.
+// owner+epoch recoverable lock — under forced kills and a 250-cycle
+// timer: the RME dead-owner-repair invariants (increments only under the
+// lock, steals only from the dead, epoch bumps exactly once per steal)
+// as guest.WatchRME's memory watchpoints. The outcome counts the kills
+// and the steals.
 func recoverableModel(p map[string]string) (Model, error) {
 	workers, iters, err := workerIters(p)
 	if err != nil {
@@ -274,7 +294,7 @@ func recoverableModel(p map[string]string) (Model, error) {
 	}
 	return &model{name: "recoverable", params: p, primary: ActKill, new: func(ds []Decision, opt Options) (Instance, error) {
 		strat, _ := strategyByName(p["strategy"])
-		in := newVmachInstance(strat, ds, opt)
+		in := newVmachInstance(strat, recoverableQuantum, ds, opt)
 		k := in.k
 		k.Load(prog)
 		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
@@ -292,6 +312,7 @@ func recoverableModel(p map[string]string) (Model, error) {
 			if kills && got > want {
 				in.vio.add("counter-exact", "counter = %d exceeds %d", got, want)
 			}
+			in.out.Repairs = rme.Steals
 		}
 		return in, nil
 	}}, nil
