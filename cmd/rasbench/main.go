@@ -9,6 +9,7 @@
 //	rasbench -iters 100000       # longer microbenchmark loops
 //	rasbench -table 1 -json -    # machine-readable results on stdout
 //	rasbench -table 2 -trace-out t2.json  # Perfetto trace of the runs
+//	rasbench -table 1 -cpuprofile cpu.pprof  # host profile (go tool pprof)
 //
 // Tables: 1 (microbenchmarks), 2 (thread management), 3 (applications),
 // 4 (eight architectures), i860 (§7 lock bit), lamport (reservation
@@ -59,6 +60,7 @@ type benchOpts struct {
 	jsonOut      string // per-table results as JSON ("-" = stdout)
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
+	cpuProfile   string // host CPU profile file (pprof)
 	list         bool   // print the table catalog and exit
 }
 
@@ -77,6 +79,7 @@ func main() {
 	flag.StringVar(&o.jsonOut, "json", "", "write per-table results (name, run counters, rows) as JSON (\"-\" = stdout)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of every substrate run (\"-\" = stdout; load in Perfetto)")
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile of every selected table to this file (read it with go tool pprof)")
 	flag.StringVar(&o.cpus, "cpus", "", "comma-separated CPU counts for -table smp (default \"1,2,4\"), -table server (default \"1,2,4,8\"), and -table rmr (default \"1,2,3,4,6,8\")")
 	flag.BoolVar(&o.list, "list", false, "print every table name with its description and exit")
 	flag.Parse()
@@ -278,7 +281,7 @@ func runOpts(o benchOpts) error {
 	// Observability: one observer receives every substrate run of every
 	// table, rebased end to end onto one timeline, and streams the Chrome
 	// trace and the event-derived metrics.
-	ob, err := obs.NewObserver(obs.Outputs{TraceOut: o.traceOut, Metrics: o.metrics})
+	ob, err := obs.NewObserver(obs.Outputs{TraceOut: o.traceOut, Metrics: o.metrics, CPUProfile: o.cpuProfile})
 	if err != nil {
 		return err
 	}

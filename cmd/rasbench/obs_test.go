@@ -208,3 +208,18 @@ func TestJSONToStdoutPath(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// -cpuprofile writes a host CPU profile of the selected tables.
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProfile: path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "\x1f\x8b") { // gzip-compressed protobuf
+		t.Errorf("-cpuprofile wrote no pprof file: % x", data[:min(len(data), 8)])
+	}
+}

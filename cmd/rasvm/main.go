@@ -73,6 +73,7 @@ type options struct {
 	restore                 string // snapshot file to resume from
 	replaySched             string // mcheck .sched counterexample to re-execute
 	traceOut                string // Chrome trace-event JSON destination ("-" = stdout)
+	cpuProfile              string // host CPU profile file (pprof)
 	metrics                 string // metrics dump destination ("-" = stdout)
 	profTop                 int    // top-N cycle profile report (0 = off)
 	folded                  string // folded-stack profile destination ("-" = stdout)
@@ -159,6 +160,7 @@ func parseFlags(args []string) (o options, list bool) {
 	fs.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
 	fs.IntVar(&o.profTop, "profile", 0, "print the top-N symbols of the cycle-attributed profile (0 disables)")
 	fs.StringVar(&o.folded, "folded", "", "write the cycle profile as folded stacks for flamegraph tools (\"-\" = stdout)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (read it with go tool pprof)")
 	fs.IntVar(&o.cpus, "cpus", 1, "-demo smp: number of CPUs")
 	fs.StringVar(&o.lock, "lock", "hybrid", "-demo smp: lock implementation: hybrid, spinlock, llsc, ras-only")
 	fs.StringVar(&o.variant, "variant", "percpu", "-demo server: request plane: percpu, mutex, racy")
@@ -198,7 +200,7 @@ func run(w io.Writer, o options) error {
 		}
 	}
 	oo, err := obs.NewObserver(obs.Outputs{Tail: o.trace, TraceOut: o.traceOut, Metrics: o.metrics,
-		Profile: o.profTop, Folded: o.folded})
+		Profile: o.profTop, Folded: o.folded, CPUProfile: o.cpuProfile})
 	if err != nil {
 		return err
 	}

@@ -123,7 +123,8 @@ func TestFoldedProfileOut(t *testing.T) {
 
 // Every demo honours each observability flag or refuses it by name:
 // -trace prints the ring tail, -trace-out writes a valid Chrome trace,
-// -metrics the counters, -profile the report and -folded the stacks.
+// -metrics the counters, -profile the report, -folded the stacks and
+// -cpuprofile a host profile.
 // Every refusal is one its scenario declares.
 func TestDemosHonourObservabilityFlags(t *testing.T) {
 	lines := map[string]string{
@@ -157,6 +158,8 @@ func TestDemosHonourObservabilityFlags(t *testing.T) {
 		}},
 		{"-profile", "3", func(stdout, _ string) bool { return strings.Contains(stdout, "cycle profile (top 3)") }},
 		{"-folded", out, func(_, file string) bool { return strings.Contains(file, "[kernel] ") }},
+		// A pprof profile is gzip-compressed protobuf.
+		{"-cpuprofile", out, func(_, file string) bool { return strings.HasPrefix(file, "\x1f\x8b") }},
 	}
 	for _, s := range scenarios {
 		line, ok := lines[s.name]

@@ -32,19 +32,19 @@ type Profile struct {
 	Name     string
 	ClockMHz float64 // processor clock; converts cycles to microseconds
 
-	// Per-class instruction costs.
-	ALUCycles    int
-	LoadCycles   int
-	StoreCycles  int
-	BranchCycles int
-	JumpCycles   int
-
-	// InterlockedCycles is the cost of one memory-interlocked
-	// read-modify-write instruction (tas/xchg/faa), excluding the ordinary
-	// store that releases the lock afterwards. Zero when HasInterlocked is
-	// false.
-	InterlockedCycles int
-	HasInterlocked    bool
+	// ClassCycles is the cost of one instruction of each isa.Class, so
+	// pricing an instruction is one lookup. The ClassTrap entry equals
+	// ClassALU: the trap *instruction* costs one ALU slot, and the kernel
+	// charges the trap entry/exit paths separately. The ClassInterlocked
+	// entry prices one memory-interlocked read-modify-write (tas/xchg/faa),
+	// excluding the ordinary store that releases the lock afterwards; it
+	// is zero when HasInterlocked is false, as ClassLockB is without
+	// HasLockBit. Interlocked instructions on a profile without hardware
+	// support are reported as illegal by the machine, not priced here.
+	// Entries are int32 so that a Profile, which every checker schedule
+	// allocates, stays in the 160-byte malloc size class.
+	ClassCycles    [isa.NumClasses]int32
+	HasInterlocked bool
 
 	// HasLLSC enables the ll/sc load-linked/store-conditional pair
 	// (R4000-style). The instructions themselves are priced as ordinary
@@ -56,7 +56,6 @@ type Profile struct {
 	// restartable sequence begun by lockb and ended by the next store, 32
 	// cycles, or an exception (§7).
 	HasLockBit     bool
-	LockBCycles    int // cost of the lockb instruction itself
 	LockBMaxCycles int // hardware window before the lock bit auto-clears
 
 	// Kernel path costs.
@@ -76,20 +75,18 @@ type Profile struct {
 	// WriteBufferDepth > 0, each store enqueues an entry that retires
 	// after WriteBufferDrainCycles; a store issued against a full buffer
 	// stalls the processor until a slot frees. Zero depth disables the
-	// model (stores cost StoreCycles flat).
+	// model (stores cost their ClassStore cycles flat).
 	WriteBufferDepth       int
 	WriteBufferDrainCycles int
 
-	// Persistence (NVRAM) costs, for machines whose memory carries a
+	// Persistence (NVRAM) cost, for machines whose memory carries a
 	// volatile line buffer in front of non-volatile storage. flush issues
-	// a line write-back (clwb-style, FlushCycles); fence is the persist
-	// barrier (FenceCycles) and additionally pays PersistDrainCycles per
-	// line it actually makes durable — NVM writes are slow, and a fence
-	// cannot retire until every outstanding write-back has. On memories
-	// without a persistence domain both instructions are hints and cost
-	// only their base cycles.
-	FlushCycles        int
-	FenceCycles        int
+	// a line write-back (clwb-style, its ClassFlush cycles); fence is the
+	// persist barrier (its ClassFence cycles) and additionally pays
+	// PersistDrainCycles per line it actually makes durable — NVM writes
+	// are slow, and a fence cannot retire until every outstanding
+	// write-back has. On memories without a persistence domain both
+	// instructions are hints and cost only their class cycles.
 	PersistDrainCycles int
 }
 
@@ -101,36 +98,8 @@ func (p *Profile) WithWriteBuffer(depth, drainCycles int) *Profile {
 	return &q
 }
 
-// CyclesFor returns the cost of one instruction of the given class.
-// Interlocked instructions on a profile without hardware support are
-// reported as illegal by the machine, not priced here.
-func (p *Profile) CyclesFor(c isa.Class) int {
-	switch c {
-	case isa.ClassALU:
-		return p.ALUCycles
-	case isa.ClassLoad:
-		return p.LoadCycles
-	case isa.ClassStore:
-		return p.StoreCycles
-	case isa.ClassBranch:
-		return p.BranchCycles
-	case isa.ClassJump:
-		return p.JumpCycles
-	case isa.ClassTrap:
-		// The trap *instruction* costs one ALU slot; the kernel charges
-		// the trap entry/exit paths separately.
-		return p.ALUCycles
-	case isa.ClassInterlocked:
-		return p.InterlockedCycles
-	case isa.ClassLockB:
-		return p.LockBCycles
-	case isa.ClassFlush:
-		return p.FlushCycles
-	case isa.ClassFence:
-		return p.FenceCycles
-	}
-	return p.ALUCycles
-}
+// Cycles returns the cost of one instruction of class c.
+func (p *Profile) Cycles(c isa.Class) int { return int(p.ClassCycles[c]) }
 
 // Micros converts a cycle count to microseconds on this profile.
 func (p *Profile) Micros(cycles uint64) float64 {
@@ -142,9 +111,20 @@ func (p *Profile) String() string {
 	return fmt.Sprintf("%s (%.1f MHz)", p.Name, p.ClockMHz)
 }
 
+// classCycles returns a class cost table with the given ALU, load, store,
+// branch, jump and interlocked costs; kernelDefaults fills in the rest.
+func classCycles(alu, load, store, branch, jump, interlocked int32) [isa.NumClasses]int32 {
+	var c [isa.NumClasses]int32
+	c[isa.ClassALU], c[isa.ClassLoad], c[isa.ClassStore] = alu, load, store
+	c[isa.ClassBranch], c[isa.ClassJump], c[isa.ClassInterlocked] = branch, jump, interlocked
+	return c
+}
+
 // kernelDefaults fills in kernel path costs that are common across profiles
-// unless a profile overrides them.
+// unless a profile overrides them, and prices the trap instruction as an
+// ALU instruction.
 func kernelDefaults(p Profile) Profile {
+	p.ClassCycles[isa.ClassTrap] = p.ClassCycles[isa.ClassALU]
 	if p.TrapEnterCycles == 0 {
 		p.TrapEnterCycles = 30
 	}
@@ -173,12 +153,12 @@ func kernelDefaults(p Profile) Profile {
 	if p.LockBMaxCycles == 0 {
 		p.LockBMaxCycles = 32
 	}
-	if p.FlushCycles == 0 {
+	if p.ClassCycles[isa.ClassFlush] == 0 {
 		// A clwb-style hint: roughly a store's issue cost.
-		p.FlushCycles = 4
+		p.ClassCycles[isa.ClassFlush] = 4
 	}
-	if p.FenceCycles == 0 {
-		p.FenceCycles = 10
+	if p.ClassCycles[isa.ClassFence] == 0 {
+		p.ClassCycles[isa.ClassFence] = 10
 	}
 	if p.PersistDrainCycles == 0 {
 		// NVM write-back latency per line, paid at the fence.
@@ -193,8 +173,7 @@ func kernelDefaults(p Profile) Profile {
 func R3000() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "MIPS R3000", ClockMHz: 25,
-		ALUCycles: 1, LoadCycles: 1, StoreCycles: 2, BranchCycles: 1, JumpCycles: 1,
-		HasInterlocked: false,
+		ClassCycles: classCycles(1, 1, 2, 1, 1, 0), HasInterlocked: false,
 	})
 	return &p
 }
@@ -210,8 +189,7 @@ func R3000() *Profile {
 func SMP() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "MIPS R3000 (SMP)", ClockMHz: 25,
-		ALUCycles: 1, LoadCycles: 1, StoreCycles: 2, BranchCycles: 1, JumpCycles: 1,
-		HasInterlocked: true, InterlockedCycles: 30,
+		ClassCycles: classCycles(1, 1, 2, 1, 1, 30), HasInterlocked: true,
 		HasLLSC: true,
 	})
 	return &p
@@ -221,8 +199,7 @@ func SMP() *Profile {
 func CVAX() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "DEC CVAX", ClockMHz: 11.1,
-		ALUCycles: 2, LoadCycles: 4, StoreCycles: 4, BranchCycles: 3, JumpCycles: 3,
-		HasInterlocked: true, InterlockedCycles: 27,
+		ClassCycles: classCycles(2, 4, 4, 3, 3, 27), HasInterlocked: true,
 	})
 	return &p
 }
@@ -231,8 +208,7 @@ func CVAX() *Profile {
 func M68030() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Motorola 68030", ClockMHz: 25,
-		ALUCycles: 3, LoadCycles: 6, StoreCycles: 6, BranchCycles: 5, JumpCycles: 10,
-		HasInterlocked: true, InterlockedCycles: 22,
+		ClassCycles: classCycles(3, 6, 6, 5, 10, 22), HasInterlocked: true,
 	})
 	return &p
 }
@@ -241,8 +217,7 @@ func M68030() *Profile {
 func I386() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Intel 386", ClockMHz: 25,
-		ALUCycles: 2, LoadCycles: 4, StoreCycles: 4, BranchCycles: 4, JumpCycles: 9,
-		HasInterlocked: true, InterlockedCycles: 21,
+		ClassCycles: classCycles(2, 4, 4, 4, 9, 21), HasInterlocked: true,
 	})
 	return &p
 }
@@ -251,8 +226,7 @@ func I386() *Profile {
 func I486() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Intel 486", ClockMHz: 33,
-		ALUCycles: 1, LoadCycles: 2, StoreCycles: 2, BranchCycles: 2, JumpCycles: 5,
-		HasInterlocked: true, InterlockedCycles: 21,
+		ClassCycles: classCycles(1, 2, 2, 2, 5, 21), HasInterlocked: true,
 	})
 	return &p
 }
@@ -261,13 +235,13 @@ func I486() *Profile {
 func I860() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Intel 860", ClockMHz: 40,
-		ALUCycles: 1, LoadCycles: 2, StoreCycles: 1, BranchCycles: 2, JumpCycles: 4,
-		HasInterlocked: true, InterlockedCycles: 11,
-		// The lock instruction disables interrupts and locks the bus, so
-		// it is far from free; the paper's Table 4 prices the i860's
-		// hardware path at 0.3us — barely ahead of plain software.
-		HasLockBit: true, LockBCycles: 7,
+		ClassCycles: classCycles(1, 2, 1, 2, 4, 11), HasInterlocked: true,
+		HasLockBit: true,
 	})
+	// The lock instruction disables interrupts and locks the bus, so it
+	// is far from free; the paper's Table 4 prices the i860's hardware
+	// path at 0.3us — barely ahead of plain software.
+	p.ClassCycles[isa.ClassLockB] = 7
 	return &p
 }
 
@@ -275,8 +249,7 @@ func I860() *Profile {
 func M88000() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Motorola 88000", ClockMHz: 25,
-		ALUCycles: 1, LoadCycles: 1, StoreCycles: 1, BranchCycles: 1, JumpCycles: 1,
-		HasInterlocked: true, InterlockedCycles: 21,
+		ClassCycles: classCycles(1, 1, 1, 1, 1, 21), HasInterlocked: true,
 	})
 	return &p
 }
@@ -285,8 +258,7 @@ func M88000() *Profile {
 func SPARC() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "Sun SPARC", ClockMHz: 25,
-		ALUCycles: 1, LoadCycles: 2, StoreCycles: 5, BranchCycles: 2, JumpCycles: 4,
-		HasInterlocked: true, InterlockedCycles: 15,
+		ClassCycles: classCycles(1, 2, 5, 2, 4, 15), HasInterlocked: true,
 	})
 	return &p
 }
@@ -296,8 +268,7 @@ func SPARC() *Profile {
 func PA() *Profile {
 	p := kernelDefaults(Profile{
 		Name: "HP 9000/700", ClockMHz: 66,
-		ALUCycles: 1, LoadCycles: 1, StoreCycles: 1, BranchCycles: 1, JumpCycles: 2,
-		HasInterlocked: true, InterlockedCycles: 61,
+		ClassCycles: classCycles(1, 1, 1, 1, 2, 61), HasInterlocked: true,
 	})
 	return &p
 }

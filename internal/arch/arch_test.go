@@ -2,6 +2,7 @@ package arch
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -14,7 +15,7 @@ func TestAllProfilesComplete(t *testing.T) {
 		}
 		for _, c := range []isa.Class{isa.ClassALU, isa.ClassLoad, isa.ClassStore,
 			isa.ClassBranch, isa.ClassJump, isa.ClassTrap} {
-			if p.CyclesFor(c) <= 0 {
+			if p.Cycles(c) <= 0 {
 				t.Errorf("%s: class %v has non-positive cost", p.Name, c)
 			}
 		}
@@ -24,7 +25,7 @@ func TestAllProfilesComplete(t *testing.T) {
 		if p.PCCheckRegistrationCycles <= 0 || p.PCCheckDesignatedCycles <= 0 {
 			t.Errorf("%s: PC check costs not set", p.Name)
 		}
-		if p.HasInterlocked && p.InterlockedCycles <= 0 {
+		if p.HasInterlocked && p.Cycles(isa.ClassInterlocked) <= 0 {
 			t.Errorf("%s: interlocked without cost", p.Name)
 		}
 	}
@@ -60,11 +61,11 @@ func TestMicros(t *testing.T) {
 // software sequence (load + 2 ALU + branch + 2 stores).
 func TestTable4Crossover(t *testing.T) {
 	designated := func(p *Profile) float64 {
-		cycles := p.LoadCycles + 2*p.ALUCycles + p.BranchCycles + 2*p.StoreCycles
+		cycles := p.Cycles(isa.ClassLoad) + 2*p.Cycles(isa.ClassALU) + p.Cycles(isa.ClassBranch) + 2*p.Cycles(isa.ClassStore)
 		return p.Micros(uint64(cycles))
 	}
 	interlocked := func(p *Profile) float64 {
-		return p.Micros(uint64(p.InterlockedCycles + p.StoreCycles))
+		return p.Micros(uint64(p.Cycles(isa.ClassInterlocked) + p.Cycles(isa.ClassStore)))
 	}
 	softwareWins := map[string]bool{
 		"DEC CVAX":       true,
@@ -109,12 +110,33 @@ func TestString(t *testing.T) {
 	}
 }
 
+// Every profile prices the trap instruction as one ALU slot, and only the
+// hardware a profile has costs anything.
 func TestCyclesForAllClasses(t *testing.T) {
-	p := I860()
-	if p.CyclesFor(isa.ClassLockB) != p.LockBCycles {
-		t.Error("lockb cost mismatch")
+	for _, p := range append(Table4(), R3000(), SMP()) {
+		c := p.ClassCycles
+		if c[isa.ClassTrap] != c[isa.ClassALU] {
+			t.Errorf("%s: trap costs %d, ALU %d", p.Name, c[isa.ClassTrap], c[isa.ClassALU])
+		}
+		if (c[isa.ClassInterlocked] > 0) != p.HasInterlocked {
+			t.Errorf("%s: interlocked costs %d, HasInterlocked %v", p.Name, c[isa.ClassInterlocked], p.HasInterlocked)
+		}
+		if (c[isa.ClassLockB] > 0) != p.HasLockBit {
+			t.Errorf("%s: lockb costs %d, HasLockBit %v", p.Name, c[isa.ClassLockB], p.HasLockBit)
+		}
+		if c[isa.ClassFlush] <= 0 || c[isa.ClassFence] <= 0 {
+			t.Errorf("%s: flush/fence costs not set", p.Name)
+		}
 	}
-	if p.CyclesFor(isa.ClassInterlocked) != p.InterlockedCycles {
-		t.Error("interlocked cost mismatch")
+	if got := I860().Cycles(isa.ClassLockB); got != 7 {
+		t.Errorf("i860 lockb costs %d, want 7", got)
+	}
+}
+
+// Every checker schedule allocates a profile: Profile must stay in the
+// 160-byte malloc size class.
+func TestProfileFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Profile{}); size > 160 {
+		t.Errorf("unsafe.Sizeof(Profile{}) = %d, want <= 160", size)
 	}
 }

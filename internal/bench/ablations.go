@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/guest"
+	"repro/internal/isa"
 	"repro/internal/vmach/kernel"
 )
 
@@ -42,7 +43,7 @@ func TableWriteBuffer(h *Harness, iters int) ([]WBufRow, error) {
 	var rows []WBufRow
 	for _, mem := range mems {
 		prof := arch.R3000()
-		prof.StoreCycles = 1 // cost moves into the buffer model
+		prof.ClassCycles[isa.ClassStore] = 1 // cost moves into the buffer model
 		if mem.depth > 0 {
 			prof = prof.WithWriteBuffer(mem.depth, mem.drain)
 		}

@@ -311,6 +311,8 @@ const (
 	ClassLockB
 	ClassFlush // line write-back toward NVM
 	ClassFence // persist barrier
+
+	NumClasses = iota // the number of classes, for per-class tables
 )
 
 // ClassOf returns the cost class of a decoded instruction.

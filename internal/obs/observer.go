@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 )
 
 // Outputs are the observability outputs one command line asks for. A
@@ -14,6 +15,10 @@ type Outputs struct {
 	Metrics  string // PaperMetrics dump destination
 	Profile  int    // print the top Profile symbols of the cycle profile
 	Folded   string // folded-stack cycle profile destination
+
+	// CPUProfile is the file a pprof host CPU profile of everything
+	// between NewObserver and Close goes to ("go tool pprof" reads it).
+	CPUProfile string
 }
 
 // Observer produces a command line's Outputs. It is the one fan-out of
@@ -39,11 +44,13 @@ type Observer struct {
 	file   *os.File // the trace file, or a temporary one for "-"
 	pm     *PaperMetrics
 	events uint64
+	cpu    *os.File // the CPU profile, written from NewObserver to Close
 }
 
 // NewObserver builds the observer for out. The trace file is created now
 // and written as events arrive; a "-" trace streams to a temporary file
-// that Close copies out, so it lands after everything printed before.
+// that Close copies out, so it lands after everything printed before. The
+// host CPU profile starts now and stops in Close.
 func NewObserver(out Outputs) (*Observer, error) {
 	ob := &Observer{out: out}
 	if out.Profile > 0 || out.Folded != "" {
@@ -69,6 +76,18 @@ func NewObserver(out Outputs) (*Observer, error) {
 	}
 	if ob.ring != nil || ob.chrome != nil || ob.pm != nil {
 		ob.Trace = NewRebase(ob)
+	}
+	// Last, so that no error return leaves the profile running.
+	if out.CPUProfile != "" {
+		f, err := os.Create(out.CPUProfile)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		ob.cpu = f
 	}
 	return ob, nil
 }
@@ -96,9 +115,16 @@ func (ob *Observer) Sink() Sink {
 	return ob.Trace
 }
 
-// Close writes every output in a fixed order: the ring tail, the Chrome
-// trace, the metrics dump, the profile report, the folded stacks.
+// Close stops the host CPU profile, then writes every output in a fixed
+// order: the ring tail, the Chrome trace, the metrics dump, the profile
+// report, the folded stacks.
 func (ob *Observer) Close(w io.Writer) error {
+	if ob.cpu != nil {
+		pprof.StopCPUProfile()
+		if err := ob.cpu.Close(); err != nil {
+			return err
+		}
+	}
 	if ob.ring != nil {
 		fmt.Fprintf(w, "\nlast %d of %d kernel events:\n%s", len(ob.ring.Events()), ob.ring.Total(), ob.ring)
 	}

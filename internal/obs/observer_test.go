@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,5 +71,37 @@ func TestObserverOff(t *testing.T) {
 	}
 	if ob.Trace != nil || ob.Sink() != nil || ob.Profiler == nil {
 		t.Errorf("profile-only observer: Trace %v, Sink %v, Profiler %v", ob.Trace, ob.Sink(), ob.Profiler)
+	}
+}
+
+// The host CPU profile runs from NewObserver to Close: while it runs no
+// second one starts, Close leaves a pprof file, and then one can start
+// again.
+func TestObserverCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.pprof")
+	ob, err := NewObserver(Outputs{CPUProfile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewObserver(Outputs{CPUProfile: filepath.Join(dir, "second.pprof")}); err == nil {
+		t.Error("a second CPU profile started while the first ran")
+	}
+	if err := ob.Close(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) { // gzip-compressed protobuf
+		t.Errorf("CPU profile is not a pprof file: % x", data[:min(len(data), 8)])
+	}
+	ob, err = NewObserver(Outputs{CPUProfile: path})
+	if err != nil {
+		t.Fatalf("Close left the CPU profile running: %v", err)
+	}
+	if err := ob.Close(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -79,9 +79,6 @@ func NewFreeList(d *Domain, classes []int, perClass int) *FreeList {
 // Stats returns a copy of the path counters.
 func (f *FreeList) Stats() FreeListStats { return f.stats }
 
-// Classes returns the configured class sizes.
-func (f *FreeList) Classes() []int { return append([]int(nil), f.classes...) }
-
 // SizeClass returns the smallest class index whose blocks hold size
 // words, or -1 when the request exceeds every class.
 func (f *FreeList) SizeClass(size int) int {

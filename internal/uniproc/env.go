@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -73,11 +74,11 @@ func (e *Env) preempt() {
 
 // ChargeALU charges n ALU instructions of work (register arithmetic,
 // comparisons) without touching memory.
-func (e *Env) ChargeALU(n int) { e.charge(n * e.p.profile.ALUCycles) }
+func (e *Env) ChargeALU(n int) { e.charge(n * e.p.profile.Cycles(isa.ClassALU)) }
 
 // ChargeCall charges one call/return linkage (the overhead the paper's
 // Table 1 attributes to the out-of-line registered sequence).
-func (e *Env) ChargeCall() { e.charge(2 * e.p.profile.JumpCycles) }
+func (e *Env) ChargeCall() { e.charge(2 * e.p.profile.Cycles(isa.ClassJump)) }
 
 // chaosMemOp consults the fault injector at a Load/Store boundary — the
 // runtime layer's preemption points — and applies forced preemptions,
@@ -140,8 +141,8 @@ func (e *Env) profMem(op obs.MemOp, cycles int) {
 // Load reads a shared word, charging one load.
 func (e *Env) Load(w *Word) Word {
 	v := *w
-	e.charge(e.p.profile.LoadCycles)
-	e.profMem(obs.MemLoad, e.p.profile.LoadCycles)
+	e.charge(e.p.profile.Cycles(isa.ClassLoad))
+	e.profMem(obs.MemLoad, e.p.profile.Cycles(isa.ClassLoad))
 	e.chaosMemOp()
 	return v
 }
@@ -152,8 +153,8 @@ func (e *Env) Load(w *Word) Word {
 func (e *Env) Store(w *Word, v Word) {
 	e.p.shadowWord(w)
 	*w = v
-	e.charge(e.p.profile.StoreCycles)
-	e.profMem(obs.MemStore, e.p.profile.StoreCycles)
+	e.charge(e.p.profile.Cycles(isa.ClassStore))
+	e.profMem(obs.MemStore, e.p.profile.Cycles(isa.ClassStore))
 	e.chaosMemOp()
 }
 
@@ -260,8 +261,8 @@ func (e *Env) Commit(w *Word, v Word) {
 	e.p.shadowWord(w)
 	*w = v
 	e.inRAS = false // the sequence has committed; no rollback past this point
-	e.charge(e.p.profile.StoreCycles)
-	e.profMem(obs.MemCommit, e.p.profile.StoreCycles)
+	e.charge(e.p.profile.Cycles(isa.ClassStore))
+	e.profMem(obs.MemCommit, e.p.profile.Cycles(isa.ClassStore))
 	e.chaosMemOp()
 }
 
@@ -284,7 +285,7 @@ func (e *Env) Flush(w *Word) {
 			p.nvPending[w] = true
 		}
 	}
-	e.charge(p.profile.FlushCycles)
+	e.charge(p.profile.Cycles(isa.ClassFlush))
 	e.chaosPersistOp()
 }
 
@@ -304,7 +305,7 @@ func (e *Env) Fence() {
 		p.nvOrder = p.nvOrder[:0]
 		p.Stats.Persists += uint64(n)
 	}
-	e.charge(p.profile.FenceCycles + n*p.profile.PersistDrainCycles)
+	e.charge(p.profile.Cycles(isa.ClassFence) + n*p.profile.PersistDrainCycles)
 	e.chaosPersistOp()
 }
 
@@ -415,7 +416,7 @@ func (e *Env) Interlocked(f func()) {
 		panic(fmt.Sprintf("uniproc: interlocked instruction on %s", p.profile.Name))
 	}
 	f()
-	e.charge(p.profile.InterlockedCycles)
+	e.charge(p.profile.Cycles(isa.ClassInterlocked))
 }
 
 // Yield voluntarily relinquishes the processor: the thread goes to the back

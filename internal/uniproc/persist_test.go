@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -59,12 +60,12 @@ func TestFenceChargesDrainPerWord(t *testing.T) {
 		e.Flush(&w)
 		c0 := e.Now()
 		e.Fence()
-		if got, want := e.Now()-c0, uint64(prof.FenceCycles+prof.PersistDrainCycles); got != want {
+		if got, want := e.Now()-c0, uint64(prof.Cycles(isa.ClassFence)+prof.PersistDrainCycles); got != want {
 			t.Errorf("loaded fence cost %d cycles, want %d", got, want)
 		}
 		c0 = e.Now()
 		e.Fence()
-		if got, want := e.Now()-c0, uint64(prof.FenceCycles); got != want {
+		if got, want := e.Now()-c0, uint64(prof.Cycles(isa.ClassFence)); got != want {
 			t.Errorf("empty fence cost %d cycles, want %d", got, want)
 		}
 	})

@@ -82,12 +82,16 @@ func fuzzInst(b [4]byte, n int) isa.Word {
 // FuzzStepPredecoded runs a random text on two machines: one whose memory
 // has the predecoded table installed, and a reference whose memory has no
 // table and whose page caches are flushed before every step, so it fetches
-// with isa.Decode and looks every page up afresh. Between steps both get
-// the same random stores over the text, presence flips of the code and
-// data pages, Capture/Restore of an earlier image, and volatile or torn
-// crash reverts on a persistent memory. After every step the contexts,
-// returned events, and machine images (stats, write buffer, reservation,
-// memory) must be deep-equal.
+// with isa.Decode and looks every page up afresh. The fast machine runs
+// the text in Run batches whose quiet count and cycle bound come from the
+// ops, so its page caches stay warm from one instruction to the next
+// inside a call; the reference single-steps the same instructions,
+// stopping where Run must. Between batches both get the same random
+// stores over the text, presence flips of the code and data pages,
+// Capture/Restore of an earlier image, and volatile or torn crash reverts
+// on a persistent memory. After every batch the contexts, the batch's last
+// event, the returned quiet count and the machine images (stats, write
+// buffer, reservation, memory) must be deep-equal.
 func FuzzStepPredecoded(f *testing.F) {
 	f.Add([]byte{
 		5, 0, 0, 0, // sw t0, 0(s0): rewrites the first instruction
@@ -147,11 +151,11 @@ func FuzzStepPredecoded(f *testing.F) {
 			}
 			return 0xFF
 		}
-		steps := 32 + 8*len(ops)
-		if steps > 2000 {
-			steps = 2000
+		batches := 32 + 8*len(ops)
+		if batches > 2000 {
+			batches = 2000
 		}
-		for s, oi := 0, 0; s < steps; s++ {
+		for s, oi := 0, 0; s < batches; s++ {
 			op := byteAt(oi)
 			oi++
 			both := func(fn func(*Memory)) { fn(fast.Mem); fn(ref.Mem) }
@@ -187,16 +191,29 @@ func FuzzStepPredecoded(f *testing.F) {
 				both(func(m *Memory) { m.Crash(chaos.CrashTorn, h) })
 			}
 
-			ref.Mem.flushPageCaches()
-			fev, rev := fast.Step(&fctx), ref.Step(&rctx)
+			quiet, until := uint64(byteAt(oi)), fast.Stats.Cycles+4*uint64(byteAt(oi+1))
+			oi += 2
+			fev, fn := fast.Run(&fctx, quiet, until)
+			var rev Event
+			var rn uint64
+			for {
+				ref.Mem.flushPageCaches()
+				if rev = ref.Step(&rctx); rev.Kind != EventNone || rn >= quiet || rctx.LockActive || ref.Stats.Cycles >= until {
+					break
+				}
+				rn++
+			}
 			if fctx != rctx {
-				t.Fatalf("step %d: context %+v, reference %+v", s, fctx, rctx)
+				t.Fatalf("batch %d: context %+v, reference %+v", s, fctx, rctx)
 			}
 			if !reflect.DeepEqual(fev, rev) {
-				t.Fatalf("step %d: event %+v, reference %+v", s, fev, rev)
+				t.Fatalf("batch %d: event %+v, reference %+v", s, fev, rev)
+			}
+			if fn != rn {
+				t.Fatalf("batch %d: Run let %d quiet instructions pass, reference %d", s, fn, rn)
 			}
 			if fi, ri := fast.Capture(), ref.Capture(); !reflect.DeepEqual(fi, ri) {
-				t.Fatalf("step %d: machine images differ:\n%+v\nreference\n%+v", s, fi, ri)
+				t.Fatalf("batch %d: machine images differ:\n%+v\nreference\n%+v", s, fi, ri)
 			}
 
 			// Keep both runs inside the text, identically.

@@ -153,9 +153,10 @@ func (m *Machine) chargeCoherence(addr uint32, write bool) {
 }
 
 // charge adds the cycle cost of one instruction of class c, honouring the
-// context's hardware lock-bit budget.
+// context's hardware lock-bit budget. The cost is one lookup in the
+// profile's class table, so charge inlines into Run.
 func (m *Machine) charge(ctx *Context, c isa.Class) {
-	cy := m.Profile.CyclesFor(c)
+	cy := m.Profile.Cycles(c)
 	m.Stats.Cycles += uint64(cy)
 	if ctx.LockActive {
 		ctx.LockBudget -= cy
@@ -185,27 +186,40 @@ func (m *Machine) Step(ctx *Context) Event {
 // pass before it (at most quiet) — instructions the kernel would have let
 // pass one by one.
 func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
-	reg := func(r int) isa.Word { return ctx.Regs[r] }
+	// Register numbers are masked to the file's size, so no access needs a
+	// bounds check.
+	reg := func(r int) isa.Word { return ctx.Regs[r&(isa.NumRegs-1)] }
 	set := func(r int, v isa.Word) {
 		if r != isa.RegZero {
-			ctx.Regs[r] = v
+			ctx.Regs[r&(isa.NumRegs-1)] = v
 		}
 	}
+	mem := m.Mem
+	// decoded holds the entry of a word the predecoded text does not: pc
+	// is outside it, or memory no longer holds the word it was built from.
+	var decoded isa.Predecoded
 	for n := uint64(0); ; n++ {
-		w, pre, f := m.Mem.fetch(ctx.PC)
-		if f != nil {
-			return Event{Kind: EventFault, Fault: f}, n
+		// The fetch page cache's hit and the predecoded-table lookup are
+		// inline; only a miss calls. A table entry is read in place.
+		pc := ctx.PC
+		page := mem.fetchCache.hit(pc)
+		if page == nil {
+			var f *Fault
+			if page, f = mem.fillPageCache(&mem.fetchCache, pc); f != nil {
+				return Event{Kind: EventFault, Fault: f}, n
+			}
 		}
-		var inst isa.Inst
-		var class isa.Class
-		if pre != nil {
-			inst, class = pre.Inst, pre.Class
+		w := page[pc>>2&(PageWords-1)]
+		pre := &decoded
+		if text, i := mem.text, int((pc-mem.textBase)>>2); i < len(text) && text[i].Raw == w {
+			pre = &text[i]
 		} else {
-			inst = isa.Decode(w)
-			class = isa.ClassOf(inst)
+			decoded.Raw, decoded.Inst = w, isa.Decode(w)
+			decoded.Class = isa.ClassOf(decoded.Inst)
 		}
+		inst, class := &pre.Inst, pre.Class
 		m.Stats.Instructions++
-		next := ctx.PC + 4
+		next := pc + 4
 
 		switch inst.Op {
 		case isa.OpSpecial:
@@ -284,10 +298,16 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 			set(inst.Rt, inst.Uimm<<16)
 
 		case isa.OpLW:
+			// The data page cache's hit is inline too; only a miss calls.
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
-			v, f := m.Mem.LoadWord(addr)
-			if f != nil {
-				return Event{Kind: EventFault, Fault: f}, n
+			var v isa.Word
+			if p := mem.dataCache.hit(addr); p != nil {
+				v = p[addr>>2&(PageWords-1)]
+			} else {
+				var f *Fault
+				if v, f = mem.LoadWord(addr); f != nil {
+					return Event{Kind: EventFault, Fault: f}, n
+				}
 			}
 			set(inst.Rt, v)
 			m.Stats.Loads++
@@ -295,7 +315,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 
 		case isa.OpSW:
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
-			if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
+			if f := mem.StoreWord(addr, reg(inst.Rt)); f != nil {
 				return Event{Kind: EventFault, Fault: f}, n
 			}
 			m.Stats.Stores++
@@ -332,7 +352,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 				return m.illegal(ctx), n
 			}
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
-			old, f := m.Mem.LoadWord(addr)
+			old, f := mem.LoadWord(addr)
 			if f != nil {
 				return Event{Kind: EventFault, Fault: f}, n
 			}
@@ -345,7 +365,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 			case isa.OpFAA:
 				nw = old + 1
 			}
-			if f := m.Mem.StoreWord(addr, nw); f != nil {
+			if f := mem.StoreWord(addr, nw); f != nil {
 				return Event{Kind: EventFault, Fault: f}, n
 			}
 			set(inst.Rt, old)
@@ -357,7 +377,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 				return m.illegal(ctx), n
 			}
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
-			v, f := m.Mem.LoadWord(addr)
+			v, f := mem.LoadWord(addr)
 			if f != nil {
 				return Event{Kind: EventFault, Fault: f}, n
 			}
@@ -372,7 +392,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 			}
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
 			if m.resValid && m.resAddr == addr {
-				if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
+				if f := mem.StoreWord(addr, reg(inst.Rt)); f != nil {
 					return Event{Kind: EventFault, Fault: f}, n
 				}
 				m.Stats.Stores++
@@ -388,7 +408,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 
 		case isa.OpFLUSH:
 			addr := reg(inst.Rs) + isa.Word(inst.Imm)
-			if _, f := m.Mem.FlushLine(addr); f != nil {
+			if _, f := mem.FlushLine(addr); f != nil {
 				return Event{Kind: EventFault, Fault: f}, n
 			}
 			m.Stats.Flushes++
@@ -396,7 +416,7 @@ func (m *Machine) Run(ctx *Context, quiet, until uint64) (Event, uint64) {
 		case isa.OpFENCE:
 			// The fence cannot retire until every initiated write-back has
 			// reached NVM; it pays the per-line drain latency on the spot.
-			n := uint64(m.Mem.Fence())
+			n := uint64(mem.Fence())
 			m.Stats.Fences++
 			m.Stats.LinesPersisted += n
 			drain := n * uint64(m.Profile.PersistDrainCycles)

@@ -581,3 +581,12 @@ func TestMachineResetMatchesNew(t *testing.T) {
 		t.Error("Reset dropped the write buffer's array")
 	}
 }
+
+// Every checker schedule allocates machines: Machine must stay in the
+// 192-byte malloc size class, so per-machine tables belong on the shared
+// arch.Profile.
+func TestMachineFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Machine{}); size > 192 {
+		t.Errorf("unsafe.Sizeof(Machine{}) = %d, want <= 192", size)
+	}
+}

@@ -160,12 +160,22 @@ func (m *Memory) check(addr uint32) *Fault {
 
 func (m *Memory) flushPageCaches() { m.fetchCache, m.dataCache = pageCache{}, pageCache{} }
 
+// hit returns the cached page when an aligned access to addr falls on it,
+// else nil. It is the whole hit test of a page cache, small enough to
+// inline into the interpreter loop.
+func (c *pageCache) hit(addr uint32) *[PageWords]isa.Word {
+	if addr>>PageShift == c.pn && addr&3 == 0 {
+		return c.page
+	}
+	return nil
+}
+
 // cachedPage returns the page holding addr through the one-entry cache c,
 // with check's faults. Only an aligned access to the cached page skips
 // check.
 func (m *Memory) cachedPage(c *pageCache, addr uint32) (*[PageWords]isa.Word, *Fault) {
-	if c.page != nil && addr>>PageShift == c.pn && addr&3 == 0 {
-		return c.page, nil
+	if p := c.hit(addr); p != nil {
+		return p, nil
 	}
 	return m.fillPageCache(c, addr)
 }
@@ -184,7 +194,7 @@ func (m *Memory) fillPageCache(c *pageCache, addr uint32) (*[PageWords]isa.Word,
 }
 
 // SetText installs a predecoded table (asm.Program.Predecoded) for the
-// program text at base. Instruction fetch uses an entry only while memory
+// program text at base. Machine.Run's fetch uses an entry only while memory
 // still holds the entry's Raw word and decodes the word itself otherwise,
 // so stores over text, Poke, crash reverts and Restore need not touch the
 // table. A memory holds at most one table; installing one replaces it.
@@ -192,28 +202,8 @@ func (m *Memory) SetText(base uint32, text []isa.Predecoded) {
 	m.textBase, m.text = base, text
 }
 
-// fetch reads the instruction word at pc with LoadWord's faults, through
-// the fetch page cache. It also returns the word's predecoded entry when
-// the installed text covers pc and still holds that word, else nil.
-func (m *Memory) fetch(pc uint32) (isa.Word, *isa.Predecoded, *Fault) {
-	// cachedPage's hit test, repeated here so that the common fetch
-	// makes no call (cachedPage is too large to inline).
-	c := &m.fetchCache
-	p := c.page
-	if p == nil || pc>>PageShift != c.pn || pc&3 != 0 {
-		var f *Fault
-		if p, f = m.fillPageCache(c, pc); f != nil {
-			return 0, nil, f
-		}
-	}
-	w := p[pc>>2&(PageWords-1)]
-	if i := (pc - m.textBase) >> 2; i < uint32(len(m.text)) && m.text[i].Raw == w {
-		return w, &m.text[i], nil
-	}
-	return w, nil, nil
-}
-
-// LoadWord reads the word at addr.
+// LoadWord reads the word at addr. Machine.Run's lw tests the data page
+// cache inline and calls LoadWord only on a miss.
 func (m *Memory) LoadWord(addr uint32) (isa.Word, *Fault) {
 	p, f := m.cachedPage(&m.dataCache, addr)
 	if f != nil {

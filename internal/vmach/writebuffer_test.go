@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // wbProfile is an R3000 variant with single-cycle stores backed by a
 // 2-entry write buffer draining one entry per 10 cycles.
 func wbProfile() *arch.Profile {
 	p := arch.R3000().WithWriteBuffer(2, 10)
-	p.StoreCycles = 1
+	p.ClassCycles[isa.ClassStore] = 1
 	return p
 }
 
