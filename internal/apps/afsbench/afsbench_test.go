@@ -98,3 +98,22 @@ func TestExpectedMatches(t *testing.T) {
 		t.Errorf("default ExpectedMatches = %d, want 4", got)
 	}
 }
+
+// ExpectedMatches returns the number of planted needles for a config.
+func ExpectedMatches(cfg Config) int {
+	if cfg.Dirs == 0 {
+		cfg.Dirs = 3
+	}
+	if cfg.FilesPerDir == 0 {
+		cfg.FilesPerDir = 4
+	}
+	n := 0
+	for d := 0; d < cfg.Dirs; d++ {
+		for f := 0; f < cfg.FilesPerDir; f++ {
+			if (d+f)%3 == 0 {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -5,19 +5,16 @@ import (
 	"testing"
 )
 
-func testJournalConfig(t *testing.T) JournalConfig {
+func testJournalConfig() JournalConfig {
 	cfg := DefaultJournalConfig()
 	cfg.Crashes = 6
 	cfg.Target = 4
 	cfg.Ops = 6
-	if testing.Short() {
-		cfg.Crashes = 2
-	}
 	return cfg
 }
 
 func TestTableJournal(t *testing.T) {
-	rows, err := TableJournal(&Harness{}, testJournalConfig(t))
+	rows, err := TableJournal(&Harness{}, testJournalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +78,7 @@ func TestTableJournal(t *testing.T) {
 // The journaling table is replayable: the same master seed yields
 // identical rows.
 func TestTableJournalDeterministic(t *testing.T) {
-	cfg := testJournalConfig(t)
+	cfg := testJournalConfig()
 	cfg.Crashes = 3
 	r1, err := TableJournal(&Harness{}, cfg)
 	if err != nil {

@@ -5,19 +5,16 @@ import (
 	"testing"
 )
 
-func testPersistConfig(t *testing.T) PersistConfig {
+func testPersistConfig() PersistConfig {
 	cfg := DefaultPersistConfig()
 	cfg.Crashes = 6
 	cfg.Workers = 2
 	cfg.Iters = 3
-	if testing.Short() {
-		cfg.Crashes = 2
-	}
 	return cfg
 }
 
 func TestTablePersist(t *testing.T) {
-	rows, err := TablePersist(&Harness{}, testPersistConfig(t))
+	rows, err := TablePersist(&Harness{}, testPersistConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +57,7 @@ func TestTablePersist(t *testing.T) {
 // The persistence table is replayable: the same master seed yields
 // identical rows.
 func TestTablePersistDeterministic(t *testing.T) {
-	cfg := testPersistConfig(t)
+	cfg := testPersistConfig()
 	cfg.Crashes = 3
 	r1, err := TablePersist(&Harness{}, cfg)
 	if err != nil {

@@ -5,20 +5,16 @@ import (
 	"testing"
 )
 
-func testRecoveryConfig(t *testing.T) RecoveryConfig {
+func testRecoveryConfig() RecoveryConfig {
 	cfg := DefaultRecoveryConfig()
 	cfg.Schedules = 30
 	cfg.Crashes = 3
 	cfg.Iters = 20
-	if testing.Short() {
-		cfg.Schedules = 8
-		cfg.Crashes = 1
-	}
 	return cfg
 }
 
 func TestTableRecovery(t *testing.T) {
-	rows, err := TableRecovery(&Harness{}, testRecoveryConfig(t))
+	rows, err := TableRecovery(&Harness{}, testRecoveryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +50,7 @@ func TestTableRecovery(t *testing.T) {
 // The recovery table is replayable: the same master seed yields identical
 // rows.
 func TestTableRecoveryDeterministic(t *testing.T) {
-	cfg := testRecoveryConfig(t)
+	cfg := testRecoveryConfig()
 	cfg.Schedules = 10
 	r1, err := TableRecovery(&Harness{}, cfg)
 	if err != nil {

@@ -8,24 +8,18 @@ import (
 	"repro/internal/resilience"
 )
 
-func testResilienceConfig(t *testing.T) ResilienceConfig {
+func testResilienceConfig() ResilienceConfig {
 	cfg := DefaultResilienceConfig()
 	cfg.Crashes = 120
 	cfg.Iters = 90
 	cfg.ServerCrashes = 30
 	cfg.Requests = 12
-	if testing.Short() {
-		cfg.Crashes = 40
-		cfg.Iters = 30
-		cfg.ServerCrashes = 10
-		cfg.Requests = 6
-	}
 	return cfg
 }
 
 func TestTableResilience(t *testing.T) {
 	h := &Harness{}
-	rows, err := TableResilience(h, testResilienceConfig(t))
+	rows, err := TableResilience(h, testResilienceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +85,7 @@ func TestTableResilience(t *testing.T) {
 
 // The campaign is deterministic: same seed, same table, cell for cell.
 func TestTableResilienceDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full tables")
-	}
-	cfg := testResilienceConfig(t)
+	cfg := testResilienceConfig()
 	a, err := TableResilience(&Harness{}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -260,16 +260,7 @@ func (l *TASLock) Acquire(e *uniproc.Env) {
 	}
 }
 
-// TryAcquire attempts the lock once without yielding; it reports success.
-func (l *TASLock) TryAcquire(e *uniproc.Env) bool {
-	return l.mech.TestAndSet(e, &l.word) == 0
-}
-
 // Release implements Locker.
 func (l *TASLock) Release(e *uniproc.Env) {
 	l.mech.Clear(e, &l.word)
 }
-
-// Held reports whether the lock word is currently set. Intended for
-// assertions and statistics, not for synchronization decisions.
-func (l *TASLock) Held() bool { return l.word != 0 }

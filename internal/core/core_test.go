@@ -183,29 +183,6 @@ func TestInterlockedRequiresHardware(t *testing.T) {
 	}
 }
 
-func TestTASLockTryAcquire(t *testing.T) {
-	p := uniproc.New(uniproc.Config{})
-	lock := NewTASLock(NewRAS())
-	var ok1, ok2 bool
-	p.Go("main", func(e *uniproc.Env) {
-		ok1 = lock.TryAcquire(e)
-		ok2 = lock.TryAcquire(e)
-		lock.Release(e)
-	})
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok1 || ok2 {
-		t.Errorf("TryAcquire = %v,%v want true,false", ok1, ok2)
-	}
-	if lock.Held() {
-		t.Error("lock still held after release")
-	}
-	if lock.Name() == "" {
-		t.Error("empty lock name")
-	}
-}
-
 func TestHoldupsCountedOnContention(t *testing.T) {
 	// A fixed quantum can phase-lock with the loop period and never land
 	// inside the critical section; jitter breaks the phase lock.

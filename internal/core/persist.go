@@ -41,17 +41,6 @@ func (m *PersistentMutex) Acquire(e *uniproc.Env) {
 	e.Fence()
 }
 
-// TryAcquire is the abortable acquire with the P1 persist point on
-// success; an abandoned attempt persists nothing.
-func (m *PersistentMutex) TryAcquire(e *uniproc.Env, attempts, casBound uint64) bool {
-	if !m.RecoverableMutex.TryAcquire(e, attempts, casBound) {
-		return false
-	}
-	e.Flush(&m.word) // P1
-	e.Fence()
-	return true
-}
-
 // Release implements Locker: the owner-checked release, then the P3
 // persist point.
 func (m *PersistentMutex) Release(e *uniproc.Env) {

@@ -95,7 +95,7 @@ func TestPersistentMutexCrashRecovery(t *testing.T) {
 			t.Errorf("crash@%d: counter after reboot = %d, want %d (%d survived + %d new)",
 				crashAt, counter, want, c0, workers*iters)
 		}
-		if own := rmOwner(mu.Word()); own >= 0 {
+		if own := rmOwner(mu.word); own >= 0 {
 			t.Errorf("crash@%d: lock still owned by %d after clean reboot", crashAt, own)
 		}
 	}
@@ -165,7 +165,7 @@ func TestPersistentMutexRecoverySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkBound(t, st, "prelude")
-		if rmOwner(st.mu.Word()) >= 0 {
+		if rmOwner(st.mu.word) >= 0 {
 			owned = append(owned, n)
 		}
 	}
@@ -236,7 +236,7 @@ func TestPersistentMutexRecoverySweep(t *testing.T) {
 						t.Errorf("prelude@%d %v i=%d j=%d: counter = %d, want %d",
 							n, pt, i, j, st.counter, want)
 					}
-					if own := rmOwner(st.mu.Word()); own >= 0 {
+					if own := rmOwner(st.mu.word); own >= 0 {
 						t.Errorf("prelude@%d %v i=%d j=%d: lock still owned by %d", n, pt, i, j, own)
 					}
 				}
@@ -263,7 +263,7 @@ func TestRecoverRepairsFromNVMAlone(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if own, ep := rmOwner(mu.Word()), rmEpoch(mu.Word()); own >= 0 || ep != 4 {
+	if own, ep := rmOwner(mu.word), rmEpoch(mu.word); own >= 0 || ep != 4 {
 		t.Fatalf("repaired word: owner=%d epoch=%d, want free/4", own, ep)
 	}
 	if got := p.NVPeek(&mu.word); got != mu.word {

@@ -211,12 +211,6 @@ func NewPersistentStack(arena []uniproc.Word, mode LogMode) *PersistentStack {
 
 const topIdx = dataBase
 
-// Len returns the number of elements (volatile read).
-func (s *PersistentStack) Len(e *uniproc.Env) int { return int(e.Load(&s.a[topIdx])) }
-
-// Cap returns the capacity.
-func (s *PersistentStack) Cap() int { return s.cap }
-
 // Contents returns the elements bottom-first without changing the
 // stack (volatile reads: the depth, then each value).
 func (s *PersistentStack) Contents(e *uniproc.Env) []uniproc.Word {
@@ -274,14 +268,6 @@ const (
 	tailOff = 1
 	ringOff = 2
 )
-
-// Len returns the number of elements (volatile read).
-func (q *PersistentQueue) Len(e *uniproc.Env) int {
-	return int(e.Load(&q.a[dataBase+tailOff]) - e.Load(&q.a[dataBase+headOff]))
-}
-
-// Cap returns the capacity.
-func (q *PersistentQueue) Cap() int { return q.cap }
 
 // Contents returns the elements oldest-first without changing the queue
 // (volatile reads: head, tail, then each value).

@@ -51,7 +51,7 @@ func TestPersistentStackQueueSemantics(t *testing.T) {
 				// Wrap the ring twice to exercise the modulo indexing.
 				next, want := 1, 1
 				for round := 0; round < 3; round++ {
-					for q.Len(e) < q.Cap() {
+					for q.Len(e) < q.cap {
 						if err := q.Enqueue(e, uniproc.Word(next)); err != nil {
 							t.Fatalf("enqueue %d: %v", next, err)
 						}
@@ -375,4 +375,12 @@ func TestPersistentStackCrashDuringRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Len returns the number of elements (volatile read).
+func (s *PersistentStack) Len(e *uniproc.Env) int { return int(e.Load(&s.a[topIdx])) }
+
+// Len returns the number of elements (volatile read).
+func (q *PersistentQueue) Len(e *uniproc.Env) int {
+	return int(e.Load(&q.a[dataBase+tailOff]) - e.Load(&q.a[dataBase+headOff]))
 }

@@ -42,10 +42,6 @@ func rmEpoch(v Word) Word { return v >> rmEpochShift }
 // loop iteration — no handshake with other waiters is needed, because on
 // a uniprocessor the CAS (itself a restartable sequence) is atomic.
 //
-// TryAcquire is the abortable entry of RME-with-abortability: it gives up
-// after a bounded number of passes instead of waiting on a live owner,
-// leaving the lock word untouched by the abandoned attempt.
-//
 // Attach an RMEChecker to audit a run; it panics nowhere and records
 // violations for the harness to assert on.
 type RecoverableMutex struct {
@@ -54,8 +50,7 @@ type RecoverableMutex struct {
 
 	// Passage, when non-nil, observes the RMR-style passage cost of every
 	// completed acquire→release span: virtual cycles from entering Acquire
-	// (or a TryAcquire that eventually succeeds) to finishing Release.
-	// Aborted TryAcquire attempts are not passages and are not recorded.
+	// to finishing Release.
 	Passage *obs.Histogram
 
 	passageStart map[int]uint64 // thread ID -> cycle Acquire was entered
@@ -66,10 +61,6 @@ func NewRecoverableMutex() *RecoverableMutex { return &RecoverableMutex{} }
 
 // Name implements Locker.
 func (m *RecoverableMutex) Name() string { return "recoverable" }
-
-// Word returns the raw lock word (owner+1 in the low half, epoch in the
-// high half) for assertions and post-mortem inspection.
-func (m *RecoverableMutex) Word() Word { return m.word }
 
 // cas atomically replaces the lock word with v if it still equals expect,
 // as a restartable sequence: load, compare, committing store. A failed
@@ -90,21 +81,6 @@ func (m *RecoverableMutex) cas(e *uniproc.Env, expect, v Word) bool {
 	return swapped
 }
 
-// tryCAS is cas bounded to maxRestarts rollbacks, for the abortable path.
-func (m *RecoverableMutex) tryCAS(e *uniproc.Env, expect, v Word, maxRestarts uint64) (swapped, done bool) {
-	done = e.TryRestartable(maxRestarts, func() {
-		swapped = false
-		seen := e.Load(&m.word)
-		e.ChargeALU(2)
-		if seen != expect {
-			return
-		}
-		e.Commit(&m.word, v)
-		swapped = true
-	})
-	return swapped && done, done
-}
-
 func (m *RecoverableMutex) self(e *uniproc.Env) Word {
 	id := e.Self().ID
 	if id > rmMaxOwner {
@@ -115,19 +91,13 @@ func (m *RecoverableMutex) self(e *uniproc.Env) Word {
 
 // step makes one pass at the lock: acquire it if free, repair it if the
 // owner is dead, otherwise report it busy. It never waits.
-func (m *RecoverableMutex) step(e *uniproc.Env, me Word, bound uint64) (acquired, busy bool) {
+func (m *RecoverableMutex) step(e *uniproc.Env, me Word) (acquired, busy bool) {
 	v := e.Load(&m.word)
 	e.ChargeALU(2)
 	own := rmOwner(v)
 	switch {
 	case own < 0: // free: claim it, preserving the epoch
-		want := v&^rmOwnerMask | me
-		if bound == 0 {
-			if m.cas(e, v, want) {
-				m.noteAcquire(e, -1)
-				return true, false
-			}
-		} else if swapped, _ := m.tryCAS(e, v, want, bound); swapped {
+		if m.cas(e, v, v&^rmOwnerMask|me) {
 			m.noteAcquire(e, -1)
 			return true, false
 		}
@@ -135,14 +105,7 @@ func (m *RecoverableMutex) step(e *uniproc.Env, me Word, bound uint64) (acquired
 	case own == e.Self().ID:
 		panic(fmt.Sprintf("core: recursive RecoverableMutex acquire by thread %d", own))
 	case e.ThreadDead(own): // orphaned: steal with a bumped epoch
-		want := (rmEpoch(v)+1)<<rmEpochShift | me
-		stolen := false
-		if bound == 0 {
-			stolen = m.cas(e, v, want)
-		} else {
-			stolen, _ = m.tryCAS(e, v, want, bound)
-		}
-		if stolen {
+		if m.cas(e, v, (rmEpoch(v)+1)<<rmEpochShift|me) {
 			e.CountRepair(own)
 			m.noteAcquire(e, own)
 			return true, false
@@ -158,7 +121,7 @@ func (m *RecoverableMutex) Acquire(e *uniproc.Env) {
 	m.passageBegin(e)
 	me := m.self(e)
 	for {
-		acquired, busy := m.step(e, me, 0)
+		acquired, busy := m.step(e, me)
 		if acquired {
 			return
 		}
@@ -167,33 +130,6 @@ func (m *RecoverableMutex) Acquire(e *uniproc.Env) {
 			e.Yield()
 		}
 	}
-}
-
-// TryAcquire is the abortable acquire: up to attempts passes at the lock,
-// yielding between passes, each pass's CAS bounded to casBound restarts
-// (0 means 8). It reports whether the lock was acquired; an abandoned
-// attempt leaves no trace in the lock word.
-func (m *RecoverableMutex) TryAcquire(e *uniproc.Env, attempts uint64, casBound uint64) bool {
-	if attempts == 0 {
-		attempts = 1
-	}
-	if casBound == 0 {
-		casBound = 8
-	}
-	m.passageBegin(e)
-	me := m.self(e)
-	for i := uint64(0); i < attempts; i++ {
-		acquired, busy := m.step(e, me, casBound)
-		if acquired {
-			return true
-		}
-		if busy && i+1 < attempts {
-			e.Processor().CountHoldup()
-			e.Yield()
-		}
-	}
-	m.passageAbort(e) // an abandoned attempt is not a passage
-	return false
 }
 
 // Release implements Locker: clear the owner field with a single word
@@ -217,18 +153,7 @@ func (m *RecoverableMutex) passageBegin(e *uniproc.Env) {
 	if m.passageStart == nil {
 		m.passageStart = make(map[int]uint64)
 	}
-	if _, open := m.passageStart[e.Self().ID]; !open {
-		m.passageStart[e.Self().ID] = e.Now()
-	}
-	// A start already open means a TryAcquire failed and was retried by the
-	// caller: the passage spans from the first attempt.
-}
-
-// passageAbort forgets a failed attempt's start stamp.
-func (m *RecoverableMutex) passageAbort(e *uniproc.Env) {
-	if m.Passage != nil {
-		delete(m.passageStart, e.Self().ID)
-	}
+	m.passageStart[e.Self().ID] = e.Now()
 }
 
 // passageEnd observes a completed acquire→release span.
@@ -277,9 +202,6 @@ type RMEChecker struct {
 
 // NewRMEChecker returns a checker for an unlocked mutex.
 func NewRMEChecker() *RMEChecker { return &RMEChecker{owner: -1} }
-
-// Entries returns the number of successful acquires observed.
-func (c *RMEChecker) Entries() uint64 { return c.entries }
 
 // Steals returns how many acquires repaired a dead owner's lock.
 func (c *RMEChecker) Steals() uint64 { return c.steals }

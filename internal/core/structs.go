@@ -113,17 +113,6 @@ func (s *Stack) PopAll(e *uniproc.Env) []Word {
 	return out
 }
 
-// Len returns the current depth (diagnostics only: not atomic with respect
-// to concurrent operations, though on the uniprocessor it is consistent at
-// any instruction boundary).
-func (s *Stack) Len() int {
-	n := 0
-	for h := s.head; h != 0; h = s.nodes[h].next {
-		n++
-	}
-	return n
-}
-
 // Counter is a shared counter whose Add is a single restartable
 // fetch-and-add — the "other primitives" of §2.
 type Counter struct {

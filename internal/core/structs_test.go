@@ -261,3 +261,14 @@ func TestQuickStackMatchesModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Len returns the current depth (diagnostics only: not atomic with respect
+// to concurrent operations, though on the uniprocessor it is consistent at
+// any instruction boundary).
+func (s *Stack) Len() int {
+	n := 0
+	for h := s.head; h != 0; h = s.nodes[h].next {
+		n++
+	}
+	return n
+}

@@ -37,6 +37,3 @@ func (l *TicketLock) Release(e *uniproc.Env) {
 	e.ChargeALU(1)
 	e.Store(&l.serving, s+1)
 }
-
-// Holder diagnostics: Waiters reports how many tickets are outstanding.
-func (l *TicketLock) Waiters() int { return int(l.next - l.serving) }

@@ -92,3 +92,6 @@ func TestTicketLockWaiters(t *testing.T) {
 		t.Error("empty name")
 	}
 }
+
+// Holder diagnostics: Waiters reports how many tickets are outstanding.
+func (l *TicketLock) Waiters() int { return int(l.next - l.serving) }

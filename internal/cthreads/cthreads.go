@@ -28,9 +28,6 @@ type Pkg struct {
 // New creates a thread package over mech.
 func New(mech core.Mechanism) *Pkg { return &Pkg{mech: mech} }
 
-// Mechanism returns the underlying atomic-operation mechanism.
-func (p *Pkg) Mechanism() core.Mechanism { return p.mech }
-
 // SpinLock is a Test-And-Set spinlock (which yields the processor on
 // contention: spinning is useless on a uniprocessor while the holder is
 // suspended).
@@ -46,14 +43,8 @@ func (p *Pkg) NewSpinLock() *SpinLock {
 // Lock acquires the spinlock.
 func (s *SpinLock) Lock(e *uniproc.Env) { s.l.Acquire(e) }
 
-// TryLock attempts the lock once, reporting success.
-func (s *SpinLock) TryLock(e *uniproc.Env) bool { return s.l.TryAcquire(e) }
-
 // Unlock releases the spinlock.
 func (s *SpinLock) Unlock(e *uniproc.Env) { s.l.Release(e) }
-
-// Held reports whether the lock word is set (diagnostics only).
-func (s *SpinLock) Held() bool { return s.l.Held() }
 
 // Mutex is a relinquishing mutex: "unlike a spinlock, if a thread tries to
 // acquire a held mutex, it relinquishes the processor. The mutex is
@@ -85,17 +76,6 @@ func (m *Mutex) Lock(e *uniproc.Env) {
 	// Handoff: the unlocker left held == 1 on our behalf.
 }
 
-// TryLock attempts the mutex without blocking, reporting success.
-func (m *Mutex) TryLock(e *uniproc.Env) bool {
-	m.spin.Lock(e)
-	ok := e.Load(&m.held) == 0
-	if ok {
-		e.Store(&m.held, 1)
-	}
-	m.spin.Unlock(e)
-	return ok
-}
-
 // Unlock releases the mutex, waking the first waiter if any.
 func (m *Mutex) Unlock(e *uniproc.Env) {
 	m.spin.Lock(e)
@@ -110,9 +90,6 @@ func (m *Mutex) Unlock(e *uniproc.Env) {
 	e.Store(&m.held, 0)
 	m.spin.Unlock(e)
 }
-
-// Held reports whether the mutex is held (diagnostics only).
-func (m *Mutex) Held() bool { return m.held != 0 }
 
 // Cond is a condition variable used with a Mutex.
 type Cond struct {

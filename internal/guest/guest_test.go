@@ -155,20 +155,20 @@ func TestDesignatedSequenceShape(t *testing.T) {
 	// Find the lw that is followed by landmark at +3.
 	found := false
 	for i := 0; i+4 < len(p.Text); i++ {
-		if isa.Opcode(p.Text[i]) != isa.OpLW {
+		if isa.Decode(p.Text[i]).Op != isa.OpLW {
 			continue
 		}
 		if !isa.Decode(p.Text[i+3]).IsLandmark() {
 			continue
 		}
 		found = true
-		if isa.Opcode(p.Text[i+1]) != isa.OpORI {
+		if isa.Decode(p.Text[i+1]).Op != isa.OpORI {
 			t.Error("word 1 not ori")
 		}
-		if isa.Opcode(p.Text[i+2]) != isa.OpBNE {
+		if isa.Decode(p.Text[i+2]).Op != isa.OpBNE {
 			t.Error("word 2 not bne")
 		}
-		if isa.Opcode(p.Text[i+4]) != isa.OpSW {
+		if isa.Decode(p.Text[i+4]).Op != isa.OpSW {
 			t.Error("word 4 not sw")
 		}
 	}

@@ -374,71 +374,6 @@ wyield:
 	return b.String()
 }
 
-// PerCPUCounterProgram is the sharded-counter twin of
-// rseq.PerCPUCounter on real CPUs: each worker increments its own CPU's
-// slot (one line per CPU, symbol "slots") with the registered
-// restartable sequence cnt_seq..cnt_end — no interlocked instruction,
-// and exact under preemption and eviction chaos because every
-// interrupted sequence restarts. a0 = increments.
-func PerCPUCounterProgram(cpus int) string {
-	return fmt.Sprintf(`	.text
-worker:                         # a0 = increments
-	move s0, a0
-	li   v0, 11             # SysCPU
-	syscall
-	sll  t0, v0, 6          # slot lines are 64 bytes apart
-	la   s1, slots
-	add  s1, s1, t0
-cloop:
-cnt_seq:
-	lw   v0, 0(s1)          # restartable increment on my CPU's slot
-	addi t0, v0, 1
-	sw   t0, 0(s1)
-cnt_end:
-	addi s0, s0, -1
-	bne  s0, zero, cloop
-	li   v0, 0              # SysExit
-	move a0, zero
-	syscall
-
-	.data
-slots:	.space %d
-`, 64*maxInt(cpus, 1))
-}
-
-// PerCPUCASProgram is the guest twin of rseq.CmpEqvStorev, run per CPU:
-// workers on one CPU contend on that CPU's slot with a registered
-// compare-and-store sequence (cas_seq..cas_end), retrying on comparison
-// failure. The final slot values must sum to the total increments. a0 =
-// increments.
-func PerCPUCASProgram(cpus int) string {
-	return fmt.Sprintf(`	.text
-worker:                         # a0 = increments
-	move s0, a0
-	li   v0, 11             # SysCPU
-	syscall
-	sll  t0, v0, 6
-	la   s1, slots
-	add  s1, s1, t0
-cloop:
-	lw   s2, 0(s1)          # snapshot (plain load)
-	addi s3, s2, 1          # desired
-cas_seq:
-	lw   v0, 0(s1)          # cmpeqv_storev: if *slot == s2 { *slot = s3 }
-	bne  v0, s2, cloop      # comparison failed: retry from the snapshot
-	sw   s3, 0(s1)
-cas_end:
-	addi s0, s0, -1
-	bne  s0, zero, cloop
-	li   v0, 0              # SysExit
-	move a0, zero
-	syscall
-
-	.data
-slots:	.space %d
-`, 64*maxInt(cpus, 1))
-}
-
 // FreeListVariant selects pop protection in FreeListProgram.
 type FreeListVariant int
 
@@ -561,17 +496,6 @@ func ServerSequenceRanges(p *asm.Program) [][2]uint32 {
 // schedule.
 func ServerLatSequenceRanges(p *asm.Program) [][2]uint32 {
 	return SequenceRanges(p, "lat_seq", "lat_end")
-}
-
-// PerCPUCounterSequenceRanges lists PerCPUCounterProgram's registered
-// range.
-func PerCPUCounterSequenceRanges(p *asm.Program) [][2]uint32 {
-	return SequenceRanges(p, "cnt_seq", "cnt_end")
-}
-
-// PerCPUCASSequenceRanges lists PerCPUCASProgram's registered range.
-func PerCPUCASSequenceRanges(p *asm.Program) [][2]uint32 {
-	return SequenceRanges(p, "cas_seq", "cas_end")
 }
 
 // FreeListSequenceRanges lists FreeListProgram's registered ranges (the

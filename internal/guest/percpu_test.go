@@ -19,8 +19,6 @@ func TestPerCPUProgramsAssembleAndVerify(t *testing.T) {
 		{"server-percpu", ServerProgram(ServerPerCPU, 4), nil},
 		{"server-racy", ServerProgram(ServerRacyDrain, 2), nil},
 		{"server-mutex", ServerProgram(ServerMutex, 4), nil},
-		{"counter", PerCPUCounterProgram(4), nil},
-		{"cas", PerCPUCASProgram(2), nil},
 		{"freelist", FreeListProgram(3), nil},
 	}
 	for _, c := range cases {
@@ -34,10 +32,6 @@ func TestPerCPUProgramsAssembleAndVerify(t *testing.T) {
 		switch c.name {
 		case "server-percpu", "server-racy":
 			ranges = ServerSequenceRanges(prog)
-		case "counter":
-			ranges = PerCPUCounterSequenceRanges(prog)
-		case "cas":
-			ranges = PerCPUCASSequenceRanges(prog)
 		case "freelist":
 			ranges = FreeListSequenceRanges(prog)
 		}

@@ -47,12 +47,6 @@ func Lw(rt, rs int, imm int32) Inst { return I(OpLW, rt, rs, imm) }
 // Sw builds "sw rt, imm(rs)".
 func Sw(rt, rs int, imm int32) Inst { return I(OpSW, rt, rs, imm) }
 
-// Tas builds the interlocked "tas rt, imm(rs)".
-func Tas(rt, rs int, imm int32) Inst { return I(OpTAS, rt, rs, imm) }
-
-// Ll builds "ll rt, imm(rs)" (load-linked).
-func Ll(rt, rs int, imm int32) Inst { return I(OpLL, rt, rs, imm) }
-
 // Sc builds "sc rt, imm(rs)" (store-conditional).
 func Sc(rt, rs int, imm int32) Inst { return I(OpSC, rt, rs, imm) }
 
@@ -64,10 +58,6 @@ func Ori(rt, rs int, uimm uint32) Inst { return U(OpORI, rt, rs, uimm) }
 
 // Addi builds "addi rt, rs, imm".
 func Addi(rt, rs int, imm int32) Inst { return I(OpADDI, rt, rs, imm) }
-
-// Beq builds "beq rs, rt, off" where off is in instructions from the
-// following instruction (standard MIPS relative-branch convention).
-func Beq(rs, rt int, off int32) Inst { return I(OpBEQ, rt, rs, off) }
 
 // Bne builds "bne rs, rt, off".
 func Bne(rs, rt int, off int32) Inst { return I(OpBNE, rt, rs, off) }

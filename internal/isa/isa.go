@@ -293,10 +293,6 @@ func Predecode(text []Word) []Predecoded {
 	return out
 }
 
-// Opcode returns the primary opcode of an encoded instruction word. The
-// designated-sequence recognizer uses this as its first-stage hash key.
-func Opcode(w Word) uint32 { return w >> 26 }
-
 // Class partitions instructions for the cycle-cost model.
 type Class int
 

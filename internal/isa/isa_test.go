@@ -186,13 +186,6 @@ func TestStringDisassembly(t *testing.T) {
 	}
 }
 
-func TestOpcodeExtraction(t *testing.T) {
-	w := Encode(Lw(RegV0, RegA0, 0))
-	if Opcode(w) != OpLW {
-		t.Errorf("Opcode = %#x, want OpLW", Opcode(w))
-	}
-}
-
 func TestBranchOffsetsAreSigned(t *testing.T) {
 	in := Bne(RegV0, RegZero, -3)
 	out := Decode(Encode(in))
@@ -310,3 +303,10 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 var decodeSink Class
+
+// Tas builds the interlocked "tas rt, imm(rs)".
+func Tas(rt, rs int, imm int32) Inst { return I(OpTAS, rt, rs, imm) }
+
+// Beq builds "beq rs, rt, off" where off is in instructions from the
+// following instruction (standard MIPS relative-branch convention).
+func Beq(rs, rt int, off int32) Inst { return I(OpBEQ, rt, rs, off) }

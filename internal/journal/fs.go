@@ -42,10 +42,6 @@ func MountFS(e *uniproc.Env, pkg *cthreads.Pkg, arena []uniproc.Word, opt Option
 	return j, nil
 }
 
-// FS returns the underlying volatile filesystem for read-side access
-// (ReadFile, ReadAt, Stat, ReadDir — anything that doesn't mutate).
-func (j *JFS) FS() *memfs.FS { return j.fs }
-
 // Log returns the underlying WAL (for inspection and stats).
 func (j *JFS) Log() *Log { return j.log }
 

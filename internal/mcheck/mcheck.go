@@ -126,14 +126,6 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// Injector renders the preempt/kill/crash decisions as a chaos injector
-// at the given instrumentation point — the bridge that makes every
-// counterexample a chaos plan: what the checker found, the chaos kernel
-// re-executes.
-func (s *Schedule) Injector(point chaos.Point) chaos.Injector {
-	return newInjector(point, s.Decisions)
-}
-
 // injector is the schedule-driven chaos.Injector: a fixed map from event
 // ordinal to action at one instrumentation point.
 type injector struct {

@@ -33,9 +33,6 @@ func TestExhaustiveResilienceCrashAnywhere(t *testing.T) {
 // aftermath) of the first — the crash-loop/demotion path is inside the
 // covered space because the supervisor itself runs under the model.
 func TestExhaustiveResilienceCrashDuringRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("K=2 walk is a few hundred campaigns")
-	}
 	e := &Explorer{Model: build(t, "resilience", nil), MaxDecisions: 2}
 	rep, err := e.Exhaustive()
 	if err != nil {

@@ -17,10 +17,9 @@
 //   - a metrics registry: counters and fixed-bucket histograms,
 //     pre-wired (see PaperMetrics) with the paper's headline counters and
 //     an RMR-style passage-cost histogram for core.RecoverableMutex;
-//   - cycle-attributed profilers: per-PC/per-symbol flat+cumulative cycle
-//     histograms for the ISA machine (CycleProfiler, fed by the kernel's
-//     retired-instruction hook) and per-callsite memory-op profiles for
-//     the uniprocessor runtime (MemProfiler), both with folded-stack
+//   - a cycle-attributed profiler: per-PC/per-symbol flat+cumulative
+//     cycle histograms for the ISA machine (CycleProfiler, fed by the
+//     kernel's retired-instruction hook) with folded-stack
 //     (flamegraph-ready) text output;
 //   - exporters: Chrome trace-event JSON streamed as events arrive
 //     (Perfetto-loadable; one track per thread plus an instant-event

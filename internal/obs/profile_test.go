@@ -122,41 +122,3 @@ func TestCycleProfilerRecursionCountsCumOnce(t *testing.T) {
 		t.Errorf("recursive folded stack missing:\n%s", p.Folded())
 	}
 }
-
-// memProbeLoad exists to give the MemProfiler a recognizable callsite.
-func memProbeLoad(m *MemProfiler) { m.NoteSkip(MemLoad, 7, 2) }
-
-func TestMemProfilerCountsAndFrames(t *testing.T) {
-	m := NewMemProfiler()
-	for i := 0; i < 3; i++ {
-		memProbeLoad(m)
-	}
-	m.NoteSkip(MemStore, 5, 2)
-	m.NoteSkip(MemCommit, 9, 2)
-
-	if m.OpCount(MemLoad) != 3 || m.OpCount(MemStore) != 1 || m.OpCount(MemCommit) != 1 {
-		t.Errorf("op counts = %d/%d/%d", m.OpCount(MemLoad), m.OpCount(MemStore), m.OpCount(MemCommit))
-	}
-	if m.Cycles() != 3*7+5+9 {
-		t.Errorf("cycles = %d, want 35", m.Cycles())
-	}
-	folded := m.Folded()
-	if !strings.Contains(folded, "memProbeLoad") {
-		t.Errorf("folded missing probe callsite:\n%s", folded)
-	}
-	// The repro/ module prefix is trimmed from frames.
-	if strings.Contains(folded, "repro/internal/obs") {
-		t.Errorf("module prefix not trimmed:\n%s", folded)
-	}
-	rep := m.Report(5)
-	if !strings.Contains(rep, "callsite") {
-		t.Errorf("report header missing:\n%s", rep)
-	}
-}
-
-func TestMemOpString(t *testing.T) {
-	if MemLoad.String() != "load" || MemStore.String() != "store" ||
-		MemCommit.String() != "commit" || MemOp(9).String() != "?" {
-		t.Error("MemOp.String mismatch")
-	}
-}

@@ -37,9 +37,6 @@ func (r *Ring) Event(ev Event) {
 // Total reports how many events were published in all, retained or not.
 func (r *Ring) Total() uint64 { return r.total }
 
-// Dropped reports how many events were overwritten by newer ones.
-func (r *Ring) Dropped() uint64 { return r.dropped }
-
 // Events returns the retained events in chronological order.
 func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
@@ -78,6 +75,3 @@ func (c *Capture) Event(ev Event) { c.evs = append(c.evs, ev) }
 
 // Events returns everything captured, in publish order.
 func (c *Capture) Events() []Event { return c.evs }
-
-// Len returns the number of captured events.
-func (c *Capture) Len() int { return len(c.evs) }

@@ -98,10 +98,13 @@ func TestCaptureUnbounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Event(ev(i))
 	}
-	if c.Len() != 10000 {
-		t.Fatalf("captured %d, want 10000", c.Len())
+	if len(c.Events()) != 10000 {
+		t.Fatalf("captured %d, want 10000", len(c.Events()))
 	}
 	if c.Events()[9999].Cycle != 9999 {
 		t.Error("capture order broken")
 	}
 }
+
+// Dropped reports how many events were overwritten by newer ones.
+func (r *Ring) Dropped() uint64 { return r.dropped }

@@ -35,10 +35,6 @@ func WaitEnq(peer int) WorkerOpt { w := NoPeer; w.WaitEnqPeer = peer; return w }
 // HoldFor stretches the critical section until peer has enqueued.
 func HoldFor(peer int) WorkerOpt { w := NoPeer; w.HoldForPeer = peer; return w }
 
-// HoldAbort stretches the critical section until peer aborts a
-// TryAcquire, completes a passage, or dies.
-func HoldAbort(peer int) WorkerOpt { w := NoPeer; w.HoldAbortPeer = peer; return w }
-
 // Config parametrizes one qlock run: one worker per CPU (the spin
 // loops never yield, so a CPU must not host two contenders), each
 // making Iters lock passages.

@@ -153,3 +153,7 @@ func TestTryAcquireUncontended(t *testing.T) {
 		t.Errorf("try uncontended: counter %d aborts %d, want 6/0", res.Counter, res.Aborts)
 	}
 }
+
+// HoldAbort stretches the critical section until peer aborts a
+// TryAcquire, completes a passage, or dies.
+func HoldAbort(peer int) WorkerOpt { w := NoPeer; w.HoldAbortPeer = peer; return w }

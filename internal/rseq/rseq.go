@@ -12,14 +12,13 @@
 // The per-CPU dimension appears twice in this codebase. On the SMP
 // substrate (internal/vmach/smp) it is literal: guest-asm restartable
 // sequences registered per CPU via SysRasRegister operate on CPU-indexed
-// lines, and internal/rseq's SMP tests plus guest.PerCPUCounterProgram
-// exercise them under chaos preemption and eviction. On the virtual
-// uniprocessor the sequences are globally atomic — one CPU — and the
-// per-CPU index survives as a sharding dimension: PerCPUCounter carries
-// one slot per logical CPU so internal/percpu can build sharded
-// counters, free lists and queues whose fast paths are contention-free
-// by construction, with the single-slot counter as the 1-CPU degenerate
-// case.
+// lines, and internal/rseq's SMP tests exercise them under chaos
+// preemption and eviction. On the virtual uniprocessor the sequences are
+// globally atomic — one CPU — and the per-CPU index survives as a
+// sharding dimension: PerCPUCounter carries one slot per logical CPU so
+// internal/percpu can build sharded counters, free lists and queues
+// whose fast paths are contention-free by construction, with the
+// single-slot counter as the 1-CPU degenerate case.
 //
 // Each primitive returns false when the sequence observed a conflicting
 // value (the librseq convention of returning -EAGAIN/comparison failure);
@@ -49,24 +48,6 @@ func CmpEqvStorev(e *uniproc.Env, v *Word, expect, newv Word) bool {
 	return ok
 }
 
-// CmpNevStorev atomically performs: if *v != expectnot { *v = newv },
-// returning whether the store happened (librseq: rseq_cmpnev_storeoffp —
-// simplified to a direct store).
-func CmpNevStorev(e *uniproc.Env, v *Word, expectnot, newv Word) bool {
-	ok := false
-	e.Restartable(func() {
-		ok = false
-		cur := e.Load(v)
-		e.ChargeALU(1)
-		if cur == expectnot {
-			return
-		}
-		e.Commit(v, newv)
-		ok = true
-	})
-	return ok
-}
-
 // Addv atomically adds delta to *v (librseq: rseq_addv). It cannot fail:
 // the sequence re-runs until it commits.
 func Addv(e *uniproc.Env, v *Word, delta Word) {
@@ -75,29 +56,6 @@ func Addv(e *uniproc.Env, v *Word, delta Word) {
 		e.ChargeALU(1)
 		e.Commit(v, cur+delta)
 	})
-}
-
-// CmpEqvTrystorevStorev atomically performs:
-// if *v == expect { *v2 = newv2; *v = newv }, returning whether it
-// committed (librseq: rseq_cmpeqv_trystorev_storev). The store to v2 is
-// the "try" store: it is re-executed on restart, which is safe because the
-// final commit to v publishes the pair.
-func CmpEqvTrystorevStorev(e *uniproc.Env, v *Word, expect Word, v2 *Word, newv2, newv Word) bool {
-	ok := false
-	e.Restartable(func() {
-		ok = false
-		cur := e.Load(v)
-		e.ChargeALU(1)
-		if cur != expect {
-			return
-		}
-		// Speculative store: idempotent under restart, published only by
-		// the commit below.
-		e.Store(v2, newv2)
-		e.Commit(v, newv)
-		ok = true
-	})
-	return ok
 }
 
 // PerCPUCounter is the canonical rseq use case: a counter incremented with
@@ -115,14 +73,6 @@ func MakePerCPUCounter(cpus int) *PerCPUCounter {
 		cpus = 1
 	}
 	return &PerCPUCounter{slots: make([]Word, cpus)}
-}
-
-// Slots reports how many CPU slots the counter carries.
-func (c *PerCPUCounter) Slots() int {
-	if len(c.slots) == 0 {
-		return 1
-	}
-	return len(c.slots)
 }
 
 // slot returns the address of the given CPU's slot, growing a zero-value

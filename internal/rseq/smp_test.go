@@ -1,6 +1,7 @@
 package rseq
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chaos"
@@ -13,9 +14,9 @@ import (
 
 // SMP-substrate coverage for the per-CPU primitives. The Go-level
 // PerCPUCounter and CmpEqvStorev in this package run on the virtual
-// uniprocessor; their ISA twins (guest.PerCPUCounterProgram and
-// guest.PerCPUCASProgram) run the same sequences as registered guest
-// code on the N-CPU machine. These tests drive the twins under seeded
+// uniprocessor; their ISA twins (perCPUCounterProgram and
+// perCPUCASProgram) run the same sequences as registered guest code on
+// the N-CPU machine. These tests drive the twins under seeded
 // chaos plans — forced preemptions, page evictions, timeslice jitter,
 // injected per CPU — and demand exact counts: every interrupted sequence
 // must restart, on the right CPU, with no cross-CPU rollback.
@@ -30,6 +31,71 @@ func chaosSMP(cpus int, seed uint64) *smp.System {
 			return chaos.NewPlan(chaos.Derive(seed, uint64(cpu)), 1.0)
 		},
 	})
+}
+
+// perCPUCounterProgram is the sharded-counter twin of PerCPUCounter on
+// real CPUs: each worker increments its own CPU's slot (one line per
+// CPU, symbol "slots") with the registered restartable sequence
+// cnt_seq..cnt_end — no interlocked instruction, and exact under
+// preemption and eviction chaos because every interrupted sequence
+// restarts. a0 = increments.
+func perCPUCounterProgram(cpus int) string {
+	return fmt.Sprintf(`	.text
+worker:                         # a0 = increments
+	move s0, a0
+	li   v0, 11             # SysCPU
+	syscall
+	sll  t0, v0, 6          # slot lines are 64 bytes apart
+	la   s1, slots
+	add  s1, s1, t0
+cloop:
+cnt_seq:
+	lw   v0, 0(s1)          # restartable increment on my CPU's slot
+	addi t0, v0, 1
+	sw   t0, 0(s1)
+cnt_end:
+	addi s0, s0, -1
+	bne  s0, zero, cloop
+	li   v0, 0              # SysExit
+	move a0, zero
+	syscall
+
+	.data
+slots:	.space %d
+`, 64*max(cpus, 1))
+}
+
+// perCPUCASProgram is the guest twin of CmpEqvStorev, run per CPU:
+// workers on one CPU contend on that CPU's slot with a registered
+// compare-and-store sequence (cas_seq..cas_end), retrying on comparison
+// failure. The final slot values must sum to the total increments. a0 =
+// increments.
+func perCPUCASProgram(cpus int) string {
+	return fmt.Sprintf(`	.text
+worker:                         # a0 = increments
+	move s0, a0
+	li   v0, 11             # SysCPU
+	syscall
+	sll  t0, v0, 6
+	la   s1, slots
+	add  s1, s1, t0
+cloop:
+	lw   s2, 0(s1)          # snapshot (plain load)
+	addi s3, s2, 1          # desired
+cas_seq:
+	lw   v0, 0(s1)          # cmpeqv_storev: if *slot == s2 { *slot = s3 }
+	bne  v0, s2, cloop      # comparison failed: retry from the snapshot
+	sw   s3, 0(s1)
+cas_end:
+	addi s0, s0, -1
+	bne  s0, zero, cloop
+	li   v0, 0              # SysExit
+	move a0, zero
+	syscall
+
+	.data
+slots:	.space %d
+`, 64*max(cpus, 1))
 }
 
 // registerAll installs the program's restartable ranges on every CPU.
@@ -53,9 +119,9 @@ func TestPerCPUCounterChaosSMP(t *testing.T) {
 	var restarts uint64
 	for _, cpus := range []int{1, 2, 4} {
 		sys := chaosSMP(cpus, 0xA51C)
-		prog := guest.Assemble(guest.PerCPUCounterProgram(cpus))
+		prog := guest.Assemble(perCPUCounterProgram(cpus))
 		sys.Load(prog)
-		registerAll(t, sys, guest.PerCPUCounterSequenceRanges(prog))
+		registerAll(t, sys, guest.SequenceRanges(prog, "cnt_seq", "cnt_end"))
 		for cpu := 0; cpu < cpus; cpu++ {
 			for w := 0; w < workers; w++ {
 				sys.Spawn(cpu, prog.MustSymbol("worker"),
@@ -86,9 +152,9 @@ func TestPerCPUCASChaosSMP(t *testing.T) {
 	const workers, iters = 3, 150
 	for _, cpus := range []int{1, 2} {
 		sys := chaosSMP(cpus, 0xCA5)
-		prog := guest.Assemble(guest.PerCPUCASProgram(cpus))
+		prog := guest.Assemble(perCPUCASProgram(cpus))
 		sys.Load(prog)
-		registerAll(t, sys, guest.PerCPUCASSequenceRanges(prog))
+		registerAll(t, sys, guest.SequenceRanges(prog, "cas_seq", "cas_end"))
 		for cpu := 0; cpu < cpus; cpu++ {
 			for w := 0; w < workers; w++ {
 				sys.Spawn(cpu, prog.MustSymbol("worker"),

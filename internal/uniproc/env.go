@@ -129,20 +129,10 @@ func (e *Env) killSelf() {
 	panic(killSignal{})
 }
 
-// profMem attributes one memory op to the Env method's caller. It runs
-// before chaosMemOp so the op is profiled even when the injector then
-// kills or crashes the thread: the op itself did complete.
-func (e *Env) profMem(op obs.MemOp, cycles int) {
-	if e.p.memProf != nil {
-		e.p.memProf.Note(op, uint64(cycles))
-	}
-}
-
 // Load reads a shared word, charging one load.
 func (e *Env) Load(w *Word) Word {
 	v := *w
 	e.charge(e.p.profile.Cycles(isa.ClassLoad))
-	e.profMem(obs.MemLoad, e.p.profile.Cycles(isa.ClassLoad))
 	e.chaosMemOp()
 	return v
 }
@@ -154,7 +144,6 @@ func (e *Env) Store(w *Word, v Word) {
 	e.p.shadowWord(w)
 	*w = v
 	e.charge(e.p.profile.Cycles(isa.ClassStore))
-	e.profMem(obs.MemStore, e.p.profile.Cycles(isa.ClassStore))
 	e.chaosMemOp()
 }
 
@@ -262,13 +251,8 @@ func (e *Env) Commit(w *Word, v Word) {
 	*w = v
 	e.inRAS = false // the sequence has committed; no rollback past this point
 	e.charge(e.p.profile.Cycles(isa.ClassStore))
-	e.profMem(obs.MemCommit, e.p.profile.Cycles(isa.ClassStore))
 	e.chaosMemOp()
 }
-
-// InRestartable reports whether the thread is inside a restartable
-// sequence (for assertions in library code).
-func (e *Env) InRestartable() bool { return e.inRAS }
 
 // Flush initiates a write-back of w's volatile contents toward NVM — the
 // runtime-layer clwb. It is asynchronous: the word is durable only after

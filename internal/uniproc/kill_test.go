@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 )
 
 // A one-shot kill at a memop boundary terminates exactly that thread; the
@@ -14,8 +15,8 @@ func TestKillUnwindsOneThread(t *testing.T) {
 		Faults: chaos.OneShot{Point: chaos.PointMemOp, N: 5, Action: chaos.Action{Kill: true}},
 	})
 	var w Word
-	var deaths []int
-	p.OnThreadDeath(func(th *Thread) { deaths = append(deaths, th.ID) })
+	var trace obs.Capture
+	p.Tracer = &trace
 	for i := 0; i < 3; i++ {
 		p.Go("worker", func(e *Env) {
 			for it := 0; it < 50; it++ {
@@ -32,15 +33,21 @@ func TestKillUnwindsOneThread(t *testing.T) {
 		if !th.Done() {
 			t.Errorf("%v not done after Run", th)
 		}
-		if th.Killed() {
+		if th.killed {
 			killed++
 		}
 	}
 	if killed != 1 || p.Stats.Kills != 1 {
 		t.Errorf("killed=%d Stats.Kills=%d, want 1/1", killed, p.Stats.Kills)
 	}
-	if len(deaths) != 3 {
-		t.Errorf("death callbacks for %v, want all 3 threads", deaths)
+	exits := 0
+	for _, ev := range trace.Events() {
+		if ev.Type == obs.KindExit {
+			exits++
+		}
+	}
+	if exits != 3 {
+		t.Errorf("%d exit events, want one for each of the 3 threads", exits)
 	}
 }
 
@@ -60,8 +67,8 @@ func TestKillLastThreadIsCleanShutdown(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	th := p.Threads()[0]
-	if !th.Killed() || !th.Done() {
-		t.Errorf("killed=%v done=%v, want true/true", th.Killed(), th.Done())
+	if !th.killed || !th.Done() {
+		t.Errorf("killed=%v done=%v, want true/true", th.killed, th.Done())
 	}
 }
 
@@ -115,7 +122,7 @@ func TestKillSuppressedWhileMasked(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if p.Stats.Kills != 0 || p.Threads()[0].Killed() {
+	if p.Stats.Kills != 0 || p.Threads()[0].killed {
 		t.Errorf("masked kill applied: Kills=%d", p.Stats.Kills)
 	}
 	if w != 2 {
@@ -146,7 +153,7 @@ func TestCrashAbortsRun(t *testing.T) {
 		if !th.Done() {
 			t.Errorf("%v survived the crash", th)
 		}
-		if th.Killed() {
+		if th.killed {
 			t.Errorf("%v marked Killed by a crash (crash is not a thread kill)", th)
 		}
 	}
@@ -211,7 +218,7 @@ func TestKillPlanDeterministic(t *testing.T) {
 		}
 		var fates []bool
 		for _, th := range p.Threads() {
-			fates = append(fates, th.Killed())
+			fates = append(fates, th.killed)
 		}
 		return w, p.Stats.Kills, fates
 	}

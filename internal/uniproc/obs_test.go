@@ -51,26 +51,6 @@ func TestRuntimeBusMetricsMatchStats(t *testing.T) {
 	}
 }
 
-func TestRuntimeMemProfiler(t *testing.T) {
-	p := New(Config{Quantum: 37})
-	mp := obs.NewMemProfiler()
-	p.AttachMemProfiler(mp)
-	obsWorkload(p)
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mp.OpCount(obs.MemLoad) == 0 || mp.OpCount(obs.MemStore) == 0 || mp.OpCount(obs.MemCommit) == 0 {
-		t.Fatalf("memory ops not all profiled: loads=%d stores=%d commits=%d",
-			mp.OpCount(obs.MemLoad), mp.OpCount(obs.MemStore), mp.OpCount(obs.MemCommit))
-	}
-	if mp.Cycles() == 0 {
-		t.Error("no cycles attributed")
-	}
-	if mp.Folded() == "" || mp.Report(5) == "" {
-		t.Error("empty profile rendering")
-	}
-}
-
 func TestRuntimeBusExportsValidChromeTrace(t *testing.T) {
 	p := New(Config{Quantum: 37})
 	cap := &obs.Capture{}

@@ -119,22 +119,13 @@ type Processor struct {
 	aborting    bool
 	runErr      error
 	schedCh     chan struct{}
-	deathFns    []func(*Thread)
 	Stats       Stats
 	lockHoldups uint64 // see CountHoldup
 
 	// Tracer, when non-nil, receives runtime events (dispatches,
 	// preemptions, restarts, blocking).
 	Tracer obs.Sink
-
-	// memProf, when non-nil, attributes memory-op cycle charges to the Go
-	// callsites that issued them (this substrate's guests are Go
-	// functions, so there is no guest PC to profile).
-	memProf *obs.MemProfiler
 }
-
-// AttachMemProfiler installs a per-callsite memory-op profiler.
-func (p *Processor) AttachMemProfiler(m *obs.MemProfiler) { p.memProf = m }
 
 // Thread is the scheduler-visible identity of a green thread.
 type Thread struct {
@@ -161,10 +152,6 @@ func (t *Thread) String() string { return fmt.Sprintf("thread %d (%s)", t.ID, t.
 // panicked, or was killed by fault injection. A done thread holding a lock
 // has orphaned it; recoverable protocols use this to decide a repair.
 func (t *Thread) Done() bool { return t.done }
-
-// Killed reports whether the thread was terminated by an injected
-// thread-death fault rather than finishing on its own.
-func (t *Thread) Killed() bool { return t.killed }
 
 // New creates a processor.
 func New(cfg Config) *Processor {
@@ -280,7 +267,6 @@ func (p *Processor) threadBody(t *Thread) {
 		t.done = true
 		p.live--
 		p.trace(obs.KindExit, t, 0)
-		p.notifyDeath(t)
 		p.schedCh <- struct{}{}
 	}()
 	<-t.resumeCh
@@ -375,21 +361,6 @@ func (p *Processor) park(t *Thread) {
 	}
 }
 
-// OnThreadDeath registers fn to run whenever a thread dies — whether it
-// returned normally, was killed by fault injection, or was unwound during
-// an abnormal shutdown. Callbacks run on the dying thread's goroutine while
-// it still holds the baton, so they may inspect shared memory but must not
-// yield, block, or touch Env.
-func (p *Processor) OnThreadDeath(fn func(*Thread)) {
-	p.deathFns = append(p.deathFns, fn)
-}
-
-func (p *Processor) notifyDeath(t *Thread) {
-	for _, fn := range p.deathFns {
-		fn(t)
-	}
-}
-
 // MemOps returns the number of Load/Store injection points passed so far —
 // the ordinal stream consulted at chaos.PointMemOp. A reference run's final
 // MemOps bounds the meaningful N for a chaos.OneShot kill schedule.
@@ -415,9 +386,6 @@ func (p *Processor) EnablePersistence() {
 	p.nvPending = make(map[*Word]bool)
 	p.nvOrder = nil
 }
-
-// Persistent reports whether the persistence model is enabled.
-func (p *Processor) Persistent() bool { return p.persist }
 
 // shadowWord records w's NVM image before its first diverging store and
 // cancels any outstanding write-back — the conservative model never

@@ -345,7 +345,7 @@ func TestCommitEndsSequence(t *testing.T) {
 		e.Restartable(func() {
 			e.Load(&w)
 			e.Commit(&w, 1)
-			inRASAfterCommit = e.InRestartable()
+			inRASAfterCommit = e.inRAS
 		})
 	})
 	if err := p.Run(); err != nil {

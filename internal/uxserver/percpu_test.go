@@ -31,8 +31,8 @@ func withPerCPUServer(t *testing.T, shards int, fn func(e *uniproc.Env, s *Serve
 
 func TestPerCPUBasicFileOperations(t *testing.T) {
 	s, _ := withPerCPUServer(t, 2, func(e *uniproc.Env, s *Server) {
-		if !s.PerCPU() || s.Shards() != 2 {
-			t.Errorf("PerCPU=%v Shards=%d", s.PerCPU(), s.Shards())
+		if s.pq == nil || s.Shards() != 2 {
+			t.Errorf("PerCPU=%v Shards=%d", s.pq != nil, s.Shards())
 		}
 		if err := s.Mkdir(e, "/dir"); err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPerCPUBasicFileOperations(t *testing.T) {
 	if qs := s.QueueStats(); qs.Enqueued < 9 || qs.Drained != qs.Enqueued {
 		t.Errorf("queue stats %+v: want every enqueue drained", qs)
 	}
-	if as := s.AllocStats(); as.Frees != uint64(s.Requests) {
+	if as := s.slots.Stats(); as.Frees != uint64(s.Requests) {
 		t.Errorf("alloc stats %+v: want one free per request", as)
 	}
 }
@@ -148,7 +148,7 @@ func TestPerCPUFastPathDominates(t *testing.T) {
 			}
 		}
 	})
-	as := s.AllocStats()
+	as := s.slots.Stats()
 	total := as.FastAllocs + as.Refills + as.Steals
 	if total == 0 || as.FastAllocs*10 < total*9 {
 		t.Errorf("fast-path fraction too low: %+v", as)

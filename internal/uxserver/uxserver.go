@@ -144,15 +144,9 @@ func StartPerCPU(proc *uniproc.Processor, pkg *cthreads.Pkg, fs *memfs.FS, shard
 	return s
 }
 
-// FS returns the underlying filesystem (for direct inspection in tests).
-func (s *Server) FS() *memfs.FS { return s.fs }
-
 // Shards reports the request-plane width: the number of per-CPU shards,
 // or the worker count in single-queue mode.
 func (s *Server) Shards() int { return s.workers }
-
-// PerCPU reports whether the server runs the per-CPU request plane.
-func (s *Server) PerCPU() bool { return s.pq != nil }
 
 // QueueStats returns the per-CPU queue traffic counters (zero value in
 // single-queue mode).
@@ -161,15 +155,6 @@ func (s *Server) QueueStats() percpu.QueueStats {
 		return percpu.QueueStats{}
 	}
 	return s.pq.Stats()
-}
-
-// AllocStats returns the descriptor allocator's path counters (zero
-// value in single-queue mode).
-func (s *Server) AllocStats() percpu.FreeListStats {
-	if s.slots == nil {
-		return percpu.FreeListStats{}
-	}
-	return s.slots.Stats()
 }
 
 // percpuWorker is the per-shard consumer: it sleeps on its shard's

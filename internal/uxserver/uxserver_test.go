@@ -157,20 +157,6 @@ func TestRequestsAfterShutdownFail(t *testing.T) {
 	}
 }
 
-func TestFSAccessor(t *testing.T) {
-	p := uniproc.New(uniproc.Config{})
-	pkg := cthreads.New(core.NewRAS())
-	fs := memfs.New(pkg)
-	s := Start(p, pkg, fs, 1)
-	if s.FS() != fs {
-		t.Error("FS accessor mismatch")
-	}
-	p.Go("client", func(e *uniproc.Env) { s.Shutdown(e) })
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWorkerCountClamped(t *testing.T) {
 	p := uniproc.New(uniproc.Config{})
 	pkg := cthreads.New(core.NewRAS())

@@ -43,10 +43,10 @@ func PersistConfig(maxCycles uint64) Config {
 // resets the kernel the cold one built (and the arch.Profile it chose,
 // when Config names none) instead of building another. So the *Kernel
 // a Boot returns, its threads and its slices are valid until the next
-// Boot, and per-life hooks — Tracer, Profiler, PeerAlive, OnThreadDeath
-// callbacks — start every life unset and are installed again for each
-// one, by the Runner or by the caller between Boot and Run. A Lives must
-// not be copied: copies would share that kernel.
+// Boot, and per-life hooks — Tracer, Profiler, PeerAlive — start every
+// life unset and are installed again for each one, by the Runner or by
+// the caller between Boot and Run. A Lives must not be copied: copies
+// would share that kernel.
 type Lives struct {
 	_ noCopy
 

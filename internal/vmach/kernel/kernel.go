@@ -238,7 +238,6 @@ type Kernel struct {
 	steps     uint64         // retired-instruction ordinal for PointStep
 	livelock  *LivelockError // set by a watchdog abort; ends the run
 	crashed   error          // set by an injected machine crash; ends the run
-	deathFns  []func(*Thread)
 
 	threads []*Thread
 	runq    []*Thread
@@ -536,7 +535,6 @@ func (k *Kernel) stepOnce(limit uint64) (quiet uint64, finished bool, err error)
 	case vmach.EventBreak:
 		k.cur.State = StateDone
 		k.trace(obs.KindExit, k.cur, 0)
-		k.notifyDeath(k.cur)
 		k.cur = nil
 
 	case vmach.EventFault:
@@ -725,7 +723,6 @@ func (k *Kernel) reap(t *Thread) {
 	if i, ok := k.rasEntry(t.AS); ok && !live {
 		k.ras = slices.Delete(k.ras, i, i+1)
 	}
-	k.notifyDeath(t)
 }
 
 // KillThread terminates thread id where it stands — the deterministic
@@ -769,18 +766,6 @@ func (k *Kernel) KillThread(id int) error {
 		return fmt.Errorf("kernel: KillThread(%d): thread already %v", id, t.State)
 	}
 	return nil
-}
-
-// OnThreadDeath registers fn to run whenever a thread dies — exits,
-// breaks, or is killed. Callbacks run synchronously inside the kernel and
-// may inspect memory through k.M; lock-owner bookkeeping (orphan
-// detection) is the intended use.
-func (k *Kernel) OnThreadDeath(fn func(*Thread)) { k.deathFns = append(k.deathFns, fn) }
-
-func (k *Kernel) notifyDeath(t *Thread) {
-	for _, fn := range k.deathFns {
-		fn(t)
-	}
 }
 
 // Current returns the running thread, or nil between timeslices. Harness
@@ -1015,7 +1000,6 @@ func (k *Kernel) syscall(ev vmach.Event) {
 		t.State = StateDone
 		t.ExitCode = a0
 		k.trace(obs.KindExit, t, uint64(a0))
-		k.notifyDeath(t)
 		k.cur = nil
 		return // no trap-exit charge for a dead thread
 

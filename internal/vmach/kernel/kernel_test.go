@@ -827,8 +827,8 @@ seqB:
 	if k.Threads()[0].ExitCode != 0 {
 		t.Error("registration syscall failed")
 	}
-	if strat.Len() != 2 {
-		t.Errorf("ranges = %d, want 2 (appended, not replaced)", strat.Len())
+	if len(strat.ranges) != 2 {
+		t.Errorf("ranges = %d, want 2 (appended, not replaced)", len(strat.ranges))
 	}
 	if strat.Name() == "" || strat.CanReject() {
 		t.Error("strategy metadata wrong")

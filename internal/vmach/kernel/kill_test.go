@@ -33,8 +33,8 @@ spin2:
 	syscall
 `)
 	k.Spawn(prog.MustSymbol("other"), guest.StackTop(1))
-	var deaths []int
-	k.OnThreadDeath(func(th *Thread) { deaths = append(deaths, th.ID) })
+	var events eventLog
+	k.Tracer = &events
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -47,8 +47,8 @@ spin2:
 	if killed != 1 || k.Stats.Kills != 1 {
 		t.Errorf("killed=%d Stats.Kills=%d, want 1/1", killed, k.Stats.Kills)
 	}
-	if len(deaths) != 2 {
-		t.Errorf("death callbacks for %v, want both threads", deaths)
+	if deaths := events.deaths(); len(deaths) != 2 {
+		t.Errorf("traced deaths of %v, want both threads", deaths)
 	}
 }
 

@@ -190,10 +190,7 @@ func TestRecoverableCounterRepairsOrphan(t *testing.T) {
 // mutual exclusion and leave no stuck acquirers.
 func TestRecoverableCounterKillSweep(t *testing.T) {
 	const seed = 0x564D4B53 // "VMKS"
-	schedules := 150
-	if testing.Short() {
-		schedules = 25
-	}
+	const schedules = 150
 	cfg := func(strat Strategy, faults chaos.Injector) Config {
 		return Config{Strategy: strat, Quantum: 250, Faults: faults}
 	}

@@ -41,7 +41,6 @@ var resetFields = map[string]kernelScribble{
 
 	"Kernel.livelock":       func(k *Kernel) { k.livelock = &LivelockError{Thread: 1} },
 	"Kernel.crashed":        func(k *Kernel) { k.crashed = &crashError{step: 9} },
-	"Kernel.deathFns":       func(k *Kernel) { k.OnThreadDeath(func(*Thread) {}) },
 	"Kernel.userHandler":    func(k *Kernel) { k.userHandler = 0x1000 },
 	"Kernel.hasUserHandler": func(k *Kernel) { k.hasUserHandler = true },
 	"Kernel.batching":       func(k *Kernel) { k.batching = true },
@@ -147,18 +146,17 @@ func TestResetMatchesNew(t *testing.T) {
 
 // lifeResult is everything one life of a persistent machine leaves
 // behind: the run's results, the capture right after Boot, the state key
-// at the end, and the threads OnThreadDeath saw die. Stores holds every
-// counter and lock store the machine's one memory watcher saw in it.
+// at the end. Stores holds every counter and lock store the machine's one
+// memory watcher saw in it.
 type lifeResult struct {
 	runResult
 	Booted    []byte // Capture().Encode() right after Boot
 	BootSteps uint64
 	Key       []byte // AppendStateKey at the end of the life
-	Deaths    []int
 }
 
 // runLives runs prog's lives, one per injector, booting each with boot.
-// Each life installs its hooks (tracer, death callback) after Boot, as
+// Each life installs its tracer after Boot, as
 // the contract asks; the memory watchers are installed once, at the cold
 // boot, and read whichever kernel is running.
 func runLives(prog *asm.Program, boot func(chaos.Injector) *Kernel, faults []chaos.Injector) ([]lifeResult, []*Kernel) {
@@ -178,7 +176,6 @@ func runLives(prog *asm.Program, boot func(chaos.Injector) *Kernel, faults []cha
 		}
 		r.Booted, r.BootSteps = k.Capture().Encode(), k.Steps()
 		k.Tracer = &r.Events
-		k.OnThreadDeath(func(t *Thread) { r.Deaths = append(r.Deaths, t.ID) })
 		r.finish(k, k.Run())
 		r.Key = k.AppendStateKey(nil)
 	}
@@ -245,12 +242,12 @@ func diffLife(a, b lifeResult) error {
 		return errors.New("the capture at the end of the life")
 	case !bytes.Equal(a.Key, b.Key):
 		return errors.New("the state key at the end of the life")
+	case !reflect.DeepEqual(a.Events.deaths(), b.Events.deaths()):
+		return fmt.Errorf("deaths %v, want %v", a.Events.deaths(), b.Events.deaths())
 	case !reflect.DeepEqual(a.Events, b.Events):
 		return fmt.Errorf("%d trace events, want %d (or they differ)", len(a.Events), len(b.Events))
 	case !reflect.DeepEqual(a.Stores, b.Stores):
 		return fmt.Errorf("watcher saw %v, want %v", a.Stores, b.Stores)
-	case !reflect.DeepEqual(a.Deaths, b.Deaths):
-		return fmt.Errorf("deaths %v, want %v", a.Deaths, b.Deaths)
 	case !reflect.DeepEqual(a, b):
 		return errors.New("the rest of the life's results")
 	}

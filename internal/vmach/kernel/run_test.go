@@ -34,6 +34,17 @@ type eventLog []obs.Event
 
 func (l *eventLog) Event(ev obs.Event) { *l = append(*l, ev) }
 
+// deaths lists the threads the log saw exit or be killed, in order.
+func (l eventLog) deaths() []int {
+	var ids []int
+	for _, ev := range l {
+		if ev.Type == obs.KindExit || ev.Type == obs.KindKill {
+			ids = append(ids, ev.Thread)
+		}
+	}
+	return ids
+}
+
 // storeSeen is one committed counter store with the Steps and CurrentID
 // a memory watcher read while it retired.
 type storeSeen struct {
@@ -271,14 +282,14 @@ func TestStepUpToMatchesStepOne(t *testing.T) {
 	}
 }
 
-// Every mcheck schedule and cold boot allocates a Kernel, and 512 bytes
+// Every mcheck schedule and cold boot allocates a Kernel, and 480 bytes
 // is a malloc size class: a field that pushes the struct past it costs
 // every one of those allocations the next class up. A warm boot reuses
 // its kernel's Thread structs through the thread table's spare capacity,
 // so that reuse needs no field.
 func TestKernelFitsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Kernel{}); size > 512 {
-		t.Errorf("unsafe.Sizeof(Kernel{}) = %d, want <= 512", size)
+	if size := unsafe.Sizeof(Kernel{}); size > 480 {
+		t.Errorf("unsafe.Sizeof(Kernel{}) = %d, want <= 480", size)
 	}
 }
 

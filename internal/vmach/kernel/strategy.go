@@ -86,9 +86,6 @@ func (s *MultiRegistration) AddRange(start, length uint32) {
 	s.ranges = append(s.ranges, rasRange{start, length})
 }
 
-// Len reports the number of registered ranges.
-func (s *MultiRegistration) Len() int { return len(s.ranges) }
-
 // Name implements Strategy.
 func (s *MultiRegistration) Name() string { return "multi-registration" }
 

@@ -590,3 +590,8 @@ func TestMachineFitsSizeClass(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(Machine{}) = %d, want <= 192", size)
 	}
 }
+
+// Present reports whether the page containing addr is present.
+func (m *Memory) Present(addr uint32) bool {
+	return !m.notPresent[addr>>PageShift]
+}

@@ -142,11 +142,6 @@ func (m *Memory) SetPresent(addr uint32, present bool) {
 	}
 }
 
-// Present reports whether the page containing addr is present.
-func (m *Memory) Present(addr uint32) bool {
-	return !m.notPresent[addr>>PageShift]
-}
-
 func (m *Memory) check(addr uint32) *Fault {
 	if addr&3 != 0 {
 		return &Fault{FaultUnaligned, addr}
@@ -227,8 +222,10 @@ func (m *Memory) StoreWord(addr uint32, v isa.Word) *Fault {
 	i := addr >> 2 & (PageWords - 1)
 	old := p[i]
 	p[i] = v
-	for _, fn := range m.watchers[addr] {
-		fn(old, v)
+	if len(m.watchers) != 0 {
+		for _, fn := range m.watchers[addr] {
+			fn(old, v)
+		}
 	}
 	return nil
 }

@@ -127,3 +127,15 @@ func FuzzSMPCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// RunRounds advances the system by at most n rounds, reporting whether it
+// finished. Cutting a run at a round count is deterministic, which is
+// what checkpoint tests want.
+func (s *System) RunRounds(n uint64) (finished bool) {
+	for ; n > 0; n-- {
+		if s.StepRound() {
+			return true
+		}
+	}
+	return false
+}

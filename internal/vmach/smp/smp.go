@@ -221,18 +221,6 @@ func (s *System) AllDone() bool {
 	return true
 }
 
-// RunRounds advances the system by at most n rounds, reporting whether it
-// finished. Cutting a run at a round count is deterministic, which is
-// what checkpoint tests want.
-func (s *System) RunRounds(n uint64) (finished bool) {
-	for ; n > 0; n-- {
-		if s.StepRound() {
-			return true
-		}
-	}
-	return false
-}
-
 // Run steps the system round-robin until every CPU finishes, then returns
 // the combined verdict: nil if every CPU ended cleanly, else an error
 // naming the first failing CPU.
