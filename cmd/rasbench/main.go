@@ -188,7 +188,7 @@ var tables = []table{
 	}, bench.FormatRecovery),
 	entry("persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func(h *bench.Harness, o benchOpts) ([]bench.PersistRow, error) {
 		cfg := bench.DefaultPersistConfig()
-		cfg.Seed, cfg.MaxCycles = o.seedOr(cfg.Seed), o.timeout
+		cfg.Seed = o.seedOr(cfg.Seed)
 		return bench.TablePersist(h, cfg)
 	}, bench.FormatPersist),
 	entry("journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func(h *bench.Harness, o benchOpts) ([]bench.JournalRow, error) {

@@ -81,7 +81,8 @@ func pstructPassage(h *Harness, cfg JournalConfig, kind string, mode core.LogMod
 		ops[i] = i + 1
 	}
 	arena := mcheck.PStructArena(kind, cfg.Ops)
-	p := persistProc(cfg.MaxCycles, nil)
+	p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: cfg.MaxCycles})
+	p.EnablePersistence()
 	var opErr error
 	p.Go("main", func(e *uniproc.Env) {
 		_, opErr = mcheck.PStructOps(e, arena, kind, mode, ops, func() {})

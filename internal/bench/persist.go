@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/mcheck"
-	"repro/internal/uniproc"
 )
 
 // PersistConfig parametrizes the persistence table (experiment E23): the
@@ -18,10 +14,9 @@ import (
 type PersistConfig struct {
 	Seed uint64
 	// Crashes is the per-substrate number of seeded volatile-crash points.
-	Crashes   int
-	Workers   int
-	Iters     int
-	MaxCycles uint64
+	Crashes int
+	Workers int
+	Iters   int
 }
 
 // DefaultPersistConfig returns the configuration `rasbench -table persist`
@@ -42,90 +37,6 @@ type PersistRow struct {
 	Outcome string `json:"outcome"`
 }
 
-// persistProc is a uniprocessor with the two-tier persistence model on
-// and the crash sweeps' 2000-cycle quantum.
-func persistProc(maxCycles uint64, faults chaos.Injector) *uniproc.Processor {
-	p := uniproc.New(uniproc.Config{Quantum: 2000, MaxCycles: maxCycles, Faults: faults})
-	p.EnablePersistence()
-	return p
-}
-
-// uniprocPersistSweep is the runtime-layer sweep: core.PersistentMutex
-// plus a caller-persisted counter, crashed at seeded memory-operation
-// ordinals and recovered on a fresh processor from word contents alone.
-func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
-	fail := func(format string, args ...any) (PersistRow, error) {
-		return PersistRow{}, fmt.Errorf("uniproc/crash-sweep: "+format+" (repro: %s)",
-			append(args, tableRepro("persist", cfg.Seed))...)
-	}
-	workload := func(mu *core.PersistentMutex, counter *core.Word, committed *int) func(*uniproc.Env) {
-		return func(e *uniproc.Env) {
-			for i := 0; i < cfg.Iters; i++ {
-				mu.Acquire(e)
-				v := e.Load(counter)
-				e.Store(counter, v+1)
-				*committed++
-				e.Flush(counter)
-				e.Fence()
-				mu.Release(e)
-			}
-		}
-	}
-	cal := persistProc(cfg.MaxCycles, nil)
-	calMu, calCounter, calN := core.NewPersistentMutex(), core.Word(0), 0
-	cal.Go("main", func(e *uniproc.Env) {
-		for w := 0; w < cfg.Workers; w++ {
-			e.Fork("worker", workload(calMu, &calCounter, &calN))
-		}
-	})
-	if err := h.Run(cal); err != nil {
-		return fail("calibration: %v", err)
-	}
-	span := cal.MemOps()
-
-	var repairs uint64
-	var maxLoss int64
-	for c := 0; c < cfg.Crashes; c++ {
-		at := chaos.DeriveOrdinal(span, cfg.Seed, 0x5A, uint64(c))
-		mu := core.NewPersistentMutex()
-		var counter core.Word
-		committed := 0
-		p1 := persistProc(cfg.MaxCycles, chaos.OneShot{Point: chaos.PointMemOp, N: at,
-			Action: chaos.Action{Crash: chaos.CrashVolatile}})
-		p1.Go("main", func(e *uniproc.Env) {
-			for w := 0; w < cfg.Workers; w++ {
-				e.Fork("worker", workload(mu, &counter, &committed))
-			}
-		})
-		if err := h.Run(p1); !errors.Is(err, uniproc.ErrMachineCrash) {
-			return fail("crash %d at memop %d: run = %v", c, at, err)
-		}
-		c0 := counter
-		if loss := int64(committed) - int64(c0); loss > maxLoss {
-			maxLoss = loss
-		}
-		if int(c0) < committed-1 {
-			return fail("crash %d at memop %d: NVM counter %d but %d committed", c, at, c0, committed)
-		}
-		p2 := persistProc(cfg.MaxCycles, nil)
-		p2.Go("main", func(e *uniproc.Env) {
-			mu.Recover(e)
-			for w := 0; w < cfg.Workers; w++ {
-				e.Fork("worker", workload(mu, &counter, &committed))
-			}
-		})
-		if err := h.Run(p2); err != nil {
-			return fail("crash %d at memop %d: reboot run: %v", c, at, err)
-		}
-		if want := c0 + core.Word(cfg.Workers*cfg.Iters); counter != want {
-			return fail("crash %d at memop %d: counter after reboot = %d, want %d", c, at, counter, want)
-		}
-		repairs += p2.Stats.Repairs
-	}
-	return PersistRow{Scenario: "uniproc/crash-sweep", Seed: cfg.Seed, Crashes: cfg.Crashes,
-		Repairs: repairs, MaxLoss: maxLoss, Outcome: "loss <= 1, exact recovery"}, nil
-}
-
 // TablePersist runs the NVRAM persistence validation (E23):
 //
 //   - vmach crash sweep: the persist model's guest crashed (volatile
@@ -135,31 +46,38 @@ func uniprocPersistSweep(h *Harness, cfg PersistConfig) (PersistRow, error) {
 //   - vmach under-flush control: the same sweep over the deliberately
 //     under-flushed variant must report persist-loss, a loss greater
 //     than one;
-//   - uniproc crash sweep: core.PersistentMutex with a caller-persisted
-//     counter, same protocol at memory-operation granularity;
+//   - uniproc crash sweep: the uni-persist model, core.PersistentMutex
+//     with a caller-persisted counter, crashed the same way;
 //   - flush-boundary walk: the model checker's exhaustive K=1 enumeration
 //     of a volatile crash at EVERY persist-operation boundary, which must
 //     pass with zero violations.
 //
-// Any failure is returned as an error naming the seed that reproduces it.
+// Any failure is returned as an error whose text is the .sched file that
+// replays it.
 func TablePersist(h *Harness, cfg PersistConfig) ([]PersistRow, error) {
 	if cfg.Crashes <= 0 {
 		cfg.Crashes = 1
 	}
 	var rows []PersistRow
 
-	// The vmach sweeps: the persist model's instances, each crashed
-	// once at a seeded persist-op ordinal. The control is the planted
-	// under-flushed variant, which must lose more than one increment.
+	// The crash sweeps: the persist and uni-persist models' instances,
+	// each crashed once at a seeded persist-op ordinal. The control is
+	// the planted under-flushed variant, which must lose more than one
+	// increment.
+	w, n := strconv.Itoa(cfg.Workers), strconv.Itoa(cfg.Iters)
 	for _, leg := range []struct {
-		scenario, variant, expect, outcome string
-		salt                               uint64
+		scenario, model, expect, outcome string
+		params                           map[string]string
+		salt                             uint64
 	}{
-		{"vmach/crash-sweep", "flushed", "", "loss <= 1, exact recovery", 0x58},
-		{"vmach/underflush-control", "underflush", "persist-loss", "loss detected (control)", 0x59},
+		{"vmach/crash-sweep", "persist", "", "loss <= 1, exact recovery",
+			map[string]string{"workers": w, "iters": n, "variant": "flushed"}, 0x58},
+		{"vmach/underflush-control", "persist", "persist-loss", "loss detected (control)",
+			map[string]string{"workers": w, "iters": n, "variant": "underflush"}, 0x59},
+		{"uniproc/crash-sweep", "uni-persist", "", "loss <= 1, exact recovery",
+			map[string]string{"workers": w, "iters": n}, 0x5A},
 	} {
-		out, err := h.sweep(leg.scenario, "persist",
-			map[string]string{"workers": strconv.Itoa(cfg.Workers), "iters": strconv.Itoa(cfg.Iters), "variant": leg.variant},
+		out, err := h.sweep(leg.scenario, leg.model, leg.params,
 			cfg.Crashes, leg.expect, crashPlan(cfg.Seed, leg.salt, mcheck.ActCrashVolatile))
 		if err != nil {
 			return nil, err
@@ -167,12 +85,6 @@ func TablePersist(h *Harness, cfg PersistConfig) ([]PersistRow, error) {
 		rows = append(rows, PersistRow{Scenario: leg.scenario, Seed: cfg.Seed, Crashes: cfg.Crashes,
 			Repairs: out.Repairs, MaxLoss: out.MaxLoss, Outcome: leg.outcome})
 	}
-
-	row, err := uniprocPersistSweep(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
 
 	// Exhaustive flush-boundary walk via the model checker.
 	schedules, err := exhaustiveK1("mcheck/flush-boundaries", "persist", map[string]string{"workers": "1", "iters": "2"})

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/uniproc"
 )
 
@@ -47,13 +46,6 @@ func rmEpoch(v Word) Word { return v >> rmEpochShift }
 type RecoverableMutex struct {
 	word    Word
 	Checker *RMEChecker // optional invariant audit
-
-	// Passage, when non-nil, observes the RMR-style passage cost of every
-	// completed acquire→release span: virtual cycles from entering Acquire
-	// to finishing Release.
-	Passage *obs.Histogram
-
-	passageStart map[int]uint64 // thread ID -> cycle Acquire was entered
 }
 
 // NewRecoverableMutex returns an unlocked recoverable mutex.
@@ -118,7 +110,6 @@ func (m *RecoverableMutex) step(e *uniproc.Env, me Word) (acquired, busy bool) {
 // Acquire implements Locker: spin (yielding, as on any uniprocessor) until
 // the lock is free or its owner has died and the repair CAS succeeds.
 func (m *RecoverableMutex) Acquire(e *uniproc.Env) {
-	m.passageBegin(e)
 	me := m.self(e)
 	for {
 		acquired, busy := m.step(e, me)
@@ -142,29 +133,6 @@ func (m *RecoverableMutex) Release(e *uniproc.Env) {
 	}
 	m.noteRelease(e)
 	e.Store(&m.word, v&^rmOwnerMask)
-	m.passageEnd(e)
-}
-
-// passageBegin stamps the start of a passage for the calling thread.
-func (m *RecoverableMutex) passageBegin(e *uniproc.Env) {
-	if m.Passage == nil {
-		return
-	}
-	if m.passageStart == nil {
-		m.passageStart = make(map[int]uint64)
-	}
-	m.passageStart[e.Self().ID] = e.Now()
-}
-
-// passageEnd observes a completed acquire→release span.
-func (m *RecoverableMutex) passageEnd(e *uniproc.Env) {
-	if m.Passage == nil {
-		return
-	}
-	if start, ok := m.passageStart[e.Self().ID]; ok {
-		delete(m.passageStart, e.Self().ID)
-		m.Passage.Observe(e.Now() - start)
-	}
 }
 
 func (m *RecoverableMutex) noteAcquire(e *uniproc.Env, stolenFrom int) {

@@ -98,35 +98,24 @@ func journalModel(p map[string]string) (Model, error) {
 // uniproc: the memfs journal and the persistent structures. Replay-only
 // models (the uniproc runtime runs whole schedules), with the crash
 // decisions rendered as a chaos injector at PointPersist. A decision
-// ordinal is global across reboots: each boot's injector sees the
-// decisions shifted down by the persist ops earlier boots retired.
-
-// shiftDecisions makes ds boot-relative: decisions at or before base
-// already fired in an earlier boot; later ones shift down by base.
-func shiftDecisions(ds []Decision, base uint64) []Decision {
-	var out []Decision
-	for _, d := range ds {
-		if d.At > base {
-			out = append(out, Decision{At: d.At - base, Act: d.Act})
-		}
-	}
-	return out
-}
+// ordinal is global across reboots: each boot's injector is offset by
+// the persist ops earlier boots retired (chaos.Offset).
 
 // rebootUni is the uniproc crash-family run: boot after boot over the
 // arenas body closes over, each on a fresh persistent processor whose
-// injector sees ds shifted past the persist ops earlier boots retired.
-// body spawns one boot's threads and returns the checks for a boot that
-// ends without crashing. A crash reboots; any other end is classified
-// and checked, and ends the run. It returns the persist ops retired
-// across all boots, the run's cursor.
+// injector is offset past the persist ops earlier boots retired. body
+// spawns one boot's threads and returns the checks for a boot that ends
+// without crashing. A crash reboots; any other end is classified and
+// checked, and ends the run. It returns the persist ops retired across
+// all boots, the run's cursor.
 func rebootUni(ds []Decision, opt Options, vio *violations, out *Outcome, body func(proc *uniproc.Processor, boot int) (check func())) uint64 {
+	inj := newInjector(chaos.PointPersist, ds)
 	var cum uint64
 	for boot := 0; boot < len(ds)+2; boot++ {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   modelQuantum,
 			MaxCycles: modelBudget,
-			Faults:    newInjector(chaos.PointPersist, shiftDecisions(ds, cum)),
+			Faults:    chaos.Offset(inj, cum),
 		})
 		proc.Tracer = opt.Tracer
 		proc.EnablePersistence()

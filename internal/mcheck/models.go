@@ -52,6 +52,11 @@ var registry = map[string]modelEntry{
 		build:    uniRMEModel,
 		doc:      "uniproc core.RecoverableMutex under forced kills",
 	},
+	"uni-persist": {
+		defaults: map[string]string{"workers": "2", "iters": "2"},
+		build:    uniPersistModel,
+		doc:      "uniproc core.PersistentMutex with a persisted counter, crash at every persist boundary",
+	},
 	"journal": {
 		defaults: map[string]string{"mode": "redo", "target": "2", "torn": "0"},
 		build:    journalModel,

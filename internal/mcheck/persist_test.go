@@ -5,42 +5,53 @@ import (
 	"testing"
 )
 
-// The tentpole acceptance check: the well-flushed persistent counter
-// survives a volatile crash at EVERY persist-operation boundary — each
-// state the protocol can leave in NVM is crashed into, rebooted from, and
-// must recover to the exact final counter with the lock free. K=1 is the
-// full "crash at every flush boundary" sweep.
+// The well-flushed persistent counter, on both substrates (the persist
+// guest on vmach, core.PersistentMutex in uni-persist), survives a
+// volatile crash at EVERY persist-operation boundary — each state the
+// protocol can leave in NVM is crashed into, rebooted from, and must
+// recover to the exact final counter (and, in persist, with the lock
+// free). K=1 is the full "crash at every flush boundary" sweep.
 func TestExhaustivePersistCrashAtEveryBoundary(t *testing.T) {
-	e := &Explorer{Model: build(t, "persist", nil), MaxDecisions: 1}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		model string
+		// floor is the protocol's persist boundaries: 3 persist points x
+		// (flush+fence) per passage, x 2 passages for persist's default
+		// workers=1 iters=2 and x 4 for uni-persist's 2x2. Anything
+		// smaller means the cursor is not counting persist ops.
+		floor int
+	}{{"persist", 12}, {"uni-persist", 24}} {
+		t.Run(c.model, func(t *testing.T) {
+			rep, err := (&Explorer{Model: build(t, c.model, nil), MaxDecisions: 1}).Exhaustive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Passed() {
+				t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
+			}
+			if rep.Schedules < c.floor {
+				t.Errorf("only %d schedules — the persist-op horizon is too short to mean anything", rep.Schedules)
+			}
+			t.Logf("%v", rep)
+		})
 	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	// workers=1 iters=2 retires 3 persist points x (flush+fence) x 2
-	// iterations = 12 boundaries; anything much smaller means the cursor
-	// is not counting persist ops.
-	if rep.Schedules < 12 {
-		t.Errorf("only %d schedules — the persist-op horizon is too short to mean anything", rep.Schedules)
-	}
-	t.Logf("%v", rep)
 }
 
 // K=2 lands the second crash inside recovery itself: a reboot's repair
 // sequence is made of the same persist operations, so its boundaries are
 // ordinals too, and crash-during-recovery must also recover.
 func TestExhaustivePersistCrashDuringRecovery(t *testing.T) {
-	e := &Explorer{Model: build(t, "persist", nil), MaxDecisions: 2}
-	rep, err := e.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
+	for _, model := range []string{"persist", "uni-persist"} {
+		t.Run(model, func(t *testing.T) {
+			rep, err := (&Explorer{Model: build(t, model, nil), MaxDecisions: 2}).Exhaustive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Passed() {
+				t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
+			}
+			t.Logf("%v", rep)
+		})
 	}
-	if !rep.Passed() {
-		t.Fatalf("%v\nrepro: %s", rep, reproLine(rep))
-	}
-	t.Logf("%v", rep)
 }
 
 // The deliberately under-flushed variant (P2/P3 persist points removed):

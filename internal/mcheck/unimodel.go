@@ -15,9 +15,9 @@ import (
 // (small) decision spaces without pruning. A model supplies only run,
 // which builds the processors, drives them through opt.run, applies its
 // invariants, records its Outcome and returns the cursor. The ordinal
-// space is PointMemOp (guest Load/Store operations) here, and persist
-// operations for the crash-family models (memfs-journal, pstruct,
-// resilience).
+// space is PointMemOp (guest Load/Store operations) for the counter and
+// RME models, and persist operations for the crash-family models
+// (uni-persist, memfs-journal, pstruct, resilience).
 
 // uniRun is a uniproc model's whole run: it records breaches in vio and
 // what the run did in out, and returns the cursor.
@@ -149,5 +149,60 @@ func uniRMEModel(p map[string]string) (Model, error) {
 		}
 		out.Kills, out.Repairs = proc.Stats.Kills, mtx.Checker.Steals()
 		return proc.MemOps()
+	})}, nil
+}
+
+// uniPersistModel is core.PersistentMutex guarding a caller-persisted
+// counter on a crash-prone NVRAM processor, the uniproc twin of the
+// persist model: workers acquire, increment, flush and fence the
+// counter, then release, and main recovers the lock word before forking
+// them on every reboot. A crash may discard at most the one increment
+// not yet fenced (persist-loss), and the last boot ends exactly
+// workers*iters past what survived (counter-exact).
+func uniPersistModel(p map[string]string) (Model, error) {
+	workers, iters, err := workerIters(p)
+	if err != nil {
+		return nil, err
+	}
+	perBoot := core.Word(workers * iters)
+	return &model{name: "uni-persist", params: p, primary: ActCrashVolatile, new: uniNew(func(ds []Decision, opt Options, vio *violations, out *Outcome) uint64 {
+		mu := core.NewPersistentMutex()
+		// start is the counter that survived into the current boot, and
+		// committed the increments stored since it began.
+		var counter, start, committed core.Word
+		return rebootUni(ds, opt, vio, out, func(proc *uniproc.Processor, boot int) func() {
+			if boot > 0 {
+				loss := int64(start+committed) - int64(counter)
+				out.MaxLoss = max(out.MaxLoss, loss)
+				if loss > 1 {
+					vio.add("persist-loss", "crash in boot %d: counter %d survived of %d — %d increments lost, bound is 1",
+						boot, counter, start+committed, loss)
+				}
+				start, committed = counter, 0
+			}
+			proc.Go("main", func(e *uniproc.Env) {
+				if boot > 0 && mu.Recover(e) {
+					out.Repairs++
+				}
+				for w := 0; w < workers; w++ {
+					e.Fork("worker", func(e *uniproc.Env) {
+						for it := 0; it < iters; it++ {
+							mu.Acquire(e)
+							e.Store(&counter, e.Load(&counter)+1)
+							committed++
+							e.Flush(&counter)
+							e.Fence()
+							mu.Release(e)
+						}
+					})
+				}
+			})
+			return func() {
+				if want := start + perBoot; counter != want {
+					vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
+						counter, boot+1, want, start, perBoot)
+				}
+			}
+		})
 	})}, nil
 }

@@ -29,15 +29,13 @@ func (c *Counter) Name() string { return c.name }
 // inclusive upper bucket edges; one implicit overflow bucket catches the
 // rest.
 type Histogram struct {
-	name, help string
 	bounds     []uint64
 	counts     []uint64 // len(bounds)+1
 	count, sum uint64
 }
 
-// NewHistogram returns a standalone (unregistered, unnamed) histogram
-// with the given inclusive upper bucket edges — for callers that want a
-// local latency distribution without a Registry.
+// NewHistogram returns a histogram with the given inclusive upper bucket
+// edges.
 func NewHistogram(bounds []uint64) *Histogram {
 	return &Histogram{
 		bounds: append([]uint64{}, bounds...),
@@ -81,14 +79,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Mean returns the mean observation, or 0 before the first.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // Quantile returns an upper bound on the q-quantile observation for
 // 0 ≤ q ≤ 1: the smallest bucket edge at which the cumulative count
@@ -159,20 +149,17 @@ func ExpBuckets(first uint64, n int) []uint64 {
 	return out
 }
 
-// Registry holds named metrics. Lookups are get-or-create, so independent
-// subsystems can share one registry without coordination. The simulated
-// world is single-threaded by construction, so no locking is needed.
+// Registry holds named counters. Lookups are get-or-create, so
+// independent subsystems can share one registry without coordination.
+// The simulated world is single-threaded by construction, so no locking
+// is needed.
 type Registry struct {
 	counters map[string]*Counter
-	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -185,19 +172,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it on first use with the
-// given bucket bounds (ignored if it already exists).
-func (r *Registry) Histogram(name, help string, bounds []uint64) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{name: name, help: help,
-		bounds: append([]uint64{}, bounds...),
-		counts: make([]uint64, len(bounds)+1)}
-	r.hists[name] = h
-	return h
-}
-
 // CounterValue returns the named counter's value (0 if absent) — the
 // assertion hook tests use to compare against substrate Stats.
 func (r *Registry) CounterValue(name string) uint64 {
@@ -207,9 +181,8 @@ func (r *Registry) CounterValue(name string) uint64 {
 	return 0
 }
 
-// Dump renders every metric as plain text, sorted by name: one
-// `name value  # help` line per counter, and a block per
-// histogram with count, sum, mean and cumulative buckets.
+// Dump renders every counter as plain text, one `name value  # help`
+// line each, sorted by name.
 func (r *Registry) Dump() string {
 	var b strings.Builder
 	names := make([]string, 0, len(r.counters))
@@ -220,26 +193,6 @@ func (r *Registry) Dump() string {
 	for _, n := range names {
 		c := r.counters[n]
 		fmt.Fprintf(&b, "%-34s %12d  # %s\n", n, c.v, c.help)
-	}
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := r.hists[n]
-		fmt.Fprintf(&b, "%s: count=%d sum=%d mean=%.1f  # %s\n", n, h.count, h.sum, h.Mean(), h.help)
-		bounds, cum := h.Buckets()
-		for i, bd := range bounds {
-			if cum[i] == 0 && i > 0 && cum[i] == cum[i-1] {
-				continue // skip empty leading detail; cumulative shape is preserved
-			}
-			if bd == ^uint64(0) {
-				fmt.Fprintf(&b, "  le=+inf %12d\n", cum[i])
-			} else {
-				fmt.Fprintf(&b, "  le=%-6d %12d\n", bd, cum[i])
-			}
-		}
 	}
 	return b.String()
 }

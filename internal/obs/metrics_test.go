@@ -23,8 +23,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "h", []uint64{10, 100})
+	h := NewHistogram([]uint64{10, 100})
 	for _, v := range []uint64{1, 5, 50, 500, 5000} {
 		h.Observe(v)
 	}
@@ -38,9 +37,6 @@ func TestHistogramBuckets(t *testing.T) {
 	// <=10: 2, <=100: 3 cumulative, overflow: 5 cumulative.
 	if cum[0] != 2 || cum[1] != 3 || cum[2] != 5 {
 		t.Errorf("cumulative = %v", cum)
-	}
-	if h.Mean() != 5556.0/5 {
-		t.Errorf("mean = %v", h.Mean())
 	}
 }
 
@@ -108,9 +104,8 @@ func TestRegistryDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "second").Add(2)
 	r.Counter("a_total", "first").Inc()
-	r.Histogram("lat", "latency", []uint64{8}).Observe(3)
 	d := r.Dump()
-	if !strings.Contains(d, "a_total") || !strings.Contains(d, "b_total") || !strings.Contains(d, "lat:") {
+	if !strings.Contains(d, "a_total") || !strings.Contains(d, "b_total") {
 		t.Fatalf("dump missing entries:\n%s", d)
 	}
 	if strings.Index(d, "a_total") > strings.Index(d, "b_total") {
@@ -154,9 +149,5 @@ func TestPaperMetricsDerivesFromEvents(t *testing.T) {
 		if ck.c.Value() != ck.want {
 			t.Errorf("%s = %d, want %d", ck.c.Name(), ck.c.Value(), ck.want)
 		}
-	}
-	pm.Passage.Observe(40)
-	if !strings.Contains(pm.Dump(), "rme_passage_cycles: count=1") {
-		t.Error("passage histogram missing from dump")
 	}
 }

@@ -14,9 +14,9 @@
 //     thread, kind, args) that both substrates publish into through their
 //     existing Tracer hooks, a bounded drop-oldest Ring for tails, and a
 //     Rebase that stitches many runs onto one timeline;
-//   - a metrics registry: counters and fixed-bucket histograms,
-//     pre-wired (see PaperMetrics) with the paper's headline counters and
-//     an RMR-style passage-cost histogram for core.RecoverableMutex;
+//   - metrics: a registry of counters, pre-wired (see PaperMetrics) with
+//     the paper's headline counters, and fixed-bucket histograms for
+//     latency and passage-cost distributions;
 //   - a cycle-attributed profiler: per-PC/per-symbol flat+cumulative
 //     cycle histograms for the ISA machine (CycleProfiler, fed by the
 //     kernel's retired-instruction hook) with folded-stack

@@ -1,10 +1,9 @@
 package obs
 
-// PaperMetrics wires a Registry to the paper's headline counters and the
-// RME passage-cost histogram, deriving every value from the event stream
-// (not copied from substrate stats — the acceptance test for the events is
-// that the two agree exactly). Install it as a tracer, or let an Observer
-// feed it.
+// PaperMetrics wires a Registry to the paper's headline counters,
+// deriving every value from the event stream (not copied from substrate
+// stats — the acceptance test for the events is that the two agree
+// exactly). Install it as a tracer, or let an Observer feed it.
 type PaperMetrics struct {
 	Reg *Registry
 
@@ -22,12 +21,6 @@ type PaperMetrics struct {
 	Syscalls    *Counter // KindSyscall
 	PageFaults  *Counter // KindPageFault
 	Dispatches  *Counter // KindDispatch
-
-	// Passage is the RMR-style passage-cost histogram for
-	// core.RecoverableMutex: virtual cycles from acquire-start to
-	// release-end. The mutex observes into it directly (passage cost is a
-	// span, not an event).
-	Passage *Histogram
 }
 
 // NewPaperMetrics pre-wires reg (a fresh registry if nil).
@@ -51,9 +44,6 @@ func NewPaperMetrics(reg *Registry) *PaperMetrics {
 		Syscalls:    reg.Counter("syscalls_total", "syscalls dispatched"),
 		PageFaults:  reg.Counter("page_faults_total", "pages faulted in"),
 		Dispatches:  reg.Counter("dispatches_total", "thread dispatches"),
-		Passage: reg.Histogram("rme_passage_cycles",
-			"recoverable-mutex passage cost: cycles from acquire start to release end",
-			ExpBuckets(16, 16)),
 	}
 }
 
