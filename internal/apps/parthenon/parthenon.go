@@ -112,8 +112,6 @@ type Config struct {
 
 // prover is the shared state among workers.
 type prover struct {
-	pkg *cthreads.Pkg
-
 	mu     *cthreads.Mutex
 	work   *cthreads.Cond
 	agenda []Clause // clauses awaiting processing
@@ -137,7 +135,6 @@ func Run(e *uniproc.Env, cfg Config, input []Clause) Result {
 		cfg.Workers = 1
 	}
 	p := &prover{
-		pkg:      cfg.Pkg,
 		mu:       cfg.Pkg.NewMutex(),
 		work:     cfg.Pkg.NewCond(),
 		seen:     make(map[string]bool),

@@ -100,7 +100,6 @@ type item struct {
 	args   []string
 	addr   uint32 // assigned address
 	isData bool
-	data   []isa.Word // for .word
 }
 
 type assembler struct {

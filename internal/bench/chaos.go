@@ -177,7 +177,6 @@ func TableChaos(h *Harness, cfg ChaosConfig) ([]ChaosRow, error) {
 	// test-and-set; core.Degrading must demote to emulation and finish.
 	{
 		d := core.NewDegrading(core.NewRAS(), core.NewKernelEmul(arch.R3000()))
-		d.OpRestartLimit = 8
 		proc, counter, err := uniprocChaosRun(h, cfg, d, 2, nil, chaos.Watchdog{})
 		if err != nil {
 			return nil, fmt.Errorf("uniproc/degrading: %v (repro: %s)", err, tableRepro("chaos", cfg.Seed))

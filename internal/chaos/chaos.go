@@ -487,9 +487,9 @@ const (
 	// WatchdogOff disables livelock detection (the seed's behaviour).
 	WatchdogOff WatchdogPolicy = iota
 	// WatchdogExtend grants the livelocked thread one extended timeslice
-	// (Factor × quantum) so a sequence slightly longer than the quantum can
-	// complete; if the livelock persists after the extension, it escalates
-	// to an abort.
+	// (ExtendFactor × quantum) so a sequence slightly longer than the
+	// quantum can complete; if the livelock persists after the extension,
+	// it escalates to an abort.
 	WatchdogExtend
 	// WatchdogAbort aborts the run immediately with a diagnostic naming
 	// the sequence and its restart count.
@@ -515,10 +515,10 @@ type Watchdog struct {
 	Policy WatchdogPolicy
 	// MaxRestarts is the consecutive-restart threshold; 0 means 32.
 	MaxRestarts uint64
-	// ExtendFactor is the one-time quantum multiplier granted under
-	// WatchdogExtend; 0 means 4.
-	ExtendFactor uint64
 }
+
+// ExtendFactor is the one-time quantum multiplier WatchdogExtend grants.
+const ExtendFactor = 4
 
 // Limit returns the effective consecutive-restart threshold.
 func (w Watchdog) Limit() uint64 {
@@ -526,14 +526,6 @@ func (w Watchdog) Limit() uint64 {
 		return 32
 	}
 	return w.MaxRestarts
-}
-
-// Factor returns the effective quantum-extension multiplier.
-func (w Watchdog) Factor() uint64 {
-	if w.ExtendFactor == 0 {
-		return 4
-	}
-	return w.ExtendFactor
 }
 
 // Sequence mutation ----------------------------------------------------------

@@ -273,12 +273,12 @@ func TestStringers(t *testing.T) {
 
 func TestWatchdogDefaults(t *testing.T) {
 	var w Watchdog
-	if w.Limit() != 32 || w.Factor() != 4 {
-		t.Errorf("defaults: limit %d factor %d", w.Limit(), w.Factor())
+	if w.Limit() != 32 {
+		t.Errorf("default limit %d", w.Limit())
 	}
-	w = Watchdog{MaxRestarts: 7, ExtendFactor: 2}
-	if w.Limit() != 7 || w.Factor() != 2 {
-		t.Errorf("overrides: limit %d factor %d", w.Limit(), w.Factor())
+	w = Watchdog{MaxRestarts: 7}
+	if w.Limit() != 7 {
+		t.Errorf("override limit %d", w.Limit())
 	}
 }
 

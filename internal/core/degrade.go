@@ -46,52 +46,38 @@ func (r *RAS) TryFetchAndAdd(e *uniproc.Env, w *Word, delta Word, maxRestarts ui
 }
 
 // Degrading is an adaptive Mechanism: it runs a fast optimistic mechanism
-// (typically RAS) while it behaves, monitors its restart rate, and
-// permanently demotes to a pessimistic fallback (typically kernel
-// emulation) when the sequence proves pathological — either a single
-// operation exceeding OpRestartLimit rollbacks (the §3.1 livelock, on a
-// Bounded fast path), or a sustained restart rate above RateNum/RateDen
-// over a Window of operations. Demotion is one-way by default: a sequence
-// that cannot fit the quantum today will not fit it tomorrow, and
-// emulation is always correct, just slower. Systems that *recover* — the
-// hostile quantum was transient — can arm RepromoteAfter to return to the
-// fast path after a quiet spell. Demotions are recorded in the
-// processor's stats and trace via Env.CountDemotion, re-promotions via
-// Env.CountPromotion.
+// (RAS) while it behaves, monitors its restart rate, and permanently
+// demotes to a pessimistic fallback (typically kernel emulation) when the
+// sequence proves pathological — either a single operation exceeding
+// opRestartLimit rollbacks (the §3.1 livelock), or a restart rate of at
+// least rateNum/rateDen per operation over a window of rateWindow
+// operations. Demotion is one-way: a sequence that cannot fit the quantum
+// today will not fit it tomorrow, and emulation is always correct, just
+// slower. Demotions are recorded in the processor's stats and trace via
+// Env.CountDemotion.
 //
 // Degrading is built for the virtual uniprocessor's single-baton
 // discipline: its counters need no synchronization because at most one
 // thread executes at a time.
 type Degrading struct {
-	fast Mechanism
+	fast Bounded
 	slow Mechanism
 
-	// OpRestartLimit bounds a single operation's restarts before demotion
-	// when fast is Bounded; 0 means 16.
-	OpRestartLimit uint64
-	// Window is the number of operations per rate-monitoring window; 0
-	// means 64.
-	Window uint64
-	// RateNum/RateDen is the demotion threshold for restarts per attempt
-	// over a window; both 0 means 1/2.
-	RateNum, RateDen uint64
-	// RepromoteAfter, when nonzero, arms re-promotion hysteresis: after
-	// that many slow-path operations the mechanism optimistically returns
-	// to the fast path. Each further demotion doubles the effective wait
-	// (exponential backoff), so a genuinely pathological sequence still
-	// settles on emulation while a transient storm is forgiven. 0 (the
-	// default) keeps demotion permanent.
-	RepromoteAfter uint64
-
-	attempts  uint64 // fast-path operations this window
-	restarts  uint64 // rollbacks observed this window
-	slowOps   uint64 // slow-path operations since the last demotion
-	waitScale uint64 // hysteresis multiplier; doubles on each demotion
-	demoted   bool
+	attempts uint64 // fast-path operations this window
+	restarts uint64 // rollbacks observed this window
+	demoted  bool
 }
 
+// The demotion thresholds: rollbacks one operation may take, and the
+// restarts-per-operation rate over a window of operations.
+const (
+	opRestartLimit   = 8
+	rateWindow       = 64
+	rateNum, rateDen = 1, 2
+)
+
 // NewDegrading wraps fast with adaptive demotion to slow.
-func NewDegrading(fast, slow Mechanism) *Degrading {
+func NewDegrading(fast Bounded, slow Mechanism) *Degrading {
 	return &Degrading{fast: fast, slow: slow}
 }
 
@@ -103,27 +89,6 @@ func (d *Degrading) Name() string {
 // Demoted reports whether the mechanism has fallen back permanently.
 func (d *Degrading) Demoted() bool { return d.demoted }
 
-func (d *Degrading) opLimit() uint64 {
-	if d.OpRestartLimit == 0 {
-		return 16
-	}
-	return d.OpRestartLimit
-}
-
-func (d *Degrading) window() uint64 {
-	if d.Window == 0 {
-		return 64
-	}
-	return d.Window
-}
-
-func (d *Degrading) rate() (uint64, uint64) {
-	if d.RateNum == 0 && d.RateDen == 0 {
-		return 1, 2
-	}
-	return d.RateNum, d.RateDen
-}
-
 func (d *Degrading) demote(e *uniproc.Env) {
 	// A second thread may have been mid-attempt when the first demoted;
 	// count the transition once.
@@ -131,30 +96,7 @@ func (d *Degrading) demote(e *uniproc.Env) {
 		return
 	}
 	d.demoted = true
-	d.slowOps = 0
-	if d.waitScale == 0 {
-		d.waitScale = 1
-	} else if d.waitScale < 1<<32 {
-		d.waitScale *= 2
-	}
 	e.CountDemotion()
-}
-
-// maybeRepromote accounts one slow-path operation and, when RepromoteAfter
-// is armed and the hysteresis wait has elapsed, returns the mechanism to
-// the fast path with fresh rate-monitoring windows.
-func (d *Degrading) maybeRepromote(e *uniproc.Env) {
-	if d.RepromoteAfter == 0 {
-		return
-	}
-	d.slowOps++
-	if d.slowOps < d.RepromoteAfter*d.waitScale {
-		return
-	}
-	d.demoted = false
-	d.slowOps = 0
-	d.attempts, d.restarts = 0, 0
-	e.CountPromotion()
 }
 
 // observe accounts one fast-path operation and its rollbacks, demoting if
@@ -162,11 +104,10 @@ func (d *Degrading) maybeRepromote(e *uniproc.Env) {
 func (d *Degrading) observe(e *uniproc.Env, restarts uint64) {
 	d.attempts++
 	d.restarts += restarts
-	if d.attempts < d.window() {
+	if d.attempts < rateWindow {
 		return
 	}
-	num, den := d.rate()
-	if d.restarts*den >= d.attempts*num {
+	if d.restarts*rateDen >= d.attempts*rateNum {
 		d.demote(e)
 		return
 	}
@@ -176,21 +117,14 @@ func (d *Degrading) observe(e *uniproc.Env, restarts uint64) {
 // TestAndSet implements Mechanism.
 func (d *Degrading) TestAndSet(e *uniproc.Env, w *Word) Word {
 	if d.demoted {
-		old := d.slow.TestAndSet(e, w)
-		d.maybeRepromote(e)
-		return old
+		return d.slow.TestAndSet(e, w)
 	}
 	before := e.Self().Restarts
-	if b, ok := d.fast.(Bounded); ok {
-		old, done := b.TryTestAndSet(e, w, d.opLimit())
-		if !done {
-			d.demote(e)
-			return d.slow.TestAndSet(e, w)
-		}
-		d.observe(e, e.Self().Restarts-before)
-		return old
+	old, done := d.fast.TryTestAndSet(e, w, opRestartLimit)
+	if !done {
+		d.demote(e)
+		return d.slow.TestAndSet(e, w)
 	}
-	old := d.fast.TestAndSet(e, w)
 	d.observe(e, e.Self().Restarts-before)
 	return old
 }
@@ -207,21 +141,14 @@ func (d *Degrading) Clear(e *uniproc.Env, w *Word) {
 // FetchAndAdd implements Mechanism.
 func (d *Degrading) FetchAndAdd(e *uniproc.Env, w *Word, delta Word) Word {
 	if d.demoted {
-		old := d.slow.FetchAndAdd(e, w, delta)
-		d.maybeRepromote(e)
-		return old
+		return d.slow.FetchAndAdd(e, w, delta)
 	}
 	before := e.Self().Restarts
-	if b, ok := d.fast.(Bounded); ok {
-		old, done := b.TryFetchAndAdd(e, w, delta, d.opLimit())
-		if !done {
-			d.demote(e)
-			return d.slow.FetchAndAdd(e, w, delta)
-		}
-		d.observe(e, e.Self().Restarts-before)
-		return old
+	old, done := d.fast.TryFetchAndAdd(e, w, delta, opRestartLimit)
+	if !done {
+		d.demote(e)
+		return d.slow.FetchAndAdd(e, w, delta)
 	}
-	old := d.fast.FetchAndAdd(e, w, delta)
 	d.observe(e, e.Self().Restarts-before)
 	return old
 }

@@ -89,17 +89,17 @@ func (m *RecoverableMutex) step(e *uniproc.Env, me Word) (acquired, busy bool) {
 	own := rmOwner(v)
 	switch {
 	case own < 0: // free: claim it, preserving the epoch
-		if m.cas(e, v, v&^rmOwnerMask|me) {
-			m.noteAcquire(e, -1)
+		if nv := v&^rmOwnerMask | me; m.cas(e, v, nv) {
+			m.noteAcquire(e, -1, nv)
 			return true, false
 		}
 		return false, false // raced; retry
 	case own == e.Self().ID:
 		panic(fmt.Sprintf("core: recursive RecoverableMutex acquire by thread %d", own))
 	case e.ThreadDead(own): // orphaned: steal with a bumped epoch
-		if m.cas(e, v, (rmEpoch(v)+1)<<rmEpochShift|me) {
+		if nv := (rmEpoch(v)+1)<<rmEpochShift | me; m.cas(e, v, nv) {
 			e.CountRepair(own)
-			m.noteAcquire(e, own)
+			m.noteAcquire(e, own, nv)
 			return true, false
 		}
 		return false, false // another repairer won; retry
@@ -135,9 +135,9 @@ func (m *RecoverableMutex) Release(e *uniproc.Env) {
 	e.Store(&m.word, v&^rmOwnerMask)
 }
 
-func (m *RecoverableMutex) noteAcquire(e *uniproc.Env, stolenFrom int) {
+func (m *RecoverableMutex) noteAcquire(e *uniproc.Env, stolenFrom int, word Word) {
 	if m.Checker != nil {
-		m.Checker.acquired(e, stolenFrom)
+		m.Checker.acquired(e, stolenFrom, word)
 	}
 }
 
@@ -153,7 +153,8 @@ func (m *RecoverableMutex) noteRelease(e *uniproc.Env) {
 //   - Mutual exclusion: a successful acquire must find the previous owner
 //     either gone (clean release) or dead (repair); two live threads may
 //     never hold the lock at once.
-//   - Epoch monotonicity: every repair must bump the epoch.
+//   - Epoch monotonicity: a clean acquire keeps the epoch, and every
+//     repair bumps it by exactly one.
 //   - Owner integrity: only the recorded owner may release.
 //
 // The checker runs inside the virtual machine's single-baton discipline,
@@ -161,9 +162,8 @@ func (m *RecoverableMutex) noteRelease(e *uniproc.Env) {
 // panicked, so a harness can sweep thousands of schedules and report all
 // of them.
 type RMEChecker struct {
-	owner    int // current owner's thread ID; -1 = free
-	epoch    Word
-	entries  uint64
+	owner    int  // current owner's thread ID; -1 = free
+	epoch    Word // the lock word's epoch as of the last acquire
 	steals   uint64
 	failures []string
 }
@@ -183,9 +183,18 @@ func (c *RMEChecker) violate(format string, args ...any) {
 	}
 }
 
-func (c *RMEChecker) acquired(e *uniproc.Env, stolenFrom int) {
+// acquired audits thread e's acquire, which stored word into the lock;
+// stolenFrom is the dead owner it repaired, or -1 for a clean acquire.
+func (c *RMEChecker) acquired(e *uniproc.Env, stolenFrom int, word Word) {
 	me := e.Self().ID
-	c.entries++
+	want, what := c.epoch, "clean acquire"
+	if stolenFrom >= 0 {
+		want, what = rmEpoch((c.epoch+1)<<rmEpochShift), "repair" // wraps as the word's field does
+	}
+	if got := rmEpoch(word); got != want {
+		c.violate("thread %d's %s moved the epoch %d -> %d, want %d", me, what, c.epoch, got, want)
+	}
+	c.epoch = rmEpoch(word)
 	if stolenFrom >= 0 {
 		c.steals++
 		if !e.ThreadDead(stolenFrom) {

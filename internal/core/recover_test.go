@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -45,8 +46,8 @@ func TestRecoverableMutexNoFaults(t *testing.T) {
 	if v := c.Violations(); len(v) != 0 {
 		t.Errorf("violations on a fault-free run: %v", v)
 	}
-	if c.entries != 200 || c.Steals() != 0 {
-		t.Errorf("entries=%d steals=%d, want 200/0", c.entries, c.Steals())
+	if c.epoch != 0 || c.Steals() != 0 {
+		t.Errorf("epoch=%d steals=%d, want 0/0", c.epoch, c.Steals())
 	}
 	if rmOwner(m.word) != -1 {
 		t.Errorf("lock left held: %#x", m.word)
@@ -120,18 +121,52 @@ func TestRMECheckerFlagsViolations(t *testing.T) {
 	p := uniproc.New(uniproc.Config{})
 	c := NewRMEChecker()
 	p.Go("a", func(e *uniproc.Env) {
-		c.acquired(e, -1)
+		c.acquired(e, -1, 1)
 		e.Yield()
 		c.released(e) // by now b "acquired": wrong-owner release
 	})
 	p.Go("b", func(e *uniproc.Env) {
-		c.acquired(e, -1) // a is alive and "holds" the lock
+		c.acquired(e, -1, 2) // a is alive and "holds" the lock
 	})
 	if err := p.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(c.Violations()) < 2 {
 		t.Fatalf("violations = %v, want both the ME breach and the bad release", c.Violations())
+	}
+}
+
+// The epoch rule: a clean acquire that moves the epoch and a steal that
+// keeps it are each recorded; a steal that bumps it by one is not.
+func TestRMECheckerAuditsEpoch(t *testing.T) {
+	epochBreaches := func(c *RMEChecker) (n int) {
+		for _, v := range c.Violations() {
+			if strings.Contains(v, "epoch") {
+				n++
+			}
+		}
+		return n
+	}
+	p := uniproc.New(uniproc.Config{})
+	c := NewRMEChecker()
+	p.Go("a", func(e *uniproc.Env) {
+		c.acquired(e, -1, 1<<rmEpochShift|1) // clean acquire, epoch bumped
+		c.released(e)
+		if epochBreaches(c) != 1 {
+			t.Errorf("clean acquire bumping the epoch: violations %v", c.Violations())
+		}
+		c.acquired(e, 7, 1<<rmEpochShift|1) // steal, epoch kept
+		c.released(e)
+		if epochBreaches(c) != 2 {
+			t.Errorf("steal keeping the epoch: violations %v", c.Violations())
+		}
+		c.acquired(e, 7, 2<<rmEpochShift|1) // steal, epoch bumped by one
+		if epochBreaches(c) != 2 {
+			t.Errorf("legal steal flagged: violations %v", c.Violations())
+		}
+	})
+	if err := p.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

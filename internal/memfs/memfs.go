@@ -56,7 +56,6 @@ type FS struct {
 }
 
 type node struct {
-	name     string
 	mu       *cthreads.Mutex
 	isDir    bool
 	children map[string]*node
@@ -68,7 +67,6 @@ func New(pkg *cthreads.Pkg) *FS {
 	return &FS{
 		pkg: pkg,
 		root: &node{
-			name:     "/",
 			mu:       pkg.NewMutex(),
 			isDir:    true,
 			children: make(map[string]*node),
@@ -138,7 +136,6 @@ func (fs *FS) Mkdir(e *uniproc.Env, path string) error {
 	}
 	fs.Stats.Creates++
 	parent.children[name] = &node{
-		name:     name,
 		mu:       fs.pkg.NewMutex(),
 		isDir:    true,
 		children: make(map[string]*node),
@@ -158,7 +155,7 @@ func (fs *FS) Create(e *uniproc.Env, path string) error {
 		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
 	fs.Stats.Creates++
-	parent.children[name] = &node{name: name, mu: fs.pkg.NewMutex()}
+	parent.children[name] = &node{mu: fs.pkg.NewMutex()}
 	e.ChargeALU(40)
 	return nil
 }

@@ -123,7 +123,6 @@ func TestPaperMetricsDerivesFromEvents(t *testing.T) {
 		{Type: KindEmulTrap},
 		{Type: KindRepair, Arg: 3},
 		{Type: KindDemote},
-		{Type: KindPromote},
 		{Type: KindWatchdog, Arg: 32},
 		{Type: KindKill},
 		{Type: KindCrash},
@@ -141,9 +140,9 @@ func TestPaperMetricsDerivesFromEvents(t *testing.T) {
 	}{
 		{pm.Restarts, 2}, {pm.Preemptions, 1}, {pm.Spurious, 1},
 		{pm.EmulTraps, 1}, {pm.Repairs, 1}, {pm.Demotions, 1},
-		{pm.Promotions, 1}, {pm.Watchdogs, 1}, {pm.Kills, 1},
-		{pm.Crashes, 1}, {pm.Injections, 1}, {pm.Syscalls, 1},
-		{pm.PageFaults, 1}, {pm.Dispatches, 1},
+		{pm.Watchdogs, 1}, {pm.Kills, 1}, {pm.Crashes, 1},
+		{pm.Injections, 1}, {pm.Syscalls, 1}, {pm.PageFaults, 1},
+		{pm.Dispatches, 1},
 	}
 	for _, ck := range checks {
 		if ck.c.Value() != ck.want {

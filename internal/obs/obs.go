@@ -56,7 +56,6 @@ const (
 	KindInject                    // a chaos fault was applied (Arg = action bits)
 	KindWatchdog                  // restart-livelock watchdog fired (Arg = restart count)
 	KindDemote                    // adaptive mechanism demoted to emulation
-	KindPromote                   // demoted mechanism re-promoted to the fast path
 	KindKill                      // thread killed by fault injection or KillThread
 	KindCrash                     // injected whole-machine crash ended the run
 	KindRepair                    // orphaned lock repaired (Arg = dead owner's ID)
@@ -97,8 +96,6 @@ func (k Kind) String() string {
 		return "watchdog"
 	case KindDemote:
 		return "demote"
-	case KindPromote:
-		return "promote"
 	case KindKill:
 		return "kill"
 	case KindCrash:

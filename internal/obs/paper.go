@@ -13,7 +13,6 @@ type PaperMetrics struct {
 	EmulTraps   *Counter // KindEmulTrap: kernel-emulated atomic ops
 	Repairs     *Counter // KindRepair: orphaned-lock repairs
 	Demotions   *Counter // KindDemote
-	Promotions  *Counter // KindPromote
 	Watchdogs   *Counter // KindWatchdog
 	Kills       *Counter // KindKill
 	Crashes     *Counter // KindCrash
@@ -36,7 +35,6 @@ func NewPaperMetrics(reg *Registry) *PaperMetrics {
 		EmulTraps:   reg.Counter("emul_traps_total", "kernel-emulated atomic operations (trap path)"),
 		Repairs:     reg.Counter("rme_repairs_total", "orphaned recoverable-mutex repairs"),
 		Demotions:   reg.Counter("demotions_total", "adaptive RAS->emulation demotions"),
-		Promotions:  reg.Counter("promotions_total", "emulation->RAS re-promotions"),
 		Watchdogs:   reg.Counter("watchdog_fires_total", "restart-livelock watchdog fires"),
 		Kills:       reg.Counter("kills_total", "threads killed mid-run"),
 		Crashes:     reg.Counter("crashes_total", "injected whole-machine crashes"),
@@ -64,8 +62,6 @@ func (pm *PaperMetrics) Event(ev Event) {
 		pm.Repairs.Inc()
 	case KindDemote:
 		pm.Demotions.Inc()
-	case KindPromote:
-		pm.Promotions.Inc()
 	case KindWatchdog:
 		pm.Watchdogs.Inc()
 	case KindKill:

@@ -44,7 +44,6 @@ type CycleProfiler struct {
 	stacks  map[int][]string
 	samples uint64
 	cycles  uint64
-	kernel  uint64
 }
 
 // NewCycleProfiler creates an empty profiler; call SetSymbols before
@@ -128,7 +127,6 @@ func (p *CycleProfiler) Sample(tid int, pc uint32, cycles uint64, kind SampleKin
 // NoteKernel attributes cycles of kernel time (dispatch, trap handling,
 // emulation) to the "[kernel]" pseudo-symbol.
 func (p *CycleProfiler) NoteKernel(cycles uint64) {
-	p.kernel += cycles
 	p.cycles += cycles
 	p.flat["[kernel]"] += cycles
 	p.cum["[kernel]"] += cycles

@@ -4,14 +4,12 @@ import "strings"
 
 // Ring is the bounded event buffer behind a tail: a fixed-size
 // drop-oldest ring. Publishing never allocates after the buffer fills and
-// never blocks; when capacity is exceeded the oldest event is overwritten
-// and Dropped is incremented, so Total() == len(Events()) + Dropped()
-// always holds exactly.
+// never blocks; when capacity is exceeded the oldest event is overwritten,
+// so Events() always holds exactly the last min(Total(), capacity) events.
 type Ring struct {
-	buf     []Event
-	next    int
-	total   uint64
-	dropped uint64
+	buf   []Event
+	next  int
+	total uint64
 }
 
 // NewRing creates a ring retaining the last n events (minimum 1).
@@ -31,7 +29,6 @@ func (r *Ring) Event(ev Event) {
 	}
 	r.buf[r.next] = ev
 	r.next = (r.next + 1) % cap(r.buf)
-	r.dropped++
 }
 
 // Total reports how many events were published in all, retained or not.
@@ -42,15 +39,6 @@ func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Drain returns the retained events in chronological order and empties the
-// ring. Total and Dropped keep accumulating across drains.
-func (r *Ring) Drain() []Event {
-	out := r.Events()
-	r.buf = r.buf[:0]
-	r.next = 0
 	return out
 }
 

@@ -21,65 +21,21 @@ func TestRingOverflowDropsOldestFirst(t *testing.T) {
 	}
 }
 
-func TestRingDroppedCounterExact(t *testing.T) {
+// Total counts every published event, and the ring retains exactly the
+// last min(Total, capacity) of them.
+func TestRingTotalCountsEveryEvent(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 3; i++ {
 		r.Event(ev(i))
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("dropped %d before overflow, want 0", r.Dropped())
+	if r.Total() != 3 || len(r.Events()) != 3 {
+		t.Fatalf("before overflow: total %d, retained %d, want 3/3", r.Total(), len(r.Events()))
 	}
 	for i := 3; i < 11; i++ {
 		r.Event(ev(i))
 	}
-	if r.Dropped() != 8 {
-		t.Errorf("dropped = %d, want 8", r.Dropped())
-	}
-	if r.Total() != 11 {
-		t.Errorf("total = %d, want 11", r.Total())
-	}
-	// The documented invariant: Total == retained + Dropped, exactly.
-	if got := uint64(len(r.Events())) + r.Dropped(); got != r.Total() {
-		t.Errorf("retained+dropped = %d, total = %d", got, r.Total())
-	}
-}
-
-func TestRingFullDrainRefillPreservesOrdering(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 7; i++ { // fill past capacity
-		r.Event(ev(i))
-	}
-	drained := r.Drain()
-	if len(drained) != 4 {
-		t.Fatalf("drained %d, want 4", len(drained))
-	}
-	for i, e := range drained {
-		if want := uint64(3 + i); e.Cycle != want {
-			t.Errorf("drained[%d].Cycle = %d, want %d", i, e.Cycle, want)
-		}
-	}
-	if len(r.Events()) != 0 {
-		t.Fatalf("ring not empty after drain")
-	}
-	// Refill past capacity again: ordering must hold with the same buffer.
-	for i := 100; i < 106; i++ {
-		r.Event(ev(i))
-	}
-	refilled := r.Events()
-	if len(refilled) != 4 {
-		t.Fatalf("refilled %d, want 4", len(refilled))
-	}
-	for i, e := range refilled {
-		if want := uint64(102 + i); e.Cycle != want {
-			t.Errorf("refilled[%d].Cycle = %d, want %d", i, e.Cycle, want)
-		}
-	}
-	// Totals accumulate across the drain: 7 + 6 published, 3 + 2 dropped.
-	if r.Total() != 13 {
-		t.Errorf("total = %d, want 13", r.Total())
-	}
-	if r.Dropped() != 5 {
-		t.Errorf("dropped = %d, want 5", r.Dropped())
+	if r.Total() != 11 || len(r.Events()) != 3 {
+		t.Errorf("after overflow: total %d, retained %d, want 11/3", r.Total(), len(r.Events()))
 	}
 }
 
@@ -105,6 +61,3 @@ func TestCaptureUnbounded(t *testing.T) {
 		t.Error("capture order broken")
 	}
 }
-
-// Dropped reports how many events were overwritten by newer ones.
-func (r *Ring) Dropped() uint64 { return r.dropped }

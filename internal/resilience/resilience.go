@@ -11,7 +11,8 @@
 // package — VMWorld (the ISA-level resilient server guest rebooted over
 // its surviving vmach NVM) and ServerWorld (the uniproc
 // uxserver.ResilientServer rebuilt over its surviving words) — and the
-// model checker drives a third, schedule-enumerated one.
+// model checker's resilience model enumerates crash schedules over
+// ServerWorld.
 //
 // On top of plain restart sits the availability policy:
 //
@@ -24,8 +25,8 @@
 //     recover and probe the durable state but apply nothing;
 //   - re-promotion hysteresis: RepromoteAfter clean degraded boots
 //     promote back to normal service, and each demotion doubles the
-//     next promotion's threshold (the core.Degrading idiom), so a
-//     persistent fault cannot flap the machine between modes.
+//     next promotion's threshold, so a persistent fault cannot flap the
+//     machine between modes.
 package resilience
 
 import (
@@ -78,9 +79,6 @@ type Config struct {
 	Boots func(boot int) chaos.Injector
 	// MaxBoots is the restart budget. Default 64.
 	MaxBoots int
-	// BackoffBase and BackoffMax bound the reboot backoff in cycles.
-	// Defaults 500 and 1<<17.
-	BackoffBase, BackoffMax uint64
 	// JitterSeed derives the deterministic backoff jitter.
 	JitterSeed uint64
 	// CrashLoopK demotes to degraded mode after this many consecutive
@@ -95,12 +93,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxBoots <= 0 {
 		c.MaxBoots = 64
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 500
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 1 << 17
 	}
 	if c.CrashLoopK <= 0 {
 		c.CrashLoopK = 3
@@ -141,20 +133,26 @@ func (o Outcome) String() string {
 		o.Completed, o.Availability(), o.RecoveryP50, o.RecoveryP95)
 }
 
+// backoffBase and backoffMax bound the reboot backoff in cycles.
+const (
+	backoffBase = 500
+	backoffMax  = 1 << 17
+)
+
 // backoff computes the deterministic wait before boot b at escalation
-// level attempt: min(BackoffMax, BackoffBase<<attempt) plus a seeded
+// level attempt: min(backoffMax, backoffBase<<(attempt-1)) plus a seeded
 // jitter of up to a quarter of itself, so synchronized restart storms
 // de-correlate reproducibly.
 func (c *Config) backoff(attempt int, boot int) uint64 {
 	if attempt <= 0 {
 		return 0
 	}
-	b := c.BackoffBase
-	for i := 1; i < attempt && b < c.BackoffMax; i++ {
+	b := uint64(backoffBase)
+	for i := 1; i < attempt && b < backoffMax; i++ {
 		b <<= 1
 	}
-	if b > c.BackoffMax {
-		b = c.BackoffMax
+	if b > backoffMax {
+		b = backoffMax
 	}
 	return b + chaos.Derive(c.JitterSeed, 0xB0FF, uint64(boot))%(b/4+1)
 }

@@ -24,7 +24,7 @@ func (s *scripted) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 func (s *scripted) Check() error { s.checked = true; return nil }
 
 func TestBackoffDeterministic(t *testing.T) {
-	cfg := Config{BackoffBase: 500, BackoffMax: 1 << 17, JitterSeed: 42}
+	cfg := Config{JitterSeed: 42}
 	cfg.defaults()
 	if got := cfg.backoff(0, 3); got != 0 {
 		t.Errorf("backoff(0) = %d, want 0", got)
@@ -34,13 +34,13 @@ func TestBackoffDeterministic(t *testing.T) {
 		t.Errorf("backoff not deterministic: %d vs %d", a, b)
 	}
 	base := cfg.backoff(1, 7)
-	if base < 500 || base > 500+500/4 {
-		t.Errorf("backoff(1) = %d, want 500 + jitter<=125", base)
+	if base < backoffBase || base > backoffBase+backoffBase/4 {
+		t.Errorf("backoff(1) = %d, want %d + jitter<=%d", base, backoffBase, backoffBase/4)
 	}
-	// Escalation saturates at BackoffMax (+ jitter).
+	// Escalation saturates at backoffMax (+ jitter).
 	huge := cfg.backoff(40, 7)
-	if huge < 1<<17 || huge > (1<<17)+(1<<17)/4 {
-		t.Errorf("backoff(40) = %d, want saturated at %d + jitter", huge, 1<<17)
+	if huge < backoffMax || huge > backoffMax+backoffMax/4 {
+		t.Errorf("backoff(40) = %d, want saturated at %d + jitter", huge, backoffMax)
 	}
 }
 

@@ -29,13 +29,11 @@ type ServerWorldConfig struct {
 	Run func(*uniproc.Processor) error
 }
 
-// The reply deadline, capped exponential retry backoff and timeslice,
-// in cycles.
+// The capped exponential retry backoff and timeslice, in cycles.
 const (
-	serverDeadline = 20000
-	retryBase      = 200
-	retryCap       = 5000
-	serverQuantum  = 2048
+	retryBase     = 200
+	retryCap      = 5000
+	serverQuantum = 2048
 )
 
 func (c *ServerWorldConfig) defaults() {
@@ -148,10 +146,9 @@ func (w *ServerWorld) Boot(boot int, inj chaos.Injector, degraded bool) Report {
 	p.EnablePersistence()
 	pkg := cthreads.New(core.NewRAS())
 	s := uxserver.NewResilient(pkg, uxserver.ResilientConfig{
-		Clients:  w.cfg.Clients,
-		Shards:   w.cfg.Shards,
-		Deadline: serverDeadline,
-		NoDedup:  w.cfg.NoDedup,
+		Clients: w.cfg.Clients,
+		Shards:  w.cfg.Shards,
+		NoDedup: w.cfg.NoDedup,
 	}, w.arena, w.applied, &w.effects)
 
 	var rep Report

@@ -151,12 +151,22 @@ func TestWatchdogExtendCompletes(t *testing.T) {
 }
 
 // If the extended slice still cannot fit the sequence, extend escalates to
-// an abort rather than spinning to the cycle budget.
+// an abort rather than spinning to the cycle budget: the sequence below is
+// longer than ExtendFactor one-cycle quanta.
 func TestWatchdogExtendEscalatesToAbort(t *testing.T) {
+	longTAS := func(e *Env, w *Word) Word {
+		var old Word
+		e.Restartable(func() {
+			old = e.Load(w)
+			e.ChargeALU(2 * chaos.ExtendFactor)
+			e.Commit(w, 1)
+		})
+		return old
+	}
 	_, p, err := counterWorkload(Config{
 		Quantum:  1,
-		Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend, MaxRestarts: 6, ExtendFactor: 2},
-	}, rasTAS, 1, 1)
+		Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend, MaxRestarts: 6},
+	}, longTAS, 1, 1)
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("expected escalation to abort, got %v", err)
 	}

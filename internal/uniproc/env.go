@@ -183,7 +183,7 @@ func (e *Env) Restartable(seq func()) {
 			extended = true
 			restarts = 0
 			p.Stats.WatchdogExtends++
-			p.sliceEnd = p.clock + p.quantum*w.Factor()
+			p.sliceEnd = p.clock + p.quantum*chaos.ExtendFactor
 			continue
 		}
 		p.Stats.WatchdogAborts++
@@ -361,13 +361,6 @@ func (e *Env) CountEmulTrap() {
 func (e *Env) CountDemotion() {
 	e.p.Stats.Demotions++
 	e.p.trace(obs.KindDemote, e.t, 0)
-}
-
-// CountPromotion records that a demoted mechanism re-promoted itself to the
-// RAS fast path after a quiet spell (core.Degrading with RepromoteAfter).
-func (e *Env) CountPromotion() {
-	e.p.Stats.Promotions++
-	e.p.trace(obs.KindPromote, e.t, 0)
 }
 
 // CountRepair records that an acquirer found its lock orphaned by a dead

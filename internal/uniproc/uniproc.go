@@ -55,7 +55,6 @@ type Stats struct {
 	WatchdogExtends uint64 // livelock watchdog quantum extensions granted
 	WatchdogAborts  uint64 // livelock watchdog aborts
 	Demotions       uint64 // mechanisms demoted to emulation (core.Degrading)
-	Promotions      uint64 // demoted mechanisms re-promoted to the fast path
 	Kills           uint64 // threads killed by fault injection
 	Repairs         uint64 // orphaned locks repaired (core.RecoverableMutex)
 }
@@ -135,7 +134,6 @@ type Thread struct {
 	Suspensions uint64
 	Restarts    uint64
 
-	proc        *Processor
 	fn          func(*Env)
 	resumeCh    chan struct{}
 	env         *Env
@@ -190,7 +188,6 @@ func (p *Processor) Go(name string, fn func(*Env)) *Thread {
 	t := &Thread{
 		ID:       len(p.threads),
 		Name:     name,
-		proc:     p,
 		fn:       fn,
 		resumeCh: make(chan struct{}),
 	}

@@ -20,7 +20,7 @@
 //
 // Availability machinery rides on the same plane: per-request deadlines
 // (the client stops waiting and retries), admission control (requests
-// beyond AdmitLimit in flight are shed with ErrOverload), and a degraded
+// beyond Shards*perShard in flight are shed with ErrOverload), and a degraded
 // read-only mode (the supervisor's crash-loop demotion) in which every
 // mutation is shed with ErrDegraded while reads still serve.
 package uxserver
@@ -49,19 +49,21 @@ var (
 	ErrDegraded = errors.New("uxserver: server degraded, mutations shed")
 )
 
+// Each shard's ring holds perShard requests, and admission control sheds
+// a submit once Shards*perShard are accepted but unreplied. A client
+// stops waiting for its reply after replyDeadline cycles.
+const (
+	perShard      = 8
+	replyDeadline = 20000
+)
+
 // ResilientConfig shapes the resilient request plane.
 type ResilientConfig struct {
 	// Clients is the number of client identities (the applied table's
 	// width).
 	Clients int
-	// Shards is the per-CPU plane width; PerShard each ring's depth.
-	Shards, PerShard int
-	// AdmitLimit caps accepted-but-unreplied requests; beyond it submits
-	// are shed with ErrOverload. 0 means Shards*PerShard.
-	AdmitLimit int
-	// Deadline is the client-observed reply deadline in cycles; 0 means
-	// 60000.
-	Deadline uint64
+	// Shards is the per-CPU plane width.
+	Shards int
 	// NoDedup plants the missing-dedup bug the model checker must
 	// catch: replay applies every logged record as a fresh increment and
 	// the serve path never checks the applied table, so a retry across a
@@ -127,15 +129,6 @@ func NewResilient(pkg *cthreads.Pkg, cfg ResilientConfig, arena, applied []unipr
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.PerShard < 1 {
-		cfg.PerShard = 8
-	}
-	if cfg.AdmitLimit < 1 {
-		cfg.AdmitLimit = cfg.Shards * cfg.PerShard
-	}
-	if cfg.Deadline == 0 {
-		cfg.Deadline = 60000
-	}
 	if len(applied) != cfg.Clients {
 		panic("uxserver: applied table width != cfg.Clients")
 	}
@@ -147,9 +140,9 @@ func NewResilient(pkg *cthreads.Pkg, cfg ResilientConfig, arena, applied []unipr
 		applied: applied,
 		effects: effects,
 		dom:     d,
-		pq:      percpu.NewQueue(d, cfg.PerShard),
-		slots:   percpu.NewFreeList(d, []int{1}, cfg.PerShard),
-		table:   make([]*rrequest, cfg.Shards*cfg.PerShard),
+		pq:      percpu.NewQueue(d, perShard),
+		slots:   percpu.NewFreeList(d, []int{1}, perShard),
+		table:   make([]*rrequest, cfg.Shards*perShard),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.bell = append(s.bell, pkg.NewSemaphore(0))
@@ -308,7 +301,7 @@ func (s *ResilientServer) Apply(e *uniproc.Env, client int, seq uint64) error {
 		s.stats.Shed++
 		return ErrDegraded
 	}
-	if s.inflight >= s.cfg.AdmitLimit {
+	if s.inflight >= s.cfg.Shards*perShard {
 		s.stats.Shed++
 		return ErrOverload
 	}
@@ -331,7 +324,7 @@ func (s *ResilientServer) Apply(e *uniproc.Env, client int, seq uint64) error {
 		return ErrOverload
 	}
 	s.bell[cpu].V(e)
-	deadline := e.Now() + s.cfg.Deadline
+	deadline := e.Now() + replyDeadline
 	for !r.done {
 		if e.Now() >= deadline {
 			s.inflight--

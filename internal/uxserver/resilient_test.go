@@ -2,6 +2,7 @@ package uxserver
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -171,15 +172,16 @@ func TestResilientDegradedShedsWrites(t *testing.T) {
 	}
 }
 
-// With no worker running, the client's reply deadline must expire and
-// Apply must return ErrDeadline; with the admission limit at 1 a second
-// client must be shed with ErrOverload while the first is in flight.
+// With no worker running, every client's reply deadline must expire and
+// Apply must return ErrDeadline; once perShard clients are in flight on
+// one shard, the admission limit is taken and one more client must be
+// shed with ErrOverload.
 func TestResilientDeadlineAndOverload(t *testing.T) {
-	d := newDurable(2)
+	d := newDurable(perShard + 1)
 	p := uniproc.New(uniproc.Config{Quantum: 4096, JitterSeed: 7})
 	p.EnablePersistence()
 	pkg := cthreads.New(core.NewRAS())
-	s := NewResilient(pkg, ResilientConfig{Clients: 2, AdmitLimit: 1, Deadline: 3000},
+	s := NewResilient(pkg, ResilientConfig{Clients: perShard + 1, Shards: 1},
 		d.arena, d.applied, &d.effects)
 	p.Go("main", func(e *uniproc.Env) {
 		if err := s.Recover(e); err != nil {
@@ -187,22 +189,25 @@ func TestResilientDeadlineAndOverload(t *testing.T) {
 			return
 		}
 		// Deliberately no Start: nothing will ever serve.
-		e.Fork("late", func(e *uniproc.Env) {
-			// Runs while client 0 polls its deadline: the admission limit
-			// is already taken.
-			if err := s.Apply(e, 1, 1); !errors.Is(err, ErrOverload) {
-				t.Errorf("second client: err = %v, want ErrOverload", err)
-			}
-		})
-		if err := s.Apply(e, 0, 1); !errors.Is(err, ErrDeadline) {
-			t.Errorf("first client: err = %v, want ErrDeadline", err)
+		for c := 0; c < perShard; c++ {
+			e.Fork(fmt.Sprintf("client%d", c), func(e *uniproc.Env) {
+				if err := s.Apply(e, c, 1); !errors.Is(err, ErrDeadline) {
+					t.Errorf("client %d: err = %v, want ErrDeadline", c, err)
+				}
+			})
+		}
+		for s.inflight < perShard {
+			e.Yield()
+		}
+		if err := s.Apply(e, perShard, 1); !errors.Is(err, ErrOverload) {
+			t.Errorf("client %d: err = %v, want ErrOverload", perShard, err)
 		}
 	})
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Timeouts != 1 || st.Shed != 1 {
-		t.Errorf("stats = %+v, want 1 timeout and 1 shed", st)
+	if st := s.Stats(); st.Timeouts != perShard || st.Shed != 1 {
+		t.Errorf("stats = %+v, want %d timeouts and 1 shed", st, perShard)
 	}
 }
 

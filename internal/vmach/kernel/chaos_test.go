@@ -193,7 +193,7 @@ func TestWatchdogExtendEscalatesToAbort(t *testing.T) {
 		Strategy: &Designated{},
 		CheckAt:  CheckAtResume,
 		Quantum:  1,
-		Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend, MaxRestarts: 10, ExtendFactor: 2},
+		Watchdog: chaos.Watchdog{Policy: chaos.WatchdogExtend, MaxRestarts: 10},
 	}, guest.MechDesignated, 1, 1)
 	err := k.Run()
 	if !errors.Is(err, ErrLivelock) {

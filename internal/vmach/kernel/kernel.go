@@ -613,7 +613,7 @@ func (k *Kernel) dispatch() {
 		// a sequence that does not fit the ordinary quantum.
 		t.BoostSlice = false
 		boosted = true
-		quantum *= k.watchdog.Factor()
+		quantum *= chaos.ExtendFactor
 	}
 	k.sliceAt = k.M.Stats.Cycles + quantum
 	if act, ok := k.faultAt.At(chaos.PointDispatch, k.Stats.Switches); ok {

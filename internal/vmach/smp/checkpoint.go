@@ -55,17 +55,17 @@ func (s *System) Capture() *Snapshot {
 
 // Restore builds a system from cfg and installs the snapshot. The CPU
 // count, coherence mode and costs come from the snapshot; cfg supplies
-// the profile, strategies, quantum and harness wiring, which must match
+// the strategies, quantum and harness wiring, which must match
 // the capturing config for the replay to be exact. A snapshot with no
 // CPUs is refused.
 func Restore(cfg Config, snap *Snapshot) (*System, error) {
 	if len(snap.Kernels) == 0 {
 		return nil, errors.New("smp: snapshot has 0 CPUs")
 	}
-	cfg.Mode, cfg.Costs = snap.Mode, snap.Costs
+	cfg.Mode = snap.Mode
 	cfg = defaultedConfig(cfg)
 	cfg.CPUs = len(snap.Kernels)
-	s, err := build(cfg, func(i int, kcfg kernel.Config) (*kernel.Kernel, error) {
+	s, err := build(cfg, snap.Costs, func(i int, kcfg kernel.Config) (*kernel.Kernel, error) {
 		k, err := kernel.Restore(kcfg, snap.Kernels[i])
 		if err != nil {
 			return nil, fmt.Errorf("smp: cpu%d: %w", i, err)

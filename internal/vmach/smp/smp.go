@@ -26,29 +26,20 @@ func GlobalID(cpu, local int) int { return cpu*ThreadStride + local }
 type Config struct {
 	// CPUs is the number of processors (default 1).
 	CPUs int
-	// Profile is the per-CPU cost model (default arch.SMP(): R3000 base
-	// costs plus a bus-locked interlocked tas and ll/sc).
-	Profile *arch.Profile
 	// NewStrategy builds one recovery strategy per CPU — per-CPU recovery
 	// is the point of §7: a sequence interrupted on CPU k restarts only
 	// the thread on CPU k. Default: Taos-style Designated.
 	NewStrategy func() kernel.Strategy
-	// CheckAt is when the PC check runs (default CheckAtResume, as Taos).
-	CheckAt kernel.CheckTime
 	// Quantum is the per-CPU timeslice in cycles (0: kernel default).
 	Quantum uint64
 	// MaxCycles bounds each CPU's run (0: kernel default).
 	MaxCycles uint64
 	// Mode selects the RMR counting model (default CC).
 	Mode Mode
-	// Costs are the coherence surcharges (zero value: DefaultCosts).
-	Costs Costs
 	// Faults, when non-nil, supplies a per-CPU fault injector; faults
 	// target a (cpu, thread) pair because each injector sees only its
 	// CPU's threads. A nil return disables injection on that CPU.
 	Faults func(cpu int) chaos.Injector
-	// Watchdog is the per-CPU restart-livelock watchdog.
-	Watchdog chaos.Watchdog
 }
 
 // System is an N-CPU shared-memory machine: one kernel per CPU over one
@@ -67,50 +58,44 @@ func defaultedConfig(cfg Config) Config {
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 1
 	}
-	if cfg.Profile == nil {
-		cfg.Profile = arch.SMP()
-	}
 	if cfg.NewStrategy == nil {
 		cfg.NewStrategy = func() kernel.Strategy { return &kernel.Designated{} }
-	}
-	if cfg.CheckAt == 0 {
-		cfg.CheckAt = kernel.CheckAtResume
-	}
-	if (cfg.Costs == Costs{}) {
-		cfg.Costs = DefaultCosts()
 	}
 	return cfg
 }
 
 // New builds a system from cfg.
 func New(cfg Config) *System {
-	s, _ := build(defaultedConfig(cfg), func(_ int, kcfg kernel.Config) (*kernel.Kernel, error) {
+	s, _ := build(defaultedConfig(cfg), DefaultCosts(), func(_ int, kcfg kernel.Config) (*kernel.Kernel, error) {
 		return kernel.New(kcfg), nil
 	})
 	return s
 }
 
-// build wires a system over one fresh shared memory: CPU i's kernel comes
-// from newCPU with cfg's per-CPU kernel config, then joins the coherence
-// directory and the global liveness oracle. cfg must be defaulted apart
-// from CPUs, which build takes as given.
-func build(cfg Config, newCPU func(i int, kcfg kernel.Config) (*kernel.Kernel, error)) (*System, error) {
+// build wires a system over one fresh shared memory and a coherence
+// directory charging costs: CPU i's kernel comes from newCPU with cfg's
+// per-CPU kernel config, then joins the directory and the global
+// liveness oracle. Every CPU shares one arch.SMP() profile (R3000 base
+// costs plus a bus-locked interlocked tas and ll/sc) and runs the PC
+// check at resume, as Taos does. cfg must be defaulted apart from CPUs,
+// which build takes as given.
+func build(cfg Config, costs Costs, newCPU func(i int, kcfg kernel.Config) (*kernel.Kernel, error)) (*System, error) {
 	s := &System{
 		Mem:   vmach.NewMemory(),
-		Coh:   NewCoherence(cfg.Mode, cfg.Costs),
+		Coh:   NewCoherence(cfg.Mode, costs),
 		done:  make([]bool, cfg.CPUs),
 		verds: make([]error, cfg.CPUs),
 	}
+	profile := arch.SMP()
 	for i := 0; i < cfg.CPUs; i++ {
 		kcfg := kernel.Config{
-			Profile:   cfg.Profile,
+			Profile:   profile,
 			Strategy:  cfg.NewStrategy(),
-			CheckAt:   cfg.CheckAt,
+			CheckAt:   kernel.CheckAtResume,
 			Quantum:   cfg.Quantum,
 			MaxCycles: cfg.MaxCycles,
 			Memory:    s.Mem,
 			CPUID:     i,
-			Watchdog:  cfg.Watchdog,
 		}
 		if cfg.Faults != nil {
 			kcfg.Faults = cfg.Faults(i)

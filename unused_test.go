@@ -209,3 +209,89 @@ func recvType(e ast.Expr) string {
 		}
 	}
 }
+
+// unreadAllowed names the unexported struct fields under internal/ that no
+// program file of their package reads by name but that stay on purpose,
+// each with its reason. Keys are the package path below internal/, then
+// the struct type, then the field.
+var unreadAllowed = map[string]string{}
+
+// TestNoUnreadFields fails when an unexported struct field declared in a
+// program file under internal/ is read by no program file of its package
+// (test files excluded): a field that is only assigned, incremented or
+// set by a composite literal holds state nothing uses. The left side of =
+// and op=, the operand of ++ and --, and a composite-literal key are
+// writes; every other selector use is a read. Matching is by name within
+// the package, so a read of any field or method of that name keeps the
+// field; blank fields are skipped. It also fails on an allowlist entry that names no field or whose
+// field has since gained a reader.
+func TestNoUnreadFields(t *testing.T) {
+	type field struct{ key, pkg, name string }
+	var fields []field
+	read := map[[2]string]bool{} // package, name
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		writes := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if !id.IsExported() && id.Name != "_" {
+								fields = append(fields, field{pkg + "." + x.Name.Name + "." + id.Name, pkg, id.Name})
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range x.Lhs {
+					if s, ok := l.(*ast.SelectorExpr); ok {
+						writes[s] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if s, ok := x.X.(*ast.SelectorExpr); ok {
+					writes[s] = true
+				}
+			case *ast.SelectorExpr:
+				if !writes[x] {
+					read[[2]string{pkg, x.Sel.Name}] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := map[string]bool{}
+	var unread []string
+	for _, f := range fields {
+		exists[f.key] = true
+		switch isRead := read[[2]string{f.pkg, f.name}]; {
+		case isRead && unreadAllowed[f.key] != "":
+			t.Errorf("stale allowlist entry %s: now has a reader", f.key)
+		case !isRead && unreadAllowed[f.key] == "":
+			unread = append(unread, f.key)
+		}
+	}
+	for key := range unreadAllowed {
+		if !exists[key] {
+			t.Errorf("stale allowlist entry %s: no such field", key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("internal/%s: no program file of its package reads it; delete it, or allowlist it with a reason", key)
+	}
+}
